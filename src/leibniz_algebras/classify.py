@@ -535,7 +535,7 @@ def classify(
     )
 
     if F.is_prime_field:
-        N = nilradical(L)
+        N = nilradical(L, budget)
     elif nilradical_candidate is not None:
         if not verify_nilradical_candidate(L, nilradical_candidate):
             raise ValueError("supplied nilradical candidate failed verification")
@@ -705,7 +705,7 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
             _claim(
                 claims,
                 "nilradical matches the scan",
-                N == nilradical(L),
+                N == nilradical(L, budget),
             )
             T = subalgebra_table(L, N)
             iso = iso_search(T, heisenberg_plus_abelian(n - 4, F))

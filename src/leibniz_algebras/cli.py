@@ -185,7 +185,7 @@ def _cmd_invariants(args) -> int:
         "left annihilator dim: %d" % ann.dim,
     ]
     if L.field.is_prime_field and args.scan:
-        N = nilradical(L)
+        N = nilradical(L, args.budget)
         payload["nilradical_dim"] = N.dim
         lines.append("nilradical dim: %d" % N.dim)
     _emit(args, payload, lines)
@@ -195,9 +195,9 @@ def _cmd_invariants(args) -> int:
 def _cmd_alpha_beta(args, which: str) -> int:
     L = _load_algebra(args.file, args.lenient)
     res = (
-        alpha(L, args.budget, args.threads)
+        alpha(L, args.budget)
         if which == "alpha"
-        else beta(L, args.budget, args.threads)
+        else beta(L, args.budget)
     )
     value = res.alpha if which == "alpha" else res.beta
     witness = res.alpha_witness if which == "alpha" else res.beta_witness
@@ -458,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--json", action="store_true", help="machine-readable reports")
     top.add_argument("--lenient", action="store_true", help="warn instead of rejecting unknown document fields")
     top.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET, help="search budget")
-    top.add_argument("--threads", type=int, default=1, help="worker count forwarded to searches (results are order-independent)")
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, help_, **kw):

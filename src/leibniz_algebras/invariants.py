@@ -11,19 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._kernel import MODE_IDEAL
 from .algebra import (
     AlgebraTable,
+    center,
     is_abelian_subspace,
     is_ideal,
     is_subalgebra,
     left_annihilator,
     mult_operator,
     product_space,
+    quotient,
     require_leibniz,
-    subalgebra_table,
 )
 from .errors import ConsistencyError
 from .linalg import Matrix, Subspace, subspace_intersect, subspace_sum
+from .search import DEFAULT_SCAN_BUDGET, _scan_dim
 
 
 @dataclass(frozen=True)
@@ -147,33 +150,83 @@ def ideal_closure(L: AlgebraTable, S: Subspace) -> Subspace:
 
 
 def _is_nilpotent_subalgebra(L: AlgebraTable, U: Subspace) -> bool:
-    if U.is_zero():
-        return True
-    return series(subalgebra_table(L, U)).nilpotent
+    """Lower central series of the subalgebra U, computed in the ambient
+    coordinates of L: C1 = U, C(k+1) = [U, Ck] decreases to zero or stalls."""
+    C = U
+    while not C.is_zero():
+        nxt = product_space(L, U, C)
+        if nxt == C:
+            return False
+        C = nxt
+    return True
 
 
-def nilradical(L: AlgebraTable) -> Subspace:
-    """Largest nilpotent ideal, by exhaustive ideal scan (prime fields only).
+def nilradical(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> Subspace:
+    """Largest nilpotent ideal N (prime fields only), as an RREF subspace.
 
-    Sums every two-sided ideal whose induced subalgebra is nilpotent and
-    verifies the sum is itself a nilpotent ideal.
+    Two standard facts (Ayupov-Omirov-Rakhimov, *Leibniz Algebras: Structure
+    and Classification*, 2019) make this cheap:
+
+    * a sum of nilpotent ideals is nilpotent, so N is the unique nilpotent
+      ideal of maximal dimension;
+    * the center Z is a nilpotent ideal, so Z <= N, and an ideal J >= Z is
+      nilpotent iff J/Z is: if C^m(J) <= Z then C^(m+1)(J) = [J, Z] = 0.
+
+    Hence N is the preimage of the nilradical of L/Z.  The quotient by the
+    center is repeated until the center is everything (the algebra is
+    nilpotent) or zero; a centerless algebra's ideal strata are then scanned
+    top-down, and the first stratum holding a nilpotent ideal holds N, which
+    must be the only nilpotent ideal there.  `budget` bounds the subspaces
+    scanned over all strata; exceeding it raises BudgetExceededError.  The
+    result is checked to be a nilpotent ideal of L before it is returned.
     """
     require_leibniz(L)
-    if not L.field.is_prime_field:
+    F = L.field
+    if not F.is_prime_field:
         raise ValueError(
             "exact nilradical search needs a prime field; "
             "use verify_nilradical_candidate over the rationals"
         )
-    from .search import _scan_ideals  # local import to avoid a cycle
+    # M is the current quotient; the rows of `lift` are its basis vectors in
+    # the coordinates of L, and `kernel` spans the preimage of zero in L.
+    M = L
+    lift = Matrix.identity(F, L.dim)
+    kernel: list = []
+    while True:
+        Z = center(M)
+        if Z.dim == M.dim:
+            top = Z
+            break
+        if Z.is_zero():
+            top = _centerless_nilradical(M, budget)
+            break
+        kernel.extend(lift.apply_row(z) for z in Z.basis.data)
+        P = Z.extend_to_full_basis()
+        M, _ = quotient(M, Z)
+        lift = Matrix(F, P.data[Z.dim :]) @ lift
+    N = Subspace.from_vectors(
+        F, L.dim, kernel + [lift.apply_row(v) for v in top.basis.data]
+    )
+    if not is_ideal(L, N) or not _is_nilpotent_subalgebra(L, N):
+        raise ConsistencyError("nilradical candidate failed to be a nilpotent ideal")
+    return N
 
-    total = Subspace.zero(L.field, L.dim)
-    for d in range(L.dim + 1):
-        for U in _scan_ideals(L, d):
-            if _is_nilpotent_subalgebra(L, U):
-                total = subspace_sum(total, U)
-    if not is_ideal(L, total) or not _is_nilpotent_subalgebra(L, total):
-        raise ConsistencyError("sum of nilpotent ideals failed to be a nilpotent ideal")
-    return total
+
+def _centerless_nilradical(L: AlgebraTable, budget: int) -> Subspace:
+    """The nilpotent ideal of largest dimension, scanning strata top-down."""
+    remaining = budget
+    for d in range(L.dim, -1, -1):
+        scanned, ideals = _scan_dim(L, d, MODE_IDEAL, remaining, -1)
+        remaining -= scanned
+        nilpotent = [U for U in ideals if _is_nilpotent_subalgebra(L, U)]
+        if len(nilpotent) > 1:
+            raise ConsistencyError(
+                "two nilpotent ideals of maximal dimension %d; their sum "
+                "would be a larger nilpotent ideal" % d
+            )
+        if nilpotent:
+            return nilpotent[0]
+    raise ConsistencyError("no nilpotent ideal found, not even zero")
 
 
 def verify_nilradical_candidate(L: AlgebraTable, N: Subspace) -> bool:

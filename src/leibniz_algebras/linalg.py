@@ -553,10 +553,3 @@ def enumerate_subspaces(ambient_dim: int, dim: int, F: FieldSpec) -> Iterator[Su
             basis = Matrix(F, rows)._with_cols(n)
             yield Subspace(F, n, basis, list(piv))
 
-
-def enumerate_vectors(length: int, F: FieldSpec) -> Iterator[tuple]:
-    """All vectors of F^length in odometer order (prime fields only)."""
-    if not F.is_prime_field:
-        raise ValueError("cannot enumerate vectors over the rationals")
-    for vals in itertools.product(range(F.p), repeat=length):
-        yield vals

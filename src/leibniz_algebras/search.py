@@ -52,11 +52,6 @@ class IsoResult:
     map: Matrix | None = None
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ValueError("worker count must be at least 1")
-
-
 def _require_prime_field(L: AlgebraTable, what: str) -> None:
     if not L.field.is_prime_field:
         raise ValueError("%s requires a prime field (enumeration impossible over QQ)" % what)
@@ -90,13 +85,8 @@ def _scan_dim(L: AlgebraTable, d: int, mode: int, limit: int, collect: int):
     return scanned, subs
 
 
-def alpha(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET, threads: int = 1) -> SearchResult:
-    """Largest dimension of an abelian subalgebra, scanning downward.
-
-    `threads` is the worker count requested by callers; scans currently run
-    sequentially and results never depend on it.
-    """
-    _check_threads(threads)
+def alpha(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
+    """Largest dimension of an abelian subalgebra, scanning downward."""
     _require_prime_field(L, "alpha")
     remaining = budget
     total = 0
@@ -111,9 +101,8 @@ def alpha(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET, threads: int = 1) 
     raise ConsistencyError("no abelian subalgebra found, not even zero")
 
 
-def beta(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET, threads: int = 1) -> SearchResult:
+def beta(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
     """Largest dimension of an abelian two-sided ideal, scanning downward."""
-    _check_threads(threads)
     _require_prime_field(L, "beta")
     remaining = budget
     total = 0
@@ -128,9 +117,9 @@ def beta(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET, threads: int = 1) -
     raise ConsistencyError("no abelian ideal found, not even zero")
 
 
-def alpha_beta(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET, threads: int = 1) -> SearchResult:
-    a = alpha(L, budget, threads)
-    b = beta(L, budget, threads)
+def alpha_beta(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
+    a = alpha(L, budget)
+    b = beta(L, budget)
     return SearchResult(
         alpha=a.alpha,
         beta=b.beta,

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from leibniz_algebras.cli import run
-from leibniz_algebras.families import heisenberg, make_a, oscillator
+from leibniz_algebras.families import heisenberg, make_a, make_d, oscillator
 from leibniz_algebras.fields import QQ
 from leibniz_algebras.linalg import Matrix
 from leibniz_algebras.serialize import parse_algebra, serialize_algebra
@@ -82,6 +82,13 @@ def test_budget_exit_code(files):
     tmp, write = files
     path = write("o.json", oscillator(F3))
     assert run(["--budget", "3", "alpha", path]) == 3
+
+
+def test_nilradical_scan_budget_exit_code(files):
+    tmp, write = files
+    path = write("d.json", make_d(Matrix(F3, [[0, 1], [2, 0]]), F3))
+    assert run(["--budget", "1", "invariants", path, "--scan"]) == 3
+    assert run(["invariants", path, "--scan"]) == 0
 
 
 def test_classify_command(files, capsys):

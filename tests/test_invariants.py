@@ -1,15 +1,25 @@
+import random
+
 import pytest
 
 from leibniz_algebras.algebra import (
+    center,
+    change_of_basis,
     direct_sum,
     is_abelian_subspace,
     is_ideal,
     is_subalgebra,
     mult_operator,
     product_space,
+    quotient,
     subalgebra_table,
 )
-from leibniz_algebras.catalog import standard_fixtures
+from leibniz_algebras.catalog import (
+    heisenberg_rotation_extension,
+    rotation_2x2,
+    standard_fixtures,
+)
+from leibniz_algebras.errors import BudgetExceededError
 from leibniz_algebras.families import (
     abelian_algebra,
     heisenberg,
@@ -27,10 +37,21 @@ from leibniz_algebras.invariants import (
     series,
     verify_nilradical_candidate,
 )
-from leibniz_algebras.linalg import Matrix, Subspace, subspace_intersect
-from leibniz_algebras.search import all_abelian_subalgebras, alpha, is_maximal_subalgebra
+from leibniz_algebras.linalg import (
+    Matrix,
+    Subspace,
+    gaussian_binomial,
+    subspace_intersect,
+    subspace_sum,
+)
+from leibniz_algebras.search import (
+    _scan_ideals,
+    all_abelian_subalgebras,
+    alpha,
+    is_maximal_subalgebra,
+)
 
-from conftest import F2, F3
+from conftest import F2, F3, F5, rand_invertible
 
 ROT3 = Matrix(F3, [[0, 1], [2, 0]])
 
@@ -166,12 +187,65 @@ def test_nilradical_simple_is_zero():
     assert nilradical(make_d(ROT3, F3)).dim == 0
 
 
+def _brute_force_nilradical(L):
+    """Sum of every nilpotent ideal of every dimension, checked to be a
+    nilpotent ideal itself: the exhaustive definition of the nilradical."""
+    total = Subspace.zero(L.field, L.dim)
+    for d in range(1, L.dim + 1):
+        for U in _scan_ideals(L, d):
+            if series(subalgebra_table(L, U)).nilpotent:
+                total = subspace_sum(total, U)
+    assert is_ideal(L, total)
+    assert total.is_zero() or series(subalgebra_table(L, total)).nilpotent
+    return total
+
+
+def _center_dims(L):
+    """Dimensions of the centers met while dividing L by its center until the
+    center is zero or everything."""
+    dims = []
+    while True:
+        Z = center(L)
+        dims.append(Z.dim)
+        if Z.is_zero() or Z.dim == L.dim:
+            return dims
+        L, _ = quotient(L, Z)
+
+
+def _nilradical_inputs():
+    rng = random.Random(20240912)
+    out = []
+    for F, max_dim in ((F3, 6), (F5, 5)):
+        out.extend(standard_fixtures(F, max_dim=5))
+        rot = rotation_2x2(F)
+        for base in (make_c(rot, F), make_d(rot, F), heisenberg_rotation_extension(F)):
+            for k in range(max_dim - base.dim + 1):
+                L = direct_sum(base, abelian_algebra(k, F)) if k else base
+                out.append(change_of_basis(L, rand_invertible(F, L.dim, rng)))
+    return out
+
+
 def test_nilradical_is_nilpotent_ideal_containing_all_nilpotent_ideals():
-    for L in standard_fixtures(F3, max_dim=4):
-        N = nilradical(L)
-        assert is_ideal(L, N)
-        if N.dim:
-            assert series(subalgebra_table(L, N)).nilpotent
+    inputs = _nilradical_inputs()
+    # the inputs cover every path: centerless at once, centerless after a
+    # center quotient, and nilpotent after a center quotient
+    chains = [_center_dims(L) for L in inputs]
+    assert any(len(c) >= 2 and c[-1] == L.dim - sum(c[:-1]) for c, L in zip(chains, inputs))
+    assert any(c == [0] and L.dim > 0 for c, L in zip(chains, inputs))
+    assert any(len(c) >= 2 and c[-1] == 0 for c in chains)
+    for L in inputs:
+        assert nilradical(L) == _brute_force_nilradical(L), L.name
+
+
+def test_nilradical_budget_is_enforced():
+    L = make_d(ROT3, F3)
+    assert center(L).is_zero()
+    # d(rot) has no nonzero nilpotent ideal, so every stratum is scanned
+    every_stratum = sum(gaussian_binomial(3, d, 3) for d in range(4))
+    assert nilradical(L, budget=every_stratum).is_zero()
+    for budget in (1, every_stratum - 1):
+        with pytest.raises(BudgetExceededError):
+            nilradical(L, budget=budget)
 
 
 def test_nilradical_rejects_rationals():
