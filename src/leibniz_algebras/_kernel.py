@@ -1,45 +1,16 @@
-"""Kernel selection for the GF(p) subspace scan.
+"""The GF(p) subspace scan, as the rest of the package imports it.
 
-Prefers the compiled extension `_scan_c` when it is importable; falls back to
-the pure-Python twin `_scan_py`.  Set the environment variable
-LEIBNIZ_ALGEBRAS_PURE_PYTHON=1 to force the fallback (useful for the
-benchmark and for debugging).
+There is one implementation, the pure-Python `_scan_py`; this module
+re-exports its entry points and names it.
 """
 
 from __future__ import annotations
 
-import os
+from ._scan_py import MODE_ABELIAN, MODE_IDEAL, scan_subspaces
 
-from . import _scan_py
-
-if os.environ.get("LEIBNIZ_ALGEBRAS_PURE_PYTHON"):
-    _impl = _scan_py
-else:
-    try:
-        from . import _scan_c as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _scan_py
-
-MODE_ABELIAN = _scan_py.MODE_ABELIAN
-MODE_SUBALGEBRA = _scan_py.MODE_SUBALGEBRA
-MODE_IDEAL = _scan_py.MODE_IDEAL
-
-scan_subspaces = _impl.scan_subspaces
-rref_mod = _impl.rref_mod
+__all__ = ["MODE_ABELIAN", "MODE_IDEAL", "backend", "scan_subspaces"]
 
 
 def backend() -> str:
-    """Name of the active scan backend: 'c' or 'python'."""
-    return _impl.BACKEND
-
-
-def implementations():
-    """All available scan implementations, for tests and benchmarks."""
-    impls = {"python": _scan_py}
-    try:
-        from . import _scan_c  # type: ignore[attr-defined]
-
-        impls["c"] = _scan_c
-    except ImportError:
-        pass
-    return impls
+    """Name of the scan backend, as run records report it."""
+    return "python"

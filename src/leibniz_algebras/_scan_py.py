@@ -1,10 +1,11 @@
-"""Pure-Python subspace scan over GF(p).
+"""Subspace scan over GF(p): the hot search loop, in pure Python.
 
-Reference implementation of the hot search loop; a compiled twin with the
-same contract may be built as `_scan_c`.  The scan walks every d-dimensional
-subspace of GF(p)^n in canonical order (pivot-column sets lexicographically,
-then free entries row-major with the last position fastest) and tests the
-requested predicates against a structure-constant table.
+`canonical_subspaces` walks every d-dimensional subspace of GF(p)^n in
+canonical order: pivot-column sets lexicographically, then free entries
+row-major with the last position fastest.  It is the one enumerator of the
+package; `linalg.enumerate_subspaces` wraps its rows in `Subspace` objects,
+and `scan_subspaces` tests predicates against a structure-constant table on
+each subspace it yields.
 
 Contract:
 
@@ -23,40 +24,28 @@ from __future__ import annotations
 
 import itertools
 
-BACKEND = "python"
-
 MODE_ABELIAN = 1
-MODE_SUBALGEBRA = 2
 MODE_IDEAL = 4
 
 
-def rref_mod(flat, rows: int, cols: int, p: int):
-    """RREF of a rows x cols matrix over GF(p), given and returned flattened.
+def canonical_subspaces(n: int, p: int, d: int):
+    """Yield (pivots, rows) for every d-dimensional subspace of GF(p)^n.
 
-    Returns (flat_rref, rank).
+    `rows` is a fresh d x n RREF basis (lists of ints mod p) and `pivots`
+    the tuple of its pivot columns, in canonical order.
     """
-    m = [list(flat[r * cols : (r + 1) * cols]) for r in range(rows)]
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if m[i][c] % p:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    out = tuple(x for row in m for x in row)
-    return out, r
+    for piv in itertools.combinations(range(n), d):
+        pivset = set(piv)
+        free_pos = [
+            (r, c) for r in range(d) for c in range(piv[r] + 1, n) if c not in pivset
+        ]
+        for vals in itertools.product(range(p), repeat=len(free_pos)):
+            rows = [[0] * n for _ in range(d)]
+            for r in range(d):
+                rows[r][piv[r]] = 1
+            for (r, c), v in zip(free_pos, vals):
+                rows[r][c] = v
+            yield piv, rows
 
 
 def _sparse_table(table, n):
@@ -76,7 +65,6 @@ def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect
     matches = []
 
     want_abelian = bool(mode & MODE_ABELIAN)
-    want_subalg = bool(mode & MODE_SUBALGEBRA)
     want_ideal = bool(mode & MODE_IDEAL)
 
     def brack(u, v):
@@ -104,62 +92,44 @@ def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect
                 w = [(x - c * y) % p for x, y in zip(w, br)]
         return not any(w)
 
-    for piv in itertools.combinations(range(n), d):
-        pivset = set(piv)
-        free_pos = [
-            (r, c) for r in range(d) for c in range(piv[r] + 1, n) if c not in pivset
-        ]
-        for vals in itertools.product(range(p), repeat=len(free_pos)):
-            if limit >= 0 and scanned >= limit:
-                truncated = True
-                return scanned, truncated, matches
-            scanned += 1
-            rows = [[0] * n for _ in range(d)]
+    for piv, rows in canonical_subspaces(n, p, d):
+        if limit >= 0 and scanned >= limit:
+            truncated = True
+            return scanned, truncated, matches
+        scanned += 1
+
+        ok = True
+        if want_abelian:
             for r in range(d):
-                rows[r][piv[r]] = 1
-            for (r, c), v in zip(free_pos, vals):
-                rows[r][c] = v
+                for s in range(d):
+                    if any(brack(rows[r], rows[s])):
+                        ok = False
+                        break
+                if not ok:
+                    break
+        if ok and want_ideal:
+            for r in range(d):
+                u = rows[r]
+                for j in range(n):
+                    w1 = [0] * n
+                    w2 = [0] * n
+                    for i in range(n):
+                        ui = u[i]
+                        if not ui:
+                            continue
+                        for k, cc in sp[i][j]:
+                            w1[k] = (w1[k] + ui * cc) % p
+                        for k, cc in sp[j][i]:
+                            w2[k] = (w2[k] + ui * cc) % p
+                    if not in_span(w1, rows, piv) or not in_span(w2, rows, piv):
+                        ok = False
+                        break
+                if not ok:
+                    break
 
-            ok = True
-            if want_abelian:
-                for r in range(d):
-                    for s in range(d):
-                        if any(brack(rows[r], rows[s])):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok and want_subalg and not want_abelian:
-                for r in range(d):
-                    for s in range(d):
-                        if not in_span(brack(rows[r], rows[s]), rows, piv):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok and want_ideal:
-                for r in range(d):
-                    u = rows[r]
-                    for j in range(n):
-                        w1 = [0] * n
-                        w2 = [0] * n
-                        for i in range(n):
-                            ui = u[i]
-                            if not ui:
-                                continue
-                            for k, cc in sp[i][j]:
-                                w1[k] = (w1[k] + ui * cc) % p
-                            for k, cc in sp[j][i]:
-                                w2[k] = (w2[k] + ui * cc) % p
-                        if not in_span(w1, rows, piv) or not in_span(w2, rows, piv):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-
-            if ok:
-                matches.append(tuple(x for row in rows for x in row))
-                if collect >= 0 and len(matches) >= collect:
-                    return scanned, truncated, matches
+        if ok:
+            matches.append(tuple(x for row in rows for x in row))
+            if collect >= 0 and len(matches) >= collect:
+                return scanned, truncated, matches
 
     return scanned, truncated, matches

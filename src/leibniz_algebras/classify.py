@@ -63,8 +63,7 @@ from .linalg import (
 )
 from .search import (
     DEFAULT_SCAN_BUDGET,
-    _scan_dim,
-    _scan_ideals,
+    _first_hit,
     all_abelian_ideals,
     alpha,
     beta,
@@ -434,11 +433,7 @@ def _case3_signature(L, rep, N: Subspace | None) -> bool:
 
 def _codim2_abelian_ideal_gf(L: AlgebraTable, budget: int) -> Subspace | None:
     n = L.dim
-    for d in range(n, max(n - 3, -1), -1):
-        _, subs = _scan_dim(L, d, MODE_ABELIAN | MODE_IDEAL, budget, 1)
-        if subs:
-            return subs[0]
-    return None
+    return _first_hit(L, range(n, max(n - 3, -1), -1), MODE_ABELIAN | MODE_IDEAL, budget)[1]
 
 
 def _codim2_abelian_ideal_qq(L: AlgebraTable, A: Subspace) -> Subspace | None:
@@ -696,7 +691,7 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
             from .algebra import quotient
 
             Q, _ = quotient(L, CL)
-            no_proper = all(not _scan_ideals(Q, d, budget) for d in (1, 2))
+            no_proper = _first_hit(Q, (2, 1), MODE_IDEAL, budget)[1] is None
             _claim(claims, "quotient by the center is 3-dim simple", Q.dim == 3 and no_proper)
         else:
             _claim(claims, "3-step solvable", rep.solvable and rep.derived_length == 3)

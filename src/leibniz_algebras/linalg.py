@@ -10,10 +10,10 @@ restartable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from ._scan_py import canonical_subspaces
 from .errors import DimensionMismatchError
 from .fields import FieldSpec, Scalar, check_same_field
 
@@ -527,29 +527,13 @@ def enumerate_subspaces(ambient_dim: int, dim: int, F: FieldSpec) -> Iterator[Su
     """Yield every dim-dimensional subspace of F^ambient_dim exactly once.
 
     Canonical order: pivot-column sets lexicographically, then free entries
-    (row-major positions, leftmost slowest).  Only prime fields are
-    enumerable.
+    (row-major positions, leftmost slowest), as the scan kernel walks them.
+    Only prime fields are enumerable.
     """
     if not F.is_prime_field:
         raise ValueError("cannot enumerate subspaces over the rationals")
     if dim < 0 or dim > ambient_dim:
         return
-    p = F.p
-    n = ambient_dim
-    for piv in itertools.combinations(range(n), dim):
-        pivset = set(piv)
-        free_pos = [
-            (r, c)
-            for r in range(dim)
-            for c in range(piv[r] + 1, n)
-            if c not in pivset
-        ]
-        for vals in itertools.product(range(p), repeat=len(free_pos)):
-            rows = [[0] * n for _ in range(dim)]
-            for r in range(dim):
-                rows[r][piv[r]] = 1
-            for (r, c), v in zip(free_pos, vals):
-                rows[r][c] = v
-            basis = Matrix(F, rows)._with_cols(n)
-            yield Subspace(F, n, basis, list(piv))
-
+    for piv, rows in canonical_subspaces(ambient_dim, F.p, dim):
+        basis = Matrix(F, rows)._with_cols(ambient_dim)
+        yield Subspace(F, ambient_dim, basis, list(piv))

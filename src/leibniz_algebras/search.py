@@ -2,11 +2,13 @@
 dimensions (with witnesses), subalgebra maximality, and brute-force
 isomorphism search.
 
-Enumeration follows the canonical subspace order of `linalg.enumerate_subspaces`,
-so reported dimensions and witnesses are deterministic; witnesses are the
-first (lexicographically least) hits at the maximal dimension.  Costs are
-Gaussian-binomial sums; a configurable budget converts infeasible requests
-into explicit `BudgetExceededError` rather than silent truncation.
+Every subspace scan runs through the one kernel in `_scan_py` and follows
+its canonical order (pivot-column sets lexicographically, then free
+entries), so reported dimensions and witnesses are deterministic; witnesses
+are the first (lexicographically least) hits at the maximal dimension.
+Costs are Gaussian-binomial sums.  A top-down search debits one budget
+across all the strata it scans, and an exhausted budget raises
+`BudgetExceededError` rather than passing as a negative answer.
 """
 
 from __future__ import annotations
@@ -85,36 +87,40 @@ def _scan_dim(L: AlgebraTable, d: int, mode: int, limit: int, collect: int):
     return scanned, subs
 
 
-def alpha(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
-    """Largest dimension of an abelian subalgebra, scanning downward."""
-    _require_prime_field(L, "alpha")
+def _first_hit(L: AlgebraTable, dims, mode: int, budget: int):
+    """Scan the strata `dims` in order for a subspace passing `mode`.
+
+    One budget is debited across all strata.  Returns (d, witness, scanned)
+    for the first stratum with a match, the witness being its canonically
+    first hit, or (None, None, scanned) when no stratum has one.
+    """
     remaining = budget
     total = 0
-    for d in range(L.dim, -1, -1):
-        scanned, subs = _scan_dim(L, d, MODE_ABELIAN, remaining, 1)
+    for d in dims:
+        scanned, subs = _scan_dim(L, d, mode, remaining, 1)
         total += scanned
         remaining -= scanned
         if subs:
-            return SearchResult(
-                alpha=d, alpha_witness=subs[0], exhaustive=True, scanned=total
-            )
-    raise ConsistencyError("no abelian subalgebra found, not even zero")
+            return d, subs[0], total
+    return None, None, total
+
+
+def alpha(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
+    """Largest dimension of an abelian subalgebra, scanning downward."""
+    _require_prime_field(L, "alpha")
+    d, W, total = _first_hit(L, range(L.dim, -1, -1), MODE_ABELIAN, budget)
+    if W is None:
+        raise ConsistencyError("no abelian subalgebra found, not even zero")
+    return SearchResult(alpha=d, alpha_witness=W, exhaustive=True, scanned=total)
 
 
 def beta(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
     """Largest dimension of an abelian two-sided ideal, scanning downward."""
     _require_prime_field(L, "beta")
-    remaining = budget
-    total = 0
-    for d in range(L.dim, -1, -1):
-        scanned, subs = _scan_dim(L, d, MODE_ABELIAN | MODE_IDEAL, remaining, 1)
-        total += scanned
-        remaining -= scanned
-        if subs:
-            return SearchResult(
-                beta=d, beta_witness=subs[0], exhaustive=True, scanned=total
-            )
-    raise ConsistencyError("no abelian ideal found, not even zero")
+    d, W, total = _first_hit(L, range(L.dim, -1, -1), MODE_ABELIAN | MODE_IDEAL, budget)
+    if W is None:
+        raise ConsistencyError("no abelian ideal found, not even zero")
+    return SearchResult(beta=d, beta_witness=W, exhaustive=True, scanned=total)
 
 
 def alpha_beta(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:

@@ -22,7 +22,7 @@ from leibniz_algebras.classify import (
     solvability_from_codim2_ideal,
     verify_main_theorem,
 )
-from leibniz_algebras.errors import ConsistencyError
+from leibniz_algebras.errors import BudgetExceededError, ConsistencyError
 from leibniz_algebras.families import (
     abelian_algebra,
     heisenberg,
@@ -262,6 +262,17 @@ def test_solvability_examples():
     assert solvability_from_codim2_ideal(L, witness=W)
     with pytest.raises(ValueError):
         solvability_from_codim2_ideal(L, witness=span(QQ, 4, (1, 0, 0, 0)))
+
+
+def test_solvability_scan_debits_one_budget_across_strata():
+    # d(rot) over GF(3) has no abelian ideal of codimension <= 2; proving it
+    # scans the 1 + 13 + 13 subspaces of dimensions 3, 2 and 1
+    L = make_d(ROT3, F3)
+    with pytest.raises(ValueError, match="no abelian ideal"):
+        solvability_from_codim2_ideal(L, budget=27)
+    for budget in (26, 13):
+        with pytest.raises(BudgetExceededError):
+            solvability_from_codim2_ideal(L, budget=budget)
 
 
 def test_solvability_sweep():

@@ -194,6 +194,13 @@ def test_solvability_command(files):
     assert run(["solvability", path]) == 0
 
 
+def test_solvability_budget_exit_code(files):
+    tmp, write = files
+    path = write("d.json", make_d(Matrix(F3, [[0, 1], [2, 0]]), F3))
+    assert run(["--budget", "27", "solvability", path]) == 2  # the negative, a ValueError
+    assert run(["--budget", "26", "solvability", path]) == 3
+
+
 def test_document_error_exit_code(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"format_version": 1, "field": {"kind": "gf", "p": 4}, "dim": 1, "table": []}')
