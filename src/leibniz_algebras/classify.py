@@ -15,9 +15,9 @@ exactly one verdict is produced:
 
 The branches as mathematical families overlap: a solvable Lie algebra of the
 Case1_c shape is also a one-dimensional extension of its nilradical and so
-matches the Case3_e signature.  The classifier therefore applies a fixed
-precedence (ideal, then Case2_d, then Case1_c, then Case3_e) so verdicts are
-deterministic and basis-invariant.
+has the Case3_e structure.  The classifier therefore tries one matcher per
+case in a fixed precedence (ideal, then Case2_d, then Case1_c, then Case3_e)
+so verdicts are deterministic and basis-invariant.
 
 Cases 1-3 carry an explicit frame: a basis of the input algebra in which its
 table equals the reconstructed model algebra bit for bit.  The reported
@@ -43,11 +43,12 @@ from .algebra import (
     is_lie,
     is_subalgebra,
     product_space,
+    quotient,
     require_leibniz,
     squares_ideal,
     subalgebra_table,
 )
-from .errors import ConsistencyError, FamilyParameterError
+from .errors import ConsistencyError, FamilyParameterError, NoAbelianIdealError
 from .families import abelian_algebra, heisenberg_plus_abelian, make_c, make_d, make_e
 from .fields import FieldSpec
 from .invariants import fitting_decomposition, nilradical, series, verify_nilradical_candidate
@@ -145,52 +146,32 @@ def field_admits_irreducible_quadratic(F: FieldSpec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# frame extraction helpers
+# case matchers: each tests its case's structure and, when it holds, returns
+# the frame; None means the case does not apply.  All take (L, is_lie(L),
+# series(L), the center CL, L2 = [L, L], the nilradical N or None).
 
 
-def _ambient(W: Subspace, coords) -> tuple:
-    F = W.field
-    v = [F.zero] * W.ambient_dim
-    for c, row in zip(coords, W.basis.data):
-        if c != F.zero:
-            v = [F.add(x, F.mul(c, y)) for x, y in zip(v, row)]
-    return tuple(v)
-
-
-def _heisenberg_like(T: AlgebraTable) -> bool:
-    """Structural test for heisenberg (+) F^(dim-3): Lie, nilpotent, derived
-    space of dimension 1 inside a center of dimension dim-2."""
-    m = T.dim
-    if m < 3 or not is_lie(T):
-        return False
-    rep = series(T)
-    if not rep.nilpotent:
-        return False
-    T2 = product_space(T, T.full_space(), T.full_space())
-    if T2.dim != 1:
-        return False
-    CT = center(T)
-    return CT.dim == m - 2 and CT.contains(T2)
-
-
-def _heisenberg_frame(L: AlgebraTable, W: Subspace) -> list[tuple]:
+def _heisenberg_frame(L: AlgebraTable, W: Subspace) -> list[tuple] | None:
     """Ambient rows (u, w, z, f_1, ..) putting the subalgebra W in the standard
-    heisenberg (+) F^k form: [u, w] = z with z and the f's central in W."""
-    T = subalgebra_table(L, W)
-    F = L.field
+    heisenberg (+) F^k form: [u, w] = z with z and the f's central in W.
+
+    None when W is not heisenberg (+) F^(dim-3), tested structurally: Lie,
+    nilpotent, derived space of dimension 1 inside a center of dimension
+    dim-2."""
     m = W.dim
+    if m < 3:
+        return None
+    T = subalgebra_table(L, W)
+    if not is_lie(T) or not series(T).nilpotent:
+        return None
     T2 = product_space(T, T.full_space(), T.full_space())
-    if T2.dim != 1:
-        raise ConsistencyError("derived space of the nilradical frame is not a line")
-    z_t = T2.basis.data[0]
     CT = center(T)
+    if T2.dim != 1 or CT.dim != m - 2 or not CT.contains(T2):
+        return None
+    F = L.field
+    z_t = T2.basis.data[0]
     zspan = Subspace.from_vectors(F, m, [z_t])
-    fs_t = []
-    acc = zspan
-    for row in CT.basis.data:
-        if not acc.contains_vector(row):
-            fs_t.append(row)
-            acc = subspace_sum(acc, Subspace.from_vectors(F, m, [row]))
+    fs_t = _extend_line(zspan, CT)
     for r in range(m):
         for s in range(m):
             if r == s:
@@ -199,18 +180,27 @@ def _heisenberg_frame(L: AlgebraTable, W: Subspace) -> list[tuple]:
             coords = zspan.coordinates(q)
             if coords is None or coords[0] == F.zero:
                 continue
-            gamma = coords[0]
             u_t = T.basis_vector(r)
-            w_t = tuple(F.mul(F.inv(gamma), x) for x in T.basis_vector(s))
+            w_t = tuple(F.mul(F.inv(coords[0]), x) for x in T.basis_vector(s))
             rows_t = [u_t, w_t, z_t] + fs_t
             if Subspace.from_vectors(F, m, rows_t).dim != m:
                 continue
-            model = heisenberg_plus_abelian(m - 3, F)
-            got = change_of_basis(T, Matrix(F, rows_t))
-            if got.c != model.c:
+            if change_of_basis(T, Matrix(F, rows_t)).c != heisenberg_plus_abelian(m - 3, F).c:
                 raise ConsistencyError("heisenberg frame does not reproduce the model table")
-            return [_ambient(W, row) for row in rows_t]
+            return [W.basis.apply_row(row) for row in rows_t]
     raise ConsistencyError("no heisenberg frame found in the given subalgebra")
+
+
+def _extend_line(line: Subspace, C: Subspace) -> list[tuple]:
+    """Basis rows of C that, taken greedily, extend the line to a basis of
+    line + C."""
+    F = C.field
+    out = []
+    for row in C.basis.data:
+        if not line.contains_vector(row):
+            out.append(row)
+            line = subspace_sum(line, Subspace.from_vectors(F, C.ambient_dim, [row]))
+    return out
 
 
 def _coords_in_rows(F: FieldSpec, rows: list[tuple], v) -> tuple:
@@ -227,20 +217,22 @@ def _least_index_outside(L: AlgebraTable, S: Subspace) -> int:
     raise ConsistencyError("no basis vector outside the subspace")
 
 
-def _extract_case1(L: AlgebraTable, CL: Subspace, L2: Subspace) -> dict:
-    """Frame (a, z, u, w, f..) matching  c(m) (+) F^(n-4);  m read off the
-    action of the complement generator on span(u, w)."""
+def _match_case1(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
+    """Case1_c: solvable Lie of derived length 3, L2 = [L, L] a 3-dim
+    heisenberg algebra, center of dimension n-3.  Frame (a, z, u, w, f..)
+    matching  c(m) (+) F^(n-4);  m read off the action of the complement
+    generator on span(u, w)."""
     F = L.field
     n = L.dim
-    frame_h = _heisenberg_frame(L, L2)  # (u, w, z): L2 is a 3-dim heisenberg
-    u, w, z = frame_h[0], frame_h[1], frame_h[2]
-    zspan = Subspace.from_vectors(F, n, [z])
-    fs = []
-    acc = zspan
-    for row in CL.basis.data:
-        if not acc.contains_vector(row):
-            fs.append(row)
-            acc = subspace_sum(acc, Subspace.from_vectors(F, n, [row]))
+    if not (lie and rep.solvable and rep.derived_length == 3):
+        return None
+    if L2.dim != 3 or CL.dim != n - 3:
+        return None
+    frame_h = _heisenberg_frame(L, L2)
+    if frame_h is None:
+        return None
+    u, w, z = frame_h
+    fs = _extend_line(Subspace.from_vectors(F, n, [z]), CL)
     a0 = L.basis_vector(_least_index_outside(L, subspace_sum(CL, L2)))
     # strip the z-component of the action by absorbing it into the generator
     rows_uvz = [u, w, z]
@@ -285,9 +277,10 @@ def _simple_3dim_subspaces(T: AlgebraTable):
             yield V
 
 
-def _extract_case2(L: AlgebraTable, CL: Subspace) -> dict:
-    """Frame (h, u, w, f..) matching  d(m) (+) F^(n-3), extracted from the
-    derived subalgebra, which is the 3-dimensional simple part.
+def _match_case2(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
+    """Case2_d: Lie, not solvable, center of dimension n-3 with a 3-dim
+    simple quotient.  Frame (h, u, w, f..) matching  d(m) (+) F^(n-3),
+    extracted from L2 = [L, L], which is the 3-dimensional simple part.
 
     A simple algebra can contain standard triples with non-conjugate action
     matrices (over a finite field every 3-dim simple Lie algebra is split, so
@@ -296,7 +289,12 @@ def _extract_case2(L: AlgebraTable, CL: Subspace) -> dict:
     reported.  That selection is an isomorphism invariant."""
     F = L.field
     n = L.dim
-    L2 = product_space(L, L.full_space(), L.full_space())
+    if not lie or rep.solvable or CL.dim != n - 3:
+        return None
+    # L / CL is 3-dim; it is simple iff it equals its derived algebra, the
+    # image of L2, i.e. iff L2 + CL = L
+    if subspace_sum(L2, CL).dim != n:
+        return None
     if L2.dim != 3 or not subspace_intersect(L2, CL).is_zero():
         raise ConsistencyError("derived subalgebra is not a 3-dim complement of the center")
     T = subalgebra_table(L, L2)
@@ -324,7 +322,7 @@ def _extract_case2(L: AlgebraTable, CL: Subspace) -> dict:
         raise ConsistencyError("extracted action matrix has nonzero trace") from exc
     if n > 3:
         model = direct_sum(model, abelian_algebra(n - 3, F))
-    frame_rows = [_ambient(L2, h_t), _ambient(L2, u_t), _ambient(L2, w_t)]
+    frame_rows = [L2.basis.apply_row(t) for t in (h_t, u_t, w_t)]
     frame_rows += list(CL.basis.data)
     frame = Matrix(F, frame_rows)
     if change_of_basis(L, frame).c != model.c:
@@ -332,34 +330,28 @@ def _extract_case2(L: AlgebraTable, CL: Subspace) -> dict:
     return {"chi": chi, "m": m, "frame": frame, "model": model}
 
 
-def _induced_outer_action(L: AlgebraTable, N: Subspace, frame_amb: list[tuple], x) -> Matrix:
-    """Matrix of the induced left action of x on N / C(N) in the frame's
-    span(u, w) coordinates."""
-    F = L.field
-    cols = []
-    for t in range(2):
-        img = bracket(L, x, frame_amb[t])
-        coords = _coords_in_rows(F, frame_amb, img)
-        cols.append((coords[0], coords[1]))
-    return Matrix(F, [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
-
-
-def _extract_case3(L: AlgebraTable, N: Subspace) -> dict:
-    """Frame (x, u, w, z, f..) matching  e(phi, theta, v, n)."""
+def _match_case3(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
+    """Case3_e: solvable, nilradical N of codimension 1 isomorphic to
+    heisenberg (+) F^(n-4), and the outside generator x acting irreducibly on
+    N / C(N).  Frame (x, u, w, z, f..) matching  e(phi, theta, v, n)."""
     F = L.field
     n = L.dim
+    if N is None or not rep.solvable or N.dim != n - 1:
+        return None
     frame_amb = _heisenberg_frame(L, N)
-    xi = _least_index_outside(L, N)
-    x = L.basis_vector(xi)
-    h = len(frame_amb)
+    if frame_amb is None:
+        return None
+    x = L.basis_vector(_least_index_outside(L, N))
 
     def h_coords(vec) -> tuple:
         return _coords_in_rows(F, frame_amb, vec)
 
-    phi_cols = [h_coords(bracket(L, x, b)) for b in frame_amb]
-    theta_cols = [h_coords(bracket(L, b, x)) for b in frame_amb]
-    phi = Matrix(F, [[phi_cols[j][k] for j in range(h)] for k in range(h)])
-    theta = Matrix(F, [[theta_cols[j][k] for j in range(h)] for k in range(h)])
+    phi = Matrix(F, [h_coords(bracket(L, x, b)) for b in frame_amb]).transpose()
+    # the induced action on N / C(N) is the (u, w) block of phi
+    star = Matrix(F, [phi.data[0][:2], phi.data[1][:2]])
+    if not is_irreducible_quadratic(char_poly_2x2(star), F):
+        return None
+    theta = Matrix(F, [h_coords(bracket(L, b, x)) for b in frame_amb]).transpose()
     v = h_coords(bracket(L, x, x))
     try:
         model = make_e(phi, theta, v, n, F)
@@ -370,7 +362,6 @@ def _extract_case3(L: AlgebraTable, N: Subspace) -> dict:
     frame = Matrix(F, [x] + frame_amb)
     if change_of_basis(L, frame).c != model.c:
         raise ConsistencyError("case-3 frame does not transport the table onto the model")
-    star = _induced_outer_action(L, N, frame_amb, x)
     chi = canonical_quadratic(F, char_poly_2x2(star))
     return {
         "phi": phi,
@@ -384,56 +375,22 @@ def _extract_case3(L: AlgebraTable, N: Subspace) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# signatures
-
-
-def _case1_signature(L, lie, rep, CL, L2) -> bool:
-    n = L.dim
-    if not (lie and rep.solvable and rep.derived_length == 3):
-        return False
-    if L2.dim != 3 or CL.dim != n - 3:
-        return False
-    return _heisenberg_like(subalgebra_table(L, L2))
-
-
-def _case2_signature(L, lie, rep, CL) -> bool:
-    n = L.dim
-    if not lie or rep.solvable or CL.dim != n - 3:
-        return False
-    from .algebra import quotient
-
-    Q, _ = quotient(L, CL)
-    if Q.dim != 3:
-        return False
-    Q2 = product_space(Q, Q.full_space(), Q.full_space())
-    return Q2.dim == 3  # a 3-dim algebra equal to its own derived algebra is simple
-
-
-def _case3_signature(L, rep, N: Subspace | None) -> bool:
-    n = L.dim
-    if N is None or not rep.solvable:
-        return False
-    if N.dim != n - 1:
-        return False
-    T = subalgebra_table(L, N)
-    if not _heisenberg_like(T):
-        return False
-    # induced action of the outside generator on N / C(N) must be irreducible
-    F = L.field
-    frame_amb = _heisenberg_frame(L, N)
-    x = L.basis_vector(_least_index_outside(L, N))
-    star = _induced_outer_action(L, N, frame_amb, x)
-    return is_irreducible_quadratic(char_poly_2x2(star), F)
+# checked in this order: the families overlap (see the module docstring)
+_MATCHERS = (
+    (Case.CASE2_D, _match_case2),
+    (Case.CASE1_C, _match_case1),
+    (Case.CASE3_E, _match_case3),
+)
 
 
 # ---------------------------------------------------------------------------
 # classification
 
 
-def _codim2_abelian_ideal_gf(L: AlgebraTable, budget: int) -> Subspace | None:
+def _codim2_abelian_ideal_gf(L: AlgebraTable, budget: int) -> tuple[Subspace | None, int]:
+    """The first abelian ideal of codimension <= 2 and the subspaces scanned."""
     n = L.dim
-    return _first_hit(L, range(n, max(n - 3, -1), -1), MODE_ABELIAN | MODE_IDEAL, budget)[1]
+    return _first_hit(L, range(n, max(n - 3, -1), -1), MODE_ABELIAN | MODE_IDEAL, budget)[1:]
 
 
 def _codim2_abelian_ideal_qq(L: AlgebraTable, A: Subspace) -> Subspace | None:
@@ -470,10 +427,12 @@ def classify(
 ) -> ClassificationVerdict:
     """Classify an algebra whose maximal abelian subalgebra has codimension 2.
 
-    Over a prime field everything is searched exhaustively.  Over the
-    rationals a codimension-2 abelian subalgebra witness A is required and a
-    nilradical candidate is needed to recognize the extension case; all
-    downstream checks are then verifications of the supplied data.
+    Over a prime field everything is searched exhaustively, and one
+    `budget` bounds the subspaces scanned by the whole request: alpha, then
+    the abelian-ideal scan, then the nilradical.  Over the rationals a
+    codimension-2 abelian subalgebra witness A is required and a nilradical
+    candidate is needed to recognize the extension case; all downstream
+    checks are then verifications of the supplied data.
     """
     require_leibniz(L)
     F = L.field
@@ -496,7 +455,8 @@ def classify(
             return ClassificationVerdict(Case.NOT_APPLICABLE, {}, diagnostics)
         if A is None:
             A = a_res.alpha_witness
-        ideal_witness = _codim2_abelian_ideal_gf(L, budget)
+        ideal_witness, scanned = _codim2_abelian_ideal_gf(L, budget - a_res.scanned)
+        budget -= a_res.scanned + scanned
     else:
         if A is None:
             raise ValueError(
@@ -515,7 +475,8 @@ def classify(
     rep = series(L)
     CL = center(L)
     IL = squares_ideal(L)
-    L2 = product_space(L, L.full_space(), L.full_space())
+    # [L, L]; a perfect algebra's derived chain stops at L
+    L2 = rep.derived_chain[1] if len(rep.derived_chain) > 1 else rep.derived_chain[0]
     diagnostics.update(
         {
             "is_lie": lie,
@@ -540,20 +501,11 @@ def classify(
     if N is not None:
         diagnostics["dim_nilradical"] = N.dim
 
-    if _case2_signature(L, lie, rep, CL):
-        witness = _extract_case2(L, CL)
-        diagnostics["chi"] = witness["chi"]
-        return ClassificationVerdict(Case.CASE2_D, witness, diagnostics)
-
-    if _case1_signature(L, lie, rep, CL, L2):
-        witness = _extract_case1(L, CL, L2)
-        diagnostics["chi"] = witness["chi"]
-        return ClassificationVerdict(Case.CASE1_C, witness, diagnostics)
-
-    if _case3_signature(L, rep, N):
-        witness = _extract_case3(L, N)
-        diagnostics["chi"] = witness["chi"]
-        return ClassificationVerdict(Case.CASE3_E, witness, diagnostics)
+    for case, match in _MATCHERS:
+        witness = match(L, lie, rep, CL, L2, N)
+        if witness is not None:
+            diagnostics["chi"] = witness["chi"]
+            return ClassificationVerdict(case, witness, diagnostics)
 
     if not F.is_prime_field and N is None and rep.solvable:
         raise ValueError(
@@ -578,9 +530,9 @@ def solvability_from_codim2_ideal(
     else:
         if not L.field.is_prime_field:
             raise ValueError("supply a witness over the rationals")
-        witness = _codim2_abelian_ideal_gf(L, budget)
+        witness, _ = _codim2_abelian_ideal_gf(L, budget)
         if witness is None:
-            raise ValueError("no abelian ideal of codimension <= 2 exists")
+            raise NoAbelianIdealError("no abelian ideal of codimension <= 2 exists")
     rep = series(L)
     return rep.solvable and rep.derived_length is not None and rep.derived_length <= 3
 
@@ -688,8 +640,6 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
             _claim(claims, "center has dimension n-3", CL.dim == n - 3)
             if maximal:
                 _claim(claims, "the maximal abelian ideal is the center", maximal[0] == CL)
-            from .algebra import quotient
-
             Q, _ = quotient(L, CL)
             no_proper = _first_hit(Q, (2, 1), MODE_IDEAL, budget)[1] is None
             _claim(claims, "quotient by the center is 3-dim simple", Q.dim == 3 and no_proper)
@@ -706,9 +656,7 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
             iso = iso_search(T, heisenberg_plus_abelian(n - 4, F))
             _claim(claims, "nilradical is heisenberg (+) F^(n-4)", iso.isomorphic)
             CN_t = center(T)
-            CN = Subspace.from_vectors(
-                F, n, [_ambient(N, row) for row in CN_t.basis.data]
-            )
+            CN = Subspace.from_vectors(F, n, [N.basis.apply_row(r) for r in CN_t.basis.data])
             if maximal:
                 _claim(
                     claims,

@@ -30,6 +30,7 @@ from .errors import (
     BudgetExceededError,
     DocumentError,
     FamilyParameterError,
+    NoAbelianIdealError,
     NotLeibnizError,
 )
 from .families import (
@@ -573,7 +574,7 @@ def run(argv=None) -> int:
     except (UsageError, DocumentError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (NotLeibnizError, FamilyParameterError) as exc:
+    except (NotLeibnizError, FamilyParameterError, NoAbelianIdealError) as exc:
         print("negative: %s" % exc, file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -29,6 +29,11 @@ class BudgetExceededError(AlgebraError):
     """A search exceeded its configured budget; the result is indeterminate."""
 
 
+class NoAbelianIdealError(AlgebraError, ValueError):
+    """No abelian ideal of codimension <= 2 exists: a mathematical negative.
+    It stays a ValueError for callers that catch one."""
+
+
 class ConsistencyError(AlgebraError):
     """An internal cross-check failed.  This signals a bug or corrupted input,
     never a legitimate mathematical outcome."""

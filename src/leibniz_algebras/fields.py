@@ -144,9 +144,6 @@ class FieldSpec:
             return Fraction(1) / a
         return _inv_mod(a, self.p)
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
 

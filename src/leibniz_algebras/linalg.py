@@ -49,10 +49,6 @@ class Matrix:
         zero = field.zero
         return Matrix(field, [[zero] * cols for _ in range(rows)])
 
-    @staticmethod
-    def from_rows(field: FieldSpec, rows: Iterable[Sequence]) -> "Matrix":
-        return Matrix(field, list(rows))
-
     # -- dunder --------------------------------------------------------------
 
     def __eq__(self, other):
@@ -71,10 +67,6 @@ class Matrix:
             " ".join(self.field.format(x) for x in row) for row in self.data
         )
         return "Matrix(%r, [%s])" % (self.field, body)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
 
     def row(self, i: int) -> tuple:
         return self.data[i]
@@ -355,9 +347,6 @@ class Subspace:
 
     def is_zero(self) -> bool:
         return self.dim == 0
-
-    def vectors(self) -> tuple:
-        return self.basis.data
 
     def __eq__(self, other):
         return (

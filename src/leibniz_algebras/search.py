@@ -124,8 +124,9 @@ def beta(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
 
 
 def alpha_beta(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
+    """alpha, then beta, debiting one budget."""
     a = alpha(L, budget)
-    b = beta(L, budget)
+    b = beta(L, budget - a.scanned)
     return SearchResult(
         alpha=a.alpha,
         beta=b.beta,

@@ -3,6 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from leibniz_algebras import search
+from leibniz_algebras.algebra import direct_sum
+from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2
+from leibniz_algebras.families import abelian_algebra, make_c, make_d
 from leibniz_algebras.fields import GF
 from leibniz_algebras.linalg import Matrix
 
@@ -31,3 +35,32 @@ def rand_invertible(F, n, rng):
         M = rand_matrix(F, n, n, rng)
         if M.is_invertible():
             return M
+
+
+def scanned_by(monkeypatch, fn):
+    """fn()'s result and the number of subspaces it examined, counted at the
+    scan kernel."""
+    total = 0
+    real = search.scan_subspaces
+
+    def counting(*args):
+        nonlocal total
+        out = real(*args)
+        total += out[0]
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "scan_subspaces", counting)
+        result = fn()
+    return result, total
+
+
+def one_budget_algebras():
+    """GF(3) algebras with alpha = n-2 for whole-request budget tests:
+    c(rot) (+) F (Case1_c), rotext (+) F and d(rot) (+) F^2 (Case2_d)."""
+    rot = rotation_2x2(F3)
+    return {
+        "c(rot)+F": direct_sum(make_c(rot, F3), abelian_algebra(1, F3)),
+        "rotext+F": direct_sum(heisenberg_rotation_extension(F3), abelian_algebra(1, F3)),
+        "d(rot)+F^2": direct_sum(make_d(rot, F3), abelian_algebra(2, F3)),
+    }

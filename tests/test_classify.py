@@ -6,6 +6,7 @@ from leibniz_algebras.algebra import (
     direct_sum,
     is_abelian_subspace,
     is_ideal,
+    is_lie,
     product_space,
     subalgebra_table,
 )
@@ -16,6 +17,7 @@ from leibniz_algebras.catalog import (
 )
 from leibniz_algebras.classify import (
     Case,
+    _match_case3,
     canonical_quadratic,
     classify,
     field_admits_irreducible_quadratic,
@@ -33,11 +35,11 @@ from leibniz_algebras.families import (
     oscillator,
 )
 from leibniz_algebras.fields import GF, QQ
-from leibniz_algebras.invariants import series
+from leibniz_algebras.invariants import nilradical, series
 from leibniz_algebras.linalg import Matrix, QuadraticPoly, Subspace
 from leibniz_algebras.search import alpha, beta
 
-from conftest import F3, rand_invertible
+from conftest import F3, one_budget_algebras, rand_invertible, scanned_by
 
 ROT3 = Matrix(F3, [[0, 1], [2, 0]])
 ROTQ = Matrix(QQ, [[0, 1], [-1, 0]])
@@ -246,6 +248,30 @@ def test_classify_qq_rejects_bad_nilradical_candidate():
     A = span(QQ, 4, (0, 1, 0, 0), (0, 0, 1, 0))
     with pytest.raises(ValueError):
         classify(L, A=A, nilradical_candidate=L.full_space())
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_case1_takes_precedence_over_case3(k):
+    # c(rot) (+) F^k is also a one-dimensional extension of its nilradical,
+    # acting irreducibly on it: the Case3_e matcher accepts it as well
+    L = make_c(ROT3, F3)
+    if k:
+        L = direct_sum(L, abelian_algebra(k, F3))
+    full = L.full_space()
+    L2 = product_space(L, full, full)
+    case3 = _match_case3(L, is_lie(L), series(L), center(L), L2, nilradical(L))
+    assert case3 is not None
+    assert classify(L).case is Case.CASE1_C
+
+
+@pytest.mark.parametrize("name", sorted(one_budget_algebras()))
+def test_classify_debits_one_budget(monkeypatch, name):
+    # alpha, the abelian-ideal scan and the nilradical share one budget
+    L = one_budget_algebras()[name]
+    verdict, total = scanned_by(monkeypatch, lambda: classify(L))
+    assert classify(L, budget=total).case is verdict.case
+    with pytest.raises(BudgetExceededError):
+        classify(L, budget=total - 1)
 
 
 # -- solvability from a codimension-2 abelian ideal -----------------------------------

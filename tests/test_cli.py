@@ -197,8 +197,15 @@ def test_solvability_command(files):
 def test_solvability_budget_exit_code(files):
     tmp, write = files
     path = write("d.json", make_d(Matrix(F3, [[0, 1], [2, 0]]), F3))
-    assert run(["--budget", "27", "solvability", path]) == 2  # the negative, a ValueError
+    assert run(["--budget", "27", "solvability", path]) == 1  # the mathematical negative
     assert run(["--budget", "26", "solvability", path]) == 3
+
+
+def test_solvability_witness_errors_exit_2(files):
+    tmp, write = files
+    path = write("d.json", make_d(Matrix(F3, [[0, 1], [2, 0]]), F3))
+    assert run(["solvability", path, "--witness", "1,0,0"]) == 2  # not an ideal
+    assert run(["solvability", path, "--witness", "1,0"]) == 2  # malformed
 
 
 def test_document_error_exit_code(tmp_path):

@@ -35,7 +35,7 @@ from leibniz_algebras.search import (
     span_equivalent_iso,
 )
 
-from conftest import F2, F3, rand_invertible, rand_matrix
+from conftest import F2, F3, one_budget_algebras, rand_invertible, rand_matrix, scanned_by
 
 ROT3 = Matrix(F3, [[0, 1], [2, 0]])
 
@@ -95,6 +95,17 @@ def test_budget_exceeded_is_explicit():
     L = direct_sum(oscillator(F3), abelian_algebra(1, F3))
     with pytest.raises(BudgetExceededError):
         alpha(L, budget=5)
+
+
+@pytest.mark.parametrize("name", sorted(one_budget_algebras()))
+def test_alpha_beta_debits_one_budget(monkeypatch, name):
+    L = one_budget_algebras()[name]
+    res, total = scanned_by(monkeypatch, lambda: alpha_beta(L))
+    assert res.scanned == total
+    again = alpha_beta(L, budget=total)
+    assert (again.alpha, again.beta) == (res.alpha, res.beta)
+    with pytest.raises(BudgetExceededError):
+        alpha_beta(L, budget=total - 1)
 
 
 def test_witness_canonical_under_scan_order():
