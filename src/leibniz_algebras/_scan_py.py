@@ -2,10 +2,12 @@
 
 `canonical_subspaces` walks every d-dimensional subspace of GF(p)^n in
 canonical order: pivot-column sets lexicographically, then free entries
-row-major with the last position fastest.  It is the one enumerator of the
-package; `linalg.enumerate_subspaces` wraps its rows in `Subspace` objects,
-and `scan_subspaces` tests predicates against a structure-constant table on
-each subspace it yields.
+row-major with the last position fastest.  It fixes the rows of the RREF
+basis one at a time, row 0 first, and an optional row test may cut the whole
+subtree below a row.  It is the one enumerator of the package;
+`linalg.enumerate_subspaces` wraps its rows in `Subspace` objects, and
+`scan_subspaces` tests predicates against a structure-constant table on the
+subspaces it yields.
 
 Contract:
 
@@ -18,6 +20,16 @@ number of subspaces examined (-1 for no cap) and `collect` caps the number of
 matches gathered (-1 for all).  Matches are flattened d*n row-major RREF
 basis matrices.  `truncated` is True only when the limit stopped the scan
 before exhaustion with the collection still open.
+
+Under MODE_ABELIAN the walk cuts by row prefix: with rows 0..r-1 fixed it
+visits only the values of row r whose brackets with itself and, both ways,
+with every fixed row vanish.  The brackets with fixed rows are linear in row
+r's free entries, so they are solved rather than tried.  A value left out
+cuts every subspace below it, none of which is abelian.  MODE_IDEAL is
+tested on each subspace the walk reaches.  `scanned` still counts every
+subspace of the canonical order up to the point where the scan stopped, cut
+ones included, so `scanned`, `truncated` and `matches` are exactly what a
+subspace-by-subspace scan would return.
 """
 
 from __future__ import annotations
@@ -28,24 +40,111 @@ MODE_ABELIAN = 1
 MODE_IDEAL = 4
 
 
-def canonical_subspaces(n: int, p: int, d: int):
-    """Yield (pivots, rows) for every d-dimensional subspace of GF(p)^n.
+def gaussian_binomial(n: int, d: int, p: int) -> int:
+    """Number of d-dimensional subspaces of GF(p)^n."""
+    if d < 0 or d > n:
+        return 0
+    num = den = 1
+    for i in range(d):
+        num *= p ** (n - i) - 1
+        den *= p ** (d - i) - 1
+    return num // den
 
-    `rows` is a fresh d x n RREF basis (lists of ints mod p) and `pivots`
-    the tuple of its pivot columns, in canonical order.
+
+def canonical_subspaces(n: int, p: int, d: int, row_values=None):
+    """Yield (index, pivots, rows) for the d-dimensional subspaces of GF(p)^n.
+
+    `index` is the subspace's position in the canonical order, `pivots` the
+    tuple of its pivot columns and `rows` its d x n RREF basis (lists of ints
+    mod p), which the walk reuses: copy it to keep it.  Rows are fixed in
+    order, row 0 first.  With rows 0..r-1 fixed, `row_values(rows, r, pc,
+    cols)` yields the values of row r's free entries (at columns `cols`; its
+    pivot is at column `pc`) to walk on, a subsequence of
+    `itertools.product(range(p), repeat=len(cols))`.  A value it leaves out
+    cuts every subspace that shares rows 0..r, and the indices skip them.
     """
+    offset = 0
     for piv in itertools.combinations(range(n), d):
         pivset = set(piv)
-        free_pos = [
-            (r, c) for r in range(d) for c in range(piv[r] + 1, n) if c not in pivset
-        ]
-        for vals in itertools.product(range(p), repeat=len(free_pos)):
-            rows = [[0] * n for _ in range(d)]
-            for r in range(d):
-                rows[r][piv[r]] = 1
-            for (r, c), v in zip(free_pos, vals):
-                rows[r][c] = v
-            yield piv, rows
+        free = [[c for c in range(piv[r] + 1, n) if c not in pivset] for r in range(d)]
+        # below[r]: subspaces sharing rows 0..r
+        below = [1] * d
+        for r in range(d - 2, -1, -1):
+            below[r] = below[r + 1] * p ** len(free[r + 1])
+        rows = [[0] * n for _ in range(d)]
+        for r in range(d):
+            rows[r][piv[r]] = 1
+        if d == 0:
+            yield offset, piv, rows
+            offset += 1
+            continue
+
+        def values(r):
+            if row_values is None:
+                return itertools.product(range(p), repeat=len(free[r]))
+            return row_values(rows, r, piv[r], free[r])
+
+        # start[r]: index of the first subspace sharing rows 0..r-1
+        start = [offset] * d
+        walks = [values(0)] + [None] * (d - 1)
+        r = 0
+        while r >= 0:
+            vals = next(walks[r], None)
+            if vals is None:
+                r -= 1
+                continue
+            row = rows[r]
+            rank = 0
+            for c, v in zip(free[r], vals):
+                row[c] = v
+                rank = rank * p + v
+            index = start[r] + rank * below[r]
+            if r == d - 1:
+                yield index, piv, rows
+            else:
+                r += 1
+                start[r] = index
+                walks[r] = values(r)
+        offset += below[0] * p ** len(free[0])
+
+
+def _lex_solutions(columns, target, p):
+    """Every x in GF(p)^f with sum_j x[j] * columns[j] == target (mod p), in
+    lexicographic order.
+
+    Elimination runs from the last unknown leftwards, so each pivot unknown
+    is fixed by unknowns to its left; running the other unknowns through
+    `itertools.product` then gives the solutions in lexicographic order.
+    """
+    f = len(columns)
+    eqs = []
+    for k, t in enumerate(target):
+        eq = [col[k] % p for col in columns]
+        if any(eq):
+            eqs.append(eq + [t % p])
+        elif t % p:
+            return
+    pivots = []
+    for c in range(f - 1, -1, -1):
+        src = next((eq for eq in eqs if eq[c]), None)
+        if src is None:
+            continue
+        eqs.remove(src)
+        inv = pow(src[c], -1, p)
+        src = [x * inv % p for x in src]
+        eqs = [[(x - eq[c] * y) % p for x, y in zip(eq, src)] if eq[c] else eq for eq in eqs]
+        pivots.append((c, [(j, src[j]) for j in range(c) if src[j]], src[f]))
+    if any(eq[f] for eq in eqs):
+        return  # every coefficient left is zero
+    pivots.reverse()
+    params = [c for c in range(f) if all(c != pc for pc, _, _ in pivots)]
+    x = [0] * f
+    for vals in itertools.product(range(p), repeat=len(params)):
+        for c, v in zip(params, vals):
+            x[c] = v
+        for pc, terms, rhs in pivots:
+            x[pc] = (rhs - sum(a * x[j] for j, a in terms)) % p
+        yield tuple(x)
 
 
 def _sparse_table(table, n):
@@ -60,28 +159,47 @@ def _sparse_table(table, n):
 
 def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect: int):
     sp = _sparse_table(table, n)
-    scanned = 0
-    truncated = False
     matches = []
 
     want_abelian = bool(mode & MODE_ABELIAN)
     want_ideal = bool(mode & MODE_IDEAL)
 
-    def brack(u, v):
-        out = [0] * n
-        for i in range(n):
-            ui = u[i]
-            if not ui:
-                continue
+    def bracket_zero(u):
+        """[u, u] == 0."""
+        nz = [(i, ui) for i, ui in enumerate(u) if ui]
+        sq = [0] * n
+        for i, ui in nz:
             spi = sp[i]
-            for j in range(n):
-                vj = v[j]
-                if not vj:
-                    continue
-                cf = ui * vj
+            for j, uj in nz:
+                cf = ui * uj
                 for k, cc in spi[j]:
-                    out[k] = (out[k] + cf * cc) % p
-        return out
+                    sq[k] += cf * cc
+        return not any(x % p for x in sq)
+
+    def abelian_values(rows, r, pc, cols):
+        """Values of row r, with pivot pc and free entries at cols, for which
+        it brackets to zero with itself and, both ways, with rows 0..r-1."""
+        # [u, v_s] and [v_s, u] for s < r are linear in u: g[i] holds their
+        # coordinates for u = e_i
+        g = [[] for _ in range(n)]
+        for v in rows[:r]:
+            nz = [(j, vj) for j, vj in enumerate(v) if vj]
+            for i in range(n):
+                left = [0] * n
+                right = [0] * n
+                for j, vj in nz:
+                    for k, cc in sp[i][j]:
+                        left[k] += vj * cc
+                    for k, cc in sp[j][i]:
+                        right[k] += vj * cc
+                g[i] += left + right
+        u = [0] * n
+        u[pc] = 1
+        for vals in _lex_solutions([g[c] for c in cols], [-x for x in g[pc]], p):
+            for c, x in zip(cols, vals):
+                u[c] = x
+            if bracket_zero(u):
+                yield vals
 
     def in_span(w, rows, piv):
         w = list(w)
@@ -92,44 +210,34 @@ def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect
                 w = [(x - c * y) % p for x, y in zip(w, br)]
         return not any(w)
 
-    for piv, rows in canonical_subspaces(n, p, d):
-        if limit >= 0 and scanned >= limit:
-            truncated = True
-            return scanned, truncated, matches
-        scanned += 1
+    def is_ideal(rows, piv):
+        for u in rows:
+            for j in range(n):
+                w1 = [0] * n
+                w2 = [0] * n
+                for i in range(n):
+                    ui = u[i]
+                    if not ui:
+                        continue
+                    for k, cc in sp[i][j]:
+                        w1[k] = (w1[k] + ui * cc) % p
+                    for k, cc in sp[j][i]:
+                        w2[k] = (w2[k] + ui * cc) % p
+                if not in_span(w1, rows, piv) or not in_span(w2, rows, piv):
+                    return False
+        return True
 
-        ok = True
-        if want_abelian:
-            for r in range(d):
-                for s in range(d):
-                    if any(brack(rows[r], rows[s])):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok and want_ideal:
-            for r in range(d):
-                u = rows[r]
-                for j in range(n):
-                    w1 = [0] * n
-                    w2 = [0] * n
-                    for i in range(n):
-                        ui = u[i]
-                        if not ui:
-                            continue
-                        for k, cc in sp[i][j]:
-                            w1[k] = (w1[k] + ui * cc) % p
-                        for k, cc in sp[j][i]:
-                            w2[k] = (w2[k] + ui * cc) % p
-                    if not in_span(w1, rows, piv) or not in_span(w2, rows, piv):
-                        ok = False
-                        break
-                if not ok:
-                    break
+    walk = canonical_subspaces(n, p, d, abelian_values if want_abelian else None)
+    for index, piv, rows in walk:
+        if 0 <= limit <= index:
+            return limit, True, matches
+        if want_ideal and not is_ideal(rows, piv):
+            continue
+        matches.append(tuple(x for row in rows for x in row))
+        if 0 <= collect <= len(matches):
+            return index + 1, False, matches
 
-        if ok:
-            matches.append(tuple(x for row in rows for x in row))
-            if collect >= 0 and len(matches) >= collect:
-                return scanned, truncated, matches
-
-    return scanned, truncated, matches
+    total = gaussian_binomial(n, d, p)
+    if 0 <= limit < total:
+        return limit, True, matches
+    return total, False, matches

@@ -65,6 +65,7 @@ from .linalg import (
 from .search import (
     DEFAULT_SCAN_BUDGET,
     _first_hit,
+    _tally,
     all_abelian_ideals,
     alpha,
     beta,
@@ -567,7 +568,11 @@ def _claim(claims: list, name: str, holds: bool, detail: str = "") -> None:
 def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> TheoremReport:
     """Re-derive every numeric claim of the matched classification branch from
     scratch: independent beta scan, uniqueness of maximal abelian ideals via a
-    full list, center dimensions, and model-table equality."""
+    full list, center dimensions, and model-table equality.
+
+    One `budget` bounds the subspaces scanned by the whole request, debited
+    in order: alpha, `classify`, beta, the list of abelian ideals, then the
+    quotient's ideal scan (Case2_d) or the nilradical (Case3_e)."""
     require_leibniz(L)
     if not L.field.is_prime_field:
         raise ValueError("full verification requires a prime field")
@@ -575,6 +580,7 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
     n = L.dim
     label = L.name or ("dim-%d algebra" % n)
     a_res = alpha(L, budget)
+    spent = a_res.scanned
     claims: list = []
     if a_res.alpha != n - 2:
         claims.append(
@@ -586,7 +592,9 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
         )
         return TheoremReport(label, a_res.alpha, None, claims)
 
-    verdict = classify(L, budget=budget)
+    with _tally() as in_classify:
+        verdict = classify(L, budget=budget - spent)
+    spent += in_classify[0]
     rep = series(L)
     CL = center(L)
 
@@ -602,9 +610,12 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
             "derived length %s" % (rep.derived_length,),
         )
     elif verdict.case in (Case.CASE1_C, Case.CASE2_D, Case.CASE3_E):
-        b_res = beta(L, budget)
+        b_res = beta(L, budget - spent)
+        spent += b_res.scanned
         _claim(claims, "beta = n-3", b_res.beta == n - 3, "beta = %d" % b_res.beta)
-        maximal = all_abelian_ideals(L, n - 3, budget)
+        with _tally() as in_list:
+            maximal = all_abelian_ideals(L, n - 3, budget - spent)
+        spent += in_list[0]
         _claim(
             claims,
             "unique abelian ideal of maximal dimension",
@@ -641,7 +652,7 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
             if maximal:
                 _claim(claims, "the maximal abelian ideal is the center", maximal[0] == CL)
             Q, _ = quotient(L, CL)
-            no_proper = _first_hit(Q, (2, 1), MODE_IDEAL, budget)[1] is None
+            no_proper = _first_hit(Q, (2, 1), MODE_IDEAL, budget - spent)[1] is None
             _claim(claims, "quotient by the center is 3-dim simple", Q.dim == 3 and no_proper)
         else:
             _claim(claims, "3-step solvable", rep.solvable and rep.derived_length == 3)
@@ -650,7 +661,7 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
             _claim(
                 claims,
                 "nilradical matches the scan",
-                N == nilradical(L, budget),
+                N == nilradical(L, budget - spent),
             )
             T = subalgebra_table(L, N)
             iso = iso_search(T, heisenberg_plus_abelian(n - 4, F))

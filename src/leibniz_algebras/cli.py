@@ -451,6 +451,16 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid budget value: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("budget must be >= 0, got %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="leibalg",
@@ -458,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--json", action="store_true", help="machine-readable reports")
     top.add_argument("--lenient", action="store_true", help="warn instead of rejecting unknown document fields")
-    top.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET, help="search budget")
+    top.add_argument("--budget", type=_budget, default=DEFAULT_SCAN_BUDGET, help="search budget (>= 0)")
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, help_, **kw):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from ._scan_py import canonical_subspaces
+from ._scan_py import canonical_subspaces, gaussian_binomial
 from .errors import DimensionMismatchError
 from .fields import FieldSpec, Scalar, check_same_field
 
@@ -501,17 +501,6 @@ def is_irreducible_quadratic(q: QuadraticPoly, F: FieldSpec) -> bool:
     return not F.is_square(q.discriminant(F))
 
 
-def gaussian_binomial(n: int, d: int, p: int) -> int:
-    """Number of d-dimensional subspaces of GF(p)^n."""
-    if d < 0 or d > n:
-        return 0
-    num = den = 1
-    for i in range(d):
-        num *= p ** (n - i) - 1
-        den *= p ** (d - i) - 1
-    return num // den
-
-
 def enumerate_subspaces(ambient_dim: int, dim: int, F: FieldSpec) -> Iterator[Subspace]:
     """Yield every dim-dimensional subspace of F^ambient_dim exactly once.
 
@@ -523,6 +512,6 @@ def enumerate_subspaces(ambient_dim: int, dim: int, F: FieldSpec) -> Iterator[Su
         raise ValueError("cannot enumerate subspaces over the rationals")
     if dim < 0 or dim > ambient_dim:
         return
-    for piv, rows in canonical_subspaces(ambient_dim, F.p, dim):
+    for _, piv, rows in canonical_subspaces(ambient_dim, F.p, dim):
         basis = Matrix(F, rows)._with_cols(ambient_dim)
         yield Subspace(F, ambient_dim, basis, list(piv))

@@ -6,14 +6,18 @@ Every subspace scan runs through the one kernel in `_scan_py` and follows
 its canonical order (pivot-column sets lexicographically, then free
 entries), so reported dimensions and witnesses are deterministic; witnesses
 are the first (lexicographically least) hits at the maximal dimension.
-Costs are Gaussian-binomial sums.  A top-down search debits one budget
-across all the strata it scans, and an exhausted budget raises
-`BudgetExceededError` rather than passing as a negative answer.
+Budgets count subspaces in that order, those the kernel's abelian cut skips
+included, so a full stratum costs its Gaussian binomial.  A top-down search
+debits one budget across all the strata it scans, an exhausted budget raises
+`BudgetExceededError` rather than passing as a negative answer, and a
+negative budget is a ValueError.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ._kernel import MODE_ABELIAN, MODE_IDEAL, scan_subspaces
@@ -74,11 +78,36 @@ def _subspace_from_flat(F: FieldSpec, n: int, d: int, flat) -> Subspace:
     return Subspace(F, n, Matrix(F, rows)._with_cols(n), pivots)
 
 
+# the innermost open `_tally`, if any
+_open_tally = contextvars.ContextVar("_open_tally", default=None)
+
+
+@contextmanager
+def _tally():
+    """Count the subspaces scanned inside the block, by callees too, for
+    public calls whose results do not report it.  Yields a one-element list
+    holding the count; an enclosing tally counts them as well."""
+    tally = [0]
+    token = _open_tally.set(tally)
+    try:
+        yield tally
+    finally:
+        _open_tally.reset(token)
+        outer = _open_tally.get()
+        if outer is not None:
+            outer[0] += tally[0]
+
+
 def _scan_dim(L: AlgebraTable, d: int, mode: int, limit: int, collect: int):
+    if limit < 0:
+        raise ValueError("scan budget must be >= 0, got %d" % limit)
     flat = table_flat(L)
     scanned, truncated, matches = scan_subspaces(
         flat, L.dim, L.field.p, d, mode, limit, collect
     )
+    tally = _open_tally.get()
+    if tally is not None:
+        tally[0] += scanned
     if truncated:
         raise BudgetExceededError(
             "scan budget exhausted at dimension %d after %d subspaces" % (d, scanned)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from leibniz_algebras import search
 from leibniz_algebras.algebra import direct_sum
@@ -9,6 +10,11 @@ from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2
 from leibniz_algebras.families import abelian_algebra, make_c, make_d
 from leibniz_algebras.fields import GF
 from leibniz_algebras.linalg import Matrix
+
+# generated tests replay the same examples on every run and take as long as
+# they need: no example database, no per-example deadline
+settings.register_profile("derandomized", derandomize=True, deadline=None, database=None)
+settings.load_profile("derandomized")
 
 F2 = GF(2)
 F3 = GF(3)

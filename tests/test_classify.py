@@ -348,6 +348,18 @@ def test_verify_disguised_case2_recovers_chi(rng):
         assert classify(M).chi == base
 
 
+@pytest.mark.parametrize("name", sorted(one_budget_algebras()))
+def test_verify_main_theorem_debits_one_budget(monkeypatch, name):
+    # alpha, classify, beta, the abelian-ideal list and the last check's scan
+    # share one budget
+    L = one_budget_algebras()[name]
+    report, total = scanned_by(monkeypatch, lambda: verify_main_theorem(L))
+    assert report.ok
+    assert verify_main_theorem(L, budget=total) == report
+    with pytest.raises(BudgetExceededError):
+        verify_main_theorem(L, budget=total - 1)
+
+
 def test_verify_rejects_rationals():
     with pytest.raises(ValueError):
         verify_main_theorem(oscillator(QQ))

@@ -84,6 +84,14 @@ def test_budget_exit_code(files):
     assert run(["--budget", "3", "alpha", path]) == 3
 
 
+def test_negative_budget_is_a_usage_error(files):
+    tmp, write = files
+    path = write("o.json", oscillator(F3))
+    assert run(["--budget", "-1", "alpha", path]) == 2
+    assert run(["--budget", "many", "alpha", path]) == 2
+    assert run(["--budget", "0", "alpha", path]) == 3
+
+
 def test_nilradical_scan_budget_exit_code(files):
     tmp, write = files
     path = write("d.json", make_d(Matrix(F3, [[0, 1], [2, 0]]), F3))

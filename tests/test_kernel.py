@@ -1,15 +1,20 @@
 """Contract tests for the scan kernel: counts, canonical order, budget and
 collect semantics, and every predicate mode against brute force."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leibniz_algebras._kernel import MODE_ABELIAN, MODE_IDEAL, backend, scan_subspaces
-from leibniz_algebras.algebra import is_abelian_subspace, is_ideal
-from leibniz_algebras.catalog import standard_fixtures
-from leibniz_algebras.linalg import Subspace, enumerate_subspaces, gaussian_binomial
+from leibniz_algebras.algebra import change_of_basis, direct_sum, is_abelian_subspace, is_ideal
+from leibniz_algebras.catalog import heisenberg_rotation_extension, standard_fixtures
+from leibniz_algebras.families import abelian_algebra, make_a, make_c, make_d, oscillator
+from leibniz_algebras.linalg import Matrix, Subspace, enumerate_subspaces, gaussian_binomial
 from leibniz_algebras.search import table_flat
 
-from conftest import F3, F5
+from conftest import F3, F5, rand_invertible
 
 
 @pytest.fixture(params=[backend()])
@@ -107,3 +112,78 @@ def test_scan_ideal_mode_finds_known_ideals(scan):
     flat = table_flat(oscillator(F3))
     _, _, matches = scan(flat, 4, 3, 3, MODE_IDEAL, -1, -1)
     assert (0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1) in matches  # the heisenberg part
+
+
+def _reference_walk(L, d):
+    """(flattened basis, abelian?, ideal?) for every d-dimensional subspace in
+    canonical order, from the unpruned walk and the algebra-level predicates."""
+    return [
+        (tuple(x for row in U.basis.data for x in row), is_abelian_subspace(L, U), is_ideal(L, U))
+        for U in enumerate_subspaces(L.dim, d, L.field)
+    ]
+
+
+def _reference_scan(walk, mode, limit, collect):
+    """The kernel contract, one subspace at a time."""
+    scanned, matches = 0, []
+    for flat, abelian, ideal in walk:
+        if 0 <= limit <= scanned:
+            return scanned, True, matches
+        scanned += 1
+        if (mode & MODE_ABELIAN and not abelian) or (mode & MODE_IDEAL and not ideal):
+            continue
+        matches.append(flat)
+        if 0 <= collect <= len(matches):
+            return scanned, False, matches
+    return scanned, False, matches
+
+
+@st.composite
+def _scan_cases(draw):
+    """A family algebra (+) F^k of dimension <= 5 over GF(3), <= 4 over GF(5),
+    under a seeded basis change, with a stratum, a limit and a collect cap.
+    (At n = 5 over GF(5) a middle stratum has 20,306 subspaces, too many for
+    the reference in a tier-1 test.)
+
+    Family a (one-sided action, so [u, v] = 0 does not give [v, u] = 0) and
+    rotext are the non-Lie ones."""
+    F = draw(st.sampled_from([F3, F5]))
+    base = draw(st.sampled_from(["a", "c", "d", "rotext", "oscillator"]))
+    entries = st.integers(0, F.p - 1)
+    if base == "a":
+        lam = Matrix(F, [[draw(entries) for _ in range(2)] for _ in range(2)])
+        # mu = x*1 + y*lam commutes with lam
+        x, y = draw(entries), draw(entries)
+        mu = Matrix(F, [[x * (i == j) + y * lam.data[i][j] for j in range(2)] for i in range(2)])
+        L = make_a(lam, mu, F)
+    elif base in ("c", "d"):
+        a, b, c = (draw(entries) for _ in range(3))
+        traceless = Matrix(F, [[a, b], [c, -a]])
+        L = (make_c if base == "c" else make_d)(traceless, F)
+    else:
+        L = heisenberg_rotation_extension(F) if base == "rotext" else oscillator(F)
+    k = draw(st.integers(0, (5 if F.p == 3 else 4) - L.dim))
+    if k:
+        L = direct_sum(L, abelian_algebra(k, F))
+    n = L.dim
+    L = change_of_basis(L, rand_invertible(F, n, random.Random(draw(st.integers(0, 2**32)))))
+    # strata with at least two rows, so that rows are checked against fixed
+    # ones, and at least one row less than n; test_scan_matches_brute_force
+    # covers every stratum of the fixtures
+    d = draw(st.integers(2, n - 1))
+    limit = draw(st.integers(0, gaussian_binomial(n, d, F.p) + 1))
+    collect = draw(st.sampled_from([-1, 0, 1, 2, 3]))
+    return L, d, limit, collect
+
+
+@settings(max_examples=100)
+@given(_scan_cases())
+def test_pruned_scan_matches_reference_on_generated_algebras(case):
+    L, d, limit, collect = case
+    n, p = L.dim, L.field.p
+    flat = table_flat(L)
+    walk = _reference_walk(L, d)
+    for mode in (0, MODE_ABELIAN, MODE_IDEAL, MODE_ABELIAN | MODE_IDEAL):
+        for lim, col in ((-1, -1), (limit, -1), (-1, collect), (limit, collect)):
+            got = scan_subspaces(flat, n, p, d, mode, lim, col)
+            assert got == _reference_scan(walk, mode, lim, col), (mode, lim, col)

@@ -10,6 +10,7 @@ from leibniz_algebras.algebra import (
 from leibniz_algebras.catalog import (
     heisenberg_rotation_extension,
     nonideal_codim2_example,
+    rotation_2x2,
     standard_fixtures,
 )
 from leibniz_algebras.errors import BudgetExceededError
@@ -22,6 +23,7 @@ from leibniz_algebras.families import (
     raw_pair_table,
 )
 from leibniz_algebras.fields import QQ
+from leibniz_algebras.invariants import nilradical
 from leibniz_algebras.linalg import Matrix, Subspace
 from leibniz_algebras.search import (
     all_abelian_ideals,
@@ -95,6 +97,16 @@ def test_budget_exceeded_is_explicit():
     L = direct_sum(oscillator(F3), abelian_algebra(1, F3))
     with pytest.raises(BudgetExceededError):
         alpha(L, budget=5)
+
+
+def test_negative_budget_is_rejected():
+    # a negative limit would mean "no cap" to the kernel
+    with pytest.raises(ValueError, match="budget"):
+        alpha(oscillator(F3), budget=-1)
+    with pytest.raises(ValueError, match="budget"):
+        all_abelian_ideals(oscillator(F3), 1, budget=-1)
+    with pytest.raises(ValueError, match="budget"):
+        nilradical(make_d(rotation_2x2(F3), F3), budget=-5)
 
 
 @pytest.mark.parametrize("name", sorted(one_budget_algebras()))
