@@ -103,27 +103,36 @@ class MultOperator:
         return self.matrix.apply_col(v)
 
 
+def _products(L: AlgebraTable) -> tuple:
+    """[e_i, e_j] for every (i, j) as its nonzero (k, c) pairs, cached on L."""
+    products = L._cache.get("products")
+    if products is None:
+        products = tuple(
+            tuple(tuple((k, x) for k, x in enumerate(cij) if x) for cij in ci)
+            for ci in L.c
+        )
+        L._cache["products"] = products
+    return products
+
+
 def bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
     """Evaluate [u, v] for coordinate rows u, v."""
     F = L.field
     n = L.dim
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError("vector length != algebra dimension")
+    u = [F.of(x) for x in u]
+    v = [(j, y) for j, y in enumerate(map(F.of, v)) if y]
     out = [F.zero] * n
-    for i in range(n):
-        ui = F.of(u[i])
-        if ui == F.zero:
+    for x, products in zip(u, _products(L)):
+        if not x:
             continue
-        ci = L.c[i]
-        for j in range(n):
-            vj = F.of(v[j])
-            if vj == F.zero:
-                continue
-            coef = F.mul(ui, vj)
-            for k, x in enumerate(ci[j]):
-                if x != F.zero:
-                    out[k] = F.add(out[k], F.mul(coef, x))
-    return tuple(out)
+        for j, y in v:
+            coef = x * y
+            for k, c in products[j]:
+                out[k] += coef * c
+    p = F.p
+    return tuple(out) if p is None else tuple(x % p for x in out)
 
 
 def leibniz_failure(L: AlgebraTable) -> tuple | None:
@@ -133,30 +142,42 @@ def leibniz_failure(L: AlgebraTable) -> tuple | None:
     """
     if "leibniz_failure" in L._cache:
         return L._cache["leibniz_failure"]
-    F = L.field
-    n = L.dim
-    result = None
-    for i in range(n):
-        ei = L.basis_vector(i)
-        for j in range(n):
-            ej = L.basis_vector(j)
-            bij = L.c[i][j]
-            for k in range(n):
-                ek = L.basis_vector(k)
-                lhs = bracket(L, ei, L.c[j][k])
-                rhs1 = bracket(L, bij, ek)
-                rhs2 = bracket(L, ej, L.c[i][k])
-                if any(
-                    a != F.add(b, c) for a, b, c in zip(lhs, rhs1, rhs2)
-                ):
-                    result = (i, j, k)
-                    break
-            if result:
-                break
-        if result:
-            break
-    L._cache["leibniz_failure"] = result
+    L._cache["leibniz_failure"] = result = _first_leibniz_failure(L)
     return result
+
+
+def _first_leibniz_failure(L: AlgebraTable) -> tuple | None:
+    """Checks [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] + [e_j, [e_i, e_k]] on
+    the nonzero structure constants, triples in (i, j, k) order."""
+    products = _products(L)
+    p = L.field.p
+    n = L.dim
+    for i in range(n):
+        Pi = products[i]
+        for j in range(n):
+            Pj = products[j]
+            for k in range(n):
+                diff = [0] * n
+                for m, c in Pj[k]:
+                    for t, d in Pi[m]:
+                        diff[t] += c * d
+                for m, c in Pi[j]:
+                    for t, d in products[m][k]:
+                        diff[t] -= c * d
+                for m, c in Pi[k]:
+                    for t, d in Pj[m]:
+                        diff[t] -= c * d
+                if any(diff) if p is None else any(x % p for x in diff):
+                    return (i, j, k)
+    return None
+
+
+def _inherit_leibniz(parent: AlgebraTable, derived: AlgebraTable) -> AlgebraTable:
+    """A subalgebra, quotient or basis change of a Leibniz algebra is Leibniz,
+    so a passed check carries over; a failure or no check carries nothing."""
+    if "leibniz_failure" in parent._cache and parent._cache["leibniz_failure"] is None:
+        derived._cache["leibniz_failure"] = None
+    return derived
 
 
 def is_leibniz(L: AlgebraTable) -> bool:
@@ -234,10 +255,9 @@ def _stacked_action_kernel(L: AlgebraTable, conditions) -> Subspace:
     """Joint kernel of a family of linear conditions on x, each condition a row
     of coefficients over the x-coordinates."""
     F = L.field
-    mat = Matrix(F, conditions)._with_cols(L.dim)
-    if mat.rows == 0:
+    if not conditions:
         return Subspace.full(F, L.dim)
-    ker = mat.kernel_basis()
+    ker = Matrix(F, conditions).kernel_basis()
     return Subspace.from_vectors(F, L.dim, ker.data)
 
 
@@ -382,7 +402,7 @@ def subalgebra_table(L: AlgebraTable, U: Subspace, name: str | None = None) -> A
                 raise ConsistencyError("closure check passed but product left the subspace")
             row.append(coords)
         c.append(row)
-    return AlgebraTable(L.field, c, name=name)
+    return _inherit_leibniz(L, AlgebraTable(L.field, c, name=name))
 
 
 def quotient(L: AlgebraTable, I: Subspace) -> tuple[AlgebraTable, Matrix]:
@@ -412,7 +432,7 @@ def quotient(L: AlgebraTable, I: Subspace) -> tuple[AlgebraTable, Matrix]:
             row.append(tuple(coords[d + t] for t in range(m)))
         c.append(row)
     name = ("%s/ideal" % L.name) if L.name else None
-    return AlgebraTable(F, c, name=name), proj
+    return _inherit_leibniz(L, AlgebraTable(F, c, name=name)), proj
 
 
 def direct_sum(L1: AlgebraTable, L2: AlgebraTable) -> AlgebraTable:
@@ -455,7 +475,7 @@ def change_of_basis(L: AlgebraTable, P: Matrix) -> AlgebraTable:
             w = bracket(L, P.data[i], P.data[j])
             row.append(Pinv.apply_row(w))
         c.append(row)
-    return AlgebraTable(L.field, c, name=L.name)
+    return _inherit_leibniz(L, AlgebraTable(L.field, c, name=L.name))
 
 
 def _check_subspace(L: AlgebraTable, U: Subspace) -> None:

@@ -8,6 +8,7 @@ error, 3 search budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -471,9 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--budget", type=_budget, default=DEFAULT_SCAN_BUDGET, help="search budget (>= 0)")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, **kw):
-        p = sub.add_parser(name, help=help_)
-        return p
+    def add(name, help_):
+        return sub.add_parser(name, help=help_)
 
     p = add("check", "Leibniz / Lie / squares-span report")
     p.add_argument("file")
@@ -544,10 +544,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing never changes it, and each
+    parse_args call returns a fresh Namespace."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -19,6 +19,9 @@ Scalar = Union[Fraction, int]
 RATIONALS = "rationals"
 PRIME = "gf"
 
+_QQ_ZERO = Fraction(0)
+_QQ_ONE = Fraction(1)
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -92,36 +95,41 @@ class FieldSpec:
     # -- element construction ---------------------------------------------
 
     def of(self, x) -> Scalar:
-        """Coerce an int, Fraction, or scalar string into this field."""
-        if self.kind == RATIONALS:
+        """Coerce an int, Fraction, or scalar string into this field.
+
+        A value already in canonical form (a Fraction over QQ, an int in
+        [0, p) over GF(p)) is returned unchanged.
+        """
+        p = self.p
+        if p is None:
+            if type(x) is Fraction:
+                return x
             if isinstance(x, bool):
                 raise TypeError("bool is not a scalar")
-            if isinstance(x, (int, Fraction)):
-                return Fraction(x)
-            if isinstance(x, str):
+            if isinstance(x, (int, Fraction, str)):
                 return Fraction(x)
             raise TypeError("cannot coerce %r into QQ" % (x,))
         if isinstance(x, bool):
             raise TypeError("bool is not a scalar")
         if isinstance(x, int):
-            return x % self.p
+            return x % p
         if isinstance(x, str):
-            return int(x, 10) % self.p
+            return int(x, 10) % p
         if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ZeroDivisionError("denominator divisible by %d" % self.p)
-            return (x.numerator * _inv_mod(x.denominator, self.p)) % self.p
-        raise TypeError("cannot coerce %r into GF(%d)" % (x, self.p))
+            if x.denominator % p == 0:
+                raise ZeroDivisionError("denominator divisible by %d" % p)
+            return (x.numerator * _inv_mod(x.denominator, p)) % p
+        raise TypeError("cannot coerce %r into GF(%d)" % (x, p))
 
     __call__ = of
 
     @property
     def zero(self) -> Scalar:
-        return Fraction(0) if self.kind == RATIONALS else 0
+        return _QQ_ZERO if self.p is None else 0
 
     @property
     def one(self) -> Scalar:
-        return Fraction(1) if self.kind == RATIONALS else 1
+        return _QQ_ONE if self.p is None else 1
 
     # -- arithmetic ---------------------------------------------------------
 

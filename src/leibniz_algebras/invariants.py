@@ -124,7 +124,7 @@ def fitting_decomposition(L: AlgebraTable, A: Subspace) -> FittingSplit:
         if not rows:
             nxt = Subspace.full(F, n)
         else:
-            ker = Matrix(F, rows)._with_cols(n).kernel_basis()
+            ker = Matrix(F, rows).kernel_basis()
             nxt = Subspace.from_vectors(F, n, ker.data)
         if nxt == L0:
             break

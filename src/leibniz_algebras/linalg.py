@@ -37,12 +37,25 @@ class Matrix:
         self.cols = ncols
         self.data = rows
 
+    @classmethod
+    def _canonical(cls, field: FieldSpec, rows: Sequence[Sequence], cols: int) -> "Matrix":
+        """Matrix from rows of `cols` entries already in the field's canonical
+        form; nothing is coerced or checked.  An empty matrix keeps `cols`."""
+        m = object.__new__(cls)
+        m.field = field
+        m.data = tuple(tuple(r) for r in rows)
+        m.rows = len(m.data)
+        m.cols = cols
+        return m
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
         one, zero = field.one, field.zero
-        return Matrix(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return Matrix._canonical(
+            field, [[one if i == j else zero for j in range(n)] for i in range(n)], n
+        )
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
@@ -188,18 +201,9 @@ class Matrix:
                 v[pc] = F.neg(red.data[r][f])
             basis.append(v)
         if not basis:
-            return Matrix(F, [])._with_cols(n)
-        mat = Matrix(F, basis)
-        red2, rank2, _ = rref_with_pivots(mat)
-        return Matrix(F, red2.data[:rank2])._with_cols(n)
-
-    def _with_cols(self, n: int) -> "Matrix":
-        # Fix up the column count of an empty matrix.
-        if self.rows == 0:
-            m = Matrix(self.field, [])
-            m.cols = n
-            return m
-        return self
+            return Matrix._canonical(F, [], n)
+        red2, rank2, _ = rref_with_pivots(Matrix._canonical(F, basis, n))
+        return Matrix._canonical(F, red2.data[:rank2], n)
 
     def solve_row(self, target: Sequence) -> tuple | None:
         """Solve x @ self = target for a row vector x, or None."""
@@ -213,7 +217,9 @@ class Matrix:
             raise DimensionMismatchError("rhs length mismatch")
         if self.rows == 0:
             return (F.zero,) * self.cols
-        aug = Matrix(F, [list(row) + [F.of(t)] for row, t in zip(self.data, target)])
+        aug = Matrix._canonical(
+            F, [row + (F.of(t),) for row, t in zip(self.data, target)], self.cols + 1
+        )
         red, rank, pivots = rref_with_pivots(aug)
         n = self.cols
         for r in range(rank):
@@ -229,17 +235,12 @@ class Matrix:
         n = self.rows
         if n != self.cols:
             raise DimensionMismatchError("inverse of non-square matrix")
-        aug = Matrix(
-            F,
-            [
-                list(row) + list(Matrix.identity(F, n).data[i])
-                for i, row in enumerate(self.data)
-            ],
-        )
+        ident = Matrix.identity(F, n).data
+        aug = Matrix._canonical(F, [row + e for row, e in zip(self.data, ident)], 2 * n)
         red, rank, pivots = rref_with_pivots(aug)
         if rank != n or any(pivots[r] != r for r in range(n)):
             raise DimensionMismatchError("singular matrix")
-        return Matrix(F, [row[n:] for row in red.data[:n]])
+        return Matrix._canonical(F, [row[n:] for row in red.data[:n]], n)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -255,39 +256,45 @@ class Matrix:
 def _dot(F: FieldSpec, u: Sequence, v: Sequence):
     acc = F.zero
     for a, b in zip(u, v):
-        if a != F.zero and b != F.zero:
-            acc = F.add(acc, F.mul(a, b))
-    return acc
+        if a and b:
+            acc += a * b
+    return acc if F.p is None else acc % F.p
 
 
 def rref_with_pivots(M: Matrix) -> tuple[Matrix, int, list[int]]:
     """Reduced row echelon form: unit pivots, zeros above and below."""
     F = M.field
+    p = F.p
     rows = [list(r) for r in M.data]
     nrows, ncols = M.rows, M.cols
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != F.zero:
-                pr = i
-                break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        top = rows[r]
+        inv = F.inv(top[c])
+        if inv != 1:
+            if p is None:
+                top = rows[r] = [x * inv for x in top]
+            else:
+                top = rows[r] = [x * inv % p for x in top]
         for i in range(nrows):
-            if i != r and rows[i][c] != F.zero:
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            f = row[c]
+            if i == r or not f:
+                continue
+            if p is None:
+                rows[i] = [x - f * y if y else x for x, y in zip(row, top)]
+            else:
+                rows[i] = [(x - f * y) % p if y else x for x, y in zip(row, top)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    out = Matrix(F, rows)._with_cols(ncols)
-    return out, len(pivots), pivots
+    return Matrix._canonical(F, rows, ncols), len(pivots), pivots
 
 
 def rref(M: Matrix) -> tuple[Matrix, int]:
@@ -319,11 +326,10 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise DimensionMismatchError("vector length != ambient dim")
         if not vecs:
-            m = Matrix(field, [])._with_cols(ambient_dim)
-            return Subspace(field, ambient_dim, m, [])
+            return Subspace(field, ambient_dim, Matrix._canonical(field, [], ambient_dim), [])
         red, rank, pivots = rref_with_pivots(Matrix(field, vecs))
-        m = Matrix(field, red.data[:rank])._with_cols(ambient_dim)
-        return Subspace(field, ambient_dim, m, pivots)
+        basis = Matrix._canonical(field, red.data[:rank], ambient_dim)
+        return Subspace(field, ambient_dim, basis, pivots)
 
     @staticmethod
     def zero(field: FieldSpec, ambient_dim: int) -> "Subspace":
@@ -331,8 +337,9 @@ class Subspace:
 
     @staticmethod
     def full(field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return Subspace.from_vectors(
-            field, ambient_dim, Matrix.identity(field, ambient_dim).data
+        # the identity is already in RREF
+        return Subspace(
+            field, ambient_dim, Matrix.identity(field, ambient_dim), list(range(ambient_dim))
         )
 
     # -- basic queries ----------------------------------------------------------
@@ -369,19 +376,22 @@ class Subspace:
     def reduce_vector(self, v: Sequence) -> tuple:
         """Residual of v after subtracting its projection onto the basis rows."""
         F = self.field
+        p = F.p
         w = [F.of(x) for x in v]
         if len(w) != self.ambient_dim:
             raise DimensionMismatchError("vector length != ambient dim")
-        for r, pc in enumerate(self.pivots):
+        for pc, row in zip(self.pivots, self.basis.data):
             c = w[pc]
-            if c != F.zero:
-                row = self.basis.data[r]
-                w = [F.sub(x, F.mul(c, y)) for x, y in zip(w, row)]
+            if not c:
+                continue
+            if p is None:
+                w = [x - c * y if y else x for x, y in zip(w, row)]
+            else:
+                w = [(x - c * y) % p if y else x for x, y in zip(w, row)]
         return tuple(w)
 
     def contains_vector(self, v: Sequence) -> bool:
-        F = self.field
-        return all(x == F.zero for x in self.reduce_vector(v))
+        return not any(self.reduce_vector(v))
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(v) for v in other.basis.data)
@@ -413,7 +423,7 @@ class Subspace:
             for r, pc in enumerate(self.pivots):
                 row[pc] = F.neg(self.basis.data[r][c])
             rows.append(row)
-        return Matrix(F, rows)._with_cols(n)
+        return Matrix._canonical(F, rows, n)
 
     def extend_to_full_basis(self) -> Matrix:
         """Invertible matrix whose first rows are the subspace basis, completed
@@ -452,7 +462,7 @@ def subspace_intersect(U: Subspace, V: Subspace) -> Subspace:
     ]
     if not block:
         return Subspace.zero(F, n)
-    red, rank, _ = rref_with_pivots(Matrix(F, block))
+    red, rank, _ = rref_with_pivots(Matrix._canonical(F, block, 2 * n))
     inter_rows = []
     for row in red.data[:rank]:
         left, right = row[:n], row[n:]
@@ -513,5 +523,4 @@ def enumerate_subspaces(ambient_dim: int, dim: int, F: FieldSpec) -> Iterator[Su
     if dim < 0 or dim > ambient_dim:
         return
     for _, piv, rows in canonical_subspaces(ambient_dim, F.p, dim):
-        basis = Matrix(F, rows)._with_cols(ambient_dim)
-        yield Subspace(F, ambient_dim, basis, list(piv))
+        yield Subspace(F, ambient_dim, Matrix._canonical(F, rows, ambient_dim), list(piv))

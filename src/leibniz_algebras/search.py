@@ -75,7 +75,7 @@ def _subspace_from_flat(F: FieldSpec, n: int, d: int, flat) -> Subspace:
     pivots = []
     for row in rows:
         pivots.append(next(i for i, x in enumerate(row) if x))
-    return Subspace(F, n, Matrix(F, rows)._with_cols(n), pivots)
+    return Subspace(F, n, Matrix._canonical(F, rows, n), pivots)
 
 
 # the innermost open `_tally`, if any

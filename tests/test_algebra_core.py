@@ -1,6 +1,7 @@
 import pytest
 
 from leibniz_algebras.algebra import (
+    AlgebraTable,
     bracket,
     center,
     centralizer,
@@ -292,6 +293,31 @@ def test_subalgebra_table_roundtrip():
     T = subalgebra_table(O, N)
     assert T.dim == 3 and is_leibniz(T) and is_lie(T)
     assert product_space(T, T.full_space(), T.full_space()).dim == 1
+
+
+def test_derived_tables_inherit_only_a_passed_leibniz_check(rng):
+    def fresh_verdict(T):
+        return leibniz_failure(AlgebraTable(T.field, T.c))
+
+    for F in (QQ, F3):
+        for L in standard_fixtures(F):
+            assert leibniz_failure(L) is None
+            D = product_space(L, L.full_space(), L.full_space())
+            derived = [
+                subalgebra_table(L, D),
+                quotient(L, center(L))[0],
+                change_of_basis(L, rand_invertible(F, L.dim, rng)),
+            ]
+            for T in derived:
+                assert T._cache["leibniz_failure"] is None
+                assert fresh_verdict(T) is None
+            unchecked = AlgebraTable(F, L.c)
+            assert "leibniz_failure" not in subalgebra_table(unchecked, D)._cache
+    bad = raw_pair_table(Matrix(QQ, [[0, 1], [0, 0]]), Matrix(QQ, [[0, 0], [1, 0]]), QQ)
+    assert leibniz_failure(bad) is not None
+    moved = change_of_basis(bad, rand_invertible(QQ, bad.dim, rng))
+    assert "leibniz_failure" not in moved._cache
+    assert fresh_verdict(moved) is not None
 
 
 def test_require_leibniz_raises_with_triple():

@@ -1,0 +1,153 @@
+"""Differential tests of the exact-arithmetic layer against naive references.
+
+`bracket`, `leibniz_failure` and `Subspace.from_vectors` work on cached
+sparse products and inline field arithmetic; here each is compared with a
+test-local reference that coerces every scalar itself, computes with
+`Fraction`s and reduces mod p at the end.  Inputs mix canonical scalars with
+non-canonical ones (ints outside [0, p), ints over QQ, strings, fractions
+over GF(p)), and tables are drawn both at random (mostly not Leibniz) and
+from the standard fixtures under basis changes (all Leibniz).
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leibniz_algebras.algebra import AlgebraTable, bracket, change_of_basis, leibniz_failure
+from leibniz_algebras.catalog import standard_fixtures
+from leibniz_algebras.fields import QQ
+from leibniz_algebras.linalg import Subspace
+
+from conftest import F3, F5, rand_invertible
+
+FIELDS = (F3, F5, QQ)
+
+
+def ref_coerce(F, x):
+    value = Fraction(x)
+    if F.p is None:
+        return value
+    return value.numerator * pow(value.denominator, -1, F.p) % F.p
+
+
+def canonical(F, x):
+    return Fraction(x) if F.p is None else int(x) % F.p
+
+
+def ref_bracket(F, c, u, v):
+    """[u, v] as the trilinear sum over all (i, j, k), reduced at the end."""
+    n = len(c)
+    u = [ref_coerce(F, x) for x in u]
+    v = [ref_coerce(F, x) for x in v]
+    return tuple(
+        canonical(F, sum(u[i] * v[j] * c[i][j][k] for i in range(n) for j in range(n)))
+        for k in range(n)
+    )
+
+
+def ref_leibniz_failure(F, c):
+    n = len(c)
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = ref_bracket(F, c, basis[i], c[j][k])
+                rhs1 = ref_bracket(F, c, c[i][j], basis[k])
+                rhs2 = ref_bracket(F, c, basis[j], c[i][k])
+                if any(a != canonical(F, b + d) for a, b, d in zip(lhs, rhs1, rhs2)):
+                    return (i, j, k)
+    return None
+
+
+def ref_span(F, vectors):
+    """RREF rows and pivots, built by inserting one vector at a time."""
+    p = F.p
+    red = (lambda x: x) if p is None else (lambda x: x % p)
+    basis, pivots = [], []
+    for v in vectors:
+        row = [ref_coerce(F, x) for x in v]
+        for b, pc in zip(basis, pivots):
+            f = row[pc]
+            row = [red(x - f * y) for x, y in zip(row, b)]
+        lead = next((col for col, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        s = 1 / row[lead] if p is None else pow(row[lead], -1, p)
+        row = [red(x * s) for x in row]
+        basis = [[red(x - b[lead] * y) for x, y in zip(b, row)] for b in basis]
+        basis.append(row)
+        pivots.append(lead)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return tuple(tuple(basis[i]) for i in order), [pivots[i] for i in order]
+
+
+def raw_scalars(F):
+    """Scalars as a caller may pass them, canonical or not; zero is common."""
+    if F.p is None:
+        fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+        return st.one_of(st.just(Fraction(0)), fractions, st.integers(-6, 6), fractions.map(str))
+    p = F.p
+    ints = st.integers(-2 * p, 3 * p)
+    fractions = st.builds(Fraction, ints, st.integers(1, 6).filter(lambda d: d % p))
+    return st.one_of(st.just(0), st.integers(0, p - 1), ints, ints.map(str), fractions)
+
+
+def assert_canonical(F, values):
+    for x in values:
+        if F.p is None:
+            assert type(x) is Fraction
+        else:
+            assert type(x) is int and 0 <= x < F.p
+
+
+@st.composite
+def tables(draw):
+    """(field, raw structure tensor): random, or a fixture under a basis change."""
+    F = draw(st.sampled_from(FIELDS))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        entry = raw_scalars(F)
+        c = draw(st.lists(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                   min_size=n, max_size=n), min_size=n, max_size=n))
+        return F, c
+    L = draw(st.sampled_from(standard_fixtures(F, max_dim=4)))
+    P = rand_invertible(F, L.dim, random.Random(draw(st.integers(0, 2**32))))
+    return F, [[list(v) for v in row] for row in change_of_basis(L, P).c]
+
+
+@settings(max_examples=150)
+@given(data=st.data(), drawn=tables())
+def test_bracket_matches_trilinear_sum(data, drawn):
+    F, raw = drawn
+    L = AlgebraTable(F, raw)
+    c = [[[ref_coerce(F, x) for x in v] for v in row] for row in raw]
+    assert L.c == tuple(tuple(tuple(v) for v in row) for row in c)
+    vectors = st.lists(raw_scalars(F), min_size=L.dim, max_size=L.dim)
+    for _ in range(3):
+        u, v = data.draw(vectors), data.draw(vectors)
+        got = bracket(L, u, v)
+        assert got == ref_bracket(F, c, u, v)
+        assert_canonical(F, got)
+
+
+@settings(max_examples=150)
+@given(drawn=tables())
+def test_leibniz_failure_is_the_first_failing_triple(drawn):
+    F, raw = drawn
+    L = AlgebraTable(F, raw)
+    c = [[[ref_coerce(F, x) for x in v] for v in row] for row in raw]
+    assert leibniz_failure(L) == ref_leibniz_failure(F, c)
+
+
+@settings(max_examples=150)
+@given(data=st.data(), F=st.sampled_from(FIELDS), n=st.integers(1, 5))
+def test_from_vectors_matches_incremental_elimination(data, F, n):
+    vectors = data.draw(st.lists(st.lists(raw_scalars(F), min_size=n, max_size=n), max_size=6))
+    U = Subspace.from_vectors(F, n, vectors)
+    basis, pivots = ref_span(F, vectors)
+    assert U.basis.data == basis and list(U.pivots) == pivots
+    assert U.basis.cols == n and U.dim == len(basis)
+    for row in U.basis.data:
+        assert_canonical(F, row)

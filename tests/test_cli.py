@@ -84,6 +84,18 @@ def test_budget_exit_code(files):
     assert run(["--budget", "3", "alpha", path]) == 3
 
 
+def test_runs_in_one_process_share_no_state(files, capsys):
+    tmp, write = files
+    path = write("o.json", oscillator(F3))
+    assert run(["--budget", "1", "alpha", path]) == 3
+    assert run(["alpha", path]) == 0
+    capsys.readouterr()
+    assert run(["--json", "alpha", path]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == 2
+    assert run(["alpha", path]) == 0
+    assert capsys.readouterr().out.startswith("alpha = 2 (exhaustive")
+
+
 def test_negative_budget_is_a_usage_error(files):
     tmp, write = files
     path = write("o.json", oscillator(F3))

@@ -31,6 +31,15 @@ def test_coercion_and_reduction():
     assert F5.of("7") == 2
     with pytest.raises(ZeroDivisionError):
         F3.of(Fraction(1, 3))
+    x = QQ.of(Fraction(-2, 6))
+    assert x == Fraction(-1, 3) and type(x) is Fraction
+    assert type(QQ.of(5)) is Fraction and QQ.of(5) == 5
+    for F in (QQ, F3):
+        with pytest.raises(TypeError):
+            F.of(True)
+    assert type(QQ.zero) is Fraction and type(QQ.one) is Fraction
+    assert type(F5.zero) is int and type(F5.one) is int
+    assert (QQ.zero, QQ.one, F5.zero, F5.one) == (0, 1, 0, 1)
 
 
 def test_fractions_always_normalized():
