@@ -433,7 +433,10 @@ def classify(
     the abelian-ideal scan, then the nilradical.  Over the rationals a
     codimension-2 abelian subalgebra witness A is required and a nilradical
     candidate is needed to recognize the extension case; all downstream
-    checks are then verifications of the supplied data.
+    checks are then verifications of the supplied data.  A supplied
+    nilradical candidate is checked when the nilradical is needed: over a
+    prime field it must equal the scanned nilradical, over the rationals it
+    must pass `verify_nilradical_candidate`; otherwise ValueError is raised.
     """
     require_leibniz(L)
     F = L.field
@@ -493,6 +496,8 @@ def classify(
 
     if F.is_prime_field:
         N = nilradical(L, budget)
+        if nilradical_candidate is not None and nilradical_candidate != N:
+            raise ValueError("supplied nilradical candidate is not the nilradical")
     elif nilradical_candidate is not None:
         if not verify_nilradical_candidate(L, nilradical_candidate):
             raise ValueError("supplied nilradical candidate failed verification")

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from ._kernel import MODE_IDEAL
 from .algebra import (
     AlgebraTable,
+    _check_subspace,
+    bracket,
     center,
     is_abelian_subspace,
     is_ideal,
@@ -139,14 +141,31 @@ def fitting_decomposition(L: AlgebraTable, A: Subspace) -> FittingSplit:
 
 def ideal_closure(L: AlgebraTable, S: Subspace) -> Subspace:
     """Least two-sided ideal containing S."""
-    W = S
-    while True:
-        W2 = subspace_sum(
-            W, subspace_sum(product_space(L, W, L.full_space()), product_space(L, L.full_space(), W))
-        )
-        if W2 == W:
-            return W
-        W = W2
+    _check_subspace(L, S)
+    return _close_ideal(L, S, S.basis.data)
+
+
+def _close_ideal(L: AlgebraTable, W: Subspace, frontier) -> Subspace:
+    """Least two-sided ideal containing W, where W is the span of an ideal
+    and the vectors of `frontier`.
+
+    Each vector is bracketed once, when it enters the frontier, with every
+    basis vector on both sides; a bracket outside the current span joins
+    both the span and the frontier.  Every vector spanning the result has
+    then been bracketed into it, so the result is an ideal.
+    """
+    F, n = L.field, L.dim
+    basis = [L.basis_vector(j) for j in range(n)]
+    frontier = list(frontier)
+    while frontier and W.dim < n:
+        v = frontier.pop()
+        for e in basis:
+            for w in (bracket(L, v, e), bracket(L, e, v)):
+                r = W.reduce_vector(w)
+                if any(r):
+                    W = Subspace.from_vectors(F, n, [*W.basis.data, r])
+                    frontier.append(r)
+    return W
 
 
 def _is_nilpotent_subalgebra(L: AlgebraTable, U: Subspace) -> bool:
@@ -233,21 +252,34 @@ def verify_nilradical_candidate(L: AlgebraTable, N: Subspace) -> bool:
     """Certificate check usable over any field.
 
     True iff N is a two-sided ideal, nilpotent as a subalgebra, and every
-    nilpotent ideal generated by a single basis vector already lies inside N
-    (a partial maximality certificate; full maximality needs the prime-field
-    scan).
+    nilpotent ideal J_i generated by a single basis vector e_i already lies
+    inside N.  This is a partial maximality certificate: a nilpotent ideal
+    that no single basis vector generates is not examined, and full
+    maximality needs the prime-field scan.
+
+    Once N is known to be a nilpotent ideal, the test runs modulo N.  For
+    e_i in N, J_i lies in N because N is an ideal.  For e_i outside N, J_i
+    does not lie in N, and J_i is nilpotent iff K_i = N + J_i is: a sum of
+    nilpotent ideals is nilpotent, and an ideal inside a nilpotent one is
+    nilpotent.  K_i is the least ideal containing N + span(e_i), so only
+    e_i and what it generates are bracketed, and each distinct K_i is
+    tested once.
     """
     require_leibniz(L)
     if not is_ideal(L, N):
         return False
     if not _is_nilpotent_subalgebra(L, N):
         return False
+    tested = set()
     for i in range(L.dim):
-        J = ideal_closure(
-            L, Subspace.from_vectors(L.field, L.dim, [L.basis_vector(i)])
-        )
-        if _is_nilpotent_subalgebra(L, J) and not N.contains(J):
-            return False
+        e = L.basis_vector(i)
+        if N.contains_vector(e):
+            continue
+        K = _close_ideal(L, Subspace.from_vectors(L.field, L.dim, [*N.basis.data, e]), [e])
+        if K not in tested:
+            if _is_nilpotent_subalgebra(L, K):
+                return False
+            tested.add(K)
     return True
 
 

@@ -23,7 +23,7 @@ from .catalog import standard_fixtures
 from .classify import Case, classify, verify_main_theorem
 from .families import oscillator, raw_pair_table
 from .fields import GF, QQ
-from .invariants import series
+from .invariants import nilradical, series, verify_nilradical_candidate
 from .linalg import (
     Matrix,
     QuadraticPoly,
@@ -215,6 +215,17 @@ def _oscillator_scan(rng, fast):
         return "disguised oscillator alpha/beta wrong"
     if not iso_search(O, D).isomorphic:
         return "disguised oscillator not recognized"
+    return None
+
+
+@_check("nilradical certificate accepts the scanned nilradical, rejects L unless nilpotent")
+def _nilradical_certificate(rng, fast):
+    F = GF(3)
+    for L in standard_fixtures(F, max_dim=4 if fast else 5):
+        if not verify_nilradical_candidate(L, nilradical(L)):
+            return "certificate rejected the nilradical of %s" % L.name
+        if not series(L).nilpotent and verify_nilradical_candidate(L, L.full_space()):
+            return "certificate accepted the non-nilpotent algebra %s" % L.name
     return None
 
 

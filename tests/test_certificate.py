@@ -1,0 +1,201 @@
+"""Differential tests of the nilradical certificate against its definition.
+
+`verify_nilradical_candidate` skips basis vectors inside the candidate N
+and closes N + span(e_i) from a frontier; `ideal_closure` brackets each
+vector once.  Here both are compared with a test-local reference that
+follows the definition: one all-pairs fixed point W -> W + [W, L] + [L, W]
+per basis vector, and the test "J_i nilpotent and not inside N" for every
+e_i.  Algebras are families c, d, rotext, oscillator and family a with
+commuting parameters, (+) F^k with n <= 5, over GF(3), GF(5) and QQ, under a
+seeded basis change.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leibniz_algebras.algebra import (
+    center,
+    change_of_basis,
+    direct_sum,
+    is_ideal,
+    product_space,
+)
+from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2
+from leibniz_algebras.families import abelian_algebra, make_a, make_c, make_d, oscillator
+from leibniz_algebras.fields import QQ
+from leibniz_algebras.invariants import ideal_closure, nilradical, verify_nilradical_candidate
+from leibniz_algebras.linalg import Matrix, Subspace, subspace_sum
+
+from conftest import F3, F5, rand_invertible
+
+FIELDS = (F3, F5, QQ)
+CANDIDATES = ("nilradical", "center", "derived", "zero", "full", "line", "nilradical+line")
+QQ_SCALARS = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 3))
+
+
+BASES = ("c(rot)", "d(rot)", "rotext", "oscillator", "a(id,rot)", "a(id,diag)", "a(id,nilp)", "a(nilp,0)")
+
+
+def base(F, name):
+    rot = rotation_2x2(F)
+    ident = Matrix.identity(F, 2)
+    zero = Matrix(F, [[0, 0], [0, 0]])
+    nilp = Matrix(F, [[0, 1], [0, 0]])
+    diag = Matrix(F, [[1, 0], [0, -1]])
+    return {
+        "c(rot)": make_c(rot, F),
+        "d(rot)": make_d(rot, F),
+        "rotext": heisenberg_rotation_extension(F),
+        "oscillator": oscillator(F),
+        "a(id,rot)": make_a(ident, rot, F),
+        "a(id,diag)": make_a(ident, diag, F),
+        "a(id,nilp)": make_a(ident, nilp, F),
+        "a(nilp,0)": make_a(nilp, zero, F),
+    }[name]
+
+
+def with_center(L, k):
+    return direct_sum(L, abelian_algebra(k, L.field)) if k else L
+
+
+def rational_change(n, rng):
+    """A permutation with small scalings, then n shears: the coefficients of
+    the disguised table stay small."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        rows[i][j] = Fraction(rng.choice(QQ_SCALARS))
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice(QQ_SCALARS)
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return Matrix(QQ, rows)
+
+
+def disguised(F, name, k, seed):
+    """(L, the nilradical of L, rng): L is base (+) F^k after a seeded basis
+    change.  The nilradical is scanned over GF(p).  Over QQ it is the GF(5)
+    scan of the undisguised algebra, a coordinate subspace that is also the
+    rational nilradical of these families, carried through the change."""
+    rng = random.Random(seed)
+    L = with_center(base(F, name), k)
+    n = L.dim
+    if F.is_prime_field:
+        M = change_of_basis(L, rand_invertible(F, n, rng))
+        return M, nilradical(M), rng
+    P = rational_change(n, rng)
+    rows = nilradical(with_center(base(F5, name), k)).basis.data
+    # the new coordinates of the old basis vector e_i are row i of P^-1
+    Pinv = P.inverse()
+    N = Subspace.from_vectors(QQ, n, [Pinv.apply_row(r) for r in rows])
+    return change_of_basis(L, P), N, rng
+
+
+def random_vector(F, n, rng):
+    while True:
+        v = [rng.randint(-2, 2) for _ in range(n)]
+        if any(map(F.of, v)):
+            return v
+
+
+def candidate(L, N, kind, rng):
+    F, n = L.field, L.dim
+    full = L.full_space()
+    if kind == "nilradical":
+        return N
+    if kind == "center":
+        return center(L)
+    if kind == "derived":
+        return product_space(L, full, full)
+    if kind == "zero":
+        return Subspace.zero(F, n)
+    if kind == "full":
+        return full
+    line = Subspace.from_vectors(F, n, [random_vector(F, n, rng)])
+    if kind == "line":
+        return line
+    return subspace_sum(N, line)
+
+
+def ref_ideal_closure(L, S):
+    full = L.full_space()
+    W = S
+    while True:
+        W2 = subspace_sum(W, subspace_sum(product_space(L, W, full), product_space(L, full, W)))
+        if W2 == W:
+            return W
+        W = W2
+
+
+def ref_nilpotent(L, U):
+    C = U
+    while not C.is_zero():
+        nxt = product_space(L, U, C)
+        if nxt == C:
+            return False
+        C = nxt
+    return True
+
+
+def ref_certificate(L, N):
+    """The branch that decides: "guard" rejects N that is not a nilpotent
+    ideal, "maximality" rejects N when some e_i generates a nilpotent ideal
+    outside N, and "true" accepts."""
+    if not is_ideal(L, N) or not ref_nilpotent(L, N):
+        return "guard"
+    for i in range(L.dim):
+        J = ref_ideal_closure(L, Subspace.from_vectors(L.field, L.dim, [L.basis_vector(i)]))
+        if ref_nilpotent(L, J) and not N.contains(J):
+            return "maximality"
+    return "true"
+
+
+def test_reference_nilradicals_are_nilpotent_ideals():
+    for F in FIELDS:
+        for name in BASES:
+            for k in range(6 - base(F, name).dim):
+                L, N, _ = disguised(F, name, k, seed=k)
+                assert is_ideal(L, N) and ref_nilpotent(L, N)
+                assert ref_certificate(L, N) == "true"
+
+
+def test_certificate_matches_definition():
+    reached = set()
+
+    @settings(max_examples=200)
+    @given(
+        F=st.sampled_from(FIELDS),
+        name=st.sampled_from(BASES),
+        k=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(CANDIDATES),
+    )
+    def check(F, name, k, seed, kind):
+        k = min(k, 5 - base(F, name).dim)
+        L, N, rng = disguised(F, name, k, seed)
+        U = candidate(L, N, kind, rng)
+        expected = ref_certificate(L, U)
+        assert verify_nilradical_candidate(L, U) is (expected == "true")
+        reached.add(expected)
+
+    check()
+    assert reached == {"true", "guard", "maximality"}
+
+
+@settings(max_examples=150)
+@given(
+    F=st.sampled_from(FIELDS),
+    name=st.sampled_from(BASES),
+    k=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(0, 2),
+)
+def test_ideal_closure_matches_fixed_point(F, name, k, seed, dim):
+    k = min(k, 5 - base(F, name).dim)
+    L, _, rng = disguised(F, name, k, seed)
+    S = Subspace.from_vectors(F, L.dim, [random_vector(F, L.dim, rng) for _ in range(dim)])
+    assert ideal_closure(L, S) == ref_ideal_closure(L, S)

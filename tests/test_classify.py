@@ -250,6 +250,15 @@ def test_classify_qq_rejects_bad_nilradical_candidate():
         classify(L, A=A, nilradical_candidate=L.full_space())
 
 
+def test_classify_gf_rejects_wrong_nilradical_candidate():
+    # over a prime field a supplied candidate must equal the scanned nilradical
+    L = heisenberg_rotation_extension(F3)
+    with pytest.raises(ValueError):
+        classify(L, nilradical_candidate=Subspace.zero(F3, 4))
+    N = span(F3, 4, (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    assert classify(L, nilradical_candidate=N).case is Case.CASE3_E
+
+
 @pytest.mark.parametrize("k", [0, 1])
 def test_case1_takes_precedence_over_case3(k):
     # c(rot) (+) F^k is also a one-dimensional extension of its nilradical,

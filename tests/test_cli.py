@@ -123,6 +123,17 @@ def test_classify_command(files, capsys):
     assert run(["classify", path2]) == 1  # NotApplicable is a negative
 
 
+def test_classify_rejects_wrong_nilradical_candidate(files):
+    tmp, write = files
+    from leibniz_algebras.catalog import heisenberg_rotation_extension
+
+    for F in (QQ, F3):
+        path = write("e.json", heisenberg_rotation_extension(F))
+        args = ["classify", path, "--witness", "0,1,0,0;0,0,1,0", "--nilradical"]
+        assert run(args + ["0,0,0,1"]) == 2
+        assert run(args + ["1,0,0,0;0,1,0,0;0,0,1,0"]) == 0
+
+
 def test_classify_with_witness_over_rationals(files, capsys):
     tmp, write = files
     from leibniz_algebras.families import make_c

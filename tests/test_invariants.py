@@ -263,10 +263,23 @@ def test_verify_nilradical_candidate_over_rationals():
     assert verify_nilradical_candidate(D, Subspace.zero(QQ, 3))
 
 
+def test_verify_nilradical_candidate_rejects_nonmaximal_nilpotent_ideals():
+    # rotext (+) Q has the 4-dim nilradical span(e1, e2, e3, e5)
+    L = direct_sum(heisenberg_rotation_extension(QQ), abelian_algebra(1, QQ))
+    Z = center(L)
+    assert Z.dim == 2 and not verify_nilradical_candidate(L, Z)
+    full = L.full_space()
+    L2 = product_space(L, full, full)
+    assert L2.dim == 3 and not verify_nilradical_candidate(L, L2)
+    N = span(QQ, 5, (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, 1))
+    assert verify_nilradical_candidate(L, N)
+
+
 def test_verify_nilradical_candidate_agrees_with_scan():
-    for L in standard_fixtures(F3, max_dim=4):
-        N = nilradical(L)
-        assert verify_nilradical_candidate(L, N)
+    for F in (F3, F5):
+        for L in standard_fixtures(F, max_dim=4):
+            N = nilradical(L)
+            assert verify_nilradical_candidate(L, N)
 
 
 # -- annihilator bound -------------------------------------------------------------
