@@ -5,7 +5,8 @@ exactly one verdict is produced:
 
   AbelianIdealCodimLe2  an abelian two-sided ideal of codimension <= 2 exists
   Case1_c               solvable Lie, derived length 3, L^2 a Heisenberg
-                        algebra, center of dimension n-3
+                        algebra, center of dimension n-3, the generator
+                        acting irreducibly on L^2 / center(L^2)
   Case2_d               Lie, not solvable, center of dimension n-3 with a
                         3-dimensional simple quotient
   Case3_e               solvable with nilradical of codimension 1 isomorphic
@@ -29,6 +30,7 @@ complement generator, so diagnostics are identical across basis changes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -62,15 +64,7 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from .search import (
-    DEFAULT_SCAN_BUDGET,
-    _first_hit,
-    _tally,
-    all_abelian_ideals,
-    alpha,
-    beta,
-    iso_search,
-)
+from .search import DEFAULT_SCAN_BUDGET, _first_hit, _scan_dim, _tally, alpha
 from ._kernel import MODE_ABELIAN, MODE_IDEAL
 
 
@@ -135,6 +129,15 @@ def canonical_quadratic(F: FieldSpec, q: QuadraticPoly) -> QuadraticPoly:
     return QuadraticPoly(F.zero, F.of(sign * sf))
 
 
+def _quadratic_root(F: FieldSpec, q: QuadraticPoly):
+    """A root in F of a reducible monic quadratic."""
+    if F.is_prime_field:
+        return next(t for t in F.elements() if q.evaluate(F, t) == F.zero)
+    d = q.discriminant(F)
+    s = F.of(math.isqrt(d.numerator)) / math.isqrt(d.denominator)
+    return (s - q.c1) / 2
+
+
 def field_admits_irreducible_quadratic(F: FieldSpec) -> bool:
     """True unless every monic quadratic over F splits."""
     if not F.is_prime_field:
@@ -148,8 +151,10 @@ def field_admits_irreducible_quadratic(F: FieldSpec) -> bool:
 
 # ---------------------------------------------------------------------------
 # case matchers: each tests its case's structure and, when it holds, returns
-# the frame; None means the case does not apply.  All take (L, is_lie(L),
-# series(L), the center CL, L2 = [L, L], the nilradical N or None).
+# the frame; None means the case does not apply, and {"abelian_ideal": W}
+# that the structure yields an abelian ideal of codimension 2 (Case1_c with
+# a reducible chi).  All take (L, is_lie(L), series(L), the center CL,
+# L2 = [L, L], the nilradical N or None).
 
 
 def _heisenberg_frame(L: AlgebraTable, W: Subspace) -> list[tuple] | None:
@@ -218,11 +223,29 @@ def _least_index_outside(L: AlgebraTable, S: Subspace) -> int:
     raise ConsistencyError("no basis vector outside the subspace")
 
 
+def _eigenline_ideal(L: AlgebraTable, CL: Subspace, m: Matrix, u, w) -> Subspace:
+    """CL + span(v) for an eigenvector v = alpha*u + beta*w of the action m
+    (row (alpha, beta) times m) of a reducible chi: [a, v] is a multiple of
+    v and [u, v], [w, v] lie in span(z), so it is an abelian ideal of
+    codimension 2, which is checked."""
+    F = L.field
+    r = _quadratic_root(F, char_poly_2x2(m))
+    shifted = m - Matrix(F, [[r, F.zero], [F.zero, r]])
+    c_u, c_w = shifted.transpose().kernel_basis().data[0]
+    v = tuple(F.add(F.mul(c_u, x), F.mul(c_w, y)) for x, y in zip(u, w))
+    W = subspace_sum(CL, Subspace.from_vectors(F, L.dim, [v]))
+    if W.codim != 2 or not is_abelian_subspace(L, W) or not is_ideal(L, W):
+        raise ConsistencyError("the eigenline of a reducible chi gives no abelian ideal")
+    return W
+
+
 def _match_case1(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     """Case1_c: solvable Lie of derived length 3, L2 = [L, L] a 3-dim
     heisenberg algebra, center of dimension n-3.  Frame (a, z, u, w, f..)
     matching  c(m) (+) F^(n-4);  m read off the action of the complement
-    generator on span(u, w)."""
+    generator on span(u, w), and chi = det(t - m) irreducible.  A reducible
+    chi returns {"abelian_ideal": W} instead: the center plus an eigenline
+    of m, an abelian ideal of codimension 2."""
     F = L.field
     n = L.dim
     if not (lie and rep.solvable and rep.derived_length == 3):
@@ -248,6 +271,8 @@ def _match_case1(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     if au[2] != F.zero or aw[2] != F.zero:
         raise ConsistencyError("central component survived generator adjustment")
     m = Matrix(F, [[au[0], au[1]], [aw[0], aw[1]]])
+    if not is_irreducible_quadratic(char_poly_2x2(m), F):
+        return {"abelian_ideal": _eigenline_ideal(L, CL, m, u, w)}
     model = make_c(m, F)
     if n > 4:
         model = direct_sum(model, abelian_algebra(n - 4, F))
@@ -420,6 +445,22 @@ def _codim2_abelian_ideal_qq(L: AlgebraTable, A: Subspace) -> Subspace | None:
     return None
 
 
+def _nilradical(L: AlgebraTable, candidate: Subspace | None, budget: int) -> Subspace | None:
+    """The nilradical `classify` works with, and the check of a supplied
+    candidate: over a prime field the scanned nilradical, which the
+    candidate must equal; over the rationals the candidate itself (None
+    without one), which must pass `verify_nilradical_candidate`.  A failing
+    candidate raises ValueError."""
+    if L.field.is_prime_field:
+        N = nilradical(L, budget)
+        if candidate is not None and candidate != N:
+            raise ValueError("supplied nilradical candidate is not the nilradical")
+        return N
+    if candidate is not None and not verify_nilradical_candidate(L, candidate):
+        raise ValueError("supplied nilradical candidate failed verification")
+    return candidate
+
+
 def classify(
     L: AlgebraTable,
     A: Subspace | None = None,
@@ -434,9 +475,9 @@ def classify(
     codimension-2 abelian subalgebra witness A is required and a nilradical
     candidate is needed to recognize the extension case; all downstream
     checks are then verifications of the supplied data.  A supplied
-    nilradical candidate is checked when the nilradical is needed: over a
-    prime field it must equal the scanned nilradical, over the rationals it
-    must pass `verify_nilradical_candidate`; otherwise ValueError is raised.
+    nilradical candidate is checked once, whatever the verdict: over a prime
+    field it must equal the scanned nilradical, over the rationals it must
+    pass `verify_nilradical_candidate`; otherwise ValueError is raised.
     """
     require_leibniz(L)
     F = L.field
@@ -454,13 +495,14 @@ def classify(
 
     if F.is_prime_field:
         a_res = alpha(L, budget)
+        budget -= a_res.scanned
         diagnostics["alpha"] = a_res.alpha
         if a_res.alpha != n - 2:
+            if nilradical_candidate is not None:
+                _nilradical(L, nilradical_candidate, budget)
             return ClassificationVerdict(Case.NOT_APPLICABLE, {}, diagnostics)
-        if A is None:
-            A = a_res.alpha_witness
-        ideal_witness, scanned = _codim2_abelian_ideal_gf(L, budget - a_res.scanned)
-        budget -= a_res.scanned + scanned
+        ideal_witness, scanned = _codim2_abelian_ideal_gf(L, budget)
+        budget -= scanned
     else:
         if A is None:
             raise ValueError(
@@ -470,6 +512,8 @@ def classify(
         ideal_witness = _codim2_abelian_ideal_qq(L, A)
 
     if ideal_witness is not None:
+        if nilradical_candidate is not None:
+            _nilradical(L, nilradical_candidate, budget)
         diagnostics["abelian_ideal_dim"] = ideal_witness.dim
         return ClassificationVerdict(
             Case.ABELIAN_IDEAL_CODIM_LE2, {"abelian_ideal": ideal_witness}, diagnostics
@@ -494,26 +538,27 @@ def classify(
         }
     )
 
-    if F.is_prime_field:
-        N = nilradical(L, budget)
-        if nilradical_candidate is not None and nilradical_candidate != N:
-            raise ValueError("supplied nilradical candidate is not the nilradical")
-    elif nilradical_candidate is not None:
-        if not verify_nilradical_candidate(L, nilradical_candidate):
-            raise ValueError("supplied nilradical candidate failed verification")
-        N = nilradical_candidate
-    else:
-        N = None
+    N = _nilradical(L, nilradical_candidate, budget)
     if N is not None:
         diagnostics["dim_nilradical"] = N.dim
 
     for case, match in _MATCHERS:
         witness = match(L, lie, rep, CL, L2, N)
-        if witness is not None:
+        if witness is None:
+            continue
+        if "abelian_ideal" in witness:
+            case = Case.ABELIAN_IDEAL_CODIM_LE2
+            diagnostics["abelian_ideal_dim"] = witness["abelian_ideal"].dim
+        else:
             diagnostics["chi"] = witness["chi"]
-            return ClassificationVerdict(case, witness, diagnostics)
+        return ClassificationVerdict(case, witness, diagnostics)
 
-    if not F.is_prime_field and N is None and rep.solvable:
+    if not F.is_prime_field and N is not None:
+        raise ValueError(
+            "no branch matched with the supplied nilradical candidate; its "
+            "certificate is partial, so the candidate may not be the nilradical"
+        )
+    if not F.is_prime_field and rep.solvable:
         raise ValueError(
             "no branch matched and no nilradical candidate was supplied; "
             "provide one to test the extension case over the rationals"
@@ -571,35 +616,34 @@ def _claim(claims: list, name: str, holds: bool, detail: str = "") -> None:
 
 
 def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> TheoremReport:
-    """Re-derive every numeric claim of the matched classification branch from
-    scratch: independent beta scan, uniqueness of maximal abelian ideals via a
-    full list, center dimensions, and model-table equality.
+    """Check every claim of the branch `classify` matched, from its answer.
+
+    Outside AbelianIdealCodimLe2, `classify`'s exhaustive scan found no
+    abelian ideal in strata n, n-1 and n-2, so one collect-all scan of
+    stratum n-3 settles beta = n-3 and the uniqueness of the maximal abelian
+    ideal.  The Heisenberg claims are decided by `_heisenberg_frame`, whose
+    conditions are isomorphism invariants that characterize
+    heisenberg (+) F^k.
 
     One `budget` bounds the subspaces scanned by the whole request, debited
-    in order: alpha, `classify`, beta, the list of abelian ideals, then the
-    quotient's ideal scan (Case2_d) or the nilradical (Case3_e)."""
+    in order: `classify`, stratum n-3, then the quotient's ideal scan
+    (Case2_d) or the nilradical (Case3_e)."""
     require_leibniz(L)
     if not L.field.is_prime_field:
         raise ValueError("full verification requires a prime field")
     F = L.field
     n = L.dim
     label = L.name or ("dim-%d algebra" % n)
-    a_res = alpha(L, budget)
-    spent = a_res.scanned
-    claims: list = []
-    if a_res.alpha != n - 2:
-        claims.append(
-            ClaimCheck(
-                "alpha = n-2 hypothesis",
-                "n/a",
-                "alpha = %d, classification does not apply" % a_res.alpha,
-            )
-        )
-        return TheoremReport(label, a_res.alpha, None, claims)
-
     with _tally() as in_classify:
-        verdict = classify(L, budget=budget - spent)
-    spent += in_classify[0]
+        verdict = classify(L, budget=budget)
+    budget -= in_classify[0]
+    alpha_ = verdict.diagnostics["alpha"]
+    claims: list = []
+    if verdict.case is Case.NOT_APPLICABLE:
+        detail = "alpha = %d, classification does not apply" % alpha_
+        claims.append(ClaimCheck("alpha = n-2 hypothesis", "n/a", detail))
+        return TheoremReport(label, alpha_, None, claims)
+
     rep = series(L)
     CL = center(L)
 
@@ -614,13 +658,12 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
             rep.derived_length is not None and rep.derived_length <= 3,
             "derived length %s" % (rep.derived_length,),
         )
-    elif verdict.case in (Case.CASE1_C, Case.CASE2_D, Case.CASE3_E):
-        b_res = beta(L, budget - spent)
-        spent += b_res.scanned
-        _claim(claims, "beta = n-3", b_res.beta == n - 3, "beta = %d" % b_res.beta)
-        with _tally() as in_list:
-            maximal = all_abelian_ideals(L, n - 3, budget - spent)
-        spent += in_list[0]
+    else:
+        scanned, maximal = _scan_dim(L, n - 3, MODE_ABELIAN | MODE_IDEAL, budget, -1)
+        budget -= scanned
+        _claim(
+            claims, "beta = n-3", bool(maximal), "beta = %d" % (n - 3) if maximal else "beta < n-3"
+        )
         _claim(
             claims,
             "unique abelian ideal of maximal dimension",
@@ -639,8 +682,11 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
             _claim(claims, "3-step solvable", rep.solvable and rep.derived_length == 3)
             L2 = product_space(L, L.full_space(), L.full_space())
             _claim(claims, "derived subalgebra has dimension 3", L2.dim == 3)
-            iso = iso_search(subalgebra_table(L, L2), heisenberg_plus_abelian(0, F))
-            _claim(claims, "derived subalgebra is a heisenberg algebra", iso.isomorphic)
+            _claim(
+                claims,
+                "derived subalgebra is a heisenberg algebra",
+                L2.dim == 3 and _heisenberg_frame(L, L2) is not None,
+            )
             _claim(claims, "center has dimension n-3", CL.dim == n - 3)
             if maximal:
                 _claim(claims, "the maximal abelian ideal is the center", maximal[0] == CL)
@@ -657,21 +703,19 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
             if maximal:
                 _claim(claims, "the maximal abelian ideal is the center", maximal[0] == CL)
             Q, _ = quotient(L, CL)
-            no_proper = _first_hit(Q, (2, 1), MODE_IDEAL, budget - spent)[1] is None
+            no_proper = _first_hit(Q, (2, 1), MODE_IDEAL, budget)[1] is None
             _claim(claims, "quotient by the center is 3-dim simple", Q.dim == 3 and no_proper)
         else:
             _claim(claims, "3-step solvable", rep.solvable and rep.derived_length == 3)
             N = verdict.witness["nilradical"]
             _claim(claims, "nilradical has codimension 1", N.dim == n - 1)
+            _claim(claims, "nilradical matches the scan", N == nilradical(L, budget))
             _claim(
                 claims,
-                "nilradical matches the scan",
-                N == nilradical(L, budget - spent),
+                "nilradical is heisenberg (+) F^(n-4)",
+                N.dim == n - 1 and _heisenberg_frame(L, N) is not None,
             )
-            T = subalgebra_table(L, N)
-            iso = iso_search(T, heisenberg_plus_abelian(n - 4, F))
-            _claim(claims, "nilradical is heisenberg (+) F^(n-4)", iso.isomorphic)
-            CN_t = center(T)
+            CN_t = center(subalgebra_table(L, N))
             CN = Subspace.from_vectors(F, n, [N.basis.apply_row(r) for r in CN_t.basis.data])
             if maximal:
                 _claim(
@@ -701,4 +745,4 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
             verdict.case
             in (Case.ABELIAN_IDEAL_CODIM_LE2, Case.CASE2_D),
         )
-    return TheoremReport(label, a_res.alpha, verdict.case, claims)
+    return TheoremReport(label, alpha_, verdict.case, claims)

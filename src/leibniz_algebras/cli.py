@@ -491,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", help="abelian codim-2 subalgebra, vectors 'a,b,..;c,d,..'")
     p.add_argument("--nilradical", help="nilradical candidate (needed over the rationals)")
 
-    p = add("verify-theorem", "re-derive every claim of the matched branch")
+    p = add("verify-theorem", "check every claim of the branch classify matched")
     p.add_argument("file")
 
     p = add("make", "construct a family instance and emit its document")

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import settings
 
 from leibniz_algebras import search
-from leibniz_algebras.algebra import direct_sum
+from leibniz_algebras.algebra import center, change_of_basis, direct_sum
 from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2
 from leibniz_algebras.families import abelian_algebra, make_c, make_d
-from leibniz_algebras.fields import GF
-from leibniz_algebras.linalg import Matrix
+from leibniz_algebras.fields import GF, QQ
+from leibniz_algebras.linalg import Matrix, Subspace
 
 # generated tests replay the same examples on every run and take as long as
 # they need: no example database, no per-example deadline
@@ -41,6 +41,47 @@ def rand_invertible(F, n, rng):
         M = rand_matrix(F, n, n, rng)
         if M.is_invertible():
             return M
+
+
+QQ_SCALARS = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 3))
+
+
+def rational_change(n, rng):
+    """A permutation with small scalings, then n shears: the coefficients of
+    the disguised table stay small."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        rows[i][j] = Fraction(rng.choice(QQ_SCALARS))
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice(QQ_SCALARS)
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return Matrix(QQ, rows)
+
+
+def carried(P, rows):
+    """The coordinates, after change_of_basis(L, P), of vectors given in the
+    old basis: the old e_i is row i of P^-1."""
+    Pinv = P.inverse()
+    return [Pinv.apply_row(r) for r in rows]
+
+
+def rotext_with_center_candidate(k, seed):
+    """QQ rotext (+) Q^k after `rational_change` from random.Random(seed),
+    its codim-2 abelian witness span(e2, e3, e5..) carried through the
+    change, and its center.  For (k, seed) = (0, 1001) and (1, 1000) the
+    partial nilradical certificate accepts that center, which is not the
+    nilradical."""
+    L = heisenberg_rotation_extension(QQ)
+    if k:
+        L = direct_sum(L, abelian_algebra(k, QQ))
+    n = L.dim
+    P = rational_change(n, random.Random(seed))
+    rows = [tuple(int(i == j) for i in range(n)) for j in [1, 2] + list(range(4, n))]
+    M = change_of_basis(L, P)
+    return M, Subspace.from_vectors(QQ, n, carried(P, rows)), center(M)
 
 
 def scanned_by(monkeypatch, fn):

@@ -11,7 +11,6 @@ seeded basis change.
 """
 
 import random
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,11 +28,10 @@ from leibniz_algebras.fields import QQ
 from leibniz_algebras.invariants import ideal_closure, nilradical, verify_nilradical_candidate
 from leibniz_algebras.linalg import Matrix, Subspace, subspace_sum
 
-from conftest import F3, F5, rand_invertible
+from conftest import F3, F5, rand_invertible, rational_change
 
 FIELDS = (F3, F5, QQ)
 CANDIDATES = ("nilradical", "center", "derived", "zero", "full", "line", "nilradical+line")
-QQ_SCALARS = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 3))
 
 
 BASES = ("c(rot)", "d(rot)", "rotext", "oscillator", "a(id,rot)", "a(id,diag)", "a(id,nilp)", "a(nilp,0)")
@@ -59,21 +57,6 @@ def base(F, name):
 
 def with_center(L, k):
     return direct_sum(L, abelian_algebra(k, L.field)) if k else L
-
-
-def rational_change(n, rng):
-    """A permutation with small scalings, then n shears: the coefficients of
-    the disguised table stay small."""
-    perm = list(range(n))
-    rng.shuffle(perm)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, j in enumerate(perm):
-        rows[i][j] = Fraction(rng.choice(QQ_SCALARS))
-    for _ in range(n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice(QQ_SCALARS)
-        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    return Matrix(QQ, rows)
 
 
 def disguised(F, name, k, seed):

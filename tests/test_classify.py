@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from leibniz_algebras.algebra import (
@@ -35,11 +37,20 @@ from leibniz_algebras.families import (
     oscillator,
 )
 from leibniz_algebras.fields import GF, QQ
-from leibniz_algebras.invariants import nilradical, series
-from leibniz_algebras.linalg import Matrix, QuadraticPoly, Subspace
+from leibniz_algebras.invariants import nilradical, series, verify_nilradical_candidate
+from leibniz_algebras.linalg import Matrix, QuadraticPoly, Subspace, gaussian_binomial
 from leibniz_algebras.search import alpha, beta
 
-from conftest import F3, one_budget_algebras, rand_invertible, scanned_by
+from conftest import (
+    F2,
+    F3,
+    carried,
+    one_budget_algebras,
+    rand_invertible,
+    rational_change,
+    rotext_with_center_candidate,
+    scanned_by,
+)
 
 ROT3 = Matrix(F3, [[0, 1], [2, 0]])
 ROTQ = Matrix(QQ, [[0, 1], [-1, 0]])
@@ -250,6 +261,48 @@ def test_classify_qq_rejects_bad_nilradical_candidate():
         classify(L, A=A, nilradical_candidate=L.full_space())
 
 
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_case1_reducible_chi_is_an_abelian_ideal_over_qq(seed):
+    # c(diag(1, -1)) on (a, z, u, w): chi = t^2 - 1 splits, so the center
+    # plus an eigenline of the action is an abelian ideal of codimension 2,
+    # whichever codimension-2 abelian witness is supplied
+    L = make_c(Matrix(QQ, [[1, 0], [0, -1]]), QQ)
+    witnesses = [[(1, 0, 0, 0), (0, 1, 0, 0)], [(0, 1, 0, 0), (0, 0, 1, 0)]]
+    if seed is not None:
+        P = rational_change(4, random.Random(seed))
+        L = change_of_basis(L, P)
+        witnesses = [carried(P, rows) for rows in witnesses]
+    for rows in witnesses:
+        v = classify(L, A=span(QQ, 4, *rows))
+        assert v.case is Case.ABELIAN_IDEAL_CODIM_LE2
+        W = v.witness["abelian_ideal"]
+        assert W.codim == 2 and is_abelian_subspace(L, W) and is_ideal(L, W)
+
+
+@pytest.mark.parametrize("k, seed", [(0, 1001), (1, 1000)])
+def test_classify_qq_blames_a_candidate_the_partial_certificate_passed(k, seed):
+    # the certificate accepts the center, so no branch matches; that is a
+    # wrong input, not a contradiction of the theorem
+    L, A, C = rotext_with_center_candidate(k, seed)
+    assert verify_nilradical_candidate(L, C)
+    with pytest.raises(ValueError, match="nilradical candidate"):
+        classify(L, A=A, nilradical_candidate=C)
+
+
+def test_classify_checks_a_candidate_whatever_the_verdict():
+    # a(id,rot) has an abelian ideal of codimension 2 and heisenberg has
+    # alpha = n-1: both verdicts are reached without the nilradical
+    for L, case in (
+        (make_a(Matrix.identity(F3, 2), ROT3, F3), Case.ABELIAN_IDEAL_CODIM_LE2),
+        (heisenberg(F3), Case.NOT_APPLICABLE),
+    ):
+        verdict = classify(L)
+        assert verdict.case is case
+        with pytest.raises(ValueError, match="not the nilradical"):
+            classify(L, nilradical_candidate=Subspace.zero(F3, L.dim))
+        assert classify(L, nilradical_candidate=nilradical(L)) == verdict
+
+
 def test_classify_gf_rejects_wrong_nilradical_candidate():
     # over a prime field a supplied candidate must equal the scanned nilradical
     L = heisenberg_rotation_extension(F3)
@@ -359,8 +412,8 @@ def test_verify_disguised_case2_recovers_chi(rng):
 
 @pytest.mark.parametrize("name", sorted(one_budget_algebras()))
 def test_verify_main_theorem_debits_one_budget(monkeypatch, name):
-    # alpha, classify, beta, the abelian-ideal list and the last check's scan
-    # share one budget
+    # classify, the stratum-(n-3) scan and the last check's scan share one
+    # budget
     L = one_budget_algebras()[name]
     report, total = scanned_by(monkeypatch, lambda: verify_main_theorem(L))
     assert report.ok
@@ -369,9 +422,45 @@ def test_verify_main_theorem_debits_one_budget(monkeypatch, name):
         verify_main_theorem(L, budget=total - 1)
 
 
+@pytest.mark.parametrize("name", sorted(one_budget_algebras()))
+def test_verify_main_theorem_scans_one_stratum_past_classify(monkeypatch, name):
+    # classify's scans, stratum n-3 in full, then the last check's scan: the
+    # quotient's ideal strata 2 and 1, walked in full as it has none
+    # (Case2_d), or the nilradical (Case3_e)
+    L = one_budget_algebras()[name]
+    n, p = L.dim, L.field.p
+    report, total = scanned_by(monkeypatch, lambda: verify_main_theorem(L))
+    verdict, in_classify = scanned_by(monkeypatch, lambda: classify(L))
+    last = 0
+    if verdict.case is Case.CASE2_D:
+        last = gaussian_binomial(3, 2, p) + gaussian_binomial(3, 1, p)
+    elif verdict.case is Case.CASE3_E:
+        _, last = scanned_by(monkeypatch, lambda: nilradical(L))
+    assert report.ok
+    assert total == in_classify + gaussian_binomial(n, n - 3, p) + last
+
+
+def test_verify_rotext_plus_f2_under_default_budgets():
+    # an isomorphism search of the 5-dim nilradical against heisenberg (+)
+    # F^2 exceeds its default node budget on the fourth of these basis
+    # changes; the verifier decides that claim from the structure
+    L = direct_sum(heisenberg_rotation_extension(F3), abelian_algebra(2, F3))
+    rng = random.Random(7)
+    for _ in range(20):
+        report = verify_main_theorem(change_of_basis(L, rand_invertible(F3, 6, rng)))
+        assert report.ok and report.case is Case.CASE3_E
+
+
 def test_verify_rejects_rationals():
     with pytest.raises(ValueError):
         verify_main_theorem(oscillator(QQ))
+
+
+def test_verify_rejects_characteristic_2():
+    # classify refuses characteristic 2 whatever alpha is (heisenberg has
+    # alpha = n-1)
+    with pytest.raises(ValueError, match="characteristic"):
+        verify_main_theorem(heisenberg(F2))
 
 
 def test_dichotomy_over_gf5():

@@ -5,10 +5,11 @@ import pytest
 from leibniz_algebras.cli import run
 from leibniz_algebras.families import heisenberg, make_a, make_d, oscillator
 from leibniz_algebras.fields import QQ
+from leibniz_algebras.invariants import nilradical
 from leibniz_algebras.linalg import Matrix
 from leibniz_algebras.serialize import parse_algebra, serialize_algebra
 
-from conftest import F3
+from conftest import F3, rotext_with_center_candidate
 
 
 @pytest.fixture
@@ -132,6 +133,29 @@ def test_classify_rejects_wrong_nilradical_candidate(files):
         args = ["classify", path, "--witness", "0,1,0,0;0,0,1,0", "--nilradical"]
         assert run(args + ["0,0,0,1"]) == 2
         assert run(args + ["1,0,0,0;0,1,0,0;0,0,1,0"]) == 0
+
+
+def _subspace_arg(W):
+    return ";".join(",".join(W.field.format(x) for x in row) for row in W.basis.data)
+
+
+@pytest.mark.parametrize("k, seed", [(0, 1001), (1, 1000)])
+def test_classify_qq_candidate_the_partial_certificate_passed_exits_2(files, k, seed):
+    tmp, write = files
+    L, A, C = rotext_with_center_candidate(k, seed)
+    path = write("e.json", L)
+    args = ["classify", path, "--witness", _subspace_arg(A)]
+    assert run(args + ["--nilradical", _subspace_arg(C)]) == 2
+
+
+def test_classify_checks_a_candidate_whatever_the_verdict(files):
+    tmp, write = files
+    # AbelianIdealCodimLe2 exits 0, NotApplicable 1
+    for L, code in ((make_a(Matrix.identity(F3, 2), Matrix(F3, [[0, 1], [2, 0]]), F3), 0),
+                    (heisenberg(F3), 1)):
+        path = write("l.json", L)
+        assert run(["classify", path, "--nilradical", ",".join("0" * L.dim)]) == 2
+        assert run(["classify", path, "--nilradical", _subspace_arg(nilradical(L))]) == code
 
 
 def test_classify_with_witness_over_rationals(files, capsys):
