@@ -11,25 +11,37 @@ subspaces it yields.
 
 Contract:
 
-    scan_subspaces(table, n, p, d, mode, limit, collect)
+    scan_subspaces(table, n, p, d, mode, limit, collect, functionals=())
         -> (scanned, truncated, matches)
 
 where `table` is the flattened n*n*n tensor (index ((i*n)+j)*n + k) with
 entries reduced mod p, `mode` is a bitmask of MODE_* flags, `limit` caps the
 number of subspaces examined (-1 for no cap) and `collect` caps the number of
-matches gathered (-1 for all).  Matches are flattened d*n row-major RREF
+matches gathered (-1 for all).  `functionals` are rows of linear functionals
+on GF(p)^n that vanish on every match, as the caller vouches; the
+MODE_ABELIAN walk cuts by them.  Matches are flattened d*n row-major RREF
 basis matrices.  `truncated` is True only when the limit stopped the scan
 before exhaustion with the collection still open.
 
 Under MODE_ABELIAN the walk cuts by row prefix: with rows 0..r-1 fixed it
 visits only the values of row r whose brackets with itself and, both ways,
 with every fixed row vanish.  The brackets with fixed rows are linear in row
-r's free entries, so they are solved rather than tried.  A value left out
-cuts every subspace below it, none of which is abelian.  MODE_IDEAL is
-tested on each subspace the walk reaches.  `scanned` still counts every
-subspace of the canonical order up to the point where the scan stopped, cut
-ones included, so `scanned`, `truncated` and `matches` are exactly what a
-subspace-by-subspace scan would return.
+r's free entries, so they are solved rather than tried.  Row r must also
+lie in the common kernel K of `functionals`, a linear condition solved with
+them.  A value left out cuts every subspace below it, none of which is a
+match.  MODE_IDEAL is tested on each subspace the walk reaches.
+
+For abelian-ideal scans `search` passes the trace form's functionals
+x -> Tr(M_x W), for M in {L, R} and W in {1, L_e_j, R_e_j}.  If I is an
+abelian ideal and x is in I, then W(I) <= I, and M_x maps L into I and I to
+0, so M_x W is nilpotent and its trace is 0 in every characteristic.  Every
+abelian ideal therefore lies in K, and the cut skips only subtrees that hold
+none.
+
+`scanned` still counts every subspace of the canonical order up to the
+point where the scan stopped, cut ones included, so `scanned`, `truncated`
+and `matches` are exactly what a subspace-by-subspace scan would return,
+with or without `functionals`.
 """
 
 from __future__ import annotations
@@ -157,8 +169,11 @@ def _sparse_table(table, n):
     return sp
 
 
-def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect: int):
+def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect: int,
+                   functionals=()):
     sp = _sparse_table(table, n)
+    # phi[i]: the functionals' values at e_i
+    phi = [[f[i] for f in functionals] for i in range(n)]
     matches = []
 
     want_abelian = bool(mode & MODE_ABELIAN)
@@ -178,10 +193,11 @@ def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect
 
     def abelian_values(rows, r, pc, cols):
         """Values of row r, with pivot pc and free entries at cols, for which
-        it brackets to zero with itself and, both ways, with rows 0..r-1."""
-        # [u, v_s] and [v_s, u] for s < r are linear in u: g[i] holds their
-        # coordinates for u = e_i
-        g = [[] for _ in range(n)]
+        it lies in K and brackets to zero with itself and, both ways, with
+        rows 0..r-1."""
+        # the functionals and [u, v_s], [v_s, u] for s < r are linear in u:
+        # g[i] holds their values for u = e_i
+        g = [list(phi_i) for phi_i in phi]
         for v in rows[:r]:
             nz = [(j, vj) for j, vj in enumerate(v) if vj]
             for i in range(n):

@@ -6,11 +6,19 @@ Every subspace scan runs through the one kernel in `_scan_py` and follows
 its canonical order (pivot-column sets lexicographically, then free
 entries), so reported dimensions and witnesses are deterministic; witnesses
 are the first (lexicographically least) hits at the maximal dimension.
-Budgets count subspaces in that order, those the kernel's abelian cut skips
-included, so a full stratum costs its Gaussian binomial.  A top-down search
-debits one budget across all the strata it scans, an exhausted budget raises
-`BudgetExceededError` rather than passing as a negative answer, and a
-negative budget is a ValueError.
+Budgets count subspaces in that order, those the kernel's cuts skip
+included, so a full stratum costs its Gaussian binomial.
+
+Abelian-ideal scans hand the kernel the trace form's functionals
+x -> Tr(M_x W), M in {L, R}, W in {1, L_e_j, R_e_j}, computed once per
+table.  For an abelian ideal I and x in I, W(I) <= I and M_x maps L into I
+and I to 0, so M_x W is nilpotent and the trace is 0: every abelian ideal
+lies in their common kernel, and the kernel cuts every row prefix outside
+it.  Counts, matches and witnesses are the same as without the cut.
+
+A top-down search debits one budget across all the strata it scans, an
+exhausted budget raises `BudgetExceededError` rather than passing as a
+negative answer, and a negative budget is a ValueError.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from dataclasses import dataclass
 from ._kernel import MODE_ABELIAN, MODE_IDEAL, scan_subspaces
 from .algebra import (
     AlgebraTable,
+    _products,
     bracket,
     center,
     change_of_basis,
@@ -70,6 +79,36 @@ def table_flat(L: AlgebraTable) -> tuple:
     return tuple(L.c[i][j][k] for i in range(n) for j in range(n) for k in range(n))
 
 
+def _trace_functionals(L: AlgebraTable) -> tuple:
+    """Rows, in RREF, of the functionals x -> Tr(M_x W) for M in {L, R} and
+    W in {1, L_e_j, R_e_j}, as ints mod p; cached on L.
+
+    Every abelian ideal I lies in their common kernel: for x in I, W(I) <= I,
+    and M_x maps L into I and I to 0, so M_x W is nilpotent."""
+    rows = L._cache.get("trace_functionals")
+    if rows is None:
+        n, P = L.dim, _products(L)
+        # nonzero entries (j, k, x) of L_e_i and R_e_i, whose k-th columns
+        # are [e_i, e_k] and [e_k, e_i]
+        left = [[(j, k, x) for k in range(n) for j, x in P[i][k]] for i in range(n)]
+        right = [[(j, k, x) for k in range(n) for j, x in P[k][i]] for i in range(n)]
+
+        def dense(entries):
+            A = [[0] * n for _ in range(n)]
+            for j, k, x in entries:
+                A[j][k] = x
+            return A
+
+        Ws = [dense((j, j, 1) for j in range(n))] + [dense(M) for M in left + right]
+        # Tr(M W) = sum of M[j][k] * W[k][j]
+        funcs = [
+            [sum(x * W[k][j] for j, k, x in M) for M in Ms] for Ms in (left, right) for W in Ws
+        ]
+        rows = tuple(map(tuple, Subspace.from_vectors(L.field, n, funcs).basis.data))
+        L._cache["trace_functionals"] = rows
+    return rows
+
+
 def _subspace_from_flat(F: FieldSpec, n: int, d: int, flat) -> Subspace:
     rows = [list(flat[r * n : (r + 1) * n]) for r in range(d)]
     pivots = []
@@ -102,8 +141,11 @@ def _scan_dim(L: AlgebraTable, d: int, mode: int, limit: int, collect: int):
     if limit < 0:
         raise ValueError("scan budget must be >= 0, got %d" % limit)
     flat = table_flat(L)
+    abelian_ideal = MODE_ABELIAN | MODE_IDEAL
+    funcs = _trace_functionals(L) if mode & abelian_ideal == abelian_ideal else ()
+    # positional: wrappers of the kernel forward *args only
     scanned, truncated, matches = scan_subspaces(
-        flat, L.dim, L.field.p, d, mode, limit, collect
+        flat, L.dim, L.field.p, d, mode, limit, collect, funcs
     )
     tally = _open_tally.get()
     if tally is not None:

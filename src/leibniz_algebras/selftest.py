@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from ._kernel import MODE_ABELIAN, MODE_IDEAL, scan_subspaces
 from .algebra import (
     center,
     change_of_basis,
@@ -35,7 +36,7 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from .search import alpha, beta, iso_search
+from .search import _trace_functionals, alpha, beta, iso_search, table_flat
 
 CHECKS = []
 
@@ -215,6 +216,20 @@ def _oscillator_scan(rng, fast):
         return "disguised oscillator alpha/beta wrong"
     if not iso_search(O, D).isomorphic:
         return "disguised oscillator not recognized"
+    return None
+
+
+@_check("trace-form cut leaves abelian-ideal scans unchanged, before and after disguise")
+def _trace_cut(rng, fast):
+    F = GF(3)
+    mode = MODE_ABELIAN | MODE_IDEAL
+    for L0 in standard_fixtures(F, max_dim=4 if fast else 5):
+        for L in (L0, change_of_basis(L0, _rand_invertible(F, L0.dim, rng))):
+            n, flat, funcs = L.dim, table_flat(L), _trace_functionals(L)
+            for d in range(n + 1):
+                cut = scan_subspaces(flat, n, F.p, d, mode, -1, -1, funcs)
+                if cut != scan_subspaces(flat, n, F.p, d, mode, -1, -1):
+                    return "the cut changed the dimension-%d scan of %s" % (d, L0.name)
     return None
 
 

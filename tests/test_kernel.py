@@ -8,11 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibniz_algebras._kernel import MODE_ABELIAN, MODE_IDEAL, backend, scan_subspaces
-from leibniz_algebras.algebra import change_of_basis, direct_sum, is_abelian_subspace, is_ideal
+from leibniz_algebras.algebra import (
+    change_of_basis,
+    direct_sum,
+    is_abelian_subspace,
+    is_ideal,
+    mult_operator,
+)
 from leibniz_algebras.catalog import heisenberg_rotation_extension, standard_fixtures
-from leibniz_algebras.families import abelian_algebra, make_a, make_c, make_d, oscillator
+from leibniz_algebras.families import abelian_algebra, make_a, make_c, make_d, make_e, oscillator
 from leibniz_algebras.linalg import Matrix, Subspace, enumerate_subspaces, gaussian_binomial
-from leibniz_algebras.search import table_flat
+from leibniz_algebras.search import _trace_functionals, table_flat
 
 from conftest import F3, F5, rand_invertible
 
@@ -139,18 +145,28 @@ def _reference_scan(walk, mode, limit, collect):
 
 
 @st.composite
-def _scan_cases(draw):
+def _scan_cases(draw, every_stratum=False):
     """A family algebra (+) F^k of dimension <= 5 over GF(3), <= 4 over GF(5),
     under a seeded basis change, with a stratum, a limit and a collect cap.
     (At n = 5 over GF(5) a middle stratum has 20,306 subspaces, too many for
-    the reference in a tier-1 test.)
+    the reference in a tier-1 test.)  The stratum is one of 2..n-1, or any
+    of 0..n with `every_stratum`.
 
-    Family a (one-sided action, so [u, v] = 0 does not give [v, u] = 0) and
-    rotext are the non-Lie ones."""
+    Family a (one-sided action, so [u, v] = 0 does not give [v, u] = 0),
+    rotext and family e with [x, x] != 0 are the non-Lie ones."""
     F = draw(st.sampled_from([F3, F5]))
-    base = draw(st.sampled_from(["a", "c", "d", "rotext", "oscillator"]))
+    base = draw(st.sampled_from(["a", "c", "d", "e", "rotext", "oscillator"]))
     entries = st.integers(0, F.p - 1)
-    if base == "a":
+    if base == "e":
+        # x acts on heisenberg (u, w, z) by a derivation phi (column j the
+        # image of the j-th basis vector), theta = -phi, and [x, x] = v in
+        # the center, nonzero only when tr phi = 0, as [v, x] = 0 needs
+        a, b, c, d, e, f = (draw(entries) for _ in range(6))
+        tr = (a + d) % F.p
+        phi = Matrix(F, [[a, b, 0], [c, d, 0], [e, f, tr]])
+        v = (0, 0, 0 if tr else draw(entries))
+        L = make_e(phi, -phi, v, 4, F)
+    elif base == "a":
         lam = Matrix(F, [[draw(entries) for _ in range(2)] for _ in range(2)])
         # mu = x*1 + y*lam commutes with lam
         x, y = draw(entries), draw(entries)
@@ -170,7 +186,7 @@ def _scan_cases(draw):
     # strata with at least two rows, so that rows are checked against fixed
     # ones, and at least one row less than n; test_scan_matches_brute_force
     # covers every stratum of the fixtures
-    d = draw(st.integers(2, n - 1))
+    d = draw(st.integers(0, n) if every_stratum else st.integers(2, n - 1))
     limit = draw(st.integers(0, gaussian_binomial(n, d, F.p) + 1))
     collect = draw(st.sampled_from([-1, 0, 1, 2, 3]))
     return L, d, limit, collect
@@ -187,3 +203,48 @@ def test_pruned_scan_matches_reference_on_generated_algebras(case):
         for lim, col in ((-1, -1), (limit, -1), (-1, collect), (limit, collect)):
             got = scan_subspaces(flat, n, p, d, mode, lim, col)
             assert got == _reference_scan(walk, mode, lim, col), (mode, lim, col)
+
+
+def _definition_functionals(L):
+    """x -> Tr(M_x W) for M in {L, R} and W in {1, L_e_j, R_e_j}, from the
+    multiplication operators."""
+    n = L.dim
+    basis = [L.basis_vector(i) for i in range(n)]
+    ops = {side: [mult_operator(L, e, side).matrix for e in basis] for side in ("left", "right")}
+    Ws = [Matrix.identity(L.field, n)] + ops["left"] + ops["right"]
+    return [[(M @ W).trace() for M in ops[side]] for side in ("left", "right") for W in Ws]
+
+
+@pytest.mark.parametrize("F", [F3, F5], ids=["GF3", "GF5"])
+def test_every_abelian_ideal_lies_in_the_trace_kernel(F):
+    p = F.p
+    proper = 0
+    for L in standard_fixtures(F, max_dim=5 if p == 3 else 4):
+        n = L.dim
+        funcs = _trace_functionals(L)
+        assert Subspace.from_vectors(F, n, funcs) == Subspace.from_vectors(
+            F, n, _definition_functionals(L)
+        ), L.name
+        proper += bool(funcs)
+        for d in range(1, n + 1):
+            for U in enumerate_subspaces(n, d, F):
+                if is_abelian_subspace(L, U) and is_ideal(L, U):
+                    for u in U.basis.data:
+                        assert all(sum(a * b for a, b in zip(f, u)) % p == 0 for f in funcs), (
+                            L.name,
+                            U,
+                        )
+    assert proper  # the cut is not vacuous on every fixture
+
+
+@settings(max_examples=100)
+@given(_scan_cases(every_stratum=True))
+def test_trace_cut_leaves_abelian_ideal_scans_unchanged(case):
+    L, d, limit, collect = case
+    n, p = L.dim, L.field.p
+    flat = table_flat(L)
+    funcs = _trace_functionals(L)
+    mode = MODE_ABELIAN | MODE_IDEAL
+    for lim, col in ((-1, -1), (limit, -1), (-1, collect), (limit, collect)):
+        got = scan_subspaces(flat, n, p, d, mode, lim, col, funcs)
+        assert got == scan_subspaces(flat, n, p, d, mode, lim, col), (lim, col)
