@@ -70,7 +70,7 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from .search import DEFAULT_SCAN_BUDGET, _first_hit, _scan_dim, _tally, alpha
+from .search import DEFAULT_SCAN_BUDGET, _first_hit, _request, _scan_dim, alpha
 from ._kernel import MODE_ABELIAN, MODE_IDEAL
 
 
@@ -419,12 +419,6 @@ _MATCHERS = (
 # classification
 
 
-def _codim2_abelian_ideal_gf(L: AlgebraTable, budget: int) -> tuple[Subspace | None, int]:
-    """The first abelian ideal of codimension <= 2 and the subspaces scanned."""
-    n = L.dim
-    return _first_hit(L, range(n, max(n - 3, -1), -1), MODE_ABELIAN | MODE_IDEAL, budget)[1:]
-
-
 def _codim2_abelian_ideal_qq(L: AlgebraTable, A: Subspace) -> Subspace | None:
     F = L.field
     n = L.dim
@@ -451,14 +445,14 @@ def _codim2_abelian_ideal_qq(L: AlgebraTable, A: Subspace) -> Subspace | None:
     return None
 
 
-def _nilradical(L: AlgebraTable, candidate: Subspace | None, budget: int) -> Subspace | None:
+def _nilradical(L: AlgebraTable, candidate: Subspace | None) -> Subspace | None:
     """The nilradical `classify` works with, and the check of a supplied
     candidate: over a prime field the scanned nilradical, which the
     candidate must equal; over the rationals the candidate itself (None
     without one), which must pass `verify_nilradical_candidate`.  A failing
     candidate raises ValueError."""
     if L.field.is_prime_field:
-        N = nilradical(L, budget)
+        N = nilradical(L)
         if candidate is not None and candidate != N:
             raise ValueError("supplied nilradical candidate is not the nilradical")
         return N
@@ -475,15 +469,17 @@ def classify(
 ) -> ClassificationVerdict:
     """Classify an algebra whose maximal abelian subalgebra has codimension 2.
 
-    Over a prime field everything is searched exhaustively, and one
-    `budget` bounds the subspaces scanned by the whole request: alpha, then
-    the abelian-ideal scan, then the nilradical.  Over the rationals a
+    Over a prime field everything is searched exhaustively, in one request
+    whose `budget` bounds the subspaces scanned: alpha, then, when alpha =
+    n-2, the abelian ideals of dimension n-2 (strata n and n-1 hold no
+    abelian subalgebra), then the nilradical.  Over the rationals a
     codimension-2 abelian subalgebra witness A is required and a nilradical
     candidate is needed to recognize the extension case; all downstream
     checks are then verifications of the supplied data.  A supplied
     nilradical candidate is checked once, whatever the verdict: over a prime
     field it must equal the scanned nilradical, over the rationals it must
-    pass `verify_nilradical_candidate`; otherwise ValueError is raised.
+    pass `verify_nilradical_candidate`; otherwise ValueError is raised.  A
+    negative budget is a ValueError over either field.
     """
     require_leibniz(L)
     F = L.field
@@ -498,32 +494,32 @@ def classify(
             raise ValueError("witness must be a codimension-2 subspace")
         if not is_abelian_subspace(L, A) or not is_subalgebra(L, A):
             raise ValueError("witness is not an abelian subalgebra")
+    elif not F.is_prime_field:
+        raise ValueError("over the rationals an abelian codimension-2 witness is required")
 
-    if F.is_prime_field:
-        a_res = alpha(L, budget)
-        budget -= a_res.scanned
-        diagnostics["alpha"] = a_res.alpha
-        if a_res.alpha != n - 2:
+    with _request(budget):
+        if F.is_prime_field:
+            a_res = alpha(L)
+            diagnostics["alpha"] = a_res.alpha
+            if a_res.alpha != n - 2:
+                if nilradical_candidate is not None:
+                    _nilradical(L, nilradical_candidate)
+                return ClassificationVerdict(Case.NOT_APPLICABLE, {}, diagnostics)
+            # alpha = n-2: strata n and n-1 hold no abelian subalgebra
+            ideal_witness = _first_hit(L, (n - 2,), MODE_ABELIAN | MODE_IDEAL)[1]
+        else:
+            diagnostics["alpha"] = n - 2  # trusted hypothesis over the rationals
+            ideal_witness = _codim2_abelian_ideal_qq(L, A)
+
+        if ideal_witness is not None:
             if nilradical_candidate is not None:
-                _nilradical(L, nilradical_candidate, budget)
-            return ClassificationVerdict(Case.NOT_APPLICABLE, {}, diagnostics)
-        ideal_witness, scanned = _codim2_abelian_ideal_gf(L, budget)
-        budget -= scanned
-    else:
-        if A is None:
-            raise ValueError(
-                "over the rationals an abelian codimension-2 witness is required"
+                _nilradical(L, nilradical_candidate)
+            diagnostics["abelian_ideal_dim"] = ideal_witness.dim
+            return ClassificationVerdict(
+                Case.ABELIAN_IDEAL_CODIM_LE2, {"abelian_ideal": ideal_witness}, diagnostics
             )
-        diagnostics["alpha"] = n - 2  # trusted hypothesis over the rationals
-        ideal_witness = _codim2_abelian_ideal_qq(L, A)
 
-    if ideal_witness is not None:
-        if nilradical_candidate is not None:
-            _nilradical(L, nilradical_candidate, budget)
-        diagnostics["abelian_ideal_dim"] = ideal_witness.dim
-        return ClassificationVerdict(
-            Case.ABELIAN_IDEAL_CODIM_LE2, {"abelian_ideal": ideal_witness}, diagnostics
-        )
+        N = _nilradical(L, nilradical_candidate)
 
     lie = is_lie(L)
     rep = series(L)
@@ -544,7 +540,6 @@ def classify(
         }
     )
 
-    N = _nilradical(L, nilradical_candidate, budget)
     if N is not None:
         diagnostics["dim_nilradical"] = N.dim
 
@@ -579,17 +574,21 @@ def solvability_from_codim2_ideal(
     L: AlgebraTable, witness: Subspace | None = None, budget: int = DEFAULT_SCAN_BUDGET
 ) -> bool:
     """Confirm solvability with derived length <= 3 for an algebra possessing
-    an abelian ideal of codimension <= 2 (witness supplied or found by scan)."""
+    an abelian ideal of codimension <= 2 (witness supplied or found by
+    scanning strata n, n-1 and n-2 in one request).  A negative budget is a
+    ValueError, with or without a witness."""
     require_leibniz(L)
     if witness is not None:
         if witness.codim > 2 or not is_abelian_subspace(L, witness) or not is_ideal(L, witness):
             raise ValueError("witness is not an abelian ideal of codimension <= 2")
-    else:
-        if not L.field.is_prime_field:
-            raise ValueError("supply a witness over the rationals")
-        witness, _ = _codim2_abelian_ideal_gf(L, budget)
+    elif not L.field.is_prime_field:
+        raise ValueError("supply a witness over the rationals")
+    with _request(budget):
         if witness is None:
-            raise NoAbelianIdealError("no abelian ideal of codimension <= 2 exists")
+            n = L.dim
+            witness = _first_hit(L, range(n, max(n - 3, -1), -1), MODE_ABELIAN | MODE_IDEAL)[1]
+            if witness is None:
+                raise NoAbelianIdealError("no abelian ideal of codimension <= 2 exists")
     rep = series(L)
     return rep.solvable and rep.derived_length is not None and rep.derived_length <= 3
 
@@ -624,17 +623,17 @@ def _claim(claims: list, name: str, holds: bool, detail: str = "") -> None:
 def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> TheoremReport:
     """Check every claim of the branch `classify` matched, from its answer.
 
-    Outside AbelianIdealCodimLe2, `classify`'s exhaustive scan found no
-    abelian ideal in strata n, n-1 and n-2, so one collect-all scan of
-    stratum n-3 settles beta = n-3 and the uniqueness of the maximal abelian
-    ideal.  The Heisenberg claims are decided by `_heisenberg_frame`, whose
-    conditions are isomorphism invariants that characterize
-    heisenberg (+) F^k.  Case3_e's nilradical is checked without a scan: a
-    nilpotent ideal of codimension 1 in a non-nilpotent algebra is the
-    nilradical.
+    Outside AbelianIdealCodimLe2, `classify` found alpha = n-2, so strata n
+    and n-1 hold no abelian subalgebra, and its exhaustive scan of stratum
+    n-2 found no abelian ideal; so one collect-all scan of stratum n-3
+    settles beta = n-3 and the uniqueness of the maximal abelian ideal.  The
+    Heisenberg claims are decided by `_heisenberg_frame`, whose conditions
+    are isomorphism invariants that characterize heisenberg (+) F^k.
+    Case3_e's nilradical is checked without a scan: a nilpotent ideal of
+    codimension 1 in a non-nilpotent algebra is the nilradical.
 
-    One `budget` bounds the subspaces scanned by the whole request, debited
-    in order: `classify`, stratum n-3, then the quotient's ideal scan
+    The call is one request: `budget` bounds the subspaces scanned, debited
+    in order by `classify`, stratum n-3, then the quotient's ideal scan
     (Case2_d)."""
     require_leibniz(L)
     if not L.field.is_prime_field:
@@ -642,124 +641,122 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
     F = L.field
     n = L.dim
     label = L.name or ("dim-%d algebra" % n)
-    with _tally() as in_classify:
-        verdict = classify(L, budget=budget)
-    budget -= in_classify[0]
-    alpha_ = verdict.diagnostics["alpha"]
-    claims: list = []
-    if verdict.case is Case.NOT_APPLICABLE:
-        detail = "alpha = %d, classification does not apply" % alpha_
-        claims.append(ClaimCheck("alpha = n-2 hypothesis", "n/a", detail))
-        return TheoremReport(label, alpha_, None, claims)
+    with _request(budget):
+        verdict = classify(L)
+        alpha_ = verdict.diagnostics["alpha"]
+        claims: list = []
+        if verdict.case is Case.NOT_APPLICABLE:
+            detail = "alpha = %d, classification does not apply" % alpha_
+            claims.append(ClaimCheck("alpha = n-2 hypothesis", "n/a", detail))
+            return TheoremReport(label, alpha_, None, claims)
 
-    rep = series(L)
-    CL = center(L)
+        rep = series(L)
+        CL = center(L)
 
-    if verdict.case is Case.ABELIAN_IDEAL_CODIM_LE2:
-        W = verdict.witness["abelian_ideal"]
-        _claim(claims, "witness is an abelian ideal", is_abelian_subspace(L, W) and is_ideal(L, W))
-        _claim(claims, "witness codimension <= 2", W.codim <= 2, "codim %d" % W.codim)
-        _claim(claims, "solvable", rep.solvable)
-        _claim(
-            claims,
-            "derived length <= 3",
-            rep.derived_length is not None and rep.derived_length <= 3,
-            "derived length %s" % (rep.derived_length,),
-        )
-    else:
-        scanned, maximal = _scan_dim(L, n - 3, MODE_ABELIAN | MODE_IDEAL, budget, -1)
-        budget -= scanned
-        _claim(
-            claims, "beta = n-3", bool(maximal), "beta = %d" % (n - 3) if maximal else "beta < n-3"
-        )
-        _claim(
-            claims,
-            "unique abelian ideal of maximal dimension",
-            len(maximal) == 1,
-            "%d found" % len(maximal),
-        )
-        model = verdict.witness["model"]
-        frame = verdict.witness["frame"]
-        _claim(
-            claims,
-            "frame transports the table onto the model",
-            change_of_basis(L, frame).c == model.c,
-        )
-        if verdict.case is Case.CASE1_C:
-            _claim(claims, "Lie", is_lie(L))
-            _claim(claims, "3-step solvable", rep.solvable and rep.derived_length == 3)
-            L2 = product_space(L, L.full_space(), L.full_space())
-            _claim(claims, "derived subalgebra has dimension 3", L2.dim == 3)
+        if verdict.case is Case.ABELIAN_IDEAL_CODIM_LE2:
+            W = verdict.witness["abelian_ideal"]
+            holds = is_abelian_subspace(L, W) and is_ideal(L, W)
+            _claim(claims, "witness is an abelian ideal", holds)
+            _claim(claims, "witness codimension <= 2", W.codim <= 2, "codim %d" % W.codim)
+            _claim(claims, "solvable", rep.solvable)
             _claim(
                 claims,
-                "derived subalgebra is a heisenberg algebra",
-                L2.dim == 3 and _heisenberg_frame(L, L2) is not None,
+                "derived length <= 3",
+                rep.derived_length is not None and rep.derived_length <= 3,
+                "derived length %s" % (rep.derived_length,),
             )
-            _claim(claims, "center has dimension n-3", CL.dim == n - 3)
-            if maximal:
-                _claim(claims, "the maximal abelian ideal is the center", maximal[0] == CL)
-            _claim(
-                claims,
-                "chi is irreducible",
-                is_irreducible_quadratic(verdict.chi, F),
-                repr(verdict.chi),
-            )
-        elif verdict.case is Case.CASE2_D:
-            _claim(claims, "Lie", is_lie(L))
-            _claim(claims, "not solvable", not rep.solvable)
-            _claim(claims, "center has dimension n-3", CL.dim == n - 3)
-            if maximal:
-                _claim(claims, "the maximal abelian ideal is the center", maximal[0] == CL)
-            Q, _ = quotient(L, CL)
-            no_proper = _first_hit(Q, (2, 1), MODE_IDEAL, budget)[1] is None
-            _claim(claims, "quotient by the center is 3-dim simple", Q.dim == 3 and no_proper)
         else:
-            _claim(claims, "3-step solvable", rep.solvable and rep.derived_length == 3)
-            N = verdict.witness["nilradical"]
-            _claim(claims, "nilradical has codimension 1", N.dim == n - 1)
-            # a nilpotent ideal of codimension 1 in a non-nilpotent L is
-            # Nil(L): Nil(L) contains it and is not L
+            _, maximal = _scan_dim(L, n - 3, MODE_ABELIAN | MODE_IDEAL, -1)
+            detail = "beta = %d" % (n - 3) if maximal else "beta < n-3"
+            _claim(claims, "beta = n-3", bool(maximal), detail)
             _claim(
                 claims,
-                "nilradical matches the scan",
-                N.dim == n - 1
-                and not rep.nilpotent
-                and is_ideal(L, N)
-                and _is_nilpotent_subalgebra(L, N),
+                "unique abelian ideal of maximal dimension",
+                len(maximal) == 1,
+                "%d found" % len(maximal),
             )
+            model = verdict.witness["model"]
+            frame = verdict.witness["frame"]
             _claim(
                 claims,
-                "nilradical is heisenberg (+) F^(n-4)",
-                N.dim == n - 1 and _heisenberg_frame(L, N) is not None,
+                "frame transports the table onto the model",
+                change_of_basis(L, frame).c == model.c,
             )
-            CN_t = center(subalgebra_table(L, N))
-            CN = Subspace.from_vectors(F, n, [N.basis.apply_row(r) for r in CN_t.basis.data])
-            if maximal:
+            if verdict.case is Case.CASE1_C:
+                _claim(claims, "Lie", is_lie(L))
+                _claim(claims, "3-step solvable", rep.solvable and rep.derived_length == 3)
+                L2 = product_space(L, L.full_space(), L.full_space())
+                _claim(claims, "derived subalgebra has dimension 3", L2.dim == 3)
                 _claim(
                     claims,
-                    "the maximal abelian ideal is the nilradical's center",
-                    maximal[0] == CN,
+                    "derived subalgebra is a heisenberg algebra",
+                    L2.dim == 3 and _heisenberg_frame(L, L2) is not None,
                 )
+                _claim(claims, "center has dimension n-3", CL.dim == n - 3)
+                if maximal:
+                    _claim(claims, "the maximal abelian ideal is the center", maximal[0] == CL)
+                _claim(
+                    claims,
+                    "chi is irreducible",
+                    is_irreducible_quadratic(verdict.chi, F),
+                    repr(verdict.chi),
+                )
+            elif verdict.case is Case.CASE2_D:
+                _claim(claims, "Lie", is_lie(L))
+                _claim(claims, "not solvable", not rep.solvable)
+                _claim(claims, "center has dimension n-3", CL.dim == n - 3)
+                if maximal:
+                    _claim(claims, "the maximal abelian ideal is the center", maximal[0] == CL)
+                Q, _ = quotient(L, CL)
+                no_proper = _first_hit(Q, (2, 1), MODE_IDEAL)[1] is None
+                _claim(claims, "quotient by the center is 3-dim simple", Q.dim == 3 and no_proper)
+            else:
+                _claim(claims, "3-step solvable", rep.solvable and rep.derived_length == 3)
+                N = verdict.witness["nilradical"]
+                _claim(claims, "nilradical has codimension 1", N.dim == n - 1)
+                # a nilpotent ideal of codimension 1 in a non-nilpotent L is
+                # Nil(L): Nil(L) contains it and is not L
+                _claim(
+                    claims,
+                    "nilradical matches the scan",
+                    N.dim == n - 1
+                    and not rep.nilpotent
+                    and is_ideal(L, N)
+                    and _is_nilpotent_subalgebra(L, N),
+                )
+                _claim(
+                    claims,
+                    "nilradical is heisenberg (+) F^(n-4)",
+                    N.dim == n - 1 and _heisenberg_frame(L, N) is not None,
+                )
+                CN_t = center(subalgebra_table(L, N))
+                CN = Subspace.from_vectors(F, n, [N.basis.apply_row(r) for r in CN_t.basis.data])
+                if maximal:
+                    _claim(
+                        claims,
+                        "the maximal abelian ideal is the nilradical's center",
+                        maximal[0] == CN,
+                    )
+                _claim(
+                    claims,
+                    "induced action on nilradical / center is irreducible",
+                    is_irreducible_quadratic(verdict.chi, F),
+                    repr(verdict.chi),
+                )
+
+        if field_admits_irreducible_quadratic(F):
+            claims.append(
+                ClaimCheck(
+                    "quadratically-closed corollary",
+                    "n/a",
+                    "field admits irreducible quadratics",
+                )
+            )
+        else:
             _claim(
                 claims,
-                "induced action on nilradical / center is irreducible",
-                is_irreducible_quadratic(verdict.chi, F),
-                repr(verdict.chi),
-            )
-
-    if field_admits_irreducible_quadratic(F):
-        claims.append(
-            ClaimCheck(
                 "quadratically-closed corollary",
-                "n/a",
-                "field admits irreducible quadratics",
+                verdict.case
+                in (Case.ABELIAN_IDEAL_CODIM_LE2, Case.CASE2_D),
             )
-        )
-    else:
-        _claim(
-            claims,
-            "quadratically-closed corollary",
-            verdict.case
-            in (Case.ABELIAN_IDEAL_CODIM_LE2, Case.CASE2_D),
-        )
-    return TheoremReport(label, alpha_, verdict.case, claims)
+        return TheoremReport(label, alpha_, verdict.case, claims)

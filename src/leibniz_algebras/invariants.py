@@ -28,7 +28,7 @@ from .algebra import (
 )
 from .errors import ConsistencyError
 from .linalg import Matrix, Subspace, subspace_intersect, subspace_sum
-from .search import DEFAULT_SCAN_BUDGET, _scan_dim
+from .search import DEFAULT_SCAN_BUDGET, _request, _scan_dim
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,11 @@ class FittingSplit:
 
 
 def series(L: AlgebraTable) -> SeriesReport:
+    """Derived and lower central series of L; cached on L."""
     require_leibniz(L)
+    rep = L._cache.get("series")
+    if rep is not None:
+        return rep
     full = L.full_space()
 
     derived = [full]
@@ -85,7 +89,9 @@ def series(L: AlgebraTable) -> SeriesReport:
     length = None
     if solvable:
         length = next(i for i, s in enumerate(derived) if s.is_zero())
-    return SeriesReport(tuple(derived), tuple(lower), solvable, nilpotent, length)
+    rep = SeriesReport(tuple(derived), tuple(lower), solvable, nilpotent, length)
+    L._cache["series"] = rep
+    return rep
 
 
 def is_nilpotent_matrix(M: Matrix) -> bool:
@@ -195,9 +201,10 @@ def nilradical(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> Subspace:
     center is repeated until the center is everything (the algebra is
     nilpotent) or zero; a centerless algebra's ideal strata are then scanned
     top-down, and the first stratum holding a nilpotent ideal holds N, which
-    must be the only nilpotent ideal there.  `budget` bounds the subspaces
-    scanned over all strata; exceeding it raises BudgetExceededError.  The
-    result is checked to be a nilpotent ideal of L before it is returned.
+    must be the only nilpotent ideal there.  The call is one request:
+    `budget` bounds the subspaces scanned over all strata, and exceeding it
+    raises BudgetExceededError.  The result is checked to be a nilpotent
+    ideal of L before it is returned.
     """
     require_leibniz(L)
     F = L.field
@@ -211,18 +218,19 @@ def nilradical(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> Subspace:
     M = L
     lift = Matrix.identity(F, L.dim)
     kernel: list = []
-    while True:
-        Z = center(M)
-        if Z.dim == M.dim:
-            top = Z
-            break
-        if Z.is_zero():
-            top = _centerless_nilradical(M, budget)
-            break
-        kernel.extend(lift.apply_row(z) for z in Z.basis.data)
-        P = Z.extend_to_full_basis()
-        M, _ = quotient(M, Z)
-        lift = Matrix(F, P.data[Z.dim :]) @ lift
+    with _request(budget):
+        while True:
+            Z = center(M)
+            if Z.dim == M.dim:
+                top = Z
+                break
+            if Z.is_zero():
+                top = _centerless_nilradical(M)
+                break
+            kernel.extend(lift.apply_row(z) for z in Z.basis.data)
+            P = Z.extend_to_full_basis()
+            M, _ = quotient(M, Z)
+            lift = Matrix(F, P.data[Z.dim :]) @ lift
     N = Subspace.from_vectors(
         F, L.dim, kernel + [lift.apply_row(v) for v in top.basis.data]
     )
@@ -231,12 +239,10 @@ def nilradical(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> Subspace:
     return N
 
 
-def _centerless_nilradical(L: AlgebraTable, budget: int) -> Subspace:
+def _centerless_nilradical(L: AlgebraTable) -> Subspace:
     """The nilpotent ideal of largest dimension, scanning strata top-down."""
-    remaining = budget
     for d in range(L.dim, -1, -1):
-        scanned, ideals = _scan_dim(L, d, MODE_IDEAL, remaining, -1)
-        remaining -= scanned
+        _, ideals = _scan_dim(L, d, MODE_IDEAL, -1)
         nilpotent = [U for U in ideals if _is_nilpotent_subalgebra(L, U)]
         if len(nilpotent) > 1:
             raise ConsistencyError(

@@ -16,9 +16,13 @@ and I to 0, so M_x W is nilpotent and the trace is 0: every abelian ideal
 lies in their common kernel, and the kernel cuts every row prefix outside
 it.  Counts, matches and witnesses are the same as without the cut.
 
-A top-down search debits one budget across all the strata it scans, an
-exhausted budget raises `BudgetExceededError` rather than passing as a
-negative answer, and a negative budget is a ValueError.
+One budget bounds a whole request.  Every public entry point that scans,
+here and in `invariants` and `classify`, opens a request ledger with its
+`budget`; every scan takes its limit from the open ledger and debits what
+it counted, so the strata of a top-down search, and the scans of nested
+calls, all draw on the one budget.  An exhausted budget raises
+`BudgetExceededError` rather than passing as a negative answer, and a
+negative budget is a ValueError when the request opens.
 """
 
 from __future__ import annotations
@@ -117,39 +121,40 @@ def _subspace_from_flat(F: FieldSpec, n: int, d: int, flat) -> Subspace:
     return Subspace(F, n, Matrix._canonical(F, rows, n), pivots)
 
 
-# the innermost open `_tally`, if any
-_open_tally = contextvars.ContextVar("_open_tally", default=None)
+# what is left of the open request's budget; unset outside a request
+_budget_left = contextvars.ContextVar("_budget_left")
 
 
 @contextmanager
-def _tally():
-    """Count the subspaces scanned inside the block, by callees too, for
-    public calls whose results do not report it.  Yields a one-element list
-    holding the count; an enclosing tally counts them as well."""
-    tally = [0]
-    token = _open_tally.set(tally)
+def _request(budget: int):
+    """The ledger of one request: scans inside the block, by callees too,
+    debit `budget`.  A block opened inside an open one shares the open
+    ledger and ignores its own `budget`, so a nested call (`alpha` inside
+    `alpha_beta`, `classify` inside `verify_main_theorem`) scans within
+    what is left of the outer request's budget, as if it had been passed
+    that remainder.  A negative `budget` is a ValueError in every block."""
+    if budget < 0:
+        raise ValueError("scan budget must be >= 0, got %d" % budget)
+    if _budget_left.get(None) is not None:
+        yield
+        return
+    token = _budget_left.set(budget)
     try:
-        yield tally
+        yield
     finally:
-        _open_tally.reset(token)
-        outer = _open_tally.get()
-        if outer is not None:
-            outer[0] += tally[0]
+        _budget_left.reset(token)
 
 
-def _scan_dim(L: AlgebraTable, d: int, mode: int, limit: int, collect: int):
-    if limit < 0:
-        raise ValueError("scan budget must be >= 0, got %d" % limit)
+def _scan_dim(L: AlgebraTable, d: int, mode: int, collect: int):
     flat = table_flat(L)
     abelian_ideal = MODE_ABELIAN | MODE_IDEAL
     funcs = _trace_functionals(L) if mode & abelian_ideal == abelian_ideal else ()
+    left = _budget_left.get()
     # positional: wrappers of the kernel forward *args only
     scanned, truncated, matches = scan_subspaces(
-        flat, L.dim, L.field.p, d, mode, limit, collect, funcs
+        flat, L.dim, L.field.p, d, mode, left, collect, funcs
     )
-    tally = _open_tally.get()
-    if tally is not None:
-        tally[0] += scanned
+    _budget_left.set(left - scanned)
     if truncated:
         raise BudgetExceededError(
             "scan budget exhausted at dimension %d after %d subspaces" % (d, scanned)
@@ -158,19 +163,17 @@ def _scan_dim(L: AlgebraTable, d: int, mode: int, limit: int, collect: int):
     return scanned, subs
 
 
-def _first_hit(L: AlgebraTable, dims, mode: int, budget: int):
+def _first_hit(L: AlgebraTable, dims, mode: int):
     """Scan the strata `dims` in order for a subspace passing `mode`.
 
-    One budget is debited across all strata.  Returns (d, witness, scanned)
-    for the first stratum with a match, the witness being its canonically
-    first hit, or (None, None, scanned) when no stratum has one.
+    Returns (d, witness, scanned) for the first stratum with a match, the
+    witness being its canonically first hit, or (None, None, scanned) when
+    no stratum has one.
     """
-    remaining = budget
     total = 0
     for d in dims:
-        scanned, subs = _scan_dim(L, d, mode, remaining, 1)
+        scanned, subs = _scan_dim(L, d, mode, 1)
         total += scanned
-        remaining -= scanned
         if subs:
             return d, subs[0], total
     return None, None, total
@@ -179,7 +182,8 @@ def _first_hit(L: AlgebraTable, dims, mode: int, budget: int):
 def alpha(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
     """Largest dimension of an abelian subalgebra, scanning downward."""
     _require_prime_field(L, "alpha")
-    d, W, total = _first_hit(L, range(L.dim, -1, -1), MODE_ABELIAN, budget)
+    with _request(budget):
+        d, W, total = _first_hit(L, range(L.dim, -1, -1), MODE_ABELIAN)
     if W is None:
         raise ConsistencyError("no abelian subalgebra found, not even zero")
     return SearchResult(alpha=d, alpha_witness=W, exhaustive=True, scanned=total)
@@ -188,16 +192,18 @@ def alpha(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
 def beta(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
     """Largest dimension of an abelian two-sided ideal, scanning downward."""
     _require_prime_field(L, "beta")
-    d, W, total = _first_hit(L, range(L.dim, -1, -1), MODE_ABELIAN | MODE_IDEAL, budget)
+    with _request(budget):
+        d, W, total = _first_hit(L, range(L.dim, -1, -1), MODE_ABELIAN | MODE_IDEAL)
     if W is None:
         raise ConsistencyError("no abelian ideal found, not even zero")
     return SearchResult(beta=d, beta_witness=W, exhaustive=True, scanned=total)
 
 
 def alpha_beta(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
-    """alpha, then beta, debiting one budget."""
-    a = alpha(L, budget)
-    b = beta(L, budget - a.scanned)
+    """alpha, then beta, in one request."""
+    _require_prime_field(L, "alpha")
+    with _request(budget):
+        a, b = alpha(L), beta(L)
     return SearchResult(
         alpha=a.alpha,
         beta=b.beta,
@@ -211,21 +217,24 @@ def alpha_beta(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResu
 def all_abelian_ideals(L: AlgebraTable, dim: int, budget: int = DEFAULT_SCAN_BUDGET) -> list[Subspace]:
     """Every abelian two-sided ideal of the given dimension, canonical order."""
     _require_prime_field(L, "all_abelian_ideals")
-    _, subs = _scan_dim(L, dim, MODE_ABELIAN | MODE_IDEAL, budget, -1)
+    with _request(budget):
+        _, subs = _scan_dim(L, dim, MODE_ABELIAN | MODE_IDEAL, -1)
     return subs
 
 
 def all_abelian_subalgebras(L: AlgebraTable, dim: int, budget: int = DEFAULT_SCAN_BUDGET) -> list[Subspace]:
     """Every abelian subalgebra of the given dimension, canonical order."""
     _require_prime_field(L, "all_abelian_subalgebras")
-    _, subs = _scan_dim(L, dim, MODE_ABELIAN, budget, -1)
+    with _request(budget):
+        _, subs = _scan_dim(L, dim, MODE_ABELIAN, -1)
     return subs
 
 
 def _scan_ideals(L: AlgebraTable, dim: int, budget: int = DEFAULT_SCAN_BUDGET) -> list[Subspace]:
     """Every two-sided ideal of the given dimension (not necessarily abelian)."""
     _require_prime_field(L, "ideal scan")
-    _, subs = _scan_dim(L, dim, MODE_IDEAL, budget, -1)
+    with _request(budget):
+        _, subs = _scan_dim(L, dim, MODE_IDEAL, -1)
     return subs
 
 

@@ -22,6 +22,7 @@ from .algebra import (
 )
 from .catalog import standard_fixtures
 from .classify import Case, classify, verify_main_theorem
+from .errors import BudgetExceededError
 from .families import oscillator, raw_pair_table
 from .fields import GF, QQ
 from .invariants import nilradical, series, verify_nilradical_candidate
@@ -36,7 +37,7 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from .search import _trace_functionals, alpha, beta, iso_search, table_flat
+from .search import _trace_functionals, alpha, alpha_beta, beta, iso_search, table_flat
 
 CHECKS = []
 
@@ -230,6 +231,28 @@ def _trace_cut(rng, fast):
                 cut = scan_subspaces(flat, n, F.p, d, mode, -1, -1, funcs)
                 if cut != scan_subspaces(flat, n, F.p, d, mode, -1, -1):
                     return "the cut changed the dimension-%d scan of %s" % (d, L0.name)
+    return None
+
+
+def _alpha_beta_exceeds(L, budget) -> bool:
+    try:
+        alpha_beta(L, budget=budget)
+    except BudgetExceededError:
+        return True
+    return False
+
+
+@_check("one budget bounds a whole request: alpha_beta within S, not S-1")
+def _one_budget(rng, fast):
+    F = GF(3)
+    for L in standard_fixtures(F, max_dim=4 if fast else 5):
+        if L.dim < 2 or alpha(L).alpha != L.dim - 2:
+            continue
+        S = alpha_beta(L).scanned
+        if S != alpha(L).scanned + beta(L).scanned:
+            return "alpha_beta of %s did not count its alpha and beta scans" % L.name
+        if _alpha_beta_exceeds(L, S) or not _alpha_beta_exceeds(L, S - 1):
+            return "alpha_beta of %s scans %d subspaces, but that is not its budget" % (L.name, S)
     return None
 
 

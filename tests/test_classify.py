@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from leibniz_algebras import invariants
 from leibniz_algebras.algebra import (
     center,
     change_of_basis,
@@ -336,6 +337,19 @@ def test_classify_debits_one_budget(monkeypatch, name):
         classify(L, budget=total - 1)
 
 
+@pytest.mark.parametrize("name", sorted(one_budget_algebras()))
+def test_classify_scans_only_the_codim2_ideal_stratum(monkeypatch, name):
+    # alpha = n-2 leaves no abelian subalgebra, so no abelian ideal, in
+    # strata n and n-1; stratum n-2 has no abelian ideal here and is walked
+    # in full, then the nilradical is scanned
+    L = one_budget_algebras()[name]
+    n, p = L.dim, L.field.p
+    _, total = scanned_by(monkeypatch, lambda: classify(L))
+    _, in_alpha = scanned_by(monkeypatch, lambda: alpha(L))
+    _, in_nilradical = scanned_by(monkeypatch, lambda: nilradical(L))
+    assert total == in_alpha + gaussian_binomial(n, n - 2, p) + in_nilradical
+
+
 # -- solvability from a codimension-2 abelian ideal -----------------------------------
 
 
@@ -436,6 +450,17 @@ def test_verify_main_theorem_scans_one_stratum_past_classify(monkeypatch, name):
         last = gaussian_binomial(3, 2, p) + gaussian_binomial(3, 1, p)
     assert report.ok
     assert total == in_classify + gaussian_binomial(n, n - 3, p) + last
+
+
+def test_series_is_computed_once_per_table(monkeypatch):
+    # verify_main_theorem and its classify call share L's cached series
+    L = one_budget_algebras()["d(rot)+F^2"]
+    built = []
+    real = invariants.SeriesReport
+    monkeypatch.setattr(invariants, "SeriesReport", lambda *a: built.append(real(*a)) or built[-1])
+    assert verify_main_theorem(L).ok
+    assert len(built) == 1
+    assert series(L) is series(L) is built[0]
 
 
 def test_verify_rotext_plus_f2_under_default_budgets():

@@ -13,6 +13,7 @@ from leibniz_algebras.catalog import (
     rotation_2x2,
     standard_fixtures,
 )
+from leibniz_algebras.classify import classify, solvability_from_codim2_ideal
 from leibniz_algebras.errors import BudgetExceededError
 from leibniz_algebras.families import (
     abelian_algebra,
@@ -100,24 +101,52 @@ def test_budget_exceeded_is_explicit():
 
 
 def test_negative_budget_is_rejected():
-    # a negative limit would mean "no cap" to the kernel
+    # a negative limit would mean "no cap" to the kernel; it is rejected
+    # also where no scan runs
     with pytest.raises(ValueError, match="budget"):
         alpha(oscillator(F3), budget=-1)
     with pytest.raises(ValueError, match="budget"):
         all_abelian_ideals(oscillator(F3), 1, budget=-1)
     with pytest.raises(ValueError, match="budget"):
         nilradical(make_d(rotation_2x2(F3), F3), budget=-5)
+    with pytest.raises(ValueError, match="budget"):
+        nilradical(heisenberg(F3), budget=-1)  # nilpotent: no scan
+    L = make_a(Matrix.identity(QQ, 2), Matrix(QQ, [[0, 1], [-1, 0]]), QQ)
+    W = span(QQ, 4, (0, 0, 1, 0), (0, 0, 0, 1))
+    with pytest.raises(ValueError, match="budget"):
+        classify(L, A=W, budget=-1)
+    with pytest.raises(ValueError, match="budget"):
+        solvability_from_codim2_ideal(L, witness=W, budget=-7)
 
 
-@pytest.mark.parametrize("name", sorted(one_budget_algebras()))
-def test_alpha_beta_debits_one_budget(monkeypatch, name):
-    L = one_budget_algebras()[name]
-    res, total = scanned_by(monkeypatch, lambda: alpha_beta(L))
-    assert res.scanned == total
-    again = alpha_beta(L, budget=total)
-    assert (again.alpha, again.beta) == (res.alpha, res.beta)
+# each entry point that scans, called as fn(L, budget=...); alpha_beta's
+# test ids are the bare algebra names
+_REQUESTS = {
+    "alpha_beta": alpha_beta,
+    "beta": beta,
+    "all_abelian_ideals(n-3)": lambda L, **kw: all_abelian_ideals(L, L.dim - 3, **kw),
+    "all_abelian_subalgebras(n-2)": lambda L, **kw: all_abelian_subalgebras(L, L.dim - 2, **kw),
+    "nilradical": nilradical,
+}
+
+
+@pytest.mark.parametrize(
+    "entry, name",
+    [
+        pytest.param(entry, name, id=name if entry == "alpha_beta" else "%s-%s" % (name, entry))
+        for entry in _REQUESTS
+        for name in sorted(one_budget_algebras())
+    ],
+)
+def test_alpha_beta_debits_one_budget(monkeypatch, entry, name):
+    # the budget S a call counts at the kernel is enough, and S - 1 is not:
+    # nested calls and every stratum draw on the one request's budget
+    L, request = one_budget_algebras()[name], _REQUESTS[entry]
+    res, total = scanned_by(monkeypatch, lambda: request(L))
+    assert getattr(res, "scanned", total) == total
+    assert request(L, budget=total) == res
     with pytest.raises(BudgetExceededError):
-        alpha_beta(L, budget=total - 1)
+        request(L, budget=total - 1)
 
 
 def test_witness_canonical_under_scan_order():
