@@ -223,17 +223,18 @@ def is_lie(L: AlgebraTable) -> bool:
     A non-Leibniz table is never Lie, whatever its symmetry.  On Leibniz
     input, skew-symmetry of the table is computed as a redundant cross-check;
     the two criteria can only disagree in characteristic 2, which no
-    classification code path accepts, so a disagreement there raises.
+    classification code path accepts, so a disagreement there raises.  The
+    answer is cached on L.
     """
     if leibniz_failure(L) is not None:
         return False
-    by_squares = squares_ideal(L).is_zero()
-    by_skew = _is_skew(L)
-    if by_squares != by_skew:
-        if L.field.characteristic != 2:
+    lie = L._cache.get("is_lie")
+    if lie is None:
+        lie = squares_ideal(L).is_zero()
+        if lie != _is_skew(L) and L.field.characteristic != 2:
             raise ConsistencyError("squares-span and skew-symmetry tests disagree")
-        return by_squares
-    return by_squares
+        L._cache["is_lie"] = lie
+    return lie
 
 
 def mult_operator(L: AlgebraTable, x: Sequence, side: str = "left") -> MultOperator:
@@ -262,15 +263,18 @@ def _stacked_action_kernel(L: AlgebraTable, conditions) -> Subspace:
 
 
 def center(L: AlgebraTable) -> Subspace:
-    """{x : [x, L] = [L, x] = 0}, the joint kernel of all left and right actions."""
-    F = L.field
-    n = L.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([L.c[i][j][k] for i in range(n)])  # [x, e_j]_k
-            rows.append([L.c[j][i][k] for i in range(n)])  # [e_j, x]_k
-    return _stacked_action_kernel(L, rows)
+    """{x : [x, L] = [L, x] = 0}, the joint kernel of all left and right
+    actions; cached on L."""
+    Z = L._cache.get("center")
+    if Z is None:
+        n = L.dim
+        rows = []
+        for j in range(n):
+            for k in range(n):
+                rows.append([L.c[i][j][k] for i in range(n)])  # [x, e_j]_k
+                rows.append([L.c[j][i][k] for i in range(n)])  # [e_j, x]_k
+        Z = L._cache["center"] = _stacked_action_kernel(L, rows)
+    return Z
 
 
 def left_annihilator(L: AlgebraTable) -> Subspace:

@@ -54,6 +54,7 @@ from .errors import ConsistencyError, FamilyParameterError, NoAbelianIdealError
 from .families import abelian_algebra, heisenberg_plus_abelian, make_c, make_d, make_e
 from .fields import FieldSpec
 from .invariants import (
+    SeriesReport,
     _is_nilpotent_subalgebra,
     fitting_decomposition,
     nilradical,
@@ -447,7 +448,7 @@ def _codim2_abelian_ideal_qq(L: AlgebraTable, A: Subspace) -> Subspace | None:
 
 def _nilradical(L: AlgebraTable, candidate: Subspace | None) -> Subspace | None:
     """The nilradical `classify` works with, and the check of a supplied
-    candidate: over a prime field the scanned nilradical, which the
+    candidate: over a prime field the exact nilradical, which the
     candidate must equal; over the rationals the candidate itself (None
     without one), which must pass `verify_nilradical_candidate`.  A failing
     candidate raises ValueError."""
@@ -461,6 +462,12 @@ def _nilradical(L: AlgebraTable, candidate: Subspace | None) -> Subspace | None:
     return candidate
 
 
+def _derived_subalgebra(rep: SeriesReport) -> Subspace:
+    """[L, L] from the series of L; a perfect algebra's derived chain stops
+    at L."""
+    return rep.derived_chain[1] if len(rep.derived_chain) > 1 else rep.derived_chain[0]
+
+
 def classify(
     L: AlgebraTable,
     A: Subspace | None = None,
@@ -472,12 +479,13 @@ def classify(
     Over a prime field everything is searched exhaustively, in one request
     whose `budget` bounds the subspaces scanned: alpha, then, when alpha =
     n-2, the abelian ideals of dimension n-2 (strata n and n-1 hold no
-    abelian subalgebra), then the nilradical.  Over the rationals a
+    abelian subalgebra), then the nilradical (no scan when the trace form
+    certifies it).  Over the rationals a
     codimension-2 abelian subalgebra witness A is required and a nilradical
     candidate is needed to recognize the extension case; all downstream
     checks are then verifications of the supplied data.  A supplied
     nilradical candidate is checked once, whatever the verdict: over a prime
-    field it must equal the scanned nilradical, over the rationals it must
+    field it must equal the exact nilradical, over the rationals it must
     pass `verify_nilradical_candidate`; otherwise ValueError is raised.  A
     negative budget is a ValueError over either field.
     """
@@ -525,8 +533,7 @@ def classify(
     rep = series(L)
     CL = center(L)
     IL = squares_ideal(L)
-    # [L, L]; a perfect algebra's derived chain stops at L
-    L2 = rep.derived_chain[1] if len(rep.derived_chain) > 1 else rep.derived_chain[0]
+    L2 = _derived_subalgebra(rep)
     diagnostics.update(
         {
             "is_lie": lie,
@@ -685,7 +692,7 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
             if verdict.case is Case.CASE1_C:
                 _claim(claims, "Lie", is_lie(L))
                 _claim(claims, "3-step solvable", rep.solvable and rep.derived_length == 3)
-                L2 = product_space(L, L.full_space(), L.full_space())
+                L2 = _derived_subalgebra(rep)
                 _claim(claims, "derived subalgebra has dimension 3", L2.dim == 3)
                 _claim(
                     claims,

@@ -478,9 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check", "Leibniz / Lie / squares-span report")
     p.add_argument("file")
 
-    p = add("invariants", "series, center, annihilator, optional nilradical scan")
+    p = add("invariants", "series, center, annihilator, optional nilradical")
     p.add_argument("file")
-    p.add_argument("--scan", action="store_true", help="include the exhaustive nilradical scan (prime fields)")
+    p.add_argument("--scan", action="store_true", help="include the nilradical (prime fields; scans when the trace form does not certify it)")
 
     for which in ("alpha", "beta"):
         p = add(which, "exhaustive abelian %s scan" % ("subalgebra" if which == "alpha" else "ideal"))

@@ -15,6 +15,7 @@ from ._kernel import MODE_IDEAL
 from .algebra import (
     AlgebraTable,
     _check_subspace,
+    _stacked_action_kernel,
     bracket,
     center,
     is_abelian_subspace,
@@ -28,7 +29,7 @@ from .algebra import (
 )
 from .errors import ConsistencyError
 from .linalg import Matrix, Subspace, subspace_intersect, subspace_sum
-from .search import DEFAULT_SCAN_BUDGET, _request, _scan_dim
+from .search import DEFAULT_SCAN_BUDGET, _request, _scan_dim, _trace_functionals
 
 
 @dataclass(frozen=True)
@@ -189,8 +190,17 @@ def _is_nilpotent_subalgebra(L: AlgebraTable, U: Subspace) -> bool:
 def nilradical(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> Subspace:
     """Largest nilpotent ideal N (prime fields only), as an RREF subspace.
 
-    Two standard facts (Ayupov-Omirov-Rakhimov, *Leibniz Algebras: Structure
-    and Classification*, 2019) make this cheap:
+    First the trace form.  Let K be the common kernel of the functionals
+    x -> Tr(M_x W), M in {L, R}, W in {1, L_e_j, R_e_j}, that the
+    abelian-ideal scans already use (`search._trace_functionals`).  Every
+    nilpotent ideal lies in K, in every characteristic (see `search`), so
+    N <= K; when K is itself an ideal and nilpotent, K <= N, and K is the
+    nilradical with no scan.  K can be larger than N: over GF(3), x acting
+    as the identity on F^3 has every trace 0, so K = L, which is not
+    nilpotent.
+
+    Otherwise two standard facts (Ayupov-Omirov-Rakhimov, *Leibniz Algebras:
+    Structure and Classification*, 2019) make the scan cheap:
 
     * a sum of nilpotent ideals is nilpotent, so N is the unique nilpotent
       ideal of maximal dimension;
@@ -203,34 +213,49 @@ def nilradical(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> Subspace:
     top-down, and the first stratum holding a nilpotent ideal holds N, which
     must be the only nilpotent ideal there.  The call is one request:
     `budget` bounds the subspaces scanned over all strata, and exceeding it
-    raises BudgetExceededError.  The result is checked to be a nilpotent
-    ideal of L before it is returned.
+    raises BudgetExceededError.  Either way the result is checked to be a
+    nilpotent ideal of L before it is returned.
     """
     require_leibniz(L)
-    F = L.field
-    if not F.is_prime_field:
+    if not L.field.is_prime_field:
         raise ValueError(
             "exact nilradical search needs a prime field; "
             "use verify_nilradical_candidate over the rationals"
         )
+    with _request(budget):
+        K = _trace_kernel(L)
+        if is_ideal(L, K) and _is_nilpotent_subalgebra(L, K):
+            return K
+        return _scanned_nilradical(L)
+
+
+def _trace_kernel(L: AlgebraTable) -> Subspace:
+    """The common kernel of `search._trace_functionals`; it holds every
+    nilpotent ideal."""
+    return _stacked_action_kernel(L, _trace_functionals(L))
+
+
+def _scanned_nilradical(L: AlgebraTable) -> Subspace:
+    """The nilradical by center quotients and a top-down ideal scan of the
+    centerless quotient; scans debit the open request."""
+    F = L.field
     # M is the current quotient; the rows of `lift` are its basis vectors in
     # the coordinates of L, and `kernel` spans the preimage of zero in L.
     M = L
     lift = Matrix.identity(F, L.dim)
     kernel: list = []
-    with _request(budget):
-        while True:
-            Z = center(M)
-            if Z.dim == M.dim:
-                top = Z
-                break
-            if Z.is_zero():
-                top = _centerless_nilradical(M)
-                break
-            kernel.extend(lift.apply_row(z) for z in Z.basis.data)
-            P = Z.extend_to_full_basis()
-            M, _ = quotient(M, Z)
-            lift = Matrix(F, P.data[Z.dim :]) @ lift
+    while True:
+        Z = center(M)
+        if Z.dim == M.dim:
+            top = Z
+            break
+        if Z.is_zero():
+            top = _centerless_nilradical(M)
+            break
+        kernel.extend(lift.apply_row(z) for z in Z.basis.data)
+        P = Z.extend_to_full_basis()
+        M, _ = quotient(M, Z)
+        lift = Matrix(F, P.data[Z.dim :]) @ lift
     N = Subspace.from_vectors(
         F, L.dim, kernel + [lift.apply_row(v) for v in top.basis.data]
     )

@@ -11,10 +11,14 @@ included, so a full stratum costs its Gaussian binomial.
 
 Abelian-ideal scans hand the kernel the trace form's functionals
 x -> Tr(M_x W), M in {L, R}, W in {1, L_e_j, R_e_j}, computed once per
-table.  For an abelian ideal I and x in I, W(I) <= I and M_x maps L into I
-and I to 0, so M_x W is nilpotent and the trace is 0: every abelian ideal
-lies in their common kernel, and the kernel cuts every row prefix outside
-it.  Counts, matches and witnesses are the same as without the cut.
+table.  Every nilpotent ideal N lies in their common kernel K, in every
+characteristic: with N_1 = N and N_(k+1) = [N, N_k] + [N_k, N], ideals of L
+that reach 0, each W maps N_k into itself and, for x in N, M_x maps L into
+N_1 and N_k into N_(k+1), so M_x W is nilpotent and its trace is 0.  An
+abelian ideal has N_2 = 0, so the kernel cuts every row prefix outside K
+from an abelian-ideal scan; counts, matches and witnesses are the same as
+without the cut.  `invariants.nilradical` returns K itself when K is a
+nilpotent ideal.
 
 One budget bounds a whole request.  Every public entry point that scans,
 here and in `invariants` and `classify`, opens a request ledger with its
@@ -87,8 +91,10 @@ def _trace_functionals(L: AlgebraTable) -> tuple:
     """Rows, in RREF, of the functionals x -> Tr(M_x W) for M in {L, R} and
     W in {1, L_e_j, R_e_j}, as ints mod p; cached on L.
 
-    Every abelian ideal I lies in their common kernel: for x in I, W(I) <= I,
-    and M_x maps L into I and I to 0, so M_x W is nilpotent."""
+    Every nilpotent ideal N, abelian ones included, lies in their common
+    kernel: the ideals N_1 = N, N_(k+1) = [N, N_k] + [N_k, N] reach 0, W
+    maps each N_k into itself, and for x in N, M_x maps L into N_1 and N_k
+    into N_(k+1), so M_x W is nilpotent."""
     rows = L._cache.get("trace_functionals")
     if rows is None:
         n, P = L.dim, _products(L)

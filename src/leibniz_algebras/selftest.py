@@ -25,7 +25,13 @@ from .classify import Case, classify, verify_main_theorem
 from .errors import BudgetExceededError
 from .families import oscillator, raw_pair_table
 from .fields import GF, QQ
-from .invariants import nilradical, series, verify_nilradical_candidate
+from .invariants import (
+    _scanned_nilradical,
+    _trace_kernel,
+    nilradical,
+    series,
+    verify_nilradical_candidate,
+)
 from .linalg import (
     Matrix,
     QuadraticPoly,
@@ -37,7 +43,16 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from .search import _trace_functionals, alpha, alpha_beta, beta, iso_search, table_flat
+from .search import (
+    DEFAULT_SCAN_BUDGET,
+    _request,
+    _trace_functionals,
+    alpha,
+    alpha_beta,
+    beta,
+    iso_search,
+    table_flat,
+)
 
 CHECKS = []
 
@@ -234,6 +249,25 @@ def _trace_cut(rng, fast):
     return None
 
 
+@_check("trace-kernel nilradical equals the scanned one, before and after disguise")
+def _trace_nilradical(rng, fast):
+    F = GF(3)
+    certified = 0
+    for L0 in standard_fixtures(F, max_dim=4 if fast else 5):
+        for L in (L0, change_of_basis(L0, _rand_invertible(F, L0.dim, rng))):
+            with _request(DEFAULT_SCAN_BUDGET):
+                scanned = _scanned_nilradical(L)
+            K = _trace_kernel(L)
+            if not K.contains(scanned):
+                return "the nilradical of %s leaves the trace kernel" % L0.name
+            if nilradical(L) != scanned:
+                return "the nilradical of %s differs from the scanned one" % L0.name
+            certified += K == scanned
+    if not certified:
+        return "the trace kernel certified no fixture's nilradical"
+    return None
+
+
 def _alpha_beta_exceeds(L, budget) -> bool:
     try:
         alpha_beta(L, budget=budget)
@@ -256,7 +290,7 @@ def _one_budget(rng, fast):
     return None
 
 
-@_check("nilradical certificate accepts the scanned nilradical, rejects L unless nilpotent")
+@_check("nilradical certificate accepts the exact nilradical, rejects L unless nilpotent")
 def _nilradical_certificate(rng, fast):
     F = GF(3)
     for L in standard_fixtures(F, max_dim=4 if fast else 5):

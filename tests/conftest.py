@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from leibniz_algebras import search
-from leibniz_algebras.algebra import center, change_of_basis, direct_sum
+from leibniz_algebras.algebra import AlgebraTable, center, change_of_basis, direct_sum
 from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2
-from leibniz_algebras.families import abelian_algebra, make_c, make_d
+from leibniz_algebras.families import abelian_algebra, make_a, make_c, make_d, make_e, oscillator
 from leibniz_algebras.fields import GF, QQ
 from leibniz_algebras.linalg import Matrix, Subspace
 
@@ -19,6 +20,11 @@ settings.load_profile("derandomized")
 F2 = GF(2)
 F3 = GF(3)
 F5 = GF(5)
+F7 = GF(7)
+# the largest dimension a generated algebra reaches over GF(p); references
+# that walk every subspace of a stratum stay fast up to there (at n = 5
+# over GF(5) a middle stratum has 20,306 subspaces)
+MAX_DIM = {3: 5, 5: 4, 7: 4}
 
 
 @pytest.fixture
@@ -111,3 +117,70 @@ def one_budget_algebras():
         "rotext+F": direct_sum(heisenberg_rotation_extension(F3), abelian_algebra(1, F3)),
         "d(rot)+F^2": direct_sum(make_d(rot, F3), abelian_algebra(2, F3)),
     }
+
+
+def identity_action(m, F):
+    """x acting as the identity on F^m, basis (x, v_1, .., v_m): [x, v] =
+    -[v, x] = v.  Its nilradical is F^m.  When p divides m every trace-form
+    functional vanishes, so the trace kernel is the whole algebra, which is
+    not nilpotent."""
+    e = [tuple(int(i == j) for i in range(m + 1)) for j in range(m + 1)]
+    products = {}
+    for j in range(1, m + 1):
+        products[(0, j)] = e[j]
+        products[(j, 0)] = tuple(-x for x in e[j])
+    return AlgebraTable.from_products(F, m + 1, products, name="identity-action-%d" % m)
+
+
+def _disguised_sum(draw, L):
+    """L (+) F^k, of dimension at most MAX_DIM[p], under a seeded basis change."""
+    F = L.field
+    k = draw(st.integers(0, MAX_DIM[F.p] - L.dim))
+    if k:
+        L = direct_sum(L, abelian_algebra(k, F))
+    return change_of_basis(L, rand_invertible(F, L.dim, random.Random(draw(st.integers(0, 2**32)))))
+
+
+@st.composite
+def family_algebras(draw, fields=(F3, F5)):
+    """A family algebra (+) F^k over one of `fields`, of dimension at most
+    MAX_DIM[p], under a seeded basis change.
+
+    Family a (one-sided action, so [u, v] = 0 does not give [v, u] = 0),
+    rotext and family e with [x, x] != 0 are the non-Lie ones."""
+    F = draw(st.sampled_from(fields))
+    base = draw(st.sampled_from(["a", "c", "d", "e", "rotext", "oscillator"]))
+    entries = st.integers(0, F.p - 1)
+    if base == "e":
+        # x acts on heisenberg (u, w, z) by a derivation phi (column j the
+        # image of the j-th basis vector), theta = -phi, and [x, x] = v in
+        # the center, nonzero only when tr phi = 0, as [v, x] = 0 needs
+        a, b, c, d, e, f = (draw(entries) for _ in range(6))
+        tr = (a + d) % F.p
+        phi = Matrix(F, [[a, b, 0], [c, d, 0], [e, f, tr]])
+        v = (0, 0, 0 if tr else draw(entries))
+        L = make_e(phi, -phi, v, 4, F)
+    elif base == "a":
+        lam = Matrix(F, [[draw(entries) for _ in range(2)] for _ in range(2)])
+        # mu = x*1 + y*lam commutes with lam
+        x, y = draw(entries), draw(entries)
+        mu = Matrix(F, [[x * (i == j) + y * lam.data[i][j] for j in range(2)] for i in range(2)])
+        L = make_a(lam, mu, F)
+    elif base in ("c", "d"):
+        a, b, c = (draw(entries) for _ in range(3))
+        traceless = Matrix(F, [[a, b], [c, -a]])
+        L = (make_c if base == "c" else make_d)(traceless, F)
+    else:
+        L = heisenberg_rotation_extension(F) if base == "rotext" else oscillator(F)
+    return _disguised_sum(draw, L)
+
+
+@st.composite
+def identity_actions(draw, fields=(F3, F5, F7)):
+    """`identity_action(m)` (+) F^k over one of `fields`, of dimension at
+    most MAX_DIM[p], under a seeded basis change.  m = p, where it fits,
+    is drawn at least half the time: its trace kernel is everything."""
+    F = draw(st.sampled_from(fields))
+    top = MAX_DIM[F.p] - 1
+    m = F.p if F.p <= top and draw(st.booleans()) else draw(st.integers(1, top))
+    return _disguised_sum(draw, identity_action(m, F))

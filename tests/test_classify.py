@@ -1,8 +1,10 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 
-from leibniz_algebras import invariants
+from leibniz_algebras import algebra, invariants
 from leibniz_algebras.algebra import (
     center,
     change_of_basis,
@@ -461,6 +463,46 @@ def test_series_is_computed_once_per_table(monkeypatch):
     assert verify_main_theorem(L).ok
     assert len(built) == 1
     assert series(L) is series(L) is built[0]
+
+
+def _computations(monkeypatch, L, request):
+    """How often request() computes center(L) (counted as joint kernels of
+    linear conditions on L), is_lie(L) (as skew-symmetry checks of L) and
+    [L, L] (as product spaces of L's full space with itself).  Every
+    binding of those helpers in the package is wrapped."""
+    counts = Counter()
+    full = L.full_space()
+    counted = [
+        (algebra._stacked_action_kernel, "kernels", lambda T, *rest: T is L),
+        (algebra._is_skew, "skew checks", lambda T: T is L),
+        (algebra.product_space, "[L, L]", lambda T, U, V: T is L and U == V == full),
+    ]
+    modules = [m for name, m in sys.modules.items() if name.startswith("leibniz_algebras")]
+    with monkeypatch.context() as m:
+        for fn, key, on_L in counted:
+
+            def counting(*args, fn=fn, key=key, on_L=on_L):
+                counts[key] += on_L(*args)
+                return fn(*args)
+
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        m.setattr(module, attr, counting)
+        request()
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(one_budget_algebras()))
+def test_verify_computes_nothing_classify_computed(monkeypatch, name):
+    # verify_main_theorem and its classify call share L's cached center and
+    # Lie flag, and read [L, L] off L's cached series
+    L = one_budget_algebras()[name]
+    in_verify = _computations(monkeypatch, L, lambda: verify_main_theorem(L))
+    M = one_budget_algebras()[name]
+    assert _computations(monkeypatch, M, lambda: classify(M)) == in_verify
+    assert in_verify["skew checks"] == 1
+    assert center(L) is center(L)
 
 
 def test_verify_rotext_plus_f2_under_default_budgets():

@@ -9,7 +9,7 @@ from leibniz_algebras.invariants import nilradical
 from leibniz_algebras.linalg import Matrix
 from leibniz_algebras.serialize import parse_algebra, serialize_algebra
 
-from conftest import F3, rotext_with_center_candidate
+from conftest import F3, identity_action, rotext_with_center_candidate
 
 
 @pytest.fixture
@@ -107,7 +107,12 @@ def test_negative_budget_is_a_usage_error(files):
 
 def test_nilradical_scan_budget_exit_code(files):
     tmp, write = files
+    # the trace kernel certifies d(rot)'s zero nilradical with no scan
     path = write("d.json", make_d(Matrix(F3, [[0, 1], [2, 0]]), F3))
+    assert run(["--budget", "0", "invariants", path, "--scan"]) == 0
+    # the trace kernel of x acting as the identity on F^3 over GF(3) is
+    # everything, so its nilradical is scanned
+    path = write("y.json", identity_action(3, F3))
     assert run(["--budget", "1", "invariants", path, "--scan"]) == 3
     assert run(["invariants", path, "--scan"]) == 0
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leibniz_algebras.algebra import (
     center,
@@ -30,6 +32,7 @@ from leibniz_algebras.families import (
 )
 from leibniz_algebras.fields import QQ
 from leibniz_algebras.invariants import (
+    _trace_kernel,
     check_annihilator_bound,
     fitting_decomposition,
     is_nilpotent_matrix,
@@ -51,7 +54,18 @@ from leibniz_algebras.search import (
     is_maximal_subalgebra,
 )
 
-from conftest import F2, F3, F5, rand_invertible
+from conftest import (
+    F2,
+    F3,
+    F5,
+    F7,
+    family_algebras,
+    identity_action,
+    identity_actions,
+    one_budget_algebras,
+    rand_invertible,
+    scanned_by,
+)
 
 ROT3 = Matrix(F3, [[0, 1], [2, 0]])
 
@@ -187,14 +201,23 @@ def test_nilradical_simple_is_zero():
     assert nilradical(make_d(ROT3, F3)).dim == 0
 
 
-def _brute_force_nilradical(L):
-    """Sum of every nilpotent ideal of every dimension, checked to be a
-    nilpotent ideal itself: the exhaustive definition of the nilradical."""
+def _nilpotent_ideals(L):
+    """Every nonzero nilpotent ideal, by scanning every stratum."""
+    return [
+        U
+        for d in range(1, L.dim + 1)
+        for U in _scan_ideals(L, d)
+        if series(subalgebra_table(L, U)).nilpotent
+    ]
+
+
+def _brute_force_nilradical(L, ideals=None):
+    """Sum of every nilpotent ideal of every dimension (`ideals`, found by
+    scanning when not given), checked to be a nilpotent ideal itself: the
+    exhaustive definition of the nilradical."""
     total = Subspace.zero(L.field, L.dim)
-    for d in range(1, L.dim + 1):
-        for U in _scan_ideals(L, d):
-            if series(subalgebra_table(L, U)).nilpotent:
-                total = subspace_sum(total, U)
+    for U in _nilpotent_ideals(L) if ideals is None else ideals:
+        total = subspace_sum(total, U)
     assert is_ideal(L, total)
     assert total.is_zero() or series(subalgebra_table(L, total)).nilpotent
     return total
@@ -238,14 +261,46 @@ def test_nilradical_is_nilpotent_ideal_containing_all_nilpotent_ideals():
 
 
 def test_nilradical_budget_is_enforced():
-    L = make_d(ROT3, F3)
-    assert center(L).is_zero()
-    # d(rot) has no nonzero nilpotent ideal, so every stratum is scanned
-    every_stratum = sum(gaussian_binomial(3, d, 3) for d in range(4))
-    assert nilradical(L, budget=every_stratum).is_zero()
-    for budget in (1, every_stratum - 1):
+    # the trace kernel certifies d(rot)'s zero nilradical without a scan
+    assert nilradical(make_d(ROT3, F3), budget=0).is_zero()
+    # x acting as the identity on F^3 over GF(3): the trace kernel is L,
+    # which is not nilpotent, so the center-free L is scanned top-down
+    L = identity_action(3, F3)
+    assert center(L).is_zero() and _trace_kernel(L) == L.full_space()
+    # the nilradical F^3 is in stratum 3, which is scanned in full
+    strata = sum(gaussian_binomial(4, d, 3) for d in (4, 3))
+    assert nilradical(L, budget=strata) == span(F3, 4, *(L.basis_vector(i) for i in (1, 2, 3)))
+    for budget in (1, strata - 1):
         with pytest.raises(BudgetExceededError):
             nilradical(L, budget=budget)
+
+
+@pytest.mark.parametrize("name", sorted(one_budget_algebras()))
+def test_trace_kernel_certifies_without_a_scan(monkeypatch, name):
+    L = one_budget_algebras()[name]
+    N, scanned = scanned_by(monkeypatch, lambda: nilradical(L))
+    assert scanned == 0 and N == _trace_kernel(L)
+    assert nilradical(L, budget=0) == N == _brute_force_nilradical(L)
+
+
+def test_nilradical_matches_brute_force_on_generated_algebras():
+    # both ways to the nilradical occur among the draws: the trace kernel's
+    # certificate and the center-quotient scan (x acting as the identity on
+    # F^3 over GF(3), whose trace kernel is everything)
+    paths = set()
+
+    @settings(max_examples=100)
+    @given(st.one_of(family_algebras((F3, F5, F7)), identity_actions()))
+    def check(L):
+        ideals = _nilpotent_ideals(L)
+        K = _trace_kernel(L)
+        assert all(K.contains(U) for U in ideals)
+        N = nilradical(L)
+        assert N == _brute_force_nilradical(L, ideals)
+        paths.add("certified" if N == K else "scanned")
+
+    check()
+    assert paths == {"certified", "scanned"}
 
 
 def test_nilradical_rejects_rationals():

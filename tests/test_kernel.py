@@ -1,26 +1,17 @@
 """Contract tests for the scan kernel: counts, canonical order, budget and
 collect semantics, and every predicate mode against brute force."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibniz_algebras._kernel import MODE_ABELIAN, MODE_IDEAL, backend, scan_subspaces
-from leibniz_algebras.algebra import (
-    change_of_basis,
-    direct_sum,
-    is_abelian_subspace,
-    is_ideal,
-    mult_operator,
-)
-from leibniz_algebras.catalog import heisenberg_rotation_extension, standard_fixtures
-from leibniz_algebras.families import abelian_algebra, make_a, make_c, make_d, make_e, oscillator
+from leibniz_algebras.algebra import is_abelian_subspace, is_ideal, mult_operator
+from leibniz_algebras.catalog import standard_fixtures
 from leibniz_algebras.linalg import Matrix, Subspace, enumerate_subspaces, gaussian_binomial
 from leibniz_algebras.search import _trace_functionals, table_flat
 
-from conftest import F3, F5, rand_invertible
+from conftest import F3, F5, family_algebras
 
 
 @pytest.fixture(params=[backend()])
@@ -146,48 +137,16 @@ def _reference_scan(walk, mode, limit, collect):
 
 @st.composite
 def _scan_cases(draw, every_stratum=False):
-    """A family algebra (+) F^k of dimension <= 5 over GF(3), <= 4 over GF(5),
-    under a seeded basis change, with a stratum, a limit and a collect cap.
-    (At n = 5 over GF(5) a middle stratum has 20,306 subspaces, too many for
-    the reference in a tier-1 test.)  The stratum is one of 2..n-1, or any
-    of 0..n with `every_stratum`.
-
-    Family a (one-sided action, so [u, v] = 0 does not give [v, u] = 0),
-    rotext and family e with [x, x] != 0 are the non-Lie ones."""
-    F = draw(st.sampled_from([F3, F5]))
-    base = draw(st.sampled_from(["a", "c", "d", "e", "rotext", "oscillator"]))
-    entries = st.integers(0, F.p - 1)
-    if base == "e":
-        # x acts on heisenberg (u, w, z) by a derivation phi (column j the
-        # image of the j-th basis vector), theta = -phi, and [x, x] = v in
-        # the center, nonzero only when tr phi = 0, as [v, x] = 0 needs
-        a, b, c, d, e, f = (draw(entries) for _ in range(6))
-        tr = (a + d) % F.p
-        phi = Matrix(F, [[a, b, 0], [c, d, 0], [e, f, tr]])
-        v = (0, 0, 0 if tr else draw(entries))
-        L = make_e(phi, -phi, v, 4, F)
-    elif base == "a":
-        lam = Matrix(F, [[draw(entries) for _ in range(2)] for _ in range(2)])
-        # mu = x*1 + y*lam commutes with lam
-        x, y = draw(entries), draw(entries)
-        mu = Matrix(F, [[x * (i == j) + y * lam.data[i][j] for j in range(2)] for i in range(2)])
-        L = make_a(lam, mu, F)
-    elif base in ("c", "d"):
-        a, b, c = (draw(entries) for _ in range(3))
-        traceless = Matrix(F, [[a, b], [c, -a]])
-        L = (make_c if base == "c" else make_d)(traceless, F)
-    else:
-        L = heisenberg_rotation_extension(F) if base == "rotext" else oscillator(F)
-    k = draw(st.integers(0, (5 if F.p == 3 else 4) - L.dim))
-    if k:
-        L = direct_sum(L, abelian_algebra(k, F))
+    """A `family_algebras` draw over GF(3) or GF(5), with a stratum, a limit
+    and a collect cap.  The stratum is one of 2..n-1, or any of 0..n with
+    `every_stratum`."""
+    L = draw(family_algebras())
     n = L.dim
-    L = change_of_basis(L, rand_invertible(F, n, random.Random(draw(st.integers(0, 2**32)))))
     # strata with at least two rows, so that rows are checked against fixed
     # ones, and at least one row less than n; test_scan_matches_brute_force
     # covers every stratum of the fixtures
     d = draw(st.integers(0, n) if every_stratum else st.integers(2, n - 1))
-    limit = draw(st.integers(0, gaussian_binomial(n, d, F.p) + 1))
+    limit = draw(st.integers(0, gaussian_binomial(n, d, L.field.p) + 1))
     collect = draw(st.sampled_from([-1, 0, 1, 2, 3]))
     return L, d, limit, collect
 

@@ -6,6 +6,7 @@ from leibniz_algebras.algebra import (
     is_abelian_subspace,
     is_ideal,
     is_subalgebra,
+    subalgebra_table,
 )
 from leibniz_algebras.catalog import (
     heisenberg_rotation_extension,
@@ -38,7 +39,15 @@ from leibniz_algebras.search import (
     span_equivalent_iso,
 )
 
-from conftest import F2, F3, one_budget_algebras, rand_invertible, rand_matrix, scanned_by
+from conftest import (
+    F2,
+    F3,
+    identity_action,
+    one_budget_algebras,
+    rand_invertible,
+    rand_matrix,
+    scanned_by,
+)
 
 ROT3 = Matrix(F3, [[0, 1], [2, 0]])
 
@@ -119,6 +128,15 @@ def test_negative_budget_is_rejected():
         solvability_from_codim2_ideal(L, witness=W, budget=-7)
 
 
+def _nilradical_past_the_trace_kernel(L, **kw):
+    """The nilradical of Nil(L) (+) x acting as the identity on F^3.  The
+    trace kernel certifies Nil(L) with no scan, but the sum's trace kernel
+    is everything, which is not nilpotent; so the center quotients divide
+    out Nil(L), and strata 4 and 3 of the identity action are scanned."""
+    N = subalgebra_table(L, nilradical(L, budget=0))
+    return nilradical(direct_sum(N, identity_action(3, F3)), **kw)
+
+
 # each entry point that scans, called as fn(L, budget=...); alpha_beta's
 # test ids are the bare algebra names
 _REQUESTS = {
@@ -126,7 +144,7 @@ _REQUESTS = {
     "beta": beta,
     "all_abelian_ideals(n-3)": lambda L, **kw: all_abelian_ideals(L, L.dim - 3, **kw),
     "all_abelian_subalgebras(n-2)": lambda L, **kw: all_abelian_subalgebras(L, L.dim - 2, **kw),
-    "nilradical": nilradical,
+    "nilradical": _nilradical_past_the_trace_kernel,
 }
 
 
