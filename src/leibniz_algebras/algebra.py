@@ -21,7 +21,7 @@ from .errors import (
     NotLeibnizError,
 )
 from .fields import FieldSpec, check_same_field
-from .linalg import Matrix, Subspace, subspace_sum
+from .linalg import Matrix, Subspace, rref_with_pivots, subspace_sum
 
 
 class AlgebraTable:
@@ -116,14 +116,21 @@ def _products(L: AlgebraTable) -> tuple:
 
 
 def bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
-    """Evaluate [u, v] for coordinate rows u, v."""
+    """Evaluate [u, v] for coordinate rows u, v, coercing their entries into
+    L's field."""
     F = L.field
     n = L.dim
     if len(u) != n or len(v) != n:
         raise DimensionMismatchError("vector length != algebra dimension")
-    u = [F.of(x) for x in u]
-    v = [(j, y) for j, y in enumerate(map(F.of, v)) if y]
-    out = [F.zero] * n
+    return _bracket(L, [F.of(x) for x in u], [F.of(y) for y in v])
+
+
+def _bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
+    """[u, v] for rows of L.dim entries already in L's field; nothing is
+    coerced or checked."""
+    F = L.field
+    v = [(j, y) for j, y in enumerate(v) if y]
+    out = [F.zero] * L.dim
     for x, products in zip(u, _products(L)):
         if not x:
             continue
@@ -205,7 +212,7 @@ def squares_ideal(L: AlgebraTable) -> Subspace:
         gens.append(L.c[i][i])
         for j in range(i + 1, L.dim):
             gens.append(tuple(F.add(a, b) for a, b in zip(L.c[i][j], L.c[j][i])))
-    return Subspace.from_vectors(F, L.dim, gens)
+    return Subspace._span(F, L.dim, gens)
 
 
 def _is_skew(L: AlgebraTable) -> bool:
@@ -239,16 +246,18 @@ def is_lie(L: AlgebraTable) -> bool:
 
 def mult_operator(L: AlgebraTable, x: Sequence, side: str = "left") -> MultOperator:
     """Matrix of left multiplication L_x or right multiplication R_x."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
     F = L.field
     n = L.dim
+    if len(x) != n:
+        raise DimensionMismatchError("vector length != algebra dimension")
+    x = [F.of(a) for a in x]
     cols = []
     for j in range(n):
         ej = L.basis_vector(j)
-        w = bracket(L, x, ej) if side == "left" else bracket(L, ej, x)
-        cols.append(w)
-    mat = Matrix(F, [[cols[j][k] for j in range(n)] for k in range(n)])
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
+        cols.append(_bracket(L, x, ej) if side == "left" else _bracket(L, ej, x))
+    mat = Matrix._canonical(F, [[cols[j][k] for j in range(n)] for k in range(n)], n)
     return MultOperator(mat, side)
 
 
@@ -259,7 +268,7 @@ def _stacked_action_kernel(L: AlgebraTable, conditions) -> Subspace:
     if not conditions:
         return Subspace.full(F, L.dim)
     ker = Matrix(F, conditions).kernel_basis()
-    return Subspace.from_vectors(F, L.dim, ker.data)
+    return Subspace._span(F, L.dim, ker.data)
 
 
 def center(L: AlgebraTable) -> Subspace:
@@ -344,14 +353,14 @@ def product_space(L: AlgebraTable, U: Subspace, V: Subspace) -> Subspace:
     """Span of all [u, v] over basis vectors of U and V."""
     _check_subspace(L, U)
     _check_subspace(L, V)
-    gens = [bracket(L, u, v) for u in U.basis.data for v in V.basis.data]
-    return Subspace.from_vectors(L.field, L.dim, gens)
+    gens = [_bracket(L, u, v) for u in U.basis.data for v in V.basis.data]
+    return Subspace._span(L.field, L.dim, gens)
 
 
 def is_subalgebra(L: AlgebraTable, U: Subspace) -> bool:
     _check_subspace(L, U)
     return all(
-        U.contains_vector(bracket(L, u, v))
+        U._contains(_bracket(L, u, v))
         for u in U.basis.data
         for v in U.basis.data
     )
@@ -363,9 +372,9 @@ def is_ideal(L: AlgebraTable, U: Subspace) -> bool:
     for u in U.basis.data:
         for j in range(n):
             ej = L.basis_vector(j)
-            if not U.contains_vector(bracket(L, u, ej)):
+            if not U._contains(_bracket(L, u, ej)):
                 return False
-            if not U.contains_vector(bracket(L, ej, u)):
+            if not U._contains(_bracket(L, ej, u)):
                 return False
     return True
 
@@ -375,7 +384,7 @@ def is_abelian_subspace(L: AlgebraTable, U: Subspace) -> bool:
     F = L.field
     zero = L.zero_vector()
     return all(
-        bracket(L, u, v) == zero for u in U.basis.data for v in U.basis.data
+        _bracket(L, u, v) == zero for u in U.basis.data for v in U.basis.data
     )
 
 
@@ -400,7 +409,7 @@ def subalgebra_table(L: AlgebraTable, U: Subspace, name: str | None = None) -> A
     for a in range(d):
         row = []
         for b in range(d):
-            w = bracket(L, rows[a], rows[b])
+            w = _bracket(L, rows[a], rows[b])
             coords = U.coordinates(w)
             if coords is None:
                 raise ConsistencyError("closure check passed but product left the subspace")
@@ -431,7 +440,7 @@ def quotient(L: AlgebraTable, I: Subspace) -> tuple[AlgebraTable, Matrix]:
         fa = P.data[d + a]
         for b in range(m):
             fb = P.data[d + b]
-            w = bracket(L, fa, fb)
+            w = _bracket(L, fa, fb)
             coords = Pinv.apply_row(w)
             row.append(tuple(coords[d + t] for t in range(m)))
         c.append(row)
@@ -476,10 +485,43 @@ def change_of_basis(L: AlgebraTable, P: Matrix) -> AlgebraTable:
     for i in range(n):
         row = []
         for j in range(n):
-            w = bracket(L, P.data[i], P.data[j])
+            w = _bracket(L, P.data[i], P.data[j])
             row.append(Pinv.apply_row(w))
         c.append(row)
     return _inherit_leibniz(L, AlgebraTable(L.field, c, name=L.name))
+
+
+def _is_frame(L: AlgebraTable, P: Matrix, model: AlgebraTable) -> bool:
+    """Whether change_of_basis(L, P).c == model.c, for a model over L's
+    field, decided without inverting P: the rows f_i of P must be a basis,
+    and [f_i, f_j] must equal sum_k model[i][j][k] f_k for every (i, j).
+
+    Raises as change_of_basis does on a P of another field or shape, or a
+    singular P."""
+    check_same_field(L.field, P.field)
+    n = L.dim
+    if P.rows != n or P.cols != n:
+        raise DimensionMismatchError("basis matrix must be dim x dim")
+    if rref_with_pivots(P)[1] != n:
+        raise DimensionMismatchError("singular matrix")
+    if model.dim != n:
+        return False
+    F = L.field
+    p = F.p
+    f = P.data
+    for fi, model_i in zip(f, model.c):
+        for fj, coefs in zip(f, model_i):
+            want = [F.zero] * n
+            for c, fk in zip(coefs, f):
+                if c:
+                    for t, y in enumerate(fk):
+                        if y:
+                            want[t] += c * y
+            if p is not None:
+                want = [x % p for x in want]
+            if _bracket(L, fi, fj) != tuple(want):
+                return False
+    return True
 
 
 def _check_subspace(L: AlgebraTable, U: Subspace) -> None:

@@ -36,9 +36,9 @@ from enum import Enum
 
 from .algebra import (
     AlgebraTable,
-    bracket,
+    _bracket,
+    _is_frame,
     center,
-    change_of_basis,
     direct_sum,
     is_abelian_subspace,
     is_ideal,
@@ -189,7 +189,7 @@ def _heisenberg_frame(L: AlgebraTable, W: Subspace) -> list[tuple] | None:
         for s in range(m):
             if r == s:
                 continue
-            q = bracket(T, T.basis_vector(r), T.basis_vector(s))
+            q = _bracket(T, T.basis_vector(r), T.basis_vector(s))
             coords = zspan.coordinates(q)
             if coords is None or coords[0] == F.zero:
                 continue
@@ -198,7 +198,7 @@ def _heisenberg_frame(L: AlgebraTable, W: Subspace) -> list[tuple] | None:
             rows_t = [u_t, w_t, z_t] + fs_t
             if Subspace.from_vectors(F, m, rows_t).dim != m:
                 continue
-            if change_of_basis(T, Matrix(F, rows_t)).c != heisenberg_plus_abelian(m - 3, F).c:
+            if not _is_frame(T, Matrix(F, rows_t), heisenberg_plus_abelian(m - 3, F)):
                 raise ConsistencyError("heisenberg frame does not reproduce the model table")
             return [W.basis.apply_row(row) for row in rows_t]
     raise ConsistencyError("no heisenberg frame found in the given subalgebra")
@@ -267,14 +267,14 @@ def _match_case1(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     a0 = L.basis_vector(_least_index_outside(L, subspace_sum(CL, L2)))
     # strip the z-component of the action by absorbing it into the generator
     rows_uvz = [u, w, z]
-    cu = _coords_in_rows(F, rows_uvz, bracket(L, a0, u))[2]
-    cw = _coords_in_rows(F, rows_uvz, bracket(L, a0, w))[2]
+    cu = _coords_in_rows(F, rows_uvz, _bracket(L, a0, u))[2]
+    cw = _coords_in_rows(F, rows_uvz, _bracket(L, a0, w))[2]
     a = tuple(
         F.add(x, F.sub(F.mul(cu, ww), F.mul(cw, uu)))
         for x, uu, ww in zip(a0, u, w)
     )
-    au = _coords_in_rows(F, rows_uvz, bracket(L, a, u))
-    aw = _coords_in_rows(F, rows_uvz, bracket(L, a, w))
+    au = _coords_in_rows(F, rows_uvz, _bracket(L, a, u))
+    aw = _coords_in_rows(F, rows_uvz, _bracket(L, a, w))
     if au[2] != F.zero or aw[2] != F.zero:
         raise ConsistencyError("central component survived generator adjustment")
     m = Matrix(F, [[au[0], au[1]], [aw[0], aw[1]]])
@@ -284,30 +284,40 @@ def _match_case1(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     if n > 4:
         model = direct_sum(model, abelian_algebra(n - 4, F))
     frame = Matrix(F, [a, z, u, w] + fs)
-    if change_of_basis(L, frame).c != model.c:
+    if not _is_frame(L, frame, model):
         raise ConsistencyError("case-1 frame does not transport the table onto the model")
     chi = canonical_quadratic(F, char_poly_2x2(m))
     return {"chi": chi, "m": m, "frame": frame, "model": model}
 
 
 def _simple_3dim_subspaces(T: AlgebraTable):
-    """Candidate 2-dim subspaces of a 3-dim algebra, exhaustive over prime
-    fields and heuristic over the rationals."""
+    """Candidate 2-dim subspaces of a 3-dim algebra, each yielded once.
+    Over prime fields: every plane, in canonical order.  Over the rationals,
+    a heuristic set: the planes spanned by two of e_i, e_i + e_j and
+    e_i - e_j (i != j), in the order of the first pair spanning each, a
+    plane being known by its primitive integer normal vector."""
     F = T.field
     if F.is_prime_field:
         yield from enumerate_subspaces(3, 2, F)
         return
-    vs = [T.basis_vector(i) for i in range(3)]
+    vs = [tuple(int(i == j) for j in range(3)) for i in range(3)]
     combos = list(vs)
     for i in range(3):
         for j in range(3):
             if i != j:
-                combos.append(tuple(F.add(a, b) for a, b in zip(vs[i], vs[j])))
-                combos.append(tuple(F.sub(a, b) for a, b in zip(vs[i], vs[j])))
-    for p1, p2 in itertools.combinations(combos, 2):
-        V = Subspace.from_vectors(F, 3, [p1, p2])
-        if V.dim == 2:
-            yield V
+                combos.append(tuple(a + b for a, b in zip(vs[i], vs[j])))
+                combos.append(tuple(a - b for a, b in zip(vs[i], vs[j])))
+    seen = set()
+    for (a1, a2, a3), (b1, b2, b3) in itertools.combinations(combos, 2):
+        normal = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+        g = math.gcd(*normal)
+        if not g:
+            continue  # a pair spanning a line
+        lead = next(x for x in normal if x)
+        normal = tuple(x // g if lead > 0 else -x // g for x in normal)
+        if normal not in seen:
+            seen.add(normal)
+            yield Subspace.from_vectors(F, 3, [(a1, a2, a3), (b1, b2, b3)])
 
 
 def _match_case2(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
@@ -317,9 +327,16 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
 
     A simple algebra can contain standard triples with non-conjugate action
     matrices (over a finite field every 3-dim simple Lie algebra is split, so
-    both reducible and irreducible triples occur), so all candidate triples
-    are collected and the one with the least canonical polynomial is
-    reported.  That selection is an isomorphism invariant."""
+    both reducible and irreducible triples occur).  Each candidate plane
+    span(u, w) is checked once, with u, w its RREF basis rows and h = [u, w],
+    and the first plane in candidate order whose triple has the least
+    canonical polynomial is reported.  Over GF(p) that least key is (0, 1),
+    t^2 + 1, and the search stops at the first plane reaching it: tr m = 0
+    by the Jacobi identity and [h, h] = 0; det m != 0, as a singular m would
+    give h a 2-dim centralizer, which a 3-dim simple algebra has none of;
+    and the split simple algebra contains d(rot)'s triple, of key (0, 1)
+    (Jacobson, Lie Algebras, 1962, ch. I).  A key below (0, 1) raises
+    ConsistencyError."""
     F = L.field
     n = L.dim
     if not lie or rep.solvable or CL.dim != n - 3:
@@ -331,21 +348,26 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     if L2.dim != 3 or not subspace_intersect(L2, CL).is_zero():
         raise ConsistencyError("derived subalgebra is not a 3-dim complement of the center")
     T = subalgebra_table(L, L2)
+    least = (F.zero, F.one) if F.is_prime_field else None
     best = None
     for V in _simple_3dim_subspaces(T):
         u_t, w_t = V.basis.data
-        h_t = bracket(T, u_t, w_t)
+        h_t = _bracket(T, u_t, w_t)
         if V.contains_vector(h_t):
             continue
-        hu = V.coordinates(bracket(T, h_t, u_t))
-        hw = V.coordinates(bracket(T, h_t, w_t))
+        hu = V.coordinates(_bracket(T, h_t, u_t))
+        hw = V.coordinates(_bracket(T, h_t, w_t))
         if hu is None or hw is None:
             continue
         m = Matrix(F, [hu, hw])
         chi = canonical_quadratic(F, char_poly_2x2(m))
         key = (chi.c1, chi.c0)
+        if least is not None and key < least:
+            raise ConsistencyError("a standard triple of the simple part acts singularly")
         if best is None or key < best[0]:
             best = (key, chi, m, h_t, u_t, w_t)
+            if key == least:
+                break
     if best is None:
         raise ConsistencyError("no standard triple found in the simple part")
     _, chi, m, h_t, u_t, w_t = best
@@ -358,7 +380,7 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     frame_rows = [L2.basis.apply_row(t) for t in (h_t, u_t, w_t)]
     frame_rows += list(CL.basis.data)
     frame = Matrix(F, frame_rows)
-    if change_of_basis(L, frame).c != model.c:
+    if not _is_frame(L, frame, model):
         raise ConsistencyError("case-2 frame does not transport the table onto the model")
     return {"chi": chi, "m": m, "frame": frame, "model": model}
 
@@ -379,13 +401,13 @@ def _match_case3(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     def h_coords(vec) -> tuple:
         return _coords_in_rows(F, frame_amb, vec)
 
-    phi = Matrix(F, [h_coords(bracket(L, x, b)) for b in frame_amb]).transpose()
+    phi = Matrix(F, [h_coords(_bracket(L, x, b)) for b in frame_amb]).transpose()
     # the induced action on N / C(N) is the (u, w) block of phi
     star = Matrix(F, [phi.data[0][:2], phi.data[1][:2]])
     if not is_irreducible_quadratic(char_poly_2x2(star), F):
         return None
-    theta = Matrix(F, [h_coords(bracket(L, b, x)) for b in frame_amb]).transpose()
-    v = h_coords(bracket(L, x, x))
+    theta = Matrix(F, [h_coords(_bracket(L, b, x)) for b in frame_amb]).transpose()
+    v = h_coords(_bracket(L, x, x))
     try:
         model = make_e(phi, theta, v, n, F)
     except FamilyParameterError as exc:
@@ -393,7 +415,7 @@ def _match_case3(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
             "extracted extension data rejected by the family constructor"
         ) from exc
     frame = Matrix(F, [x] + frame_amb)
-    if change_of_basis(L, frame).c != model.c:
+    if not _is_frame(L, frame, model):
         raise ConsistencyError("case-3 frame does not transport the table onto the model")
     chi = canonical_quadratic(F, char_poly_2x2(star))
     return {
@@ -434,8 +456,8 @@ def _codim2_abelian_ideal_qq(L: AlgebraTable, A: Subspace) -> Subspace | None:
             zrows = [
                 a
                 for a in A.basis.data
-                if all(t == F.zero for t in bracket(L, a, x))
-                and all(t == F.zero for t in bracket(L, x, a))
+                if all(t == F.zero for t in _bracket(L, a, x))
+                and all(t == F.zero for t in _bracket(L, x, a))
             ]
             candidates.append(Subspace.from_vectors(F, n, zrows + [x]))
     except (ValueError, ConsistencyError):
@@ -687,7 +709,7 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
             _claim(
                 claims,
                 "frame transports the table onto the model",
-                change_of_basis(L, frame).c == model.c,
+                _is_frame(L, frame, model),
             )
             if verdict.case is Case.CASE1_C:
                 _claim(claims, "Lie", is_lie(L))

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from ._kernel import MODE_IDEAL
 from .algebra import (
     AlgebraTable,
+    _bracket,
     _check_subspace,
     _stacked_action_kernel,
-    bracket,
     center,
     is_abelian_subspace,
     is_ideal,
@@ -129,12 +129,12 @@ def fitting_decomposition(L: AlgebraTable, A: Subspace) -> FittingSplit:
         for op in ops:
             for f in funcs.data:
                 # condition row: f @ (op @ v) = (f @ op) @ v
-                rows.append(Matrix(F, [f]).__matmul__(op).data[0])
+                rows.append((Matrix._canonical(F, [f], n) @ op).data[0])
         if not rows:
             nxt = Subspace.full(F, n)
         else:
-            ker = Matrix(F, rows).kernel_basis()
-            nxt = Subspace.from_vectors(F, n, ker.data)
+            ker = Matrix._canonical(F, rows, n).kernel_basis()
+            nxt = Subspace._span(F, n, ker.data)
         if nxt == L0:
             break
         L0 = nxt
@@ -167,10 +167,10 @@ def _close_ideal(L: AlgebraTable, W: Subspace, frontier) -> Subspace:
     while frontier and W.dim < n:
         v = frontier.pop()
         for e in basis:
-            for w in (bracket(L, v, e), bracket(L, e, v)):
-                r = W.reduce_vector(w)
+            for w in (_bracket(L, v, e), _bracket(L, e, v)):
+                r = W._reduce(w)
                 if any(r):
-                    W = Subspace.from_vectors(F, n, [*W.basis.data, r])
+                    W = Subspace._span(F, n, [*W.basis.data, r])
                     frontier.append(r)
     return W
 
@@ -256,9 +256,7 @@ def _scanned_nilradical(L: AlgebraTable) -> Subspace:
         P = Z.extend_to_full_basis()
         M, _ = quotient(M, Z)
         lift = Matrix(F, P.data[Z.dim :]) @ lift
-    N = Subspace.from_vectors(
-        F, L.dim, kernel + [lift.apply_row(v) for v in top.basis.data]
-    )
+    N = Subspace._span(F, L.dim, kernel + [lift.apply_row(v) for v in top.basis.data])
     if not is_ideal(L, N) or not _is_nilpotent_subalgebra(L, N):
         raise ConsistencyError("nilradical candidate failed to be a nilpotent ideal")
     return N
@@ -304,9 +302,9 @@ def verify_nilradical_candidate(L: AlgebraTable, N: Subspace) -> bool:
     tested = set()
     for i in range(L.dim):
         e = L.basis_vector(i)
-        if N.contains_vector(e):
+        if N._contains(e):
             continue
-        K = _close_ideal(L, Subspace.from_vectors(L.field, L.dim, [*N.basis.data, e]), [e])
+        K = _close_ideal(L, Subspace._span(L.field, L.dim, [*N.basis.data, e]), [e])
         if K not in tested:
             if _is_nilpotent_subalgebra(L, K):
                 return False

@@ -38,14 +38,17 @@ class Matrix:
         self.data = rows
 
     @classmethod
-    def _canonical(cls, field: FieldSpec, rows: Sequence[Sequence], cols: int) -> "Matrix":
+    def _canonical(
+        cls, field: FieldSpec, rows: Sequence[Sequence], cols: int | None = None
+    ) -> "Matrix":
         """Matrix from rows of `cols` entries already in the field's canonical
-        form; nothing is coerced or checked.  An empty matrix keeps `cols`."""
+        form; nothing is coerced or checked.  An empty matrix keeps `cols`;
+        None reads it from the first row, as the constructor does."""
         m = object.__new__(cls)
         m.field = field
         m.data = tuple(tuple(r) for r in rows)
         m.rows = len(m.data)
-        m.cols = cols
+        m.cols = (len(m.data[0]) if m.data else 0) if cols is None else cols
         return m
 
     # -- constructors -------------------------------------------------------
@@ -97,7 +100,7 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
         add = self.field.add
-        return Matrix(
+        return Matrix._canonical(
             self.field,
             [
                 [add(a, b) for a, b in zip(r1, r2)]
@@ -108,7 +111,7 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
         sub = self.field.sub
-        return Matrix(
+        return Matrix._canonical(
             self.field,
             [
                 [sub(a, b) for a, b in zip(r1, r2)]
@@ -119,11 +122,11 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         c = self.field.of(c)
         mul = self.field.mul
-        return Matrix(self.field, [[mul(c, x) for x in row] for row in self.data])
+        return Matrix._canonical(self.field, [[mul(c, x) for x in row] for row in self.data])
 
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
-        return Matrix(self.field, [[neg(x) for x in row] for row in self.data])
+        return Matrix._canonical(self.field, [[neg(x) for x in row] for row in self.data])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         check_same_field(self.field, other.field)
@@ -134,10 +137,10 @@ class Matrix:
         out = []
         for r in self.data:
             out.append([_dot(F, r, c) for c in ocols])
-        return Matrix(F, out)
+        return Matrix._canonical(F, out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.col(j) for j in range(self.cols)])
+        return Matrix._canonical(self.field, [self.col(j) for j in range(self.cols)])
 
     def apply_row(self, v: Sequence) -> tuple:
         """Row-vector times matrix: v @ self."""
@@ -325,9 +328,15 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise DimensionMismatchError("vector length != ambient dim")
-        if not vecs:
+        return Subspace._span(field, ambient_dim, [_as_tuple_vec(field, v) for v in vecs])
+
+    @staticmethod
+    def _span(field: FieldSpec, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
+        """Span of rows of `ambient_dim` entries already in the field's
+        canonical form; nothing is coerced or checked."""
+        if not vectors:
             return Subspace(field, ambient_dim, Matrix._canonical(field, [], ambient_dim), [])
-        red, rank, pivots = rref_with_pivots(Matrix(field, vecs))
+        red, rank, pivots = rref_with_pivots(Matrix._canonical(field, vectors, ambient_dim))
         basis = Matrix._canonical(field, red.data[:rank], ambient_dim)
         return Subspace(field, ambient_dim, basis, pivots)
 
@@ -375,11 +384,15 @@ class Subspace:
 
     def reduce_vector(self, v: Sequence) -> tuple:
         """Residual of v after subtracting its projection onto the basis rows."""
-        F = self.field
-        p = F.p
-        w = [F.of(x) for x in v]
+        w = [self.field.of(x) for x in v]
         if len(w) != self.ambient_dim:
             raise DimensionMismatchError("vector length != ambient dim")
+        return self._reduce(w)
+
+    def _reduce(self, w: Sequence) -> tuple:
+        """reduce_vector for a row already in the field's canonical form;
+        nothing is coerced or checked."""
+        p = self.field.p
         for pc, row in zip(self.pivots, self.basis.data):
             c = w[pc]
             if not c:
@@ -393,15 +406,20 @@ class Subspace:
     def contains_vector(self, v: Sequence) -> bool:
         return not any(self.reduce_vector(v))
 
+    def _contains(self, w: Sequence) -> bool:
+        """contains_vector for a row already in the field's canonical form."""
+        return not any(self._reduce(w))
+
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(v) for v in other.basis.data)
 
     def coordinates(self, v: Sequence) -> tuple | None:
         """Coordinates of v in the RREF basis rows, or None if v is outside."""
-        F = self.field
-        if not self.contains_vector(v):
+        w = [self.field.of(x) for x in v]
+        if len(w) != self.ambient_dim:
+            raise DimensionMismatchError("vector length != ambient dim")
+        if any(self._reduce(w)):
             return None
-        w = [F.of(x) for x in v]
         return tuple(w[pc] for pc in self.pivots)
 
     # -- derived data ------------------------------------------------------------------
@@ -437,18 +455,16 @@ class Subspace:
             if current.dim == n:
                 break
             e = ident.data[j]
-            if not current.contains_vector(e):
+            if not current._contains(e):
                 rows.append(list(e))
-                current = Subspace.from_vectors(F, n, rows)
-        return Matrix(F, rows)
+                current = Subspace._span(F, n, rows)
+        return Matrix._canonical(F, rows, n)
 
 
 def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
     """Smallest subspace containing both."""
     _check_ambient(U, V)
-    return Subspace.from_vectors(
-        U.field, U.ambient_dim, list(U.basis.data) + list(V.basis.data)
-    )
+    return Subspace._span(U.field, U.ambient_dim, U.basis.data + V.basis.data)
 
 
 def subspace_intersect(U: Subspace, V: Subspace) -> Subspace:
@@ -468,7 +484,7 @@ def subspace_intersect(U: Subspace, V: Subspace) -> Subspace:
         left, right = row[:n], row[n:]
         if all(x == F.zero for x in left):
             inter_rows.append(right)
-    return Subspace.from_vectors(F, n, inter_rows)
+    return Subspace._span(F, n, inter_rows)
 
 
 def _check_ambient(U: Subspace, V: Subspace) -> None:

@@ -39,10 +39,10 @@ from dataclasses import dataclass
 from ._kernel import MODE_ABELIAN, MODE_IDEAL, scan_subspaces
 from .algebra import (
     AlgebraTable,
+    _is_frame,
     _products,
     bracket,
     center,
-    change_of_basis,
     generated_subalgebra,
     is_lie,
     is_subalgebra,
@@ -343,7 +343,8 @@ def iso_search(
     """Backtracking isomorphism search with invariant-profile pruning.
 
     Positive results carry an explicit basis map (rows are the images of the
-    first algebra's basis vectors) verified bit-exactly via change_of_basis.
+    first algebra's basis vectors) verified bit-exactly: change_of_basis(L2,
+    map) equals L1, checked without inverting the map.
     Negative results are exhaustive within the pruned tree.  Exceeding the
     node budget raises, which is distinct from a negative answer.
     """
@@ -438,7 +439,7 @@ def iso_search(
 
     if backtrack(0):
         P = Matrix(F, [images[i] for i in range(n)])
-        if change_of_basis(L2, P).c != L1.c:
+        if not _is_frame(L2, P, L1):
             raise ConsistencyError("isomorphism candidate failed verification")
         return IsoResult(True, P)
     return IsoResult(False, None)
@@ -491,7 +492,7 @@ def span_equivalent_iso(
 
     T1 = raw_pair_table(lam, mu, F)
     T2 = raw_pair_table(lam2, mu2, F)
-    if change_of_basis(T2, P).c != T1.c:
+    if not _is_frame(T2, P, T1):
         raise ConsistencyError("span-equivalence map failed verification")
     return P
 

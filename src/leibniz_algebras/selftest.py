@@ -12,6 +12,8 @@ from fractions import Fraction
 
 from ._kernel import MODE_ABELIAN, MODE_IDEAL, scan_subspaces
 from .algebra import (
+    AlgebraTable,
+    _is_frame,
     center,
     change_of_basis,
     is_leibniz,
@@ -198,7 +200,7 @@ def _fixture_sanity(rng, fast):
     return None
 
 
-@_check("change of basis preserves invariant dimensions")
+@_check("change of basis preserves invariant dimensions; the frame check agrees with it")
 def _cob_invariance(rng, fast):
     F = GF(3)
     count = 3 if fast else 8
@@ -209,6 +211,11 @@ def _cob_invariance(rng, fast):
         for _ in range(count):
             P = _rand_invertible(F, L.dim, rng)
             M = change_of_basis(L, P)
+            i, j, k = (rng.randrange(L.dim) for _ in range(3))
+            c = [[list(v) for v in row] for row in M.c]
+            c[i][j][k] = F.add(c[i][j][k], F.one)
+            if not _is_frame(L, P, M) or _is_frame(L, P, AlgebraTable(F, c)):
+                return "the frame check disagrees with change_of_basis: %s" % L.name
             if not is_leibniz(M):
                 return "basis change broke the Leibniz rule: %s" % L.name
             if is_lie(M) != is_lie(L):

@@ -1,5 +1,6 @@
 import pytest
 
+from leibniz_algebras import algebra
 from leibniz_algebras.algebra import (
     AlgebraTable,
     bracket,
@@ -271,6 +272,18 @@ def test_mult_operator():
     opa = mult_operator(A, A.basis_vector(0), "left")
     assert opa.apply(A.basis_vector(2)) == A.basis_vector(2)
     assert opa.apply(A.basis_vector(3)) == A.basis_vector(3)
+
+
+def test_mult_operator_rejects_a_bad_side_before_any_bracket(monkeypatch):
+    O = oscillator(QQ)
+    calls = []
+    real = algebra._bracket
+    monkeypatch.setattr(algebra, "_bracket", lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(ValueError, match="side must be"):
+        mult_operator(O, O.basis_vector(0), "middle")
+    assert calls == []
+    mult_operator(O, O.basis_vector(0), "right")
+    assert len(calls) == O.dim
 
 
 def test_left_multiplications_commute_on_abelian_subalgebras():

@@ -3,7 +3,8 @@
 `bracket`, `leibniz_failure` and `Subspace.from_vectors` work on cached
 sparse products and inline field arithmetic; here each is compared with a
 test-local reference that coerces every scalar itself, computes with
-`Fraction`s and reduces mod p at the end.  Inputs mix canonical scalars with
+`Fraction`s and reduces mod p at the end.  The frame check `_is_frame`,
+which never inverts its matrix, is compared with `change_of_basis`.  Inputs mix canonical scalars with
 non-canonical ones (ints outside [0, p), ints over QQ, strings, fractions
 over GF(p)), and tables are drawn both at random (mostly not Leibniz) and
 from the standard fixtures under basis changes (all Leibniz).
@@ -12,13 +13,21 @@ from the standard fixtures under basis changes (all Leibniz).
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leibniz_algebras.algebra import AlgebraTable, bracket, change_of_basis, leibniz_failure
+from leibniz_algebras.algebra import (
+    AlgebraTable,
+    _is_frame,
+    bracket,
+    change_of_basis,
+    leibniz_failure,
+)
 from leibniz_algebras.catalog import standard_fixtures
+from leibniz_algebras.errors import DimensionMismatchError
 from leibniz_algebras.fields import QQ
-from leibniz_algebras.linalg import Subspace
+from leibniz_algebras.linalg import Matrix, Subspace
 
 from conftest import F3, F5, rand_invertible
 
@@ -151,3 +160,33 @@ def test_from_vectors_matches_incremental_elimination(data, F, n):
     assert U.basis.cols == n and U.dim == len(basis)
     for row in U.basis.data:
         assert_canonical(F, row)
+
+
+@settings(max_examples=150)
+@given(data=st.data(), drawn=tables())
+def test_is_frame_agrees_with_change_of_basis(data, drawn):
+    """On a random P (often singular over GF(3)) or a random invertible one,
+    against the transported table, the same table with one entry changed,
+    and L's own table."""
+    F, raw = drawn
+    L = AlgebraTable(F, raw)
+    n = L.dim
+    if data.draw(st.booleans()):
+        P = rand_invertible(F, n, random.Random(data.draw(st.integers(0, 2**32))))
+    else:
+        row = st.lists(raw_scalars(F), min_size=n, max_size=n)
+        P = Matrix(F, data.draw(st.lists(row, min_size=n, max_size=n)))
+    try:
+        moved = change_of_basis(L, P)
+    except DimensionMismatchError as exc:
+        with pytest.raises(DimensionMismatchError) as caught:
+            _is_frame(L, P, L)
+        assert str(caught.value) == str(exc)
+        return
+    assert _is_frame(L, P, moved)
+    i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    c = [[list(v) for v in row] for row in moved.c]
+    c[i][j][k] = F.add(c[i][j][k], F.of(data.draw(st.integers(1, 5 if F.p is None else F.p - 1))))
+    changed = AlgebraTable(F, c)
+    assert not _is_frame(L, P, changed)
+    assert _is_frame(L, P, L) == (moved.c == L.c)
