@@ -53,14 +53,7 @@ from .algebra import (
 from .errors import ConsistencyError, FamilyParameterError, NoAbelianIdealError
 from .families import abelian_algebra, heisenberg_plus_abelian, make_c, make_d, make_e
 from .fields import FieldSpec
-from .invariants import (
-    SeriesReport,
-    _is_nilpotent_subalgebra,
-    fitting_decomposition,
-    nilradical,
-    series,
-    verify_nilradical_candidate,
-)
+from .invariants import SeriesReport, _is_nilpotent_subalgebra, nilradical, series
 from .linalg import (
     Matrix,
     QuadraticPoly,
@@ -159,9 +152,9 @@ def field_admits_irreducible_quadratic(F: FieldSpec) -> bool:
 # ---------------------------------------------------------------------------
 # case matchers: each tests its case's structure and, when it holds, returns
 # the frame; None means the case does not apply, and {"abelian_ideal": W}
-# that the structure yields an abelian ideal of codimension 2 (Case1_c with
-# a reducible chi).  All take (L, is_lie(L), series(L), the center CL,
-# L2 = [L, L], the nilradical N or None).
+# that the structure yields an abelian ideal of codimension 2 (Case1_c or
+# Case3_e with a reducible action).  All take (L, is_lie(L), series(L), the
+# center CL, L2 = [L, L], the nilradical N).
 
 
 def _heisenberg_frame(L: AlgebraTable, W: Subspace) -> list[tuple] | None:
@@ -230,17 +223,18 @@ def _least_index_outside(L: AlgebraTable, S: Subspace) -> int:
     raise ConsistencyError("no basis vector outside the subspace")
 
 
-def _eigenline_ideal(L: AlgebraTable, CL: Subspace, m: Matrix, u, w) -> Subspace:
-    """CL + span(v) for an eigenvector v = alpha*u + beta*w of the action m
-    (row (alpha, beta) times m) of a reducible chi: [a, v] is a multiple of
-    v and [u, v], [w, v] lie in span(z), so it is an abelian ideal of
+def _eigenline_ideal(L: AlgebraTable, C: Subspace, m: Matrix, u, w) -> Subspace:
+    """C + span(v) for an eigenvector v = alpha*u + beta*w of the action m
+    (row (alpha, beta) times m) of a reducible chi, C being the center of L
+    (Case1_c) or of the nilradical (Case3_e): [a, v] is a multiple of v
+    modulo C and [u, v], [w, v] lie in span(z), so it is an abelian ideal of
     codimension 2, which is checked."""
     F = L.field
     r = _quadratic_root(F, char_poly_2x2(m))
     shifted = m - Matrix(F, [[r, F.zero], [F.zero, r]])
     c_u, c_w = shifted.transpose().kernel_basis().data[0]
     v = tuple(F.add(F.mul(c_u, x), F.mul(c_w, y)) for x, y in zip(u, w))
-    W = subspace_sum(CL, Subspace.from_vectors(F, L.dim, [v]))
+    W = subspace_sum(C, Subspace.from_vectors(F, L.dim, [v]))
     if W.codim != 2 or not is_abelian_subspace(L, W) or not is_ideal(L, W):
         raise ConsistencyError("the eigenline of a reducible chi gives no abelian ideal")
     return W
@@ -388,10 +382,12 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
 def _match_case3(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     """Case3_e: solvable, nilradical N of codimension 1 isomorphic to
     heisenberg (+) F^(n-4), and the outside generator x acting irreducibly on
-    N / C(N).  Frame (x, u, w, z, f..) matching  e(phi, theta, v, n)."""
+    N / C(N).  Frame (x, u, w, z, f..) matching  e(phi, theta, v, n).  A
+    reducible action returns {"abelian_ideal": W} instead: C(N) plus an
+    eigenline of the action, an abelian ideal of codimension 2."""
     F = L.field
     n = L.dim
-    if N is None or not rep.solvable or N.dim != n - 1:
+    if not rep.solvable or N.dim != n - 1:
         return None
     frame_amb = _heisenberg_frame(L, N)
     if frame_amb is None:
@@ -405,7 +401,10 @@ def _match_case3(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     # the induced action on N / C(N) is the (u, w) block of phi
     star = Matrix(F, [phi.data[0][:2], phi.data[1][:2]])
     if not is_irreducible_quadratic(char_poly_2x2(star), F):
-        return None
+        # z and the f's span the center of N
+        CN = Subspace.from_vectors(F, n, frame_amb[2:])
+        u, w = frame_amb[:2]
+        return {"abelian_ideal": _eigenline_ideal(L, CN, star.transpose(), u, w)}
     theta = Matrix(F, [h_coords(_bracket(L, b, x)) for b in frame_amb]).transpose()
     v = h_coords(_bracket(L, x, x))
     try:
@@ -443,45 +442,14 @@ _MATCHERS = (
 
 
 def _codim2_abelian_ideal_qq(L: AlgebraTable, A: Subspace) -> Subspace | None:
-    F = L.field
-    n = L.dim
-    candidates = [A]
-    CL = center(L)
-    L2 = product_space(L, L.full_space(), L.full_space())
-    candidates.append(subspace_sum(CL, L2))
-    try:
-        split = fitting_decomposition(L, A)
-        if split.L1.dim == 1:
-            x = split.L1.basis.data[0]
-            zrows = [
-                a
-                for a in A.basis.data
-                if all(t == F.zero for t in _bracket(L, a, x))
-                and all(t == F.zero for t in _bracket(L, x, a))
-            ]
-            candidates.append(Subspace.from_vectors(F, n, zrows + [x]))
-    except (ValueError, ConsistencyError):
-        pass
-    for U in candidates:
-        if U.codim <= 2 and is_abelian_subspace(L, U) and is_ideal(L, U):
-            return U
-    return None
-
-
-def _nilradical(L: AlgebraTable, candidate: Subspace | None) -> Subspace | None:
-    """The nilradical `classify` works with, and the check of a supplied
-    candidate: over a prime field the exact nilradical, which the
-    candidate must equal; over the rationals the candidate itself (None
-    without one), which must pass `verify_nilradical_candidate`.  A failing
-    candidate raises ValueError."""
-    if L.field.is_prime_field:
-        N = nilradical(L)
-        if candidate is not None and candidate != N:
-            raise ValueError("supplied nilradical candidate is not the nilradical")
-        return N
-    if candidate is not None and not verify_nilradical_candidate(L, candidate):
-        raise ValueError("supplied nilradical candidate failed verification")
-    return candidate
+    """The first of A and center(L) + [L, L] that is an abelian ideal of
+    codimension <= 2, or None.  The matchers find the abelian ideals these
+    miss (Case1_c and Case3_e with a reducible action)."""
+    candidates = (A, subspace_sum(center(L), _derived_subalgebra(series(L))))
+    return next(
+        (U for U in candidates if U.codim <= 2 and is_abelian_subspace(L, U) and is_ideal(L, U)),
+        None,
+    )
 
 
 def _derived_subalgebra(rep: SeriesReport) -> Subspace:
@@ -501,15 +469,15 @@ def classify(
     Over a prime field everything is searched exhaustively, in one request
     whose `budget` bounds the subspaces scanned: alpha, then, when alpha =
     n-2, the abelian ideals of dimension n-2 (strata n and n-1 hold no
-    abelian subalgebra), then the nilradical (no scan when the trace form
-    certifies it).  Over the rationals a
-    codimension-2 abelian subalgebra witness A is required and a nilradical
-    candidate is needed to recognize the extension case; all downstream
-    checks are then verifications of the supplied data.  A supplied
-    nilradical candidate is checked once, whatever the verdict: over a prime
-    field it must equal the exact nilradical, over the rationals it must
-    pass `verify_nilradical_candidate`; otherwise ValueError is raised.  A
-    negative budget is a ValueError over either field.
+    abelian subalgebra), then the nilradical (no scan when a trace form
+    certifies it).  Over the rationals a codimension-2 abelian subalgebra
+    witness A is required and alpha = n-2 is assumed, not checked; an
+    abelian ideal is looked for among A and center(L) + [L, L], then the
+    exact nilradical (`invariants.nilradical`) and the matchers decide, and
+    every reported structure is checked.  A supplied nilradical candidate
+    is checked once, whatever the verdict: it must equal the exact
+    nilradical, or ValueError is raised.  A negative budget is a ValueError
+    over either field.
     """
     require_leibniz(L)
     F = L.field
@@ -528,28 +496,28 @@ def classify(
         raise ValueError("over the rationals an abelian codimension-2 witness is required")
 
     with _request(budget):
-        if F.is_prime_field:
-            a_res = alpha(L)
-            diagnostics["alpha"] = a_res.alpha
-            if a_res.alpha != n - 2:
-                if nilradical_candidate is not None:
-                    _nilradical(L, nilradical_candidate)
-                return ClassificationVerdict(Case.NOT_APPLICABLE, {}, diagnostics)
+        # a trusted hypothesis over the rationals
+        diagnostics["alpha"] = alpha(L).alpha if F.is_prime_field else n - 2
+        applicable = diagnostics["alpha"] == n - 2
+        if not applicable:
+            ideal_witness = None
+        elif F.is_prime_field:
             # alpha = n-2: strata n and n-1 hold no abelian subalgebra
             ideal_witness = _first_hit(L, (n - 2,), MODE_ABELIAN | MODE_IDEAL)[1]
         else:
-            diagnostics["alpha"] = n - 2  # trusted hypothesis over the rationals
             ideal_witness = _codim2_abelian_ideal_qq(L, A)
+        if nilradical_candidate is not None or (applicable and ideal_witness is None):
+            N = nilradical(L)
+            if nilradical_candidate not in (None, N):
+                raise ValueError("supplied nilradical candidate is not the nilradical")
 
-        if ideal_witness is not None:
-            if nilradical_candidate is not None:
-                _nilradical(L, nilradical_candidate)
-            diagnostics["abelian_ideal_dim"] = ideal_witness.dim
-            return ClassificationVerdict(
-                Case.ABELIAN_IDEAL_CODIM_LE2, {"abelian_ideal": ideal_witness}, diagnostics
-            )
-
-        N = _nilradical(L, nilradical_candidate)
+    if not applicable:
+        return ClassificationVerdict(Case.NOT_APPLICABLE, {}, diagnostics)
+    if ideal_witness is not None:
+        diagnostics["abelian_ideal_dim"] = ideal_witness.dim
+        return ClassificationVerdict(
+            Case.ABELIAN_IDEAL_CODIM_LE2, {"abelian_ideal": ideal_witness}, diagnostics
+        )
 
     lie = is_lie(L)
     rep = series(L)
@@ -569,8 +537,7 @@ def classify(
         }
     )
 
-    if N is not None:
-        diagnostics["dim_nilradical"] = N.dim
+    diagnostics["dim_nilradical"] = N.dim
 
     for case, match in _MATCHERS:
         witness = match(L, lie, rep, CL, L2, N)
@@ -583,15 +550,10 @@ def classify(
             diagnostics["chi"] = witness["chi"]
         return ClassificationVerdict(case, witness, diagnostics)
 
-    if not F.is_prime_field and N is not None:
+    if not F.is_prime_field:
         raise ValueError(
-            "no branch matched with the supplied nilradical candidate; its "
-            "certificate is partial, so the candidate may not be the nilradical"
-        )
-    if not F.is_prime_field and rep.solvable:
-        raise ValueError(
-            "no branch matched and no nilradical candidate was supplied; "
-            "provide one to test the extension case over the rationals"
+            "no branch matched; over the rationals alpha = n-2 is assumed, "
+            "not checked, so the algebra may not satisfy it"
         )
     raise ConsistencyError(
         "alpha = n-2 but no classification branch matched; "

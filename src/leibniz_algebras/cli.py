@@ -186,7 +186,7 @@ def _cmd_invariants(args) -> int:
         "squares span dim: %d" % IL.dim,
         "left annihilator dim: %d" % ann.dim,
     ]
-    if L.field.is_prime_field and args.scan:
+    if args.scan:
         N = nilradical(L, args.budget)
         payload["nilradical_dim"] = N.dim
         lines.append("nilradical dim: %d" % N.dim)
@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("invariants", "series, center, annihilator, optional nilradical")
     p.add_argument("file")
-    p.add_argument("--scan", action="store_true", help="include the nilradical (prime fields; scans when the trace form does not certify it)")
+    p.add_argument("--scan", action="store_true", help="include the nilradical (over GF(p), scans when no trace form certifies it)")
 
     for which in ("alpha", "beta"):
         p = add(which, "exhaustive abelian %s scan" % ("subalgebra" if which == "alpha" else "ideal"))
@@ -489,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("classify", "decide the classification branch")
     p.add_argument("file")
     p.add_argument("--witness", help="abelian codim-2 subalgebra, vectors 'a,b,..;c,d,..'")
-    p.add_argument("--nilradical", help="nilradical candidate (needed over the rationals)")
+    p.add_argument("--nilradical", help="nilradical candidate, checked against the exact nilradical")
 
     p = add("verify-theorem", "check every claim of the branch classify matched")
     p.add_argument("file")

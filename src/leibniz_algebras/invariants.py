@@ -95,10 +95,6 @@ def series(L: AlgebraTable) -> SeriesReport:
     return rep
 
 
-def is_nilpotent_matrix(M: Matrix) -> bool:
-    return M.power(M.rows).is_zero()
-
-
 def fitting_decomposition(L: AlgebraTable, A: Subspace) -> FittingSplit:
     """Split L = L0 (+) L1 under the commuting family of left actions of A.
 
@@ -188,19 +184,31 @@ def _is_nilpotent_subalgebra(L: AlgebraTable, U: Subspace) -> bool:
 
 
 def nilradical(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> Subspace:
-    """Largest nilpotent ideal N (prime fields only), as an RREF subspace.
+    """Largest nilpotent ideal N, as an RREF subspace, over QQ and GF(p).
 
     First the trace form.  Let K be the common kernel of the functionals
     x -> Tr(M_x W), M in {L, R}, W in {1, L_e_j, R_e_j}, that the
     abelian-ideal scans already use (`search._trace_functionals`).  Every
     nilpotent ideal lies in K, in every characteristic (see `search`), so
     N <= K; when K is itself an ideal and nilpotent, K <= N, and K is the
-    nilradical with no scan.  K can be larger than N: over GF(3), x acting
-    as the identity on F^3 has every trace 0, so K = L, which is not
-    nilpotent.
+    nilradical.
 
-    Otherwise two standard facts (Ayupov-Omirov-Rakhimov, *Leibniz Algebras:
-    Structure and Classification*, 2019) make the scan cheap:
+    Otherwise W runs over the whole unital associative algebra E generated
+    by the L_e_j (`_envelope_kernel`), and J = {x : Tr(L_x W) = 0 for all
+    W in E} again holds every nilpotent ideal; it is returned when it is a
+    nilpotent ideal.  Over QQ it always is, and J = N: J = {x : L_x in T},
+    T the radical of E's trace form, a two-sided ideal of E.  As x -> L_x is
+    a Lie homomorphism (Loday, 1993), J is an ideal; in characteristic 0,
+    Tr(a^k) = 0 for all k makes a nilpotent, so T is nilpotent, and so is
+    J.  de Graaf, *Lie Algebras: Theory and Algorithms* (2000), computes
+    radicals the same way.  Over GF(p) with p > dim L, Newton's identities
+    give the same.  Over QQ a J that fails the check raises
+    ConsistencyError.
+
+    Over GF(p) both kernels can be larger than N: over GF(3), x acting as
+    the identity on F^3 has every trace 0, so K = J = L, which is not
+    nilpotent.  Then two standard facts (Ayupov-Omirov-Rakhimov, *Leibniz
+    Algebras: Structure and Classification*, 2019) make a scan cheap:
 
     * a sum of nilpotent ideals is nilpotent, so N is the unique nilpotent
       ideal of maximal dimension;
@@ -217,15 +225,13 @@ def nilradical(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> Subspace:
     nilpotent ideal of L before it is returned.
     """
     require_leibniz(L)
-    if not L.field.is_prime_field:
-        raise ValueError(
-            "exact nilradical search needs a prime field; "
-            "use verify_nilradical_candidate over the rationals"
-        )
     with _request(budget):
-        K = _trace_kernel(L)
-        if is_ideal(L, K) and _is_nilpotent_subalgebra(L, K):
-            return K
+        for kernel in (_trace_kernel, _envelope_kernel):
+            J = kernel(L)
+            if is_ideal(L, J) and _is_nilpotent_subalgebra(L, J):
+                return J
+        if not L.field.is_prime_field:
+            raise ConsistencyError("the trace kernel of the envelope is not a nilpotent ideal")
         return _scanned_nilradical(L)
 
 
@@ -233,6 +239,26 @@ def _trace_kernel(L: AlgebraTable) -> Subspace:
     """The common kernel of `search._trace_functionals`; it holds every
     nilpotent ideal."""
     return _stacked_action_kernel(L, _trace_functionals(L))
+
+
+def _envelope_kernel(L: AlgebraTable) -> Subspace:
+    """The common kernel of x -> Tr(L_x W), W in the unital associative
+    algebra generated by the L_e_j; it holds every nilpotent ideal.
+
+    A basis of that algebra (at most n^2 matrices) is closed from the
+    identity: each matrix that enlarges the span is multiplied on the right
+    by every generator, so the span ends up closed under those products."""
+    F, n = L.field, L.dim
+    gens = [mult_operator(L, L.basis_vector(j)).matrix for j in range(n)]
+    E, words, frontier = Subspace.zero(F, n * n), [], [Matrix.identity(F, n)]
+    while frontier:
+        W = frontier.pop()
+        flat = sum(W.data, ())
+        if not E._contains(flat):
+            E = Subspace._span(F, n * n, [*E.basis.data, flat])
+            words.append(W)
+            frontier.extend(W @ G for G in gens)
+    return _stacked_action_kernel(L, [[(G @ W).trace() for G in gens] for W in words])
 
 
 def _scanned_nilradical(L: AlgebraTable) -> Subspace:
@@ -278,13 +304,15 @@ def _centerless_nilradical(L: AlgebraTable) -> Subspace:
 
 
 def verify_nilradical_candidate(L: AlgebraTable, N: Subspace) -> bool:
-    """Certificate check usable over any field.
+    """Certificate check usable over any field; `classify` does not use it,
+    and compares a supplied candidate with the exact `nilradical` instead.
 
     True iff N is a two-sided ideal, nilpotent as a subalgebra, and every
     nilpotent ideal J_i generated by a single basis vector e_i already lies
     inside N.  This is a partial maximality certificate: a nilpotent ideal
-    that no single basis vector generates is not examined, and full
-    maximality needs the prime-field scan.
+    that no single basis vector generates is not examined, so it can accept
+    a nilpotent ideal smaller than the nilradical; `nilradical` decides
+    exactly.
 
     Once N is known to be a nilpotent ideal, the test runs modulo N.  For
     e_i in N, J_i lies in N because N is an ideal.  For e_i outside N, J_i

@@ -89,7 +89,7 @@ def table_flat(L: AlgebraTable) -> tuple:
 
 def _trace_functionals(L: AlgebraTable) -> tuple:
     """Rows, in RREF, of the functionals x -> Tr(M_x W) for M in {L, R} and
-    W in {1, L_e_j, R_e_j}, as ints mod p; cached on L.
+    W in {1, L_e_j, R_e_j}, as field elements; cached on L.
 
     Every nilpotent ideal N, abelian ones included, lies in their common
     kernel: the ideals N_1 = N, N_(k+1) = [N, N_k] + [N_k, N] reach 0, W
@@ -233,14 +233,6 @@ def all_abelian_subalgebras(L: AlgebraTable, dim: int, budget: int = DEFAULT_SCA
     _require_prime_field(L, "all_abelian_subalgebras")
     with _request(budget):
         _, subs = _scan_dim(L, dim, MODE_ABELIAN, -1)
-    return subs
-
-
-def _scan_ideals(L: AlgebraTable, dim: int, budget: int = DEFAULT_SCAN_BUDGET) -> list[Subspace]:
-    """Every two-sided ideal of the given dimension (not necessarily abelian)."""
-    _require_prime_field(L, "ideal scan")
-    with _request(budget):
-        _, subs = _scan_dim(L, dim, MODE_IDEAL, -1)
     return subs
 
 

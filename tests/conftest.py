@@ -132,6 +132,19 @@ def identity_action(m, F):
     return AlgebraTable.from_products(F, m + 1, products, name="identity-action-%d" % m)
 
 
+def cycle_action(F):
+    """x acting on span(v1, v2, v3) by the 3-cycle, basis (x, v1, v2, v3):
+    [x, v_i] = -[v_i, x] = v_(i+1).  Its nilradical is span(v1, v2, v3).
+    Tr(L_x) = Tr(L_x^2) = 0, so the trace kernel of degree <= 1 is the whole
+    algebra; L_x^3 is the identity on span(v1, v2, v3), of trace 3."""
+    e = [tuple(int(i == j) for i in range(4)) for j in range(4)]
+    products = {}
+    for i in (1, 2, 3):
+        products[(0, i)] = e[i % 3 + 1]
+        products[(i, 0)] = tuple(-x for x in e[i % 3 + 1])
+    return AlgebraTable.from_products(F, 4, products, name="cycle-action")
+
+
 def _disguised_sum(draw, L):
     """L (+) F^k, of dimension at most MAX_DIM[p], under a seeded basis change."""
     F = L.field
@@ -184,3 +197,10 @@ def identity_actions(draw, fields=(F3, F5, F7)):
     top = MAX_DIM[F.p] - 1
     m = F.p if F.p <= top and draw(st.booleans()) else draw(st.integers(1, top))
     return _disguised_sum(draw, identity_action(m, F))
+
+
+@st.composite
+def cycle_actions(draw, fields=(F3, F5, F7)):
+    """`cycle_action` (+) F^k over one of `fields`, of dimension at most
+    MAX_DIM[p], under a seeded basis change."""
+    return _disguised_sum(draw, cycle_action(draw(st.sampled_from(fields))))

@@ -8,14 +8,20 @@ per basis vector, and the test "J_i nilpotent and not inside N" for every
 e_i.  Algebras are families c, d, rotext, oscillator and family a with
 commuting parameters, (+) F^k with n <= 5, over GF(3), GF(5) and QQ, under a
 seeded basis change.
+
+The exact nilradical over QQ is compared with the candidates these tables
+carry, with the nilradical candidates of the benchmark's qq-certified
+families, and with the GF(101) nilradical of the same tables.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibniz_algebras.algebra import (
+    AlgebraTable,
     center,
     change_of_basis,
     direct_sum,
@@ -24,11 +30,11 @@ from leibniz_algebras.algebra import (
 )
 from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2
 from leibniz_algebras.families import abelian_algebra, make_a, make_c, make_d, oscillator
-from leibniz_algebras.fields import QQ
+from leibniz_algebras.fields import GF, QQ
 from leibniz_algebras.invariants import ideal_closure, nilradical, verify_nilradical_candidate
 from leibniz_algebras.linalg import Matrix, Subspace, subspace_sum
 
-from conftest import F3, F5, rand_invertible, rational_change
+from conftest import F3, F5, carried, rand_invertible, rational_change
 
 FIELDS = (F3, F5, QQ)
 CANDIDATES = ("nilradical", "center", "derived", "zero", "full", "line", "nilradical+line")
@@ -182,3 +188,38 @@ def test_ideal_closure_matches_fixed_point(F, name, k, seed, dim):
     L, _, rng = disguised(F, name, k, seed)
     S = Subspace.from_vectors(F, L.dim, [random_vector(F, L.dim, rng) for _ in range(dim)])
     assert ideal_closure(L, S) == ref_ideal_closure(L, S)
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_qq_nilradical_equals_the_gf101_nilradical(name):
+    # the tables have integer entries, or denominators 2 and 3 after the
+    # basis change, so they reduce mod 101; for p > n the envelope's trace
+    # kernel is the nilradical over GF(p) as over QQ
+    F101 = GF(101)
+    for k in range(6 - base(QQ, name).dim):
+        L, N, _ = disguised(QQ, name, k, seed=k)
+        assert nilradical(L) == N
+        for M in (with_center(base(QQ, name), k), L):
+            reduced = Subspace.from_vectors(F101, M.dim, nilradical(M).basis.data)
+            assert reduced == nilradical(AlgebraTable(F101, M.c), budget=0)
+
+
+# base, k values and the nilradical's basis indices in the base algebra, as
+# in the benchmark's qq-certified workload
+QQ_CERTIFIED = (
+    ("rotext", range(0, 4), (0, 1, 2)),
+    ("c(rot)", range(0, 4), (1, 2, 3)),
+    ("d(rot)", range(1, 5), ()),
+)
+
+
+@pytest.mark.parametrize("name, ks, nil", QQ_CERTIFIED, ids=[f[0] for f in QQ_CERTIFIED])
+def test_qq_nilradical_equals_the_carried_candidates(name, ks, nil):
+    for k in ks:
+        L = with_center(base(QQ, name), k)
+        n = L.dim
+        rows = [tuple(int(i == j) for i in range(n)) for j in [*nil, *range(n - k, n)]]
+        for seed in range(3):
+            P = rational_change(n, random.Random(seed))
+            N = Subspace.from_vectors(QQ, n, carried(P, rows))
+            assert nilradical(change_of_basis(L, P)) == N

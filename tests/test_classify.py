@@ -3,6 +3,7 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
 
 from leibniz_algebras import algebra, invariants
 from leibniz_algebras.algebra import (
@@ -21,7 +22,10 @@ from leibniz_algebras.catalog import (
     standard_fixtures,
 )
 from leibniz_algebras.classify import (
+    _MATCHERS,
     Case,
+    _codim2_abelian_ideal_qq,
+    _derived_subalgebra,
     _match_case3,
     canonical_quadratic,
     classify,
@@ -37,17 +41,21 @@ from leibniz_algebras.families import (
     make_b,
     make_c,
     make_d,
+    make_e,
     oscillator,
 )
 from leibniz_algebras.fields import GF, QQ
-from leibniz_algebras.invariants import nilradical, series, verify_nilradical_candidate
+from leibniz_algebras.invariants import _trace_kernel, nilradical, series, verify_nilradical_candidate
 from leibniz_algebras.linalg import Matrix, QuadraticPoly, Subspace, gaussian_binomial
-from leibniz_algebras.search import alpha, beta
+from leibniz_algebras.search import all_abelian_subalgebras, alpha, beta
 
 from conftest import (
     F2,
     F3,
+    F5,
+    F7,
     carried,
+    family_algebras,
     one_budget_algebras,
     rand_invertible,
     rational_change,
@@ -246,15 +254,71 @@ def test_classify_qq_case2():
     assert v.case is Case.CASE2_D
 
 
-def test_classify_qq_case3_needs_nilradical_candidate():
+def test_classify_qq_case3_without_nilradical_candidate():
+    # the exact nilradical over QQ recognizes the extension case from the
+    # abelian witness alone, and a supplied candidate must equal it
     L = heisenberg_rotation_extension(QQ)
     A = span(QQ, 4, (0, 1, 0, 0), (0, 0, 1, 0))
-    with pytest.raises(ValueError):
-        classify(L, A=A)
     N = span(QQ, 4, (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
-    v = classify(L, A=A, nilradical_candidate=N)
+    v = classify(L, A=A)
     assert v.case is Case.CASE3_E
+    assert v.witness["nilradical"] == N and v.diagnostics["dim_nilradical"] == 3
     assert change_of_basis(L, v.witness["frame"]).c == v.witness["model"].c
+    assert classify(L, A=A, nilradical_candidate=N) == v
+
+
+def _diag_e(F):
+    """e(diag(1, 2, 3), -diag(1, 2, 3), 0, 4) on (x, u, w, z): x acts on
+    N / C(N) = span(u, w) by diag(1, 2), which is reducible."""
+    d = Matrix(F, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    return make_e(d, -d, (0, 0, 0), 4, F)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_case3_reducible_action_is_an_abelian_ideal_over_qq(seed):
+    # no candidate from the witness span(u + w, z) is an ideal; C(N) plus
+    # an eigenline of the action on span(u, w) is
+    L = _diag_e(QQ)
+    rows = [(0, 1, 1, 0), (0, 0, 0, 1)]
+    if seed is not None:
+        P = rational_change(4, random.Random(seed))
+        L = change_of_basis(L, P)
+        rows = carried(P, rows)
+    v = classify(L, A=span(QQ, 4, *rows))
+    assert v.case is Case.ABELIAN_IDEAL_CODIM_LE2
+    W = v.witness["abelian_ideal"]
+    assert W.codim == 2 and is_abelian_subspace(L, W) and is_ideal(L, W)
+    assert classify(_diag_e(F7)).case is Case.ABELIAN_IDEAL_CODIM_LE2
+
+
+def _rot_swap_e(F):
+    """e(phi, -phi, 0, 6) on (x, u, w, z, f1, f2), phi the rotation on
+    (u, w), 0 on z and the swap on (f1, f2): Tr(phi) = Tr(phi^2) = 0, so
+    every trace of the first trace form vanishes and its kernel is L."""
+    phi = Matrix(
+        F,
+        [
+            [0, 1, 0, 0, 0],
+            [-1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 1],
+            [0, 0, 0, 1, 0],
+        ],
+    )
+    return make_e(phi, -phi, (0,) * 5, 6, F)
+
+
+def test_case3_where_the_trace_kernel_is_everything():
+    N_rows = [tuple(int(i == j) for i in range(6)) for j in range(1, 6)]
+    for F in (QQ, F3):
+        L = _rot_swap_e(F)
+        assert _trace_kernel(L) == L.full_space()
+        A = span(F, 6, *(N_rows[i] for i in (0, 2, 3, 4))) if F == QQ else None
+        v = classify(L, A=A)
+        assert v.case is Case.CASE3_E
+        assert (v.chi.c1, v.chi.c0) == (0, 1)
+        assert v.witness["nilradical"] == span(F, 6, *N_rows)
+        assert change_of_basis(L, v.witness["frame"]).c == v.witness["model"].c
 
 
 def test_classify_qq_rejects_bad_nilradical_candidate():
@@ -282,10 +346,56 @@ def test_case1_reducible_chi_is_an_abelian_ideal_over_qq(seed):
         assert W.codim == 2 and is_abelian_subspace(L, W) and is_ideal(L, W)
 
 
+def _witness_path(L, A, N):
+    """classify's path over the rationals, run over any field: the ideal
+    candidates from the witness A, then the matchers with the nilradical N.
+    The case reached and which step reached it."""
+    W = _codim2_abelian_ideal_qq(L, A)
+    step = "candidates"
+    if W is None:
+        rep = series(L)
+        for case, match in _MATCHERS:
+            witness = match(L, is_lie(L), rep, center(L), _derived_subalgebra(rep), N)
+            if witness is None:
+                continue
+            if "abelian_ideal" not in witness:
+                return case, "frame"
+            W, step = witness["abelian_ideal"], "eigenline of " + case.value
+            break
+        else:
+            return None, None
+    assert W.codim == 2 and is_abelian_subspace(L, W) and is_ideal(L, W)
+    return Case.ABELIAN_IDEAL_CODIM_LE2, step
+
+
+def test_witness_path_agrees_with_the_scan():
+    # over GF(p) the scan knows the verdict; the witness path, from every
+    # drawn codim-2 abelian subalgebra, must reach the same case
+    steps = Counter()
+
+    @settings(max_examples=150)
+    @given(family_algebras((F3, F5, F7)))
+    def check(L):
+        n = L.dim
+        assume(alpha(L).alpha == n - 2)
+        want = classify(L).case
+        N = nilradical(L)
+        witnesses = all_abelian_subalgebras(L, n - 2)
+        for A in witnesses[:: max(1, len(witnesses) // 20)][:20]:
+            got, step = _witness_path(L, A, N)
+            assert got is want, (L.name, A)
+            steps[step] += 1
+
+    check()
+    # the abelian ideals the candidates miss are found by both eigenline
+    # branches
+    assert steps["eigenline of Case1_c"] and steps["eigenline of Case3_e"]
+
+
 @pytest.mark.parametrize("k, seed", [(0, 1001), (1, 1000)])
 def test_classify_qq_blames_a_candidate_the_partial_certificate_passed(k, seed):
-    # the certificate accepts the center, so no branch matches; that is a
-    # wrong input, not a contradiction of the theorem
+    # the partial certificate accepts the center, but classify checks a
+    # candidate against the exact nilradical
     L, A, C = rotext_with_center_candidate(k, seed)
     assert verify_nilradical_candidate(L, C)
     with pytest.raises(ValueError, match="nilradical candidate"):

@@ -64,6 +64,15 @@ def test_invariants_report(files, capsys):
     assert payload["nilradical_dim"] == 3
 
 
+def test_invariants_report_over_rationals(files, capsys):
+    tmp, write = files
+    path = write("o.json", oscillator(QQ))
+    assert run(["--json", "invariants", path, "--scan"]) == 0
+    assert json.loads(capsys.readouterr().out)["nilradical_dim"] == 3
+    assert run(["invariants", path, "--scan"]) == 0
+    assert "nilradical dim: 3" in capsys.readouterr().out
+
+
 def test_alpha_beta_commands(files, capsys):
     tmp, write = files
     path = write("o.json", oscillator(F3))

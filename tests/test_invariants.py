@@ -32,10 +32,10 @@ from leibniz_algebras.families import (
 )
 from leibniz_algebras.fields import QQ
 from leibniz_algebras.invariants import (
+    _envelope_kernel,
     _trace_kernel,
     check_annihilator_bound,
     fitting_decomposition,
-    is_nilpotent_matrix,
     nilradical,
     series,
     verify_nilradical_candidate,
@@ -47,8 +47,11 @@ from leibniz_algebras.linalg import (
     subspace_intersect,
     subspace_sum,
 )
+from leibniz_algebras._kernel import MODE_IDEAL
 from leibniz_algebras.search import (
-    _scan_ideals,
+    DEFAULT_SCAN_BUDGET,
+    _request,
+    _scan_dim,
     all_abelian_subalgebras,
     alpha,
     is_maximal_subalgebra,
@@ -59,6 +62,8 @@ from conftest import (
     F3,
     F5,
     F7,
+    cycle_action,
+    cycle_actions,
     family_algebras,
     identity_action,
     identity_actions,
@@ -117,10 +122,8 @@ def test_series_chains_decrease_and_stabilize():
 def test_engel_consistency():
     for L in standard_fixtures(F3):
         rep = series(L)
-        all_left_nilpotent = all(
-            is_nilpotent_matrix(mult_operator(L, L.basis_vector(i), "left").matrix)
-            for i in range(L.dim)
-        )
+        ops = [mult_operator(L, L.basis_vector(i), "left").matrix for i in range(L.dim)]
+        all_left_nilpotent = all(M.power(M.rows).is_zero() for M in ops)
         assert rep.nilpotent == (
             all_left_nilpotent and rep.lower_central_chain[-1].is_zero()
         )
@@ -203,12 +206,9 @@ def test_nilradical_simple_is_zero():
 
 def _nilpotent_ideals(L):
     """Every nonzero nilpotent ideal, by scanning every stratum."""
-    return [
-        U
-        for d in range(1, L.dim + 1)
-        for U in _scan_ideals(L, d)
-        if series(subalgebra_table(L, U)).nilpotent
-    ]
+    with _request(DEFAULT_SCAN_BUDGET):
+        ideals = [U for d in range(1, L.dim + 1) for U in _scan_dim(L, d, MODE_IDEAL, -1)[1]]
+    return [U for U in ideals if series(subalgebra_table(L, U)).nilpotent]
 
 
 def _brute_force_nilradical(L, ideals=None):
@@ -284,28 +284,40 @@ def test_trace_kernel_certifies_without_a_scan(monkeypatch, name):
 
 
 def test_nilradical_matches_brute_force_on_generated_algebras():
-    # both ways to the nilradical occur among the draws: the trace kernel's
-    # certificate and the center-quotient scan (x acting as the identity on
-    # F^3 over GF(3), whose trace kernel is everything)
+    # every way to the nilradical occurs among the draws: the trace kernel,
+    # the envelope's kernel (the 3-cycle over GF(5) and GF(7)) and the
+    # center-quotient scan (x acting as the identity on F^3 over GF(3),
+    # whose trace kernels are everything)
     paths = set()
 
     @settings(max_examples=100)
-    @given(st.one_of(family_algebras((F3, F5, F7)), identity_actions()))
+    @given(st.one_of(family_algebras((F3, F5, F7)), identity_actions(), cycle_actions()))
     def check(L):
         ideals = _nilpotent_ideals(L)
-        K = _trace_kernel(L)
-        assert all(K.contains(U) for U in ideals)
+        K, J = _trace_kernel(L), _envelope_kernel(L)
+        assert all(K.contains(U) and J.contains(U) for U in ideals)
         N = nilradical(L)
         assert N == _brute_force_nilradical(L, ideals)
-        paths.add("certified" if N == K else "scanned")
+        paths.add("trace kernel" if N == K else "envelope" if N == J else "scanned")
 
     check()
-    assert paths == {"certified", "scanned"}
+    assert paths == {"trace kernel", "envelope", "scanned"}
 
 
-def test_nilradical_rejects_rationals():
-    with pytest.raises(ValueError):
-        nilradical(heisenberg(QQ))
+def test_nilradical_over_rationals():
+    H = heisenberg(QQ)
+    assert nilradical(H) == H.full_space()
+    O = oscillator(QQ)
+    assert nilradical(O) == span(QQ, 4, (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert nilradical(make_d(Matrix(QQ, [[0, 1], [-1, 0]]), QQ)).is_zero()
+
+
+@pytest.mark.parametrize("F", [QQ, F5], ids=repr)
+def test_nilradical_where_the_trace_kernel_is_everything(F):
+    # the envelope's kernel certifies, with no scan
+    L = cycle_action(F)
+    assert _trace_kernel(L) == L.full_space()
+    assert nilradical(L, budget=0) == span(F, 4, (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def test_verify_nilradical_candidate_over_rationals():
