@@ -138,17 +138,6 @@ def _quadratic_root(F: FieldSpec, q: QuadraticPoly):
     return (s - q.c1) / 2
 
 
-def field_admits_irreducible_quadratic(F: FieldSpec) -> bool:
-    """True unless every monic quadratic over F splits."""
-    if not F.is_prime_field:
-        return True  # t^2 - 2 over the rationals
-    for c1 in range(F.p):
-        for c0 in range(F.p):
-            if is_irreducible_quadratic(QuadraticPoly(c1, c0), F):
-                return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # case matchers: each tests its case's structure and, when it holds, returns
 # the frame; None means the case does not apply, and {"abelian_ideal": W}
@@ -735,19 +724,12 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
                     repr(verdict.chi),
                 )
 
-        if field_admits_irreducible_quadratic(F):
-            claims.append(
-                ClaimCheck(
-                    "quadratically-closed corollary",
-                    "n/a",
-                    "field admits irreducible quadratics",
-                )
-            )
-        else:
-            _claim(
-                claims,
+        # no field this package supports is quadratically closed
+        claims.append(
+            ClaimCheck(
                 "quadratically-closed corollary",
-                verdict.case
-                in (Case.ABELIAN_IDEAL_CODIM_LE2, Case.CASE2_D),
+                "n/a",
+                "field admits irreducible quadratics",
             )
+        )
         return TheoremReport(label, alpha_, verdict.case, claims)

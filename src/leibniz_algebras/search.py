@@ -54,7 +54,6 @@ from .fields import FieldSpec, check_same_field
 from .linalg import Matrix, Subspace, enumerate_subspaces, subspace_sum
 
 DEFAULT_SCAN_BUDGET = 5_000_000
-DEFAULT_ISO_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -330,7 +329,7 @@ def _choose_order(L: AlgebraTable) -> list[int]:
 
 
 def iso_search(
-    L1: AlgebraTable, L2: AlgebraTable, node_budget: int = DEFAULT_ISO_BUDGET
+    L1: AlgebraTable, L2: AlgebraTable, node_budget: int = DEFAULT_SCAN_BUDGET
 ) -> IsoResult:
     """Backtracking isomorphism search with invariant-profile pruning.
 

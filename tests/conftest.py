@@ -77,9 +77,10 @@ def carried(P, rows):
 def rotext_with_center_candidate(k, seed):
     """QQ rotext (+) Q^k after `rational_change` from random.Random(seed),
     its codim-2 abelian witness span(e2, e3, e5..) carried through the
-    change, and its center.  For (k, seed) = (0, 1001) and (1, 1000) the
-    partial nilradical certificate accepts that center, which is not the
-    nilradical."""
+    change, and its center.  For (k, seed) = (0, 1001) and (1, 1000) that
+    center is a nilpotent ideal holding every nilpotent ideal that one basis
+    vector generates, yet it is not the nilradical: a partial maximality
+    rule (`test_certificate.ref_certificate`) accepts it."""
     L = heisenberg_rotation_extension(QQ)
     if k:
         L = direct_sum(L, abelian_algebra(k, QQ))

@@ -29,7 +29,6 @@ from leibniz_algebras.classify import (
     _match_case3,
     canonical_quadratic,
     classify,
-    field_admits_irreducible_quadratic,
     solvability_from_codim2_ideal,
     verify_main_theorem,
 )
@@ -46,7 +45,7 @@ from leibniz_algebras.families import (
 )
 from leibniz_algebras.fields import GF, QQ
 from leibniz_algebras.invariants import _trace_kernel, nilradical, series, verify_nilradical_candidate
-from leibniz_algebras.linalg import Matrix, QuadraticPoly, Subspace, gaussian_binomial
+from leibniz_algebras.linalg import Matrix, QuadraticPoly, Subspace, gaussian_binomial, is_irreducible_quadratic
 from leibniz_algebras.search import all_abelian_subalgebras, alpha, beta
 
 from conftest import (
@@ -96,9 +95,16 @@ def test_canonical_quadratic_qq():
 
 
 def test_field_admits_irreducible_quadratic():
+    # no supported field is quadratically closed, so verify_main_theorem
+    # reports its quadratically-closed corollary as n/a on every field
     for p in (2, 3, 5, 7):
-        assert field_admits_irreducible_quadratic(GF(p))
-    assert field_admits_irreducible_quadratic(QQ)
+        F = GF(p)
+        assert any(
+            is_irreducible_quadratic(QuadraticPoly(F.of(c1), F.of(c0)), F)
+            for c1 in range(p)
+            for c0 in range(p)
+        )
+    assert is_irreducible_quadratic(QuadraticPoly(QQ.of(0), QQ.of(-2)), QQ)
 
 
 # -- classify over GF(3) --------------------------------------------------------
@@ -393,11 +399,10 @@ def test_witness_path_agrees_with_the_scan():
 
 
 @pytest.mark.parametrize("k, seed", [(0, 1001), (1, 1000)])
-def test_classify_qq_blames_a_candidate_the_partial_certificate_passed(k, seed):
-    # the partial certificate accepts the center, but classify checks a
-    # candidate against the exact nilradical
+def test_classify_qq_blames_the_center_as_nilradical_candidate(k, seed):
+    # the center is a nilpotent ideal but not the nilradical
     L, A, C = rotext_with_center_candidate(k, seed)
-    assert verify_nilradical_candidate(L, C)
+    assert not verify_nilradical_candidate(L, C)
     with pytest.raises(ValueError, match="nilradical candidate"):
         classify(L, A=A, nilradical_candidate=C)
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibniz_algebras.algebra import (
+    AlgebraTable,
     center,
     change_of_basis,
     direct_sum,
@@ -21,7 +22,12 @@ from leibniz_algebras.catalog import (
     rotation_2x2,
     standard_fixtures,
 )
-from leibniz_algebras.errors import BudgetExceededError
+from leibniz_algebras.errors import (
+    BudgetExceededError,
+    DimensionMismatchError,
+    FieldMismatchError,
+    NotLeibnizError,
+)
 from leibniz_algebras.families import (
     abelian_algebra,
     heisenberg,
@@ -287,7 +293,8 @@ def test_nilradical_matches_brute_force_on_generated_algebras():
     # every way to the nilradical occurs among the draws: the trace kernel,
     # the envelope's kernel (the 3-cycle over GF(5) and GF(7)) and the
     # center-quotient scan (x acting as the identity on F^3 over GF(3),
-    # whose trace kernels are everything)
+    # whose trace kernels are everything); on each path the nilradical
+    # check accepts exactly the brute-force nilradical
     paths = set()
 
     @settings(max_examples=100)
@@ -297,8 +304,12 @@ def test_nilradical_matches_brute_force_on_generated_algebras():
         K, J = _trace_kernel(L), _envelope_kernel(L)
         assert all(K.contains(U) and J.contains(U) for U in ideals)
         N = nilradical(L)
-        assert N == _brute_force_nilradical(L, ideals)
+        brute = _brute_force_nilradical(L, ideals)
+        assert N == brute
         paths.add("trace kernel" if N == K else "envelope" if N == J else "scanned")
+        full = L.full_space()
+        for U in (N, center(L), product_space(L, full, full), full, Subspace.zero(L.field, L.dim)):
+            assert verify_nilradical_candidate(L, U) is (U == brute)
 
     check()
     assert paths == {"trace kernel", "envelope", "scanned"}
@@ -328,6 +339,20 @@ def test_verify_nilradical_candidate_over_rationals():
     assert not verify_nilradical_candidate(O, Subspace.zero(QQ, 4))  # not maximal
     D = make_d(Matrix(QQ, [[0, 1], [-1, 0]]), QQ)
     assert verify_nilradical_candidate(D, Subspace.zero(QQ, 3))
+
+
+def test_verify_nilradical_candidate_checks_its_inputs():
+    O = oscillator(QQ)
+    with pytest.raises(FieldMismatchError):
+        verify_nilradical_candidate(O, Subspace.zero(F3, 4))
+    with pytest.raises(DimensionMismatchError):
+        verify_nilradical_candidate(O, Subspace.zero(QQ, 3))
+    # [e0, e0] = e1, [e0, e1] = e0 breaks the Leibniz rule at (0, 1, 0);
+    # the table is checked before the candidate
+    bad = AlgebraTable.from_products(QQ, 2, {(0, 0): (0, 1), (0, 1): (1, 0)})
+    for N in (Subspace.zero(QQ, 2), Subspace.zero(F3, 3)):
+        with pytest.raises(NotLeibnizError):
+            verify_nilradical_candidate(bad, N)
 
 
 def test_verify_nilradical_candidate_rejects_nonmaximal_nilpotent_ideals():
