@@ -458,12 +458,12 @@ def classify(
     Over a prime field everything is searched exhaustively, in one request
     whose `budget` bounds the subspaces scanned: alpha, then, when alpha =
     n-2, the abelian ideals of dimension n-2 (strata n and n-1 hold no
-    abelian subalgebra), then the nilradical (no scan when a trace form
-    certifies it).  Over the rationals a codimension-2 abelian subalgebra
-    witness A is required and alpha = n-2 is assumed, not checked; an
-    abelian ideal is looked for among A and center(L) + [L, L], then the
-    exact nilradical (`invariants.nilradical`) and the matchers decide, and
-    every reported structure is checked.  A supplied nilradical candidate
+    abelian subalgebra), then the nilradical, which scans nothing.  Over the
+    rationals a codimension-2 abelian subalgebra witness A is required and
+    alpha = n-2 is assumed, not checked; an abelian ideal is looked for
+    among A and center(L) + [L, L], then the exact nilradical
+    (`invariants.nilradical`) and the matchers decide, and every reported
+    structure is checked.  A supplied nilradical candidate
     is checked once, whatever the verdict: it must equal the exact
     nilradical, or ValueError is raised.  A negative budget is a ValueError
     over either field.

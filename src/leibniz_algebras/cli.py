@@ -187,7 +187,7 @@ def _cmd_invariants(args) -> int:
         "left annihilator dim: %d" % ann.dim,
     ]
     if args.scan:
-        N = nilradical(L, args.budget)
+        N = nilradical(L)
         payload["nilradical_dim"] = N.dim
         lines.append("nilradical dim: %d" % N.dim)
     _emit(args, payload, lines)
@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("invariants", "series, center, annihilator, optional nilradical")
     p.add_argument("file")
-    p.add_argument("--scan", action="store_true", help="include the nilradical (over GF(p), scans when no trace form certifies it)")
+    p.add_argument("--scan", action="store_true", help="include the nilradical")
 
     for which in ("alpha", "beta"):
         p = add(which, "exhaustive abelian %s scan" % ("subalgebra" if which == "alpha" else "ideal"))

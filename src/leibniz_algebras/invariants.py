@@ -11,25 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._kernel import MODE_IDEAL
 from .algebra import (
     AlgebraTable,
     _bracket,
     _check_subspace,
     _stacked_action_kernel,
-    center,
     is_abelian_subspace,
     is_ideal,
     is_subalgebra,
     left_annihilator,
     mult_operator,
     product_space,
-    quotient,
     require_leibniz,
 )
 from .errors import ConsistencyError
 from .linalg import Matrix, Subspace, subspace_intersect, subspace_sum
-from .search import DEFAULT_SCAN_BUDGET, _request, _scan_dim, _trace_functionals
+from .search import _trace_functionals
 
 
 @dataclass(frozen=True)
@@ -177,7 +174,7 @@ def _is_nilpotent_subalgebra(L: AlgebraTable, U: Subspace) -> bool:
     return True
 
 
-def nilradical(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> Subspace:
+def nilradical(L: AlgebraTable) -> Subspace:
     """Largest nilpotent ideal N, as an RREF subspace, over QQ and GF(p).
 
     First the trace form.  Let K be the common kernel of the functionals
@@ -187,46 +184,35 @@ def nilradical(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> Subspace:
     N <= K; when K is itself an ideal and nilpotent, K <= N, and K is the
     nilradical.
 
-    Otherwise W runs over the whole unital associative algebra E generated
-    by the L_e_j (`_envelope_kernel`), and J = {x : Tr(L_x W) = 0 for all
-    W in E} again holds every nilpotent ideal; it is returned when it is a
-    nilpotent ideal.  Over QQ it always is, and J = N: J = {x : L_x in T},
-    T the radical of E's trace form, a two-sided ideal of E.  As x -> L_x is
-    a Lie homomorphism (Loday, 1993), J is an ideal; in characteristic 0,
-    Tr(a^k) = 0 for all k makes a nilpotent, so T is nilpotent, and so is
-    J.  de Graaf, *Lie Algebras: Theory and Algorithms* (2000), computes
-    radicals the same way.  Over GF(p) with p > dim L, Newton's identities
-    give the same.  Over QQ a J that fails the check raises
-    ConsistencyError.
+    Otherwise N = {x : L_x in Rad(E)}, E the unital associative algebra
+    generated by the L_e_j (`_envelope_radical`), in every characteristic.
+    As x -> L_x is a Lie homomorphism (Loday, 1993), L_e L_x = L_x L_e +
+    L_[e,x]; so for a nilpotent ideal I the two-sided ideal of E that L_I
+    generates is L_I E, whose k-th power lies in (L_I)^k E, which is 0 for
+    large k; hence L_I <= Rad(E).  Conversely {x : L_x in Rad(E)} is an
+    ideal of L, and a nilpotent one, since a long enough product of its
+    L_x is 0.
 
-    Over GF(p) both kernels can be larger than N: over GF(3), x acting as
-    the identity on F^3 has every trace 0, so K = J = L, which is not
-    nilpotent.  Then two standard facts (Ayupov-Omirov-Rakhimov, *Leibniz
-    Algebras: Structure and Classification*, 2019) make a scan cheap:
+    Rad(E) is found by the radical algorithm of Ronyai (*J. Symbolic
+    Comput.* 9, 1990) in the form of Cohen, Ivanyos and Wales (*J. Pure
+    Appl. Algebra* 117/118, 1997).  Over GF(p), with l = floor(log_p n),
+    I_-1 = E, I_i = {a in I_(i-1) : g_i(ab) = 0 for all b in E}, and
+    Rad(E) = I_l, where g_i(a) = Tr(a~^(p^i)) / p^i mod p for the integer
+    lift a~ of a (entries in [0, p)); g_i is linear on I_(i-1).  Over QQ
+    and over GF(p) with p > n there is one round, I_0, the radical of E's
+    trace form (de Graaf, *Lie Algebras: Theory and Algorithms*, 2000).
+    Over GF(3), x acting as the identity on F^3 has every trace 0, so
+    K = I_0 = L; round i = 1 removes x.
 
-    * a sum of nilpotent ideals is nilpotent, so N is the unique nilpotent
-      ideal of maximal dimension;
-    * the center Z is a nilpotent ideal, so Z <= N, and an ideal J >= Z is
-      nilpotent iff J/Z is: if C^m(J) <= Z then C^(m+1)(J) = [J, Z] = 0.
-
-    Hence N is the preimage of the nilradical of L/Z.  The quotient by the
-    center is repeated until the center is everything (the algebra is
-    nilpotent) or zero; a centerless algebra's ideal strata are then scanned
-    top-down, and the first stratum holding a nilpotent ideal holds N, which
-    must be the only nilpotent ideal there.  The call is one request:
-    `budget` bounds the subspaces scanned over all strata, and exceeding it
-    raises BudgetExceededError.  Either way the result is checked to be a
-    nilpotent ideal of L before it is returned.
+    No scan runs.  Either way the result is checked to be a nilpotent
+    ideal of L before it is returned.
     """
     require_leibniz(L)
-    with _request(budget):
-        for kernel in (_trace_kernel, _envelope_kernel):
-            J = kernel(L)
-            if is_ideal(L, J) and _is_nilpotent_subalgebra(L, J):
-                return J
-        if not L.field.is_prime_field:
-            raise ConsistencyError("the trace kernel of the envelope is not a nilpotent ideal")
-        return _scanned_nilradical(L)
+    for kernel in (_trace_kernel, _envelope_radical):
+        N = kernel(L)
+        if is_ideal(L, N) and _is_nilpotent_subalgebra(L, N):
+            return N
+    raise ConsistencyError("the pullback of the envelope's radical is not a nilpotent ideal")
 
 
 def _trace_kernel(L: AlgebraTable) -> Subspace:
@@ -235,13 +221,16 @@ def _trace_kernel(L: AlgebraTable) -> Subspace:
     return _stacked_action_kernel(L, _trace_functionals(L))
 
 
-def _envelope_kernel(L: AlgebraTable) -> Subspace:
-    """The common kernel of x -> Tr(L_x W), W in the unital associative
-    algebra generated by the L_e_j; it holds every nilpotent ideal.
+def _envelope_radical(L: AlgebraTable) -> Subspace:
+    """{x : L_x in Rad(E)}, E the unital associative algebra generated by
+    the L_e_j; it is the nilradical (see `nilradical`).
 
-    A basis of that algebra (at most n^2 matrices) is closed from the
-    identity: each matrix that enlarges the span is multiplied on the right
-    by every generator, so the span ends up closed under those products."""
+    A basis of E (at most n^2 matrices) is closed from the identity: each
+    matrix that enlarges the span is multiplied on the right by every
+    generator, so the span ends up closed under those products.  Round i
+    keeps, of the x that round i-1 kept, those with g_i(L_x W) = 0 for W in
+    that basis: X_i = {x : L_x in I_i}.  L_x W lies in I_(i-1), where g_i
+    is linear, so each round is one kernel solve on X_(i-1)'s basis."""
     F, n = L.field, L.dim
     gens = [mult_operator(L, L.basis_vector(j)).matrix for j in range(n)]
     E, words, frontier = Subspace.zero(F, n * n), [], [Matrix.identity(F, n)]
@@ -252,62 +241,45 @@ def _envelope_kernel(L: AlgebraTable) -> Subspace:
             E = Subspace._span(F, n * n, [*E.basis.data, flat])
             words.append(W)
             frontier.extend(W @ G for G in gens)
-    return _stacked_action_kernel(L, [[(G @ W).trace() for G in gens] for W in words])
+    last = 0  # l = floor(log_p n); one round over QQ
+    while F.is_prime_field and F.p ** (last + 1) <= n:
+        last += 1
+    X = Matrix.identity(F, n)  # rows: a basis of X_(i-1)
+    for i in range(last + 1):
+        ops = [mult_operator(L, x).matrix for x in X.data]
+        g = Matrix.trace if i == 0 else (lambda A: _lifted_trace_digit(A, F.p, i))
+        X = Matrix(F, [[g(A @ W) for A in ops] for W in words]).kernel_basis() @ X
+    return Subspace._span(F, n, X.data)
 
 
-def _scanned_nilradical(L: AlgebraTable) -> Subspace:
-    """The nilradical by center quotients and a top-down ideal scan of the
-    centerless quotient; scans debit the open request."""
-    F = L.field
-    # M is the current quotient; the rows of `lift` are its basis vectors in
-    # the coordinates of L, and `kernel` spans the preimage of zero in L.
-    M = L
-    lift = Matrix.identity(F, L.dim)
-    kernel: list = []
-    while True:
-        Z = center(M)
-        if Z.dim == M.dim:
-            top = Z
-            break
-        if Z.is_zero():
-            top = _centerless_nilradical(M)
-            break
-        kernel.extend(lift.apply_row(z) for z in Z.basis.data)
-        P = Z.extend_to_full_basis()
-        M, _ = quotient(M, Z)
-        lift = Matrix(F, P.data[Z.dim :]) @ lift
-    N = Subspace._span(F, L.dim, kernel + [lift.apply_row(v) for v in top.basis.data])
-    if not is_ideal(L, N) or not _is_nilpotent_subalgebra(L, N):
-        raise ConsistencyError("nilradical candidate failed to be a nilpotent ideal")
-    return N
+def _lifted_trace_digit(A: Matrix, p: int, i: int) -> int:
+    """g_i(A) = Tr(A~^(p^i)) / p^i mod p, A~ the integer lift of A over
+    GF(p), with entries in [0, p); the power is taken mod p^(i+1).  On the
+    round's domain p^i divides that trace (the traces of A~^(p^k) agree mod
+    p^k, and the previous round's g vanished)."""
+    q, n = p ** (i + 1), A.rows
 
+    def mul(X, Y):
+        return [[sum(a * b for a, b in zip(row, col)) % q for col in zip(*Y)] for row in X]
 
-def _centerless_nilradical(L: AlgebraTable) -> Subspace:
-    """The nilpotent ideal of largest dimension, scanning strata top-down."""
-    for d in range(L.dim, -1, -1):
-        _, ideals = _scan_dim(L, d, MODE_IDEAL, -1)
-        nilpotent = [U for U in ideals if _is_nilpotent_subalgebra(L, U)]
-        if len(nilpotent) > 1:
-            raise ConsistencyError(
-                "two nilpotent ideals of maximal dimension %d; their sum "
-                "would be a larger nilpotent ideal" % d
-            )
-        if nilpotent:
-            return nilpotent[0]
-    raise ConsistencyError("no nilpotent ideal found, not even zero")
+    acc, base, e = [[int(j == k) for k in range(n)] for j in range(n)], A.data, p**i
+    while e:
+        if e & 1:
+            acc = mul(acc, base)
+        base, e = mul(base, base), e >> 1
+    t = sum(acc[j][j] for j in range(n)) % q
+    if t % p**i:
+        raise ConsistencyError("Tr(A^(p^%d)) is not divisible by p^%d on I_%d" % (i, i, i - 1))
+    return t // p**i
 
 
 def verify_nilradical_candidate(L: AlgebraTable, N: Subspace) -> bool:
     """True iff N is the nilradical of L, over QQ and GF(p).
 
-    The check is exact: N is compared with `nilradical(L)`, which runs under
-    the default scan budget (`DEFAULT_SCAN_BUDGET`), as a `nilradical(L)`
-    call does.  Over QQ no scan runs.  Over GF(p) a scan runs only when
-    neither trace kernel is a nilpotent ideal, and an exhausted budget
-    raises BudgetExceededError rather than answering.  A table that breaks
-    the Leibniz rule raises NotLeibnizError; then an N over another field
-    raises FieldMismatchError, and one of another ambient dimension
-    DimensionMismatchError.
+    The check is exact: N is compared with `nilradical(L)`, which runs no
+    scan.  A table that breaks the Leibniz rule raises NotLeibnizError;
+    then an N over another field raises FieldMismatchError, and one of
+    another ambient dimension DimensionMismatchError.
     """
     require_leibniz(L)
     _check_subspace(L, N)

@@ -21,10 +21,10 @@ without the cut.  `invariants.nilradical` returns K itself when K is a
 nilpotent ideal.
 
 One budget bounds a whole request.  Every public entry point that scans,
-here and in `invariants` and `classify`, opens a request ledger with its
-`budget`; every scan takes its limit from the open ledger and debits what
-it counted, so the strata of a top-down search, and the scans of nested
-calls, all draw on the one budget.  An exhausted budget raises
+here and in `classify`, opens a request ledger with its `budget`; every
+scan takes its limit from the open ledger and debits what it counted, so
+the strata of a top-down search, and the scans of nested calls, all draw
+on the one budget.  An exhausted budget raises
 `BudgetExceededError` rather than passing as a negative answer, and a
 negative budget is a ValueError when the request opens.
 """

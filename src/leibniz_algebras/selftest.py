@@ -21,19 +21,14 @@ from .algebra import (
     product_space,
     quotient,
     squares_ideal,
+    subalgebra_table,
 )
 from .catalog import standard_fixtures
 from .classify import Case, classify, verify_main_theorem
 from .errors import BudgetExceededError
 from .families import oscillator, raw_pair_table
 from .fields import GF, QQ
-from .invariants import (
-    _scanned_nilradical,
-    _trace_kernel,
-    nilradical,
-    series,
-    verify_nilradical_candidate,
-)
+from .invariants import nilradical, series, verify_nilradical_candidate
 from .linalg import (
     Matrix,
     QuadraticPoly,
@@ -48,6 +43,7 @@ from .linalg import (
 from .search import (
     DEFAULT_SCAN_BUDGET,
     _request,
+    _scan_dim,
     _trace_functionals,
     alpha,
     alpha_beta,
@@ -256,22 +252,30 @@ def _trace_cut(rng, fast):
     return None
 
 
-@_check("trace-kernel nilradical equals the scanned one, before and after disguise")
-def _trace_nilradical(rng, fast):
+@_check("nilradical is the sum of the nilpotent ideals; the nilradical check is exact")
+def _nilradical(rng, fast):
     F = GF(3)
-    certified = 0
-    for L0 in standard_fixtures(F, max_dim=4 if fast else 5):
+    # x acting as the identity on F^3: every trace is 0, so the trace kernel
+    # is the whole algebra, which is not nilpotent
+    e = [tuple(int(i == j) for i in range(4)) for j in range(4)]
+    products = {}
+    for j in (1, 2, 3):
+        products[(0, j)], products[(j, 0)] = e[j], tuple(F.neg(x) for x in e[j])
+    identity = AlgebraTable.from_products(F, 4, products, name="identity-action-3")
+    for L0 in [*standard_fixtures(F, max_dim=4 if fast else 5), identity]:
         for L in (L0, change_of_basis(L0, _rand_invertible(F, L0.dim, rng))):
+            total = Subspace.zero(F, L.dim)
             with _request(DEFAULT_SCAN_BUDGET):
-                scanned = _scanned_nilradical(L)
-            K = _trace_kernel(L)
-            if not K.contains(scanned):
-                return "the nilradical of %s leaves the trace kernel" % L0.name
-            if nilradical(L) != scanned:
-                return "the nilradical of %s differs from the scanned one" % L0.name
-            certified += K == scanned
-    if not certified:
-        return "the trace kernel certified no fixture's nilradical"
+                for d in range(1, L.dim + 1):
+                    for U in _scan_dim(L, d, MODE_IDEAL, -1)[1]:
+                        if series(subalgebra_table(L, U)).nilpotent:
+                            total = subspace_sum(total, U)
+            N = nilradical(L)
+            if N != total:
+                return "the nilradical of %s is not the sum of its nilpotent ideals" % L0.name
+            for U in (N, center(L), L.full_space()):
+                if verify_nilradical_candidate(L, U) is not (U == N):
+                    return "the nilradical check misjudges %r for %s" % (U, L0.name)
     return None
 
 
@@ -294,17 +298,6 @@ def _one_budget(rng, fast):
             return "alpha_beta of %s did not count its alpha and beta scans" % L.name
         if _alpha_beta_exceeds(L, S) or not _alpha_beta_exceeds(L, S - 1):
             return "alpha_beta of %s scans %d subspaces, but that is not its budget" % (L.name, S)
-    return None
-
-
-@_check("nilradical certificate accepts the exact nilradical, rejects L unless nilpotent")
-def _nilradical_certificate(rng, fast):
-    F = GF(3)
-    for L in standard_fixtures(F, max_dim=4 if fast else 5):
-        if not verify_nilradical_candidate(L, nilradical(L)):
-            return "certificate rejected the nilradical of %s" % L.name
-        if not series(L).nilpotent and verify_nilradical_candidate(L, L.full_space()):
-            return "certificate accepted the non-nilpotent algebra %s" % L.name
     return None
 
 

@@ -120,30 +120,32 @@ def one_budget_algebras():
     }
 
 
-def identity_action(m, F):
-    """x acting as the identity on F^m, basis (x, v_1, .., v_m): [x, v] =
-    -[v, x] = v.  Its nilradical is F^m.  When p divides m every trace-form
-    functional vanishes, so the trace kernel is the whole algebra, which is
-    not nilpotent."""
-    e = [tuple(int(i == j) for i in range(m + 1)) for j in range(m + 1)]
+def linear_action(M, F, name):
+    """x acting on F^m by the m x m matrix M, basis (x, v_1, .., v_m):
+    [x, v] = -[v, x] = Mv.  When M is invertible the nilradical is F^m."""
+    m = M.rows
     products = {}
     for j in range(1, m + 1):
-        products[(0, j)] = e[j]
-        products[(j, 0)] = tuple(-x for x in e[j])
-    return AlgebraTable.from_products(F, m + 1, products, name="identity-action-%d" % m)
+        image = (0,) + M.col(j - 1)
+        products[(0, j)] = image
+        products[(j, 0)] = tuple(-x for x in image)
+    return AlgebraTable.from_products(F, m + 1, products, name=name)
+
+
+def identity_action(m, F):
+    """x acting as the identity on F^m.  Its nilradical is F^m.  When p
+    divides m every trace-form functional vanishes, so the trace kernel is
+    the whole algebra, which is not nilpotent."""
+    return linear_action(Matrix.identity(F, m), F, "identity-action-%d" % m)
 
 
 def cycle_action(F):
-    """x acting on span(v1, v2, v3) by the 3-cycle, basis (x, v1, v2, v3):
-    [x, v_i] = -[v_i, x] = v_(i+1).  Its nilradical is span(v1, v2, v3).
-    Tr(L_x) = Tr(L_x^2) = 0, so the trace kernel of degree <= 1 is the whole
-    algebra; L_x^3 is the identity on span(v1, v2, v3), of trace 3."""
-    e = [tuple(int(i == j) for i in range(4)) for j in range(4)]
-    products = {}
-    for i in (1, 2, 3):
-        products[(0, i)] = e[i % 3 + 1]
-        products[(i, 0)] = tuple(-x for x in e[i % 3 + 1])
-    return AlgebraTable.from_products(F, 4, products, name="cycle-action")
+    """x acting on span(v1, v2, v3) by the 3-cycle v_i -> v_(i+1).  Its
+    nilradical is span(v1, v2, v3).  Tr(L_x) = Tr(L_x^2) = 0, so the trace
+    kernel of degree <= 1 is the whole algebra; L_x^3 is the identity on
+    span(v1, v2, v3), of trace 3."""
+    cycle = Matrix(F, [[int(i == (j + 1) % 3) for j in range(3)] for i in range(3)])
+    return linear_action(cycle, F, "cycle-action")
 
 
 def _disguised_sum(draw, L):

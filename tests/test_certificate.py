@@ -208,7 +208,7 @@ def test_qq_nilradical_equals_the_gf101_nilradical(name):
         assert nilradical(L) == N
         for M in (with_center(base(QQ, name), k), L):
             reduced = Subspace.from_vectors(F101, M.dim, nilradical(M).basis.data)
-            assert reduced == nilradical(AlgebraTable(F101, M.c), budget=0)
+            assert reduced == nilradical(AlgebraTable(F101, M.c))
 
 
 # base, k values and the nilradical's basis indices in the base algebra, as

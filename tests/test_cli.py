@@ -115,16 +115,15 @@ def test_negative_budget_is_a_usage_error(files):
     assert run(["--budget", "0", "alpha", path]) == 3
 
 
-def test_nilradical_scan_budget_exit_code(files):
+def test_nilradical_scan_budget_exit_code(files, capsys):
     tmp, write = files
-    # the trace kernel certifies d(rot)'s zero nilradical with no scan
-    path = write("d.json", make_d(Matrix(F3, [[0, 1], [2, 0]]), F3))
-    assert run(["--budget", "0", "invariants", path, "--scan"]) == 0
-    # the trace kernel of x acting as the identity on F^3 over GF(3) is
-    # everything, so its nilradical is scanned
-    path = write("y.json", identity_action(3, F3))
-    assert run(["--budget", "1", "invariants", path, "--scan"]) == 3
-    assert run(["invariants", path, "--scan"]) == 0
+    # the nilradical never scans, so no budget stops it: the trace kernel
+    # certifies d(rot)'s zero nilradical, and the envelope's radical finds
+    # F^3 when x acts as the identity on F^3 over GF(3)
+    d_rot = make_d(Matrix(F3, [[0, 1], [2, 0]]), F3)
+    for name, L, dim in (("d.json", d_rot, 0), ("y.json", identity_action(3, F3), 3)):
+        assert run(["--budget", "0", "--json", "invariants", write(name, L), "--scan"]) == 0
+        assert json.loads(capsys.readouterr().out)["nilradical_dim"] == dim
 
 
 def test_classify_command(files, capsys):

@@ -14,7 +14,6 @@ from leibniz_algebras.algebra import (
     is_subalgebra,
     mult_operator,
     product_space,
-    quotient,
     subalgebra_table,
 )
 from leibniz_algebras.catalog import (
@@ -23,7 +22,6 @@ from leibniz_algebras.catalog import (
     standard_fixtures,
 )
 from leibniz_algebras.errors import (
-    BudgetExceededError,
     DimensionMismatchError,
     FieldMismatchError,
     NotLeibnizError,
@@ -36,9 +34,10 @@ from leibniz_algebras.families import (
     make_d,
     oscillator,
 )
+from leibniz_algebras import invariants
 from leibniz_algebras.fields import QQ
 from leibniz_algebras.invariants import (
-    _envelope_kernel,
+    _envelope_radical,
     _trace_kernel,
     check_annihilator_bound,
     fitting_decomposition,
@@ -49,7 +48,6 @@ from leibniz_algebras.invariants import (
 from leibniz_algebras.linalg import (
     Matrix,
     Subspace,
-    gaussian_binomial,
     subspace_intersect,
     subspace_sum,
 )
@@ -68,11 +66,13 @@ from conftest import (
     F3,
     F5,
     F7,
+    carried,
     cycle_action,
     cycle_actions,
     family_algebras,
     identity_action,
     identity_actions,
+    linear_action,
     one_budget_algebras,
     rand_invertible,
     scanned_by,
@@ -229,18 +229,6 @@ def _brute_force_nilradical(L, ideals=None):
     return total
 
 
-def _center_dims(L):
-    """Dimensions of the centers met while dividing L by its center until the
-    center is zero or everything."""
-    dims = []
-    while True:
-        Z = center(L)
-        dims.append(Z.dim)
-        if Z.is_zero() or Z.dim == L.dim:
-            return dims
-        L, _ = quotient(L, Z)
-
-
 def _nilradical_inputs():
     rng = random.Random(20240912)
     out = []
@@ -255,64 +243,70 @@ def _nilradical_inputs():
 
 
 def test_nilradical_is_nilpotent_ideal_containing_all_nilpotent_ideals():
-    inputs = _nilradical_inputs()
-    # the inputs cover every path: centerless at once, centerless after a
-    # center quotient, and nilpotent after a center quotient
-    chains = [_center_dims(L) for L in inputs]
-    assert any(len(c) >= 2 and c[-1] == L.dim - sum(c[:-1]) for c, L in zip(chains, inputs))
-    assert any(c == [0] and L.dim > 0 for c, L in zip(chains, inputs))
-    assert any(len(c) >= 2 and c[-1] == 0 for c in chains)
-    for L in inputs:
+    for L in _nilradical_inputs():
         assert nilradical(L) == _brute_force_nilradical(L), L.name
-
-
-def test_nilradical_budget_is_enforced():
-    # the trace kernel certifies d(rot)'s zero nilradical without a scan
-    assert nilradical(make_d(ROT3, F3), budget=0).is_zero()
-    # x acting as the identity on F^3 over GF(3): the trace kernel is L,
-    # which is not nilpotent, so the center-free L is scanned top-down
-    L = identity_action(3, F3)
-    assert center(L).is_zero() and _trace_kernel(L) == L.full_space()
-    # the nilradical F^3 is in stratum 3, which is scanned in full
-    strata = sum(gaussian_binomial(4, d, 3) for d in (4, 3))
-    assert nilradical(L, budget=strata) == span(F3, 4, *(L.basis_vector(i) for i in (1, 2, 3)))
-    for budget in (1, strata - 1):
-        with pytest.raises(BudgetExceededError):
-            nilradical(L, budget=budget)
 
 
 @pytest.mark.parametrize("name", sorted(one_budget_algebras()))
 def test_trace_kernel_certifies_without_a_scan(monkeypatch, name):
     L = one_budget_algebras()[name]
     N, scanned = scanned_by(monkeypatch, lambda: nilradical(L))
-    assert scanned == 0 and N == _trace_kernel(L)
-    assert nilradical(L, budget=0) == N == _brute_force_nilradical(L)
+    assert scanned == 0 and N == _trace_kernel(L) == _brute_force_nilradical(L)
 
 
-def test_nilradical_matches_brute_force_on_generated_algebras():
-    # every way to the nilradical occurs among the draws: the trace kernel,
-    # the envelope's kernel (the 3-cycle over GF(5) and GF(7)) and the
-    # center-quotient scan (x acting as the identity on F^3 over GF(3),
-    # whose trace kernels are everything); on each path the nilradical
-    # check accepts exactly the brute-force nilradical
-    paths = set()
+def test_nilradical_matches_brute_force_on_generated_algebras(monkeypatch):
+    # both ways to the nilradical occur among the draws, neither scans: the
+    # trace kernel, and the envelope's radical, past round I_0 for x acting
+    # as the identity on F^3 over GF(3), whose traces all vanish; on each
+    # path the nilradical check accepts exactly the brute-force nilradical
+    paths, past_round_0 = set(), False
 
     @settings(max_examples=100)
     @given(st.one_of(family_algebras((F3, F5, F7)), identity_actions(), cycle_actions()))
     def check(L):
+        nonlocal past_round_0
         ideals = _nilpotent_ideals(L)
-        K, J = _trace_kernel(L), _envelope_kernel(L)
+        K, J = _trace_kernel(L), _round_0_kernel(monkeypatch, L)
         assert all(K.contains(U) and J.contains(U) for U in ideals)
-        N = nilradical(L)
+        N, scanned = scanned_by(monkeypatch, lambda: nilradical(L))
         brute = _brute_force_nilradical(L, ideals)
-        assert N == brute
-        paths.add("trace kernel" if N == K else "envelope" if N == J else "scanned")
+        assert scanned == 0 and N == brute
+        paths.add("trace kernel" if N == K else "radical")
+        past_round_0 |= N != J
         full = L.full_space()
         for U in (N, center(L), product_space(L, full, full), full, Subspace.zero(L.field, L.dim)):
             assert verify_nilradical_candidate(L, U) is (U == brute)
 
     check()
-    assert paths == {"trace kernel", "envelope", "scanned"}
+    assert paths == {"trace kernel", "radical"} and past_round_0
+
+
+def _round_0_kernel(monkeypatch, L):
+    """{x : L_x in I_0}, the kernel of x -> Tr(L_x W) for W in the envelope:
+    `_envelope_radical` with every later round's form g_i set to 0."""
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "_lifted_trace_digit", lambda A, p, i: 0)
+        return _envelope_radical(L)
+
+
+@pytest.mark.parametrize(
+    "L",
+    [identity_action(m, F3) for m in (3, 6, 9)]
+    + [linear_action(Matrix(F3, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]), F3, "jordan-action-3")],
+    ids=lambda L: L.name,
+)
+def test_radical_rounds_find_the_nilradical_without_a_scan(monkeypatch, L):
+    # every trace of L_x W vanishes mod 3, so the trace kernel is L and so
+    # is the round-0 kernel; round 1 removes x, leaving F^m, except for
+    # m = 9, where Tr(L_x^3) = 9 makes g_1 vanish too and round 2 does
+    n = L.dim
+    assert _trace_kernel(L) == L.full_space() == _round_0_kernel(monkeypatch, L)
+    P = rand_invertible(F3, n, random.Random(n))
+    V = [L.basis_vector(i) for i in range(1, n)]
+    for M, vectors in ((L, V), (change_of_basis(L, P), carried(P, V))):
+        N, scanned = scanned_by(monkeypatch, lambda: nilradical(M))
+        assert scanned == 0 and N == Subspace.from_vectors(F3, n, vectors)
+        assert verify_nilradical_candidate(M, N) and not verify_nilradical_candidate(M, M.full_space())
 
 
 def test_nilradical_over_rationals():
@@ -325,10 +319,10 @@ def test_nilradical_over_rationals():
 
 @pytest.mark.parametrize("F", [QQ, F5], ids=repr)
 def test_nilradical_where_the_trace_kernel_is_everything(F):
-    # the envelope's kernel certifies, with no scan
+    # over QQ and over GF(5), p > n, the envelope's radical takes one round
     L = cycle_action(F)
     assert _trace_kernel(L) == L.full_space()
-    assert nilradical(L, budget=0) == span(F, 4, (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert nilradical(L) == span(F, 4, (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def test_verify_nilradical_candidate_over_rationals():

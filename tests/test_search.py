@@ -6,12 +6,10 @@ from leibniz_algebras.algebra import (
     is_abelian_subspace,
     is_ideal,
     is_subalgebra,
-    subalgebra_table,
 )
 from leibniz_algebras.catalog import (
     heisenberg_rotation_extension,
     nonideal_codim2_example,
-    rotation_2x2,
     standard_fixtures,
 )
 from leibniz_algebras.classify import classify, solvability_from_codim2_ideal
@@ -25,7 +23,6 @@ from leibniz_algebras.families import (
     raw_pair_table,
 )
 from leibniz_algebras.fields import QQ
-from leibniz_algebras.invariants import nilradical
 from leibniz_algebras.linalg import Matrix, Subspace
 from leibniz_algebras.search import (
     all_abelian_ideals,
@@ -42,7 +39,6 @@ from leibniz_algebras.search import (
 from conftest import (
     F2,
     F3,
-    identity_action,
     one_budget_algebras,
     rand_invertible,
     rand_matrix,
@@ -116,25 +112,12 @@ def test_negative_budget_is_rejected():
         alpha(oscillator(F3), budget=-1)
     with pytest.raises(ValueError, match="budget"):
         all_abelian_ideals(oscillator(F3), 1, budget=-1)
-    with pytest.raises(ValueError, match="budget"):
-        nilradical(make_d(rotation_2x2(F3), F3), budget=-5)
-    with pytest.raises(ValueError, match="budget"):
-        nilradical(heisenberg(F3), budget=-1)  # nilpotent: no scan
     L = make_a(Matrix.identity(QQ, 2), Matrix(QQ, [[0, 1], [-1, 0]]), QQ)
     W = span(QQ, 4, (0, 0, 1, 0), (0, 0, 0, 1))
     with pytest.raises(ValueError, match="budget"):
         classify(L, A=W, budget=-1)
     with pytest.raises(ValueError, match="budget"):
         solvability_from_codim2_ideal(L, witness=W, budget=-7)
-
-
-def _nilradical_past_the_trace_kernel(L, **kw):
-    """The nilradical of Nil(L) (+) x acting as the identity on F^3.  The
-    trace kernel certifies Nil(L) with no scan, but the sum's trace kernel
-    is everything, which is not nilpotent; so the center quotients divide
-    out Nil(L), and strata 4 and 3 of the identity action are scanned."""
-    N = subalgebra_table(L, nilradical(L, budget=0))
-    return nilradical(direct_sum(N, identity_action(3, F3)), **kw)
 
 
 # each entry point that scans, called as fn(L, budget=...); alpha_beta's
@@ -144,7 +127,6 @@ _REQUESTS = {
     "beta": beta,
     "all_abelian_ideals(n-3)": lambda L, **kw: all_abelian_ideals(L, L.dim - 3, **kw),
     "all_abelian_subalgebras(n-2)": lambda L, **kw: all_abelian_subalgebras(L, L.dim - 2, **kw),
-    "nilradical": _nilradical_past_the_trace_kernel,
 }
 
 
