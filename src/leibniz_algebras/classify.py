@@ -45,7 +45,6 @@ from .algebra import (
     is_lie,
     is_subalgebra,
     product_space,
-    quotient,
     require_leibniz,
     squares_ideal,
     subalgebra_table,
@@ -64,7 +63,7 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from .search import DEFAULT_SCAN_BUDGET, _first_hit, _request, _scan_dim, alpha
+from .search import DEFAULT_SCAN_BUDGET, _first_hit, _request, alpha
 from ._kernel import MODE_ABELIAN, MODE_IDEAL
 
 
@@ -603,133 +602,127 @@ def _claim(claims: list, name: str, holds: bool, detail: str = "") -> None:
 def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> TheoremReport:
     """Check every claim of the branch `classify` matched, from its answer.
 
-    Outside AbelianIdealCodimLe2, `classify` found alpha = n-2, so strata n
-    and n-1 hold no abelian subalgebra, and its exhaustive scan of stratum
-    n-2 found no abelian ideal; so one collect-all scan of stratum n-3
-    settles beta = n-3 and the uniqueness of the maximal abelian ideal.  The
-    Heisenberg claims are decided by `_heisenberg_frame`, whose conditions
-    are isomorphism invariants that characterize heisenberg (+) F^k.
-    Case3_e's nilradical is checked without a scan: a nilpotent ideal of
-    codimension 1 in a non-nilpotent algebra is the nilradical.
+    Outside AbelianIdealCodimLe2, `classify` found alpha = n-2 and, by an
+    exhaustive scan, no abelian ideal of dimension n-2.  Lemma: let Z be an
+    abelian ideal of dimension n-3 that centralizes every abelian ideal;
+    then beta = n-3 and Z is the only abelian ideal of that dimension, as
+    for an abelian ideal I, I + Z is an abelian ideal of dimension <= n-3,
+    so I lies in Z.  Z is C(L) for Case1_c and Case2_d, and C(N) for
+    Case3_e once N is shown to be Nil(L), which holds every abelian ideal,
+    these being nilpotent ideals; a nilpotent ideal of codimension 1 in a
+    non-nilpotent algebra is Nil(L).  That Z has dimension n-3, is an ideal
+    and is abelian is checked; if not, the claims the lemma gives fail.
+    Case2_d's L / C(L) = Q is 3-dim simple iff [L, L] + C(L) = L, i.e. Q is
+    perfect: a quotient of Q by a proper nonzero ideal would be perfect of
+    dimension <= 2, so solvable, so 0.  The Heisenberg claims are decided by
+    `_heisenberg_frame`, whose conditions are isomorphism invariants that
+    characterize heisenberg (+) F^k.
 
-    The call is one request: `budget` bounds the subspaces scanned, debited
-    in order by `classify`, stratum n-3, then the quotient's ideal scan
-    (Case2_d)."""
+    Only the `classify` call scans: `budget` bounds the subspaces it scans."""
     require_leibniz(L)
     if not L.field.is_prime_field:
         raise ValueError("full verification requires a prime field")
     F = L.field
     n = L.dim
     label = L.name or ("dim-%d algebra" % n)
-    with _request(budget):
-        verdict = classify(L)
-        alpha_ = verdict.diagnostics["alpha"]
-        claims: list = []
-        if verdict.case is Case.NOT_APPLICABLE:
-            detail = "alpha = %d, classification does not apply" % alpha_
-            claims.append(ClaimCheck("alpha = n-2 hypothesis", "n/a", detail))
-            return TheoremReport(label, alpha_, None, claims)
+    verdict = classify(L, budget=budget)
+    alpha_ = verdict.diagnostics["alpha"]
+    claims: list = []
+    if verdict.case is Case.NOT_APPLICABLE:
+        detail = "alpha = %d, classification does not apply" % alpha_
+        claims.append(ClaimCheck("alpha = n-2 hypothesis", "n/a", detail))
+        return TheoremReport(label, alpha_, None, claims)
 
-        rep = series(L)
-        CL = center(L)
+    rep = series(L)
+    CL = center(L)
 
-        if verdict.case is Case.ABELIAN_IDEAL_CODIM_LE2:
-            W = verdict.witness["abelian_ideal"]
-            holds = is_abelian_subspace(L, W) and is_ideal(L, W)
-            _claim(claims, "witness is an abelian ideal", holds)
-            _claim(claims, "witness codimension <= 2", W.codim <= 2, "codim %d" % W.codim)
-            _claim(claims, "solvable", rep.solvable)
-            _claim(
-                claims,
-                "derived length <= 3",
-                rep.derived_length is not None and rep.derived_length <= 3,
-                "derived length %s" % (rep.derived_length,),
-            )
-        else:
-            _, maximal = _scan_dim(L, n - 3, MODE_ABELIAN | MODE_IDEAL, -1)
-            detail = "beta = %d" % (n - 3) if maximal else "beta < n-3"
-            _claim(claims, "beta = n-3", bool(maximal), detail)
-            _claim(
-                claims,
-                "unique abelian ideal of maximal dimension",
-                len(maximal) == 1,
-                "%d found" % len(maximal),
-            )
-            model = verdict.witness["model"]
-            frame = verdict.witness["frame"]
-            _claim(
-                claims,
-                "frame transports the table onto the model",
-                _is_frame(L, frame, model),
-            )
-            if verdict.case is Case.CASE1_C:
-                _claim(claims, "Lie", is_lie(L))
-                _claim(claims, "3-step solvable", rep.solvable and rep.derived_length == 3)
-                L2 = _derived_subalgebra(rep)
-                _claim(claims, "derived subalgebra has dimension 3", L2.dim == 3)
-                _claim(
-                    claims,
-                    "derived subalgebra is a heisenberg algebra",
-                    L2.dim == 3 and _heisenberg_frame(L, L2) is not None,
-                )
-                _claim(claims, "center has dimension n-3", CL.dim == n - 3)
-                if maximal:
-                    _claim(claims, "the maximal abelian ideal is the center", maximal[0] == CL)
-                _claim(
-                    claims,
-                    "chi is irreducible",
-                    is_irreducible_quadratic(verdict.chi, F),
-                    repr(verdict.chi),
-                )
-            elif verdict.case is Case.CASE2_D:
-                _claim(claims, "Lie", is_lie(L))
-                _claim(claims, "not solvable", not rep.solvable)
-                _claim(claims, "center has dimension n-3", CL.dim == n - 3)
-                if maximal:
-                    _claim(claims, "the maximal abelian ideal is the center", maximal[0] == CL)
-                Q, _ = quotient(L, CL)
-                no_proper = _first_hit(Q, (2, 1), MODE_IDEAL)[1] is None
-                _claim(claims, "quotient by the center is 3-dim simple", Q.dim == 3 and no_proper)
-            else:
-                _claim(claims, "3-step solvable", rep.solvable and rep.derived_length == 3)
-                N = verdict.witness["nilradical"]
-                _claim(claims, "nilradical has codimension 1", N.dim == n - 1)
-                # a nilpotent ideal of codimension 1 in a non-nilpotent L is
-                # Nil(L): Nil(L) contains it and is not L
-                _claim(
-                    claims,
-                    "nilradical matches the scan",
-                    N.dim == n - 1
-                    and not rep.nilpotent
-                    and is_ideal(L, N)
-                    and _is_nilpotent_subalgebra(L, N),
-                )
-                _claim(
-                    claims,
-                    "nilradical is heisenberg (+) F^(n-4)",
-                    N.dim == n - 1 and _heisenberg_frame(L, N) is not None,
-                )
-                CN_t = center(subalgebra_table(L, N))
-                CN = Subspace.from_vectors(F, n, [N.basis.apply_row(r) for r in CN_t.basis.data])
-                if maximal:
-                    _claim(
-                        claims,
-                        "the maximal abelian ideal is the nilradical's center",
-                        maximal[0] == CN,
-                    )
-                _claim(
-                    claims,
-                    "induced action on nilradical / center is irreducible",
-                    is_irreducible_quadratic(verdict.chi, F),
-                    repr(verdict.chi),
-                )
-
-        # no field this package supports is quadratically closed
-        claims.append(
-            ClaimCheck(
-                "quadratically-closed corollary",
-                "n/a",
-                "field admits irreducible quadratics",
-            )
+    if verdict.case is Case.ABELIAN_IDEAL_CODIM_LE2:
+        W = verdict.witness["abelian_ideal"]
+        holds = is_abelian_subspace(L, W) and is_ideal(L, W)
+        _claim(claims, "witness is an abelian ideal", holds)
+        _claim(claims, "witness codimension <= 2", W.codim <= 2, "codim %d" % W.codim)
+        _claim(claims, "solvable", rep.solvable)
+        _claim(
+            claims,
+            "derived length <= 3",
+            rep.derived_length is not None and rep.derived_length <= 3,
+            "derived length %s" % (rep.derived_length,),
         )
-        return TheoremReport(label, alpha_, verdict.case, claims)
+    else:
+        N = verdict.witness.get("nilradical")  # Case3_e only
+        if N is None:
+            Z, is_nilradical = CL, True
+        else:
+            CN_t = center(subalgebra_table(L, N))
+            Z = Subspace.from_vectors(F, n, [N.basis.apply_row(r) for r in CN_t.basis.data])
+            nilpotent_ideal = is_ideal(L, N) and _is_nilpotent_subalgebra(L, N)
+            is_nilradical = N.dim == n - 1 and not rep.nilpotent and nilpotent_ideal
+        abelian_ideal = is_abelian_subspace(L, Z) and is_ideal(L, Z)
+        lemma = is_nilradical and Z.dim == n - 3 and abelian_ideal
+        unproved = "lemma does not apply"
+        _claim(claims, "beta = n-3", lemma, "beta = %d" % (n - 3) if lemma else unproved)
+        _claim(
+            claims, "unique abelian ideal of maximal dimension", lemma, "1 found" if lemma else unproved
+        )
+        model = verdict.witness["model"]
+        frame = verdict.witness["frame"]
+        _claim(
+            claims,
+            "frame transports the table onto the model",
+            _is_frame(L, frame, model),
+        )
+        if verdict.case is Case.CASE1_C:
+            _claim(claims, "Lie", is_lie(L))
+            _claim(claims, "3-step solvable", rep.solvable and rep.derived_length == 3)
+            L2 = _derived_subalgebra(rep)
+            _claim(claims, "derived subalgebra has dimension 3", L2.dim == 3)
+            _claim(
+                claims,
+                "derived subalgebra is a heisenberg algebra",
+                L2.dim == 3 and _heisenberg_frame(L, L2) is not None,
+            )
+            _claim(claims, "center has dimension n-3", CL.dim == n - 3)
+            _claim(claims, "the maximal abelian ideal is the center", lemma)
+            _claim(
+                claims,
+                "chi is irreducible",
+                is_irreducible_quadratic(verdict.chi, F),
+                repr(verdict.chi),
+            )
+        elif verdict.case is Case.CASE2_D:
+            _claim(claims, "Lie", is_lie(L))
+            _claim(claims, "not solvable", not rep.solvable)
+            _claim(claims, "center has dimension n-3", CL.dim == n - 3)
+            _claim(claims, "the maximal abelian ideal is the center", lemma)
+            perfect = subspace_sum(_derived_subalgebra(rep), CL).dim == n
+            _claim(claims, "quotient by the center is 3-dim simple", CL.dim == n - 3 and perfect)
+        else:
+            _claim(claims, "3-step solvable", rep.solvable and rep.derived_length == 3)
+            _claim(claims, "nilradical has codimension 1", N.dim == n - 1)
+            _claim(
+                claims,
+                "nilradical is a nilpotent ideal of codimension 1 in a non-nilpotent algebra",
+                is_nilradical,
+            )
+            _claim(
+                claims,
+                "nilradical is heisenberg (+) F^(n-4)",
+                N.dim == n - 1 and _heisenberg_frame(L, N) is not None,
+            )
+            _claim(claims, "the maximal abelian ideal is the nilradical's center", lemma)
+            _claim(
+                claims,
+                "induced action on nilradical / center is irreducible",
+                is_irreducible_quadratic(verdict.chi, F),
+                repr(verdict.chi),
+            )
+
+    # no field this package supports is quadratically closed
+    claims.append(
+        ClaimCheck(
+            "quadratically-closed corollary",
+            "n/a",
+            "field admits irreducible quadratics",
+        )
+    )
+    return TheoremReport(label, alpha_, verdict.case, claims)

@@ -135,9 +135,9 @@ def _request(budget: int):
     """The ledger of one request: scans inside the block, by callees too,
     debit `budget`.  A block opened inside an open one shares the open
     ledger and ignores its own `budget`, so a nested call (`alpha` inside
-    `alpha_beta`, `classify` inside `verify_main_theorem`) scans within
-    what is left of the outer request's budget, as if it had been passed
-    that remainder.  A negative `budget` is a ValueError in every block."""
+    `alpha_beta` or `classify`) scans within what is left of the outer
+    request's budget, as if it had been passed that remainder.  A negative
+    `budget` is a ValueError in every block."""
     if budget < 0:
         raise ValueError("scan budget must be >= 0, got %d" % budget)
     if _budget_left.get(None) is not None:

@@ -37,7 +37,6 @@ from leibniz_algebras.fields import GF, QQ
 from leibniz_algebras.invariants import (
     check_annihilator_bound,
     fitting_decomposition,
-    nilradical,
     series,
 )
 from leibniz_algebras.linalg import (

@@ -14,11 +14,13 @@ from leibniz_algebras.algebra import (
     is_ideal,
     is_lie,
     product_space,
+    quotient,
     subalgebra_table,
 )
 from leibniz_algebras.catalog import (
     heisenberg_rotation_extension,
     nonideal_codim2_example,
+    rotation_2x2,
     standard_fixtures,
 )
 from leibniz_algebras.classify import (
@@ -32,7 +34,7 @@ from leibniz_algebras.classify import (
     solvability_from_codim2_ideal,
     verify_main_theorem,
 )
-from leibniz_algebras.errors import BudgetExceededError, ConsistencyError
+from leibniz_algebras.errors import BudgetExceededError
 from leibniz_algebras.families import (
     abelian_algebra,
     heisenberg,
@@ -45,8 +47,15 @@ from leibniz_algebras.families import (
 )
 from leibniz_algebras.fields import GF, QQ
 from leibniz_algebras.invariants import _trace_kernel, nilradical, series, verify_nilradical_candidate
-from leibniz_algebras.linalg import Matrix, QuadraticPoly, Subspace, gaussian_binomial, is_irreducible_quadratic
-from leibniz_algebras.search import all_abelian_subalgebras, alpha, beta
+from leibniz_algebras.linalg import (
+    Matrix,
+    QuadraticPoly,
+    Subspace,
+    enumerate_subspaces,
+    gaussian_binomial,
+    is_irreducible_quadratic,
+)
+from leibniz_algebras.search import all_abelian_ideals, all_abelian_subalgebras, alpha, beta
 
 from conftest import (
     F2,
@@ -152,8 +161,6 @@ def test_classify_case3_rotation_extension():
     assert N == span(F3, 4, (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     assert beta(L).beta == 1
     # the unique maximal abelian ideal is the center of the nilradical
-    from leibniz_algebras.search import all_abelian_ideals
-
     ideals = all_abelian_ideals(L, 1)
     assert ideals == [span(F3, 4, (0, 0, 1, 0))]
     T = subalgebra_table(L, N)
@@ -542,8 +549,7 @@ def test_verify_disguised_case2_recovers_chi(rng):
 
 @pytest.mark.parametrize("name", sorted(one_budget_algebras()))
 def test_verify_main_theorem_debits_one_budget(monkeypatch, name):
-    # classify, the stratum-(n-3) scan and the last check's scan share one
-    # budget
+    # only the classify call scans, so it spends the request's whole budget
     L = one_budget_algebras()[name]
     report, total = scanned_by(monkeypatch, lambda: verify_main_theorem(L))
     assert report.ok
@@ -552,20 +558,59 @@ def test_verify_main_theorem_debits_one_budget(monkeypatch, name):
         verify_main_theorem(L, budget=total - 1)
 
 
-@pytest.mark.parametrize("name", sorted(one_budget_algebras()))
-def test_verify_main_theorem_scans_one_stratum_past_classify(monkeypatch, name):
-    # classify's scans, stratum n-3 in full, then for Case2_d the quotient's
-    # ideal strata 2 and 1, walked in full as it has none; Case3_e checks
-    # classify's nilradical without a scan
-    L = one_budget_algebras()[name]
-    n, p = L.dim, L.field.p
-    report, total = scanned_by(monkeypatch, lambda: verify_main_theorem(L))
-    verdict, in_classify = scanned_by(monkeypatch, lambda: classify(L))
-    last = 0
-    if verdict.case is Case.CASE2_D:
-        last = gaussian_binomial(3, 2, p) + gaussian_binomial(3, 1, p)
-    assert report.ok
-    assert total == in_classify + gaussian_binomial(n, n - 3, p) + last
+def _n7_algebras():
+    """GF(7) c(rot) (+) F^3 (Case1_c) and rotext (+) F^3 (Case3_e), n = 7:
+    a collect-all abelian-ideal scan of their stratum 4 counts about 16.5
+    billion subspaces."""
+    rot = rotation_2x2(F7)
+    return {
+        "GF7 c(rot)+F^3": direct_sum(make_c(rot, F7), abelian_algebra(3, F7)),
+        "GF7 rotext+F^3": direct_sum(heisenberg_rotation_extension(F7), abelian_algebra(3, F7)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(one_budget_algebras()) + sorted(_n7_algebras()))
+def test_verify_main_theorem_scans_what_classify_scans(monkeypatch, name):
+    # beta, the maximal abelian ideal and Case2_d's simple quotient follow
+    # from structure, so the verifier scans nothing beyond its classify call
+    L = {**one_budget_algebras(), **_n7_algebras()}[name]
+    report, total = scanned_by(monkeypatch, lambda: verify_main_theorem(L, budget=10**15))
+    verdict, in_classify = scanned_by(monkeypatch, lambda: classify(L, budget=10**15))
+    assert report.ok and report.case is verdict.case
+    assert total == in_classify
+
+
+def _center_within(L, N):
+    """The center of the subalgebra N, as a subspace of L."""
+    rows = center(subalgebra_table(L, N)).basis.data
+    return Subspace.from_vectors(L.field, L.dim, [N.basis.apply_row(r) for r in rows])
+
+
+def test_verifier_lemma_matches_the_scans():
+    # the collect-all scans the verifier no longer runs, as the oracle: Z
+    # (the center, or the nilradical's center for Case3_e) is the only
+    # abelian ideal of dimension n-3, stratum n-2 holds none, and Case2_d's
+    # quotient by the center has no ideal of dimension 2 or 1
+    cases = Counter()
+
+    @settings(max_examples=100)
+    @given(family_algebras((F3, F5, F7)))
+    def check(L):
+        n, F = L.dim, L.field
+        report = verify_main_theorem(L)
+        assume(report.case in (Case.CASE1_C, Case.CASE2_D, Case.CASE3_E))
+        assert report.ok
+        Z = center(L) if report.case is not Case.CASE3_E else _center_within(L, nilradical(L))
+        assert all_abelian_ideals(L, n - 3) == [Z]
+        assert all_abelian_ideals(L, n - 2) == []
+        if report.case is Case.CASE2_D:
+            Q, _ = quotient(L, center(L))
+            ideals = [V for d in (2, 1) for V in enumerate_subspaces(3, d, F) if is_ideal(Q, V)]
+            assert Q.dim == 3 and ideals == []
+        cases[report.case] += 1
+
+    check()
+    assert set(cases) == {Case.CASE1_C, Case.CASE2_D, Case.CASE3_E}
 
 
 def test_series_is_computed_once_per_table(monkeypatch):

@@ -1,4 +1,5 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package, and every test module, uses every name it
+imports.
 
 A name counts as used when the module reads it, lists it in its own
 `__all__`, or the package's `__init__.py` imports it from that module (a
@@ -9,12 +10,14 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "leibniz_algebras"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "leibniz_algebras"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
+TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
 
 
-def _tree(name):
-    return ast.parse((PACKAGE / name).read_text(), filename=name)
+def _tree(name, root=PACKAGE):
+    return ast.parse((root / name).read_text(), filename=name)
 
 
 def _imported(tree):
@@ -52,6 +55,7 @@ def _reexports():
 
 def test_every_module_is_checked():
     assert {"__init__.py", "invariants.py", "selftest.py", "search.py"} <= set(MODULES)
+    assert {"conftest.py", "test_classify.py", "test_imports.py"} <= set(TEST_MODULES)
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -61,3 +65,9 @@ def test_module_uses_every_name_it_imports(module):
     tree = _tree(module)
     exported = {name for m, name in _reexports() if module in (m, "__init__.py")}
     assert sorted(_imported(tree) - _used(tree) - exported) == []
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_test_module_uses_every_name_it_imports(module):
+    tree = _tree(module, TESTS)
+    assert sorted(_imported(tree) - _used(tree)) == []
