@@ -296,57 +296,27 @@ def left_annihilator(L: AlgebraTable) -> Subspace:
     return _stacked_action_kernel(L, rows)
 
 
-def centralizer(L: AlgebraTable, A: Subspace) -> Subspace:
-    """{x : [x, a] = [a, x] = 0 for all a in A}."""
+def _actions(L: AlgebraTable, A: Subspace) -> list[Matrix]:
+    """The matrices of x -> [a, x] and x -> [x, a] for each basis row a of A."""
     _check_subspace(L, A)
-    F = L.field
-    n = L.dim
-    rows = []
-    for a in A.basis.data:
-        for k in range(n):
-            rows.append(
-                [_sum(F, (F.mul(a[j], L.c[i][j][k]) for j in range(n))) for i in range(n)]
-            )
-            rows.append(
-                [_sum(F, (F.mul(a[j], L.c[j][i][k]) for j in range(n))) for i in range(n)]
-            )
-    return _stacked_action_kernel(L, rows)
+    return [mult_operator(L, a, side).matrix for a in A.basis.data for side in ("left", "right")]
+
+
+def centralizer(L: AlgebraTable, A: Subspace) -> Subspace:
+    """{x : [x, a] = [a, x] = 0 for all a in A}, the joint kernel of the
+    actions of A's basis rows."""
+    return _stacked_action_kernel(L, [row for m in _actions(L, A) for row in m.data])
 
 
 def normalizer(L: AlgebraTable, A: Subspace) -> Subspace:
-    """{x : [x, A] + [A, x] <= A}; requires A to be a subalgebra."""
+    """{x : [x, A] + [A, x] <= A}; requires A to be a subalgebra.  Each
+    functional f vanishing on A gives, with each action m, the condition
+    f(m x) = 0, the row f @ m."""
     _check_subspace(L, A)
     if not is_subalgebra(L, A):
         raise ValueError("normalizer requires a subalgebra")
-    F = L.field
-    n = L.dim
-    funcs = A.complement_functionals()
-    rows = []
-    for a in A.basis.data:
-        # columns i of the maps x -> [x, a] and x -> [a, x]
-        left_cols = [
-            [_sum(F, (F.mul(a[j], L.c[i][j][k]) for j in range(n))) for k in range(n)]
-            for i in range(n)
-        ]
-        right_cols = [
-            [_sum(F, (F.mul(a[j], L.c[j][i][k]) for j in range(n))) for k in range(n)]
-            for i in range(n)
-        ]
-        for f in funcs.data:
-            rows.append([_dotvec(F, f, left_cols[i]) for i in range(n)])
-            rows.append([_dotvec(F, f, right_cols[i]) for i in range(n)])
-    return _stacked_action_kernel(L, rows)
-
-
-def _sum(F: FieldSpec, items):
-    acc = F.zero
-    for x in items:
-        acc = F.add(acc, x)
-    return acc
-
-
-def _dotvec(F: FieldSpec, u, v):
-    return _sum(F, (F.mul(a, b) for a, b in zip(u, v)))
+    funcs = A.complement_functionals().data
+    return _stacked_action_kernel(L, [m.apply_row(f) for m in _actions(L, A) for f in funcs])
 
 
 def product_space(L: AlgebraTable, U: Subspace, V: Subspace) -> Subspace:

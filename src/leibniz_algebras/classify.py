@@ -50,7 +50,7 @@ from .algebra import (
     subalgebra_table,
 )
 from .errors import ConsistencyError, FamilyParameterError, NoAbelianIdealError
-from .families import abelian_algebra, heisenberg_plus_abelian, make_c, make_d, make_e
+from .families import abelian_algebra, make_c, make_d, make_e
 from .fields import FieldSpec
 from .invariants import SeriesReport, _is_nilpotent_subalgebra, nilradical, series
 from .linalg import (
@@ -110,17 +110,13 @@ def canonical_quadratic(F: FieldSpec, q: QuadraticPoly) -> QuadraticPoly:
     This rescaling is exactly the effect of replacing the extracted generator
     by a scalar multiple, so the canonical form is a basis-free diagnostic.
     """
-    if F.is_prime_field:
-        best = None
-        for s in range(1, F.p):
-            cand = (F.mul(F.of(s), q.c1), F.mul(F.of(s * s), q.c0))
-            if best is None or cand < best:
-                best = cand
-        return QuadraticPoly(*best)
     c1, c0 = q.c1, q.c0
     if c1 != 0:
+        # s = 1/c1 is the one s giving the least first coordinate, 1
         s = F.inv(c1)
         return QuadraticPoly(F.one, F.mul(F.mul(s, s), c0))
+    if F.is_prime_field:
+        return QuadraticPoly(F.zero, min(F.mul(F.of(s * s), c0) for s in range(1, F.p)))
     if c0 == 0:
         return QuadraticPoly(F.zero, F.zero)
     sign = 1 if c0 > 0 else -1
@@ -150,8 +146,19 @@ def _heisenberg_frame(L: AlgebraTable, W: Subspace) -> list[tuple] | None:
     heisenberg (+) F^k form: [u, w] = z with z and the f's central in W.
 
     None when W is not heisenberg (+) F^(dim-3), tested structurally: Lie,
-    with a derived space of dimension 1 inside a center of dimension dim-2
-    (which makes it nilpotent of class <= 2)."""
+    with a derived space span(z) of dimension 1 inside a center C of
+    dimension dim-2 (which makes it nilpotent of class <= 2).
+
+    The frame is then written down, in W's RREF coordinates: u is the first
+    basis vector outside C, w the first basis vector e_s with [u, e_s] = c*z,
+    c != 0, scaled by 1/c, and the f's extend z to a basis of C.  Every
+    bracket is a multiple of z, and a Lie algebra's left and right centers
+    agree, so such an s exists.  The rows are a basis: if a*u + b*w lies in
+    C, bracketing with u gives b*z = 0, so b = 0, and then a = 0 as u is
+    outside C.  In this basis [u, w] = -[w, u] = z, [u, u] = [w, w] = 0 by
+    the Lie property, and z and the f's are central: the table is the
+    model's.  `_match_case1` and `_match_case3` check whole frames that
+    contain these products."""
     m = W.dim
     if m < 3:
         return None
@@ -163,26 +170,12 @@ def _heisenberg_frame(L: AlgebraTable, W: Subspace) -> list[tuple] | None:
     if T2.dim != 1 or CT.dim != m - 2 or not CT.contains(T2):
         return None
     F = L.field
-    z_t = T2.basis.data[0]
-    zspan = Subspace.from_vectors(F, m, [z_t])
-    fs_t = _extend_line(zspan, CT)
-    for r in range(m):
-        for s in range(m):
-            if r == s:
-                continue
-            q = _bracket(T, T.basis_vector(r), T.basis_vector(s))
-            coords = zspan.coordinates(q)
-            if coords is None or coords[0] == F.zero:
-                continue
-            u_t = T.basis_vector(r)
-            w_t = tuple(F.mul(F.inv(coords[0]), x) for x in T.basis_vector(s))
-            rows_t = [u_t, w_t, z_t] + fs_t
-            if Subspace.from_vectors(F, m, rows_t).dim != m:
-                continue
-            if not _is_frame(T, Matrix(F, rows_t), heisenberg_plus_abelian(m - 3, F)):
-                raise ConsistencyError("heisenberg frame does not reproduce the model table")
-            return [W.basis.apply_row(row) for row in rows_t]
-    raise ConsistencyError("no heisenberg frame found in the given subalgebra")
+    u_t = T.basis_vector(_least_index_outside(T, CT))
+    w_t = next(e for e in map(T.basis_vector, range(m)) if any(_bracket(T, u_t, e)))
+    (c,) = T2.coordinates(_bracket(T, u_t, w_t))
+    rows_t = [u_t, tuple(F.mul(F.inv(c), x) for x in w_t), T2.basis.data[0]]
+    rows_t += _extend_line(T2, CT)
+    return [W.basis.apply_row(row) for row in rows_t]
 
 
 def _extend_line(line: Subspace, C: Subspace) -> list[tuple]:
@@ -234,7 +227,18 @@ def _match_case1(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     matching  c(m) (+) F^(n-4);  m read off the action of the complement
     generator on span(u, w), and chi = det(t - m) irreducible.  A reducible
     chi returns {"abelian_ideal": W} instead: the center plus an eigenline
-    of m, an abelian ideal of codimension 2."""
+    of m, an abelian ideal of codimension 2.
+
+    With chi irreducible, L has no abelian ideal of codimension <= 2, which
+    the QQ path of `classify` relies on without a scan.  z lies in C(L), so
+    N = [L, L] + C(L) is heisenberg (+) F^(n-4), a nilpotent ideal of
+    codimension 1 whose center is C(L).  L is not nilpotent, as m is
+    invertible, so N is the nilradical and holds every abelian ideal A; N
+    is not abelian, so A has dimension at most n-2, the largest dimension
+    of an abelian subalgebra of N.  A + C(L) is abelian, so an A of
+    dimension n-2 contains C(L) and gives a line A / C(L) in the plane
+    N / C(L), spanned by the images of u and w, that the generator leaves
+    invariant; an irreducible m has no such line."""
     F = L.field
     n = L.dim
     if not (lie and rep.solvable and rep.derived_length == 3):
@@ -372,7 +376,16 @@ def _match_case3(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     heisenberg (+) F^(n-4), and the outside generator x acting irreducibly on
     N / C(N).  Frame (x, u, w, z, f..) matching  e(phi, theta, v, n).  A
     reducible action returns {"abelian_ideal": W} instead: C(N) plus an
-    eigenline of the action, an abelian ideal of codimension 2."""
+    eigenline of the action, an abelian ideal of codimension 2.
+
+    With an irreducible action, L has no abelian ideal of codimension <= 2,
+    which the QQ path of `classify` relies on without a scan: an abelian
+    ideal A is a nilpotent ideal, so it lies in the nilradical N, which is
+    not abelian, so A has dimension at most n-2, the largest dimension of
+    an abelian subalgebra of heisenberg (+) F^(n-4).  A + C(N) is abelian,
+    so an A of dimension n-2 contains C(N) and gives a line A / C(N) in the
+    plane N / C(N) that x leaves invariant; an irreducible action has no
+    such line."""
     F = L.field
     n = L.dim
     if not rep.solvable or N.dim != n - 1:

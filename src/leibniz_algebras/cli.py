@@ -194,7 +194,8 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
-def _cmd_alpha_beta(args, which: str) -> int:
+def _cmd_alpha_beta(args) -> int:
+    which = args.command
     L = _load_algebra(args.file, args.lenient)
     res = (
         alpha(L, args.budget)
@@ -472,29 +473,33 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--budget", type=_budget, default=DEFAULT_SCAN_BUDGET, help="search budget (>= 0)")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, help_):
-        return sub.add_parser(name, help=help_)
+    def add(name, help_, handler):
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = add("check", "Leibniz / Lie / squares-span report")
+    p = add("check", "Leibniz / Lie / squares-span report", _cmd_check)
     p.add_argument("file")
 
-    p = add("invariants", "series, center, annihilator, optional nilradical")
+    p = add("invariants", "series, center, annihilator, optional nilradical", _cmd_invariants)
     p.add_argument("file")
-    p.add_argument("--scan", action="store_true", help="include the nilradical")
+    p.add_argument("--scan", action="store_true",
+                   help="include the dimension of the exact nilradical (nothing is scanned)")
 
     for which in ("alpha", "beta"):
-        p = add(which, "exhaustive abelian %s scan" % ("subalgebra" if which == "alpha" else "ideal"))
+        p = add(which, "exhaustive abelian %s scan" % ("subalgebra" if which == "alpha" else "ideal"),
+                _cmd_alpha_beta)
         p.add_argument("file")
 
-    p = add("classify", "decide the classification branch")
+    p = add("classify", "decide the classification branch", _cmd_classify)
     p.add_argument("file")
     p.add_argument("--witness", help="abelian codim-2 subalgebra, vectors 'a,b,..;c,d,..'")
     p.add_argument("--nilradical", help="nilradical candidate, checked against the exact nilradical")
 
-    p = add("verify-theorem", "check every claim of the branch classify matched")
+    p = add("verify-theorem", "check every claim of the branch classify matched", _cmd_verify_theorem)
     p.add_argument("file")
 
-    p = add("make", "construct a family instance and emit its document")
+    p = add("make", "construct a family instance and emit its document", _cmd_make)
     p.add_argument("--family", required=True,
                    choices=["a", "b", "c", "d", "e", "heisenberg", "oscillator", "abelian",
                             "nonideal-example", "rotation-extension"])
@@ -510,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plus-abelian", type=int, default=0, metavar="K")
     p.add_argument("-o", "--output")
 
-    p = add("random", "seeded random family instance, optionally disguised")
+    p = add("random", "seeded random family instance, optionally disguised", _cmd_random)
     p.add_argument("--family", required=True,
                    choices=["a", "b", "c", "d", "e", "heisenberg", "oscillator", "abelian"])
     p.add_argument("--field", required=True)
@@ -520,24 +525,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis-change", action="store_true")
     p.add_argument("-o", "--output")
 
-    p = add("iso", "brute-force isomorphism search between two documents")
+    p = add("iso", "brute-force isomorphism search between two documents", _cmd_iso)
     p.add_argument("file1")
     p.add_argument("file2")
 
-    p = add("fitting", "split L = L0 (+) L1 under an abelian subalgebra")
+    p = add("fitting", "split L = L0 (+) L1 under an abelian subalgebra", _cmd_fitting)
     p.add_argument("file")
     p.add_argument("--witness", required=True)
 
-    p = add("quotient", "quotient by a two-sided ideal")
+    p = add("quotient", "quotient by a two-sided ideal", _cmd_quotient)
     p.add_argument("file")
     p.add_argument("--ideal", required=True)
     p.add_argument("-o", "--output")
 
-    p = add("solvability", "confirm solvability from an abelian codim-2 ideal")
+    p = add("solvability", "confirm solvability from an abelian codim-2 ideal", _cmd_solvability)
     p.add_argument("file")
     p.add_argument("--witness")
 
-    p = add("selftest", "run the condensed property suites")
+    p = add("selftest", "run the condensed property suites", _cmd_selftest)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fast", action="store_true")
 
@@ -557,33 +562,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "invariants":
-            return _cmd_invariants(args)
-        if args.command == "alpha":
-            return _cmd_alpha_beta(args, "alpha")
-        if args.command == "beta":
-            return _cmd_alpha_beta(args, "beta")
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "verify-theorem":
-            return _cmd_verify_theorem(args)
-        if args.command == "make":
-            return _cmd_make(args)
-        if args.command == "random":
-            return _cmd_random(args)
-        if args.command == "iso":
-            return _cmd_iso(args)
-        if args.command == "fitting":
-            return _cmd_fitting(args)
-        if args.command == "quotient":
-            return _cmd_quotient(args)
-        if args.command == "solvability":
-            return _cmd_solvability(args)
-        if args.command == "selftest":
-            return _cmd_selftest(args)
-        raise UsageError("unknown command %r" % args.command)
+        return args.handler(args)
     except BudgetExceededError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return 3

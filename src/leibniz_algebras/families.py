@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .algebra import (
     AlgebraTable,
-    bracket,
+    _bracket,
     center,
     direct_sum,
     leibniz_failure,
@@ -210,8 +210,8 @@ def is_left_derivation(H: AlgebraTable, phi: Matrix) -> bool:
         for j in range(n):
             ej = H.basis_vector(j)
             lhs = phi.apply_col(H.c[i][j])
-            r1 = bracket(H, phi.apply_col(ei), ej)
-            r2 = bracket(H, ei, phi.apply_col(ej))
+            r1 = _bracket(H, phi.apply_col(ei), ej)
+            r2 = _bracket(H, ei, phi.apply_col(ej))
             if any(a != F.add(b, c) for a, b, c in zip(lhs, r1, r2)):
                 return False
     return True

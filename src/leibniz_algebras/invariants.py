@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .algebra import (
     AlgebraTable,
-    _bracket,
     _check_subspace,
     _stacked_action_kernel,
     is_abelian_subspace,
@@ -137,29 +136,6 @@ def fitting_decomposition(L: AlgebraTable, A: Subspace) -> FittingSplit:
     if product_space(L, A, L1) != L1:
         raise ConsistencyError("[A, L1] != L1 after stabilization")
     return FittingSplit(L0, L1)
-
-
-def ideal_closure(L: AlgebraTable, S: Subspace) -> Subspace:
-    """Least two-sided ideal containing S.
-
-    Each vector is bracketed once, when it enters the frontier, with every
-    basis vector on both sides; a bracket outside the current span joins
-    both the span and the frontier.  Every vector spanning the result has
-    then been bracketed into it, so the result is an ideal.
-    """
-    _check_subspace(L, S)
-    F, n = L.field, L.dim
-    basis = [L.basis_vector(j) for j in range(n)]
-    W, frontier = S, list(S.basis.data)
-    while frontier and W.dim < n:
-        v = frontier.pop()
-        for e in basis:
-            for w in (_bracket(L, v, e), _bracket(L, e, v)):
-                r = W._reduce(w)
-                if any(r):
-                    W = Subspace._span(F, n, [*W.basis.data, r])
-                    frontier.append(r)
-    return W
 
 
 def _is_nilpotent_subalgebra(L: AlgebraTable, U: Subspace) -> bool:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from leibniz_algebras import algebra
@@ -39,7 +41,7 @@ from leibniz_algebras.families import (
 )
 from leibniz_algebras.fields import QQ
 from leibniz_algebras.invariants import series
-from leibniz_algebras.linalg import Matrix, Subspace
+from leibniz_algebras.linalg import Matrix, Subspace, enumerate_subspaces
 
 from conftest import F3, rand_invertible
 
@@ -135,6 +137,39 @@ def test_centralizer_and_normalizer():
     assert normalizer(L, I).dim == 4
     with pytest.raises(ValueError):
         normalizer(L, span(QQ, 4, (1, 0, 0, 0), (0, 1, 0, 0)))
+
+
+def test_centralizer_and_normalizer_match_brute_force():
+    # every x in GF(3)^n, against the lines, the hyperplanes and the center,
+    # squares ideal and derived algebra of each fixture; the normalizer only
+    # where the subspace is a subalgebra
+    for L in standard_fixtures(F3, max_dim=4):
+        n = L.dim
+        xs = list(itertools.product(range(3), repeat=n))
+        products = {(x, y): bracket(L, x, y) for x in xs for y in xs}
+        zero = L.zero_vector()
+        full = L.full_space()
+        candidates = [
+            Subspace.zero(F3, n), full, center(L), squares_ideal(L), product_space(L, full, full),
+            *enumerate_subspaces(n, 1, F3), *enumerate_subspaces(n, n - 1, F3),
+        ]
+        for A in candidates:
+            rows = A.basis.data
+            C = {x for x in xs if all(products[x, a] == zero == products[a, x] for a in rows)}
+            assert C == set(elements(centralizer(L, A)))
+            members = set(elements(A))
+            if all(products[a, b] in members for a in rows for b in rows):
+                N = {x for x in xs if all({products[x, a], products[a, x]} <= members for a in rows)}
+                assert N == set(elements(normalizer(L, A)))
+
+
+def elements(U):
+    """Every vector of a subspace of GF(3)^n."""
+    for coefs in itertools.product(range(3), repeat=U.dim):
+        yield tuple(
+            sum(c * row[j] for c, row in zip(coefs, U.basis.data)) % 3
+            for j in range(U.ambient_dim)
+        )
 
 
 def test_centralizer_inside_normalizer_for_abelian():

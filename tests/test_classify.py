@@ -94,6 +94,17 @@ def test_canonical_quadratic_gf():
     assert (q.c1, q.c0) == (0, 1)  # 4 = 2^2 * 1
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_canonical_quadratic_is_the_least_rescaling(p):
+    # the definition: the least (s*c1, s^2*c0) over every nonzero s
+    F = GF(p)
+    for c1 in range(p):
+        for c0 in range(p):
+            least = min((s * c1 % p, s * s * c0 % p) for s in range(1, p))
+            q = canonical_quadratic(F, QuadraticPoly(c1, c0))
+            assert (q.c1, q.c0) == least
+
+
 def test_canonical_quadratic_qq():
     q = canonical_quadratic(QQ, QuadraticPoly(QQ.of(3), QQ.of(18)))
     assert (q.c1, q.c0) == (1, 2)

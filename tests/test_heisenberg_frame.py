@@ -13,9 +13,13 @@ Left out where the reference is too slow for a test: heisenberg (+) F^k
 of dimension 5 over GF(3) and 4 over GF(5), on which `iso_search` needs
 more than 300,000 nodes for about half of the basis changes, and with them
 the 4-dim fixture subalgebras over GF(5).
+
+The frame itself is written down in closed form; on the same algebras it
+is compared with the frame of a search over pairs of basis vectors.
 """
 
 import functools
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -23,15 +27,18 @@ from hypothesis import strategies as st
 
 from leibniz_algebras.algebra import (
     AlgebraTable,
+    bracket,
+    center,
     change_of_basis,
     direct_sum,
     product_space,
     subalgebra_table,
 )
 from leibniz_algebras.catalog import standard_fixtures
-from leibniz_algebras.classify import _heisenberg_frame
+from leibniz_algebras.classify import _extend_line, _heisenberg_frame
 from leibniz_algebras.families import abelian_algebra, heisenberg_plus_abelian
 from leibniz_algebras.invariants import nilradical
+from leibniz_algebras.linalg import Matrix, Subspace
 from leibniz_algebras.search import iso_search
 
 from conftest import F3, F5, rand_invertible
@@ -90,3 +97,38 @@ def test_heisenberg_frame_matches_iso_search():
 
     check()
     assert reached == {True, False}
+
+
+def searched_frame(T):
+    """The first frame of a search over pairs (r, s) of basis vectors with
+    [e_r, e_s] = c*z, c != 0: rows e_r, e_s / c, z and the rows of the
+    center that extend z, kept if they are a basis carrying T onto the
+    model table."""
+    F, m = T.field, T.dim
+    full = T.full_space()
+    Z = product_space(T, full, full)
+    fs = _extend_line(Z, center(T))
+    model = heisenberg_plus_abelian(m - 3, F)
+    for r, s in itertools.permutations(range(m), 2):
+        coords = Z.coordinates(bracket(T, T.basis_vector(r), T.basis_vector(s)))
+        if coords is None or coords[0] == F.zero:
+            continue
+        w = tuple(F.mul(F.inv(coords[0]), x) for x in T.basis_vector(s))
+        rows = [T.basis_vector(r), w, Z.basis.data[0], *fs]
+        if Subspace.from_vectors(F, m, rows).dim == m:
+            if change_of_basis(T, Matrix(F, rows)) == model:
+                return rows
+    return None
+
+
+def test_heisenberg_frame_is_the_searched_frame():
+    positives = 0
+    for name, T in sorted(algebras().items()):
+        F, m = T.field, T.dim
+        for seed in range(8):
+            M = change_of_basis(T, rand_invertible(F, m, random.Random(seed)))
+            frame = _heisenberg_frame(M, M.full_space())
+            if frame is not None:
+                assert frame == searched_frame(M), (name, seed)
+                positives += 1
+    assert positives

@@ -1,9 +1,11 @@
 """Every module of the package, and every test module, uses every name it
-imports.
+imports, and the package refers to every function and class it defines.
 
 A name counts as used when the module reads it, lists it in its own
 `__all__`, or the package's `__init__.py` imports it from that module (a
-re-export)."""
+re-export).  A module-level function or class without decorators counts as
+referred to when a statement of the package other than its own definition
+reads it, as a name or an attribute, imports it or lists it in `__all__`."""
 
 import ast
 from pathlib import Path
@@ -31,15 +33,20 @@ def _imported(tree):
     return names
 
 
+def _dunder_all(tree):
+    """The strings of the module's `__all__`."""
+    return {
+        elt.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+
+
 def _used(tree):
     """The names the module reads, and the strings of its `__all__`."""
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            names.update(elt.value for elt in node.value.elts)
-    return names
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _dunder_all(tree)
 
 
 def _reexports():
@@ -71,3 +78,30 @@ def test_module_uses_every_name_it_imports(module):
 def test_test_module_uses_every_name_it_imports(module):
     tree = _tree(module, TESTS)
     assert sorted(_imported(tree) - _used(tree)) == []
+
+
+def _refs(node):
+    """The names a statement reads, as names or attributes, imports or
+    lists in `__all__`."""
+    names = _dunder_all(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(a.name for a in sub.names)
+    return names
+
+
+def test_package_refers_to_every_function_and_class_it_defines():
+    # (module, statement) -> the names that top-level statement refers to
+    refs = {(module, stmt): _refs(stmt) for module in MODULES for stmt in _tree(module).body}
+    unreferenced = [
+        "%s:%s" % (module, stmt.name)
+        for (module, stmt) in refs
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.decorator_list
+        and not any(stmt.name in names for key, names in refs.items() if key != (module, stmt))
+    ]
+    assert unreferenced == []
