@@ -120,6 +120,27 @@ def canonical_subspaces(n: int, p: int, d: int, row_values=None):
         offset += below[0] * p ** len(free[0])
 
 
+def _canonical_index(n: int, p: int, pivots, rows) -> int:
+    """The index `canonical_subspaces(n, p, len(pivots))` yields with the
+    subspace whose RREF basis is `rows`, with pivot columns `pivots`.
+
+    Each pivot set before `pivots` holds p^f subspaces, f its number of
+    free entries, d(n-d) - sum_r (piv[r] - r); within the pivot set the
+    free entries, read row-major, are the index's base-p digits."""
+    d, pivots = len(pivots), tuple(pivots)
+    offset = 0
+    for piv in itertools.combinations(range(n), d):
+        if piv == pivots:
+            break
+        offset += p ** (d * (n - d) - sum(c - r for r, c in enumerate(piv)))
+    rank = 0
+    for r, row in enumerate(rows):
+        for c in range(pivots[r] + 1, n):
+            if c not in pivots:
+                rank = rank * p + row[c]
+    return offset + rank
+
+
 def _lex_solutions(columns, target, p):
     """Every x in GF(p)^f with sum_j x[j] * columns[j] == target (mod p), in
     lexicographic order.

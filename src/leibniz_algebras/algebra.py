@@ -263,12 +263,14 @@ def mult_operator(L: AlgebraTable, x: Sequence, side: str = "left") -> MultOpera
 
 def _stacked_action_kernel(L: AlgebraTable, conditions) -> Subspace:
     """Joint kernel of a family of linear conditions on x, each condition a row
-    of coefficients over the x-coordinates."""
-    F = L.field
+    of coefficients over the x-coordinates, already in L's field."""
+    F, n = L.field, L.dim
     if not conditions:
-        return Subspace.full(F, L.dim)
-    ker = Matrix(F, conditions).kernel_basis()
-    return Subspace._span(F, L.dim, ker.data)
+        return Subspace.full(F, n)
+    # kernel_basis rows are in RREF: the subspace's canonical basis
+    ker = Matrix._canonical(F, conditions, n).kernel_basis()
+    pivots = [next(c for c, x in enumerate(row) if x) for row in ker.data]
+    return Subspace(F, n, ker, pivots)
 
 
 def center(L: AlgebraTable) -> Subspace:

@@ -63,8 +63,7 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from .search import DEFAULT_SCAN_BUDGET, _first_hit, _request, alpha
-from ._kernel import MODE_ABELIAN, MODE_IDEAL
+from .search import DEFAULT_SCAN_BUDGET, _first_abelian_ideal, _request, alpha
 
 
 class Case(Enum):
@@ -467,15 +466,18 @@ def classify(
 ) -> ClassificationVerdict:
     """Classify an algebra whose maximal abelian subalgebra has codimension 2.
 
-    Over a prime field everything is searched exhaustively, in one request
-    whose `budget` bounds the subspaces scanned: alpha, then, when alpha =
-    n-2, the abelian ideals of dimension n-2 (strata n and n-1 hold no
-    abelian subalgebra), then the nilradical, which scans nothing.  Over the
-    rationals a codimension-2 abelian subalgebra witness A is required and
-    alpha = n-2 is assumed, not checked; an abelian ideal is looked for
-    among A and center(L) + [L, L], then the exact nilradical
-    (`invariants.nilradical`) and the matchers decide, and every reported
-    structure is checked.  A supplied nilradical candidate
+    Over a prime field everything is decided exhaustively, in one request
+    whose `budget` bounds the subspaces counted: alpha, by a walk, then,
+    when alpha = n-2, the abelian ideals of dimension n-2.  Strata n and
+    n-1 hold no abelian subalgebra, so every abelian ideal of dimension n-2
+    contains the center and lies in the trace kernel, and only the
+    subspaces between the two are tested (`search._first_abelian_ideal`);
+    the stratum is debited as a walk of it would count.  The nilradical
+    counts nothing.  Over the rationals a codimension-2 abelian subalgebra
+    witness A is required and alpha = n-2 is assumed, not checked; an
+    abelian ideal is looked for among A and center(L) + [L, L], then the
+    exact nilradical (`invariants.nilradical`) and the matchers decide, and
+    every reported structure is checked.  A supplied nilradical candidate
     is checked once, whatever the verdict: it must equal the exact
     nilradical, or ValueError is raised.  A negative budget is a ValueError
     over either field.
@@ -504,7 +506,7 @@ def classify(
             ideal_witness = None
         elif F.is_prime_field:
             # alpha = n-2: strata n and n-1 hold no abelian subalgebra
-            ideal_witness = _first_hit(L, (n - 2,), MODE_ABELIAN | MODE_IDEAL)[1]
+            ideal_witness = _first_abelian_ideal(L, (n - 2,))[1]
         else:
             ideal_witness = _codim2_abelian_ideal_qq(L, A)
         if nilradical_candidate is not None or (applicable and ideal_witness is None):
@@ -566,9 +568,10 @@ def solvability_from_codim2_ideal(
     L: AlgebraTable, witness: Subspace | None = None, budget: int = DEFAULT_SCAN_BUDGET
 ) -> bool:
     """Confirm solvability with derived length <= 3 for an algebra possessing
-    an abelian ideal of codimension <= 2 (witness supplied or found by
-    scanning strata n, n-1 and n-2 in one request).  A negative budget is a
-    ValueError, with or without a witness."""
+    an abelian ideal of codimension <= 2 (witness supplied or, over GF(p),
+    found by `search._first_abelian_ideal` in strata n, n-1 and n-2, top
+    down, in one request that debits what a walk of them would count).  A
+    negative budget is a ValueError, with or without a witness."""
     require_leibniz(L)
     if witness is not None:
         if witness.codim > 2 or not is_abelian_subspace(L, witness) or not is_ideal(L, witness):
@@ -578,7 +581,7 @@ def solvability_from_codim2_ideal(
     with _request(budget):
         if witness is None:
             n = L.dim
-            witness = _first_hit(L, range(n, max(n - 3, -1), -1), MODE_ABELIAN | MODE_IDEAL)[1]
+            witness = _first_abelian_ideal(L, range(n, max(n - 3, -1), -1))[1]
             if witness is None:
                 raise NoAbelianIdealError("no abelian ideal of codimension <= 2 exists")
     rep = series(L)
@@ -616,7 +619,7 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
     """Check every claim of the branch `classify` matched, from its answer.
 
     Outside AbelianIdealCodimLe2, `classify` found alpha = n-2 and, by an
-    exhaustive scan, no abelian ideal of dimension n-2.  Lemma: let Z be an
+    exhaustive search, no abelian ideal of dimension n-2.  Lemma: let Z be an
     abelian ideal of dimension n-3 that centralizes every abelian ideal;
     then beta = n-3 and Z is the only abelian ideal of that dimension, as
     for an abelian ideal I, I + Z is an abelian ideal of dimension <= n-3,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .algebra import (
     AlgebraTable,
     _check_subspace,
-    _stacked_action_kernel,
     is_abelian_subspace,
     is_ideal,
     is_subalgebra,
@@ -25,7 +24,7 @@ from .algebra import (
 )
 from .errors import ConsistencyError
 from .linalg import Matrix, Subspace, subspace_intersect, subspace_sum
-from .search import _trace_functionals
+from .search import _trace_kernel
 
 
 @dataclass(frozen=True)
@@ -155,10 +154,10 @@ def nilradical(L: AlgebraTable) -> Subspace:
 
     First the trace form.  Let K be the common kernel of the functionals
     x -> Tr(M_x W), M in {L, R}, W in {1, L_e_j, R_e_j}, that the
-    abelian-ideal scans already use (`search._trace_functionals`).  Every
-    nilpotent ideal lies in K, in every characteristic (see `search`), so
-    N <= K; when K is itself an ideal and nilpotent, K <= N, and K is the
-    nilradical.
+    abelian-ideal searches already use (`search._trace_kernel`, cached on
+    L).  Every nilpotent ideal lies in K, in every characteristic (see
+    `search`), so N <= K; when K is itself an ideal and nilpotent, K <= N,
+    and K is the nilradical.
 
     Otherwise N = {x : L_x in Rad(E)}, E the unital associative algebra
     generated by the L_e_j (`_envelope_radical`), in every characteristic.
@@ -189,12 +188,6 @@ def nilradical(L: AlgebraTable) -> Subspace:
         if is_ideal(L, N) and _is_nilpotent_subalgebra(L, N):
             return N
     raise ConsistencyError("the pullback of the envelope's radical is not a nilpotent ideal")
-
-
-def _trace_kernel(L: AlgebraTable) -> Subspace:
-    """The common kernel of `search._trace_functionals`; it holds every
-    nilpotent ideal."""
-    return _stacked_action_kernel(L, _trace_functionals(L))
 
 
 def _envelope_radical(L: AlgebraTable) -> Subspace:

@@ -190,23 +190,29 @@ class Matrix:
         return self.rref()[1]
 
     def kernel_basis(self) -> "Matrix":
-        """Basis (rows, RREF-canonical) of {v : self @ v = 0}, v a column vector."""
+        """Basis (rows, RREF-canonical) of {v : self @ v = 0}, v a column vector.
+
+        One elimination, on the columns in reverse order: each row's pivot
+        is then its rightmost nonzero column pc, and the vector v_f of a
+        free column f (1 at f, 0 at the other free columns, -row[f] at the
+        pivot pc of each row) has its other nonzero entries at pivots
+        pc > f.  So the v_f, by increasing f, are the kernel's RREF basis."""
         F = self.field
-        red, rank, pivots = rref_with_pivots(self)
         n = self.cols
+        flipped = Matrix._canonical(F, [row[::-1] for row in self.data], n)
+        red, _, pivots = rref_with_pivots(flipped)
+        pivots = [n - 1 - pc for pc in pivots]
         pivset = set(pivots)
-        free = [j for j in range(n) if j not in pivset]
         basis = []
-        for f in free:
+        for f in range(n):
+            if f in pivset:
+                continue
             v = [F.zero] * n
             v[f] = F.one
-            for r, pc in enumerate(pivots):
-                v[pc] = F.neg(red.data[r][f])
+            for row, pc in zip(red.data, pivots):
+                v[pc] = F.neg(row[n - 1 - f])
             basis.append(v)
-        if not basis:
-            return Matrix._canonical(F, [], n)
-        red2, rank2, _ = rref_with_pivots(Matrix._canonical(F, basis, n))
-        return Matrix._canonical(F, red2.data[:rank2], n)
+        return Matrix._canonical(F, basis, n)
 
     def solve_row(self, target: Sequence) -> tuple | None:
         """Solve x @ self = target for a row vector x, or None."""

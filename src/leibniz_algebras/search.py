@@ -2,29 +2,37 @@
 dimensions (with witnesses), subalgebra maximality, and brute-force
 isomorphism search.
 
-Every subspace scan runs through the one kernel in `_scan_py` and follows
-its canonical order (pivot-column sets lexicographically, then free
-entries), so reported dimensions and witnesses are deterministic; witnesses
-are the first (lexicographically least) hits at the maximal dimension.
-Budgets count subspaces in that order, those the kernel's cuts skip
-included, so a full stratum costs its Gaussian binomial.
+Every search follows the canonical order of subspaces (pivot-column sets
+lexicographically, then free entries), so reported dimensions and
+witnesses are deterministic; witnesses are the first (lexicographically
+least) hits at the maximal dimension.  Budgets count subspaces in that
+order, those no search looks at included, so a stratum without a hit costs
+its Gaussian binomial and one with a hit its first hit's index + 1.
 
-Abelian-ideal scans hand the kernel the trace form's functionals
-x -> Tr(M_x W), M in {L, R}, W in {1, L_e_j, R_e_j}, computed once per
-table.  Every nilpotent ideal N lies in their common kernel K, in every
+`alpha`, `all_abelian_ideals` and `all_abelian_subalgebras` walk their
+strata through the one kernel in `_scan_py`.  Every nilpotent ideal N lies
+in the common kernel K of the trace form's functionals x -> Tr(M_x W),
+M in {L, R}, W in {1, L_e_j, R_e_j}, computed once per table, in every
 characteristic: with N_1 = N and N_(k+1) = [N, N_k] + [N_k, N], ideals of L
 that reach 0, each W maps N_k into itself and, for x in N, M_x maps L into
 N_1 and N_k into N_(k+1), so M_x W is nilpotent and its trace is 0.  An
 abelian ideal has N_2 = 0, so the kernel cuts every row prefix outside K
-from an abelian-ideal scan; counts, matches and witnesses are the same as
+from an abelian-ideal walk; counts, matches and witnesses are the same as
 without the cut.  `invariants.nilradical` returns K itself when K is a
 nilpotent ideal.
 
+The top-down abelian-ideal searches (`beta`, `classify`'s stratum n-2,
+`solvability_from_codim2_ideal`) walk nothing.  While no stratum above d
+holds an abelian ideal, every abelian ideal of dimension d contains the
+center C(L), as I + C(L) is an abelian ideal, so it lies between C(L) and
+K; `_first_abelian_ideal` tests only those candidates, and counts what the
+walk would.
+
 One budget bounds a whole request.  Every public entry point that scans,
 here and in `classify`, opens a request ledger with its `budget`; every
-scan takes its limit from the open ledger and debits what it counted, so
-the strata of a top-down search, and the scans of nested calls, all draw
-on the one budget.  An exhausted budget raises
+search takes its limit from the open ledger and debits what it counted,
+so the strata of a top-down search, and the searches of nested calls, all
+draw on the one budget.  An exhausted budget raises
 `BudgetExceededError` rather than passing as a negative answer, and a
 negative budget is a ValueError when the request opens.
 """
@@ -37,10 +45,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ._kernel import MODE_ABELIAN, MODE_IDEAL, scan_subspaces
+from ._scan_py import _canonical_index, canonical_subspaces, gaussian_binomial
 from .algebra import (
     AlgebraTable,
+    _bracket,
     _is_frame,
-    _products,
+    _stacked_action_kernel,
     bracket,
     center,
     generated_subalgebra,
@@ -93,29 +103,45 @@ def _trace_functionals(L: AlgebraTable) -> tuple:
     Every nilpotent ideal N, abelian ones included, lies in their common
     kernel: the ideals N_1 = N, N_(k+1) = [N, N_k] + [N_k, N] reach 0, W
     maps each N_k into itself, and for x in N, M_x maps L into N_1 and N_k
-    into N_(k+1), so M_x W is nilpotent."""
+    into N_(k+1), so M_x W is nilpotent.
+
+    Tr(AB) = Tr(BA), so of the traces of products of two operators among
+    the L_e_i and R_e_i each is computed once: 2n^2 + n of them."""
     rows = L._cache.get("trace_functionals")
     if rows is None:
-        n, P = L.dim, _products(L)
-        # nonzero entries (j, k, x) of L_e_i and R_e_i, whose k-th columns
-        # are [e_i, e_k] and [e_k, e_i]
-        left = [[(j, k, x) for k in range(n) for j, x in P[i][k]] for i in range(n)]
-        right = [[(j, k, x) for k in range(n) for j, x in P[k][i]] for i in range(n)]
-
-        def dense(entries):
-            A = [[0] * n for _ in range(n)]
-            for j, k, x in entries:
-                A[j][k] = x
-            return A
-
-        Ws = [dense((j, j, 1) for j in range(n))] + [dense(M) for M in left + right]
-        # Tr(M W) = sum of M[j][k] * W[k][j]
-        funcs = [
-            [sum(x * W[k][j] for j, k, x in M) for M in Ms] for Ms in (left, right) for W in Ws
-        ]
-        rows = tuple(map(tuple, Subspace.from_vectors(L.field, n, funcs).basis.data))
+        F, c, n = L.field, L.c, L.dim
+        # the columns of L_e_i and R_e_i: [e_i, e_k] and [e_k, e_i]
+        cols = [[c[i][k] for k in range(n)] for i in range(n)]
+        cols += [[c[k][i] for k in range(n)] for i in range(n)]
+        # each operator's nonzero entries, and its transpose's, by their
+        # position in the row-major flattening
+        flat = [{t: x for t, x in enumerate(sum(zip(*cs), ())) if x} for cs in cols]
+        flat_t = [{t: x for t, x in enumerate(sum(cs, ())) if x} for cs in cols]
+        # T[a][b] = Tr(A B) = sum of A[j][k] * B[k][j], A, B operators a, b
+        T = [[F.zero] * (2 * n) for _ in range(2 * n)]
+        for a, A in enumerate(flat):
+            for b in range(a, 2 * n):
+                B = flat_t[b]
+                T[a][b] = T[b][a] = sum((A[t] * B[t] for t in A.keys() & B.keys()), F.zero)
+        # row (M, W): x -> Tr(M_x W), coefficient Tr(M_e_i W) at e_i
+        diagonal = range(0, n * n, n + 1)
+        funcs = [[sum((A.get(t, F.zero) for t in diagonal), F.zero) for A in flat[m : m + n]]
+                 for m in (0, n)]
+        funcs += [[T[m + i][b] for i in range(n)] for m in (0, n) for b in range(2 * n)]
+        if F.p is not None:
+            funcs = [[x % F.p for x in f] for f in funcs]
+        rows = tuple(map(tuple, Subspace._span(F, n, funcs).basis.data))
         L._cache["trace_functionals"] = rows
     return rows
+
+
+def _trace_kernel(L: AlgebraTable) -> Subspace:
+    """K, the common kernel of `_trace_functionals`; it holds every
+    nilpotent ideal.  Cached on L."""
+    K = L._cache.get("trace_kernel")
+    if K is None:
+        K = L._cache["trace_kernel"] = _stacked_action_kernel(L, _trace_functionals(L))
+    return K
 
 
 def _subspace_from_flat(F: FieldSpec, n: int, d: int, flat) -> Subspace:
@@ -150,26 +176,31 @@ def _request(budget: int):
         _budget_left.reset(token)
 
 
-def _scan_dim(L: AlgebraTable, d: int, mode: int, collect: int):
-    flat = table_flat(L)
-    abelian_ideal = MODE_ABELIAN | MODE_IDEAL
-    funcs = _trace_functionals(L) if mode & abelian_ideal == abelian_ideal else ()
-    left = _budget_left.get()
-    # positional: wrappers of the kernel forward *args only
-    scanned, truncated, matches = scan_subspaces(
-        flat, L.dim, L.field.p, d, mode, left, collect, funcs
-    )
-    _budget_left.set(left - scanned)
+def _debit(d: int, scanned: int, truncated: bool) -> None:
+    """Debit `scanned` subspaces of stratum d from the open request; a
+    truncated stratum has spent what was left and raises."""
+    _budget_left.set(_budget_left.get() - scanned)
     if truncated:
         raise BudgetExceededError(
             "scan budget exhausted at dimension %d after %d subspaces" % (d, scanned)
         )
+
+
+def _scan_dim(L: AlgebraTable, d: int, mode: int, collect: int):
+    flat = table_flat(L)
+    abelian_ideal = MODE_ABELIAN | MODE_IDEAL
+    funcs = _trace_functionals(L) if mode & abelian_ideal == abelian_ideal else ()
+    # positional: wrappers of the kernel forward *args only
+    scanned, truncated, matches = scan_subspaces(
+        flat, L.dim, L.field.p, d, mode, _budget_left.get(), collect, funcs
+    )
+    _debit(d, scanned, truncated)
     subs = [_subspace_from_flat(L.field, L.dim, d, m) for m in matches]
     return scanned, subs
 
 
-def _first_hit(L: AlgebraTable, dims, mode: int):
-    """Scan the strata `dims` in order for a subspace passing `mode`.
+def _first_hit(L: AlgebraTable, dims):
+    """Scan the strata `dims` in order for an abelian subalgebra.
 
     Returns (d, witness, scanned) for the first stratum with a match, the
     witness being its canonically first hit, or (None, None, scanned) when
@@ -177,10 +208,74 @@ def _first_hit(L: AlgebraTable, dims, mode: int):
     """
     total = 0
     for d in dims:
-        scanned, subs = _scan_dim(L, d, mode, 1)
+        scanned, subs = _scan_dim(L, d, MODE_ABELIAN, 1)
         total += scanned
         if subs:
             return d, subs[0], total
+    return None, None, total
+
+
+def _first_abelian_ideal(L: AlgebraTable, dims):
+    """The first abelian ideal in the strata `dims`, consecutive and
+    descending, with no abelian ideal in a stratum above dims[0]: (d,
+    witness, scanned) as a stratum-by-stratum scan of `dims` would return
+    it, witness the canonically first hit of the first stratum holding one,
+    or (None, None, scanned); the same count is debited, and raises at the
+    same budgets, though no stratum is walked.
+
+    Lemma (every characteristic).  Every abelian ideal I lies in K =
+    `_trace_kernel(L)`: for x in I, M_x W, M in {L, R} and W in {1, L_e_j,
+    R_e_j}, maps L into I and I to 0, so its square is 0 and its trace 0.
+    The center C = C(L) is an abelian ideal and central, so I + C is one.
+    So if no stratum above d holds an abelian ideal, every abelian ideal of
+    dimension d contains C: the hits of stratum d are the abelian ideals
+    among the d-dimensional I with C <= I <= K.  Each is C + span(w_1, ..,
+    w_t), the w's spanning a subspace of a complement of C in K, and is
+    abelian iff [w_a, w_b] = 0, as C brackets to 0 with everything.
+
+    Of the ideal test only [I, L] <= I is needed, [w_a, e_j] in I: an
+    abelian I with [I, L] <= I generates an abelian ideal, which in such a
+    stratum can only be I.  By the Leibniz rule, for w, w' in I and x, y
+    in L, [w', [x, w]] = [[w', x], w] = 0, [[x, w], w'] = -[w, [x, w']] = 0,
+    and [[x, w], y] = [x, [w, y]] - [w, [x, y]] lies in J = I + [L, I], so
+    [[x, w], [y, w']] = [[[x, w], y], w'] lies in [J, I] = 0: J is abelian
+    with [J, L] <= J, and adding [L, J] until it stops growing ends at an
+    abelian ideal.
+
+    The first hit in canonical order is the least by (pivots, RREF rows),
+    and a scan of stratum d counts its canonical index + 1
+    (`_scan_py._canonical_index`), or the stratum's Gaussian binomial when
+    it holds none."""
+    F, n, p = L.field, L.dim, L.field.p
+    C, K = center(L), _trace_kernel(L)
+    # a basis of a complement of C in K, reduced modulo C
+    B = Subspace._span(F, n, [C._reduce(row) for row in K.basis.data]).basis.data
+    es = [L.basis_vector(j) for j in range(n)]
+    zero = L.zero_vector()
+    total = 0
+    for d in dims:
+        hits = []
+        for _, _, X in canonical_subspaces(len(B), p, d - C.dim):
+            ws = [
+                tuple(sum(x * b[k] for x, b in zip(coefs, B)) % p for k in range(n))
+                for coefs in X
+            ]
+            if any(_bracket(L, u, v) != zero for u in ws for v in ws):
+                continue
+            I = Subspace._span(F, n, C.basis.data + tuple(ws))
+            if all(I._contains(_bracket(L, w, e)) for w in ws for e in es):
+                hits.append(I)
+        first = min(hits, key=lambda I: (I.pivots, I.basis.data), default=None)
+        if first is None:
+            scanned = gaussian_binomial(n, d, p)
+        else:
+            scanned = _canonical_index(n, p, first.pivots, first.basis.data) + 1
+        # a walk the budget cuts short has counted what was left
+        left = _budget_left.get()
+        _debit(d, min(scanned, left), scanned > left)
+        total += scanned
+        if first is not None:
+            return d, first, total
     return None, None, total
 
 
@@ -188,17 +283,19 @@ def alpha(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
     """Largest dimension of an abelian subalgebra, scanning downward."""
     _require_prime_field(L, "alpha")
     with _request(budget):
-        d, W, total = _first_hit(L, range(L.dim, -1, -1), MODE_ABELIAN)
+        d, W, total = _first_hit(L, range(L.dim, -1, -1))
     if W is None:
         raise ConsistencyError("no abelian subalgebra found, not even zero")
     return SearchResult(alpha=d, alpha_witness=W, exhaustive=True, scanned=total)
 
 
 def beta(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
-    """Largest dimension of an abelian two-sided ideal, scanning downward."""
+    """Largest dimension of an abelian two-sided ideal, searched downward
+    by `_first_abelian_ideal`: no stratum is walked, and `scanned` counts
+    what a walk of the strata would."""
     _require_prime_field(L, "beta")
     with _request(budget):
-        d, W, total = _first_hit(L, range(L.dim, -1, -1), MODE_ABELIAN | MODE_IDEAL)
+        d, W, total = _first_abelian_ideal(L, range(L.dim, -1, -1))
     if W is None:
         raise ConsistencyError("no abelian ideal found, not even zero")
     return SearchResult(beta=d, beta_witness=W, exhaustive=True, scanned=total)

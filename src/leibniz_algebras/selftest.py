@@ -252,6 +252,26 @@ def _trace_cut(rng, fast):
     return None
 
 
+@_check("beta from the center and trace kernel equals the stratum walk, before and after disguise")
+def _beta_walk(rng, fast):
+    F = GF(3)
+    mode = MODE_ABELIAN | MODE_IDEAL
+    for L0 in standard_fixtures(F, max_dim=4 if fast else 5):
+        for L in (L0, change_of_basis(L0, _rand_invertible(F, L0.dim, rng))):
+            walked, total = None, 0
+            with _request(DEFAULT_SCAN_BUDGET):
+                for d in range(L.dim, -1, -1):
+                    scanned, subs = _scan_dim(L, d, mode, 1)
+                    total += scanned
+                    if subs:
+                        walked = (d, subs[0], total)
+                        break
+            res = beta(L)
+            if (res.beta, res.beta_witness, res.scanned) != walked:
+                return "beta of %s differs from the stratum walk" % L0.name
+    return None
+
+
 @_check("nilradical is the sum of the nilpotent ideals; the nilradical check is exact")
 def _nilradical(rng, fast):
     F = GF(3)

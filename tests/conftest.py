@@ -91,22 +91,14 @@ def rotext_with_center_candidate(k, seed):
     return M, Subspace.from_vectors(QQ, n, carried(P, rows)), center(M)
 
 
-def scanned_by(monkeypatch, fn):
-    """fn()'s result and the number of subspaces it examined, counted at the
-    scan kernel."""
-    total = 0
-    real = search.scan_subspaces
-
-    def counting(*args):
-        nonlocal total
-        out = real(*args)
-        total += out[0]
-        return out
-
-    with monkeypatch.context() as m:
-        m.setattr(search, "scan_subspaces", counting)
+def scanned_by(fn):
+    """fn()'s result and the number of subspaces its request ledger
+    debited: fn runs inside an outer request, whose ledger its calls share
+    (each call's own budget is then ignored)."""
+    budget = 10**18
+    with search._request(budget):
         result = fn()
-    return result, total
+        return result, budget - search._budget_left.get()
 
 
 def one_budget_algebras():

@@ -463,24 +463,24 @@ def test_case1_takes_precedence_over_case3(k):
 
 
 @pytest.mark.parametrize("name", sorted(one_budget_algebras()))
-def test_classify_debits_one_budget(monkeypatch, name):
+def test_classify_debits_one_budget(name):
     # alpha, the abelian-ideal scan and the nilradical share one budget
     L = one_budget_algebras()[name]
-    verdict, total = scanned_by(monkeypatch, lambda: classify(L))
+    verdict, total = scanned_by(lambda: classify(L))
     assert classify(L, budget=total).case is verdict.case
     with pytest.raises(BudgetExceededError):
         classify(L, budget=total - 1)
 
 
 @pytest.mark.parametrize("name", sorted(one_budget_algebras()))
-def test_classify_scans_only_the_codim2_ideal_stratum(monkeypatch, name):
+def test_classify_scans_only_the_codim2_ideal_stratum(name):
     # alpha = n-2 leaves no abelian subalgebra, so no abelian ideal, in
-    # strata n and n-1; stratum n-2 has no abelian ideal here and is walked
-    # in full; the nilradical scans nothing
+    # strata n and n-1; stratum n-2 has no abelian ideal here and is
+    # debited in full; the nilradical scans nothing
     L = one_budget_algebras()[name]
     n, p = L.dim, L.field.p
-    _, total = scanned_by(monkeypatch, lambda: classify(L))
-    _, in_alpha = scanned_by(monkeypatch, lambda: alpha(L))
+    _, total = scanned_by(lambda: classify(L))
+    _, in_alpha = scanned_by(lambda: alpha(L))
     assert total == in_alpha + gaussian_binomial(n, n - 2, p)
 
 
@@ -559,10 +559,10 @@ def test_verify_disguised_case2_recovers_chi(rng):
 
 
 @pytest.mark.parametrize("name", sorted(one_budget_algebras()))
-def test_verify_main_theorem_debits_one_budget(monkeypatch, name):
+def test_verify_main_theorem_debits_one_budget(name):
     # only the classify call scans, so it spends the request's whole budget
     L = one_budget_algebras()[name]
-    report, total = scanned_by(monkeypatch, lambda: verify_main_theorem(L))
+    report, total = scanned_by(lambda: verify_main_theorem(L))
     assert report.ok
     assert verify_main_theorem(L, budget=total) == report
     with pytest.raises(BudgetExceededError):
@@ -581,12 +581,12 @@ def _n7_algebras():
 
 
 @pytest.mark.parametrize("name", sorted(one_budget_algebras()) + sorted(_n7_algebras()))
-def test_verify_main_theorem_scans_what_classify_scans(monkeypatch, name):
+def test_verify_main_theorem_scans_what_classify_scans(name):
     # beta, the maximal abelian ideal and Case2_d's simple quotient follow
     # from structure, so the verifier scans nothing beyond its classify call
     L = {**one_budget_algebras(), **_n7_algebras()}[name]
-    report, total = scanned_by(monkeypatch, lambda: verify_main_theorem(L, budget=10**15))
-    verdict, in_classify = scanned_by(monkeypatch, lambda: classify(L, budget=10**15))
+    report, total = scanned_by(lambda: verify_main_theorem(L, budget=10**15))
+    verdict, in_classify = scanned_by(lambda: classify(L, budget=10**15))
     assert report.ok and report.case is verdict.case
     assert total == in_classify
 

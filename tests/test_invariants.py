@@ -248,9 +248,9 @@ def test_nilradical_is_nilpotent_ideal_containing_all_nilpotent_ideals():
 
 
 @pytest.mark.parametrize("name", sorted(one_budget_algebras()))
-def test_trace_kernel_certifies_without_a_scan(monkeypatch, name):
+def test_trace_kernel_certifies_without_a_scan(name):
     L = one_budget_algebras()[name]
-    N, scanned = scanned_by(monkeypatch, lambda: nilradical(L))
+    N, scanned = scanned_by(lambda: nilradical(L))
     assert scanned == 0 and N == _trace_kernel(L) == _brute_force_nilradical(L)
 
 
@@ -268,7 +268,7 @@ def test_nilradical_matches_brute_force_on_generated_algebras(monkeypatch):
         ideals = _nilpotent_ideals(L)
         K, J = _trace_kernel(L), _round_0_kernel(monkeypatch, L)
         assert all(K.contains(U) and J.contains(U) for U in ideals)
-        N, scanned = scanned_by(monkeypatch, lambda: nilradical(L))
+        N, scanned = scanned_by(lambda: nilradical(L))
         brute = _brute_force_nilradical(L, ideals)
         assert scanned == 0 and N == brute
         paths.add("trace kernel" if N == K else "radical")
@@ -304,7 +304,7 @@ def test_radical_rounds_find_the_nilradical_without_a_scan(monkeypatch, L):
     P = rand_invertible(F3, n, random.Random(n))
     V = [L.basis_vector(i) for i in range(1, n)]
     for M, vectors in ((L, V), (change_of_basis(L, P), carried(P, V))):
-        N, scanned = scanned_by(monkeypatch, lambda: nilradical(M))
+        N, scanned = scanned_by(lambda: nilradical(M))
         assert scanned == 0 and N == Subspace.from_vectors(F3, n, vectors)
         assert verify_nilradical_candidate(M, N) and not verify_nilradical_candidate(M, M.full_space())
 

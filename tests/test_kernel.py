@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibniz_algebras._kernel import MODE_ABELIAN, MODE_IDEAL, backend, scan_subspaces
+from leibniz_algebras._scan_py import _canonical_index, canonical_subspaces
 from leibniz_algebras.algebra import is_abelian_subspace, is_ideal, mult_operator
 from leibniz_algebras.catalog import standard_fixtures
 from leibniz_algebras.linalg import Matrix, Subspace, enumerate_subspaces, gaussian_binomial
@@ -207,3 +208,11 @@ def test_trace_cut_leaves_abelian_ideal_scans_unchanged(case):
     for lim, col in ((-1, -1), (limit, -1), (-1, collect), (limit, collect)):
         got = scan_subspaces(flat, n, p, d, mode, lim, col, funcs)
         assert got == scan_subspaces(flat, n, p, d, mode, lim, col), (lim, col)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_canonical_index_is_the_walks_index(p):
+    for n in range(6):
+        for d in range(n + 1):
+            for index, piv, rows in canonical_subspaces(n, p, d):
+                assert _canonical_index(n, p, piv, rows) == index, (n, d, piv, rows)

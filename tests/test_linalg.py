@@ -125,6 +125,26 @@ def test_membership_and_functionals(rng):
             assert inside == killed
 
 
+def test_kernel_basis_is_the_rref_of_the_kernel(rng):
+    # the one-elimination basis equals the RREF of the kernel, found as the
+    # span of the vectors solving each free column; over GF(3) the kernel
+    # is also every v with M v = 0
+    for F in (F3, GF(5), QQ):
+        for _ in range(300):
+            rows, n = rng.randint(1, 5), rng.randint(1, 5)
+            M = rand_matrix(F, rows, n, rng)
+            if rng.random() < 0.5:  # sparse, as the structure-constant conditions are
+                M = Matrix(F, [[x if rng.random() < 0.3 else 0 for x in r] for r in M.data])
+            ker = M.kernel_basis()
+            span = Subspace.from_vectors(F, n, ker.data)
+            assert ker.data == span.basis.data and ker.cols == n
+            assert all(x == 0 for v in ker.data for x in M.apply_col(v))
+            assert span.dim == n - M.rank()
+            if F is F3:
+                want = [v for v in itertools.product(range(3), repeat=n) if not any(M.apply_col(v))]
+                assert len(want) == 3 ** span.dim
+
+
 def test_extend_to_full_basis():
     U = Subspace.from_vectors(QQ, 4, [[0, 1, 0, 0], [0, 0, 0, 1]])
     P = U.extend_to_full_basis()

@@ -1,11 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from leibniz_algebras._kernel import MODE_ABELIAN, MODE_IDEAL
 from leibniz_algebras.algebra import (
+    AlgebraTable,
     change_of_basis,
     direct_sum,
     is_abelian_subspace,
     is_ideal,
+    is_leibniz,
     is_subalgebra,
+    product_space,
 )
 from leibniz_algebras.catalog import (
     heisenberg_rotation_extension,
@@ -23,8 +29,11 @@ from leibniz_algebras.families import (
     raw_pair_table,
 )
 from leibniz_algebras.fields import QQ
-from leibniz_algebras.linalg import Matrix, Subspace
+from leibniz_algebras.linalg import Matrix, Subspace, enumerate_subspaces, subspace_sum
 from leibniz_algebras.search import (
+    _first_abelian_ideal,
+    _request,
+    _scan_dim,
     all_abelian_ideals,
     all_abelian_subalgebras,
     alpha,
@@ -39,6 +48,11 @@ from leibniz_algebras.search import (
 from conftest import (
     F2,
     F3,
+    F5,
+    F7,
+    cycle_actions,
+    family_algebras,
+    identity_actions,
     one_budget_algebras,
     rand_invertible,
     rand_matrix,
@@ -138,15 +152,106 @@ _REQUESTS = {
         for name in sorted(one_budget_algebras())
     ],
 )
-def test_alpha_beta_debits_one_budget(monkeypatch, entry, name):
-    # the budget S a call counts at the kernel is enough, and S - 1 is not:
-    # nested calls and every stratum draw on the one request's budget
+def test_alpha_beta_debits_one_budget(entry, name):
+    # the budget S a call debits is enough, and S - 1 is not: nested calls
+    # and every stratum draw on the one request's budget
     L, request = one_budget_algebras()[name], _REQUESTS[entry]
-    res, total = scanned_by(monkeypatch, lambda: request(L))
+    res, total = scanned_by(lambda: request(L))
     assert getattr(res, "scanned", total) == total
     assert request(L, budget=total) == res
     with pytest.raises(BudgetExceededError):
         request(L, budget=total - 1)
+
+
+def _walked_first_abelian_ideal(L, dims):
+    """The stratum-by-stratum walk that `_first_abelian_ideal` replaces,
+    kept as the brute-force oracle: (d, witness, scanned) of the first
+    stratum of `dims` holding an abelian ideal."""
+    total = 0
+    for d in dims:
+        scanned, subs = _scan_dim(L, d, MODE_ABELIAN | MODE_IDEAL, 1)
+        total += scanned
+        if subs:
+            return d, subs[0], total
+    return None, None, total
+
+
+def _in_request(fn, L, dims, budget):
+    with _request(budget):
+        return fn(L, dims)
+
+
+def test_first_abelian_ideal_matches_the_stratum_walk():
+    # the top-down search of beta and solvability_from_codim2_ideal, and
+    # classify's stratum n-2 where alpha = n-2: the same stratum, witness
+    # and count as the walk, and both are refused one subspace short
+    seen = set()
+
+    @settings(max_examples=150)
+    @given(st.one_of(family_algebras((F3, F5, F7)), identity_actions(), cycle_actions()))
+    def check(L):
+        n = L.dim
+        searches = [range(n, -1, -1), range(n, max(n - 3, -1), -1)]
+        if alpha(L).alpha == n - 2:
+            searches.append((n - 2,))
+        for dims in searches:
+            want = _in_request(_walked_first_abelian_ideal, L, dims, 10**12)
+            assert _in_request(_first_abelian_ideal, L, dims, 10**12) == want
+            refusals = []
+            for fn in (_walked_first_abelian_ideal, _first_abelian_ideal):
+                with pytest.raises(BudgetExceededError) as refused:
+                    _in_request(fn, L, dims, want[2] - 1)
+                refusals.append(str(refused.value))
+            assert refusals[0] == refusals[1]
+            seen.add(want[0] is None)
+
+    check()
+    assert seen == {True, False}
+
+
+def _left_only_action():
+    """x1, x2 acting on span(v1, v2, v3) from the left only: [x1, v1] = 2 v3,
+    [x2, v1] = 2 v2 + 2 v3, [x2, v2] = v3, over GF(3)."""
+    return AlgebraTable.from_products(
+        F3, 5, {(0, 2): (0, 0, 0, 0, 2), (1, 2): (0, 0, 0, 2, 2), (1, 3): (0, 0, 0, 0, 1)}
+    )
+
+
+def test_first_abelian_ideal_tests_the_side_that_suffices():
+    # span(x1, x2, v3) comes first in canonical order and is abelian with
+    # [L, I] <= I, but [x2, v1] is outside it; the first abelian ideal of
+    # dimension 3 is span(x1, v2, v3)
+    L = _left_only_action()
+    assert is_leibniz(L)
+    one_sided = span(F3, 5, (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 0, 1))
+    assert is_abelian_subspace(L, one_sided) and not is_ideal(L, one_sided)
+    res = beta(L)
+    assert res.beta == 3
+    assert res.beta_witness == span(F3, 5, (1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
+    dims = range(5, -1, -1)
+    assert _in_request(_first_abelian_ideal, L, dims, 10**6) == _in_request(
+        _walked_first_abelian_ideal, L, dims, 10**6
+    )
+
+
+def test_abelian_subspace_holding_its_brackets_with_L_generates_an_abelian_ideal():
+    # the lemma that lets `_first_abelian_ideal` test only [I, L] <= I: the
+    # ideal an abelian I with [I, L] <= I generates is abelian, by brute
+    # force over every subspace of the GF(3) fixtures and the left-only
+    # action, some of whose such I are not ideals
+    not_ideals = 0
+    for L in [*standard_fixtures(F3, max_dim=4), _left_only_action()]:
+        full = L.full_space()
+        for d in range(1, L.dim + 1):
+            for U in enumerate_subspaces(L.dim, d, F3):
+                if not (is_abelian_subspace(L, U) and U.contains(product_space(L, U, full))):
+                    continue
+                J = U
+                while not J.contains(product_space(L, full, J)):
+                    J = subspace_sum(J, product_space(L, full, J))
+                assert is_abelian_subspace(L, J) and is_ideal(L, J), (L.name, U)
+                not_ideals += J != U
+    assert not_ideals
 
 
 def test_witness_canonical_under_scan_order():
