@@ -12,6 +12,7 @@ after construction and all operations are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -153,11 +154,29 @@ def leibniz_failure(L: AlgebraTable) -> tuple | None:
     return result
 
 
+def _integer_products(L: AlgebraTable) -> tuple:
+    """Over QQ, `_products` of the integer table D*c, D the lcm of the
+    denominators of the structure constants; cached on L."""
+    products = L._cache.get("integer_products")
+    if products is None:
+        D = math.lcm(*(x.denominator for ci in L.c for cij in ci for x in cij))
+        products = tuple(
+            tuple(tuple((k, x.numerator * (D // x.denominator)) for k, x in cij) for cij in ci)
+            for ci in _products(L)
+        )
+        L._cache["integer_products"] = products
+    return products
+
+
 def _first_leibniz_failure(L: AlgebraTable) -> tuple | None:
     """Checks [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] + [e_j, [e_i, e_k]] on
-    the nonzero structure constants, triples in (i, j, k) order."""
-    products = _products(L)
+    the nonzero structure constants, triples in (i, j, k) order.  Every
+    term is a product of two structure constants, so over QQ the check runs
+    on the integer table D*c (`_integer_products`), where each side is D^2
+    times the rational one: the same triples fail, with no Fraction
+    arithmetic."""
     p = L.field.p
+    products = _products(L) if p is not None else _integer_products(L)
     n = L.dim
     for i in range(n):
         Pi = products[i]

@@ -467,7 +467,7 @@ def classify(
     """Classify an algebra whose maximal abelian subalgebra has codimension 2.
 
     Over a prime field everything is decided exhaustively, in one request
-    whose `budget` bounds the subspaces counted: alpha, by a walk, then,
+    whose `budget` bounds the subspaces counted: alpha (`search.alpha`), then,
     when alpha = n-2, the abelian ideals of dimension n-2.  Strata n and
     n-1 hold no abelian subalgebra, so every abelian ideal of dimension n-2
     contains the center and lies in the trace kernel, and only the

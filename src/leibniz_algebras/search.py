@@ -9,24 +9,30 @@ least) hits at the maximal dimension.  Budgets count subspaces in that
 order, those no search looks at included, so a stratum without a hit costs
 its Gaussian binomial and one with a hit its first hit's index + 1.
 
-`alpha`, `all_abelian_ideals` and `all_abelian_subalgebras` walk their
-strata through the one kernel in `_scan_py`.  Every nilpotent ideal N lies
-in the common kernel K of the trace form's functionals x -> Tr(M_x W),
-M in {L, R}, W in {1, L_e_j, R_e_j}, computed once per table, in every
-characteristic: with N_1 = N and N_(k+1) = [N, N_k] + [N_k, N], ideals of L
-that reach 0, each W maps N_k into itself and, for x in N, M_x maps L into
-N_1 and N_k into N_(k+1), so M_x W is nilpotent and its trace is 0.  An
-abelian ideal has N_2 = 0, so the kernel cuts every row prefix outside K
-from an abelian-ideal walk; counts, matches and witnesses are the same as
-without the cut.  `invariants.nilradical` returns K itself when K is a
-nilpotent ideal.
+`all_abelian_ideals` and `all_abelian_subalgebras` walk their strata
+through the one kernel in `_scan_py`, and `alpha` walks its strata <= n-2
+there.  Every nilpotent ideal N lies in the common kernel K of the trace
+form's functionals x -> Tr(M_x W), M in {L, R}, W in {1, L_e_j, R_e_j},
+computed once per table, in every characteristic: with N_1 = N and
+N_(k+1) = [N, N_k] + [N_k, N], ideals of L that reach 0, each W maps N_k
+into itself and, for x in N, M_x maps L into N_1 and N_k into N_(k+1), so
+M_x W is nilpotent and its trace is 0.  An abelian ideal has N_2 = 0, so
+the kernel cuts every row prefix outside K from an abelian-ideal walk;
+counts, matches and witnesses are the same as without the cut.
+`invariants.nilradical` returns K itself when K is a nilpotent ideal.
 
 The top-down abelian-ideal searches (`beta`, `classify`'s stratum n-2,
 `solvability_from_codim2_ideal`) walk nothing.  While no stratum above d
 holds an abelian ideal, every abelian ideal of dimension d contains the
 center C(L), as I + C(L) is an abelian ideal, so it lies between C(L) and
-K; `_first_abelian_ideal` tests only those candidates, and counts what the
-walk would.
+K; `_first_abelian_ideal` tests only those candidates.  `alpha` walks no
+stratum above n-2.  Stratum n holds an abelian subalgebra iff every
+structure constant is 0.  An abelian hyperplane ker f makes every slice
+C_k = (c_ijk)_ij of the structure tensor f a^T + b f^T, in every
+characteristic, so f lies in the row or the column space of any nonzero
+slice, and those at most 2(p+1) lines are stratum n-1's only candidates
+(`_abelian_hyperplanes`).  A stratum that is not walked is debited what
+its walk would count (`_debit_first`).
 
 One budget bounds a whole request.  Every public entry point that scans,
 here and in `classify`, opens a request ledger with its `budget`; every
@@ -50,6 +56,7 @@ from .algebra import (
     AlgebraTable,
     _bracket,
     _is_frame,
+    _products,
     _stacked_action_kernel,
     bracket,
     center,
@@ -199,15 +206,90 @@ def _scan_dim(L: AlgebraTable, d: int, mode: int, collect: int):
     return scanned, subs
 
 
-def _first_hit(L: AlgebraTable, dims):
-    """Scan the strata `dims` in order for an abelian subalgebra.
+def _debit_first(L: AlgebraTable, d: int, hits):
+    """Debit what a walk of stratum d would count, given the stratum's hits
+    (all of them, or any subset holding the first): the canonically first
+    hit, the least by (pivots, RREF rows), and the count, its canonical
+    index + 1 (`_scan_py._canonical_index`), or the stratum's Gaussian
+    binomial when there is none.  A budget the walk would run out raises
+    the walk's `BudgetExceededError`."""
+    n, p = L.dim, L.field.p
+    first = min(hits, key=lambda I: (I.pivots, I.basis.data), default=None)
+    if first is None:
+        scanned = gaussian_binomial(n, d, p)
+    else:
+        scanned = _canonical_index(n, p, first.pivots, first.basis.data) + 1
+    # a walk the budget cuts short has counted what was left
+    left = _budget_left.get()
+    _debit(d, min(scanned, left), scanned > left)
+    return first, scanned
 
-    Returns (d, witness, scanned) for the first stratum with a match, the
-    witness being its canonically first hit, or (None, None, scanned) when
-    no stratum has one.
-    """
-    total = 0
-    for d in dims:
+
+def _abelian_hyperplanes(L: AlgebraTable) -> list[Subspace]:
+    """Every abelian hyperplane of a non-abelian L, from one nonzero slice
+    C_k = (c_ijk)_ij of the structure tensor.
+
+    Lemma (every characteristic).  Let H = ker f be an abelian hyperplane
+    and f(t) = 1.  Writing x = h + f(x) t, the form x^T C_k y vanishes on
+    H x H, so C_k = f a^T + b f^T for some a, b: rank C_k <= 2, and f lies
+    in the row space or the column space of C_k.  If a is independent of
+    f, some y has a.y = 1 and f.y = 0, and C_k y = f; otherwise C_k is
+    (mu f + b) f^T, and a nonzero C_k has f in its row space.  So a slice
+    of rank > 2 leaves no candidate, and otherwise the at most 2(p+1)
+    lines of its row and column spaces are the only ones; each is tested
+    by the brackets [h_i, h_j] of its hyperplane's basis."""
+    F, n, p, c = L.field, L.dim, L.field.p, L.c
+    k = next(k for ci in _products(L) for cij in ci for k, _ in cij)
+    rows = Subspace._span(F, n, [[c[i][j][k] for j in range(n)] for i in range(n)])
+    if rows.dim > 2:
+        return []
+    cols = Subspace._span(F, n, [[c[i][j][k] for i in range(n)] for j in range(n)])
+    # each candidate f scaled to f[m] = 1 at its last nonzero entry m
+    candidates = {}
+    for V in (rows, cols):
+        u, *rest = V.basis.data
+        lines = [u]
+        for v in rest:  # V is a plane: its other lines are the span(v + t u)
+            lines += [[(x + t * y) % p for x, y in zip(v, u)] for t in range(p)]
+        for f in lines:
+            m = max(i for i, x in enumerate(f) if x)
+            inv = pow(f[m], -1, p)
+            candidates[tuple(x * inv % p for x in f)] = m
+    out = []
+    for f, m in candidates.items():
+        # ker f has the RREF basis h_i = e_i - f[i] e_m, i != m
+        others = [i for i in range(n) if i != m]
+        cm, cmm = c[m], c[m][m]
+        if any(
+            (a - f[j] * b - f[i] * d + f[i] * f[j] * e) % p
+            for i in others
+            for j in others
+            for a, b, d, e in zip(c[i][j], c[i][m], cm[j], cmm)
+        ):
+            continue
+        basis = [[(-f[i] if t == m else int(t == i)) % p for t in range(n)] for i in others]
+        out.append(Subspace(F, n, Matrix._canonical(F, basis, n), others))
+    return out
+
+
+def _first_hit(L: AlgebraTable):
+    """alpha's downward search for an abelian subalgebra: (d, witness,
+    scanned) for the first stratum with one, the witness its canonically
+    first hit, as a walk of strata n, n-1, .., 0 counts it.
+
+    Strata n and n-1 are decided without a walk: stratum n holds a hit iff
+    every structure constant is 0, and stratum n-1's hits are
+    `_abelian_hyperplanes`; each is debited what its walk would count.
+    Only the strata <= n-2 are walked."""
+    n = L.dim
+    if not any(cij for ci in _products(L) for cij in ci):
+        return (n, *_debit_first(L, n, [L.full_space()]))
+    total = _debit_first(L, n, [])[1]
+    first, scanned = _debit_first(L, n - 1, _abelian_hyperplanes(L))
+    total += scanned
+    if first is not None:
+        return n - 1, first, total
+    for d in range(n - 2, -1, -1):
         scanned, subs = _scan_dim(L, d, MODE_ABELIAN, 1)
         total += scanned
         if subs:
@@ -265,14 +347,7 @@ def _first_abelian_ideal(L: AlgebraTable, dims):
             I = Subspace._span(F, n, C.basis.data + tuple(ws))
             if all(I._contains(_bracket(L, w, e)) for w in ws for e in es):
                 hits.append(I)
-        first = min(hits, key=lambda I: (I.pivots, I.basis.data), default=None)
-        if first is None:
-            scanned = gaussian_binomial(n, d, p)
-        else:
-            scanned = _canonical_index(n, p, first.pivots, first.basis.data) + 1
-        # a walk the budget cuts short has counted what was left
-        left = _budget_left.get()
-        _debit(d, min(scanned, left), scanned > left)
+        first, scanned = _debit_first(L, d, hits)
         total += scanned
         if first is not None:
             return d, first, total
@@ -280,10 +355,13 @@ def _first_abelian_ideal(L: AlgebraTable, dims):
 
 
 def alpha(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
-    """Largest dimension of an abelian subalgebra, scanning downward."""
+    """Largest dimension of an abelian subalgebra, searched downward by
+    `_first_hit`: strata n and n-1 are decided from one structure slice,
+    only the strata <= n-2 are walked, and `scanned` counts what a walk of
+    every stratum would."""
     _require_prime_field(L, "alpha")
     with _request(budget):
-        d, W, total = _first_hit(L, range(L.dim, -1, -1))
+        d, W, total = _first_hit(L)
     if W is None:
         raise ConsistencyError("no abelian subalgebra found, not even zero")
     return SearchResult(alpha=d, alpha_witness=W, exhaustive=True, scanned=total)

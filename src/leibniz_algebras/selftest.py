@@ -252,22 +252,29 @@ def _trace_cut(rng, fast):
     return None
 
 
-@_check("beta from the center and trace kernel equals the stratum walk, before and after disguise")
-def _beta_walk(rng, fast):
+def _walked(L, mode):
+    """(d, witness, scanned) of the first stratum, from n down, holding a
+    subspace of `mode`, by the stratum walk."""
+    total = 0
+    with _request(DEFAULT_SCAN_BUDGET):
+        for d in range(L.dim, -1, -1):
+            scanned, subs = _scan_dim(L, d, mode, 1)
+            total += scanned
+            if subs:
+                return d, subs[0], total
+    return None
+
+
+@_check("alpha from one structure slice and beta from the center and trace kernel equal the "
+        "stratum walks, before and after disguise")
+def _stratum_walks(rng, fast):
     F = GF(3)
-    mode = MODE_ABELIAN | MODE_IDEAL
     for L0 in standard_fixtures(F, max_dim=4 if fast else 5):
         for L in (L0, change_of_basis(L0, _rand_invertible(F, L0.dim, rng))):
-            walked, total = None, 0
-            with _request(DEFAULT_SCAN_BUDGET):
-                for d in range(L.dim, -1, -1):
-                    scanned, subs = _scan_dim(L, d, mode, 1)
-                    total += scanned
-                    if subs:
-                        walked = (d, subs[0], total)
-                        break
-            res = beta(L)
-            if (res.beta, res.beta_witness, res.scanned) != walked:
+            a, b = alpha(L), beta(L)
+            if (a.alpha, a.alpha_witness, a.scanned) != _walked(L, MODE_ABELIAN):
+                return "alpha of %s differs from the stratum walk" % L0.name
+            if (b.beta, b.beta_witness, b.scanned) != _walked(L, MODE_ABELIAN | MODE_IDEAL):
                 return "beta of %s differs from the stratum walk" % L0.name
     return None
 

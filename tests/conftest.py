@@ -140,6 +140,17 @@ def cycle_action(F):
     return linear_action(cycle, F, "cycle-action")
 
 
+def left_only_action(A, F):
+    """x acting on F^m by the m x m matrix A from the left only, basis (x,
+    v_1, .., v_m): [x, v] = Av and every other bracket 0.  It is Leibniz for
+    every A and not Lie for A != 0.  span(v_1, .., v_m) is an abelian
+    hyperplane ker f, and f shows up on one side of the structure slices
+    only: each slice is f a^T."""
+    m = A.rows
+    products = {(0, j): (0,) + A.col(j - 1) for j in range(1, m + 1)}
+    return AlgebraTable.from_products(F, m + 1, products, name="left-only-action")
+
+
 def _disguised_sum(draw, L):
     """L (+) F^k, of dimension at most MAX_DIM[p], under a seeded basis change."""
     F = L.field
@@ -199,3 +210,14 @@ def cycle_actions(draw, fields=(F3, F5, F7)):
     """`cycle_action` (+) F^k over one of `fields`, of dimension at most
     MAX_DIM[p], under a seeded basis change."""
     return _disguised_sum(draw, cycle_action(draw(st.sampled_from(fields))))
+
+
+@st.composite
+def left_only_actions(draw, fields=(F3, F5, F7)):
+    """`left_only_action` of a drawn matrix (+) F^k over one of `fields`, of
+    dimension at most MAX_DIM[p], under a seeded basis change."""
+    F = draw(st.sampled_from(fields))
+    m = draw(st.integers(1, MAX_DIM[F.p] - 1))
+    entries = st.integers(0, F.p - 1)
+    A = Matrix(F, [[draw(entries) for _ in range(m)] for _ in range(m)])
+    return _disguised_sum(draw, left_only_action(A, F))

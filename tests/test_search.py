@@ -31,6 +31,7 @@ from leibniz_algebras.families import (
 from leibniz_algebras.fields import QQ
 from leibniz_algebras.linalg import Matrix, Subspace, enumerate_subspaces, subspace_sum
 from leibniz_algebras.search import (
+    _abelian_hyperplanes,
     _first_abelian_ideal,
     _request,
     _scan_dim,
@@ -53,6 +54,7 @@ from conftest import (
     cycle_actions,
     family_algebras,
     identity_actions,
+    left_only_actions,
     one_budget_algebras,
     rand_invertible,
     rand_matrix,
@@ -163,13 +165,19 @@ def test_alpha_beta_debits_one_budget(entry, name):
         request(L, budget=total - 1)
 
 
-def _walked_first_abelian_ideal(L, dims):
+GENERATED = st.one_of(
+    family_algebras((F3, F5, F7)), identity_actions(), cycle_actions(), left_only_actions()
+)
+
+
+def _walked_first_hit(L, dims, mode=MODE_ABELIAN | MODE_IDEAL):
     """The stratum-by-stratum walk that `_first_abelian_ideal` replaces,
-    kept as the brute-force oracle: (d, witness, scanned) of the first
-    stratum of `dims` holding an abelian ideal."""
+    and `alpha` above stratum n-2 (mode MODE_ABELIAN), kept as the
+    brute-force oracle: (d, witness, scanned) of the first stratum of
+    `dims` holding a subspace of `mode`."""
     total = 0
     for d in dims:
-        scanned, subs = _scan_dim(L, d, MODE_ABELIAN | MODE_IDEAL, 1)
+        scanned, subs = _scan_dim(L, d, mode, 1)
         total += scanned
         if subs:
             return d, subs[0], total
@@ -188,17 +196,17 @@ def test_first_abelian_ideal_matches_the_stratum_walk():
     seen = set()
 
     @settings(max_examples=150)
-    @given(st.one_of(family_algebras((F3, F5, F7)), identity_actions(), cycle_actions()))
+    @given(GENERATED)
     def check(L):
         n = L.dim
         searches = [range(n, -1, -1), range(n, max(n - 3, -1), -1)]
         if alpha(L).alpha == n - 2:
             searches.append((n - 2,))
         for dims in searches:
-            want = _in_request(_walked_first_abelian_ideal, L, dims, 10**12)
+            want = _in_request(_walked_first_hit, L, dims, 10**12)
             assert _in_request(_first_abelian_ideal, L, dims, 10**12) == want
             refusals = []
-            for fn in (_walked_first_abelian_ideal, _first_abelian_ideal):
+            for fn in (_walked_first_hit, _first_abelian_ideal):
                 with pytest.raises(BudgetExceededError) as refused:
                     _in_request(fn, L, dims, want[2] - 1)
                 refusals.append(str(refused.value))
@@ -207,6 +215,53 @@ def test_first_abelian_ideal_matches_the_stratum_walk():
 
     check()
     assert seen == {True, False}
+
+
+def _slice_spaces(L, k):
+    """The row space and the column space of the slice (c_ijk)_ij."""
+    n, c = L.dim, L.c
+    rows = [[c[i][j][k] for j in range(n)] for i in range(n)]
+    return Subspace.from_vectors(L.field, n, rows), Subspace.from_vectors(
+        L.field, n, [list(col) for col in zip(*rows)]
+    )
+
+
+def test_alpha_matches_the_stratum_walk():
+    # alpha decides strata n and n-1 from one structure slice: the same
+    # dimension, witness and count as the walk, refused one subspace
+    # short with the same message; the slice's candidates find every
+    # abelian hyperplane, and (the lemma, by brute force) each abelian
+    # hyperplane's functional lies in the row or the column space of every
+    # nonzero slice
+    seen = set()
+
+    @settings(max_examples=150)
+    @given(GENERATED)
+    def check(L):
+        n, dims = L.dim, range(L.dim, -1, -1)
+        with _request(10**12):
+            want = _walked_first_hit(L, dims, MODE_ABELIAN)
+        res = alpha(L)
+        assert (res.alpha, res.alpha_witness, res.scanned) == want
+        with pytest.raises(BudgetExceededError) as walked, _request(want[2] - 1):
+            _walked_first_hit(L, dims, MODE_ABELIAN)
+        with pytest.raises(BudgetExceededError) as searched:
+            alpha(L, budget=want[2] - 1)
+        assert str(searched.value) == str(walked.value)
+        seen.add(n - max(want[0], n - 2))
+        if want[0] == n:
+            return
+        hyperplanes = all_abelian_subalgebras(L, n - 1)
+        got = sorted(_abelian_hyperplanes(L), key=lambda H: (H.pivots, H.basis.data))
+        assert got == hyperplanes
+        for H in hyperplanes:
+            f = H.complement_functionals().data[0]
+            for k in range(n):
+                rows, cols = _slice_spaces(L, k)
+                assert rows.is_zero() or rows.contains_vector(f) or cols.contains_vector(f)
+
+    check()
+    assert seen == {0, 1, 2}
 
 
 def _left_only_action():
@@ -230,7 +285,7 @@ def test_first_abelian_ideal_tests_the_side_that_suffices():
     assert res.beta_witness == span(F3, 5, (1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
     dims = range(5, -1, -1)
     assert _in_request(_first_abelian_ideal, L, dims, 10**6) == _in_request(
-        _walked_first_abelian_ideal, L, dims, 10**6
+        _walked_first_hit, L, dims, 10**6
     )
 
 
