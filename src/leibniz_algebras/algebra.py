@@ -8,12 +8,20 @@ The bracket convention is the left Leibniz rule throughout:
 
 Vectors are coordinate rows over the fixed basis.  All values are immutable
 after construction and all operations are pure functions.
+
+Over QQ the structure constants are read only through the integer table D*c,
+D the lcm of their denominators (`_integer_view`, cached per table): brackets
+sum in ints and divide each nonzero coordinate once, and the tests and spans
+that a rescaled generator does not change (`product_space`, `is_subalgebra`,
+`is_ideal`, `is_abelian_subspace`, `center`, `squares_ideal`) never divide.
+Fractions are built only where a value is returned.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
@@ -21,8 +29,8 @@ from .errors import (
     DimensionMismatchError,
     NotLeibnizError,
 )
-from .fields import FieldSpec, check_same_field
-from .linalg import Matrix, Subspace, rref_with_pivots, subspace_sum
+from .fields import _QQ_ZERO, FieldSpec, check_same_field
+from .linalg import Matrix, Subspace, _integer_row, rref_with_pivots, subspace_sum
 
 
 class AlgebraTable:
@@ -48,6 +56,18 @@ class AlgebraTable:
         self.c = tuple(table)
         self.name = name
         self._cache = {}
+
+    @classmethod
+    def _canonical(cls, field: FieldSpec, c, name: str | None = None) -> "AlgebraTable":
+        """Table from an n*n*n tensor of entries already in the field's
+        canonical form; nothing is coerced or checked."""
+        L = object.__new__(cls)
+        L.field = field
+        L.c = tuple(tuple(tuple(v) for v in ci) for ci in c)
+        L.dim = len(L.c)
+        L.name = name
+        L._cache = {}
+        return L
 
     @staticmethod
     def from_products(field: FieldSpec, dim: int, products: dict, name: str | None = None) -> "AlgebraTable":
@@ -85,8 +105,7 @@ class AlgebraTable:
         return Subspace.full(self.field, self.dim)
 
     def rename(self, name: str) -> "AlgebraTable":
-        out = AlgebraTable(self.field, self.c, name=name)
-        return out
+        return AlgebraTable._canonical(self.field, self.c, name=name)
 
 
 @dataclass(frozen=True)
@@ -108,12 +127,37 @@ def _products(L: AlgebraTable) -> tuple:
     """[e_i, e_j] for every (i, j) as its nonzero (k, c) pairs, cached on L."""
     products = L._cache.get("products")
     if products is None:
-        products = tuple(
-            tuple(tuple((k, x) for k, x in enumerate(cij) if x) for cij in ci)
-            for ci in L.c
-        )
-        L._cache["products"] = products
+        products = L._cache["products"] = _nonzero_pairs(L.c)
     return products
+
+
+def _nonzero_pairs(c: tuple) -> tuple:
+    return tuple(tuple(tuple((k, x) for k, x in enumerate(cij) if x) for cij in ci) for ci in c)
+
+
+def _integer_view(L: AlgebraTable) -> tuple:
+    """(D, c, products), cached on L.  Over QQ, c is the integer table D*L.c,
+    D the lcm of the denominators of the structure constants, and products
+    its nonzero (k, c) pairs as `_products` lists them; over GF(p) it is
+    (1, L.c, _products(L)).
+
+    Over QQ every read of the structure constants goes through this view.
+    A span or a kernel does not change when a row is scaled, so `center`,
+    `squares_ideal` and the trace functionals build their rows from c as
+    they stand; `_bracket` divides once per nonzero coordinate."""
+    view = L._cache.get("integer_view")
+    if view is None:
+        if L.field.p is not None:
+            view = (1, L.c, _products(L))
+        else:
+            D = math.lcm(*(x.denominator for ci in L.c for cij in ci for x in cij))
+            c = tuple(
+                tuple(tuple(x.numerator * (D // x.denominator) for x in cij) for cij in ci)
+                for ci in L.c
+            )
+            view = (D, c, _nonzero_pairs(c))
+        L._cache["integer_view"] = view
+    return view
 
 
 def bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
@@ -128,18 +172,34 @@ def bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
 
 def _bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
     """[u, v] for rows of L.dim entries already in L's field; nothing is
-    coerced or checked."""
-    F = L.field
+    coerced or checked.  Over QQ, u and v are scaled to integer rows, by
+    the lcms du and dv of their denominators (`_integer_row`), bracketed by
+    `_scaled_bracket`, and each nonzero coordinate is divided by du dv D
+    once."""
+    if L.field.p is not None:
+        return _scaled_bracket(L, u, v)
+    du, u = _integer_row(u)
+    dv, v = _integer_row(v)
+    den = du * dv * _integer_view(L)[0]
+    return tuple(Fraction(x, den) if x else _QQ_ZERO for x in _scaled_bracket(L, u, v))
+
+
+def _scaled_bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
+    """The bracket on the integer view (`_integer_view`).  Over GF(p) it is
+    `_bracket`.  Over QQ it takes integer rows, such as the rows of
+    `Subspace._integer_basis`, and returns D [u, v], an integer row: a
+    multiple of the bracket of the rows they scale, for what rescaling a
+    generator does not change (spans, membership, vanishing)."""
+    p = L.field.p
     v = [(j, y) for j, y in enumerate(v) if y]
-    out = [F.zero] * L.dim
-    for x, products in zip(u, _products(L)):
+    out = [0] * L.dim
+    for x, products in zip(u, _integer_view(L)[2]):
         if not x:
             continue
         for j, y in v:
             coef = x * y
             for k, c in products[j]:
                 out[k] += coef * c
-    p = F.p
     return tuple(out) if p is None else tuple(x % p for x in out)
 
 
@@ -154,29 +214,15 @@ def leibniz_failure(L: AlgebraTable) -> tuple | None:
     return result
 
 
-def _integer_products(L: AlgebraTable) -> tuple:
-    """Over QQ, `_products` of the integer table D*c, D the lcm of the
-    denominators of the structure constants; cached on L."""
-    products = L._cache.get("integer_products")
-    if products is None:
-        D = math.lcm(*(x.denominator for ci in L.c for cij in ci for x in cij))
-        products = tuple(
-            tuple(tuple((k, x.numerator * (D // x.denominator)) for k, x in cij) for cij in ci)
-            for ci in _products(L)
-        )
-        L._cache["integer_products"] = products
-    return products
-
-
 def _first_leibniz_failure(L: AlgebraTable) -> tuple | None:
     """Checks [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] + [e_j, [e_i, e_k]] on
     the nonzero structure constants, triples in (i, j, k) order.  Every
     term is a product of two structure constants, so over QQ the check runs
-    on the integer table D*c (`_integer_products`), where each side is D^2
+    on the integer table D*c (`_integer_view`), where each side is D^2
     times the rational one: the same triples fail, with no Fraction
     arithmetic."""
     p = L.field.p
-    products = _products(L) if p is not None else _integer_products(L)
+    products = _integer_view(L)[2]
     n = L.dim
     for i in range(n):
         Pi = products[i]
@@ -222,23 +268,29 @@ def squares_ideal(L: AlgebraTable) -> Subspace:
     """Span of all [x, x].
 
     Generated by the diagonal brackets [e_i, e_i] together with the
-    polarized sums [e_i, e_j] + [e_j, e_i] for i < j.
+    polarized sums [e_i, e_j] + [e_j, e_i] for i < j, read off the integer
+    view (`_integer_view`).  Cached on L.
     """
     require_leibniz(L)
-    F = L.field
-    gens = []
-    for i in range(L.dim):
-        gens.append(L.c[i][i])
-        for j in range(i + 1, L.dim):
-            gens.append(tuple(F.add(a, b) for a, b in zip(L.c[i][j], L.c[j][i])))
-    return Subspace._span(F, L.dim, gens)
+    S = L._cache.get("squares_ideal")
+    if S is None:
+        F = L.field
+        c = _integer_view(L)[1]
+        gens = []
+        for i in range(L.dim):
+            gens.append(c[i][i])
+            for j in range(i + 1, L.dim):
+                gens.append(tuple(F.add(a, b) for a, b in zip(c[i][j], c[j][i])))
+        S = L._cache["squares_ideal"] = Subspace._span(F, L.dim, gens)
+    return S
 
 
 def _is_skew(L: AlgebraTable) -> bool:
     F = L.field
+    c = _integer_view(L)[1]
     for i in range(L.dim):
         for j in range(i, L.dim):
-            if any(a != F.neg(b) for a, b in zip(L.c[i][j], L.c[j][i])):
+            if any(a != F.neg(b) for a, b in zip(c[i][j], c[j][i])):
                 return False
     return True
 
@@ -282,7 +334,8 @@ def mult_operator(L: AlgebraTable, x: Sequence, side: str = "left") -> MultOpera
 
 def _stacked_action_kernel(L: AlgebraTable, conditions) -> Subspace:
     """Joint kernel of a family of linear conditions on x, each condition a row
-    of coefficients over the x-coordinates, already in L's field."""
+    of coefficients over the x-coordinates, already in L's field or, over
+    QQ, ints."""
     F, n = L.field, L.dim
     if not conditions:
         return Subspace.full(F, n)
@@ -294,26 +347,26 @@ def _stacked_action_kernel(L: AlgebraTable, conditions) -> Subspace:
 
 def center(L: AlgebraTable) -> Subspace:
     """{x : [x, L] = [L, x] = 0}, the joint kernel of all left and right
-    actions; cached on L."""
+    actions, on the integer view; cached on L."""
     Z = L._cache.get("center")
     if Z is None:
-        n = L.dim
+        n, c = L.dim, _integer_view(L)[1]
         rows = []
         for j in range(n):
             for k in range(n):
-                rows.append([L.c[i][j][k] for i in range(n)])  # [x, e_j]_k
-                rows.append([L.c[j][i][k] for i in range(n)])  # [e_j, x]_k
+                rows.append([c[i][j][k] for i in range(n)])  # [x, e_j]_k
+                rows.append([c[j][i][k] for i in range(n)])  # [e_j, x]_k
         Z = L._cache["center"] = _stacked_action_kernel(L, rows)
     return Z
 
 
 def left_annihilator(L: AlgebraTable) -> Subspace:
-    """{x : [x, L] = 0}."""
-    n = L.dim
+    """{x : [x, L] = 0}, on the integer view."""
+    n, c = L.dim, _integer_view(L)[1]
     rows = []
     for j in range(n):
         for k in range(n):
-            rows.append([L.c[i][j][k] for i in range(n)])
+            rows.append([c[i][j][k] for i in range(n)])
     return _stacked_action_kernel(L, rows)
 
 
@@ -344,39 +397,34 @@ def product_space(L: AlgebraTable, U: Subspace, V: Subspace) -> Subspace:
     """Span of all [u, v] over basis vectors of U and V."""
     _check_subspace(L, U)
     _check_subspace(L, V)
-    gens = [_bracket(L, u, v) for u in U.basis.data for v in V.basis.data]
+    gens = [_scaled_bracket(L, u, v) for u in U._integer_basis() for v in V._integer_basis()]
     return Subspace._span(L.field, L.dim, gens)
 
 
 def is_subalgebra(L: AlgebraTable, U: Subspace) -> bool:
     _check_subspace(L, U)
-    return all(
-        U._contains(_bracket(L, u, v))
-        for u in U.basis.data
-        for v in U.basis.data
-    )
+    rows = U._integer_basis()
+    return all(U._contains(_scaled_bracket(L, u, v)) for u in rows for v in rows)
 
 
 def is_ideal(L: AlgebraTable, U: Subspace) -> bool:
     _check_subspace(L, U)
     n = L.dim
-    for u in U.basis.data:
-        for j in range(n):
-            ej = L.basis_vector(j)
-            if not U._contains(_bracket(L, u, ej)):
+    # unit rows of ints: integer rows over QQ, canonical over GF(p)
+    es = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    for u in U._integer_basis():
+        for ej in es:
+            if not U._contains(_scaled_bracket(L, u, ej)):
                 return False
-            if not U._contains(_bracket(L, ej, u)):
+            if not U._contains(_scaled_bracket(L, ej, u)):
                 return False
     return True
 
 
 def is_abelian_subspace(L: AlgebraTable, U: Subspace) -> bool:
     _check_subspace(L, U)
-    F = L.field
-    zero = L.zero_vector()
-    return all(
-        _bracket(L, u, v) == zero for u in U.basis.data for v in U.basis.data
-    )
+    rows = U._integer_basis()
+    return not any(any(_scaled_bracket(L, u, v)) for u in rows for v in rows)
 
 
 def generated_subalgebra(L: AlgebraTable, S: Subspace) -> Subspace:
@@ -406,7 +454,7 @@ def subalgebra_table(L: AlgebraTable, U: Subspace, name: str | None = None) -> A
                 raise ConsistencyError("closure check passed but product left the subspace")
             row.append(coords)
         c.append(row)
-    return _inherit_leibniz(L, AlgebraTable(L.field, c, name=name))
+    return _inherit_leibniz(L, AlgebraTable._canonical(L.field, c, name=name))
 
 
 def quotient(L: AlgebraTable, I: Subspace) -> tuple[AlgebraTable, Matrix]:
@@ -436,7 +484,7 @@ def quotient(L: AlgebraTable, I: Subspace) -> tuple[AlgebraTable, Matrix]:
             row.append(tuple(coords[d + t] for t in range(m)))
         c.append(row)
     name = ("%s/ideal" % L.name) if L.name else None
-    return _inherit_leibniz(L, AlgebraTable(F, c, name=name)), proj
+    return _inherit_leibniz(L, AlgebraTable._canonical(F, c, name=name)), proj
 
 
 def direct_sum(L1: AlgebraTable, L2: AlgebraTable) -> AlgebraTable:
@@ -458,7 +506,7 @@ def direct_sum(L1: AlgebraTable, L2: AlgebraTable) -> AlgebraTable:
     name = None
     if L1.name and L2.name:
         name = "%s (+) %s" % (L1.name, L2.name)
-    return AlgebraTable(F, c, name=name)
+    return AlgebraTable._canonical(F, c, name=name)
 
 
 def change_of_basis(L: AlgebraTable, P: Matrix) -> AlgebraTable:
@@ -479,13 +527,17 @@ def change_of_basis(L: AlgebraTable, P: Matrix) -> AlgebraTable:
             w = _bracket(L, P.data[i], P.data[j])
             row.append(Pinv.apply_row(w))
         c.append(row)
-    return _inherit_leibniz(L, AlgebraTable(L.field, c, name=L.name))
+    return _inherit_leibniz(L, AlgebraTable._canonical(L.field, c, name=L.name))
 
 
 def _is_frame(L: AlgebraTable, P: Matrix, model: AlgebraTable) -> bool:
     """Whether change_of_basis(L, P).c == model.c, for a model over L's
     field, decided without inverting P: the rows f_i of P must be a basis,
     and [f_i, f_j] must equal sum_k model[i][j][k] f_k for every (i, j).
+    Over QQ both sides are compared in ints: with F_i = d f_i, d the lcm
+    of P's denominators, and the model's integer view M = DM * model
+    (`_integer_view`), [F_i, F_j] on L's integer view is DL d^2 [f_i, f_j]
+    and sum_k M[i][j][k] F_k is DM d sum_k model[i][j][k] f_k.
 
     Raises as change_of_basis does on a P of another field or shape, or a
     singular P."""
@@ -497,20 +549,24 @@ def _is_frame(L: AlgebraTable, P: Matrix, model: AlgebraTable) -> bool:
         raise DimensionMismatchError("singular matrix")
     if model.dim != n:
         return False
-    F = L.field
-    p = F.p
-    f = P.data
-    for fi, model_i in zip(f, model.c):
-        for fj, coefs in zip(f, model_i):
-            want = [F.zero] * n
+    p = L.field.p
+    d, flat = _integer_row(sum(P.data, ()))
+    f = [flat[i * n : (i + 1) * n] for i in range(n)]
+    DM, M, _ = _integer_view(model)
+    scale = _integer_view(L)[0] * d
+    for fi, Mi in zip(f, M):
+        for fj, coefs in zip(f, Mi):
+            want = [0] * n
             for c, fk in zip(coefs, f):
                 if c:
                     for t, y in enumerate(fk):
                         if y:
                             want[t] += c * y
+            got = _scaled_bracket(L, fi, fj)
             if p is not None:
-                want = [x % p for x in want]
-            if _bracket(L, fi, fj) != tuple(want):
+                if got != tuple(x % p for x in want):
+                    return False
+            elif [DM * x for x in got] != [scale * x for x in want]:
                 return False
     return True
 

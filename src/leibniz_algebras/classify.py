@@ -442,14 +442,14 @@ _MATCHERS = (
 
 
 def _codim2_abelian_ideal_qq(L: AlgebraTable, A: Subspace) -> Subspace | None:
-    """The first of A and center(L) + [L, L] that is an abelian ideal of
-    codimension <= 2, or None.  The matchers find the abelian ideals these
-    miss (Case1_c and Case3_e with a reducible action)."""
-    candidates = (A, subspace_sum(center(L), _derived_subalgebra(series(L))))
-    return next(
-        (U for U in candidates if U.codim <= 2 and is_abelian_subspace(L, U) and is_ideal(L, U)),
-        None,
-    )
+    """The first of A, an abelian subalgebra of codimension 2, and
+    center(L) + [L, L] that is an abelian ideal of codimension <= 2, or
+    None.  The matchers find the abelian ideals these miss (Case1_c and
+    Case3_e with a reducible action)."""
+    if is_ideal(L, A):
+        return A
+    U = subspace_sum(center(L), _derived_subalgebra(series(L)))
+    return U if U.codim <= 2 and is_abelian_subspace(L, U) and is_ideal(L, U) else None
 
 
 def _derived_subalgebra(rep: SeriesReport) -> Subspace:

@@ -205,13 +205,14 @@ def is_left_derivation(H: AlgebraTable, phi: Matrix) -> bool:
     n = H.dim
     if phi.rows != n or phi.cols != n:
         raise DimensionMismatchError("derivation matrix must be dim x dim")
+    images = [phi.col(i) for i in range(n)]  # phi(e_i)
     for i in range(n):
         ei = H.basis_vector(i)
         for j in range(n):
             ej = H.basis_vector(j)
             lhs = phi.apply_col(H.c[i][j])
-            r1 = _bracket(H, phi.apply_col(ei), ej)
-            r2 = _bracket(H, ei, phi.apply_col(ej))
+            r1 = _bracket(H, images[i], ej)
+            r2 = _bracket(H, ei, images[j])
             if any(a != F.add(b, c) for a, b, c in zip(lhs, r1, r2)):
                 return False
     return True

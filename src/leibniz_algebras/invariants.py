@@ -180,12 +180,16 @@ def nilradical(L: AlgebraTable) -> Subspace:
     K = I_0 = L; round i = 1 removes x.
 
     No scan runs.  Either way the result is checked to be a nilpotent
-    ideal of L before it is returned.
+    ideal of L before it is returned, and cached on L.
     """
     require_leibniz(L)
+    N = L._cache.get("nilradical")
+    if N is not None:
+        return N
     for kernel in (_trace_kernel, _envelope_radical):
         N = kernel(L)
         if is_ideal(L, N) and _is_nilpotent_subalgebra(L, N):
+            L._cache["nilradical"] = N
             return N
     raise ConsistencyError("the pullback of the envelope's radical is not a nilpotent ideal")
 
@@ -246,7 +250,8 @@ def verify_nilradical_candidate(L: AlgebraTable, N: Subspace) -> bool:
     """True iff N is the nilradical of L, over QQ and GF(p).
 
     The check is exact: N is compared with `nilradical(L)`, which runs no
-    scan.  A table that breaks the Leibniz rule raises NotLeibnizError;
+    scan and is cached on L, so after `classify` of the same table it costs
+    a comparison.  A table that breaks the Leibniz rule raises NotLeibnizError;
     then an N over another field raises FieldMismatchError, and one of
     another ambient dimension DimensionMismatchError.
     """

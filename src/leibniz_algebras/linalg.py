@@ -6,16 +6,24 @@ equal precisely when their basis matrices are identical.  Enumeration of
 subspaces over GF(p) is lazy and follows a fixed canonical order (pivot-column
 sets lexicographically, then free entries), so searches are deterministic and
 restartable.
+
+Over QQ, elimination and subspace membership are fraction-free: rows are
+scaled to integers by the lcm of their denominators, and Fractions are built
+only for the final RREF.  Rows scale freely, so the package's integer rows
+(from the integer structure table, see `algebra`) may enter a span or a
+kernel directly; what comes out is canonical, Fractions only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from ._scan_py import canonical_subspaces, gaussian_binomial
 from .errors import DimensionMismatchError
-from .fields import FieldSpec, Scalar, check_same_field
+from .fields import _QQ_ONE, _QQ_ZERO, FieldSpec, Scalar, check_same_field
 
 
 def _as_tuple_vec(field: FieldSpec, v: Sequence) -> tuple:
@@ -270,10 +278,30 @@ def _dot(F: FieldSpec, u: Sequence, v: Sequence):
     return acc if F.p is None else acc % F.p
 
 
+_INT = {int}
+
+
+def _integer_row(u: Sequence) -> tuple[int, Sequence]:
+    """(d, d*u) for a row of rationals or ints, d the lcm of the
+    denominators: the row scaled to integers.  A row of ints is returned
+    as it is."""
+    if set(map(type, u)) <= _INT:
+        return 1, u
+    d = math.lcm(*[x.denominator for x in u])
+    if d == 1:
+        return 1, [x.numerator for x in u]
+    return d, [x.numerator * (d // x.denominator) for x in u]
+
+
 def rref_with_pivots(M: Matrix) -> tuple[Matrix, int, list[int]]:
-    """Reduced row echelon form: unit pivots, zeros above and below."""
+    """Reduced row echelon form: unit pivots, zeros above and below.
+
+    Over QQ the elimination is fraction-free (`_rref_rational`); its rows
+    may hold ints as well as Fractions, and the result holds Fractions."""
     F = M.field
     p = F.p
+    if p is None:
+        return _rref_rational(M)
     rows = [list(r) for r in M.data]
     nrows, ncols = M.rows, M.cols
     pivots: list[int] = []
@@ -286,24 +314,59 @@ def rref_with_pivots(M: Matrix) -> tuple[Matrix, int, list[int]]:
         top = rows[r]
         inv = F.inv(top[c])
         if inv != 1:
-            if p is None:
-                top = rows[r] = [x * inv for x in top]
-            else:
-                top = rows[r] = [x * inv % p for x in top]
+            top = rows[r] = [x * inv % p for x in top]
         for i in range(nrows):
             row = rows[i]
             f = row[c]
             if i == r or not f:
                 continue
-            if p is None:
-                rows[i] = [x - f * y if y else x for x, y in zip(row, top)]
-            else:
-                rows[i] = [(x - f * y) % p if y else x for x, y in zip(row, top)]
+            rows[i] = [(x - f * y) % p if y else x for x, y in zip(row, top)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return Matrix._canonical(F, rows, ncols), len(pivots), pivots
+
+
+def _rref_rational(M: Matrix) -> tuple[Matrix, int, list[int]]:
+    """rref_with_pivots over QQ, on integer rows: each row is scaled to
+    integers (`_integer_row`), a pivot row a clears column c of row w by
+    w <- a[c] w - w[c] a, and the new row is divided by its content (the
+    gcd of its entries).  Scaling rows changes no row space, and each pivot
+    row ends with zeros in the other pivot columns, so dividing it by its
+    pivot at the end gives the RREF, which is unique: the same matrix as
+    elimination with Fractions, the only Fractions being built there.
+    Zero rows take no part; they end the result, as in any RREF."""
+    nrows, ncols = M.rows, M.cols
+    rows = [row for row in (_integer_row(r)[1] for r in M.data) if any(row)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        top = rows[r]
+        a = top[c]
+        for i in range(len(rows)):
+            row = rows[i]
+            f = row[c]
+            if i == r or not f:
+                continue
+            row = [a * x - f * y for x, y in zip(row, top)]
+            g = math.gcd(*row)
+            rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    zero, one = _QQ_ZERO, _QQ_ONE
+    red = []
+    for row, pc in zip(rows, pivots):
+        a = row[pc]
+        red.append([one if x == a else Fraction(x, a) if x else zero for x in row])
+    red += [[zero] * ncols for _ in range(nrows - len(pivots))]
+    return Matrix._canonical(M.field, red, ncols), len(pivots), pivots
 
 
 def rref(M: Matrix) -> tuple[Matrix, int]:
@@ -318,13 +381,14 @@ class Subspace:
     Equality of subspaces is equality of basis matrices.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_integer_rows")
 
     def __init__(self, field: FieldSpec, ambient_dim: int, basis: Matrix, pivots: list[int]):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = tuple(pivots)
+        self._integer_rows = None
 
     # -- constructors ----------------------------------------------------------
 
@@ -412,9 +476,32 @@ class Subspace:
     def contains_vector(self, v: Sequence) -> bool:
         return not any(self.reduce_vector(v))
 
+    def _integer_basis(self) -> tuple:
+        """The basis rows, each scaled to integers over QQ (`_integer_row`),
+        as they are over GF(p); cached."""
+        rows = self._integer_rows
+        if rows is None:
+            rows = self.basis.data
+            if self.field.p is None:
+                rows = tuple(_integer_row(r)[1] for r in rows)
+            self._integer_rows = rows
+        return rows
+
     def _contains(self, w: Sequence) -> bool:
-        """contains_vector for a row already in the field's canonical form."""
-        return not any(self._reduce(w))
+        """contains_vector for a row already in the field's canonical form
+        or, over QQ, of ints.  Over QQ it is fraction-free: w is scaled to
+        integers, and each integer basis row b, of pivot b[pc], clears
+        column pc by w <- b[pc] w - w[pc] b, which leaves the other pivot
+        columns as they were."""
+        if self.field.p is not None:
+            return not any(self._reduce(w))
+        w = _integer_row(w)[1]
+        for pc, row in zip(self.pivots, self._integer_basis()):
+            c = w[pc]
+            if c:
+                a = row[pc]
+                w = [a * x - c * y for x, y in zip(w, row)]
+        return not any(w)
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(v) for v in other.basis.data)

@@ -55,6 +55,7 @@ from ._scan_py import _canonical_index, canonical_subspaces, gaussian_binomial
 from .algebra import (
     AlgebraTable,
     _bracket,
+    _integer_view,
     _is_frame,
     _products,
     _stacked_action_kernel,
@@ -113,10 +114,13 @@ def _trace_functionals(L: AlgebraTable) -> tuple:
     into N_(k+1), so M_x W is nilpotent.
 
     Tr(AB) = Tr(BA), so of the traces of products of two operators among
-    the L_e_i and R_e_i each is computed once: 2n^2 + n of them."""
+    the L_e_i and R_e_i each is computed once: 2n^2 + n of them.  They are
+    read off the integer view (`_integer_view`): over QQ its table is D*c,
+    which scales each functional by D or D^2 and leaves their span as it
+    is."""
     rows = L._cache.get("trace_functionals")
     if rows is None:
-        F, c, n = L.field, L.c, L.dim
+        F, c, n = L.field, _integer_view(L)[1], L.dim
         # the columns of L_e_i and R_e_i: [e_i, e_k] and [e_k, e_i]
         cols = [[c[i][k] for k in range(n)] for i in range(n)]
         cols += [[c[k][i] for k in range(n)] for i in range(n)]
@@ -125,15 +129,14 @@ def _trace_functionals(L: AlgebraTable) -> tuple:
         flat = [{t: x for t, x in enumerate(sum(zip(*cs), ())) if x} for cs in cols]
         flat_t = [{t: x for t, x in enumerate(sum(cs, ())) if x} for cs in cols]
         # T[a][b] = Tr(A B) = sum of A[j][k] * B[k][j], A, B operators a, b
-        T = [[F.zero] * (2 * n) for _ in range(2 * n)]
+        T = [[0] * (2 * n) for _ in range(2 * n)]
         for a, A in enumerate(flat):
             for b in range(a, 2 * n):
                 B = flat_t[b]
-                T[a][b] = T[b][a] = sum((A[t] * B[t] for t in A.keys() & B.keys()), F.zero)
+                T[a][b] = T[b][a] = sum(A[t] * B[t] for t in A.keys() & B.keys())
         # row (M, W): x -> Tr(M_x W), coefficient Tr(M_e_i W) at e_i
         diagonal = range(0, n * n, n + 1)
-        funcs = [[sum((A.get(t, F.zero) for t in diagonal), F.zero) for A in flat[m : m + n]]
-                 for m in (0, n)]
+        funcs = [[sum(A.get(t, 0) for t in diagonal) for A in flat[m : m + n]] for m in (0, n)]
         funcs += [[T[m + i][b] for i in range(n)] for m in (0, n) for b in range(2 * n)]
         if F.p is not None:
             funcs = [[x % F.p for x in f] for f in funcs]

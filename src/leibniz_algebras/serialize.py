@@ -121,7 +121,10 @@ def parse_algebra(text: str, strict: bool = True) -> AlgebraTable:
         name = meta.get("name")
         if name is not None and not isinstance(name, str):
             _fail("'metadata.name' must be a string")
-    return AlgebraTable.from_products(field, dim, products, name=name)
+    # _parse_scalar has put every scalar in canonical form: no second pass
+    zero = (field.zero,) * dim
+    c = [[products.get((i, j), zero) for j in range(dim)] for i in range(dim)]
+    return AlgebraTable._canonical(field, c, name=name)
 
 
 def _format_scalar(x, field: FieldSpec):

@@ -1,0 +1,329 @@
+"""Differential tests of the QQ integer table against Fraction references.
+
+Over QQ the package reads its structure constants only through the integer
+table D*c (`algebra._integer_view`), eliminates fraction-free
+(`linalg._rref_rational`) and brackets in ints.  Here each of those is
+compared with a test-local reference that does what the package did with
+`Fraction`s before: the bracket as a Fraction sum, Gauss-Jordan elimination
+with Fraction pivots, and the center, squares and trace-functional rows read
+off the Fraction table.  Inputs are the QQ fixtures under `rational_change`,
+under dense basis changes (entries -3..3 over denominators 1..3), and one
+table whose denominators have a large lcm.  Every scalar the package returns
+(in a Subspace, a Matrix, a bracket or a verdict's witness) must be a
+Fraction: no int may leak out of the scale-free paths.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leibniz_algebras.algebra import (
+    AlgebraTable,
+    _bracket,
+    _integer_view,
+    _scaled_bracket,
+    center,
+    change_of_basis,
+    direct_sum,
+    is_abelian_subspace,
+    is_ideal,
+    is_subalgebra,
+    left_annihilator,
+    product_space,
+    squares_ideal,
+)
+from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2, standard_fixtures
+from leibniz_algebras.classify import classify
+from leibniz_algebras.families import abelian_algebra, make_c, make_d
+from leibniz_algebras.fields import QQ
+from leibniz_algebras.invariants import nilradical, series, verify_nilradical_candidate
+from leibniz_algebras.linalg import Matrix, QuadraticPoly, Subspace, _integer_row, rref_with_pivots
+from leibniz_algebras.search import _trace_functionals, _trace_kernel
+
+from conftest import carried, rational_change
+
+QQ_FIXTURES = [L for L in standard_fixtures(QQ) if L.dim > 1]
+PRIMES = (7, 11, 13, 17, 19)
+
+
+def dense_change(n, rng):
+    """A dense invertible matrix, entries a/b with a in -3..3, b in 1..3."""
+    while True:
+        P = Matrix(QQ, [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                        for _ in range(n)])
+        if P.is_invertible():
+            return P
+
+
+def large_lcm_table():
+    """The largest QQ fixture with its basis vectors divided by distinct
+    primes, then a dense change: the denominators' lcm is large."""
+    L = max(QQ_FIXTURES, key=lambda T: (T.dim, sum(map(any, (v for r in T.c for v in r)))))
+    n = L.dim
+    scale = Matrix(QQ, [[Fraction(int(i == j), PRIMES[i]) for j in range(n)] for i in range(n)])
+    return change_of_basis(L, dense_change(n, random.Random(3)) @ scale)
+
+
+LARGE = large_lcm_table()
+
+
+@st.composite
+def qq_tables(draw):
+    """A QQ fixture under `rational_change` or a dense change, or the
+    large-lcm table."""
+    kind = draw(st.sampled_from(["rational", "dense", "large"]))
+    if kind == "large":
+        return LARGE
+    L = draw(st.sampled_from(QQ_FIXTURES))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    P = rational_change(L.dim, rng) if kind == "rational" else dense_change(L.dim, rng)
+    return change_of_basis(L, P)
+
+
+def qq_rows(n, size):
+    fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    entries = st.one_of(st.just(Fraction(0)), fractions)
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=size)
+
+
+# -- Fraction references -----------------------------------------------------
+
+
+def ref_bracket(L, u, v):
+    """[u, v] as the Fraction sum over the nonzero structure constants."""
+    out = [Fraction(0)] * L.dim
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            if x and y:
+                for k, c in enumerate(L.c[i][j]):
+                    out[k] += x * y * c
+    return tuple(out)
+
+
+def ref_rref(rows, ncols):
+    """Gauss-Jordan with Fraction pivots: (rows, rank, pivots), the zero
+    rows last."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots, r = [], 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        top = rows[r] = [x * inv for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [x - f * y for x, y in zip(row, top)]
+        pivots.append(c)
+        r += 1
+    return tuple(map(tuple, rows)), r, pivots
+
+
+def ref_span(rows, n):
+    red, rank, _ = ref_rref(rows, n)
+    return red[:rank]
+
+
+def ref_kernel(rows, n):
+    """RREF basis of {x : row . x = 0 for every row}."""
+    red, rank, pivots = ref_rref(rows, n)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Fraction(int(c == f)) for c in range(n)]
+        for row, pc in zip(red[:rank], pivots):
+            v[pc] = -row[f]
+        basis.append(v)
+    return ref_span(basis, n)
+
+
+def ref_center(L):
+    n, c = L.dim, L.c
+    rows = [[c[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
+    rows += [[c[j][i][k] for i in range(n)] for j in range(n) for k in range(n)]
+    return ref_kernel(rows, n)
+
+
+def ref_left_annihilator(L):
+    n, c = L.dim, L.c
+    return ref_kernel([[c[i][j][k] for i in range(n)] for j in range(n) for k in range(n)], n)
+
+
+def ref_squares(L):
+    n, c = L.dim, L.c
+    gens = [c[i][i] for i in range(n)]
+    gens += [[a + b for a, b in zip(c[i][j], c[j][i])] for i in range(n) for j in range(i + 1, n)]
+    return ref_span(gens, n)
+
+
+def ref_trace_rows(L):
+    """x -> Tr(M_x W), M in {L, R}, W in {1, L_e_j, R_e_j}, as Fraction
+    matrices: L_e_i[t][k] = c[i][k][t], R_e_i[t][k] = c[k][i][t]."""
+    n, c = L.dim, L.c
+    left = [[[c[i][k][t] for k in range(n)] for t in range(n)] for i in range(n)]
+    right = [[[c[k][i][t] for k in range(n)] for t in range(n)] for i in range(n)]
+    ident = [[Fraction(int(t == k)) for k in range(n)] for t in range(n)]
+
+    def trace_of_product(A, B):
+        return sum((A[t][k] * B[k][t] for t in range(n) for k in range(n)), Fraction(0))
+
+    rows = [[trace_of_product(M[i], W) for i in range(n)]
+            for M in (left, right) for W in [ident] + left + right]
+    return ref_span(rows, n)
+
+
+def ref_contains(U, w):
+    return len(ref_span(list(U.basis.data) + [w], U.ambient_dim)) == U.dim
+
+
+def assert_fractions(values):
+    for x in values:
+        assert type(x) is Fraction, x
+
+
+def assert_subspace(U, rows):
+    assert U.basis.data == tuple(rows)
+    for row in U.basis.data:
+        assert_fractions(row)
+
+
+def fraction_scalars(obj):
+    """Every scalar of a returned value: Subspaces, Matrices, tables, rows,
+    quadratics and the dicts and tuples holding them."""
+    if isinstance(obj, Subspace):
+        obj = obj.basis
+    if isinstance(obj, Matrix):
+        return [x for row in obj.data for x in row]
+    if isinstance(obj, AlgebraTable):
+        return [x for ci in obj.c for cij in ci for x in cij]
+    if isinstance(obj, QuadraticPoly):
+        return [obj.c1, obj.c0]
+    if isinstance(obj, dict):
+        return [x for v in obj.values() for x in fraction_scalars(v)]
+    if isinstance(obj, (tuple, list)):
+        return [x for v in obj for x in fraction_scalars(v)]
+    return [obj]
+
+
+# -- tests ---------------------------------------------------------------------
+
+
+def test_the_large_table_has_a_large_denominator_lcm():
+    D = _integer_view(LARGE)[0]
+    assert D == math.lcm(*(x.denominator for ci in LARGE.c for cij in ci for x in cij))
+    assert D > 10**6
+    assert all(type(x) is int for ci in _integer_view(LARGE)[1] for cij in ci for x in cij)
+
+
+@settings(max_examples=80)
+@given(data=st.data(), L=qq_tables())
+def test_brackets_match_the_fraction_sum(data, L):
+    n = L.dim
+    D = _integer_view(L)[0]
+    rows = data.draw(qq_rows(n, 3)) + [L.basis_vector(i) for i in range(n)]
+    for u in rows:
+        for v in rows[:4]:
+            want = ref_bracket(L, u, v)
+            got = _bracket(L, u, v)
+            assert got == want
+            assert_fractions(got)
+            # the scale-free bracket of the integer rows is D du dv [u, v]
+            (du, iu), (dv, iv) = _integer_row(u), _integer_row(v)
+            scaled = _scaled_bracket(L, iu, iv)
+            assert all(type(x) is int for x in scaled)
+            assert scaled == tuple(x * D * du * dv for x in want)
+
+
+@settings(max_examples=150)
+@given(data=st.data(), n=st.integers(1, 6), factor=st.integers(1, 30))
+def test_rref_of_integer_rows_equals_rref_of_fraction_rows(data, n, factor):
+    rows = data.draw(qq_rows(n, 7))
+    if data.draw(st.booleans()):
+        # a dependent row, so that the rank falls short
+        rows.append([a - 2 * b for a, b in zip(rows[0], rows[-1])])
+    want = ref_rref(rows, n)
+    got = rref_with_pivots(Matrix._canonical(QQ, rows, n))
+    # each row scaled to integers and by a signed factor: the same RREF
+    sign = data.draw(st.sampled_from([1, -1]))
+    ints = [[sign * factor * x for x in _integer_row(r)[1]] for r in rows]
+    from_ints = rref_with_pivots(Matrix._canonical(QQ, ints, n))
+    for red, rank, pivots in (got, from_ints):
+        assert (red.data, rank, pivots) == want
+        assert red.rows == len(rows) and red.cols == n
+        assert_fractions(fraction_scalars(red))
+    U = Subspace._span(QQ, n, ints)
+    assert_subspace(U, want[0][: want[1]])
+
+
+@settings(max_examples=80)
+@given(L=qq_tables())
+def test_spans_and_kernels_read_off_the_integer_table(L):
+    n = L.dim
+    assert_subspace(center(L), ref_center(L))
+    assert_subspace(left_annihilator(L), ref_left_annihilator(L))
+    assert_subspace(squares_ideal(L), ref_squares(L))
+    funcs = _trace_functionals(L)
+    assert funcs == ref_trace_rows(L)
+    assert_fractions(fraction_scalars(funcs))
+    assert_subspace(_trace_kernel(L), ref_kernel(funcs, n))
+
+
+@settings(max_examples=80)
+@given(data=st.data(), L=qq_tables())
+def test_scale_free_tests_match_the_references(data, L):
+    n = L.dim
+    U = Subspace.from_vectors(QQ, n, data.draw(qq_rows(n, n - 1)))
+    V = Subspace.from_vectors(QQ, n, data.draw(qq_rows(n, 2)))
+    # also the structure's own subspaces, which pass the tests more often
+    for W in (U, V, center(L), squares_ideal(L), _trace_kernel(L), *series(L).derived_chain[1:2]):
+        gens = [ref_bracket(L, u, v) for u in W.basis.data for v in V.basis.data]
+        assert_subspace(product_space(L, W, V), ref_span(gens, n))
+        brackets = [ref_bracket(L, u, v) for u in W.basis.data for v in W.basis.data]
+        assert is_subalgebra(L, W) == all(ref_contains(W, w) for w in brackets)
+        assert is_abelian_subspace(L, W) == (not any(map(any, brackets)))
+        es = [L.basis_vector(j) for j in range(n)]
+        sides = [ref_bracket(L, u, e) for u in W.basis.data for e in es]
+        sides += [ref_bracket(L, e, u) for u in W.basis.data for e in es]
+        assert is_ideal(L, W) == all(ref_contains(W, w) for w in sides)
+
+
+# base algebra, k, witness and nilradical basis indices of the base
+FAMILIES = (
+    ("rotext", range(0, 2), (1, 2), (0, 1, 2)),
+    ("c(rot)", range(0, 2), (0, 1), (1, 2, 3)),
+    ("d(rot)", range(1, 3), (0,), ()),
+)
+
+
+def family(base, k):
+    rot = rotation_2x2(QQ)
+    L = {"c(rot)": make_c(rot, QQ), "d(rot)": make_d(rot, QQ),
+         "rotext": heisenberg_rotation_extension(QQ)}[base]
+    return direct_sum(L, abelian_algebra(k, QQ)) if k else L
+
+
+@settings(max_examples=40)
+@given(data=st.data(), seed=st.integers(0, 2**32), dense=st.booleans())
+def test_verdicts_hold_fractions_only(data, seed, dense):
+    base, ks, witness, nil = data.draw(st.sampled_from(FAMILIES))
+    k = data.draw(st.sampled_from(list(ks)))
+    L = family(base, k)
+    n = L.dim
+    rng = random.Random(seed)
+    P = dense_change(n, rng) if dense else rational_change(n, rng)
+    M = change_of_basis(L, P)
+    central = tuple(range(n - k, n))
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    A = Subspace.from_vectors(QQ, n, carried(P, [unit[i] for i in witness + central]))
+    N = Subspace.from_vectors(QQ, n, carried(P, [unit[i] for i in nil + central]))
+    verdict = classify(M, A=A, nilradical_candidate=N)
+    assert verify_nilradical_candidate(M, N)
+    assert verdict.case == classify(L, A=Subspace.from_vectors(
+        QQ, n, [unit[i] for i in witness + central])).case
+    assert_fractions(fraction_scalars(verdict.witness))
+    assert_fractions(fraction_scalars([center(M), squares_ideal(M), nilradical(M)]))
+    assert_fractions(fraction_scalars(list(series(M).derived_chain + series(M).lower_central_chain)))
