@@ -56,6 +56,7 @@ from .families import (
     make_e,
     oscillator,
     raw_pair_table,
+    span_equivalent_iso,
 )
 from .fields import GF, QQ, FieldSpec
 from .invariants import (
@@ -90,7 +91,6 @@ from .search import (
     invariant_profile,
     is_maximal_subalgebra,
     iso_search,
-    span_equivalent_iso,
 )
 from .serialize import parse_algebra, serialize_algebra
 

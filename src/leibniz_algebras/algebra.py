@@ -439,9 +439,10 @@ def generated_subalgebra(L: AlgebraTable, S: Subspace) -> Subspace:
 
 
 def subalgebra_table(L: AlgebraTable, U: Subspace, name: str | None = None) -> AlgebraTable:
-    """Structure table of a subalgebra on its RREF basis rows."""
-    if not is_subalgebra(L, U):
-        raise ValueError("subspace is not closed under the bracket")
+    """Structure table of a subalgebra on its RREF basis rows.  A subspace
+    that is not a subalgebra raises ValueError: the product of two basis
+    rows that leaves U has no coordinates."""
+    _check_subspace(L, U)
     rows = U.basis.data
     d = U.dim
     c = []
@@ -451,7 +452,7 @@ def subalgebra_table(L: AlgebraTable, U: Subspace, name: str | None = None) -> A
             w = _bracket(L, rows[a], rows[b])
             coords = U.coordinates(w)
             if coords is None:
-                raise ConsistencyError("closure check passed but product left the subspace")
+                raise ValueError("subspace is not closed under the bracket")
             row.append(coords)
         c.append(row)
     return _inherit_leibniz(L, AlgebraTable._canonical(L.field, c, name=name))

@@ -43,7 +43,6 @@ from .algebra import (
     is_abelian_subspace,
     is_ideal,
     is_lie,
-    is_subalgebra,
     product_space,
     require_leibniz,
     squares_ideal,
@@ -493,7 +492,7 @@ def classify(
     if A is not None:
         if A.ambient_dim != n or A.codim != 2:
             raise ValueError("witness must be a codimension-2 subspace")
-        if not is_abelian_subspace(L, A) or not is_subalgebra(L, A):
+        if not is_abelian_subspace(L, A):
             raise ValueError("witness is not an abelian subalgebra")
     elif not F.is_prime_field:
         raise ValueError("over the rationals an abelian codimension-2 witness is required")

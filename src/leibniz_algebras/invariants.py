@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from .algebra import (
     AlgebraTable,
     _check_subspace,
+    _integer_view,
+    _stacked_action_kernel,
     is_abelian_subspace,
     is_ideal,
-    is_subalgebra,
     left_annihilator,
     mult_operator,
     product_space,
@@ -24,7 +25,6 @@ from .algebra import (
 )
 from .errors import ConsistencyError
 from .linalg import Matrix, Subspace, subspace_intersect, subspace_sum
-from .search import _trace_kernel
 
 
 @dataclass(frozen=True)
@@ -149,15 +149,65 @@ def _is_nilpotent_subalgebra(L: AlgebraTable, U: Subspace) -> bool:
     return True
 
 
+def _trace_functionals(L: AlgebraTable) -> tuple:
+    """Rows, in RREF, of the functionals x -> Tr(M_x W) for M in {L, R} and
+    W in {1, L_e_j, R_e_j}, as field elements; cached on L.
+
+    Every nilpotent ideal N, abelian ones included, lies in their common
+    kernel: the ideals N_1 = N, N_(k+1) = [N, N_k] + [N_k, N] reach 0, W
+    maps each N_k into itself, and for x in N, M_x maps L into N_1 and N_k
+    into N_(k+1), so M_x W is nilpotent.
+
+    Tr(AB) = Tr(BA), so of the traces of products of two operators among
+    the L_e_i and R_e_i each is computed once: 2n^2 + n of them.  They are
+    read off the integer view (`_integer_view`): over QQ its table is D*c,
+    which scales each functional by D or D^2 and leaves their span as it
+    is."""
+    rows = L._cache.get("trace_functionals")
+    if rows is None:
+        F, c, n = L.field, _integer_view(L)[1], L.dim
+        # the columns of L_e_i and R_e_i: [e_i, e_k] and [e_k, e_i]
+        cols = [[c[i][k] for k in range(n)] for i in range(n)]
+        cols += [[c[k][i] for k in range(n)] for i in range(n)]
+        # each operator's nonzero entries, and its transpose's, by their
+        # position in the row-major flattening
+        flat = [{t: x for t, x in enumerate(sum(zip(*cs), ())) if x} for cs in cols]
+        flat_t = [{t: x for t, x in enumerate(sum(cs, ())) if x} for cs in cols]
+        # T[a][b] = Tr(A B) = sum of A[j][k] * B[k][j], A, B operators a, b
+        T = [[0] * (2 * n) for _ in range(2 * n)]
+        for a, A in enumerate(flat):
+            for b in range(a, 2 * n):
+                B = flat_t[b]
+                T[a][b] = T[b][a] = sum(A[t] * B[t] for t in A.keys() & B.keys())
+        # row (M, W): x -> Tr(M_x W), coefficient Tr(M_e_i W) at e_i
+        diagonal = range(0, n * n, n + 1)
+        funcs = [[sum(A.get(t, 0) for t in diagonal) for A in flat[m : m + n]] for m in (0, n)]
+        funcs += [[T[m + i][b] for i in range(n)] for m in (0, n) for b in range(2 * n)]
+        if F.p is not None:
+            funcs = [[x % F.p for x in f] for f in funcs]
+        rows = tuple(map(tuple, Subspace._span(F, n, funcs).basis.data))
+        L._cache["trace_functionals"] = rows
+    return rows
+
+
+def _trace_kernel(L: AlgebraTable) -> Subspace:
+    """K, the common kernel of `_trace_functionals`; it holds every
+    nilpotent ideal.  Cached on L."""
+    K = L._cache.get("trace_kernel")
+    if K is None:
+        K = L._cache["trace_kernel"] = _stacked_action_kernel(L, _trace_functionals(L))
+    return K
+
+
 def nilradical(L: AlgebraTable) -> Subspace:
     """Largest nilpotent ideal N, as an RREF subspace, over QQ and GF(p).
 
     First the trace form.  Let K be the common kernel of the functionals
     x -> Tr(M_x W), M in {L, R}, W in {1, L_e_j, R_e_j}, that the
-    abelian-ideal searches already use (`search._trace_kernel`, cached on
-    L).  Every nilpotent ideal lies in K, in every characteristic (see
-    `search`), so N <= K; when K is itself an ideal and nilpotent, K <= N,
-    and K is the nilradical.
+    abelian-ideal searches of `search` also use (`_trace_kernel`, cached
+    on L).  Every nilpotent ideal lies in K, in every characteristic (see
+    `_trace_functionals`), so N <= K; when K is itself an ideal and
+    nilpotent, K <= N, and K is the nilradical.
 
     Otherwise N = {x : L_x in Rad(E)}, E the unital associative algebra
     generated by the L_e_j (`_envelope_radical`), in every characteristic.
@@ -270,7 +320,7 @@ def check_annihilator_bound(L: AlgebraTable, A: Subspace) -> tuple[bool, int, in
     which the subalgebra acts, which needs m > 1); at m = 1 it can fail.
     Returns (holds, lhs, rhs).
     """
-    if not (is_abelian_subspace(L, A) and is_subalgebra(L, A)):
+    if not is_abelian_subspace(L, A):
         raise ValueError("bound applies to abelian subalgebras only")
     if L.dim > 0 and A.dim == 0:
         raise ValueError("zero subalgebra is never of maximal abelian dimension")

@@ -12,8 +12,9 @@ its Gaussian binomial and one with a hit its first hit's index + 1.
 `all_abelian_ideals` and `all_abelian_subalgebras` walk their strata
 through the one kernel in `_scan_py`, and `alpha` walks its strata <= n-2
 there.  Every nilpotent ideal N lies in the common kernel K of the trace
-form's functionals x -> Tr(M_x W), M in {L, R}, W in {1, L_e_j, R_e_j},
-computed once per table, in every characteristic: with N_1 = N and
+form's functionals x -> Tr(M_x W), M in {L, R}, W in {1, L_e_j, R_e_j}
+(`invariants._trace_functionals`), computed once per table, in every
+characteristic: with N_1 = N and
 N_(k+1) = [N, N_k] + [N_k, N], ideals of L that reach 0, each W maps N_k
 into itself and, for x in N, M_x maps L into N_1 and N_k into N_(k+1), so
 M_x W is nilpotent and its trace is 0.  An abelian ideal has N_2 = 0, so
@@ -55,10 +56,8 @@ from ._scan_py import _canonical_index, canonical_subspaces, gaussian_binomial
 from .algebra import (
     AlgebraTable,
     _bracket,
-    _integer_view,
     _is_frame,
     _products,
-    _stacked_action_kernel,
     bracket,
     center,
     generated_subalgebra,
@@ -69,6 +68,7 @@ from .algebra import (
 )
 from .errors import BudgetExceededError, ConsistencyError
 from .fields import FieldSpec, check_same_field
+from .invariants import _trace_functionals, _trace_kernel, series
 from .linalg import Matrix, Subspace, enumerate_subspaces, subspace_sum
 
 DEFAULT_SCAN_BUDGET = 5_000_000
@@ -102,56 +102,6 @@ def table_flat(L: AlgebraTable) -> tuple:
     _require_prime_field(L, "subspace scan")
     n = L.dim
     return tuple(L.c[i][j][k] for i in range(n) for j in range(n) for k in range(n))
-
-
-def _trace_functionals(L: AlgebraTable) -> tuple:
-    """Rows, in RREF, of the functionals x -> Tr(M_x W) for M in {L, R} and
-    W in {1, L_e_j, R_e_j}, as field elements; cached on L.
-
-    Every nilpotent ideal N, abelian ones included, lies in their common
-    kernel: the ideals N_1 = N, N_(k+1) = [N, N_k] + [N_k, N] reach 0, W
-    maps each N_k into itself, and for x in N, M_x maps L into N_1 and N_k
-    into N_(k+1), so M_x W is nilpotent.
-
-    Tr(AB) = Tr(BA), so of the traces of products of two operators among
-    the L_e_i and R_e_i each is computed once: 2n^2 + n of them.  They are
-    read off the integer view (`_integer_view`): over QQ its table is D*c,
-    which scales each functional by D or D^2 and leaves their span as it
-    is."""
-    rows = L._cache.get("trace_functionals")
-    if rows is None:
-        F, c, n = L.field, _integer_view(L)[1], L.dim
-        # the columns of L_e_i and R_e_i: [e_i, e_k] and [e_k, e_i]
-        cols = [[c[i][k] for k in range(n)] for i in range(n)]
-        cols += [[c[k][i] for k in range(n)] for i in range(n)]
-        # each operator's nonzero entries, and its transpose's, by their
-        # position in the row-major flattening
-        flat = [{t: x for t, x in enumerate(sum(zip(*cs), ())) if x} for cs in cols]
-        flat_t = [{t: x for t, x in enumerate(sum(cs, ())) if x} for cs in cols]
-        # T[a][b] = Tr(A B) = sum of A[j][k] * B[k][j], A, B operators a, b
-        T = [[0] * (2 * n) for _ in range(2 * n)]
-        for a, A in enumerate(flat):
-            for b in range(a, 2 * n):
-                B = flat_t[b]
-                T[a][b] = T[b][a] = sum(A[t] * B[t] for t in A.keys() & B.keys())
-        # row (M, W): x -> Tr(M_x W), coefficient Tr(M_e_i W) at e_i
-        diagonal = range(0, n * n, n + 1)
-        funcs = [[sum(A.get(t, 0) for t in diagonal) for A in flat[m : m + n]] for m in (0, n)]
-        funcs += [[T[m + i][b] for i in range(n)] for m in (0, n) for b in range(2 * n)]
-        if F.p is not None:
-            funcs = [[x % F.p for x in f] for f in funcs]
-        rows = tuple(map(tuple, Subspace._span(F, n, funcs).basis.data))
-        L._cache["trace_functionals"] = rows
-    return rows
-
-
-def _trace_kernel(L: AlgebraTable) -> Subspace:
-    """K, the common kernel of `_trace_functionals`; it holds every
-    nilpotent ideal.  Cached on L."""
-    K = L._cache.get("trace_kernel")
-    if K is None:
-        K = L._cache["trace_kernel"] = _stacked_action_kernel(L, _trace_functionals(L))
-    return K
 
 
 def _subspace_from_flat(F: FieldSpec, n: int, d: int, flat) -> Subspace:
@@ -384,7 +334,7 @@ def beta(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
 
 def alpha_beta(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
     """alpha, then beta, in one request."""
-    _require_prime_field(L, "alpha")
+    _require_prime_field(L, "alpha_beta")
     with _request(budget):
         a, b = alpha(L), beta(L)
     return SearchResult(
@@ -444,8 +394,6 @@ def is_maximal_subalgebra(L: AlgebraTable, A: Subspace) -> bool:
 def invariant_profile(L: AlgebraTable) -> tuple:
     """Cheap isomorphism invariants used for pruning and for large-instance
     verification."""
-    from .invariants import series  # local import to avoid a cycle
-
     rep = series(L)
     return (
         L.dim,
@@ -461,8 +409,6 @@ def invariant_profile(L: AlgebraTable) -> tuple:
 
 
 def _characteristic_subspaces(L: AlgebraTable) -> list[Subspace]:
-    from .invariants import series
-
     rep = series(L)
     out = [center(L), squares_ideal(L), left_annihilator(L)]
     out.extend(rep.derived_chain)
@@ -612,70 +558,3 @@ def iso_search(
             raise ConsistencyError("isomorphism candidate failed verification")
         return IsoResult(True, P)
     return IsoResult(False, None)
-
-
-def _flatten_2x2(m: Matrix) -> tuple:
-    return m.data[0] + m.data[1]
-
-
-def span_equivalent_iso(
-    lam: Matrix, mu: Matrix, lam2: Matrix, mu2: Matrix
-) -> Matrix | None:
-    """Explicit isomorphism between the two family-a tables when the parameter
-    pairs span the same matrix subspace; None when the spans differ.
-
-    Returns a 4x4 basis map P with change_of_basis(table(lam2, mu2), P) equal
-    to table(lam, mu).  The map fixes x and y and mixes the two generators by
-    an invertible 2x2 coefficient matrix.
-    """
-    check_same_field(lam.field, mu.field)
-    check_same_field(lam.field, lam2.field)
-    check_same_field(lam.field, mu2.field)
-    F = lam.field
-    span1 = Subspace.from_vectors(F, 4, [_flatten_2x2(lam), _flatten_2x2(mu)])
-    span2 = Subspace.from_vectors(F, 4, [_flatten_2x2(lam2), _flatten_2x2(mu2)])
-    if span1 != span2:
-        return None
-    s = span1.dim
-    if s == 0:
-        C = Matrix.identity(F, 2)
-    elif s == 2:
-        B = Matrix(F, [_flatten_2x2(lam2), _flatten_2x2(mu2)])
-        r1 = B.solve_row(_flatten_2x2(lam))
-        r2 = B.solve_row(_flatten_2x2(mu))
-        C = Matrix(F, [r1, r2])
-    else:
-        g = span1.basis.data[0]
-        pc = span1.pivots[0]
-        u = (_flatten_2x2(lam)[pc], _flatten_2x2(mu)[pc])
-        w = (_flatten_2x2(lam2)[pc], _flatten_2x2(mu2)[pc])
-        C = _map_column(F, w, u)
-    rows = [
-        [C.data[0][0], C.data[0][1], F.zero, F.zero],
-        [C.data[1][0], C.data[1][1], F.zero, F.zero],
-        [F.zero, F.zero, F.one, F.zero],
-        [F.zero, F.zero, F.zero, F.one],
-    ]
-    P = Matrix(F, rows)
-    from .families import raw_pair_table
-
-    T1 = raw_pair_table(lam, mu, F)
-    T2 = raw_pair_table(lam2, mu2, F)
-    if not _is_frame(T2, P, T1):
-        raise ConsistencyError("span-equivalence map failed verification")
-    return P
-
-
-def _complete_column(F: FieldSpec, v: tuple) -> Matrix:
-    """Invertible 2x2 whose first column is the nonzero vector v."""
-    a, b = v
-    if a != F.zero:
-        return Matrix(F, [[a, F.zero], [b, F.one]])
-    return Matrix(F, [[a, F.one], [b, F.zero]])
-
-
-def _map_column(F: FieldSpec, w: tuple, u: tuple) -> Matrix:
-    """Invertible 2x2 C with C @ w = u for nonzero columns w, u."""
-    U = _complete_column(F, u)
-    W = _complete_column(F, w)
-    return U @ W.inverse()

@@ -26,9 +26,9 @@ from .algebra import (
 from .catalog import standard_fixtures
 from .classify import Case, classify, verify_main_theorem
 from .errors import BudgetExceededError
-from .families import oscillator, raw_pair_table
+from .families import _skew_table, oscillator, raw_pair_table
 from .fields import GF, QQ
-from .invariants import nilradical, series, verify_nilradical_candidate
+from .invariants import _trace_functionals, nilradical, series, verify_nilradical_candidate
 from .linalg import (
     Matrix,
     QuadraticPoly,
@@ -44,7 +44,6 @@ from .search import (
     DEFAULT_SCAN_BUDGET,
     _request,
     _scan_dim,
-    _trace_functionals,
     alpha,
     alpha_beta,
     beta,
@@ -285,10 +284,7 @@ def _nilradical(rng, fast):
     # x acting as the identity on F^3: every trace is 0, so the trace kernel
     # is the whole algebra, which is not nilpotent
     e = [tuple(int(i == j) for i in range(4)) for j in range(4)]
-    products = {}
-    for j in (1, 2, 3):
-        products[(0, j)], products[(j, 0)] = e[j], tuple(F.neg(x) for x in e[j])
-    identity = AlgebraTable.from_products(F, 4, products, name="identity-action-3")
+    identity = _skew_table(F, 4, {(0, j): e[j] for j in (1, 2, 3)}, "identity-action-3")
     for L0 in [*standard_fixtures(F, max_dim=4 if fast else 5), identity]:
         for L in (L0, change_of_basis(L0, _rand_invertible(F, L0.dim, rng))):
             total = Subspace.zero(F, L.dim)

@@ -32,6 +32,7 @@ from leibniz_algebras.families import (
     make_a,
     make_c,
     raw_pair_table,
+    span_equivalent_iso,
 )
 from leibniz_algebras.fields import GF, QQ
 from leibniz_algebras.invariants import (
@@ -52,7 +53,6 @@ from leibniz_algebras.search import (
     beta,
     is_maximal_subalgebra,
     iso_search,
-    span_equivalent_iso,
 )
 
 F2, F3, F5 = GF(2), GF(3), GF(5)

@@ -1,11 +1,17 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leibniz_algebras.algebra import (
+    AlgebraTable,
     bracket,
     center,
     change_of_basis,
     is_leibniz,
     is_lie,
+    leibniz_failure,
     product_space,
     squares_ideal,
     subalgebra_table,
@@ -16,7 +22,6 @@ from leibniz_algebras.families import (
     abelian_algebra,
     heisenberg,
     heisenberg_plus_abelian,
-    is_left_derivation,
     make_a,
     make_b,
     make_c,
@@ -185,12 +190,84 @@ def test_make_e_trivial_extension():
     assert center(E).contains_vector(E.basis_vector(0))
 
 
+def _is_left_derivation(H, phi):
+    """Whether phi([a, b]) = [phi(a), b] + [a, phi(b)] on all basis pairs."""
+    F, n = H.field, H.dim
+    images = [phi.col(i) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lhs = phi.apply_col(H.c[i][j])
+            r1 = bracket(H, images[i], H.basis_vector(j))
+            r2 = bracket(H, H.basis_vector(i), images[j])
+            if any(a != F.add(b, c) for a, b, c in zip(lhs, r1, r2)):
+                return False
+    return True
+
+
+def _reference_make_e(phi, theta, v, n, F):
+    """The family-e table on (x, H-basis), built entry by entry, or None
+    where one of three checks fails: phi a left derivation of H, v in
+    C(H), the table Leibniz."""
+    H = heisenberg_plus_abelian(n - 4, F)
+    h = H.dim
+    if not _is_left_derivation(H, phi) or not center(H).contains_vector(v):
+        return None
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    c[0][0][1:] = v
+    for j in range(h):
+        c[0][1 + j][1:] = phi.col(j)
+        c[1 + j][0][1:] = theta.col(j)
+        for i in range(h):
+            c[1 + i][1 + j][1:] = H.c[i][j]
+    table = AlgebraTable(F, c, name="e(phi,theta,v,%d)" % n)
+    return table if leibniz_failure(table) is None else None
+
+
+def _sparse(draw, F, count, max_size):
+    """A list of `count` scalars over F, at most `max_size` of them nonzero."""
+    if F.is_prime_field:
+        values = st.integers(1, F.p - 1)
+    else:
+        values = st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+    out = [0] * count
+    for k, x in draw(st.lists(st.tuples(st.integers(0, count - 1), values), max_size=max_size)):
+        out[k] = x
+    return out
+
+
+def _rows(flat, h):
+    return [flat[r * h : (r + 1) * h] for r in range(h)]
+
+
+@pytest.mark.parametrize("F,n", [(F3, 4), (F3, 5), (F5, 4), (F5, 5), (QQ, 4)])
+@settings(max_examples=150)
+@given(data=st.data())
+def test_make_e_accepts_exactly_the_derivation_center_leibniz_triples(F, n, data):
+    # the Leibniz check alone decides what a derivation test, a center
+    # test and the Leibniz check decide together (the lemma of make_e)
+    h = n - 1
+    phi = Matrix(F, _rows(_sparse(data.draw, F, h * h, 4), h))
+    if data.draw(st.booleans()):
+        theta = -phi
+    else:
+        theta = Matrix(F, _rows(_sparse(data.draw, F, h * h, 4), h))
+    v = tuple(F.of(x) for x in _sparse(data.draw, F, h, 2))
+    want = _reference_make_e(phi, theta, v, n, F)
+    try:
+        got = make_e(phi, theta, v, n, F)
+    except FamilyParameterError:
+        got = None
+    assert got == want
+    if got is not None:
+        assert (got.name, got.c) == (want.name, want.c)
+
+
 def test_make_e_validation():
     phi = Matrix(QQ, [[0, -1, 0], [1, 0, 0], [0, 0, 0]])
     with pytest.raises(FamilyParameterError):
         make_e(phi, -phi, (1, 0, 0), 4, QQ)  # v outside the center of H
     not_deriv = Matrix(QQ, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    assert not is_left_derivation(heisenberg_plus_abelian(0, QQ), not_deriv)
+    assert not _is_left_derivation(heisenberg_plus_abelian(0, QQ), not_deriv)
     with pytest.raises(FamilyParameterError):
         make_e(not_deriv, -not_deriv, (0, 0, 0), 4, QQ)
     with pytest.raises(DimensionMismatchError):

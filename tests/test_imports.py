@@ -1,5 +1,9 @@
 """Every module of the package, and every test module, uses every name it
 imports, and the package refers to every function and class it defines.
+The package imports its own modules at module level only, so an import
+cycle fails at import time rather than hiding in a function body; the one
+exception is the CLI's `selftest` command, which loads the self-test suite
+only when it runs.
 
 A name counts as used when the module reads it, lists it in its own
 `__all__`, or the package's `__init__.py` imports it from that module (a
@@ -105,3 +109,25 @@ def test_package_refers_to_every_function_and_class_it_defines():
         and not any(stmt.name in names for key, names in refs.items() if key != (module, stmt))
     ]
     assert unreferenced == []
+
+
+def _local_package_imports(tree):
+    """(function, module) for each import of a package module made inside
+    a function body of the module."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                if node.level or node.module.split(".")[0] == PACKAGE.name:
+                    found.add((fn.name, node.module))
+            elif isinstance(node, ast.Import):
+                found.update((fn.name, a.name) for a in node.names if a.name.split(".")[0] == PACKAGE.name)
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_package_modules_at_module_level(module):
+    allowed = {("_cmd_selftest", "selftest")} if module == "cli.py" else set()
+    assert sorted(_local_package_imports(_tree(module)) - allowed) == []

@@ -39,9 +39,14 @@ from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2
 from leibniz_algebras.classify import classify
 from leibniz_algebras.families import abelian_algebra, make_c, make_d
 from leibniz_algebras.fields import QQ
-from leibniz_algebras.invariants import nilradical, series, verify_nilradical_candidate
+from leibniz_algebras.invariants import (
+    _trace_functionals,
+    _trace_kernel,
+    nilradical,
+    series,
+    verify_nilradical_candidate,
+)
 from leibniz_algebras.linalg import Matrix, QuadraticPoly, Subspace, _integer_row, rref_with_pivots
-from leibniz_algebras.search import _trace_functionals, _trace_kernel
 
 from conftest import carried, rational_change
 

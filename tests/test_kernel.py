@@ -9,8 +9,9 @@ from leibniz_algebras._kernel import MODE_ABELIAN, MODE_IDEAL, backend, scan_sub
 from leibniz_algebras._scan_py import _canonical_index, canonical_subspaces
 from leibniz_algebras.algebra import is_abelian_subspace, is_ideal, mult_operator
 from leibniz_algebras.catalog import standard_fixtures
+from leibniz_algebras.invariants import _trace_functionals
 from leibniz_algebras.linalg import Matrix, Subspace, enumerate_subspaces, gaussian_binomial
-from leibniz_algebras.search import _trace_functionals, table_flat
+from leibniz_algebras.search import table_flat
 
 from conftest import F3, F5, family_algebras
 

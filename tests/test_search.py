@@ -27,6 +27,7 @@ from leibniz_algebras.families import (
     make_d,
     oscillator,
     raw_pair_table,
+    span_equivalent_iso,
 )
 from leibniz_algebras.fields import QQ
 from leibniz_algebras.linalg import Matrix, Subspace, enumerate_subspaces, subspace_sum
@@ -43,7 +44,7 @@ from leibniz_algebras.search import (
     invariant_profile,
     is_maximal_subalgebra,
     iso_search,
-    span_equivalent_iso,
+    table_flat,
 )
 
 from conftest import (
@@ -111,8 +112,21 @@ def test_beta_le_alpha_on_fixtures():
 
 
 def test_alpha_rejects_rationals():
-    with pytest.raises(ValueError):
-        alpha(oscillator(QQ))
+    # so does every public entry point of `search`, naming itself
+    L = oscillator(QQ)
+    calls = {
+        "alpha": alpha,
+        "beta": beta,
+        "alpha_beta": alpha_beta,
+        "all_abelian_ideals": lambda L: all_abelian_ideals(L, 1),
+        "all_abelian_subalgebras": lambda L: all_abelian_subalgebras(L, 1),
+        "is_maximal_subalgebra": lambda L: is_maximal_subalgebra(L, L.full_space()),
+        "iso_search": lambda L: iso_search(L, L),
+        "subspace scan": table_flat,
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=r"^%s requires a prime field \(" % name):
+            call(L)
 
 
 def test_budget_exceeded_is_explicit():
