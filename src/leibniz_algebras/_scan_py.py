@@ -74,7 +74,10 @@ def canonical_subspaces(n: int, p: int, d: int, row_values=None):
     pivot is at column `pc`) to walk on, a subsequence of
     `itertools.product(range(p), repeat=len(cols))`.  A value it leaves out
     cuts every subspace that shares rows 0..r, and the indices skip them.
+    Outside 0 <= d <= n there is no subspace, and nothing is yielded.
     """
+    if not 0 <= d <= n:
+        return
     offset = 0
     for piv in itertools.combinations(range(n), d):
         pivset = set(piv)

@@ -9,6 +9,14 @@ The bracket convention is the left Leibniz rule throughout:
 Vectors are coordinate rows over the fixed basis.  All values are immutable
 after construction and all operations are pure functions.
 
+What a table determines is computed once.  A function decorated with
+`_per_table` (the integer view, the Leibniz check, the squares ideal, the
+Lie test and the center here; the series, the trace functionals and
+kernel and the nilradical in `invariants`) stores its value in the
+table's `_cache` dict under the function's name, None included; a call
+that raises stores nothing, so it raises again.  A subalgebra, quotient or
+basis change inherits only a passed Leibniz check (`_inherit_leibniz`).
+
 Over QQ the structure constants are read only through the integer table D*c,
 D the lcm of their denominators (`_integer_view`, cached per table): brackets
 sum in ints and divide each nonzero coordinate once, and the tests and spans
@@ -19,6 +27,7 @@ Fractions are built only where a value is returned.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,41 +132,43 @@ class MultOperator:
         return self.matrix.apply_col(v)
 
 
-def _products(L: AlgebraTable) -> tuple:
-    """[e_i, e_j] for every (i, j) as its nonzero (k, c) pairs, cached on L."""
-    products = L._cache.get("products")
-    if products is None:
-        products = L._cache["products"] = _nonzero_pairs(L.c)
-    return products
+def _per_table(fn):
+    """Cache fn(L) in L._cache under fn.__name__; see the module docstring."""
+    key = fn.__name__
+
+    @functools.wraps(fn)
+    def cached(L):
+        try:
+            return L._cache[key]
+        except KeyError:
+            pass  # fn runs outside the handler: what it raises is not chained
+        value = L._cache[key] = fn(L)
+        return value
+
+    return cached
 
 
-def _nonzero_pairs(c: tuple) -> tuple:
-    return tuple(tuple(tuple((k, x) for k, x in enumerate(cij) if x) for cij in ci) for ci in c)
-
-
+@_per_table
 def _integer_view(L: AlgebraTable) -> tuple:
-    """(D, c, products), cached on L.  Over QQ, c is the integer table D*L.c,
-    D the lcm of the denominators of the structure constants, and products
-    its nonzero (k, c) pairs as `_products` lists them; over GF(p) it is
-    (1, L.c, _products(L)).
+    """(D, c, products).  Over QQ, c is the integer table D*L.c, D the lcm
+    of the denominators of the structure constants; over GF(p) it is
+    (1, L.c, ...).  products lists [e_i, e_j] of c, for every (i, j), as
+    its nonzero (k, c) pairs.
 
     Over QQ every read of the structure constants goes through this view.
     A span or a kernel does not change when a row is scaled, so `center`,
     `squares_ideal` and the trace functionals build their rows from c as
     they stand; `_bracket` divides once per nonzero coordinate."""
-    view = L._cache.get("integer_view")
-    if view is None:
-        if L.field.p is not None:
-            view = (1, L.c, _products(L))
-        else:
-            D = math.lcm(*(x.denominator for ci in L.c for cij in ci for x in cij))
-            c = tuple(
-                tuple(tuple(x.numerator * (D // x.denominator) for x in cij) for cij in ci)
-                for ci in L.c
-            )
-            view = (D, c, _nonzero_pairs(c))
-        L._cache["integer_view"] = view
-    return view
+    if L.field.p is not None:
+        D, c = 1, L.c
+    else:
+        D = math.lcm(*(x.denominator for ci in L.c for cij in ci for x in cij))
+        c = tuple(
+            tuple(tuple(x.numerator * (D // x.denominator) for x in cij) for cij in ci)
+            for ci in L.c
+        )
+    products = tuple(tuple(tuple((k, x) for k, x in enumerate(cij) if x) for cij in ci) for ci in c)
+    return D, c, products
 
 
 def bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
@@ -203,24 +214,17 @@ def _scaled_bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
     return tuple(out) if p is None else tuple(x % p for x in out)
 
 
+@_per_table
 def leibniz_failure(L: AlgebraTable) -> tuple | None:
     """First basis triple (i, j, k) violating the left Leibniz rule, or None.
 
-    Trilinearity makes checking basis triples sufficient.
+    Trilinearity makes checking basis triples sufficient.  Checks
+    [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] + [e_j, [e_i, e_k]] on the
+    nonzero structure constants, triples in (i, j, k) order.  Every term is
+    a product of two structure constants, so over QQ the check runs on the
+    integer table D*c (`_integer_view`), where each side is D^2 times the
+    rational one: the same triples fail, with no Fraction arithmetic.
     """
-    if "leibniz_failure" in L._cache:
-        return L._cache["leibniz_failure"]
-    L._cache["leibniz_failure"] = result = _first_leibniz_failure(L)
-    return result
-
-
-def _first_leibniz_failure(L: AlgebraTable) -> tuple | None:
-    """Checks [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] + [e_j, [e_i, e_k]] on
-    the nonzero structure constants, triples in (i, j, k) order.  Every
-    term is a product of two structure constants, so over QQ the check runs
-    on the integer table D*c (`_integer_view`), where each side is D^2
-    times the rational one: the same triples fail, with no Fraction
-    arithmetic."""
     p = L.field.p
     products = _integer_view(L)[2]
     n = L.dim
@@ -264,25 +268,23 @@ def require_leibniz(L: AlgebraTable) -> None:
         )
 
 
+@_per_table
 def squares_ideal(L: AlgebraTable) -> Subspace:
     """Span of all [x, x].
 
     Generated by the diagonal brackets [e_i, e_i] together with the
     polarized sums [e_i, e_j] + [e_j, e_i] for i < j, read off the integer
-    view (`_integer_view`).  Cached on L.
+    view (`_integer_view`).
     """
     require_leibniz(L)
-    S = L._cache.get("squares_ideal")
-    if S is None:
-        F = L.field
-        c = _integer_view(L)[1]
-        gens = []
-        for i in range(L.dim):
-            gens.append(c[i][i])
-            for j in range(i + 1, L.dim):
-                gens.append(tuple(F.add(a, b) for a, b in zip(c[i][j], c[j][i])))
-        S = L._cache["squares_ideal"] = Subspace._span(F, L.dim, gens)
-    return S
+    F = L.field
+    c = _integer_view(L)[1]
+    gens = []
+    for i in range(L.dim):
+        gens.append(c[i][i])
+        for j in range(i + 1, L.dim):
+            gens.append(tuple(F.add(a, b) for a, b in zip(c[i][j], c[j][i])))
+    return Subspace._span(F, L.dim, gens)
 
 
 def _is_skew(L: AlgebraTable) -> bool:
@@ -295,23 +297,20 @@ def _is_skew(L: AlgebraTable) -> bool:
     return True
 
 
+@_per_table
 def is_lie(L: AlgebraTable) -> bool:
     """True iff the table is a Leibniz algebra with zero squares span.
 
     A non-Leibniz table is never Lie, whatever its symmetry.  On Leibniz
     input, skew-symmetry of the table is computed as a redundant cross-check;
     the two criteria can only disagree in characteristic 2, which no
-    classification code path accepts, so a disagreement there raises.  The
-    answer is cached on L.
+    classification code path accepts, so a disagreement there raises.
     """
     if leibniz_failure(L) is not None:
         return False
-    lie = L._cache.get("is_lie")
-    if lie is None:
-        lie = squares_ideal(L).is_zero()
-        if lie != _is_skew(L) and L.field.characteristic != 2:
-            raise ConsistencyError("squares-span and skew-symmetry tests disagree")
-        L._cache["is_lie"] = lie
+    lie = squares_ideal(L).is_zero()
+    if lie != _is_skew(L) and L.field.characteristic != 2:
+        raise ConsistencyError("squares-span and skew-symmetry tests disagree")
     return lie
 
 
@@ -345,19 +344,17 @@ def _stacked_action_kernel(L: AlgebraTable, conditions) -> Subspace:
     return Subspace(F, n, ker, pivots)
 
 
+@_per_table
 def center(L: AlgebraTable) -> Subspace:
     """{x : [x, L] = [L, x] = 0}, the joint kernel of all left and right
-    actions, on the integer view; cached on L."""
-    Z = L._cache.get("center")
-    if Z is None:
-        n, c = L.dim, _integer_view(L)[1]
-        rows = []
-        for j in range(n):
-            for k in range(n):
-                rows.append([c[i][j][k] for i in range(n)])  # [x, e_j]_k
-                rows.append([c[j][i][k] for i in range(n)])  # [e_j, x]_k
-        Z = L._cache["center"] = _stacked_action_kernel(L, rows)
-    return Z
+    actions, on the integer view."""
+    n, c = L.dim, _integer_view(L)[1]
+    rows = []
+    for j in range(n):
+        for k in range(n):
+            rows.append([c[i][j][k] for i in range(n)])  # [x, e_j]_k
+            rows.append([c[j][i][k] for i in range(n)])  # [e_j, x]_k
+    return _stacked_action_kernel(L, rows)
 
 
 def left_annihilator(L: AlgebraTable) -> Subspace:

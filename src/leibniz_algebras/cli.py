@@ -12,6 +12,7 @@ import functools
 import json
 import random
 import sys
+from fractions import Fraction
 
 from .algebra import (
     AlgebraTable,
@@ -326,8 +327,6 @@ def _cmd_random(args) -> int:
     def rand_scalar():
         if F.is_prime_field:
             return F.of(rng.randrange(F.p))
-        from fractions import Fraction
-
         return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
 
     def rand_matrix2():

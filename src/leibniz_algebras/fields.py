@@ -8,6 +8,7 @@ different field specs must never be mixed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -162,8 +163,6 @@ class FieldSpec:
         if a < 0:
             return False
         num, den = a.numerator, a.denominator
-        import math
-
         return math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
 
     # -- enumeration (prime fields only) ------------------------------------

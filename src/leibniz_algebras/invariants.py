@@ -15,6 +15,7 @@ from .algebra import (
     AlgebraTable,
     _check_subspace,
     _integer_view,
+    _per_table,
     _stacked_action_kernel,
     is_abelian_subspace,
     is_ideal,
@@ -54,12 +55,10 @@ class FittingSplit:
     L1: Subspace
 
 
+@_per_table
 def series(L: AlgebraTable) -> SeriesReport:
-    """Derived and lower central series of L; cached on L."""
+    """Derived and lower central series of L."""
     require_leibniz(L)
-    rep = L._cache.get("series")
-    if rep is not None:
-        return rep
     full = L.full_space()
 
     derived = [full]
@@ -85,9 +84,7 @@ def series(L: AlgebraTable) -> SeriesReport:
     length = None
     if solvable:
         length = next(i for i, s in enumerate(derived) if s.is_zero())
-    rep = SeriesReport(tuple(derived), tuple(lower), solvable, nilpotent, length)
-    L._cache["series"] = rep
-    return rep
+    return SeriesReport(tuple(derived), tuple(lower), solvable, nilpotent, length)
 
 
 def fitting_decomposition(L: AlgebraTable, A: Subspace) -> FittingSplit:
@@ -149,9 +146,10 @@ def _is_nilpotent_subalgebra(L: AlgebraTable, U: Subspace) -> bool:
     return True
 
 
+@_per_table
 def _trace_functionals(L: AlgebraTable) -> tuple:
     """Rows, in RREF, of the functionals x -> Tr(M_x W) for M in {L, R} and
-    W in {1, L_e_j, R_e_j}, as field elements; cached on L.
+    W in {1, L_e_j, R_e_j}, as field elements.
 
     Every nilpotent ideal N, abelian ones included, lies in their common
     kernel: the ideals N_1 = N, N_(k+1) = [N, N_k] + [N_k, N] reach 0, W
@@ -163,42 +161,37 @@ def _trace_functionals(L: AlgebraTable) -> tuple:
     read off the integer view (`_integer_view`): over QQ its table is D*c,
     which scales each functional by D or D^2 and leaves their span as it
     is."""
-    rows = L._cache.get("trace_functionals")
-    if rows is None:
-        F, c, n = L.field, _integer_view(L)[1], L.dim
-        # the columns of L_e_i and R_e_i: [e_i, e_k] and [e_k, e_i]
-        cols = [[c[i][k] for k in range(n)] for i in range(n)]
-        cols += [[c[k][i] for k in range(n)] for i in range(n)]
-        # each operator's nonzero entries, and its transpose's, by their
-        # position in the row-major flattening
-        flat = [{t: x for t, x in enumerate(sum(zip(*cs), ())) if x} for cs in cols]
-        flat_t = [{t: x for t, x in enumerate(sum(cs, ())) if x} for cs in cols]
-        # T[a][b] = Tr(A B) = sum of A[j][k] * B[k][j], A, B operators a, b
-        T = [[0] * (2 * n) for _ in range(2 * n)]
-        for a, A in enumerate(flat):
-            for b in range(a, 2 * n):
-                B = flat_t[b]
-                T[a][b] = T[b][a] = sum(A[t] * B[t] for t in A.keys() & B.keys())
-        # row (M, W): x -> Tr(M_x W), coefficient Tr(M_e_i W) at e_i
-        diagonal = range(0, n * n, n + 1)
-        funcs = [[sum(A.get(t, 0) for t in diagonal) for A in flat[m : m + n]] for m in (0, n)]
-        funcs += [[T[m + i][b] for i in range(n)] for m in (0, n) for b in range(2 * n)]
-        if F.p is not None:
-            funcs = [[x % F.p for x in f] for f in funcs]
-        rows = tuple(map(tuple, Subspace._span(F, n, funcs).basis.data))
-        L._cache["trace_functionals"] = rows
-    return rows
+    F, c, n = L.field, _integer_view(L)[1], L.dim
+    # the columns of L_e_i and R_e_i: [e_i, e_k] and [e_k, e_i]
+    cols = [[c[i][k] for k in range(n)] for i in range(n)]
+    cols += [[c[k][i] for k in range(n)] for i in range(n)]
+    # each operator's nonzero entries, and its transpose's, by their
+    # position in the row-major flattening
+    flat = [{t: x for t, x in enumerate(sum(zip(*cs), ())) if x} for cs in cols]
+    flat_t = [{t: x for t, x in enumerate(sum(cs, ())) if x} for cs in cols]
+    # T[a][b] = Tr(A B) = sum of A[j][k] * B[k][j], A, B operators a, b
+    T = [[0] * (2 * n) for _ in range(2 * n)]
+    for a, A in enumerate(flat):
+        for b in range(a, 2 * n):
+            B = flat_t[b]
+            T[a][b] = T[b][a] = sum(A[t] * B[t] for t in A.keys() & B.keys())
+    # row (M, W): x -> Tr(M_x W), coefficient Tr(M_e_i W) at e_i
+    diagonal = range(0, n * n, n + 1)
+    funcs = [[sum(A.get(t, 0) for t in diagonal) for A in flat[m : m + n]] for m in (0, n)]
+    funcs += [[T[m + i][b] for i in range(n)] for m in (0, n) for b in range(2 * n)]
+    if F.p is not None:
+        funcs = [[x % F.p for x in f] for f in funcs]
+    return tuple(map(tuple, Subspace._span(F, n, funcs).basis.data))
 
 
+@_per_table
 def _trace_kernel(L: AlgebraTable) -> Subspace:
     """K, the common kernel of `_trace_functionals`; it holds every
-    nilpotent ideal.  Cached on L."""
-    K = L._cache.get("trace_kernel")
-    if K is None:
-        K = L._cache["trace_kernel"] = _stacked_action_kernel(L, _trace_functionals(L))
-    return K
+    nilpotent ideal."""
+    return _stacked_action_kernel(L, _trace_functionals(L))
 
 
+@_per_table
 def nilradical(L: AlgebraTable) -> Subspace:
     """Largest nilpotent ideal N, as an RREF subspace, over QQ and GF(p).
 
@@ -233,13 +226,9 @@ def nilradical(L: AlgebraTable) -> Subspace:
     ideal of L before it is returned, and cached on L.
     """
     require_leibniz(L)
-    N = L._cache.get("nilradical")
-    if N is not None:
-        return N
     for kernel in (_trace_kernel, _envelope_radical):
         N = kernel(L)
         if is_ideal(L, N) and _is_nilpotent_subalgebra(L, N):
-            L._cache["nilradical"] = N
             return N
     raise ConsistencyError("the pullback of the envelope's radical is not a nilpotent ideal")
 

@@ -629,7 +629,5 @@ def enumerate_subspaces(ambient_dim: int, dim: int, F: FieldSpec) -> Iterator[Su
     """
     if not F.is_prime_field:
         raise ValueError("cannot enumerate subspaces over the rationals")
-    if dim < 0 or dim > ambient_dim:
-        return
     for _, piv, rows in canonical_subspaces(ambient_dim, F.p, dim):
         yield Subspace(F, ambient_dim, Matrix._canonical(F, rows, ambient_dim), list(piv))

@@ -56,8 +56,8 @@ from ._scan_py import _canonical_index, canonical_subspaces, gaussian_binomial
 from .algebra import (
     AlgebraTable,
     _bracket,
+    _integer_view,
     _is_frame,
-    _products,
     bracket,
     center,
     generated_subalgebra,
@@ -116,6 +116,11 @@ def _subspace_from_flat(F: FieldSpec, n: int, d: int, flat) -> Subspace:
 _budget_left = contextvars.ContextVar("_budget_left")
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError("scan budget must be >= 0, got %d" % budget)
+
+
 @contextmanager
 def _request(budget: int):
     """The ledger of one request: scans inside the block, by callees too,
@@ -124,8 +129,7 @@ def _request(budget: int):
     `alpha_beta` or `classify`) scans within what is left of the outer
     request's budget, as if it had been passed that remainder.  A negative
     `budget` is a ValueError in every block."""
-    if budget < 0:
-        raise ValueError("scan budget must be >= 0, got %d" % budget)
+    _check_budget(budget)
     if _budget_left.get(None) is not None:
         yield
         return
@@ -192,7 +196,7 @@ def _abelian_hyperplanes(L: AlgebraTable) -> list[Subspace]:
     lines of its row and column spaces are the only ones; each is tested
     by the brackets [h_i, h_j] of its hyperplane's basis."""
     F, n, p, c = L.field, L.dim, L.field.p, L.c
-    k = next(k for ci in _products(L) for cij in ci for k, _ in cij)
+    k = next(k for ci in _integer_view(L)[2] for cij in ci for k, _ in cij)
     rows = Subspace._span(F, n, [[c[i][j][k] for j in range(n)] for i in range(n)])
     if rows.dim > 2:
         return []
@@ -235,7 +239,7 @@ def _first_hit(L: AlgebraTable):
     `_abelian_hyperplanes`; each is debited what its walk would count.
     Only the strata <= n-2 are walked."""
     n = L.dim
-    if not any(cij for ci in _products(L) for cij in ci):
+    if not any(cij for ci in _integer_view(L)[2] for cij in ci):
         return (n, *_debit_first(L, n, [L.full_space()]))
     total = _debit_first(L, n, [])[1]
     first, scanned = _debit_first(L, n - 1, _abelian_hyperplanes(L))
@@ -461,8 +465,10 @@ def iso_search(
     first algebra's basis vectors) verified bit-exactly: change_of_basis(L2,
     map) equals L1, checked without inverting the map.
     Negative results are exhaustive within the pruned tree.  Exceeding the
-    node budget raises, which is distinct from a negative answer.
+    node budget raises, which is distinct from a negative answer; a
+    negative node budget is a ValueError, as a negative scan budget is.
     """
+    _check_budget(node_budget)
     check_same_field(L1.field, L2.field)
     if L1.dim != L2.dim:
         raise ValueError("isomorphism search needs equal dimensions")

@@ -40,7 +40,7 @@ from leibniz_algebras.families import (
     raw_pair_table,
 )
 from leibniz_algebras.fields import QQ
-from leibniz_algebras.invariants import series
+from leibniz_algebras.invariants import nilradical, series
 from leibniz_algebras.linalg import Matrix, Subspace, enumerate_subspaces
 
 from conftest import F3, rand_invertible
@@ -362,7 +362,17 @@ def test_derived_tables_inherit_only_a_passed_leibniz_check(rng):
             unchecked = AlgebraTable(F, L.c)
             assert "leibniz_failure" not in subalgebra_table(unchecked, D)._cache
     bad = raw_pair_table(Matrix(QQ, [[0, 1], [0, 0]]), Matrix(QQ, [[0, 0], [1, 0]]), QQ)
-    assert leibniz_failure(bad) is not None
+    triple = leibniz_failure(bad)
+    assert triple is not None
+    # a failed check is cached, and what raises on it caches nothing: every
+    # call raises again
+    for _ in range(2):
+        for fn in (series, squares_ideal, nilradical):
+            with pytest.raises(NotLeibnizError):
+                fn(bad)
+        assert is_lie(bad) is False
+        assert leibniz_failure(bad) == triple
+    assert set(bad._cache) <= {"_integer_view", "leibniz_failure", "is_lie"}
     moved = change_of_basis(bad, rand_invertible(QQ, bad.dim, rng))
     assert "leibniz_failure" not in moved._cache
     assert fresh_verdict(moved) is not None

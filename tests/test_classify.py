@@ -635,6 +635,32 @@ def test_series_is_computed_once_per_table(monkeypatch):
     assert series(L) is series(L) is built[0]
 
 
+def test_cached_values_equal_a_fresh_computation(rng):
+    # what classify and verify_main_theorem leave in a table's cache, under
+    # each cached function's name, is what that function computes on a
+    # fresh copy of the table
+    cached = [
+        algebra._integer_view,
+        algebra.leibniz_failure,
+        algebra.squares_ideal,
+        is_lie,
+        center,
+        series,
+        invariants._trace_functionals,
+        _trace_kernel,
+        nilradical,
+    ]
+    for F in (F3, F5):
+        for L in standard_fixtures(F):
+            M = change_of_basis(L, rand_invertible(F, L.dim, rng))
+            classify(M)
+            verify_main_theorem(M)
+            assert set(M._cache) <= {fn.__name__ for fn in cached}
+            fresh = algebra.AlgebraTable._canonical(F, M.c)
+            for fn in cached:
+                assert fn(M) == fn(fresh), (L.name, fn.__name__)
+
+
 def _computations(monkeypatch, L, request):
     """How often request() computes center(L) (counted as joint kernels of
     linear conditions on L), is_lie(L) (as skew-symmetry checks of L) and

@@ -1,15 +1,16 @@
 """Every module of the package, and every test module, uses every name it
 imports, and the package refers to every function and class it defines.
-The package imports its own modules at module level only, so an import
-cycle fails at import time rather than hiding in a function body; the one
-exception is the CLI's `selftest` command, which loads the self-test suite
-only when it runs.
+The package imports at module level only, standard-library modules too,
+so an import cycle fails at import time rather than hiding in a function
+body; the one exception is the CLI's `selftest` command, which loads the
+self-test suite only when it runs.
 
 A name counts as used when the module reads it, lists it in its own
 `__all__`, or the package's `__init__.py` imports it from that module (a
-re-export).  A module-level function or class without decorators counts as
-referred to when a statement of the package other than its own definition
-reads it, as a name or an attribute, imports it or lists it in `__all__`."""
+re-export).  A module-level function or class counts as referred to when a
+statement of the package other than its own definition reads it, as a name
+or an attribute, imports it or lists it in `__all__`; only the self-test
+functions, which `selftest._check(...)` registers, are exempt."""
 
 import ast
 from pathlib import Path
@@ -98,6 +99,14 @@ def _refs(node):
     return names
 
 
+def _registered_check(module, stmt):
+    """Whether the statement defines a self-test registered by `@_check(...)`."""
+    return module == "selftest.py" and any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_check"
+        for d in stmt.decorator_list
+    )
+
+
 def test_package_refers_to_every_function_and_class_it_defines():
     # (module, statement) -> the names that top-level statement refers to
     refs = {(module, stmt): _refs(stmt) for module in MODULES for stmt in _tree(module).body}
@@ -105,29 +114,28 @@ def test_package_refers_to_every_function_and_class_it_defines():
         "%s:%s" % (module, stmt.name)
         for (module, stmt) in refs
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not stmt.decorator_list
+        and not _registered_check(module, stmt)
         and not any(stmt.name in names for key, names in refs.items() if key != (module, stmt))
     ]
     assert unreferenced == []
 
 
-def _local_package_imports(tree):
-    """(function, module) for each import of a package module made inside
-    a function body of the module."""
+def _local_imports(tree):
+    """(function, module) for each import made inside a function body of
+    the module, of a package module or any other."""
     found = set()
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         for node in ast.walk(fn):
             if isinstance(node, ast.ImportFrom):
-                if node.level or node.module.split(".")[0] == PACKAGE.name:
-                    found.add((fn.name, node.module))
+                found.add((fn.name, node.module))
             elif isinstance(node, ast.Import):
-                found.update((fn.name, a.name) for a in node.names if a.name.split(".")[0] == PACKAGE.name)
+                found.update((fn.name, a.name) for a in node.names)
     return found
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_package_modules_at_module_level(module):
     allowed = {("_cmd_selftest", "selftest")} if module == "cli.py" else set()
-    assert sorted(_local_package_imports(_tree(module)) - allowed) == []
+    assert sorted(_local_imports(_tree(module)) - allowed) == []

@@ -11,7 +11,7 @@ from leibniz_algebras.algebra import is_abelian_subspace, is_ideal, mult_operato
 from leibniz_algebras.catalog import standard_fixtures
 from leibniz_algebras.invariants import _trace_functionals
 from leibniz_algebras.linalg import Matrix, Subspace, enumerate_subspaces, gaussian_binomial
-from leibniz_algebras.search import table_flat
+from leibniz_algebras.search import all_abelian_ideals, all_abelian_subalgebras, table_flat
 
 from conftest import F3, F5, family_algebras
 
@@ -35,6 +35,20 @@ def test_scan_counts_match_gaussian_binomials(scan):
         assert not truncated
         assert scanned == gaussian_binomial(4, d, 3)
         assert len(matches) == scanned  # everything is abelian in the zero algebra
+
+
+def test_strata_outside_0_to_n_are_empty(scan):
+    # no subspace has a negative dimension or one above n: every entry point
+    # answers with nothing, as it does above n, instead of raising
+    L = standard_fixtures(F3)[0]
+    n, flat = L.dim, table_flat(L)
+    for d in (-2, -1, n + 1):
+        assert list(canonical_subspaces(n, 3, d)) == []
+        assert list(enumerate_subspaces(n, d, F3)) == []
+        for mode in (MODE_ABELIAN, MODE_ABELIAN | MODE_IDEAL):
+            assert scan(flat, n, 3, d, mode, -1, -1) == (0, False, [])
+        assert all_abelian_ideals(L, d) == []
+        assert all_abelian_subalgebras(L, d, budget=0) == []
 
 
 def test_scan_enumeration_order_matches_python_enumeration(scan):

@@ -421,6 +421,17 @@ def test_iso_budget(rng):
         iso_search(O, M, node_budget=1)
 
 
+def test_iso_search_rejects_a_negative_budget(rng):
+    # as every scanning entry point does, before any node is counted and
+    # also where the tables are equal and no search runs
+    O = oscillator(F3)
+    M = change_of_basis(O, rand_invertible(F3, 4, rng))
+    for other in (M, O):
+        with pytest.raises(ValueError, match=r"^scan budget must be >= 0, got -1$"):
+            iso_search(O, other, node_budget=-1)
+    assert iso_search(O, O, node_budget=0).isomorphic
+
+
 def test_invariant_profile_separates():
     assert invariant_profile(heisenberg(F3)) != invariant_profile(abelian_algebra(3, F3))
     assert invariant_profile(oscillator(F3)) == invariant_profile(oscillator(F3))
