@@ -6,7 +6,6 @@ parametric family constructors, and the codimension-two classification.
 from ._kernel import backend
 from .algebra import (
     AlgebraTable,
-    MultOperator,
     bracket,
     center,
     centralizer,

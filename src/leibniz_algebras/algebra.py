@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,7 +38,7 @@ from .errors import (
     NotLeibnizError,
 )
 from .fields import _QQ_ZERO, FieldSpec, check_same_field
-from .linalg import Matrix, Subspace, _integer_row, rref_with_pivots, subspace_sum
+from .linalg import Matrix, Subspace, _chain, _integer_row, rref_with_pivots, subspace_sum
 
 
 class AlgebraTable:
@@ -115,21 +114,6 @@ class AlgebraTable:
 
     def rename(self, name: str) -> "AlgebraTable":
         return AlgebraTable._canonical(self.field, self.c, name=name)
-
-
-@dataclass(frozen=True)
-class MultOperator:
-    """Matrix of a one-sided multiplication operator, tagged with its side.
-
-    Column j holds the coordinates of [x, e_j] (side 'left') or [e_j, x]
-    (side 'right').
-    """
-
-    matrix: Matrix
-    side: str
-
-    def apply(self, v: Sequence) -> tuple:
-        return self.matrix.apply_col(v)
 
 
 def _per_table(fn):
@@ -314,8 +298,10 @@ def is_lie(L: AlgebraTable) -> bool:
     return lie
 
 
-def mult_operator(L: AlgebraTable, x: Sequence, side: str = "left") -> MultOperator:
-    """Matrix of left multiplication L_x or right multiplication R_x."""
+def mult_operator(L: AlgebraTable, x: Sequence, side: str = "left") -> Matrix:
+    """Matrix of left multiplication L_x or right multiplication R_x: column
+    j holds the coordinates of [x, e_j] (side 'left') or [e_j, x] (side
+    'right')."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     F = L.field
@@ -327,8 +313,7 @@ def mult_operator(L: AlgebraTable, x: Sequence, side: str = "left") -> MultOpera
     for j in range(n):
         ej = L.basis_vector(j)
         cols.append(_bracket(L, x, ej) if side == "left" else _bracket(L, ej, x))
-    mat = Matrix._canonical(F, [[cols[j][k] for j in range(n)] for k in range(n)], n)
-    return MultOperator(mat, side)
+    return Matrix._canonical(F, [[cols[j][k] for j in range(n)] for k in range(n)], n)
 
 
 def _stacked_action_kernel(L: AlgebraTable, conditions) -> Subspace:
@@ -370,7 +355,7 @@ def left_annihilator(L: AlgebraTable) -> Subspace:
 def _actions(L: AlgebraTable, A: Subspace) -> list[Matrix]:
     """The matrices of x -> [a, x] and x -> [x, a] for each basis row a of A."""
     _check_subspace(L, A)
-    return [mult_operator(L, a, side).matrix for a in A.basis.data for side in ("left", "right")]
+    return [mult_operator(L, a, side) for a in A.basis.data for side in ("left", "right")]
 
 
 def centralizer(L: AlgebraTable, A: Subspace) -> Subspace:
@@ -427,15 +412,10 @@ def is_abelian_subspace(L: AlgebraTable, U: Subspace) -> bool:
 def generated_subalgebra(L: AlgebraTable, S: Subspace) -> Subspace:
     """Least subalgebra containing S: fixed point of W -> W + [W, W]."""
     _check_subspace(L, S)
-    W = S
-    while True:
-        W2 = subspace_sum(W, product_space(L, W, W))
-        if W2 == W:
-            return W
-        W = W2
+    return _chain(S, lambda W: subspace_sum(W, product_space(L, W, W)))[-1]
 
 
-def subalgebra_table(L: AlgebraTable, U: Subspace, name: str | None = None) -> AlgebraTable:
+def subalgebra_table(L: AlgebraTable, U: Subspace) -> AlgebraTable:
     """Structure table of a subalgebra on its RREF basis rows.  A subspace
     that is not a subalgebra raises ValueError: the product of two basis
     rows that leaves U has no coordinates."""
@@ -452,7 +432,7 @@ def subalgebra_table(L: AlgebraTable, U: Subspace, name: str | None = None) -> A
                 raise ValueError("subspace is not closed under the bracket")
             row.append(coords)
         c.append(row)
-    return _inherit_leibniz(L, AlgebraTable._canonical(L.field, c, name=name))
+    return _inherit_leibniz(L, AlgebraTable._canonical(L.field, c))
 
 
 def quotient(L: AlgebraTable, I: Subspace) -> tuple[AlgebraTable, Matrix]:

@@ -172,20 +172,8 @@ def _heisenberg_frame(L: AlgebraTable, W: Subspace) -> list[tuple] | None:
     w_t = next(e for e in map(T.basis_vector, range(m)) if any(_bracket(T, u_t, e)))
     (c,) = T2.coordinates(_bracket(T, u_t, w_t))
     rows_t = [u_t, tuple(F.mul(F.inv(c), x) for x in w_t), T2.basis.data[0]]
-    rows_t += _extend_line(T2, CT)
+    rows_t += T2._extension(CT.basis.data)
     return [W.basis.apply_row(row) for row in rows_t]
-
-
-def _extend_line(line: Subspace, C: Subspace) -> list[tuple]:
-    """Basis rows of C that, taken greedily, extend the line to a basis of
-    line + C."""
-    F = C.field
-    out = []
-    for row in C.basis.data:
-        if not line.contains_vector(row):
-            out.append(row)
-            line = subspace_sum(line, Subspace.from_vectors(F, C.ambient_dim, [row]))
-    return out
 
 
 def _coords_in_rows(F: FieldSpec, rows: list[tuple], v) -> tuple:
@@ -247,7 +235,7 @@ def _match_case1(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     if frame_h is None:
         return None
     u, w, z = frame_h
-    fs = _extend_line(Subspace.from_vectors(F, n, [z]), CL)
+    fs = Subspace.from_vectors(F, n, [z])._extension(CL.basis.data)
     a0 = L.basis_vector(_least_index_outside(L, subspace_sum(CL, L2)))
     # strip the z-component of the action by absorbing it into the generator
     rows_uvz = [u, w, z]

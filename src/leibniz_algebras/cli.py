@@ -306,9 +306,8 @@ def _make_family(args, F: FieldSpec) -> AlgebraTable:
         return abelian_algebra(args.k, F)
     if fam == "nonideal-example":
         return nonideal_codim2_example(F)
-    if fam == "rotation-extension":
-        return heisenberg_rotation_extension(F)
-    raise UsageError("unknown family %r" % fam)
+    # the parser's choices leave "rotation-extension"
+    return heisenberg_rotation_extension(F)
 
 
 def _cmd_make(args) -> int:
@@ -333,46 +332,37 @@ def _cmd_random(args) -> int:
         return Matrix(F, [[rand_scalar(), rand_scalar()], [rand_scalar(), rand_scalar()]])
 
     fam = args.family
-    for _ in range(200):
-        try:
-            if fam == "a":
-                lam = rand_matrix2()
-                mu = Matrix.identity(F, 2).scale(rand_scalar()) + lam.scale(rand_scalar())
-                L = make_a(lam, mu, F)
-            elif fam == "b":
-                lam = rand_matrix2()
-                mu = Matrix.identity(F, 2).scale(rand_scalar()) + lam.scale(rand_scalar())
-                L = make_b(lam, mu, F)
-            elif fam == "c":
-                a, b, c = rand_scalar(), rand_scalar(), rand_scalar()
-                L = make_c(Matrix(F, [[a, b], [c, F.neg(a)]]), F)
-            elif fam == "d":
-                a, b, c = rand_scalar(), rand_scalar(), rand_scalar()
-                L = make_d(Matrix(F, [[a, b], [c, F.neg(a)]]), F)
-            elif fam == "e":
-                a, b, c = rand_scalar(), rand_scalar(), rand_scalar()
-                phi = Matrix(
-                    F,
-                    [
-                        [a, b, F.zero],
-                        [c, F.neg(a), F.zero],
-                        [F.zero, F.zero, F.zero],
-                    ],
-                )
-                L = make_e(phi, -phi, (F.zero, F.zero, rand_scalar()), 4, F)
-            elif fam == "heisenberg":
-                L = heisenberg(F)
-            elif fam == "oscillator":
-                L = oscillator(F)
-            elif fam == "abelian":
-                L = abelian_algebra(args.k, F)
-            else:
-                raise UsageError("unknown family %r" % fam)
-        except FamilyParameterError:
-            continue
-        break
-    else:
-        raise UsageError("could not draw valid parameters for family %r" % fam)
+    if fam == "a":
+        lam = rand_matrix2()
+        mu = Matrix.identity(F, 2).scale(rand_scalar()) + lam.scale(rand_scalar())
+        L = make_a(lam, mu, F)
+    elif fam == "b":
+        lam = rand_matrix2()
+        mu = Matrix.identity(F, 2).scale(rand_scalar()) + lam.scale(rand_scalar())
+        L = make_b(lam, mu, F)
+    elif fam == "c":
+        a, b, c = rand_scalar(), rand_scalar(), rand_scalar()
+        L = make_c(Matrix(F, [[a, b], [c, F.neg(a)]]), F)
+    elif fam == "d":
+        a, b, c = rand_scalar(), rand_scalar(), rand_scalar()
+        L = make_d(Matrix(F, [[a, b], [c, F.neg(a)]]), F)
+    elif fam == "e":
+        a, b, c = rand_scalar(), rand_scalar(), rand_scalar()
+        phi = Matrix(
+            F,
+            [
+                [a, b, F.zero],
+                [c, F.neg(a), F.zero],
+                [F.zero, F.zero, F.zero],
+            ],
+        )
+        L = make_e(phi, -phi, (F.zero, F.zero, rand_scalar()), 4, F)
+    elif fam == "heisenberg":
+        L = heisenberg(F)
+    elif fam == "oscillator":
+        L = oscillator(F)
+    else:  # the parser's choices leave "abelian"
+        L = abelian_algebra(args.k, F)
     if args.plus_abelian:
         L = direct_sum(L, abelian_algebra(args.plus_abelian, F))
     if args.basis_change:

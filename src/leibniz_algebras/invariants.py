@@ -25,7 +25,7 @@ from .algebra import (
     require_leibniz,
 )
 from .errors import ConsistencyError
-from .linalg import Matrix, Subspace, subspace_intersect, subspace_sum
+from .linalg import Matrix, Subspace, _chain, subspace_intersect, subspace_sum
 
 
 @dataclass(frozen=True)
@@ -60,30 +60,11 @@ def series(L: AlgebraTable) -> SeriesReport:
     """Derived and lower central series of L."""
     require_leibniz(L)
     full = L.full_space()
-
-    derived = [full]
-    while True:
-        nxt = product_space(L, derived[-1], derived[-1])
-        if nxt == derived[-1]:
-            break
-        derived.append(nxt)
-        if nxt.is_zero():
-            break
-
-    lower = [full]
-    while True:
-        nxt = product_space(L, full, lower[-1])
-        if nxt == lower[-1]:
-            break
-        lower.append(nxt)
-        if nxt.is_zero():
-            break
-
+    derived = _chain(full, lambda D: product_space(L, D, D))
+    lower = _chain(full, lambda C: product_space(L, full, C))
     solvable = derived[-1].is_zero()
     nilpotent = lower[-1].is_zero()
-    length = None
-    if solvable:
-        length = next(i for i, s in enumerate(derived) if s.is_zero())
+    length = len(derived) - 1 if solvable else None
     return SeriesReport(tuple(derived), tuple(lower), solvable, nilpotent, length)
 
 
@@ -91,41 +72,23 @@ def fitting_decomposition(L: AlgebraTable, A: Subspace) -> FittingSplit:
     """Split L = L0 (+) L1 under the commuting family of left actions of A.
 
     L1 is the stable image of U -> [A, U] starting from L; L0 is the stable
-    preimage chain K(i+1) = {v : [a, v] in Ki for all a}, starting from 0.
-    Directness and [A, L1] = L1 are verified and cannot fail on a valid
-    Leibniz table with abelian A.
+    preimage chain K(i+1) = {v : [a, v] in Ki for all a}, starting from 0,
+    whose step is the joint kernel of the rows f @ L_a, f a functional
+    vanishing on Ki and a a basis row of A.  Directness and [A, L1] = L1
+    are verified and cannot fail on a valid Leibniz table with abelian A.
     """
     require_leibniz(L)
     if not is_abelian_subspace(L, A):
         raise ValueError("fitting decomposition needs an abelian subalgebra")
-    F = L.field
     n = L.dim
-
-    L1 = L.full_space()
-    while True:
-        nxt = product_space(L, A, L1)
-        if nxt == L1:
-            break
-        L1 = nxt
-
-    ops = [mult_operator(L, a, "left").matrix for a in A.basis.data]
-    L0 = Subspace.zero(F, n)
-    while True:
-        # v in next iff every [a, v] lies in the current L0.
-        funcs = L0.complement_functionals()
-        rows = []
-        for op in ops:
-            for f in funcs.data:
-                # condition row: f @ (op @ v) = (f @ op) @ v
-                rows.append((Matrix._canonical(F, [f], n) @ op).data[0])
-        if not rows:
-            nxt = Subspace.full(F, n)
-        else:
-            ker = Matrix._canonical(F, rows, n).kernel_basis()
-            nxt = Subspace._span(F, n, ker.data)
-        if nxt == L0:
-            break
-        L0 = nxt
+    L1 = _chain(L.full_space(), lambda U: product_space(L, A, U))[-1]
+    ops = [mult_operator(L, a, "left") for a in A.basis.data]
+    L0 = _chain(
+        Subspace.zero(L.field, n),
+        lambda K: _stacked_action_kernel(
+            L, [op.apply_row(f) for op in ops for f in K.complement_functionals().data]
+        ),
+    )[-1]
 
     if subspace_sum(L0, L1).dim != n or not subspace_intersect(L0, L1).is_zero():
         raise ConsistencyError("fitting split is not direct")
@@ -137,13 +100,7 @@ def fitting_decomposition(L: AlgebraTable, A: Subspace) -> FittingSplit:
 def _is_nilpotent_subalgebra(L: AlgebraTable, U: Subspace) -> bool:
     """Lower central series of the subalgebra U, computed in the ambient
     coordinates of L: C1 = U, C(k+1) = [U, Ck] decreases to zero or stalls."""
-    C = U
-    while not C.is_zero():
-        nxt = product_space(L, U, C)
-        if nxt == C:
-            return False
-        C = nxt
-    return True
+    return _chain(U, lambda C: product_space(L, U, C))[-1].is_zero()
 
 
 @_per_table
@@ -244,7 +201,7 @@ def _envelope_radical(L: AlgebraTable) -> Subspace:
     that basis: X_i = {x : L_x in I_i}.  L_x W lies in I_(i-1), where g_i
     is linear, so each round is one kernel solve on X_(i-1)'s basis."""
     F, n = L.field, L.dim
-    gens = [mult_operator(L, L.basis_vector(j)).matrix for j in range(n)]
+    gens = [mult_operator(L, L.basis_vector(j)) for j in range(n)]
     E, words, frontier = Subspace.zero(F, n * n), [], [Matrix.identity(F, n)]
     while frontier:
         W = frontier.pop()
@@ -258,7 +215,7 @@ def _envelope_radical(L: AlgebraTable) -> Subspace:
         last += 1
     X = Matrix.identity(F, n)  # rows: a basis of X_(i-1)
     for i in range(last + 1):
-        ops = [mult_operator(L, x).matrix for x in X.data]
+        ops = [mult_operator(L, x) for x in X.data]
         g = Matrix.trace if i == 0 else (lambda A: _lifted_trace_digit(A, F.p, i))
         X = Matrix(F, [[g(A @ W) for A in ops] for W in words]).kernel_basis() @ X
     return Subspace._span(F, n, X.data)

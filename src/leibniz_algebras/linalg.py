@@ -12,6 +12,14 @@ scaled to integers by the lcm of their denominators, and Fractions are built
 only for the final RREF.  Rows scale freely, so the package's integer rows
 (from the integer structure table, see `algebra`) may enter a span or a
 kernel directly; what comes out is canonical, Fractions only.
+
+Three routines carry every subspace iteration of the package.
+`Subspace._contains` tests a row against the RREF basis, fraction-free;
+`contains_vector` and `coordinates` coerce their input and call it.
+`Subspace._extension` takes, of a sequence of rows, each one that leaves
+the span grown so far: the greedy basis extension.  `_chain(start, step)`
+lists start, step(start), ... up to the first fixed point: the derived and
+lower central series, the generated subalgebra and the Fitting chains.
 """
 
 from __future__ import annotations
@@ -452,29 +460,27 @@ class Subspace:
 
     # -- membership ----------------------------------------------------------------
 
-    def reduce_vector(self, v: Sequence) -> tuple:
-        """Residual of v after subtracting its projection onto the basis rows."""
+    def _coerce(self, v: Sequence) -> list:
+        """v's entries in the field's canonical form, its length checked."""
         w = [self.field.of(x) for x in v]
         if len(w) != self.ambient_dim:
             raise DimensionMismatchError("vector length != ambient dim")
-        return self._reduce(w)
+        return w
 
     def _reduce(self, w: Sequence) -> tuple:
-        """reduce_vector for a row already in the field's canonical form;
-        nothing is coerced or checked."""
+        """Over GF(p), the residual of w after each basis row b, of pivot
+        column pc, clears column pc by w <- w - w[pc] b: 0 iff w lies in
+        the span.  w is already in the field's canonical form; nothing is
+        coerced or checked."""
         p = self.field.p
         for pc, row in zip(self.pivots, self.basis.data):
             c = w[pc]
-            if not c:
-                continue
-            if p is None:
-                w = [x - c * y if y else x for x, y in zip(w, row)]
-            else:
+            if c:
                 w = [(x - c * y) % p if y else x for x, y in zip(w, row)]
         return tuple(w)
 
     def contains_vector(self, v: Sequence) -> bool:
-        return not any(self.reduce_vector(v))
+        return self._contains(self._coerce(v))
 
     def _integer_basis(self) -> tuple:
         """The basis rows, each scaled to integers over QQ (`_integer_row`),
@@ -489,10 +495,11 @@ class Subspace:
 
     def _contains(self, w: Sequence) -> bool:
         """contains_vector for a row already in the field's canonical form
-        or, over QQ, of ints.  Over QQ it is fraction-free: w is scaled to
-        integers, and each integer basis row b, of pivot b[pc], clears
-        column pc by w <- b[pc] w - w[pc] b, which leaves the other pivot
-        columns as they were."""
+        or, over QQ, of ints; nothing is coerced or checked.  Over GF(p) it
+        is `_reduce`.  Over QQ it is fraction-free: w is scaled to integers,
+        and each integer basis row b, of pivot b[pc], clears column pc by
+        w <- b[pc] w - w[pc] b, which leaves the other pivot columns as
+        they were."""
         if self.field.p is not None:
             return not any(self._reduce(w))
         w = _integer_row(w)[1]
@@ -507,11 +514,10 @@ class Subspace:
         return all(self.contains_vector(v) for v in other.basis.data)
 
     def coordinates(self, v: Sequence) -> tuple | None:
-        """Coordinates of v in the RREF basis rows, or None if v is outside."""
-        w = [self.field.of(x) for x in v]
-        if len(w) != self.ambient_dim:
-            raise DimensionMismatchError("vector length != ambient dim")
-        if any(self._reduce(w)):
+        """Coordinates of v in the RREF basis rows, or None if v is outside:
+        a vector of the span is the sum of its pivot entries times the rows."""
+        w = self._coerce(v)
+        if not self._contains(w):
             return None
         return tuple(w[pc] for pc in self.pivots)
 
@@ -536,22 +542,26 @@ class Subspace:
             rows.append(row)
         return Matrix._canonical(F, rows, n)
 
+    def _extension(self, rows: Iterable[Sequence]) -> list:
+        """The rows, in order, that each leave the span of this subspace and
+        of the rows taken before them: a greedy extension of its basis.
+        Rows are in the field's canonical form; nothing is coerced or
+        checked."""
+        out, span = [], self
+        for row in rows:
+            if span.dim == span.ambient_dim:
+                break
+            if not span._contains(row):
+                out.append(row)
+                span = Subspace._span(self.field, self.ambient_dim, [*span.basis.data, row])
+        return out
+
     def extend_to_full_basis(self) -> Matrix:
         """Invertible matrix whose first rows are the subspace basis, completed
         greedily with standard basis vectors in index order."""
-        F = self.field
-        n = self.ambient_dim
-        rows = [list(r) for r in self.basis.data]
-        current = self
-        ident = Matrix.identity(F, n)
-        for j in range(n):
-            if current.dim == n:
-                break
-            e = ident.data[j]
-            if not current._contains(e):
-                rows.append(list(e))
-                current = Subspace._span(F, n, rows)
-        return Matrix._canonical(F, rows, n)
+        ident = Matrix.identity(self.field, self.ambient_dim).data
+        rows = self.basis.data + tuple(self._extension(ident))
+        return Matrix._canonical(self.field, rows, self.ambient_dim)
 
 
 def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
@@ -578,6 +588,17 @@ def subspace_intersect(U: Subspace, V: Subspace) -> Subspace:
         if all(x == F.zero for x in left):
             inter_rows.append(right)
     return Subspace._span(F, n, inter_rows)
+
+
+def _chain(start: Subspace, step) -> list:
+    """[start, step(start), step(step(start)), ...] up to the first term
+    that step maps to itself, which ends the list."""
+    chain = [start]
+    while True:
+        nxt = step(chain[-1])
+        if nxt == chain[-1]:
+            return chain
+        chain.append(nxt)
 
 
 def _check_ambient(U: Subspace, V: Subspace) -> None:

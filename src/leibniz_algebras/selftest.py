@@ -338,14 +338,14 @@ def _classify_sweep(rng, fast):
     return None
 
 
-def run_selftest(seed: int = 0, fast: bool = False, out=print) -> bool:
+def run_selftest(seed: int = 0, fast: bool = False) -> bool:
     rng = random.Random(seed)
     ok = True
     for name, fn in CHECKS:
         failure = fn(rng, fast)
         if failure is None:
-            out("[PASS] %s" % name)
+            print("[PASS] %s" % name)
         else:
-            out("[FAIL] %s: %s" % (name, failure))
+            print("[FAIL] %s: %s" % (name, failure))
             ok = False
     return ok

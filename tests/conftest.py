@@ -23,8 +23,9 @@ F5 = GF(5)
 F7 = GF(7)
 # the largest dimension a generated algebra reaches over GF(p); references
 # that walk every subspace of a stratum stay fast up to there (at n = 5
-# over GF(5) a middle stratum has 20,306 subspaces)
-MAX_DIM = {3: 5, 5: 4, 7: 4}
+# over GF(5) a middle stratum has 20,306 subspaces).  Key None is QQ, whose
+# subspaces no reference walks.
+MAX_DIM = {3: 5, 5: 4, 7: 4, None: 5}
 
 
 @pytest.fixture
@@ -151,13 +152,23 @@ def left_only_action(A, F):
     return AlgebraTable.from_products(F, m + 1, products, name="left-only-action")
 
 
+def _entries(F):
+    """Strategy for the entries of a drawn parameter: every element of
+    GF(p), small integers over QQ."""
+    return st.integers(0, F.p - 1) if F.is_prime_field else st.integers(-2, 2)
+
+
 def _disguised_sum(draw, L):
-    """L (+) F^k, of dimension at most MAX_DIM[p], under a seeded basis change."""
+    """L (+) F^k, of dimension at most MAX_DIM[p], under a seeded basis
+    change: a random invertible matrix over GF(p), `rational_change` over
+    QQ."""
     F = L.field
     k = draw(st.integers(0, MAX_DIM[F.p] - L.dim))
     if k:
         L = direct_sum(L, abelian_algebra(k, F))
-    return change_of_basis(L, rand_invertible(F, L.dim, random.Random(draw(st.integers(0, 2**32)))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    P = rand_invertible(F, L.dim, rng) if F.is_prime_field else rational_change(L.dim, rng)
+    return change_of_basis(L, P)
 
 
 @st.composite
@@ -169,13 +180,13 @@ def family_algebras(draw, fields=(F3, F5)):
     rotext and family e with [x, x] != 0 are the non-Lie ones."""
     F = draw(st.sampled_from(fields))
     base = draw(st.sampled_from(["a", "c", "d", "e", "rotext", "oscillator"]))
-    entries = st.integers(0, F.p - 1)
+    entries = _entries(F)
     if base == "e":
         # x acts on heisenberg (u, w, z) by a derivation phi (column j the
         # image of the j-th basis vector), theta = -phi, and [x, x] = v in
         # the center, nonzero only when tr phi = 0, as [v, x] = 0 needs
         a, b, c, d, e, f = (draw(entries) for _ in range(6))
-        tr = (a + d) % F.p
+        tr = F.of(a + d)
         phi = Matrix(F, [[a, b, 0], [c, d, 0], [e, f, tr]])
         v = (0, 0, 0 if tr else draw(entries))
         L = make_e(phi, -phi, v, 4, F)
@@ -201,7 +212,8 @@ def identity_actions(draw, fields=(F3, F5, F7)):
     is drawn at least half the time: its trace kernel is everything."""
     F = draw(st.sampled_from(fields))
     top = MAX_DIM[F.p] - 1
-    m = F.p if F.p <= top and draw(st.booleans()) else draw(st.integers(1, top))
+    p_fits = F.is_prime_field and F.p <= top
+    m = F.p if p_fits and draw(st.booleans()) else draw(st.integers(1, top))
     return _disguised_sum(draw, identity_action(m, F))
 
 
@@ -218,6 +230,6 @@ def left_only_actions(draw, fields=(F3, F5, F7)):
     dimension at most MAX_DIM[p], under a seeded basis change."""
     F = draw(st.sampled_from(fields))
     m = draw(st.integers(1, MAX_DIM[F.p] - 1))
-    entries = st.integers(0, F.p - 1)
+    entries = _entries(F)
     A = Matrix(F, [[draw(entries) for _ in range(m)] for _ in range(m)])
     return _disguised_sum(draw, left_only_action(A, F))

@@ -228,7 +228,7 @@ def test_criterion_fitting_split_on_scanned_subalgebras():
                 assert subspace_intersect(split.L0, split.L1).is_zero()
                 assert product_space(L, A, split.L1) == split.L1
                 for a in A.basis.data:
-                    op = mult_operator(L, a, "left").matrix
+                    op = mult_operator(L, a, "left")
                     W = split.L0
                     for _ in range(n):
                         W = Subspace.from_vectors(

@@ -35,7 +35,7 @@ from leibniz_algebras.algebra import (
     subalgebra_table,
 )
 from leibniz_algebras.catalog import standard_fixtures
-from leibniz_algebras.classify import _extend_line, _heisenberg_frame
+from leibniz_algebras.classify import _heisenberg_frame
 from leibniz_algebras.families import abelian_algebra, heisenberg_plus_abelian
 from leibniz_algebras.invariants import nilradical
 from leibniz_algebras.linalg import Matrix, Subspace
@@ -107,7 +107,7 @@ def searched_frame(T):
     F, m = T.field, T.dim
     full = T.full_space()
     Z = product_space(T, full, full)
-    fs = _extend_line(Z, center(T))
+    fs = Z._extension(center(T).basis.data)
     model = heisenberg_plus_abelian(m - 3, F)
     for r, s in itertools.permutations(range(m), 2):
         coords = Z.coordinates(bracket(T, T.basis_vector(r), T.basis_vector(s)))

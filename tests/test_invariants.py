@@ -6,14 +6,17 @@ from hypothesis import strategies as st
 
 from leibniz_algebras.algebra import (
     AlgebraTable,
+    bracket,
     center,
     change_of_basis,
     direct_sum,
+    generated_subalgebra,
     is_abelian_subspace,
     is_ideal,
     is_subalgebra,
     mult_operator,
     product_space,
+    squares_ideal,
     subalgebra_table,
 )
 from leibniz_algebras.catalog import (
@@ -38,6 +41,7 @@ from leibniz_algebras import invariants
 from leibniz_algebras.fields import QQ
 from leibniz_algebras.invariants import (
     _envelope_radical,
+    _is_nilpotent_subalgebra,
     _trace_kernel,
     check_annihilator_bound,
     fitting_decomposition,
@@ -72,6 +76,7 @@ from conftest import (
     family_algebras,
     identity_action,
     identity_actions,
+    left_only_actions,
     linear_action,
     one_budget_algebras,
     rand_invertible,
@@ -128,7 +133,7 @@ def test_series_chains_decrease_and_stabilize():
 def test_engel_consistency():
     for L in standard_fixtures(F3):
         rep = series(L)
-        ops = [mult_operator(L, L.basis_vector(i), "left").matrix for i in range(L.dim)]
+        ops = [mult_operator(L, L.basis_vector(i), "left") for i in range(L.dim)]
         all_left_nilpotent = all(M.power(M.rows).is_zero() for M in ops)
         assert rep.nilpotent == (
             all_left_nilpotent and rep.lower_central_chain[-1].is_zero()
@@ -177,7 +182,7 @@ def test_fitting_properties_on_scanned_subalgebras():
                 assert product_space(L, A, split.L1) == split.L1
                 funcs_ok = True
                 for a in A.basis.data:
-                    op = mult_operator(L, a, "left").matrix
+                    op = mult_operator(L, a, "left")
                     # restriction to L0 is nilpotent: iterate images
                     W = split.L0
                     for _ in range(n + 1):
@@ -422,3 +427,148 @@ def test_annihilator_bound_sharp_at_codimension_one():
     assert alpha(L).alpha == 3 and is_maximal_subalgebra(L, A)
     holds, lhs, rhs = check_annihilator_bound(L, A)
     assert not holds and lhs == 1 and rhs == 2
+
+
+# -- subspace iterations against loops written out one by one ------------------
+#
+# Each reference below iterates with its own loop and stop test, and tests
+# membership by subtracting basis-row multiples in field arithmetic; the
+# package runs all of them through `linalg._chain`, `Subspace._extension`
+# and the fraction-free `Subspace._contains`.
+
+
+def _ref_series(L):
+    full = L.full_space()
+    derived = [full]
+    while True:
+        nxt = product_space(L, derived[-1], derived[-1])
+        if nxt == derived[-1]:
+            break
+        derived.append(nxt)
+        if nxt.is_zero():
+            break
+    lower = [full]
+    while True:
+        nxt = product_space(L, full, lower[-1])
+        if nxt == lower[-1]:
+            break
+        lower.append(nxt)
+        if nxt.is_zero():
+            break
+    solvable = derived[-1].is_zero()
+    length = next(i for i, s in enumerate(derived) if s.is_zero()) if solvable else None
+    return tuple(derived), tuple(lower), solvable, lower[-1].is_zero(), length
+
+
+def _ref_is_nilpotent_subalgebra(L, U):
+    C = U
+    while not C.is_zero():
+        nxt = product_space(L, U, C)
+        if nxt == C:
+            return False
+        C = nxt
+    return True
+
+
+def _ref_generated_subalgebra(L, S):
+    W = S
+    while True:
+        W2 = subspace_sum(W, product_space(L, W, W))
+        if W2 == W:
+            return W
+        W = W2
+
+
+def _ref_fitting(L, A):
+    F, n = L.field, L.dim
+    L1 = L.full_space()
+    while True:
+        nxt = product_space(L, A, L1)
+        if nxt == L1:
+            break
+        L1 = nxt
+    ops = [mult_operator(L, a, "left") for a in A.basis.data]
+    L0 = Subspace.zero(F, n)
+    while True:
+        # v in the next term iff f([a, v]) = 0 for every functional f that
+        # vanishes on L0 and every basis row a of A
+        funcs = L0.complement_functionals().data
+        rows = [(Matrix(F, [f]) @ op).data[0] for op in ops for f in funcs]
+        if rows:
+            nxt = Subspace.from_vectors(F, n, Matrix(F, rows).kernel_basis().data)
+        else:
+            nxt = Subspace.full(F, n)
+        if nxt == L0:
+            break
+        L0 = nxt
+    return L0, L1
+
+
+def _ref_extend_to_full_basis(U):
+    F, n = U.field, U.ambient_dim
+    rows = [list(r) for r in U.basis.data]
+    for j in range(n):
+        e = [F.one if i == j else F.zero for i in range(n)]
+        if Subspace.from_vectors(F, n, rows + [e]).dim > len(rows):
+            rows.append(e)
+    return Matrix(F, rows)
+
+
+def _ref_membership(U, v):
+    """(contains_vector, coordinates) of v, by the residual of v after each
+    basis row clears its pivot column."""
+    F = U.field
+    w = [F.of(x) for x in v]
+    residual = w
+    for pc, row in zip(U.pivots, U.basis.data):
+        c = residual[pc]
+        residual = [F.sub(x, F.mul(c, y)) for x, y in zip(residual, row)]
+    inside = not any(residual)
+    return inside, (tuple(w[pc] for pc in U.pivots) if inside else None)
+
+
+FIELDS_F3_F5_QQ = (F3, F5, QQ)
+
+
+@settings(max_examples=100)
+@given(
+    st.one_of(
+        family_algebras(FIELDS_F3_F5_QQ),
+        identity_actions(FIELDS_F3_F5_QQ),
+        cycle_actions(FIELDS_F3_F5_QQ),
+        left_only_actions(FIELDS_F3_F5_QQ),
+    )
+)
+def test_subspace_iterations_match_reference_loops(L):
+    F, n = L.field, L.dim
+    rep = series(L)
+    assert (
+        rep.derived_chain,
+        rep.lower_central_chain,
+        rep.solvable,
+        rep.nilpotent,
+        rep.derived_length,
+    ) == _ref_series(L)
+    C, S, Z = center(L), squares_ideal(L), Subspace.zero(F, n)
+    subspaces = [C, S, Z, L.full_space(), *rep.derived_chain, *rep.lower_central_chain]
+    lines = [span(F, n, L.basis_vector(i)) for i in range(n)]
+    subspaces += lines
+    es = [L.basis_vector(i) for i in range(n)]
+    vectors = es + [bracket(L, x, y) for x in es for y in es]
+    for U in subspaces:
+        assert generated_subalgebra(L, U) == _ref_generated_subalgebra(L, U)
+        assert U.extend_to_full_basis() == _ref_extend_to_full_basis(U)
+        if is_subalgebra(L, U):
+            assert _is_nilpotent_subalgebra(L, U) == _ref_is_nilpotent_subalgebra(L, U)
+        # coordinates (1, 2, ..) of a combination of the basis rows
+        inside = [
+            sum(F.mul(F.of(r + 1), row[k]) for r, row in enumerate(U.basis.data)) for k in range(n)
+        ]
+        for v in vectors + [inside]:
+            assert (U.contains_vector(v), U.coordinates(v)) == _ref_membership(U, v)
+    # C and S act by 0 from the left; an abelian line of a basis vector
+    # acts by its left multiplication
+    for A in (C, S, Z, *lines):
+        if is_abelian_subspace(L, A):
+            split = fitting_decomposition(L, A)
+            assert (split.L0, split.L1) == _ref_fitting(L, A)

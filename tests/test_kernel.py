@@ -185,7 +185,7 @@ def _definition_functionals(L):
     multiplication operators."""
     n = L.dim
     basis = [L.basis_vector(i) for i in range(n)]
-    ops = {side: [mult_operator(L, e, side).matrix for e in basis] for side in ("left", "right")}
+    ops = {side: [mult_operator(L, e, side) for e in basis] for side in ("left", "right")}
     Ws = [Matrix.identity(L.field, n)] + ops["left"] + ops["right"]
     return [[(M @ W).trace() for M in ops[side]] for side in ("left", "right") for W in Ws]
 
