@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
@@ -37,8 +36,8 @@ from .errors import (
     DimensionMismatchError,
     NotLeibnizError,
 )
-from .fields import _QQ_ZERO, FieldSpec, check_same_field
-from .linalg import Matrix, Subspace, _chain, _integer_row, rref_with_pivots, subspace_sum
+from .fields import FieldSpec, check_same_field
+from .linalg import Matrix, Subspace, _chain, _echelon, _fractions, _integer_row, subspace_sum
 
 
 class AlgebraTable:
@@ -175,15 +174,14 @@ def _bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
         return _scaled_bracket(L, u, v)
     du, u = _integer_row(u)
     dv, v = _integer_row(v)
-    den = du * dv * _integer_view(L)[0]
-    return tuple(Fraction(x, den) if x else _QQ_ZERO for x in _scaled_bracket(L, u, v))
+    return _fractions(_scaled_bracket(L, u, v), du * dv * _integer_view(L)[0])
 
 
 def _scaled_bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
     """The bracket on the integer view (`_integer_view`).  Over GF(p) it is
-    `_bracket`.  Over QQ it takes integer rows, such as the rows of
-    `Subspace._integer_basis`, and returns D [u, v], an integer row: a
-    multiple of the bracket of the rows they scale, for what rescaling a
+    `_bracket`.  Over QQ it takes integer rows, such as a subspace's
+    canonical rows `Subspace._rows`, and returns D [u, v], an integer row:
+    a multiple of the bracket of the rows they scale, for what rescaling a
     generator does not change (spans, membership, vanishing)."""
     p = L.field.p
     v = [(j, y) for j, y in enumerate(v) if y]
@@ -320,13 +318,7 @@ def _stacked_action_kernel(L: AlgebraTable, conditions) -> Subspace:
     """Joint kernel of a family of linear conditions on x, each condition a row
     of coefficients over the x-coordinates, already in L's field or, over
     QQ, ints."""
-    F, n = L.field, L.dim
-    if not conditions:
-        return Subspace.full(F, n)
-    # kernel_basis rows are in RREF: the subspace's canonical basis
-    ker = Matrix._canonical(F, conditions, n).kernel_basis()
-    pivots = [next(c for c, x in enumerate(row) if x) for row in ker.data]
-    return Subspace(F, n, ker, pivots)
+    return Subspace._kernel(L.field, L.dim, conditions)
 
 
 @_per_table
@@ -379,13 +371,13 @@ def product_space(L: AlgebraTable, U: Subspace, V: Subspace) -> Subspace:
     """Span of all [u, v] over basis vectors of U and V."""
     _check_subspace(L, U)
     _check_subspace(L, V)
-    gens = [_scaled_bracket(L, u, v) for u in U._integer_basis() for v in V._integer_basis()]
+    gens = [_scaled_bracket(L, u, v) for u in U._rows for v in V._rows]
     return Subspace._span(L.field, L.dim, gens)
 
 
 def is_subalgebra(L: AlgebraTable, U: Subspace) -> bool:
     _check_subspace(L, U)
-    rows = U._integer_basis()
+    rows = U._rows
     return all(U._contains(_scaled_bracket(L, u, v)) for u in rows for v in rows)
 
 
@@ -394,7 +386,7 @@ def is_ideal(L: AlgebraTable, U: Subspace) -> bool:
     n = L.dim
     # unit rows of ints: integer rows over QQ, canonical over GF(p)
     es = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    for u in U._integer_basis():
+    for u in U._rows:
         for ej in es:
             if not U._contains(_scaled_bracket(L, u, ej)):
                 return False
@@ -405,7 +397,7 @@ def is_ideal(L: AlgebraTable, U: Subspace) -> bool:
 
 def is_abelian_subspace(L: AlgebraTable, U: Subspace) -> bool:
     _check_subspace(L, U)
-    rows = U._integer_basis()
+    rows = U._rows
     return not any(any(_scaled_bracket(L, u, v)) for u in rows for v in rows)
 
 
@@ -418,19 +410,24 @@ def generated_subalgebra(L: AlgebraTable, S: Subspace) -> Subspace:
 def subalgebra_table(L: AlgebraTable, U: Subspace) -> AlgebraTable:
     """Structure table of a subalgebra on its RREF basis rows.  A subspace
     that is not a subalgebra raises ValueError: the product of two basis
-    rows that leaves U has no coordinates."""
+    rows that leaves U has no coordinates.
+
+    The products are taken on the integer view (`_scaled_bracket`) of U's
+    canonical rows: over QQ, for the integer rows s_a b_a and s_b b_b of
+    the RREF rows b_a, b_b (s the pivot), w = D s_a s_b [b_a, b_b], whose
+    coordinates are w[pc] / (D s_a s_b), pc the pivots."""
     _check_subspace(L, U)
-    rows = U.basis.data
-    d = U.dim
+    rows, pivots = U._rows, U.pivots
+    D = _integer_view(L)[0]
     c = []
-    for a in range(d):
+    for a, pa in zip(rows, pivots):
         row = []
-        for b in range(d):
-            w = _bracket(L, rows[a], rows[b])
-            coords = U.coordinates(w)
-            if coords is None:
+        for b, pb in zip(rows, pivots):
+            w = _scaled_bracket(L, a, b)
+            if not U._contains(w):
                 raise ValueError("subspace is not closed under the bracket")
-            row.append(coords)
+            coords = [w[pc] for pc in pivots]
+            row.append(tuple(coords) if L.field.p else _fractions(coords, D * a[pa] * b[pb]))
         c.append(row)
     return _inherit_leibniz(L, AlgebraTable._canonical(L.field, c))
 
@@ -523,13 +520,13 @@ def _is_frame(L: AlgebraTable, P: Matrix, model: AlgebraTable) -> bool:
     n = L.dim
     if P.rows != n or P.cols != n:
         raise DimensionMismatchError("basis matrix must be dim x dim")
-    if rref_with_pivots(P)[1] != n:
+    d, flat = _integer_row(sum(P.data, ()))
+    f = [flat[i * n : (i + 1) * n] for i in range(n)]
+    if len(_echelon(L.field, f, n)[1]) != n:
         raise DimensionMismatchError("singular matrix")
     if model.dim != n:
         return False
     p = L.field.p
-    d, flat = _integer_row(sum(P.data, ()))
-    f = [flat[i * n : (i + 1) * n] for i in range(n)]
     DM, M, _ = _integer_view(model)
     scale = _integer_view(L)[0] * d
     for fi, Mi in zip(f, M):

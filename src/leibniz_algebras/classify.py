@@ -56,6 +56,9 @@ from .linalg import (
     Matrix,
     QuadraticPoly,
     Subspace,
+    _echelon,
+    _fractions,
+    _integer_row,
     char_poly_2x2,
     enumerate_subspaces,
     is_irreducible_quadratic,
@@ -170,22 +173,44 @@ def _heisenberg_frame(L: AlgebraTable, W: Subspace) -> list[tuple] | None:
     F = L.field
     u_t = T.basis_vector(_least_index_outside(T, CT))
     w_t = next(e for e in map(T.basis_vector, range(m)) if any(_bracket(T, u_t, e)))
-    (c,) = T2.coordinates(_bracket(T, u_t, w_t))
+    c = _bracket(T, u_t, w_t)[T2.pivots[0]]
     rows_t = [u_t, tuple(F.mul(F.inv(c), x) for x in w_t), T2.basis.data[0]]
     rows_t += T2._extension(CT.basis.data)
     return [W.basis.apply_row(row) for row in rows_t]
 
 
-def _coords_in_rows(F: FieldSpec, rows: list[tuple], v) -> tuple:
-    sol = Matrix(F, rows).solve_row(v)
-    if sol is None:
-        raise ConsistencyError("vector left its expected span during extraction")
-    return sol
+def _coords_in_rows(F: FieldSpec, rows: list[tuple]):
+    """v -> the coordinates x of v in the independent rows, x @ rows = v; a
+    v outside their span raises ConsistencyError.  The rows are eliminated
+    once, [rows | 1] to rows [s_j b_j | s_j t_j]: the b_j are the RREF
+    basis of their span, t_j @ rows = b_j, and x = sum_j v[pc_j] t_j, pc_j
+    the pivots.  The left halves s_j b_j, divided by their content over QQ,
+    are the span's canonical rows.  Over QQ the t_j are scaled to ints by
+    d = lcm(s_j), so each x_i is one Fraction; over GF(p) every s_j is 1."""
+    n, k = len(rows[0]), len(rows)
+    augmented = [(*r, *(int(i == j) for j in range(k))) for i, r in enumerate(rows)]
+    red, pivots = _echelon(F, augmented, n + k)
+    left = [r[:n] for r in red]
+    if F.p is None:
+        gcds = [math.gcd(*r) for r in left]
+        left = [[x // g for x in r] for r, g in zip(left, gcds)]
+    span = Subspace._of_rows(F, n, left, pivots)
+    d = math.lcm(*(r[pc] for r, pc in zip(red, pivots)))
+    T = [[x * (d // r[pc]) for x in r[n:]] for r, pc in zip(red, pivots)]
+
+    def coords(v) -> tuple:
+        if not span._contains(v):
+            raise ConsistencyError("vector left its expected span during extraction")
+        dv, w = _integer_row(v)
+        x = [sum(w[pc] * t[i] for pc, t in zip(pivots, T)) for i in range(k)]
+        return tuple(y % F.p for y in x) if F.p else _fractions(x, d * dv)
+
+    return coords
 
 
 def _least_index_outside(L: AlgebraTable, S: Subspace) -> int:
     for i in range(L.dim):
-        if not S.contains_vector(L.basis_vector(i)):
+        if not S._contains([int(i == j) for j in range(L.dim)]):
             return i
     raise ConsistencyError("no basis vector outside the subspace")
 
@@ -238,15 +263,15 @@ def _match_case1(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     fs = Subspace.from_vectors(F, n, [z])._extension(CL.basis.data)
     a0 = L.basis_vector(_least_index_outside(L, subspace_sum(CL, L2)))
     # strip the z-component of the action by absorbing it into the generator
-    rows_uvz = [u, w, z]
-    cu = _coords_in_rows(F, rows_uvz, _bracket(L, a0, u))[2]
-    cw = _coords_in_rows(F, rows_uvz, _bracket(L, a0, w))[2]
+    uvz_coords = _coords_in_rows(F, [u, w, z])
+    cu = uvz_coords(_bracket(L, a0, u))[2]
+    cw = uvz_coords(_bracket(L, a0, w))[2]
     a = tuple(
         F.add(x, F.sub(F.mul(cu, ww), F.mul(cw, uu)))
         for x, uu, ww in zip(a0, u, w)
     )
-    au = _coords_in_rows(F, rows_uvz, _bracket(L, a, u))
-    aw = _coords_in_rows(F, rows_uvz, _bracket(L, a, w))
+    au = uvz_coords(_bracket(L, a, u))
+    aw = uvz_coords(_bracket(L, a, w))
     if au[2] != F.zero or aw[2] != F.zero:
         raise ConsistencyError("central component survived generator adjustment")
     m = Matrix(F, [[au[0], au[1]], [aw[0], aw[1]]])
@@ -325,10 +350,10 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     for V in _simple_3dim_subspaces(T):
         u_t, w_t = V.basis.data
         h_t = _bracket(T, u_t, w_t)
-        if V.contains_vector(h_t):
+        if V._contains(h_t):
             continue
-        hu = V.coordinates(_bracket(T, h_t, u_t))
-        hw = V.coordinates(_bracket(T, h_t, w_t))
+        hu = V._coordinates(_bracket(T, h_t, u_t))
+        hw = V._coordinates(_bracket(T, h_t, w_t))
         if hu is None or hw is None:
             continue
         m = Matrix(F, [hu, hw])
@@ -380,10 +405,7 @@ def _match_case3(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     if frame_amb is None:
         return None
     x = L.basis_vector(_least_index_outside(L, N))
-
-    def h_coords(vec) -> tuple:
-        return _coords_in_rows(F, frame_amb, vec)
-
+    h_coords = _coords_in_rows(F, frame_amb)
     phi = Matrix(F, [h_coords(_bracket(L, x, b)) for b in frame_amb]).transpose()
     # the induced action on N / C(N) is the (u, w) block of phi
     star = Matrix(F, [phi.data[0][:2], phi.data[1][:2]])

@@ -9,6 +9,7 @@ central series does.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .algebra import (
@@ -25,7 +26,7 @@ from .algebra import (
     require_leibniz,
 )
 from .errors import ConsistencyError
-from .linalg import Matrix, Subspace, _chain, subspace_intersect, subspace_sum
+from .linalg import Subspace, _chain, subspace_intersect, subspace_sum
 
 
 @dataclass(frozen=True)
@@ -103,10 +104,9 @@ def _is_nilpotent_subalgebra(L: AlgebraTable, U: Subspace) -> bool:
     return _chain(U, lambda C: product_space(L, U, C))[-1].is_zero()
 
 
-@_per_table
-def _trace_functionals(L: AlgebraTable) -> tuple:
-    """Rows, in RREF, of the functionals x -> Tr(M_x W) for M in {L, R} and
-    W in {1, L_e_j, R_e_j}, as field elements.
+def _trace_rows(L: AlgebraTable) -> list:
+    """The functionals x -> Tr(M_x W) for M in {L, R} and W in {1, L_e_j,
+    R_e_j}, as rows of ints (residues over GF(p)).
 
     Every nilpotent ideal N, abelian ones included, lies in their common
     kernel: the ideals N_1 = N, N_(k+1) = [N, N_k] + [N_k, N] reach 0, W
@@ -116,9 +116,9 @@ def _trace_functionals(L: AlgebraTable) -> tuple:
     Tr(AB) = Tr(BA), so of the traces of products of two operators among
     the L_e_i and R_e_i each is computed once: 2n^2 + n of them.  They are
     read off the integer view (`_integer_view`): over QQ its table is D*c,
-    which scales each functional by D or D^2 and leaves their span as it
-    is."""
-    F, c, n = L.field, _integer_view(L)[1], L.dim
+    which scales each functional by D or D^2 and leaves their span and
+    kernel as they are."""
+    p, c, n = L.field.p, _integer_view(L)[1], L.dim
     # the columns of L_e_i and R_e_i: [e_i, e_k] and [e_k, e_i]
     cols = [[c[i][k] for k in range(n)] for i in range(n)]
     cols += [[c[k][i] for k in range(n)] for i in range(n)]
@@ -136,16 +136,20 @@ def _trace_functionals(L: AlgebraTable) -> tuple:
     diagonal = range(0, n * n, n + 1)
     funcs = [[sum(A.get(t, 0) for t in diagonal) for A in flat[m : m + n]] for m in (0, n)]
     funcs += [[T[m + i][b] for i in range(n)] for m in (0, n) for b in range(2 * n)]
-    if F.p is not None:
-        funcs = [[x % F.p for x in f] for f in funcs]
-    return tuple(map(tuple, Subspace._span(F, n, funcs).basis.data))
+    return funcs if p is None else [[x % p for x in f] for f in funcs]
+
+
+@_per_table
+def _trace_functionals(L: AlgebraTable) -> tuple:
+    """Rows, in RREF, of the span of `_trace_rows`, as field elements."""
+    return tuple(map(tuple, Subspace._span(L.field, L.dim, _trace_rows(L)).basis.data))
 
 
 @_per_table
 def _trace_kernel(L: AlgebraTable) -> Subspace:
-    """K, the common kernel of `_trace_functionals`; it holds every
-    nilpotent ideal."""
-    return _stacked_action_kernel(L, _trace_functionals(L))
+    """K, the common kernel of `_trace_rows`; it holds every nilpotent
+    ideal."""
+    return _stacked_action_kernel(L, _trace_rows(L))
 
 
 @_per_table
@@ -156,7 +160,7 @@ def nilradical(L: AlgebraTable) -> Subspace:
     x -> Tr(M_x W), M in {L, R}, W in {1, L_e_j, R_e_j}, that the
     abelian-ideal searches of `search` also use (`_trace_kernel`, cached
     on L).  Every nilpotent ideal lies in K, in every characteristic (see
-    `_trace_functionals`), so N <= K; when K is itself an ideal and
+    `_trace_rows`), so N <= K; when K is itself an ideal and
     nilpotent, K <= N, and K is the nilradical.
 
     Otherwise N = {x : L_x in Rad(E)}, E the unital associative algebra
@@ -199,43 +203,68 @@ def _envelope_radical(L: AlgebraTable) -> Subspace:
     generator, so the span ends up closed under those products.  Round i
     keeps, of the x that round i-1 kept, those with g_i(L_x W) = 0 for W in
     that basis: X_i = {x : L_x in I_i}.  L_x W lies in I_(i-1), where g_i
-    is linear, so each round is one kernel solve on X_(i-1)'s basis."""
-    F, n = L.field, L.dim
-    gens = [mult_operator(L, L.basis_vector(j)) for j in range(n)]
-    E, words, frontier = Subspace.zero(F, n * n), [], [Matrix.identity(F, n)]
+    is linear, so each round is one kernel solve on X_(i-1)'s basis.
+
+    Everything runs in ints, on the integer view (`_integer_view`).  Over
+    QQ its generators are D L_e_j, so each word is a nonzero multiple of
+    the product it stands for and each row of traces a nonzero multiple of
+    its row: neither E's span nor the kernel changes, and one round (X_-1
+    the unit rows) ends at the kernel."""
+    F, n, p, c = L.field, L.dim, L.field.p, _integer_view(L)[1]
+
+    def left(x):
+        """L_x: column k holds [x, e_k]."""
+        A = [[sum(a * c[j][k][t] for j, a in enumerate(x) if a) for k in range(n)]
+             for t in range(n)]
+        return A if p is None else [[y % p for y in row] for row in A]
+
+    X = [[int(j == k) for k in range(n)] for j in range(n)]  # rows: a basis of X_(i-1)
+    gens = [left(e) for e in X]
+    E, words, frontier = Subspace.zero(F, n * n), [], [X]
     while frontier:
         W = frontier.pop()
-        flat = sum(W.data, ())
+        flat = [x for row in W for x in row]
         if not E._contains(flat):
-            E = Subspace._span(F, n * n, [*E.basis.data, flat])
+            E = Subspace._span(F, n * n, [*E._rows, flat])
             words.append(W)
-            frontier.extend(W @ G for G in gens)
+            frontier.extend(_matmul(W, G, p) for G in gens)
     last = 0  # l = floor(log_p n); one round over QQ
-    while F.is_prime_field and F.p ** (last + 1) <= n:
+    while p and p ** (last + 1) <= n:
         last += 1
-    X = Matrix.identity(F, n)  # rows: a basis of X_(i-1)
     for i in range(last + 1):
-        ops = [mult_operator(L, x) for x in X.data]
-        g = Matrix.trace if i == 0 else (lambda A: _lifted_trace_digit(A, F.p, i))
-        X = Matrix(F, [[g(A @ W) for A in ops] for W in words]).kernel_basis() @ X
-    return Subspace._span(F, n, X.data)
+        ops = [left(x) for x in X]
+        if i == 0:  # Tr(A W), the sum of the A[j][k] W[k][j]
+            rows = [[sum(map(_dot_rows, A, zip(*W))) for A in ops] for W in words]
+            rows = rows if p is None else [[x % p for x in row] for row in rows]
+        else:
+            rows = [[_lifted_trace_digit(_matmul(A, W, p), p, i) for A in ops] for W in words]
+        K = Subspace._kernel(F, len(X), rows)._rows
+        X = _matmul(K, X, p)
+    return Subspace._span(F, n, X)
 
 
-def _lifted_trace_digit(A: Matrix, p: int, i: int) -> int:
+def _dot_rows(u, v) -> int:
+    return sum(map(operator.mul, u, v))
+
+
+def _matmul(X, Y, q: int | None) -> list:
+    """X Y for matrices given as rows of ints, mod q unless q is None."""
+    cols = list(zip(*Y))
+    out = [[_dot_rows(row, col) for col in cols] for row in X]
+    return out if q is None else [[x % q for x in row] for row in out]
+
+
+def _lifted_trace_digit(A: list, p: int, i: int) -> int:
     """g_i(A) = Tr(A~^(p^i)) / p^i mod p, A~ the integer lift of A over
-    GF(p), with entries in [0, p); the power is taken mod p^(i+1).  On the
-    round's domain p^i divides that trace (the traces of A~^(p^k) agree mod
-    p^k, and the previous round's g vanished)."""
-    q, n = p ** (i + 1), A.rows
-
-    def mul(X, Y):
-        return [[sum(a * b for a, b in zip(row, col)) % q for col in zip(*Y)] for row in X]
-
-    acc, base, e = [[int(j == k) for k in range(n)] for j in range(n)], A.data, p**i
+    GF(p), the rows A of ints in [0, p); the power is taken mod p^(i+1).
+    On the round's domain p^i divides that trace (the traces of A~^(p^k)
+    agree mod p^k, and the previous round's g vanished)."""
+    q, n = p ** (i + 1), len(A)
+    acc, base, e = [[int(j == k) for k in range(n)] for j in range(n)], A, p**i
     while e:
         if e & 1:
-            acc = mul(acc, base)
-        base, e = mul(base, base), e >> 1
+            acc = _matmul(acc, base, q)
+        base, e = _matmul(base, base, q), e >> 1
     t = sum(acc[j][j] for j in range(n)) % q
     if t % p**i:
         raise ConsistencyError("Tr(A^(p^%d)) is not divisible by p^%d on I_%d" % (i, i, i - 1))

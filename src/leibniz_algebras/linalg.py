@@ -1,20 +1,25 @@
 """Exact dense linear algebra over QQ and GF(p).
 
-Matrices are immutable row-major tuples of scalars.  Subspaces are stored by
-their reduced-row-echelon basis, which is a canonical form: two subspaces are
-equal precisely when their basis matrices are identical.  Enumeration of
-subspaces over GF(p) is lazy and follows a fixed canonical order (pivot-column
-sets lexicographically, then free entries), so searches are deterministic and
-restartable.
+Matrices are immutable row-major tuples of scalars.  A subspace is stored in
+a canonical form, so two subspaces are equal precisely when their stored
+rows are identical: over GF(p) its reduced-row-echelon basis; over QQ its
+primitive integer rows, each RREF row scaled to integers with gcd 1 and a
+positive pivot, which match the RREF rows one to one.  Enumeration of
+subspaces over GF(p) is lazy and follows a fixed canonical order
+(pivot-column sets lexicographically, then free entries), so searches are
+deterministic and restartable.
 
-Over QQ, elimination and subspace membership are fraction-free: rows are
-scaled to integers by the lcm of their denominators, and Fractions are built
-only for the final RREF.  Rows scale freely, so the package's integer rows
-(from the integer structure table, see `algebra`) may enter a span or a
-kernel directly; what comes out is canonical, Fractions only.
+Over QQ, elimination is fraction-free (`_echelon`): rows are scaled to
+integers by the lcm of their denominators and stay integers.  Rows scale
+freely, so the package's integer rows (from the integer structure table,
+see `algebra`) enter spans, sums, intersections, kernels and membership
+tests as they are, and what comes out is integer rows again.  Fractions are
+built only where a value leaves the package: a subspace's `basis` is built
+from its integer rows when it is first read (witnesses, frames, repr, CLI
+output), and `rref_with_pivots` divides each row by its pivot.
 
 Three routines carry every subspace iteration of the package.
-`Subspace._contains` tests a row against the RREF basis, fraction-free;
+`Subspace._contains` tests a row against the canonical rows, fraction-free;
 `contains_vector` and `coordinates` coerce their input and call it.
 `Subspace._extension` takes, of a sequence of rows, each one that leaves
 the span grown so far: the greedy basis extension.  `_chain(start, step)`
@@ -31,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 from ._scan_py import canonical_subspaces, gaussian_binomial
 from .errors import DimensionMismatchError
-from .fields import _QQ_ONE, _QQ_ZERO, FieldSpec, Scalar, check_same_field
+from .fields import _QQ_ZERO, FieldSpec, Scalar, check_same_field
 
 
 def _as_tuple_vec(field: FieldSpec, v: Sequence) -> tuple:
@@ -203,32 +208,12 @@ class Matrix:
         return red, rank
 
     def rank(self) -> int:
-        return self.rref()[1]
+        return len(_echelon(self.field, self.data, self.cols)[1])
 
     def kernel_basis(self) -> "Matrix":
-        """Basis (rows, RREF-canonical) of {v : self @ v = 0}, v a column vector.
-
-        One elimination, on the columns in reverse order: each row's pivot
-        is then its rightmost nonzero column pc, and the vector v_f of a
-        free column f (1 at f, 0 at the other free columns, -row[f] at the
-        pivot pc of each row) has its other nonzero entries at pivots
-        pc > f.  So the v_f, by increasing f, are the kernel's RREF basis."""
-        F = self.field
-        n = self.cols
-        flipped = Matrix._canonical(F, [row[::-1] for row in self.data], n)
-        red, _, pivots = rref_with_pivots(flipped)
-        pivots = [n - 1 - pc for pc in pivots]
-        pivset = set(pivots)
-        basis = []
-        for f in range(n):
-            if f in pivset:
-                continue
-            v = [F.zero] * n
-            v[f] = F.one
-            for row, pc in zip(red.data, pivots):
-                v[pc] = F.neg(row[n - 1 - f])
-            basis.append(v)
-        return Matrix._canonical(F, basis, n)
+        """Basis (rows, RREF-canonical) of {v : self @ v = 0}, v a column
+        vector (`Subspace._kernel`)."""
+        return Subspace._kernel(self.field, self.cols, self.data).basis
 
     def solve_row(self, target: Sequence) -> tuple | None:
         """Solve x @ self = target for a row vector x, or None."""
@@ -301,80 +286,74 @@ def _integer_row(u: Sequence) -> tuple[int, Sequence]:
     return d, [x.numerator * (d // x.denominator) for x in u]
 
 
-def rref_with_pivots(M: Matrix) -> tuple[Matrix, int, list[int]]:
-    """Reduced row echelon form: unit pivots, zeros above and below.
+def _fractions(row: Sequence, den: int) -> tuple:
+    """The int row divided by den, as Fractions."""
+    return tuple(Fraction(x, den) if x else _QQ_ZERO for x in row)
 
-    Over QQ the elimination is fraction-free (`_rref_rational`); its rows
-    may hold ints as well as Fractions, and the result holds Fractions."""
-    F = M.field
+
+def _echelon(F: FieldSpec, rows: Sequence[Sequence], ncols: int) -> tuple[list, list[int]]:
+    """Gauss-Jordan elimination of rows of `ncols` entries, already in F's
+    canonical form or, over QQ, ints: (the nonzero reduced rows, their
+    pivot columns), the subspace's canonical rows (see the module
+    docstring).  Over GF(p) pivots are scaled to 1.  Over QQ it is
+    fraction-free: each row is scaled to integers (`_integer_row`), a pivot
+    row a clears column c of row w by w <- a[c] w - w[c] a, and the new row
+    is divided by its content (the gcd of its entries); scaling rows
+    changes no row space, and each pivot row ends with zeros in the other
+    pivot columns, so dividing it by its content and the pivot's sign gives
+    the RREF row scaled to be primitive.  Zero rows take no part."""
     p = F.p
     if p is None:
-        return _rref_rational(M)
-    rows = [list(r) for r in M.data]
-    nrows, ncols = M.rows, M.cols
+        rows = [row for row in (_integer_row(r)[1] for r in rows) if any(row)]
+    else:
+        rows = [list(r) for r in rows]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        top = rows[r]
-        inv = F.inv(top[c])
-        if inv != 1:
-            top = rows[r] = [x * inv % p for x in top]
-        for i in range(nrows):
-            row = rows[i]
-            f = row[c]
-            if i == r or not f:
-                continue
-            rows[i] = [(x - f * y) % p if y else x for x, y in zip(row, top)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+        if r == len(rows):
             break
-    return Matrix._canonical(F, rows, ncols), len(pivots), pivots
-
-
-def _rref_rational(M: Matrix) -> tuple[Matrix, int, list[int]]:
-    """rref_with_pivots over QQ, on integer rows: each row is scaled to
-    integers (`_integer_row`), a pivot row a clears column c of row w by
-    w <- a[c] w - w[c] a, and the new row is divided by its content (the
-    gcd of its entries).  Scaling rows changes no row space, and each pivot
-    row ends with zeros in the other pivot columns, so dividing it by its
-    pivot at the end gives the RREF, which is unique: the same matrix as
-    elimination with Fractions, the only Fractions being built there.
-    Zero rows take no part; they end the result, as in any RREF."""
-    nrows, ncols = M.rows, M.cols
-    rows = [row for row in (_integer_row(r)[1] for r in M.data) if any(row)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
         pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         top = rows[r]
         a = top[c]
+        if p is not None and a != 1:
+            inv = F.inv(a)
+            top = rows[r] = [x * inv % p for x in top]
         for i in range(len(rows)):
             row = rows[i]
             f = row[c]
             if i == r or not f:
+                continue
+            if p is not None:
+                rows[i] = [(x - f * y) % p if y else x for x, y in zip(row, top)]
                 continue
             row = [a * x - f * y for x, y in zip(row, top)]
             g = math.gcd(*row)
             rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
-    zero, one = _QQ_ZERO, _QQ_ONE
-    red = []
-    for row, pc in zip(rows, pivots):
-        a = row[pc]
-        red.append([one if x == a else Fraction(x, a) if x else zero for x in row])
-    red += [[zero] * ncols for _ in range(nrows - len(pivots))]
-    return Matrix._canonical(M.field, red, ncols), len(pivots), pivots
+    rows = rows[:r]
+    if p is None:
+        for i, (row, pc) in enumerate(zip(rows, pivots)):
+            g = math.gcd(*row) if row[pc] > 0 else -math.gcd(*row)
+            if g != 1:
+                rows[i] = [x // g for x in row]
+    return rows, pivots
+
+
+def rref_with_pivots(M: Matrix) -> tuple[Matrix, int, list[int]]:
+    """Reduced row echelon form: unit pivots, zeros above and below, zero
+    rows last.  The elimination is `_echelon`; over QQ its rows may hold
+    ints as well as Fractions, and each reduced row is divided by its
+    pivot, the result's only Fractions."""
+    F = M.field
+    rows, pivots = _echelon(F, M.data, M.cols)
+    if F.p is None:
+        rows = [_fractions(row, row[pc]) for row, pc in zip(rows, pivots)]
+    rows += [[F.zero] * M.cols for _ in range(M.rows - len(rows))]
+    return Matrix._canonical(F, rows, M.cols), len(pivots), pivots
 
 
 def rref(M: Matrix) -> tuple[Matrix, int]:
@@ -384,19 +363,43 @@ def rref(M: Matrix) -> tuple[Matrix, int]:
 
 
 class Subspace:
-    """A subspace of F^n in canonical form: RREF basis, zero rows dropped.
+    """A subspace of F^n in canonical form, zero rows dropped: its RREF
+    basis over GF(p), its primitive integer rows over QQ (see the module
+    docstring).  Equality of subspaces is equality of those rows.
 
-    Equality of subspaces is equality of basis matrices.
+    Over QQ the Fraction `basis` is built from the integer rows when it is
+    first read (`__getattr__`); over GF(p) it is the rows themselves.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_integer_rows")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_rows")
 
     def __init__(self, field: FieldSpec, ambient_dim: int, basis: Matrix, pivots: list[int]):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = tuple(pivots)
-        self._integer_rows = None
+        self._rows = basis.data
+        if field.p is None:
+            self._rows = tuple(tuple(_integer_row(r)[1]) for r in basis.data)
+
+    @classmethod
+    def _of_rows(cls, field: FieldSpec, ambient_dim: int, rows, pivots) -> "Subspace":
+        """Subspace from its canonical rows and their pivots; nothing is
+        checked."""
+        S = object.__new__(cls)
+        S.field, S.ambient_dim, S.pivots = field, ambient_dim, tuple(pivots)
+        S._rows = tuple(map(tuple, rows))
+        if field.p is not None:
+            S.basis = Matrix._canonical(field, S._rows, ambient_dim)
+        return S
+
+    def __getattr__(self, name):
+        # reached only while a slot is unset: over QQ, `basis` until first read
+        if name != "basis":
+            raise AttributeError(name)
+        rows = [_fractions(row, row[pc]) for row, pc in zip(self._rows, self.pivots)]
+        self.basis = Matrix._canonical(self.field, rows, self.ambient_dim)
+        return self.basis
 
     # -- constructors ----------------------------------------------------------
 
@@ -411,47 +414,75 @@ class Subspace:
     @staticmethod
     def _span(field: FieldSpec, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
         """Span of rows of `ambient_dim` entries already in the field's
-        canonical form; nothing is coerced or checked."""
-        if not vectors:
-            return Subspace(field, ambient_dim, Matrix._canonical(field, [], ambient_dim), [])
-        red, rank, pivots = rref_with_pivots(Matrix._canonical(field, vectors, ambient_dim))
-        basis = Matrix._canonical(field, red.data[:rank], ambient_dim)
-        return Subspace(field, ambient_dim, basis, pivots)
+        canonical form or, over QQ, ints; nothing is coerced or checked."""
+        return Subspace._of_rows(field, ambient_dim, *_echelon(field, vectors, ambient_dim))
+
+    @staticmethod
+    def _kernel(field: FieldSpec, ambient_dim: int, conditions: Sequence[Sequence]) -> "Subspace":
+        """{x : sum_i c[i] x[i] = 0 for every condition row c}, the rows in
+        the field's canonical form or, over QQ, ints.
+
+        One elimination, on the columns in reverse order: each reduced
+        row's pivot a is then at its rightmost nonzero column pc, and the
+        kernel vector v_f of a free column f (d at f, 0 at the other free
+        columns, -row[f] d / a at the pivot pc of each row, d the lcm of
+        those a with row[f] != 0) has its other nonzero entries at pivots
+        pc > f.  So the v_f, by increasing f, divided by their content,
+        are the kernel's canonical rows; over GF(p) every a and d is 1."""
+        n, p = ambient_dim, field.p
+        red, flipped = _echelon(field, [row[::-1] for row in conditions], n)
+        heads = [(n - 1 - pc, row[pc]) for row, pc in zip(red, flipped)]
+        bound = {pc for pc, _ in heads}
+        free = [f for f in range(n) if f not in bound]
+        rows = []
+        for f in free:
+            d = math.lcm(*(a for row, (_, a) in zip(red, heads) if row[n - 1 - f]))
+            v = [0] * n
+            v[f] = d
+            for row, (pc, a) in zip(red, heads):
+                v[pc] = -row[n - 1 - f] * (d // a)
+            if p is not None:
+                v = [x % p for x in v]
+            elif d > 1:
+                g = math.gcd(*v)
+                v = [x // g for x in v]
+            rows.append(v)
+        return Subspace._of_rows(field, n, rows, free)
 
     @staticmethod
     def zero(field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return Subspace.from_vectors(field, ambient_dim, [])
+        return Subspace._of_rows(field, ambient_dim, [], [])
 
     @staticmethod
     def full(field: FieldSpec, ambient_dim: int) -> "Subspace":
-        # the identity is already in RREF
-        return Subspace(
-            field, ambient_dim, Matrix.identity(field, ambient_dim), list(range(ambient_dim))
-        )
+        # the identity is already in RREF, and primitive
+        n = ambient_dim
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        return Subspace._of_rows(field, n, rows, range(n))
 
     # -- basic queries ----------------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.pivots)
 
     @property
     def codim(self) -> int:
         return self.ambient_dim - self.dim
 
     def is_zero(self) -> bool:
-        return self.dim == 0
+        return not self.pivots
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis.data == other.basis.data
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.basis.data))
+        return hash((self.field, self.ambient_dim, self._rows))
 
     def __repr__(self):
         if self.dim == 0:
@@ -473,7 +504,7 @@ class Subspace:
         the span.  w is already in the field's canonical form; nothing is
         coerced or checked."""
         p = self.field.p
-        for pc, row in zip(self.pivots, self.basis.data):
+        for pc, row in zip(self.pivots, self._rows):
             c = w[pc]
             if c:
                 w = [(x - c * y) % p if y else x for x, y in zip(w, row)]
@@ -482,28 +513,17 @@ class Subspace:
     def contains_vector(self, v: Sequence) -> bool:
         return self._contains(self._coerce(v))
 
-    def _integer_basis(self) -> tuple:
-        """The basis rows, each scaled to integers over QQ (`_integer_row`),
-        as they are over GF(p); cached."""
-        rows = self._integer_rows
-        if rows is None:
-            rows = self.basis.data
-            if self.field.p is None:
-                rows = tuple(_integer_row(r)[1] for r in rows)
-            self._integer_rows = rows
-        return rows
-
     def _contains(self, w: Sequence) -> bool:
         """contains_vector for a row already in the field's canonical form
         or, over QQ, of ints; nothing is coerced or checked.  Over GF(p) it
         is `_reduce`.  Over QQ it is fraction-free: w is scaled to integers,
-        and each integer basis row b, of pivot b[pc], clears column pc by
+        and each integer row b, of pivot b[pc], clears column pc by
         w <- b[pc] w - w[pc] b, which leaves the other pivot columns as
         they were."""
         if self.field.p is not None:
             return not any(self._reduce(w))
         w = _integer_row(w)[1]
-        for pc, row in zip(self.pivots, self._integer_basis()):
+        for pc, row in zip(self.pivots, self._rows):
             c = w[pc]
             if c:
                 a = row[pc]
@@ -511,15 +531,18 @@ class Subspace:
         return not any(w)
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(v) for v in other.basis.data)
+        _check_ambient(self, other)
+        return all(self._contains(v) for v in other._rows)
 
     def coordinates(self, v: Sequence) -> tuple | None:
         """Coordinates of v in the RREF basis rows, or None if v is outside:
         a vector of the span is the sum of its pivot entries times the rows."""
-        w = self._coerce(v)
-        if not self._contains(w):
-            return None
-        return tuple(w[pc] for pc in self.pivots)
+        return self._coordinates(self._coerce(v))
+
+    def _coordinates(self, w: Sequence) -> tuple | None:
+        """coordinates for a row already in the field's canonical form;
+        nothing is coerced or checked."""
+        return tuple(w[pc] for pc in self.pivots) if self._contains(w) else None
 
     # -- derived data ------------------------------------------------------------------
 
@@ -545,15 +568,15 @@ class Subspace:
     def _extension(self, rows: Iterable[Sequence]) -> list:
         """The rows, in order, that each leave the span of this subspace and
         of the rows taken before them: a greedy extension of its basis.
-        Rows are in the field's canonical form; nothing is coerced or
-        checked."""
+        Rows are in the field's canonical form or, over QQ, ints; nothing
+        is coerced or checked."""
         out, span = [], self
         for row in rows:
             if span.dim == span.ambient_dim:
                 break
             if not span._contains(row):
                 out.append(row)
-                span = Subspace._span(self.field, self.ambient_dim, [*span.basis.data, row])
+                span = Subspace._span(self.field, self.ambient_dim, [*span._rows, row])
         return out
 
     def extend_to_full_basis(self) -> Matrix:
@@ -567,27 +590,17 @@ class Subspace:
 def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
     """Smallest subspace containing both."""
     _check_ambient(U, V)
-    return Subspace._span(U.field, U.ambient_dim, U.basis.data + V.basis.data)
+    return Subspace._span(U.field, U.ambient_dim, U._rows + V._rows)
 
 
 def subspace_intersect(U: Subspace, V: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus block-matrix algorithm."""
+    """Intersection via the Zassenhaus block-matrix algorithm: of the
+    reduced rows of [U U; V 0], those whose left half is 0 span it."""
     _check_ambient(U, V)
-    F = U.field
-    n = U.ambient_dim
-    z = [F.zero] * n
-    block = [list(r) + list(r) for r in U.basis.data] + [
-        list(r) + z for r in V.basis.data
-    ]
-    if not block:
-        return Subspace.zero(F, n)
-    red, rank, _ = rref_with_pivots(Matrix._canonical(F, block, 2 * n))
-    inter_rows = []
-    for row in red.data[:rank]:
-        left, right = row[:n], row[n:]
-        if all(x == F.zero for x in left):
-            inter_rows.append(right)
-    return Subspace._span(F, n, inter_rows)
+    F, n = U.field, U.ambient_dim
+    block = [r + r for r in U._rows] + [r + (0,) * n for r in V._rows]
+    rows, _ = _echelon(F, block, 2 * n)
+    return Subspace._span(F, n, [row[n:] for row in rows if not any(row[:n])])
 
 
 def _chain(start: Subspace, step) -> list:

@@ -484,7 +484,7 @@ def iso_search(
     subs1 = _characteristic_subspaces(L1)
     subs2 = _characteristic_subspaces(L2)
     sig1 = [
-        tuple(S.contains_vector(L1.basis_vector(i)) for S in subs1) for i in range(n)
+        tuple(S._contains(L1.basis_vector(i)) for S in subs1) for i in range(n)
     ]
 
     order = _choose_order(L1)
@@ -503,7 +503,7 @@ def iso_search(
     for i in range(n):
         cands = []
         for v in nonzero_vectors:
-            if tuple(S.contains_vector(v) for S in subs2) == sig1[i]:
+            if tuple(S._contains(v) for S in subs2) == sig1[i]:
                 cands.append(v)
         candidates_by_index[i] = cands
 

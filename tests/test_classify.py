@@ -1,12 +1,14 @@
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 
 from leibniz_algebras import algebra, invariants
 from leibniz_algebras.algebra import (
+    AlgebraTable,
     center,
     change_of_basis,
     direct_sum,
@@ -56,6 +58,7 @@ from leibniz_algebras.linalg import (
     is_irreducible_quadratic,
 )
 from leibniz_algebras.search import all_abelian_ideals, all_abelian_subalgebras, alpha, beta
+from leibniz_algebras.serialize import parse_algebra
 
 from conftest import (
     F2,
@@ -735,3 +738,42 @@ def test_dichotomy_over_gf5():
             assert beta(L).beta >= L.dim - 2
         else:
             assert v.case in (Case.CASE1_C, Case.CASE2_D, Case.CASE3_E)
+
+
+def test_classify_coerces_none_of_its_own_rows(monkeypatch):
+    # every row that classify and verify_main_theorem test against a
+    # subspace, or read coordinates of, is the package's own, already in
+    # the field's canonical form: the coercing entry points contains_vector
+    # and coordinates are never reached.  The inputs are the standard
+    # fixtures over GF(3) and GF(5) and the fixtures/ documents (a QQ
+    # document over both fields) under one basis change each, and QQ
+    # rotext (+) Q^k with its witness and nilradical
+    calls = Counter()
+    coerce = Subspace._coerce
+
+    def counting(self, v):
+        calls[self.field] += 1
+        return coerce(self, v)
+
+    monkeypatch.setattr(Subspace, "_coerce", counting)
+    docs = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
+    docs = [parse_algebra(path.read_text(encoding="utf-8")) for path in docs]
+    rng = random.Random(1)
+    requests = 0
+    for F in (F3, F5):
+        sources = standard_fixtures(F)
+        sources += [AlgebraTable(F, D.c, name=D.name) for D in docs if D.field in (F, QQ)]
+        for L in sources:
+            M = change_of_basis(L, rand_invertible(F, L.dim, rng))
+            classify(M)
+            verify_main_theorem(M)
+            requests += 1
+    for k in range(3):
+        M, A, _ = rotext_with_center_candidate(k, 1000 + k)
+        assert classify(M, A=A, nilradical_candidate=nilradical(M)).case is Case.CASE3_E
+    assert requests == 62
+    assert sum(calls.values()) == 0
+    # the count sees the public entry points
+    Subspace.full(F3, 2).contains_vector([1, 0])
+    Subspace.full(QQ, 2).coordinates([1, 0])
+    assert calls == {F3: 1, QQ: 1}

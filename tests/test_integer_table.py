@@ -2,11 +2,13 @@
 
 Over QQ the package reads its structure constants only through the integer
 table D*c (`algebra._integer_view`), eliminates fraction-free
-(`linalg._rref_rational`) and brackets in ints.  Here each of those is
-compared with a test-local reference that does what the package did with
-`Fraction`s before: the bracket as a Fraction sum, Gauss-Jordan elimination
-with Fraction pivots, and the center, squares and trace-functional rows read
-off the Fraction table.  Inputs are the QQ fixtures under `rational_change`,
+(`linalg._echelon`), keeps each subspace as its primitive integer rows and
+brackets in ints.  Here each of those is compared with a test-local
+reference that does what the package did with `Fraction`s before: the
+bracket as a Fraction sum, Gauss-Jordan elimination with Fraction pivots,
+subspaces as Fraction RREF bases, the center, squares and trace-functional
+rows read off the Fraction table, and the envelope radical of the
+nilradical from Fraction matrices.  Inputs are the QQ fixtures under `rational_change`,
 under dense basis changes (entries -3..3 over denominators 1..3), and one
 table whose denominators have a large lcm.  Every scalar the package returns
 (in a Subspace, a Matrix, a bracket or a verdict's witness) must be a
@@ -15,6 +17,7 @@ Fraction: no int may leak out of the scale-free paths.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -34,21 +37,31 @@ from leibniz_algebras.algebra import (
     left_annihilator,
     product_space,
     squares_ideal,
+    subalgebra_table,
 )
 from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2, standard_fixtures
 from leibniz_algebras.classify import classify
 from leibniz_algebras.families import abelian_algebra, make_c, make_d
 from leibniz_algebras.fields import QQ
 from leibniz_algebras.invariants import (
+    _envelope_radical,
     _trace_functionals,
     _trace_kernel,
     nilradical,
     series,
     verify_nilradical_candidate,
 )
-from leibniz_algebras.linalg import Matrix, QuadraticPoly, Subspace, _integer_row, rref_with_pivots
+from leibniz_algebras.linalg import (
+    Matrix,
+    QuadraticPoly,
+    Subspace,
+    _integer_row,
+    rref_with_pivots,
+    subspace_intersect,
+    subspace_sum,
+)
 
-from conftest import carried, rational_change
+from conftest import carried, cycle_action, identity_action, left_only_action, rational_change
 
 QQ_FIXTURES = [L for L in standard_fixtures(QQ) if L.dim > 1]
 PRIMES = (7, 11, 13, 17, 19)
@@ -332,3 +345,144 @@ def test_verdicts_hold_fractions_only(data, seed, dense):
     assert_fractions(fraction_scalars(verdict.witness))
     assert_fractions(fraction_scalars([center(M), squares_ideal(M), nilradical(M)]))
     assert_fractions(fraction_scalars(list(series(M).derived_chain + series(M).lower_central_chain)))
+
+
+# -- subspaces as primitive integer rows ----------------------------------------
+
+
+def mixed_rows(n, size):
+    """Rows of ints and Fractions, zero rows among them."""
+    entry = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+    row = st.one_of(st.lists(entry, min_size=n, max_size=n), st.just([0] * n))
+    return st.lists(row, max_size=size)
+
+
+def assert_canonical(U, ref_rows):
+    """U is the span of the Fraction RREF rows ref_rows: equal to, and
+    hashing as, the subspace built from that basis, with the same pivots;
+    its integer rows are those rows scaled to be primitive, each with a
+    positive pivot; and its basis is ref_rows."""
+    n = U.ambient_dim
+    pivots = tuple(next(c for c, x in enumerate(r) if x) for r in ref_rows)
+    ref = Subspace(QQ, n, Matrix._canonical(QQ, ref_rows, n), pivots)
+    assert U == ref and hash(U) == hash(ref) and U.pivots == pivots
+    for row, ref_row, pc in zip(U._rows, ref_rows, pivots, strict=True):
+        assert all(type(x) is int for x in row)
+        assert math.gcd(*row) == 1 and row[pc] > 0
+        d = math.lcm(*(x.denominator for x in ref_row))
+        assert list(row) == [x * d for x in ref_row]
+    assert_subspace(U, ref_rows)
+    # reading the basis changes neither
+    assert U == ref and hash(U) == hash(ref)
+
+
+@settings(max_examples=150)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_subspaces_match_the_fraction_oracle(data, n):
+    rows = data.draw(mixed_rows(n, 6))
+    if rows:  # repeated rows
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=2))
+    other = data.draw(mixed_rows(n, 4))
+    U, V = Subspace._span(QQ, n, rows), Subspace.from_vectors(QQ, n, other)
+    ref_u, ref_v = ref_span(rows, n), ref_span(other, n)
+    assert_canonical(U, ref_u)
+    assert_canonical(V, ref_v)
+    assert_canonical(Subspace._kernel(QQ, n, rows), ref_kernel(rows, n))
+    if rows:
+        assert Matrix(QQ, rows).kernel_basis().data == ref_kernel(rows, n)
+    assert_canonical(subspace_sum(U, V), ref_span(ref_u + ref_v, n))
+    # U and V meet in the common kernel of the functionals vanishing on them
+    assert_canonical(subspace_intersect(U, V), ref_kernel(ref_kernel(ref_u, n) + ref_kernel(ref_v, n), n))
+    assert U.contains(V) == (len(ref_span(ref_u + ref_v, n)) == len(ref_u))
+    assert (U == V) == (ref_u == ref_v)
+
+
+@settings(max_examples=60)
+@given(L=qq_tables())
+def test_subalgebra_tables_match_the_fraction_oracle(L):
+    assert_canonical(center(L), ref_center(L))
+    rep = series(L)
+    for W in (center(L), squares_ideal(L), nilradical(L), *rep.derived_chain, *rep.lower_central_chain):
+        rows = W.basis.data
+        want = tuple(tuple(tuple(ref_bracket(L, a, b)[pc] for pc in W.pivots) for b in rows) for a in rows)
+        T = subalgebra_table(L, W)
+        assert T.c == want
+        assert_fractions(fraction_scalars(T))
+
+
+# the constructors of Fraction: __new__ and, from Python 3.12, the one its
+# arithmetic calls
+FRACTION_BUILDERS = {
+    getattr(Fraction, name).__code__ for name in ("__new__", "_from_coprime_ints") if hasattr(Fraction, name)
+}
+
+
+def fractions_built(fn):
+    """How many Fractions fn() constructs."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code in FRACTION_BUILDERS
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_the_structure_of_a_qq_table_builds_no_fraction():
+    # with the integer view built, the series, the center, the trace kernel
+    # and the nilradical (which is that kernel on these tables) run in
+    # ints; Fractions are built when a basis is read
+    assert fractions_built(lambda: Fraction(1, 2) + 1) == 2
+    rng = random.Random(11)
+    for L in QQ_FIXTURES:
+        M = change_of_basis(L, rational_change(L.dim, rng))
+        assert _trace_kernel(M) == nilradical(M)
+        for fn in (series, center, _trace_kernel, nilradical):
+            fresh = AlgebraTable._canonical(QQ, M.c)
+            _integer_view(fresh)
+            assert fractions_built(lambda: fn(fresh)) == 0, (L.name, fn.__name__)
+        N = nilradical(fresh)
+        if N.dim:  # its basis is built from the integer rows when first read
+            assert fractions_built(lambda: N.basis) > 0
+
+
+def ref_envelope_radical(L):
+    """{x : L_x in Rad(E)} over QQ with Fraction matrices: a basis of E
+    closed from the identity by right products with the L_e_j, in the
+    order the package closes it, then the common kernel of the functionals
+    x -> Tr(L_x W), W in that basis."""
+    n = L.dim
+    gens = [Matrix(QQ, [[L.c[j][k][t] for k in range(n)] for t in range(n)]) for j in range(n)]
+    words, echelon, frontier = [], [], [Matrix.identity(QQ, n)]
+    while frontier:
+        W = frontier.pop()
+        w = [x for row in W.data for x in row]
+        for pc, b in echelon:
+            w = [x - w[pc] * y for x, y in zip(w, b)]
+        pc = next((c for c, x in enumerate(w) if x), None)
+        if pc is not None:
+            echelon.append((pc, [x / w[pc] for x in w]))
+            words.append(W)
+            frontier.extend(W @ G for G in gens)
+    return ref_kernel([[(A @ W).trace() for A in gens] for W in words], n)
+
+
+def test_envelope_radical_matches_the_fraction_computation():
+    # 29 tables under 5 rational changes each: the QQ fixtures, and three
+    # actions whose trace kernels are not all nilradicals over GF(p)
+    bases = QQ_FIXTURES + [
+        identity_action(3, QQ),
+        cycle_action(QQ),
+        left_only_action(Matrix(QQ, [[1, 2], [0, -1]]), QQ),
+    ]
+    rng = random.Random(5)
+    tables = [change_of_basis(L, rational_change(L.dim, rng)) for L in bases for _ in range(5)]
+    assert len(tables) == 145
+    for M in tables:
+        assert_subspace(_envelope_radical(M), ref_envelope_radical(M))
+        assert _envelope_radical(M) == nilradical(M)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from leibniz_algebras.errors import DimensionMismatchError
+from leibniz_algebras.errors import DimensionMismatchError, FieldMismatchError
 from leibniz_algebras.fields import GF, QQ
 from leibniz_algebras.linalg import (
     Matrix,
@@ -94,6 +94,16 @@ def test_ambient_mismatch_rejected():
     V = Subspace.from_vectors(QQ, 2, [[1, 0]])
     with pytest.raises(DimensionMismatchError):
         subspace_sum(U, V)
+
+
+def test_contains_rejects_another_field_or_ambient_dimension():
+    # rows of another field, or of another length, are never compared
+    with pytest.raises(FieldMismatchError):
+        Subspace.full(F3, 2).contains(Subspace.full(QQ, 2))
+    with pytest.raises(FieldMismatchError):
+        Subspace.full(F3, 2).contains(Subspace.zero(GF(5), 2))
+    with pytest.raises(DimensionMismatchError, match="ambient dimensions differ"):
+        Subspace.full(QQ, 3).contains(Subspace.zero(QQ, 2))
 
 
 def test_grassmann_identity_random(rng):
