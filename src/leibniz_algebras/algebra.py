@@ -11,8 +11,8 @@ after construction and all operations are pure functions.
 
 What a table determines is computed once.  A function decorated with
 `_per_table` (the integer view, the Leibniz check, the squares ideal, the
-Lie test and the center here; the series, the trace functionals and
-kernel and the nilradical in `invariants`) stores its value in the
+Lie test and the center here; the series, the trace kernel and the
+nilradical in `invariants`) stores its value in the
 table's `_cache` dict under the function's name, None included; a call
 that raises stores nothing, so it raises again.  A subalgebra, quotient or
 basis change inherits only a passed Leibniz check (`_inherit_leibniz`).
@@ -314,13 +314,6 @@ def mult_operator(L: AlgebraTable, x: Sequence, side: str = "left") -> Matrix:
     return Matrix._canonical(F, [[cols[j][k] for j in range(n)] for k in range(n)], n)
 
 
-def _stacked_action_kernel(L: AlgebraTable, conditions) -> Subspace:
-    """Joint kernel of a family of linear conditions on x, each condition a row
-    of coefficients over the x-coordinates, already in L's field or, over
-    QQ, ints."""
-    return Subspace._kernel(L.field, L.dim, conditions)
-
-
 @_per_table
 def center(L: AlgebraTable) -> Subspace:
     """{x : [x, L] = [L, x] = 0}, the joint kernel of all left and right
@@ -331,7 +324,7 @@ def center(L: AlgebraTable) -> Subspace:
         for k in range(n):
             rows.append([c[i][j][k] for i in range(n)])  # [x, e_j]_k
             rows.append([c[j][i][k] for i in range(n)])  # [e_j, x]_k
-    return _stacked_action_kernel(L, rows)
+    return Subspace._kernel(L.field, n, rows)
 
 
 def left_annihilator(L: AlgebraTable) -> Subspace:
@@ -341,7 +334,7 @@ def left_annihilator(L: AlgebraTable) -> Subspace:
     for j in range(n):
         for k in range(n):
             rows.append([c[i][j][k] for i in range(n)])
-    return _stacked_action_kernel(L, rows)
+    return Subspace._kernel(L.field, n, rows)
 
 
 def _actions(L: AlgebraTable, A: Subspace) -> list[Matrix]:
@@ -353,7 +346,8 @@ def _actions(L: AlgebraTable, A: Subspace) -> list[Matrix]:
 def centralizer(L: AlgebraTable, A: Subspace) -> Subspace:
     """{x : [x, a] = [a, x] = 0 for all a in A}, the joint kernel of the
     actions of A's basis rows."""
-    return _stacked_action_kernel(L, [row for m in _actions(L, A) for row in m.data])
+    rows = [row for m in _actions(L, A) for row in m.data]
+    return Subspace._kernel(L.field, L.dim, rows)
 
 
 def normalizer(L: AlgebraTable, A: Subspace) -> Subspace:
@@ -363,8 +357,8 @@ def normalizer(L: AlgebraTable, A: Subspace) -> Subspace:
     _check_subspace(L, A)
     if not is_subalgebra(L, A):
         raise ValueError("normalizer requires a subalgebra")
-    funcs = A.complement_functionals().data
-    return _stacked_action_kernel(L, [m.apply_row(f) for m in _actions(L, A) for f in funcs])
+    rows = [m.apply_row(f) for m in _actions(L, A) for f in A._annihilator()._rows]
+    return Subspace._kernel(L.field, L.dim, rows)
 
 
 def product_space(L: AlgebraTable, U: Subspace, V: Subspace) -> Subspace:

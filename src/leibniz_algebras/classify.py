@@ -194,7 +194,7 @@ def _coords_in_rows(F: FieldSpec, rows: list[tuple]):
     if F.p is None:
         gcds = [math.gcd(*r) for r in left]
         left = [[x // g for x in r] for r, g in zip(left, gcds)]
-    span = Subspace._of_rows(F, n, left, pivots)
+    span = Subspace(F, n, left, pivots)
     d = math.lcm(*(r[pc] for r, pc in zip(red, pivots)))
     T = [[x * (d // r[pc]) for x in r[n:]] for r, pc in zip(red, pivots)]
 

@@ -153,9 +153,6 @@ class FieldSpec:
             return Fraction(1) / a
         return _inv_mod(a, self.p)
 
-    def is_zero(self, a: Scalar) -> bool:
-        return a == 0
-
     def is_square(self, a: Scalar) -> bool:
         """Exact squareness test (used for quadratic irreducibility over QQ)."""
         if self.kind == PRIME:

@@ -17,7 +17,6 @@ from .algebra import (
     _check_subspace,
     _integer_view,
     _per_table,
-    _stacked_action_kernel,
     is_abelian_subspace,
     is_ideal,
     left_annihilator,
@@ -86,8 +85,8 @@ def fitting_decomposition(L: AlgebraTable, A: Subspace) -> FittingSplit:
     ops = [mult_operator(L, a, "left") for a in A.basis.data]
     L0 = _chain(
         Subspace.zero(L.field, n),
-        lambda K: _stacked_action_kernel(
-            L, [op.apply_row(f) for op in ops for f in K.complement_functionals().data]
+        lambda K: Subspace._kernel(
+            L.field, n, [op.apply_row(f) for op in ops for f in K._annihilator()._rows]
         ),
     )[-1]
 
@@ -140,16 +139,10 @@ def _trace_rows(L: AlgebraTable) -> list:
 
 
 @_per_table
-def _trace_functionals(L: AlgebraTable) -> tuple:
-    """Rows, in RREF, of the span of `_trace_rows`, as field elements."""
-    return tuple(map(tuple, Subspace._span(L.field, L.dim, _trace_rows(L)).basis.data))
-
-
-@_per_table
 def _trace_kernel(L: AlgebraTable) -> Subspace:
     """K, the common kernel of `_trace_rows`; it holds every nilpotent
     ideal."""
-    return _stacked_action_kernel(L, _trace_rows(L))
+    return Subspace._kernel(L.field, L.dim, _trace_rows(L))
 
 
 @_per_table

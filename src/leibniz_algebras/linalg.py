@@ -1,10 +1,12 @@
 """Exact dense linear algebra over QQ and GF(p).
 
-Matrices are immutable row-major tuples of scalars.  A subspace is stored in
-a canonical form, so two subspaces are equal precisely when their stored
-rows are identical: over GF(p) its reduced-row-echelon basis; over QQ its
-primitive integer rows, each RREF row scaled to integers with gcd 1 and a
-positive pivot, which match the RREF rows one to one.  Enumeration of
+Matrices are immutable row-major tuples of scalars.  A subspace, on both
+fields, is its canonical rows, so two subspaces are equal precisely when
+their rows are identical: over GF(p) its reduced-row-echelon rows; over QQ
+its primitive integer rows, each RREF row scaled to integers with gcd 1
+and a positive pivot, which match the RREF rows one to one.
+`Subspace(field, n, rows, pivots)` takes such rows and checks nothing; the
+`basis` Matrix is built from them when it is first read.  Enumeration of
 subspaces over GF(p) is lazy and follows a fixed canonical order
 (pivot-column sets lexicographically, then free entries), so searches are
 deterministic and restartable.
@@ -14,17 +16,20 @@ integers by the lcm of their denominators and stay integers.  Rows scale
 freely, so the package's integer rows (from the integer structure table,
 see `algebra`) enter spans, sums, intersections, kernels and membership
 tests as they are, and what comes out is integer rows again.  Fractions are
-built only where a value leaves the package: a subspace's `basis` is built
-from its integer rows when it is first read (witnesses, frames, repr, CLI
-output), and `rref_with_pivots` divides each row by its pivot.
+built only where a value leaves the package: a subspace's `basis`
+(witnesses, frames, repr, CLI output), and `rref_with_pivots`, which
+divides each row by its pivot.
 
 Three routines carry every subspace iteration of the package.
-`Subspace._contains` tests a row against the canonical rows, fraction-free;
-`contains_vector` and `coordinates` coerce their input and call it.
-`Subspace._extension` takes, of a sequence of rows, each one that leaves
-the span grown so far: the greedy basis extension.  `_chain(start, step)`
-lists start, step(start), ... up to the first fixed point: the derived and
-lower central series, the generated subalgebra and the Fitting chains.
+`Subspace._reduce` reduces a row against the canonical rows, fraction-free
+over QQ; `_contains` tests that the residual is 0, and `contains_vector`
+and `coordinates` coerce their input and call it.  `Subspace._extension`
+takes, of a sequence of rows, each one that leaves the span grown so far:
+the greedy basis extension.  `_chain(start, step)` lists start,
+step(start), ... up to the first fixed point: the derived and lower
+central series, the generated subalgebra and the Fitting chains.  An
+annihilator is the kernel of a subspace's rows (`Subspace._annihilator`),
+and `complement_functionals` returns its canonical basis.
 """
 
 from __future__ import annotations
@@ -203,10 +208,6 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------------
 
-    def rref(self) -> tuple["Matrix", int]:
-        red, rank, _ = rref_with_pivots(self)
-        return red, rank
-
     def rank(self) -> int:
         return len(_echelon(self.field, self.data, self.cols)[1])
 
@@ -364,40 +365,32 @@ def rref(M: Matrix) -> tuple[Matrix, int]:
 
 class Subspace:
     """A subspace of F^n in canonical form, zero rows dropped: its RREF
-    basis over GF(p), its primitive integer rows over QQ (see the module
+    rows over GF(p), its primitive integer rows over QQ (see the module
     docstring).  Equality of subspaces is equality of those rows.
 
-    Over QQ the Fraction `basis` is built from the integer rows when it is
-    first read (`__getattr__`); over GF(p) it is the rows themselves.
+    The `basis` Matrix is built from the rows when it is first read
+    (`__getattr__`): the rows themselves over GF(p), each row divided by
+    its pivot over QQ.
     """
 
     __slots__ = ("field", "ambient_dim", "basis", "pivots", "_rows")
 
-    def __init__(self, field: FieldSpec, ambient_dim: int, basis: Matrix, pivots: list[int]):
+    def __init__(self, field: FieldSpec, ambient_dim: int, rows: Sequence[Sequence], pivots: Sequence[int]):
+        """Subspace from its canonical rows and their pivot columns; nothing
+        is checked.  The rows are copied: `canonical_subspaces` reuses its
+        row lists."""
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
         self.pivots = tuple(pivots)
-        self._rows = basis.data
-        if field.p is None:
-            self._rows = tuple(tuple(_integer_row(r)[1]) for r in basis.data)
-
-    @classmethod
-    def _of_rows(cls, field: FieldSpec, ambient_dim: int, rows, pivots) -> "Subspace":
-        """Subspace from its canonical rows and their pivots; nothing is
-        checked."""
-        S = object.__new__(cls)
-        S.field, S.ambient_dim, S.pivots = field, ambient_dim, tuple(pivots)
-        S._rows = tuple(map(tuple, rows))
-        if field.p is not None:
-            S.basis = Matrix._canonical(field, S._rows, ambient_dim)
-        return S
+        self._rows = tuple(map(tuple, rows))
 
     def __getattr__(self, name):
-        # reached only while a slot is unset: over QQ, `basis` until first read
+        # reached only while a slot is unset: `basis` until first read
         if name != "basis":
             raise AttributeError(name)
-        rows = [_fractions(row, row[pc]) for row, pc in zip(self._rows, self.pivots)]
+        rows = self._rows
+        if self.field.p is None:
+            rows = [_fractions(row, row[pc]) for row, pc in zip(rows, self.pivots)]
         self.basis = Matrix._canonical(self.field, rows, self.ambient_dim)
         return self.basis
 
@@ -415,7 +408,7 @@ class Subspace:
     def _span(field: FieldSpec, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
         """Span of rows of `ambient_dim` entries already in the field's
         canonical form or, over QQ, ints; nothing is coerced or checked."""
-        return Subspace._of_rows(field, ambient_dim, *_echelon(field, vectors, ambient_dim))
+        return Subspace(field, ambient_dim, *_echelon(field, vectors, ambient_dim))
 
     @staticmethod
     def _kernel(field: FieldSpec, ambient_dim: int, conditions: Sequence[Sequence]) -> "Subspace":
@@ -447,18 +440,18 @@ class Subspace:
                 g = math.gcd(*v)
                 v = [x // g for x in v]
             rows.append(v)
-        return Subspace._of_rows(field, n, rows, free)
+        return Subspace(field, n, rows, free)
 
     @staticmethod
     def zero(field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return Subspace._of_rows(field, ambient_dim, [], [])
+        return Subspace(field, ambient_dim, [], [])
 
     @staticmethod
     def full(field: FieldSpec, ambient_dim: int) -> "Subspace":
         # the identity is already in RREF, and primitive
         n = ambient_dim
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
-        return Subspace._of_rows(field, n, rows, range(n))
+        return Subspace(field, n, rows, range(n))
 
     # -- basic queries ----------------------------------------------------------
 
@@ -498,37 +491,35 @@ class Subspace:
             raise DimensionMismatchError("vector length != ambient dim")
         return w
 
-    def _reduce(self, w: Sequence) -> tuple:
-        """Over GF(p), the residual of w after each basis row b, of pivot
-        column pc, clears column pc by w <- w - w[pc] b: 0 iff w lies in
-        the span.  w is already in the field's canonical form; nothing is
-        coerced or checked."""
+    def _reduce(self, w: Sequence) -> Sequence:
+        """The residual of w after each canonical row b, of pivot column
+        pc, clears column pc: w <- w - w[pc] b over GF(p); over QQ, with w
+        scaled to integers, w <- b[pc] w - w[pc] b, fraction-free, which
+        leaves a nonzero multiple of the residual.  It is 0 iff w lies in
+        the span.  w is in the field's canonical form or, over QQ, of ints;
+        nothing is coerced or checked, and w itself may be returned."""
         p = self.field.p
+        if p is None:
+            w = _integer_row(w)[1]
+            for pc, row in zip(self.pivots, self._rows):
+                c = w[pc]
+                if c:
+                    a = row[pc]
+                    w = [a * x - c * y for x, y in zip(w, row)]
+            return w
         for pc, row in zip(self.pivots, self._rows):
             c = w[pc]
             if c:
                 w = [(x - c * y) % p if y else x for x, y in zip(w, row)]
-        return tuple(w)
+        return w
 
     def contains_vector(self, v: Sequence) -> bool:
         return self._contains(self._coerce(v))
 
     def _contains(self, w: Sequence) -> bool:
         """contains_vector for a row already in the field's canonical form
-        or, over QQ, of ints; nothing is coerced or checked.  Over GF(p) it
-        is `_reduce`.  Over QQ it is fraction-free: w is scaled to integers,
-        and each integer row b, of pivot b[pc], clears column pc by
-        w <- b[pc] w - w[pc] b, which leaves the other pivot columns as
-        they were."""
-        if self.field.p is not None:
-            return not any(self._reduce(w))
-        w = _integer_row(w)[1]
-        for pc, row in zip(self.pivots, self._rows):
-            c = w[pc]
-            if c:
-                a = row[pc]
-                w = [a * x - c * y for x, y in zip(w, row)]
-        return not any(w)
+        or, over QQ, of ints; nothing is coerced or checked."""
+        return not any(self._reduce(w))
 
     def contains(self, other: "Subspace") -> bool:
         _check_ambient(self, other)
@@ -547,23 +538,14 @@ class Subspace:
     # -- derived data ------------------------------------------------------------------
 
     def complement_functionals(self) -> Matrix:
-        """Rows are functionals whose common kernel is exactly this subspace.
+        """Rows are functionals whose common kernel is exactly this
+        subspace: the canonical basis of its annihilator."""
+        return self._annihilator().basis
 
-        Row for each non-pivot column c: v |-> v[c] - sum_r basis[r][c] * v[pivot_r].
-        """
-        F = self.field
-        n = self.ambient_dim
-        pivset = set(self.pivots)
-        rows = []
-        for c in range(n):
-            if c in pivset:
-                continue
-            row = [F.zero] * n
-            row[c] = F.one
-            for r, pc in enumerate(self.pivots):
-                row[pc] = F.neg(self.basis.data[r][c])
-            rows.append(row)
-        return Matrix._canonical(F, rows, n)
+    def _annihilator(self) -> "Subspace":
+        """{f : f . v = 0 for every v in this subspace}, the kernel of its
+        rows."""
+        return Subspace._kernel(self.field, self.ambient_dim, self._rows)
 
     def _extension(self, rows: Iterable[Sequence]) -> list:
         """The rows, in order, that each leave the span of this subspace and
@@ -664,4 +646,4 @@ def enumerate_subspaces(ambient_dim: int, dim: int, F: FieldSpec) -> Iterator[Su
     if not F.is_prime_field:
         raise ValueError("cannot enumerate subspaces over the rationals")
     for _, piv, rows in canonical_subspaces(ambient_dim, F.p, dim):
-        yield Subspace(F, ambient_dim, Matrix._canonical(F, rows, ambient_dim), list(piv))
+        yield Subspace(F, ambient_dim, rows, piv)

@@ -13,12 +13,13 @@ its Gaussian binomial and one with a hit its first hit's index + 1.
 through the one kernel in `_scan_py`, and `alpha` walks its strata <= n-2
 there.  Every nilpotent ideal N lies in the common kernel K of the trace
 form's functionals x -> Tr(M_x W), M in {L, R}, W in {1, L_e_j, R_e_j}
-(`invariants._trace_functionals`), computed once per table, in every
+(`invariants._trace_kernel`, computed once per table), in every
 characteristic: with N_1 = N and
 N_(k+1) = [N, N_k] + [N_k, N], ideals of L that reach 0, each W maps N_k
 into itself and, for x in N, M_x maps L into N_1 and N_k into N_(k+1), so
 M_x W is nilpotent and its trace is 0.  An abelian ideal has N_2 = 0, so
-the kernel cuts every row prefix outside K from an abelian-ideal walk;
+the annihilator of K, the span of those functionals, cuts every row prefix
+outside K from an abelian-ideal walk;
 counts, matches and witnesses are the same as without the cut.
 `invariants.nilradical` returns K itself when K is a nilpotent ideal.
 
@@ -68,7 +69,7 @@ from .algebra import (
 )
 from .errors import BudgetExceededError, ConsistencyError
 from .fields import FieldSpec, check_same_field
-from .invariants import _trace_functionals, _trace_kernel, series
+from .invariants import _trace_kernel, series
 from .linalg import Matrix, Subspace, enumerate_subspaces, subspace_sum
 
 DEFAULT_SCAN_BUDGET = 5_000_000
@@ -109,7 +110,7 @@ def _subspace_from_flat(F: FieldSpec, n: int, d: int, flat) -> Subspace:
     pivots = []
     for row in rows:
         pivots.append(next(i for i, x in enumerate(row) if x))
-    return Subspace(F, n, Matrix._canonical(F, rows, n), pivots)
+    return Subspace(F, n, rows, pivots)
 
 
 # what is left of the open request's budget; unset outside a request
@@ -153,7 +154,8 @@ def _debit(d: int, scanned: int, truncated: bool) -> None:
 def _scan_dim(L: AlgebraTable, d: int, mode: int, collect: int):
     flat = table_flat(L)
     abelian_ideal = MODE_ABELIAN | MODE_IDEAL
-    funcs = _trace_functionals(L) if mode & abelian_ideal == abelian_ideal else ()
+    cut = mode & abelian_ideal == abelian_ideal
+    funcs = _trace_kernel(L)._annihilator()._rows if cut else ()
     # positional: wrappers of the kernel forward *args only
     scanned, truncated, matches = scan_subspaces(
         flat, L.dim, L.field.p, d, mode, _budget_left.get(), collect, funcs
@@ -171,11 +173,11 @@ def _debit_first(L: AlgebraTable, d: int, hits):
     binomial when there is none.  A budget the walk would run out raises
     the walk's `BudgetExceededError`."""
     n, p = L.dim, L.field.p
-    first = min(hits, key=lambda I: (I.pivots, I.basis.data), default=None)
+    first = min(hits, key=lambda I: (I.pivots, I._rows), default=None)
     if first is None:
         scanned = gaussian_binomial(n, d, p)
     else:
-        scanned = _canonical_index(n, p, first.pivots, first.basis.data) + 1
+        scanned = _canonical_index(n, p, first.pivots, first._rows) + 1
     # a walk the budget cuts short has counted what was left
     left = _budget_left.get()
     _debit(d, min(scanned, left), scanned > left)
@@ -204,7 +206,7 @@ def _abelian_hyperplanes(L: AlgebraTable) -> list[Subspace]:
     # each candidate f scaled to f[m] = 1 at its last nonzero entry m
     candidates = {}
     for V in (rows, cols):
-        u, *rest = V.basis.data
+        u, *rest = V._rows
         lines = [u]
         for v in rest:  # V is a plane: its other lines are the span(v + t u)
             lines += [[(x + t * y) % p for x, y in zip(v, u)] for t in range(p)]
@@ -225,7 +227,7 @@ def _abelian_hyperplanes(L: AlgebraTable) -> list[Subspace]:
         ):
             continue
         basis = [[(-f[i] if t == m else int(t == i)) % p for t in range(n)] for i in others]
-        out.append(Subspace(F, n, Matrix._canonical(F, basis, n), others))
+        out.append(Subspace(F, n, basis, others))
     return out
 
 
@@ -288,7 +290,7 @@ def _first_abelian_ideal(L: AlgebraTable, dims):
     F, n, p = L.field, L.dim, L.field.p
     C, K = center(L), _trace_kernel(L)
     # a basis of a complement of C in K, reduced modulo C
-    B = Subspace._span(F, n, [C._reduce(row) for row in K.basis.data]).basis.data
+    B = Subspace._span(F, n, [C._reduce(row) for row in K._rows])._rows
     es = [L.basis_vector(j) for j in range(n)]
     zero = L.zero_vector()
     total = 0
@@ -301,7 +303,7 @@ def _first_abelian_ideal(L: AlgebraTable, dims):
             ]
             if any(_bracket(L, u, v) != zero for u in ws for v in ws):
                 continue
-            I = Subspace._span(F, n, C.basis.data + tuple(ws))
+            I = Subspace._span(F, n, C._rows + tuple(ws))
             if all(I._contains(_bracket(L, w, e)) for w in ws for e in es):
                 hits.append(I)
         first, scanned = _debit_first(L, d, hits)
@@ -384,7 +386,7 @@ def is_maximal_subalgebra(L: AlgebraTable, A: Subspace) -> bool:
     comp = ext.data[A.dim :]
     full = L.full_space()
     for line in enumerate_subspaces(n - A.dim, 1, F):
-        coords = line.basis.data[0]
+        coords = line._rows[0]
         v = [F.zero] * n
         for c, row in zip(coords, comp):
             if c != F.zero:

@@ -28,7 +28,7 @@ from .classify import Case, classify, verify_main_theorem
 from .errors import BudgetExceededError
 from .families import _skew_table, oscillator, raw_pair_table
 from .fields import GF, QQ
-from .invariants import _trace_functionals, nilradical, series, verify_nilradical_candidate
+from .invariants import _trace_kernel, nilradical, series, verify_nilradical_candidate
 from .linalg import (
     Matrix,
     QuadraticPoly,
@@ -243,7 +243,7 @@ def _trace_cut(rng, fast):
     mode = MODE_ABELIAN | MODE_IDEAL
     for L0 in standard_fixtures(F, max_dim=4 if fast else 5):
         for L in (L0, change_of_basis(L0, _rand_invertible(F, L0.dim, rng))):
-            n, flat, funcs = L.dim, table_flat(L), _trace_functionals(L)
+            n, flat, funcs = L.dim, table_flat(L), _trace_kernel(L)._annihilator()._rows
             for d in range(n + 1):
                 cut = scan_subspaces(flat, n, F.p, d, mode, -1, -1, funcs)
                 if cut != scan_subspaces(flat, n, F.p, d, mode, -1, -1):

@@ -649,7 +649,6 @@ def test_cached_values_equal_a_fresh_computation(rng):
         is_lie,
         center,
         series,
-        invariants._trace_functionals,
         _trace_kernel,
         nilradical,
     ]
@@ -666,18 +665,25 @@ def test_cached_values_equal_a_fresh_computation(rng):
 
 def _computations(monkeypatch, L, request):
     """How often request() computes center(L) (counted as joint kernels of
-    linear conditions on L), is_lie(L) (as skew-symmetry checks of L) and
-    [L, L] (as product spaces of L's full space with itself).  Every
-    binding of those helpers in the package is wrapped."""
+    linear conditions in L's dimension), is_lie(L) (as skew-symmetry checks
+    of L) and [L, L] (as product spaces of L's full space with itself).
+    `Subspace._kernel`, and every binding of the other helpers in the
+    package, is wrapped."""
     counts = Counter()
     full = L.full_space()
+    kernel = Subspace._kernel
+
+    def counting_kernel(field, n, conditions):
+        counts["kernels"] += n == L.dim
+        return kernel(field, n, conditions)
+
     counted = [
-        (algebra._stacked_action_kernel, "kernels", lambda T, *rest: T is L),
         (algebra._is_skew, "skew checks", lambda T: T is L),
         (algebra.product_space, "[L, L]", lambda T, U, V: T is L and U == V == full),
     ]
     modules = [m for name, m in sys.modules.items() if name.startswith("leibniz_algebras")]
     with monkeypatch.context() as m:
+        m.setattr(Subspace, "_kernel", staticmethod(counting_kernel))
         for fn, key, on_L in counted:
 
             def counting(*args, fn=fn, key=key, on_L=on_L):

@@ -10,7 +10,10 @@ A name counts as used when the module reads it, lists it in its own
 re-export).  A module-level function or class counts as referred to when a
 statement of the package other than its own definition reads it, as a name
 or an attribute, imports it or lists it in `__all__`; only the self-test
-functions, which `selftest._check(...)` registers, are exempt."""
+functions, which `selftest._check(...)` registers, are exempt.  A method
+of a package class, dunders apart, counts as used when a module of the
+package, the tests or the benchmark (`perfbench/`) reads it as an
+attribute."""
 
 import ast
 from pathlib import Path
@@ -19,6 +22,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "leibniz_algebras"
+PERFBENCH = TESTS.parent / "perfbench"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
 
@@ -118,6 +122,31 @@ def test_package_refers_to_every_function_and_class_it_defines():
         and not any(stmt.name in names for key, names in refs.items() if key != (module, stmt))
     ]
     assert unreferenced == []
+
+
+def _attributes_read(root):
+    """The attribute names the modules under root read."""
+    return {
+        node.attr
+        for path in root.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_method_is_read_somewhere():
+    read = set().union(*map(_attributes_read, (PACKAGE, TESTS, PERFBENCH)))
+    unread = [
+        "%s:%s.%s" % (module, cls.name, fn.name)
+        for module in MODULES
+        for cls in _tree(module).body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in read
+    ]
+    assert unread == []
 
 
 def _local_imports(tree):

@@ -9,7 +9,7 @@ from leibniz_algebras._kernel import MODE_ABELIAN, MODE_IDEAL, backend, scan_sub
 from leibniz_algebras._scan_py import _canonical_index, canonical_subspaces
 from leibniz_algebras.algebra import is_abelian_subspace, is_ideal, mult_operator
 from leibniz_algebras.catalog import standard_fixtures
-from leibniz_algebras.invariants import _trace_functionals
+from leibniz_algebras.invariants import _trace_kernel
 from leibniz_algebras.linalg import Matrix, Subspace, enumerate_subspaces, gaussian_binomial
 from leibniz_algebras.search import all_abelian_ideals, all_abelian_subalgebras, table_flat
 
@@ -196,7 +196,7 @@ def test_every_abelian_ideal_lies_in_the_trace_kernel(F):
     proper = 0
     for L in standard_fixtures(F, max_dim=5 if p == 3 else 4):
         n = L.dim
-        funcs = _trace_functionals(L)
+        funcs = _trace_kernel(L).complement_functionals().data
         assert Subspace.from_vectors(F, n, funcs) == Subspace.from_vectors(
             F, n, _definition_functionals(L)
         ), L.name
@@ -218,7 +218,7 @@ def test_trace_cut_leaves_abelian_ideal_scans_unchanged(case):
     L, d, limit, collect = case
     n, p = L.dim, L.field.p
     flat = table_flat(L)
-    funcs = _trace_functionals(L)
+    funcs = _trace_kernel(L).complement_functionals().data
     mode = MODE_ABELIAN | MODE_IDEAL
     for lim, col in ((-1, -1), (limit, -1), (-1, collect), (limit, collect)):
         got = scan_subspaces(flat, n, p, d, mode, lim, col, funcs)

@@ -1,6 +1,9 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leibniz_algebras.errors import DimensionMismatchError, FieldMismatchError
 from leibniz_algebras.fields import GF, QQ
@@ -8,6 +11,7 @@ from leibniz_algebras.linalg import (
     Matrix,
     QuadraticPoly,
     Subspace,
+    _echelon,
     char_poly_2x2,
     enumerate_subspaces,
     gaussian_binomial,
@@ -17,7 +21,7 @@ from leibniz_algebras.linalg import (
     subspace_sum,
 )
 
-from conftest import F2, F3, rand_matrix
+from conftest import F2, F3, F5, F7, rand_matrix
 
 
 # -- rref -------------------------------------------------------------------
@@ -235,3 +239,97 @@ def test_enumerate_unique_and_canonical():
 def test_enumerate_rejects_rationals():
     with pytest.raises(ValueError):
         list(enumerate_subspaces(3, 1, QQ))
+
+
+# -- one representation on both fields -----------------------------------------
+
+
+def field_rows(F, n, size):
+    """Rows in F's canonical form or, over QQ, of ints and Fractions; zero
+    rows among them."""
+    if F.p is None:
+        entry = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+    else:
+        entry = st.integers(0, F.p - 1)
+    row = st.one_of(st.lists(entry, min_size=n, max_size=n), st.just([0] * n))
+    return st.lists(row, max_size=size)
+
+
+def ref_rank(F, rows, n):
+    """Rank by Gauss-Jordan elimination with Fraction pivots over QQ, with
+    residues mod p over GF(p)."""
+    p = F.p
+    rows = [[Fraction(x) if p is None else x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(n):
+        pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        top = rows[rank]
+        inv = 1 / top[c] if p is None else pow(top[c], -1, p)
+        for i, row in enumerate(rows):
+            if i != rank and row[c]:
+                f = row[c] * inv
+                rows[i] = [x - f * y if p is None else (x - f * y) % p for x, y in zip(row, top)]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=200)
+@given(data=st.data(), F=st.sampled_from([F3, F5, F7, QQ]), n=st.integers(1, 5))
+def test_canonical_rows_are_the_one_representation(data, F, n):
+    rows = data.draw(field_rows(F, n, 5))
+    if rows:  # repeated rows
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=2))
+    U = Subspace(F, n, *_echelon(F, rows, n))
+    V = Subspace.from_vectors(F, n, rows)
+    assert U == V and hash(U) == hash(V)
+    d = ref_rank(F, rows, n)
+    assert U.dim == d
+    # vectors of the span, and others
+    coefs = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+    combo = [sum(a * r[j] for a, r in zip(coefs, rows)) for j in range(n)]
+    combo = [F.of(x) for x in combo]
+    for w in [combo, *rows, *data.draw(field_rows(F, n, 4))]:
+        inside = ref_rank(F, rows + [w], n) == d
+        assert (not any(U._reduce(w))) == inside == U._contains(w), w
+    # the annihilator: it vanishes on U and has dimension n - d
+    funcs = U.complement_functionals()
+    assert funcs.field == F and funcs.rows == n - d and funcs.cols == n
+    assert ref_rank(F, funcs.data, n) == n - d
+    for f in funcs.data:
+        assert all(F.of(sum(a * b for a, b in zip(f, u))) == F.zero for u in U.basis.data)
+
+
+@pytest.mark.parametrize("F", [F2, F3], ids=["GF2", "GF3"])
+def test_enumerated_subspaces_keep_their_rows(F):
+    # the walk reuses its row lists; each subspace it yields keeps a copy
+    n = 4
+    for d in range(n + 1):
+        one_at_a_time = [Subspace.from_vectors(F, n, U._rows) for U in enumerate_subspaces(n, d, F)]
+        assert list(enumerate_subspaces(n, d, F)) == one_at_a_time
+        assert len(set(one_at_a_time)) == gaussian_binomial(n, d, F.p)
+
+
+def test_a_subspace_builds_its_basis_on_first_read(monkeypatch):
+    built = []
+    canonical = Matrix._canonical.__func__
+
+    def counting(cls, *args):
+        built.append(args)
+        return canonical(cls, *args)
+
+    monkeypatch.setattr(Matrix, "_canonical", classmethod(counting))
+    rows = [[1, 2, 3, 4], [2, 4, 1, 3], [0, 1, 0, 1]]
+    for F in (F5, QQ):
+        spaces = [Subspace._span(F, 4, rows), Subspace._kernel(F, 4, rows)]
+        if F.p is not None:
+            spaces += enumerate_subspaces(4, 2, F)
+        assert built == []
+        for U in spaces:
+            basis = U.basis
+            assert U.basis is basis and len(built) == 1
+            assert basis.rows == U.dim and basis.cols == 4
+            assert Subspace.from_vectors(F, 4, basis.data) == U
+            built.clear()
