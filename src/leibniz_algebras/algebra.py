@@ -21,8 +21,9 @@ Over QQ the structure constants are read only through the integer table D*c,
 D the lcm of their denominators (`_integer_view`, cached per table): brackets
 sum in ints and divide each nonzero coordinate once, and the tests and spans
 that a rescaled generator does not change (`product_space`, `is_subalgebra`,
-`is_ideal`, `is_abelian_subspace`, `center`, `squares_ideal`) never divide.
-Fractions are built only where a value is returned.
+`is_ideal`, `is_abelian_subspace`, `center`, `squares_ideal`, `centralizer`,
+`normalizer`) never divide.  Fractions are built only where a value is
+returned.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     NotLeibnizError,
 )
 from .fields import FieldSpec, check_same_field
-from .linalg import Matrix, Subspace, _chain, _echelon, _fractions, _integer_row, subspace_sum
+from .linalg import Matrix, Subspace, _chain, _echelon, _fractions, _integer_row, _matmul, subspace_sum
 
 
 class AlgebraTable:
@@ -166,10 +167,10 @@ def bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
 
 def _bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
     """[u, v] for rows of L.dim entries already in L's field; nothing is
-    coerced or checked.  Over QQ, u and v are scaled to integer rows, by
-    the lcms du and dv of their denominators (`_integer_row`), bracketed by
-    `_scaled_bracket`, and each nonzero coordinate is divided by du dv D
-    once."""
+    coerced or checked.  Over QQ, where rows of Fractions enter the integer
+    view, u and v are scaled to integer rows once, by the lcms du and dv
+    of their denominators (`_integer_row`), bracketed by `_scaled_bracket`,
+    and each nonzero coordinate is divided by du dv D once."""
     if L.field.p is not None:
         return _scaled_bracket(L, u, v)
     du, u = _integer_row(u)
@@ -179,7 +180,7 @@ def _bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
 
 def _scaled_bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
     """The bracket on the integer view (`_integer_view`).  Over GF(p) it is
-    `_bracket`.  Over QQ it takes integer rows, such as a subspace's
+    `_bracket`.  Over QQ it takes rows of ints only, such as a subspace's
     canonical rows `Subspace._rows`, and returns D [u, v], an integer row:
     a multiple of the bracket of the rows they scale, for what rescaling a
     generator does not change (spans, membership, vanishing)."""
@@ -337,17 +338,22 @@ def left_annihilator(L: AlgebraTable) -> Subspace:
     return Subspace._kernel(L.field, n, rows)
 
 
-def _actions(L: AlgebraTable, A: Subspace) -> list[Matrix]:
-    """The matrices of x -> [a, x] and x -> [x, a] for each basis row a of A."""
-    _check_subspace(L, A)
-    return [mult_operator(L, a, side) for a in A.basis.data for side in ("left", "right")]
+def _actions(L: AlgebraTable, rows: Sequence[Sequence], sides=("left", "right")) -> list:
+    """For each integer row a, such as a canonical row `Subspace._rows`, and
+    each side, the matrix of x -> [a, x] (side "left") or x -> [x, a]
+    ("right") on the integer view (`_scaled_bracket`), as rows: row k holds
+    the k-th coordinates of the [a, e_j] (or [e_j, a]).  Over QQ it is a
+    nonzero multiple of the operator of the row a scales."""
+    es = [tuple(int(i == j) for i in range(L.dim)) for j in range(L.dim)]
+    return [list(zip(*[_scaled_bracket(L, *((a, e) if s == "left" else (e, a))) for e in es]))
+            for a in rows for s in sides]
 
 
 def centralizer(L: AlgebraTable, A: Subspace) -> Subspace:
     """{x : [x, a] = [a, x] = 0 for all a in A}, the joint kernel of the
-    actions of A's basis rows."""
-    rows = [row for m in _actions(L, A) for row in m.data]
-    return Subspace._kernel(L.field, L.dim, rows)
+    actions of A's canonical rows."""
+    _check_subspace(L, A)
+    return Subspace._kernel(L.field, L.dim, [row for m in _actions(L, A._rows) for row in m])
 
 
 def normalizer(L: AlgebraTable, A: Subspace) -> Subspace:
@@ -357,7 +363,8 @@ def normalizer(L: AlgebraTable, A: Subspace) -> Subspace:
     _check_subspace(L, A)
     if not is_subalgebra(L, A):
         raise ValueError("normalizer requires a subalgebra")
-    rows = [m.apply_row(f) for m in _actions(L, A) for f in A._annihilator()._rows]
+    funcs = A._annihilator()._rows
+    rows = [row for m in _actions(L, A._rows) for row in _matmul(funcs, m, L.field.p)]
     return Subspace._kernel(L.field, L.dim, rows)
 
 

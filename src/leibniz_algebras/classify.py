@@ -24,12 +24,12 @@ Cases 1-3 carry an explicit frame: a basis of the input algebra in which its
 table equals the reconstructed model algebra bit for bit.  The reported
 characteristic polynomial is canonicalized under the rescaling
 (c1, c0) -> (s*c1, s^2*c0), which absorbs the scalar freedom in choosing the
-complement generator, so diagnostics are identical across basis changes.
+complement generator, so diagnostics are identical across basis changes,
+but for QQ Case2_d, which reports the first triple it finds (`_match_case2`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -59,6 +59,7 @@ from .linalg import (
     _echelon,
     _fractions,
     _integer_row,
+    _integer_rows,
     char_poly_2x2,
     enumerate_subspaces,
     is_irreducible_quadratic,
@@ -184,24 +185,20 @@ def _coords_in_rows(F: FieldSpec, rows: list[tuple]):
     v outside their span raises ConsistencyError.  The rows are eliminated
     once, [rows | 1] to rows [s_j b_j | s_j t_j]: the b_j are the RREF
     basis of their span, t_j @ rows = b_j, and x = sum_j v[pc_j] t_j, pc_j
-    the pivots.  The left halves s_j b_j, divided by their content over QQ,
-    are the span's canonical rows.  Over QQ the t_j are scaled to ints by
-    d = lcm(s_j), so each x_i is one Fraction; over GF(p) every s_j is 1."""
+    the pivots.  Over QQ the rows (row i of [rows | 1] as a whole) and each
+    v are scaled to integers on entry, and the t_j to ints by d = lcm(s_j),
+    so each x_i is one Fraction; over GF(p) every s_j is 1."""
     n, k = len(rows[0]), len(rows)
     augmented = [(*r, *(int(i == j) for j in range(k))) for i, r in enumerate(rows)]
-    red, pivots = _echelon(F, augmented, n + k)
-    left = [r[:n] for r in red]
-    if F.p is None:
-        gcds = [math.gcd(*r) for r in left]
-        left = [[x // g for x in r] for r, g in zip(left, gcds)]
-    span = Subspace(F, n, left, pivots)
+    red, pivots = _echelon(F, _integer_rows(F, augmented), n + k)
+    span = Subspace._span(F, n, [r[:n] for r in red])
     d = math.lcm(*(r[pc] for r, pc in zip(red, pivots)))
     T = [[x * (d // r[pc]) for x in r[n:]] for r, pc in zip(red, pivots)]
 
     def coords(v) -> tuple:
-        if not span._contains(v):
-            raise ConsistencyError("vector left its expected span during extraction")
         dv, w = _integer_row(v)
+        if not span._contains(w):
+            raise ConsistencyError("vector left its expected span during extraction")
         x = [sum(w[pc] * t[i] for pc, t in zip(pivots, T)) for i in range(k)]
         return tuple(y % F.p for y in x) if F.p else _fractions(x, d * dv)
 
@@ -288,33 +285,31 @@ def _match_case1(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
 
 
 def _simple_3dim_subspaces(T: AlgebraTable):
-    """Candidate 2-dim subspaces of a 3-dim algebra, each yielded once.
-    Over prime fields: every plane, in canonical order.  Over the rationals,
-    a heuristic set: the planes spanned by two of e_i, e_i + e_j and
-    e_i - e_j (i != j), in the order of the first pair spanning each, a
-    plane being known by its primitive integer normal vector."""
+    """Candidate planes of the 3-dim simple Lie algebra T, each yielded
+    once: over prime fields every plane, in canonical order; over QQ the
+    six planes ker f, f = e_3*, e_2*, e_1*, e_2* + e_3*, e_1* + e_3*,
+    e_1* + e_2*, in that order, one of which gives a standard triple.
+
+    Lemma (QQ).  Let K be the Killing form, nondegenerate, h_f the vector
+    with K(h_f, .) = f, so ker f = h_f^perp, and Q*(f) = K(h_f, h_f), the
+    dual form.  The plane V = ker f gives a triple (h = [u, w] outside V,
+    [h, V] <= V, u, w a basis of V) iff Q*(f) != 0.  Each ad x is skew for
+    K, so ad h_f preserves h_f^perp.  If Q*(f) = 0, h_f lies in V and
+    V = span(h_f, v) is a subalgebra.  Otherwise K is nondegenerate on V,
+    so ad h_f, skew there, is traceless on V, and [h_f, [u, w]] =
+    tr(ad h_f on V) [u, w] = 0.  The centralizer of x != 0 is span(x): ad x
+    kills x and is skew, so of even rank <= 2, and is not 0.  So [u, w]
+    lies in span(h_f), and is not 0, as sl2 has no 2-dim abelian
+    subalgebra: h is outside V and ad h preserves V.  One of the six
+    qualifies: Q* is nondegenerate, so if Q*(e_i*) = 0 for every i,
+    Q*(e_i* + e_j*) = 2 B*(e_i*, e_j*) != 0 for some i < j, B* the
+    bilinear form of Q*."""
     F = T.field
     if F.is_prime_field:
         yield from enumerate_subspaces(3, 2, F)
         return
-    vs = [tuple(int(i == j) for j in range(3)) for i in range(3)]
-    combos = list(vs)
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                combos.append(tuple(a + b for a, b in zip(vs[i], vs[j])))
-                combos.append(tuple(a - b for a, b in zip(vs[i], vs[j])))
-    seen = set()
-    for (a1, a2, a3), (b1, b2, b3) in itertools.combinations(combos, 2):
-        normal = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-        g = math.gcd(*normal)
-        if not g:
-            continue  # a pair spanning a line
-        lead = next(x for x in normal if x)
-        normal = tuple(x // g if lead > 0 else -x // g for x in normal)
-        if normal not in seen:
-            seen.add(normal)
-            yield Subspace.from_vectors(F, 3, [(a1, a2, a3), (b1, b2, b3)])
+    for f in ((0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)):
+        yield Subspace._kernel(F, 3, [f])
 
 
 def _match_case2(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
@@ -325,15 +320,17 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     A simple algebra can contain standard triples with non-conjugate action
     matrices (over a finite field every 3-dim simple Lie algebra is split, so
     both reducible and irreducible triples occur).  Each candidate plane
-    span(u, w) is checked once, with u, w its RREF basis rows and h = [u, w],
-    and the first plane in candidate order whose triple has the least
-    canonical polynomial is reported.  Over GF(p) that least key is (0, 1),
-    t^2 + 1, and the search stops at the first plane reaching it: tr m = 0
-    by the Jacobi identity and [h, h] = 0; det m != 0, as a singular m would
-    give h a 2-dim centralizer, which a 3-dim simple algebra has none of;
-    and the split simple algebra contains d(rot)'s triple, of key (0, 1)
-    (Jacobson, Lie Algebras, 1962, ch. I).  A key below (0, 1) raises
-    ConsistencyError."""
+    span(u, w) is checked once, with u, w its RREF basis rows and h = [u, w].
+    Over GF(p) the first plane in candidate order whose triple has the least
+    canonical polynomial is reported.  That least key is (0, 1), t^2 + 1,
+    and the search stops at the first plane reaching it: tr m = 0 by the
+    Jacobi identity and [h, h] = 0; det m != 0, as a singular m would give h
+    a 2-dim centralizer, which a 3-dim simple algebra has none of; and the
+    split simple algebra contains d(rot)'s triple, of key (0, 1) (Jacobson,
+    Lie Algebras, 1962, ch. I).  A key below (0, 1) raises ConsistencyError.
+    Over QQ, where forms of sl2 are told apart by their Killing form and no
+    triple is canonical (ibid.), the first triple is reported: chi, m and
+    the frame depend on the basis of L."""
     F = L.field
     n = L.dim
     if not lie or rep.solvable or CL.dim != n - 3:
@@ -345,12 +342,12 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     if L2.dim != 3 or not subspace_intersect(L2, CL).is_zero():
         raise ConsistencyError("derived subalgebra is not a 3-dim complement of the center")
     T = subalgebra_table(L, L2)
-    least = (F.zero, F.one) if F.is_prime_field else None
+    least = (F.zero, F.one)
     best = None
     for V in _simple_3dim_subspaces(T):
         u_t, w_t = V.basis.data
         h_t = _bracket(T, u_t, w_t)
-        if V._contains(h_t):
+        if V._coordinates(h_t) is not None:
             continue
         hu = V._coordinates(_bracket(T, h_t, u_t))
         hw = V._coordinates(_bracket(T, h_t, w_t))
@@ -359,12 +356,12 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
         m = Matrix(F, [hu, hw])
         chi = canonical_quadratic(F, char_poly_2x2(m))
         key = (chi.c1, chi.c0)
-        if least is not None and key < least:
+        if F.is_prime_field and key < least:
             raise ConsistencyError("a standard triple of the simple part acts singularly")
         if best is None or key < best[0]:
             best = (key, chi, m, h_t, u_t, w_t)
-            if key == least:
-                break
+        if key == least or not F.is_prime_field:
+            break
     if best is None:
         raise ConsistencyError("no standard triple found in the simple part")
     _, chi, m, h_t, u_t, w_t = best

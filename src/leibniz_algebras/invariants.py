@@ -9,23 +9,22 @@ central series does.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .algebra import (
     AlgebraTable,
+    _actions,
     _check_subspace,
     _integer_view,
     _per_table,
     is_abelian_subspace,
     is_ideal,
     left_annihilator,
-    mult_operator,
     product_space,
     require_leibniz,
 )
 from .errors import ConsistencyError
-from .linalg import Subspace, _chain, subspace_intersect, subspace_sum
+from .linalg import Subspace, _chain, _dot_rows, _matmul, subspace_intersect, subspace_sum
 
 
 @dataclass(frozen=True)
@@ -74,19 +73,20 @@ def fitting_decomposition(L: AlgebraTable, A: Subspace) -> FittingSplit:
     L1 is the stable image of U -> [A, U] starting from L; L0 is the stable
     preimage chain K(i+1) = {v : [a, v] in Ki for all a}, starting from 0,
     whose step is the joint kernel of the rows f @ L_a, f a functional
-    vanishing on Ki and a a basis row of A.  Directness and [A, L1] = L1
-    are verified and cannot fail on a valid Leibniz table with abelian A.
+    vanishing on Ki and a a canonical row of A, on the integer view
+    (`algebra._actions`).  Directness and [A, L1] = L1 are verified
+    and cannot fail on a valid Leibniz table with abelian A.
     """
     require_leibniz(L)
     if not is_abelian_subspace(L, A):
         raise ValueError("fitting decomposition needs an abelian subalgebra")
-    n = L.dim
+    F, n = L.field, L.dim
     L1 = _chain(L.full_space(), lambda U: product_space(L, A, U))[-1]
-    ops = [mult_operator(L, a, "left") for a in A.basis.data]
+    ops = _actions(L, A._rows, ("left",))
     L0 = _chain(
-        Subspace.zero(L.field, n),
+        Subspace.zero(F, n),
         lambda K: Subspace._kernel(
-            L.field, n, [op.apply_row(f) for op in ops for f in K._annihilator()._rows]
+            F, n, [row for op in ops for row in _matmul(K._annihilator()._rows, op, F.p)]
         ),
     )[-1]
 
@@ -203,16 +203,9 @@ def _envelope_radical(L: AlgebraTable) -> Subspace:
     the product it stands for and each row of traces a nonzero multiple of
     its row: neither E's span nor the kernel changes, and one round (X_-1
     the unit rows) ends at the kernel."""
-    F, n, p, c = L.field, L.dim, L.field.p, _integer_view(L)[1]
-
-    def left(x):
-        """L_x: column k holds [x, e_k]."""
-        A = [[sum(a * c[j][k][t] for j, a in enumerate(x) if a) for k in range(n)]
-             for t in range(n)]
-        return A if p is None else [[y % p for y in row] for row in A]
-
+    F, n, p = L.field, L.dim, L.field.p
     X = [[int(j == k) for k in range(n)] for j in range(n)]  # rows: a basis of X_(i-1)
-    gens = [left(e) for e in X]
+    gens = _actions(L, X, ("left",))  # the L_e_j
     E, words, frontier = Subspace.zero(F, n * n), [], [X]
     while frontier:
         W = frontier.pop()
@@ -225,7 +218,7 @@ def _envelope_radical(L: AlgebraTable) -> Subspace:
     while p and p ** (last + 1) <= n:
         last += 1
     for i in range(last + 1):
-        ops = [left(x) for x in X]
+        ops = _actions(L, X, ("left",))
         if i == 0:  # Tr(A W), the sum of the A[j][k] W[k][j]
             rows = [[sum(map(_dot_rows, A, zip(*W))) for A in ops] for W in words]
             rows = rows if p is None else [[x % p for x in row] for row in rows]
@@ -234,17 +227,6 @@ def _envelope_radical(L: AlgebraTable) -> Subspace:
         K = Subspace._kernel(F, len(X), rows)._rows
         X = _matmul(K, X, p)
     return Subspace._span(F, n, X)
-
-
-def _dot_rows(u, v) -> int:
-    return sum(map(operator.mul, u, v))
-
-
-def _matmul(X, Y, q: int | None) -> list:
-    """X Y for matrices given as rows of ints, mod q unless q is None."""
-    cols = list(zip(*Y))
-    out = [[_dot_rows(row, col) for col in cols] for row in X]
-    return out if q is None else [[x % q for x in row] for row in out]
 
 
 def _lifted_trace_digit(A: list, p: int, i: int) -> int:

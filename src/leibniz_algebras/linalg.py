@@ -11,14 +11,14 @@ subspaces over GF(p) is lazy and follows a fixed canonical order
 (pivot-column sets lexicographically, then free entries), so searches are
 deterministic and restartable.
 
-Over QQ, elimination is fraction-free (`_echelon`): rows are scaled to
-integers by the lcm of their denominators and stay integers.  Rows scale
-freely, so the package's integer rows (from the integer structure table,
-see `algebra`) enter spans, sums, intersections, kernels and membership
-tests as they are, and what comes out is integer rows again.  Fractions are
-built only where a value leaves the package: a subspace's `basis`
-(witnesses, frames, repr, CLI output), and `rref_with_pivots`, which
-divides each row by its pivot.
+Over QQ, elimination is fraction-free (`_echelon`) on rows of ints.  Rows
+scale freely, so the package's integer rows (from the integer structure
+table, see `algebra`) enter spans, sums, intersections, kernels and
+membership tests as they are, and what comes out is integer rows again;
+a row of Fractions is scaled to integers once, where it enters
+(`_integer_rows`).  Fractions are built only where a value leaves the
+package: a subspace's `basis` (witnesses, frames, repr, CLI output), and
+`rref_with_pivots`, which divides each row by its pivot.
 
 Three routines carry every subspace iteration of the package.
 `Subspace._reduce` reduces a row against the canonical rows, fraction-free
@@ -35,6 +35,7 @@ and `complement_functionals` returns its canonical basis.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -209,12 +210,12 @@ class Matrix:
     # -- elimination -------------------------------------------------------------
 
     def rank(self) -> int:
-        return len(_echelon(self.field, self.data, self.cols)[1])
+        return len(_echelon(self.field, _integer_rows(self.field, self.data), self.cols)[1])
 
     def kernel_basis(self) -> "Matrix":
         """Basis (rows, RREF-canonical) of {v : self @ v = 0}, v a column
         vector (`Subspace._kernel`)."""
-        return Subspace._kernel(self.field, self.cols, self.data).basis
+        return Subspace._kernel(self.field, self.cols, _integer_rows(self.field, self.data)).basis
 
     def solve_row(self, target: Sequence) -> tuple | None:
         """Solve x @ self = target for a row vector x, or None."""
@@ -272,19 +273,30 @@ def _dot(F: FieldSpec, u: Sequence, v: Sequence):
     return acc if F.p is None else acc % F.p
 
 
-_INT = {int}
+def _dot_rows(u, v) -> int:
+    return sum(map(operator.mul, u, v))
 
 
-def _integer_row(u: Sequence) -> tuple[int, Sequence]:
-    """(d, d*u) for a row of rationals or ints, d the lcm of the
-    denominators: the row scaled to integers.  A row of ints is returned
-    as it is."""
-    if set(map(type, u)) <= _INT:
-        return 1, u
+def _matmul(X, Y, q: int | None) -> list:
+    """X Y for matrices given as rows of ints, mod q unless q is None."""
+    cols = list(zip(*Y))
+    out = [[_dot_rows(row, col) for col in cols] for row in X]
+    return out if q is None else [[x % q for x in row] for row in out]
+
+
+def _integer_row(u: Sequence) -> tuple[int, list]:
+    """(d, d*u) for a row of rationals, d the lcm of the denominators: the
+    row scaled to integers, once, where it enters the integer routines."""
     d = math.lcm(*[x.denominator for x in u])
     if d == 1:
         return 1, [x.numerator for x in u]
     return d, [x.numerator * (d // x.denominator) for x in u]
+
+
+def _integer_rows(F: FieldSpec, rows: Sequence[Sequence]) -> Sequence[Sequence]:
+    """Rows in F's canonical form as `_echelon` and `Subspace._reduce` take
+    them: scaled to integers over QQ, as they are over GF(p)."""
+    return rows if F.p is not None else [_integer_row(r)[1] for r in rows]
 
 
 def _fractions(row: Sequence, den: int) -> tuple:
@@ -293,19 +305,18 @@ def _fractions(row: Sequence, den: int) -> tuple:
 
 
 def _echelon(F: FieldSpec, rows: Sequence[Sequence], ncols: int) -> tuple[list, list[int]]:
-    """Gauss-Jordan elimination of rows of `ncols` entries, already in F's
-    canonical form or, over QQ, ints: (the nonzero reduced rows, their
-    pivot columns), the subspace's canonical rows (see the module
-    docstring).  Over GF(p) pivots are scaled to 1.  Over QQ it is
-    fraction-free: each row is scaled to integers (`_integer_row`), a pivot
-    row a clears column c of row w by w <- a[c] w - w[c] a, and the new row
+    """Gauss-Jordan elimination of rows of `ncols` entries, residues over
+    GF(p), ints over QQ: (the nonzero reduced rows, their pivot columns),
+    the subspace's canonical rows (see the module docstring).  Over GF(p)
+    pivots are scaled to 1.  Over QQ it is fraction-free: a pivot row a
+    clears column c of row w by w <- a[c] w - w[c] a, and the new row
     is divided by its content (the gcd of its entries); scaling rows
     changes no row space, and each pivot row ends with zeros in the other
     pivot columns, so dividing it by its content and the pivot's sign gives
     the RREF row scaled to be primitive.  Zero rows take no part."""
     p = F.p
     if p is None:
-        rows = [row for row in (_integer_row(r)[1] for r in rows) if any(row)]
+        rows = [row for row in rows if any(row)]
     else:
         rows = [list(r) for r in rows]
     pivots: list[int] = []
@@ -346,11 +357,10 @@ def _echelon(F: FieldSpec, rows: Sequence[Sequence], ncols: int) -> tuple[list, 
 
 def rref_with_pivots(M: Matrix) -> tuple[Matrix, int, list[int]]:
     """Reduced row echelon form: unit pivots, zeros above and below, zero
-    rows last.  The elimination is `_echelon`; over QQ its rows may hold
-    ints as well as Fractions, and each reduced row is divided by its
-    pivot, the result's only Fractions."""
+    rows last.  The elimination is `_echelon`, on the rows scaled to
+    integers over QQ; each reduced row is then divided by its pivot."""
     F = M.field
-    rows, pivots = _echelon(F, M.data, M.cols)
+    rows, pivots = _echelon(F, _integer_rows(F, M.data), M.cols)
     if F.p is None:
         rows = [_fractions(row, row[pc]) for row, pc in zip(rows, pivots)]
     rows += [[F.zero] * M.cols for _ in range(M.rows - len(rows))]
@@ -402,18 +412,19 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise DimensionMismatchError("vector length != ambient dim")
-        return Subspace._span(field, ambient_dim, [_as_tuple_vec(field, v) for v in vecs])
+        rows = _integer_rows(field, [_as_tuple_vec(field, v) for v in vecs])
+        return Subspace._span(field, ambient_dim, rows)
 
     @staticmethod
     def _span(field: FieldSpec, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
-        """Span of rows of `ambient_dim` entries already in the field's
-        canonical form or, over QQ, ints; nothing is coerced or checked."""
+        """Span of rows of `ambient_dim` entries, residues over GF(p) and
+        ints over QQ; nothing is coerced or checked."""
         return Subspace(field, ambient_dim, *_echelon(field, vectors, ambient_dim))
 
     @staticmethod
     def _kernel(field: FieldSpec, ambient_dim: int, conditions: Sequence[Sequence]) -> "Subspace":
-        """{x : sum_i c[i] x[i] = 0 for every condition row c}, the rows in
-        the field's canonical form or, over QQ, ints.
+        """{x : sum_i c[i] x[i] = 0 for every condition row c}, the rows
+        residues over GF(p) and ints over QQ.
 
         One elimination, on the columns in reverse order: each reduced
         row's pivot a is then at its rightmost nonzero column pc, and the
@@ -493,14 +504,13 @@ class Subspace:
 
     def _reduce(self, w: Sequence) -> Sequence:
         """The residual of w after each canonical row b, of pivot column
-        pc, clears column pc: w <- w - w[pc] b over GF(p); over QQ, with w
-        scaled to integers, w <- b[pc] w - w[pc] b, fraction-free, which
-        leaves a nonzero multiple of the residual.  It is 0 iff w lies in
-        the span.  w is in the field's canonical form or, over QQ, of ints;
-        nothing is coerced or checked, and w itself may be returned."""
+        pc, clears column pc: w <- w - w[pc] b over GF(p); over QQ
+        w <- b[pc] w - w[pc] b, fraction-free, which leaves a nonzero
+        multiple of the residual.  It is 0 iff w lies in the span.  w is a
+        row of residues over GF(p) and of ints over QQ; nothing is coerced
+        or checked, and w itself may be returned."""
         p = self.field.p
         if p is None:
-            w = _integer_row(w)[1]
             for pc, row in zip(self.pivots, self._rows):
                 c = w[pc]
                 if c:
@@ -514,11 +524,11 @@ class Subspace:
         return w
 
     def contains_vector(self, v: Sequence) -> bool:
-        return self._contains(self._coerce(v))
+        return self._coordinates(self._coerce(v)) is not None
 
     def _contains(self, w: Sequence) -> bool:
-        """contains_vector for a row already in the field's canonical form
-        or, over QQ, of ints; nothing is coerced or checked."""
+        """contains_vector for a row of residues over GF(p), of ints over
+        QQ; nothing is coerced or checked."""
         return not any(self._reduce(w))
 
     def contains(self, other: "Subspace") -> bool:
@@ -531,9 +541,10 @@ class Subspace:
         return self._coordinates(self._coerce(v))
 
     def _coordinates(self, w: Sequence) -> tuple | None:
-        """coordinates for a row already in the field's canonical form;
-        nothing is coerced or checked."""
-        return tuple(w[pc] for pc in self.pivots) if self._contains(w) else None
+        """coordinates for a row already in the field's canonical form,
+        scaled to integers over QQ to be reduced; nothing is coerced."""
+        inside = self._contains(w if self.field.p is not None else _integer_row(w)[1])
+        return tuple(w[pc] for pc in self.pivots) if inside else None
 
     # -- derived data ------------------------------------------------------------------
 
@@ -547,18 +558,18 @@ class Subspace:
         rows."""
         return Subspace._kernel(self.field, self.ambient_dim, self._rows)
 
-    def _extension(self, rows: Iterable[Sequence]) -> list:
+    def _extension(self, rows: Sequence[Sequence]) -> list:
         """The rows, in order, that each leave the span of this subspace and
         of the rows taken before them: a greedy extension of its basis.
-        Rows are in the field's canonical form or, over QQ, ints; nothing
-        is coerced or checked."""
-        out, span = [], self
-        for row in rows:
+        Rows are in the field's canonical form, basis rows say, and are
+        scaled to integers over QQ to be tested; nothing is coerced."""
+        F, out, span = self.field, [], self
+        for row, w in zip(rows, _integer_rows(F, rows)):
             if span.dim == span.ambient_dim:
                 break
-            if not span._contains(row):
+            if not span._contains(w):
                 out.append(row)
-                span = Subspace._span(self.field, self.ambient_dim, [*span._rows, row])
+                span = Subspace._span(F, self.ambient_dim, [*span._rows, w])
         return out
 
     def extend_to_full_basis(self) -> Matrix:

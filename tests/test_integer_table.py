@@ -29,12 +29,14 @@ from leibniz_algebras.algebra import (
     _integer_view,
     _scaled_bracket,
     center,
+    centralizer,
     change_of_basis,
     direct_sum,
     is_abelian_subspace,
     is_ideal,
     is_subalgebra,
     left_annihilator,
+    normalizer,
     product_space,
     squares_ideal,
     subalgebra_table,
@@ -46,6 +48,7 @@ from leibniz_algebras.fields import QQ
 from leibniz_algebras.invariants import (
     _envelope_radical,
     _trace_kernel,
+    fitting_decomposition,
     nilradical,
     series,
     verify_nilradical_candidate,
@@ -55,6 +58,7 @@ from leibniz_algebras.linalg import (
     QuadraticPoly,
     Subspace,
     _integer_row,
+    _integer_rows,
     rref_with_pivots,
     subspace_intersect,
     subspace_sum,
@@ -384,11 +388,13 @@ def test_subspaces_match_the_fraction_oracle(data, n):
     if rows:  # repeated rows
         rows += data.draw(st.lists(st.sampled_from(rows), max_size=2))
     other = data.draw(mixed_rows(n, 4))
-    U, V = Subspace._span(QQ, n, rows), Subspace.from_vectors(QQ, n, other)
+    # the private routines take rows of ints over QQ
+    ints = _integer_rows(QQ, rows)
+    U, V = Subspace._span(QQ, n, ints), Subspace.from_vectors(QQ, n, other)
     ref_u, ref_v = ref_span(rows, n), ref_span(other, n)
     assert_canonical(U, ref_u)
     assert_canonical(V, ref_v)
-    assert_canonical(Subspace._kernel(QQ, n, rows), ref_kernel(rows, n))
+    assert_canonical(Subspace._kernel(QQ, n, ints), ref_kernel(rows, n))
     if rows:
         assert Matrix(QQ, rows).kernel_basis().data == ref_kernel(rows, n)
     assert_canonical(subspace_sum(U, V), ref_span(ref_u + ref_v, n))
@@ -437,16 +443,31 @@ def fractions_built(fn):
 def test_the_structure_of_a_qq_table_builds_no_fraction():
     # with the integer view built, the series, the center, the trace kernel
     # and the nilradical (which is that kernel on these tables) run in
-    # ints; Fractions are built when a basis is read
+    # ints, and so do the Fitting split, the normalizer and the centralizer
+    # of an abelian line: span(e_i) with [e_i, e_i] = 0, or a line of the
+    # squares ideal, which lies in the left annihilator; Fractions are built
+    # when a basis is read
     assert fractions_built(lambda: Fraction(1, 2) + 1) == 2
     rng = random.Random(11)
     for L in QQ_FIXTURES:
         M = change_of_basis(L, rational_change(L.dim, rng))
         assert _trace_kernel(M) == nilradical(M)
-        for fn in (series, center, _trace_kernel, nilradical):
+        units = [tuple(int(i == j) for j in range(M.dim)) for i in range(M.dim)]
+        lines = [Subspace._span(QQ, M.dim, [e]) for e in units + list(squares_ideal(M)._rows)]
+        A = next(U for U in lines if is_abelian_subspace(M, U))
+        structure = {
+            "series": series,
+            "center": center,
+            "_trace_kernel": _trace_kernel,
+            "nilradical": nilradical,
+            "fitting_decomposition": lambda T: fitting_decomposition(T, A),
+            "normalizer": lambda T: normalizer(T, A),
+            "centralizer": lambda T: centralizer(T, A),
+        }
+        for name, fn in structure.items():
             fresh = AlgebraTable._canonical(QQ, M.c)
             _integer_view(fresh)
-            assert fractions_built(lambda: fn(fresh)) == 0, (L.name, fn.__name__)
+            assert fractions_built(lambda: fn(fresh)) == 0, (L.name, name)
         N = nilradical(fresh)
         if N.dim:  # its basis is built from the integer rows when first read
             assert fractions_built(lambda: N.basis) > 0
