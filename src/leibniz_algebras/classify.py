@@ -37,6 +37,7 @@ from enum import Enum
 from .algebra import (
     AlgebraTable,
     _bracket,
+    _inherit_leibniz,
     _is_frame,
     center,
     direct_sum,
@@ -49,7 +50,7 @@ from .algebra import (
     subalgebra_table,
 )
 from .errors import ConsistencyError, FamilyParameterError, NoAbelianIdealError
-from .families import abelian_algebra, make_c, make_d, make_e
+from .families import _e_table, abelian_algebra, make_c, make_d
 from .fields import FieldSpec
 from .invariants import SeriesReport, _is_nilpotent_subalgebra, nilradical, series
 from .linalg import (
@@ -413,15 +414,12 @@ def _match_case3(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
         return {"abelian_ideal": _eigenline_ideal(L, CN, star.transpose(), u, w)}
     theta = Matrix(F, [h_coords(_bracket(L, b, x)) for b in frame_amb]).transpose()
     v = h_coords(_bracket(L, x, x))
-    try:
-        model = make_e(phi, theta, v, n, F)
-    except FamilyParameterError as exc:
-        raise ConsistencyError(
-            "extracted extension data rejected by the family constructor"
-        ) from exc
+    model = _e_table(phi, theta, v, n, F)
     frame = Matrix(F, [x] + frame_amb)
     if not _is_frame(L, frame, model):
         raise ConsistencyError("case-3 frame does not transport the table onto the model")
+    # the model is L in the frame basis, and L passed the Leibniz check
+    _inherit_leibniz(L, model)
     chi = canonical_quadratic(F, char_poly_2x2(star))
     return {
         "phi": phi,

@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 mathematical negative (not Leibniz, not isomorphic,
 classification not applicable, failed theorem claim), 2 usage or document
 error, 3 search budget exceeded.
+
+Each report command builds one JSON payload, which `_emit` prints: as
+indented JSON under --json, the stable machine interface, and otherwise as
+one `key: value` line per key.  `make` and `random` share one table of the
+families (`_FAMILIES`).
 """
 
 from __future__ import annotations
@@ -110,12 +115,16 @@ def _load_algebra(path: str, lenient: bool) -> AlgebraTable:
     return parse_algebra(text, strict=not lenient)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict) -> None:
+    """Print a report.  Under --json the payload as indented JSON, keys
+    sorted; otherwise one `key: value` line per key in the same order, a
+    string value bare and any other value as compact JSON."""
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+        return
+    for key, value in sorted(payload.items()):
+        text = value if isinstance(value, str) else json.dumps(value, sort_keys=True)
+        print("%s: %s" % (key, text))
 
 
 def _write_out(args, text: str) -> None:
@@ -137,33 +146,16 @@ def _subspace_payload(U: Subspace, F: FieldSpec):
 def _cmd_check(args) -> int:
     L = _load_algebra(args.file, args.lenient)
     bad = leibniz_failure(L)
-    if bad is None:
-        lie = is_lie(L)
-        IL = squares_ideal(L)
-        _emit(
-            args,
-            {"leibniz": True, "lie": lie, "squares_span_dim": IL.dim},
-            [
-                "Leibniz: yes",
-                "Lie: %s" % ("yes" if lie else "no"),
-                "squares span dimension: %d" % IL.dim,
-            ],
-        )
-        return 0
-    _emit(
-        args,
-        {"leibniz": False, "failing_triple": list(bad)},
-        ["Leibniz: no (first failing basis triple %r)" % (bad,)],
-    )
-    return 1
+    if bad is not None:
+        _emit(args, {"leibniz": False, "failing_triple": list(bad)})
+        return 1
+    _emit(args, {"leibniz": True, "lie": is_lie(L), "squares_span_dim": squares_ideal(L).dim})
+    return 0
 
 
 def _cmd_invariants(args) -> int:
     L = _load_algebra(args.file, args.lenient)
     rep = series(L)
-    CL = center(L)
-    IL = squares_ideal(L)
-    ann = left_annihilator(L)
     payload = {
         "dim": L.dim,
         "lie": is_lie(L),
@@ -172,51 +164,28 @@ def _cmd_invariants(args) -> int:
         "derived_length": rep.derived_length,
         "derived_dims": list(rep.derived_dims),
         "lower_central_dims": list(rep.lower_central_dims),
-        "center_dim": CL.dim,
-        "squares_span_dim": IL.dim,
-        "left_annihilator_dim": ann.dim,
+        "center_dim": center(L).dim,
+        "squares_span_dim": squares_ideal(L).dim,
+        "left_annihilator_dim": left_annihilator(L).dim,
     }
-    lines = [
-        "dim: %d" % L.dim,
-        "Lie: %s" % payload["lie"],
-        "solvable: %s (derived length %s)" % (rep.solvable, rep.derived_length),
-        "nilpotent: %s" % rep.nilpotent,
-        "derived chain dims: %s" % (payload["derived_dims"],),
-        "lower central chain dims: %s" % (payload["lower_central_dims"],),
-        "center dim: %d" % CL.dim,
-        "squares span dim: %d" % IL.dim,
-        "left annihilator dim: %d" % ann.dim,
-    ]
     if args.scan:
-        N = nilradical(L)
-        payload["nilradical_dim"] = N.dim
-        lines.append("nilradical dim: %d" % N.dim)
-    _emit(args, payload, lines)
+        payload["nilradical_dim"] = nilradical(L).dim
+    _emit(args, payload)
     return 0
 
 
 def _cmd_alpha_beta(args) -> int:
     which = args.command
     L = _load_algebra(args.file, args.lenient)
-    res = (
-        alpha(L, args.budget)
-        if which == "alpha"
-        else beta(L, args.budget)
-    )
-    value = res.alpha if which == "alpha" else res.beta
-    witness = res.alpha_witness if which == "alpha" else res.beta_witness
+    res = (alpha if which == "alpha" else beta)(L, args.budget)
     _emit(
         args,
         {
-            which: value,
-            "witness": _subspace_payload(witness, L.field),
+            which: getattr(res, which),
+            "witness": _subspace_payload(getattr(res, which + "_witness"), L.field),
             "exhaustive": res.exhaustive,
             "subspaces_scanned": res.scanned,
         },
-        [
-            "%s = %d (exhaustive, %d subspaces scanned)" % (which, value, res.scanned),
-            "witness basis: %s" % (_subspace_payload(witness, L.field),),
-        ],
     )
     return 0
 
@@ -231,23 +200,18 @@ def _cmd_classify(args) -> int:
         else None
     )
     verdict = classify(L, A=A, nilradical_candidate=N, budget=args.budget)
-    payload = {"case": verdict.case.value, "diagnostics": {}}
-    lines = ["case: %s" % verdict.case.value]
-    for k, v in sorted(verdict.diagnostics.items()):
-        payload["diagnostics"][k] = repr(v) if not isinstance(v, (int, bool)) else v
-        lines.append("  %s: %s" % (k, v))
-    if "abelian_ideal" in verdict.witness:
-        W = verdict.witness["abelian_ideal"]
-        payload["abelian_ideal"] = _subspace_payload(W, F)
-        lines.append("abelian ideal witness (dim %d): %s" % (W.dim, _subspace_payload(W, F)))
+    payload = {
+        "case": verdict.case.value,
+        "diagnostics": {
+            k: v if isinstance(v, (int, bool)) else repr(v) for k, v in verdict.diagnostics.items()
+        },
+    }
+    for key in ("abelian_ideal", "nilradical"):
+        if key in verdict.witness:
+            payload[key] = _subspace_payload(verdict.witness[key], F)
     if verdict.chi is not None:
         payload["chi"] = repr(verdict.chi)
-        lines.append("canonical chi: %r" % (verdict.chi,))
-    if "nilradical" in verdict.witness:
-        W = verdict.witness["nilradical"]
-        payload["nilradical"] = _subspace_payload(W, F)
-        lines.append("nilradical basis: %s" % (_subspace_payload(W, F),))
-    _emit(args, payload, lines)
+    _emit(args, payload)
     return 0 if verdict.case is not Case.NOT_APPLICABLE else 1
 
 
@@ -263,59 +227,86 @@ def _cmd_verify_theorem(args) -> int:
         ],
         "ok": rep.ok,
     }
-    lines = ["algebra: %s" % rep.algebra, "alpha: %d" % rep.alpha]
-    if rep.case:
-        lines.append("case: %s" % rep.case.value)
-    for c in rep.claims:
-        detail = (" (%s)" % c.detail) if c.detail else ""
-        lines.append("[%s] %s%s" % (c.status.upper(), c.name, detail))
-    _emit(args, payload, lines)
+    _emit(args, payload)
     return 0 if rep.ok else 1
 
 
-def _make_family(args, F: FieldSpec) -> AlgebraTable:
-    fam = args.family
-    if fam == "a":
-        return make_a(
-            _parse_matrix_arg(args.lam, F, 2), _parse_matrix_arg(args.mu, F, 2), F
-        )
-    if fam == "b":
-        return make_b(
-            _parse_matrix_arg(args.lam, F, 2), _parse_matrix_arg(args.mu, F, 2), F
-        )
-    if fam == "c":
-        return make_c(_parse_matrix_arg(args.lam, F, 2), F)
-    if fam == "d":
-        return make_d(_parse_matrix_arg(args.m, F, 2), F)
-    if fam == "e":
-        n = args.n
-        if n is None:
-            raise UsageError("family e needs --n")
-        size = n - 1
-        phi = _parse_matrix_arg(args.phi, F, size)
-        theta = _parse_matrix_arg(args.theta, F, size)
-        v = _parse_vector_arg(args.v, F) if args.v else (F.zero,) * size
-        if len(v) != size:
-            raise UsageError("--v must have length %d" % size)
-        return make_e(phi, theta, v, n, F)
-    if fam == "heisenberg":
-        return heisenberg(F)
-    if fam == "oscillator":
-        return oscillator(F)
-    if fam == "abelian":
-        return abelian_algebra(args.k, F)
-    if fam == "nonideal-example":
-        return nonideal_codim2_example(F)
-    # the parser's choices leave "rotation-extension"
-    return heisenberg_rotation_extension(F)
+# Family parameters.  `make` reads them from the options, `random` draws
+# them with `scalar()`, a seeded scalar of the field, in a fixed order: a
+# seed names one document.
+
+
+def _parse_pair(args, F: FieldSpec) -> tuple:
+    return _parse_matrix_arg(args.lam, F, 2), _parse_matrix_arg(args.mu, F, 2)
+
+
+def _draw_pair(args, F: FieldSpec, scalar) -> tuple:
+    """lam, and mu in span(1, lam), so that the two commute."""
+    lam = Matrix(F, [[scalar(), scalar()], [scalar(), scalar()]])
+    return lam, Matrix.identity(F, 2).scale(scalar()) + lam.scale(scalar())
+
+
+def _draw_traceless(args, F: FieldSpec, scalar) -> tuple:
+    a, b, c = scalar(), scalar(), scalar()
+    return (Matrix(F, [[a, b], [c, F.neg(a)]]),)
+
+
+def _parse_e(args, F: FieldSpec) -> tuple:
+    n = args.n
+    if n is None or n < 4:
+        raise UsageError("family e needs --n >= 4")
+    size = n - 1
+    phi = _parse_matrix_arg(args.phi, F, size)
+    theta = _parse_matrix_arg(args.theta, F, size)
+    v = _parse_vector_arg(args.v, F) if args.v else (F.zero,) * size
+    if len(v) != size:
+        raise UsageError("--v must have length %d" % size)
+    return phi, theta, v, n
+
+
+def _draw_e(args, F: FieldSpec, scalar) -> tuple:
+    """n = 4: phi acts on span(u, w) by a traceless matrix and kills z, so
+    it is a derivation of H; theta = -phi, and v is a multiple of z."""
+    (m,) = _draw_traceless(args, F, scalar)
+    zero = F.zero
+    phi = Matrix(F, [[*m.data[0], zero], [*m.data[1], zero], [zero] * 3])
+    return phi, -phi, (zero, zero, scalar()), 4
+
+
+def _no_parameters(args, F: FieldSpec, scalar=None) -> tuple:
+    return ()
+
+
+def _k(args, F: FieldSpec, scalar=None) -> tuple:
+    return (args.k,)
+
+
+# family -> (constructor, parameters for `make`, parameters for `random` or
+# None); the constructor takes the parameters, then the field
+_FAMILIES = {
+    "a": (make_a, _parse_pair, _draw_pair),
+    "b": (make_b, _parse_pair, _draw_pair),
+    "c": (make_c, lambda args, F: (_parse_matrix_arg(args.lam, F, 2),), _draw_traceless),
+    "d": (make_d, lambda args, F: (_parse_matrix_arg(args.m, F, 2),), _draw_traceless),
+    "e": (make_e, _parse_e, _draw_e),
+    "heisenberg": (heisenberg, _no_parameters, _no_parameters),
+    "oscillator": (oscillator, _no_parameters, _no_parameters),
+    "abelian": (abelian_algebra, _k, _k),
+    "nonideal-example": (nonideal_codim2_example, _no_parameters, None),
+    "rotation-extension": (heisenberg_rotation_extension, _no_parameters, None),
+}
+
+
+def _plus_abelian(args, L: AlgebraTable) -> AlgebraTable:
+    if args.plus_abelian:
+        L = direct_sum(L, abelian_algebra(args.plus_abelian, L.field))
+    return L
 
 
 def _cmd_make(args) -> int:
     F = _parse_field_arg(args.field)
-    L = _make_family(args, F)
-    if args.plus_abelian:
-        L = direct_sum(L, abelian_algebra(args.plus_abelian, F))
-    _write_out(args, serialize_algebra(L))
+    build, parse, _ = _FAMILIES[args.family]
+    _write_out(args, serialize_algebra(_plus_abelian(args, build(*parse(args, F), F))))
     return 0
 
 
@@ -323,53 +314,16 @@ def _cmd_random(args) -> int:
     F = _parse_field_arg(args.field)
     rng = random.Random(args.seed)
 
-    def rand_scalar():
+    def scalar():
         if F.is_prime_field:
             return F.of(rng.randrange(F.p))
         return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
 
-    def rand_matrix2():
-        return Matrix(F, [[rand_scalar(), rand_scalar()], [rand_scalar(), rand_scalar()]])
-
-    fam = args.family
-    if fam == "a":
-        lam = rand_matrix2()
-        mu = Matrix.identity(F, 2).scale(rand_scalar()) + lam.scale(rand_scalar())
-        L = make_a(lam, mu, F)
-    elif fam == "b":
-        lam = rand_matrix2()
-        mu = Matrix.identity(F, 2).scale(rand_scalar()) + lam.scale(rand_scalar())
-        L = make_b(lam, mu, F)
-    elif fam == "c":
-        a, b, c = rand_scalar(), rand_scalar(), rand_scalar()
-        L = make_c(Matrix(F, [[a, b], [c, F.neg(a)]]), F)
-    elif fam == "d":
-        a, b, c = rand_scalar(), rand_scalar(), rand_scalar()
-        L = make_d(Matrix(F, [[a, b], [c, F.neg(a)]]), F)
-    elif fam == "e":
-        a, b, c = rand_scalar(), rand_scalar(), rand_scalar()
-        phi = Matrix(
-            F,
-            [
-                [a, b, F.zero],
-                [c, F.neg(a), F.zero],
-                [F.zero, F.zero, F.zero],
-            ],
-        )
-        L = make_e(phi, -phi, (F.zero, F.zero, rand_scalar()), 4, F)
-    elif fam == "heisenberg":
-        L = heisenberg(F)
-    elif fam == "oscillator":
-        L = oscillator(F)
-    else:  # the parser's choices leave "abelian"
-        L = abelian_algebra(args.k, F)
-    if args.plus_abelian:
-        L = direct_sum(L, abelian_algebra(args.plus_abelian, F))
+    build, _, draw = _FAMILIES[args.family]
+    L = _plus_abelian(args, build(*draw(args, F, scalar), F))
     if args.basis_change:
         while True:
-            P = Matrix(
-                F, [[rand_scalar() for _ in range(L.dim)] for _ in range(L.dim)]
-            )
+            P = Matrix(F, [[scalar() for _ in range(L.dim)] for _ in range(L.dim)])
             if P.is_invertible():
                 break
         L = change_of_basis(L, P)
@@ -381,22 +335,12 @@ def _cmd_iso(args) -> int:
     L1 = _load_algebra(args.file1, args.lenient)
     L2 = _load_algebra(args.file2, args.lenient)
     res = iso_search(L1, L2, node_budget=args.budget)
-    if res.isomorphic:
-        F = L1.field
-        _emit(
-            args,
-            {
-                "isomorphic": True,
-                "map_rows": [[F.format(x) for x in row] for row in res.map.data],
-            },
-            [
-                "isomorphic: yes",
-                "basis map rows: %s" % ([[F.format(x) for x in row] for row in res.map.data],),
-            ],
-        )
-        return 0
-    _emit(args, {"isomorphic": False}, ["isomorphic: no"])
-    return 1
+    if not res.isomorphic:
+        _emit(args, {"isomorphic": False})
+        return 1
+    map_rows = [[L1.field.format(x) for x in row] for row in res.map.data]
+    _emit(args, {"isomorphic": True, "map_rows": map_rows})
+    return 0
 
 
 def _cmd_fitting(args) -> int:
@@ -404,17 +348,7 @@ def _cmd_fitting(args) -> int:
     A = _parse_subspace_arg(args.witness, L.field, L.dim)
     split = fitting_decomposition(L, A)
     F = L.field
-    _emit(
-        args,
-        {
-            "L0": _subspace_payload(split.L0, F),
-            "L1": _subspace_payload(split.L1, F),
-        },
-        [
-            "L0 (dim %d): %s" % (split.L0.dim, _subspace_payload(split.L0, F)),
-            "L1 (dim %d): %s" % (split.L1.dim, _subspace_payload(split.L1, F)),
-        ],
-    )
+    _emit(args, {"L0": _subspace_payload(split.L0, F), "L1": _subspace_payload(split.L1, F)})
     return 0
 
 
@@ -430,7 +364,7 @@ def _cmd_solvability(args) -> int:
     L = _load_algebra(args.file, args.lenient)
     W = _parse_subspace_arg(args.witness, L.field, L.dim) if args.witness else None
     ok = solvability_from_codim2_ideal(L, witness=W, budget=args.budget)
-    _emit(args, {"solvable_length_le_3": ok}, ["solvable with derived length <= 3: %s" % ok])
+    _emit(args, {"solvable_length_le_3": ok})
     return 0 if ok else 1
 
 
@@ -489,9 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = add("make", "construct a family instance and emit its document", _cmd_make)
-    p.add_argument("--family", required=True,
-                   choices=["a", "b", "c", "d", "e", "heisenberg", "oscillator", "abelian",
-                            "nonideal-example", "rotation-extension"])
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--field", required=True, help="'q' or a prime p")
     p.add_argument("--lambda", dest="lam", default="0", help="2x2 matrix: 'id', '0', or 4 entries")
     p.add_argument("--mu", default="0")
@@ -506,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("random", "seeded random family instance, optionally disguised", _cmd_random)
     p.add_argument("--family", required=True,
-                   choices=["a", "b", "c", "d", "e", "heisenberg", "oscillator", "abelian"])
+                   choices=[name for name, (_, _, draw) in _FAMILIES.items() if draw])
     p.add_argument("--field", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--k", type=int, default=0)

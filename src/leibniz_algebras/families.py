@@ -219,6 +219,33 @@ def heisenberg_plus_abelian(k: int, field: FieldSpec) -> AlgebraTable:
     return direct_sum(H, abelian_algebra(k, field))
 
 
+def _e_table(phi: Matrix, theta: Matrix, v: Sequence, n: int, field: FieldSpec) -> AlgebraTable:
+    """The table of family e (see `make_e`), with the shapes of its
+    parameters checked and not the Leibniz rule."""
+    if n < 4:
+        raise DimensionMismatchError("family e needs dimension >= 4")
+    F = field
+    H = heisenberg_plus_abelian(n - 4, field)
+    h = H.dim
+    if phi.rows != h or phi.cols != h or theta.rows != h or theta.cols != h:
+        raise DimensionMismatchError("phi and theta must be %dx%d" % (h, h))
+    vv = tuple(F.of(x) for x in v)
+    if len(vv) != h:
+        raise DimensionMismatchError("v must have length %d" % h)
+
+    prods = {}
+    prods[(0, 0)] = (F.zero,) + vv
+    for j in range(h):
+        img = phi.apply_col(H.basis_vector(j))
+        prods[(0, 1 + j)] = (F.zero,) + tuple(img)
+        img_t = theta.apply_col(H.basis_vector(j))
+        prods[(1 + j, 0)] = (F.zero,) + tuple(img_t)
+    for i in range(h):
+        for j in range(h):
+            prods[(1 + i, 1 + j)] = (F.zero,) + tuple(H.c[i][j])
+    return AlgebraTable.from_products(field, n, prods, name="e(phi,theta,v,%d)" % n)
+
+
 def make_e(phi: Matrix, theta: Matrix, v: Sequence, n: int, field: FieldSpec) -> AlgebraTable:
     """Family e: one-dimensional extension of H = heisenberg (+) F^(n-4).
 
@@ -242,28 +269,7 @@ def make_e(phi: Matrix, theta: Matrix, v: Sequence, n: int, field: FieldSpec) ->
     rejects every (phi, v) that a derivation test or a center test would,
     and no test runs before it.
     """
-    if n < 4:
-        raise DimensionMismatchError("family e needs dimension >= 4")
-    F = field
-    H = heisenberg_plus_abelian(n - 4, field)
-    h = H.dim
-    if phi.rows != h or phi.cols != h or theta.rows != h or theta.cols != h:
-        raise DimensionMismatchError("phi and theta must be %dx%d" % (h, h))
-    vv = tuple(F.of(x) for x in v)
-    if len(vv) != h:
-        raise DimensionMismatchError("v must have length %d" % h)
-
-    prods = {}
-    prods[(0, 0)] = (F.zero,) + vv
-    for j in range(h):
-        img = phi.apply_col(H.basis_vector(j))
-        prods[(0, 1 + j)] = (F.zero,) + tuple(img)
-        img_t = theta.apply_col(H.basis_vector(j))
-        prods[(1 + j, 0)] = (F.zero,) + tuple(img_t)
-    for i in range(h):
-        for j in range(h):
-            prods[(1 + i, 1 + j)] = (F.zero,) + tuple(H.c[i][j])
-    table = AlgebraTable.from_products(field, n, prods, name="e(phi,theta,v,%d)" % n)
+    table = _e_table(phi, theta, v, n, field)
     bad = leibniz_failure(table)
     if bad is not None:
         raise FamilyParameterError(

@@ -294,6 +294,26 @@ def test_classify_qq_case3_without_nilradical_candidate():
     assert classify(L, A=A, nilradical_candidate=N) == v
 
 
+def test_case3_model_inherits_the_leibniz_check(monkeypatch, rng):
+    # the Case3_e model is L in the frame basis and L passed the Leibniz
+    # check, so classify runs the check's core on no table, the model
+    # included, and the model still reads as Leibniz
+    cached = algebra.leibniz_failure
+    cell = next(c for c in cached.__closure__ if c.cell_contents is cached.__wrapped__)
+    core = cell.cell_contents
+    runs = []
+    monkeypatch.setattr(cell, "cell_contents", lambda L: runs.append(L) or core(L))
+    for F, A in ((F3, None), (F7, None), (QQ, span(QQ, 4, (0, 1, 0, 0), (0, 0, 1, 0)))):
+        L = heisenberg_rotation_extension(F)
+        if A is None:
+            L = change_of_basis(L, rand_invertible(F, 4, rng))
+        assert algebra.is_leibniz(L) and runs[-1] is L
+        checked = len(runs)
+        v = classify(L, A=A)
+        assert v.case is Case.CASE3_E and len(runs) == checked, F
+        assert algebra.is_leibniz(v.witness["model"]) and len(runs) == checked, F
+
+
 def _diag_e(F):
     """e(diag(1, 2, 3), -diag(1, 2, 3), 0, 4) on (x, u, w, z): x acts on
     N / C(N) = span(u, w) by diag(1, 2), which is reducible."""

@@ -1,10 +1,13 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from leibniz_algebras.algebra import change_of_basis, is_leibniz
+from leibniz_algebras.catalog import heisenberg_rotation_extension, nonideal_codim2_example
 from leibniz_algebras.cli import run
-from leibniz_algebras.families import heisenberg, make_a, make_d, oscillator
+from leibniz_algebras.families import heisenberg, make_a, make_c, make_d, oscillator, raw_pair_table
 from leibniz_algebras.fields import QQ
 from leibniz_algebras.invariants import nilradical
 from leibniz_algebras.linalg import Matrix
@@ -30,20 +33,18 @@ def test_check_positive(files, capsys):
     path = write("l.json", nonideal_codim2_example(F3))
     assert run(["check", path]) == 0
     out = capsys.readouterr().out
-    assert "Leibniz: yes" in out and "Lie: no" in out
-    assert "squares span dimension: 1" in out
+    assert "leibniz: true" in out and "lie: false" in out
+    assert "squares_span_dim: 1" in out
 
 
 def test_check_negative_exit_code(files, capsys):
     tmp, write = files
-    from leibniz_algebras.families import raw_pair_table
-
     bad = raw_pair_table(
         Matrix(QQ, [[0, 1], [0, 0]]), Matrix(QQ, [[0, 0], [1, 0]]), QQ
     )
     path = write("bad.json", bad)
     assert run(["check", path]) == 1
-    assert "Leibniz: no" in capsys.readouterr().out
+    assert "leibniz: false" in capsys.readouterr().out
 
 
 def test_check_json_mode(files, capsys):
@@ -71,7 +72,7 @@ def test_invariants_report_over_rationals(files, capsys):
     assert run(["--json", "invariants", path, "--scan"]) == 0
     assert json.loads(capsys.readouterr().out)["nilradical_dim"] == 3
     assert run(["invariants", path, "--scan"]) == 0
-    assert "nilradical dim: 3" in capsys.readouterr().out
+    assert "nilradical_dim: 3" in capsys.readouterr().out
 
 
 def test_alpha_beta_commands(files, capsys):
@@ -104,7 +105,7 @@ def test_runs_in_one_process_share_no_state(files, capsys):
     assert run(["--json", "alpha", path]) == 0
     assert json.loads(capsys.readouterr().out)["alpha"] == 2
     assert run(["alpha", path]) == 0
-    assert capsys.readouterr().out.startswith("alpha = 2 (exhaustive")
+    assert capsys.readouterr().out.startswith("alpha: 2\nexhaustive: true\n")
 
 
 def test_negative_budget_is_a_usage_error(files):
@@ -128,8 +129,6 @@ def test_nilradical_scan_budget_exit_code(files, capsys):
 
 def test_classify_command(files, capsys):
     tmp, write = files
-    from leibniz_algebras.catalog import heisenberg_rotation_extension
-
     path = write("e.json", heisenberg_rotation_extension(F3))
     assert run(["--json", "classify", path]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -140,8 +139,6 @@ def test_classify_command(files, capsys):
 
 def test_classify_rejects_wrong_nilradical_candidate(files):
     tmp, write = files
-    from leibniz_algebras.catalog import heisenberg_rotation_extension
-
     for F in (QQ, F3):
         path = write("e.json", heisenberg_rotation_extension(F))
         args = ["classify", path, "--witness", "0,1,0,0;0,0,1,0", "--nilradical"]
@@ -174,8 +171,6 @@ def test_classify_checks_a_candidate_whatever_the_verdict(files):
 
 def test_classify_with_witness_over_rationals(files, capsys):
     tmp, write = files
-    from leibniz_algebras.families import make_c
-
     path = write("c.json", make_c(Matrix(QQ, [[0, 1], [-1, 0]]), QQ))
     assert run(["--json", "classify", path, "--witness", "1,0,0,0;0,1,0,0"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -211,18 +206,22 @@ def test_make_composite_field_is_usage_error(tmp_path):
                 "-o", str(tmp_path / "x.json")]) == 2
 
 
+def test_make_e_needs_n_at_least_4(tmp_path, capsys):
+    out = str(tmp_path / "e.json")
+    for n in ([], ["--n", "3"], ["--n", "1"], ["--n", "0"]):
+        assert run(["make", "--family", "e", "--field", "3", *n, "-o", out]) == 2, n
+        assert capsys.readouterr().err == "error: family e needs --n >= 4\n"
+    assert run(["make", "--family", "e", "--field", "3", "--n", "4", "-o", out]) == 0
+
+
 def test_iso_command(files, tmp_path, capsys):
     tmp, write = files
     p1 = write("o1.json", oscillator(F3))
-    from leibniz_algebras.algebra import change_of_basis
-
     P = Matrix(F3, [[1, 0, 0, 1], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]])
     p2 = write("o2.json", change_of_basis(oscillator(F3), P))
     assert run(["iso", p1, p2]) == 0
     p3 = write("h.json", heisenberg(F3))
     assert run(["iso", p1, str(tmp / "o2.json")]) == 0
-    from leibniz_algebras.catalog import heisenberg_rotation_extension
-
     p4 = write("e.json", heisenberg_rotation_extension(F3))
     assert run(["iso", p1, p4]) == 1
 
@@ -248,8 +247,6 @@ def test_quotient_command(files, tmp_path, capsys):
 def test_random_command_deterministic(tmp_path):
     # every family's parameters are drawn inside its valid set, so each
     # draw builds a table at once
-    from leibniz_algebras.algebra import is_leibniz
-
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     for family in ("a", "b", "c", "d", "e", "heisenberg", "oscillator", "abelian"):
         for field in ("3", "5", "q"):
@@ -258,6 +255,49 @@ def test_random_command_deterministic(tmp_path):
             assert run(args + ["--k", "2", "-o", b]) == 0
             assert Path(a).read_text() == Path(b).read_text(), (family, field)
             assert is_leibniz(parse_algebra(Path(a).read_text())), (family, field)
+
+
+# sha256 of the documents of `leibalg random --family <family> --field
+# <field> --seed 7 --basis-change --k 2 --plus-abelian 1`, recorded while
+# each family still had its own draw: a seed names one document
+RANDOM_DOCUMENTS = {
+    ('a', '3'): "e7e62e7b299bf4859b6f0fab23ffa86f91c6ee2333ef6987b8e7f8a448cb9f2c",
+    ('a', '5'): "9572a10ca66a83d8e67b26c55ec1b2af37d3e21ce806e922accd0abdad1ae151",
+    ('a', 'q'): "9c6ba29593907d6cc13f8faf8c3ec8de0f1a27755ced48353dac535d896052ea",
+    ('b', '3'): "8949bc9ac9413eeabf4f6a6b8e14847942f98a652207277fd5134053857ccc31",
+    ('b', '5'): "e584838259b243a4050f3825ca978ccc66c1a5eb31376c4dad7d63baa2ba0340",
+    ('b', 'q'): "5d4afc0431958d08b83a69dfab3f607a413a4ea75f4f6007c0142aca1fda3fad",
+    ('c', '3'): "19770d1956c10ed3a924a71b61a33190057813f47b767b7038e17625c85621a0",
+    ('c', '5'): "4a84e04690a5b2c30ef35df8b0485ad268f7501a976d7420de7687b6df767a0c",
+    ('c', 'q'): "09682fd7709d639913079fedb2ddcc2470132459b627d1e969e41137ed69504c",
+    ('d', '3'): "3ddf6bdad48afd3135ae490f956a6dbf8b5b97a434863ec892d00a441c8ff18a",
+    ('d', '5'): "1c14fcd01c01901db3b040e4fe603cf64862c813e4fc4a16995c11e91822b326",
+    ('d', 'q'): "dfe5fd9f3448f07a42440799cfc89693136c0962ea652f86e55707abd7ee67f5",
+    ('e', '3'): "d155790445ca82a9d21a8a766e65ac72979794a13a3c453f7522985497d1c8b9",
+    ('e', '5'): "4d4250a29df76ddb053ab0dc4a18a9ced9897ab32166666375c3fbb9baa4f2cd",
+    ('e', 'q'): "edc43b3fd38b22a203ec8abfd6a7d9060db21af8e9b8a2614808bf554c42ae8f",
+    ('heisenberg', '3'): "e272b8bdff220b469f219ea709880b161963c0b880c4c881cdc88ada2c44ca8e",
+    ('heisenberg', '5'): "7e5088d520a78268dae3d8e31f4cbbfa734f9953fa04446edd4e47d38434d867",
+    ('heisenberg', 'q'): "dc836c838e252dc8bb20d31dbfeb504755e782f91592521b26b7e06ca2357822",
+    ('oscillator', '3'): "7d550bcf795261e65abec8def7348a2ed10f040d01a2876c1e137c63d49c4fa9",
+    ('oscillator', '5'): "0501006c9be545861dd9003ede79a60c86b7a38fd267e7f360361ae08679ec25",
+    ('oscillator', 'q'): "925fe7146f29a041c697a93fd90d3c24fed87ff97c22b240a5f25131484f2222",
+    ('abelian', '3'): "8c10b35ad2075fbd8c918ab5fe2ac2e93fe14bce372005cf5b4564b5a289b3d4",
+    ('abelian', '5'): "a90803eb48c383957de36096281ff667a80abbbc4ca8a5374e5eaa87a7273be0",
+    ('abelian', 'q'): "20b6014e84ce2b8fc9061838f46efddf0c1a540d4023d74e68257a6b1cb4f259",
+}
+
+
+def test_random_documents_do_not_move(tmp_path):
+    out = tmp_path / "r.json"
+    moved = []
+    for (family, field), digest in RANDOM_DOCUMENTS.items():
+        args = ["random", "--family", family, "--field", field, "--seed", "7", "--basis-change",
+                "--k", "2", "--plus-abelian", "1", "-o", str(out)]
+        assert run(args) == 0
+        if hashlib.sha256(out.read_bytes()).hexdigest() != digest:
+            moved.append((family, field))
+    assert moved == []
 
 
 def test_solvability_command(files):
@@ -278,6 +318,48 @@ def test_solvability_witness_errors_exit_2(files):
     path = write("d.json", make_d(Matrix(F3, [[0, 1], [2, 0]]), F3))
     assert run(["solvability", path, "--witness", "1,0,0"]) == 2  # not an ideal
     assert run(["solvability", path, "--witness", "1,0"]) == 2  # malformed
+
+
+def _rendered(payload):
+    """The text report of a JSON payload: one `key: value` line per key,
+    sorted, a string value bare and any other value as compact JSON."""
+    return [
+        "%s: %s" % (key, value if isinstance(value, str) else json.dumps(value, sort_keys=True))
+        for key, value in sorted(payload.items())
+    ]
+
+
+PAIR_F3 = make_a(Matrix.identity(F3, 2), Matrix(F3, [[0, 1], [2, 0]]), F3)
+P4 = Matrix(F3, [[1, 0, 0, 1], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]])
+# (command, its documents, its options, exit code)
+REPORTS = {
+    "check+": ("check", [nonideal_codim2_example(F3)], [], 0),
+    "check-": ("check", [raw_pair_table(Matrix(QQ, [[0, 1], [0, 0]]), Matrix(QQ, [[0, 0], [1, 0]]), QQ)],
+               [], 1),
+    "invariants": ("invariants", [oscillator(F3)], ["--scan"], 0),
+    "alpha": ("alpha", [oscillator(F3)], [], 0),
+    "beta": ("beta", [oscillator(F3)], [], 0),
+    "classify+": ("classify", [heisenberg_rotation_extension(QQ)],
+                  ["--witness", "0,1,0,0;0,0,1,0", "--nilradical", "1,0,0,0;0,1,0,0;0,0,1,0"], 0),
+    "classify-ideal": ("classify", [PAIR_F3], [], 0),
+    "classify-": ("classify", [heisenberg(F3)], [], 1),
+    "verify-theorem": ("verify-theorem", [oscillator(F3)], [], 0),
+    "iso+": ("iso", [oscillator(F3), change_of_basis(oscillator(F3), P4)], [], 0),
+    "iso-": ("iso", [oscillator(F3), heisenberg_rotation_extension(F3)], [], 1),
+    "fitting": ("fitting", [PAIR_F3], ["--witness", "1,0,0,0;0,1,0,0"], 0),
+    "solvability": ("solvability", [PAIR_F3], [], 0),
+}
+
+
+@pytest.mark.parametrize("report", REPORTS)
+def test_text_report_is_the_json_payload_rendered(files, capsys, report):
+    tmp, write = files
+    command, algebras, options, code = REPORTS[report]
+    argv = [command] + [write("%d.json" % i, L) for i, L in enumerate(algebras)] + options
+    assert run(["--json"] + argv) == code
+    payload = json.loads(capsys.readouterr().out)
+    assert run(argv) == code
+    assert capsys.readouterr().out.splitlines() == _rendered(payload)
 
 
 def test_document_error_exit_code(tmp_path):

@@ -13,7 +13,7 @@ or an attribute, imports it or lists it in `__all__`; only the self-test
 functions, which `selftest._check(...)` registers, are exempt.  A method
 of a package class, dunders apart, counts as used when a module of the
 package, the tests or the benchmark (`perfbench/`) reads it as an
-attribute."""
+attribute.  The CLI prints a report only through its one renderer."""
 
 import ast
 from pathlib import Path
@@ -168,3 +168,24 @@ def _local_imports(tree):
 def test_module_imports_package_modules_at_module_level(module):
     allowed = {("_cmd_selftest", "selftest")} if module == "cli.py" else set()
     assert sorted(_local_imports(_tree(module)) - allowed) == []
+
+
+def _prints(tree):
+    """(top-level function or "<module>", whether it passes file=sys.stderr)
+    for each call of `print` in the module."""
+    found = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+                to_stderr = any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in node.keywords)
+                found.append((owner, to_stderr))
+    return found
+
+
+def test_cli_prints_reports_in_one_renderer():
+    # a report is a payload that `_emit` renders; `run` prints errors to
+    # stderr, and `selftest` prints its own lines
+    prints = _prints(_tree("cli.py"))
+    assert {owner for owner, _ in prints} <= {"_emit", "run", "_cmd_selftest"}
+    assert all(to_stderr for owner, to_stderr in prints if owner == "run")
