@@ -38,7 +38,17 @@ from .errors import (
     NotLeibnizError,
 )
 from .fields import FieldSpec, check_same_field
-from .linalg import Matrix, Subspace, _chain, _echelon, _fractions, _integer_row, _matmul, subspace_sum
+from .linalg import (
+    Matrix,
+    Subspace,
+    _chain,
+    _dependencies,
+    _echelon,
+    _fractions,
+    _integer_row,
+    _matmul,
+    subspace_sum,
+)
 
 
 class AlgebraTable:
@@ -317,25 +327,18 @@ def mult_operator(L: AlgebraTable, x: Sequence, side: str = "left") -> Matrix:
 
 @_per_table
 def center(L: AlgebraTable) -> Subspace:
-    """{x : [x, L] = [L, x] = 0}, the joint kernel of all left and right
-    actions, on the integer view."""
-    n, c = L.dim, _integer_view(L)[1]
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([c[i][j][k] for i in range(n)])  # [x, e_j]_k
-            rows.append([c[j][i][k] for i in range(n)])  # [e_j, x]_k
-    return Subspace._kernel(L.field, n, rows)
+    """{x : [x, L] = [L, x] = 0}: the dependencies among the n operators
+    L_e_i (+) R_e_i, each flattened to one row of the integer view
+    (`linalg._dependencies`)."""
+    c = _integer_view(L)[1]
+    rows = [sum(ci, ()) + sum((cj[i] for cj in c), ()) for i, ci in enumerate(c)]
+    return _dependencies(L.field, rows)
 
 
 def left_annihilator(L: AlgebraTable) -> Subspace:
-    """{x : [x, L] = 0}, on the integer view."""
-    n, c = L.dim, _integer_view(L)[1]
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([c[i][j][k] for i in range(n)])
-    return Subspace._kernel(L.field, n, rows)
+    """{x : [x, L] = 0}: the dependencies among the flattened L_e_i, on the
+    integer view."""
+    return _dependencies(L.field, [sum(ci, ()) for ci in _integer_view(L)[1]])
 
 
 def _actions(L: AlgebraTable, rows: Sequence[Sequence], sides=("left", "right")) -> list:

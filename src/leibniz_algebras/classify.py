@@ -31,8 +31,8 @@ but for QQ Case2_d, which reports the first triple it finds (`_match_case2`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraTable,
@@ -78,11 +78,10 @@ class Case(Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
-@dataclass
-class ClassificationVerdict:
+class ClassificationVerdict(NamedTuple):
     case: Case
-    witness: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
+    witness: dict
+    diagnostics: dict
 
     @property
     def chi(self) -> QuadraticPoly | None:
@@ -596,15 +595,13 @@ def solvability_from_codim2_ideal(
 # full re-derivation of the theorem's claims
 
 
-@dataclass(frozen=True)
-class ClaimCheck:
+class ClaimCheck(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "n/a"
     detail: str = ""
 
 
-@dataclass
-class TheoremReport:
+class TheoremReport(NamedTuple):
     algebra: str
     alpha: int
     case: Case | None

@@ -37,6 +37,7 @@ from .errors import (
     BudgetExceededError,
     DocumentError,
     FamilyParameterError,
+    FieldMismatchError,
     NoAbelianIdealError,
     NotLeibnizError,
 )
@@ -487,7 +488,7 @@ def run(argv=None) -> int:
     except BudgetExceededError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return 3
-    except (UsageError, DocumentError) as exc:
+    except (UsageError, DocumentError, FieldMismatchError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (NotLeibnizError, FamilyParameterError, NoAbelianIdealError) as exc:

@@ -9,9 +9,8 @@ different field specs must never be mixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .errors import FieldMismatchError
 
@@ -53,22 +52,27 @@ def _inv_mod(a: int, p: int) -> int:
     return s0 % p
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """An exact base field: the rationals, or GF(p) for a prime p."""
-
+class _FieldSpecRecord(NamedTuple):
     kind: str
     p: int | None = None
 
-    def __post_init__(self):
-        if self.kind == RATIONALS:
-            if self.p is not None:
+
+class FieldSpec(_FieldSpecRecord):
+    """An exact base field: the rationals, or GF(p) for a prime p.  An
+    immutable (kind, p) tuple, checked when it is made."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, p: int | None = None):
+        if kind == RATIONALS:
+            if p is not None:
                 raise ValueError("rationals take no modulus")
-        elif self.kind == PRIME:
-            if self.p is None or not is_prime(self.p):
-                raise ValueError("composite or missing modulus: %r" % (self.p,))
+        elif kind == PRIME:
+            if p is None or not is_prime(p):
+                raise ValueError("composite or missing modulus: %r" % (p,))
         else:
-            raise ValueError("unknown field kind %r" % (self.kind,))
+            raise ValueError("unknown field kind %r" % (kind,))
+        return super().__new__(cls, kind, p)
 
     # -- constructors ------------------------------------------------------
 

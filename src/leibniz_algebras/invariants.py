@@ -9,7 +9,7 @@ central series does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraTable,
@@ -27,8 +27,7 @@ from .errors import ConsistencyError
 from .linalg import Subspace, _chain, _dot_rows, _matmul, subspace_intersect, subspace_sum
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(NamedTuple):
     """Derived and lower-central chains, computed to stabilization."""
 
     derived_chain: tuple
@@ -46,8 +45,7 @@ class SeriesReport:
         return tuple(s.dim for s in self.lower_central_chain)
 
 
-@dataclass(frozen=True)
-class FittingSplit:
+class FittingSplit(NamedTuple):
     """Splitting of the algebra under the left actions of an abelian subalgebra."""
 
     L0: Subspace
@@ -60,7 +58,11 @@ def series(L: AlgebraTable) -> SeriesReport:
     require_leibniz(L)
     full = L.full_space()
     derived = _chain(full, lambda D: product_space(L, D, D))
-    lower = _chain(full, lambda C: product_space(L, full, C))
+    # C2 = [L, L] is D1: the lower chain goes on from there (a perfect L's
+    # chains both stop at L)
+    lower = derived
+    if len(derived) > 1:
+        lower = [full, *_chain(derived[1], lambda C: product_space(L, full, C))]
     solvable = derived[-1].is_zero()
     nilpotent = lower[-1].is_zero()
     length = len(derived) - 1 if solvable else None
@@ -119,21 +121,17 @@ def _trace_rows(L: AlgebraTable) -> list:
     kernel as they are."""
     p, c, n = L.field.p, _integer_view(L)[1], L.dim
     # the columns of L_e_i and R_e_i: [e_i, e_k] and [e_k, e_i]
-    cols = [[c[i][k] for k in range(n)] for i in range(n)]
-    cols += [[c[k][i] for k in range(n)] for i in range(n)]
-    # each operator's nonzero entries, and its transpose's, by their
-    # position in the row-major flattening
-    flat = [{t: x for t, x in enumerate(sum(zip(*cs), ())) if x} for cs in cols]
-    flat_t = [{t: x for t, x in enumerate(sum(cs, ())) if x} for cs in cols]
+    cols = [*c, *zip(*c)]
+    # each operator, and its transpose, flattened row-major
+    flat = [sum(zip(*cs), ()) for cs in cols]
+    flat_t = [sum(cs, ()) for cs in cols]
     # T[a][b] = Tr(A B) = sum of A[j][k] * B[k][j], A, B operators a, b
     T = [[0] * (2 * n) for _ in range(2 * n)]
     for a, A in enumerate(flat):
         for b in range(a, 2 * n):
-            B = flat_t[b]
-            T[a][b] = T[b][a] = sum(A[t] * B[t] for t in A.keys() & B.keys())
+            T[a][b] = T[b][a] = _dot_rows(A, flat_t[b])
     # row (M, W): x -> Tr(M_x W), coefficient Tr(M_e_i W) at e_i
-    diagonal = range(0, n * n, n + 1)
-    funcs = [[sum(A.get(t, 0) for t in diagonal) for A in flat[m : m + n]] for m in (0, n)]
+    funcs = [[sum(A[:: n + 1]) for A in flat[m : m + n]] for m in (0, n)]
     funcs += [[T[m + i][b] for i in range(n)] for m in (0, n) for b in range(2 * n)]
     return funcs if p is None else [[x % p for x in f] for f in funcs]
 

@@ -29,16 +29,18 @@ the greedy basis extension.  `_chain(start, step)` lists start,
 step(start), ... up to the first fixed point: the derived and lower
 central series, the generated subalgebra and the Fitting chains.  An
 annihilator is the kernel of a subspace's rows (`Subspace._annihilator`),
-and `complement_functionals` returns its canonical basis.
+and `complement_functionals` returns its canonical basis.  When a kernel's
+conditions are the n columns of a few wide rows, such as the flattened
+multiplication operators of a basis, `_dependencies` finds it from those
+rows, as the linear dependencies among them.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._scan_py import canonical_subspaces, gaussian_binomial
 from .errors import DimensionMismatchError
@@ -355,6 +357,45 @@ def _echelon(F: FieldSpec, rows: Sequence[Sequence], ncols: int) -> tuple[list, 
     return rows, pivots
 
 
+def _dependencies(F: FieldSpec, rows: Sequence[Sequence]) -> "Subspace":
+    """{x : sum_i x[i] rows[i] = 0} for n rows of m entries, residues over
+    GF(p) and ints over QQ: the kernel of the rows' transpose, without the
+    transpose.  Each row, the unit vector e_i appended to record its
+    combination, is reduced against the pivot rows found so far, fraction-
+    free over QQ as in `_echelon`; a row that reduces to zero leaves a
+    dependency in its appended part, and any other becomes a pivot row at
+    its first nonzero column.  The dependency of row i is nonzero at i and
+    zero after it, so the n - rank of them are a basis, which
+    `Subspace._span` makes canonical."""
+    n, p = len(rows), F.p
+    m = len(rows[0]) if rows else 0
+    pivots: list = []  # (column, pivot row)
+    deps = []
+    for i, row in enumerate(rows):
+        w = [*row, *(int(j == i) for j in range(n))]
+        for c, top in pivots:
+            f = w[c]
+            if not f:
+                continue
+            if p is not None:
+                w = [(x - f * y) % p if y else x for x, y in zip(w, top)]
+                continue
+            a = top[c]
+            w = [a * x - f * y for x, y in zip(w, top)]
+            g = math.gcd(*w)
+            if g > 1:
+                w = [x // g for x in w]
+        c = next((k for k in range(m) if w[k]), None)
+        if c is None:
+            deps.append(w[m:])
+            continue
+        if p is not None and w[c] != 1:
+            inv = F.inv(w[c])
+            w = [x * inv % p for x in w]
+        pivots.append((c, w))
+    return Subspace._span(F, n, deps)
+
+
 def rref_with_pivots(M: Matrix) -> tuple[Matrix, int, list[int]]:
     """Reduced row echelon form: unit pivots, zeros above and below, zero
     rows last.  The elimination is `_echelon`, on the rows scaled to
@@ -613,8 +654,7 @@ def _check_ambient(U: Subspace, V: Subspace) -> None:
         raise DimensionMismatchError("ambient dimensions differ")
 
 
-@dataclass(frozen=True)
-class QuadraticPoly:
+class QuadraticPoly(NamedTuple):
     """Monic quadratic t^2 + c1*t + c0."""
 
     c1: Scalar

@@ -50,7 +50,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._kernel import MODE_ABELIAN, MODE_IDEAL, scan_subspaces
 from ._scan_py import _canonical_index, canonical_subspaces, gaussian_binomial
@@ -75,8 +75,7 @@ from .linalg import Matrix, Subspace, enumerate_subspaces, subspace_sum
 DEFAULT_SCAN_BUDGET = 5_000_000
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of an exhaustive abelian subalgebra/ideal scan."""
 
     alpha: int | None = None
@@ -87,8 +86,7 @@ class SearchResult:
     scanned: int = 0
 
 
-@dataclass(frozen=True)
-class IsoResult:
+class IsoResult(NamedTuple):
     isomorphic: bool
     map: Matrix | None = None
 
@@ -466,14 +464,15 @@ def iso_search(
     Positive results carry an explicit basis map (rows are the images of the
     first algebra's basis vectors) verified bit-exactly: change_of_basis(L2,
     map) equals L1, checked without inverting the map.
-    Negative results are exhaustive within the pruned tree.  Exceeding the
-    node budget raises, which is distinct from a negative answer; a
+    Negative results are exhaustive within the pruned tree; tables of
+    different dimensions are not isomorphic, and no search runs.  Exceeding
+    the node budget raises, which is distinct from a negative answer; a
     negative node budget is a ValueError, as a negative scan budget is.
     """
     _check_budget(node_budget)
     check_same_field(L1.field, L2.field)
     if L1.dim != L2.dim:
-        raise ValueError("isomorphism search needs equal dimensions")
+        return IsoResult(False, None)
     _require_prime_field(L1, "iso_search")
     n = L1.dim
     F = L1.field

@@ -226,6 +226,21 @@ def test_iso_command(files, tmp_path, capsys):
     assert run(["iso", p1, p4]) == 1
 
 
+def test_iso_of_two_fields_is_a_usage_error(capsys):
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    gf3, qq = str(fixtures / "oscillator_gf3.json"), str(fixtures / "oscillator_qq.json")
+    assert run(["iso", gf3, qq]) == 2
+    assert capsys.readouterr() == ("", "error: field mismatch: GF(3) vs QQ\n")
+
+
+def test_iso_of_two_dimensions_is_not_isomorphic(capsys):
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    osc, heis = str(fixtures / "oscillator_gf3.json"), str(fixtures / "heisenberg_gf3.json")
+    assert run(["--json", "iso", osc, heis]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"isomorphic": False} and err == ""
+
+
 def test_fitting_command(files, capsys):
     tmp, write = files
     path = write("a.json", make_a(Matrix.identity(F3, 2), Matrix(F3, [[0, 1], [2, 0]]), F3))

@@ -13,9 +13,13 @@ or an attribute, imports it or lists it in `__all__`; only the self-test
 functions, which `selftest._check(...)` registers, are exempt.  A method
 of a package class, dunders apart, counts as used when a module of the
 package, the tests or the benchmark (`perfbench/`) reads it as an
-attribute.  The CLI prints a report only through its one renderer."""
+attribute.  The CLI prints a report only through its one renderer.
+Importing the package and its CLI loads neither `dataclasses` nor
+`inspect`: its records are named tuples."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -189,3 +193,15 @@ def test_cli_prints_reports_in_one_renderer():
     prints = _prints(_tree("cli.py"))
     assert {owner for owner, _ in prints} <= {"_emit", "run", "_cmd_selftest"}
     assert all(to_stderr for owner, to_stderr in prints if owner == "run")
+
+
+def test_package_import_loads_no_dataclasses_or_inspect():
+    # a fresh interpreter without `site`, so only the package's own imports
+    # count; `dataclasses` would pull in inspect, ast, dis and tokenize
+    code = (
+        "import sys; sys.path.insert(0, %r); "
+        "import leibniz_algebras, leibniz_algebras.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))" % str(PACKAGE.parent)
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -1,0 +1,191 @@
+"""The abelian-ideal bounds computed from whole operator rows, against the
+formulas they replaced, which are kept here as test-local references.
+
+`linalg._dependencies` finds {x : sum_i x[i] v[i] = 0} from the rows v[i]
+themselves; the reference is `Subspace._kernel` of the transposed rows.
+`algebra.center` and `left_annihilator` are the dependencies among the
+flattened operators L_e_i (+) R_e_i and L_e_i; the references are the
+kernels of the 2n^2 and n^2 condition rows [x, e_j]_k and [e_j, x]_k.
+`invariants._trace_rows` takes each trace Tr(A B) as one dot product of
+dense flattened operators; the reference intersects the nonzero positions
+of A and of B's transpose.  `series` starts the lower central chain at the
+derived chain's [L, L]; the reference walks it from L.  Tables are drawn
+over GF(3), GF(5), GF(7) and QQ, under a random invertible basis change
+over GF(p) and `rational_change` over QQ, left-only actions among them."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leibniz_algebras import invariants
+from leibniz_algebras.algebra import (
+    AlgebraTable,
+    _integer_view,
+    center,
+    direct_sum,
+    left_annihilator,
+    product_space,
+)
+from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2
+from leibniz_algebras.families import abelian_algebra, heisenberg, make_c, make_d, oscillator
+from leibniz_algebras.fields import QQ
+from leibniz_algebras.invariants import _trace_rows, series
+from leibniz_algebras.linalg import Matrix, Subspace, _chain, _dependencies
+
+from conftest import (
+    F3,
+    F5,
+    F7,
+    cycle_actions,
+    family_algebras,
+    identity_actions,
+    left_only_action,
+    left_only_actions,
+)
+
+FIELDS = (F3, F5, F7, QQ)
+
+drawn_tables = st.one_of(
+    family_algebras(FIELDS),
+    identity_actions(FIELDS),
+    cycle_actions(FIELDS),
+    left_only_actions(FIELDS),
+)
+
+
+def fresh(L):
+    """The same table with an empty per-table cache."""
+    return AlgebraTable._canonical(L.field, L.c, name=L.name)
+
+
+# -- references: the formulas the whole-row code replaced ----------------------
+
+
+def ref_center(L):
+    n, c = L.dim, _integer_view(L)[1]
+    rows = []
+    for j in range(n):
+        for k in range(n):
+            rows.append([c[i][j][k] for i in range(n)])  # [x, e_j]_k
+            rows.append([c[j][i][k] for i in range(n)])  # [e_j, x]_k
+    return Subspace._kernel(L.field, n, rows)
+
+
+def ref_left_annihilator(L):
+    n, c = L.dim, _integer_view(L)[1]
+    rows = [[c[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
+    return Subspace._kernel(L.field, n, rows)
+
+
+def ref_trace_rows(L):
+    p, c, n = L.field.p, _integer_view(L)[1], L.dim
+    cols = [[c[i][k] for k in range(n)] for i in range(n)]
+    cols += [[c[k][i] for k in range(n)] for i in range(n)]
+    flat = [{t: x for t, x in enumerate(sum(zip(*cs), ())) if x} for cs in cols]
+    flat_t = [{t: x for t, x in enumerate(sum(cs, ())) if x} for cs in cols]
+    T = [[0] * (2 * n) for _ in range(2 * n)]
+    for a, A in enumerate(flat):
+        for b in range(a, 2 * n):
+            B = flat_t[b]
+            T[a][b] = T[b][a] = sum(A[t] * B[t] for t in A.keys() & B.keys())
+    diagonal = range(0, n * n, n + 1)
+    funcs = [[sum(A.get(t, 0) for t in diagonal) for A in flat[m : m + n]] for m in (0, n)]
+    funcs += [[T[m + i][b] for i in range(n)] for m in (0, n) for b in range(2 * n)]
+    return funcs if p is None else [[x % p for x in f] for f in funcs]
+
+
+def ref_lower_central_chain(L):
+    full = L.full_space()
+    return tuple(_chain(full, lambda C: product_space(L, full, C)))
+
+
+# -- the dependency helper -------------------------------------------------------
+
+
+@st.composite
+def row_sets(draw, shape):
+    """(field, rows): n rows of m entries, residues over GF(p) and ints over
+    QQ, n > m for "tall", n = m for "square" and n < m for "short".  The
+    rows are combinations of r <= min(n, m) drawn rows, so dependencies
+    show up whenever r < n."""
+    F = draw(st.sampled_from(FIELDS))
+    m = draw(st.integers(1, 6))
+    n = {"tall": draw(st.integers(m + 1, m + 4)), "square": m, "short": draw(st.integers(0, m - 1))}[shape]
+    entries = st.integers(0, F.p - 1) if F.is_prime_field else st.integers(-3, 3)
+    r = draw(st.integers(0, min(n, m)))
+    gens = [[draw(entries) for _ in range(m)] for _ in range(r)]
+    coeffs = [[draw(entries) for _ in range(r)] for _ in range(n)]
+    rows = [[sum(a * g[k] for a, g in zip(co, gens)) for k in range(m)] for co in coeffs]
+    if F.is_prime_field:
+        rows = [[x % F.p for x in row] for row in rows]
+    return F, rows
+
+
+@pytest.mark.parametrize("shape", ["tall", "square", "short"])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_dependencies_are_the_kernel_of_the_transpose(shape, data):
+    F, rows = data.draw(row_sets(shape))
+    n, m = len(rows), len(rows[0]) if rows else 0
+    transposed = [[row[k] for row in rows] for k in range(m)]
+    assert _dependencies(F, rows) == Subspace._kernel(F, n, transposed)
+
+
+# -- center, left annihilator, trace rows and series on drawn tables --------------
+
+
+@settings(max_examples=120)
+@given(drawn_tables)
+def test_operator_rows_match_the_condition_rows(L):
+    assert center(fresh(L)) == ref_center(L)
+    assert left_annihilator(fresh(L)) == ref_left_annihilator(L)
+    assert _trace_rows(fresh(L)) == ref_trace_rows(L)
+    assert series(fresh(L)).lower_central_chain == ref_lower_central_chain(L)
+
+
+def special_tables():
+    """Perfect, abelian, nilpotent and one-sided tables on each field: the
+    lower central chain stops at L, ends at once, ends after a few steps,
+    or stalls."""
+    for F in FIELDS:
+        rot = rotation_2x2(F)
+        yield "perfect", make_d(rot, F)
+        yield "d(rot)+F", direct_sum(make_d(rot, F), abelian_algebra(1, F))
+        yield "abelian-3", abelian_algebra(3, F)
+        yield "abelian-0", abelian_algebra(0, F)
+        yield "heisenberg", heisenberg(F)
+        yield "heisenberg+F^2", direct_sum(heisenberg(F), abelian_algebra(2, F))
+        yield "c(rot)", make_c(rot, F)
+        yield "rotext", heisenberg_rotation_extension(F)
+        yield "oscillator", oscillator(F)
+        yield "left-only", left_only_action(Matrix(F, [[1, 2, 0], [0, 0, 1], [0, 0, 0]]), F)
+
+
+@pytest.mark.parametrize(
+    "name, L", list(special_tables()), ids=lambda v: v if isinstance(v, str) else repr(v.field)
+)
+def test_lower_central_chain_on_perfect_abelian_and_nilpotent_tables(name, L):
+    rep = series(fresh(L))
+    assert rep.lower_central_chain == ref_lower_central_chain(L)
+    assert center(fresh(L)) == ref_center(L)
+    assert left_annihilator(fresh(L)) == ref_left_annihilator(L)
+    assert _trace_rows(fresh(L)) == ref_trace_rows(L)
+    if name == "perfect":
+        assert rep.derived_dims == rep.lower_central_dims == (3,)
+
+
+def test_series_brackets_L_with_itself_once(monkeypatch):
+    """[L, L] starts both chains: `series` runs product_space(L, full,
+    full) once per table, where walking both chains from L ran it twice."""
+    calls = []
+
+    def counting(L, U, V):
+        calls.append(U.dim == V.dim == L.dim)
+        return product_space(L, U, V)
+
+    monkeypatch.setattr(invariants, "product_space", counting)
+    for F in FIELDS:
+        for L in (heisenberg_rotation_extension(F), make_d(rotation_2x2(F), F), abelian_algebra(2, F)):
+            calls.clear()
+            series(fresh(L))
+            assert calls.count(True) == 1, (F, L)

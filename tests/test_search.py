@@ -19,7 +19,7 @@ from leibniz_algebras.catalog import (
     standard_fixtures,
 )
 from leibniz_algebras.classify import classify, solvability_from_codim2_ideal
-from leibniz_algebras.errors import BudgetExceededError
+from leibniz_algebras.errors import BudgetExceededError, FieldMismatchError
 from leibniz_algebras.families import (
     abelian_algebra,
     heisenberg,
@@ -32,6 +32,7 @@ from leibniz_algebras.families import (
 from leibniz_algebras.fields import QQ
 from leibniz_algebras.linalg import Matrix, Subspace, enumerate_subspaces, subspace_sum
 from leibniz_algebras.search import (
+    IsoResult,
     _abelian_hyperplanes,
     _first_abelian_ideal,
     _request,
@@ -407,9 +408,13 @@ def test_iso_span_equal_pair_tables():
     assert res.isomorphic
 
 
-def test_iso_mismatched_dims_rejected():
-    with pytest.raises(ValueError):
-        iso_search(heisenberg(F3), abelian_algebra(4, F3))
+def test_iso_mismatched_dims_not_isomorphic():
+    # tables of different dimensions are a negative answer, over either
+    # field, with no search; two fields are still a FieldMismatchError
+    for F in (F3, QQ):
+        assert iso_search(heisenberg(F), abelian_algebra(4, F)) == IsoResult(False, None)
+    with pytest.raises(FieldMismatchError):
+        iso_search(heisenberg(F3), abelian_algebra(4, QQ))
 
 
 def test_iso_budget(rng):
