@@ -67,7 +67,13 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from .search import DEFAULT_SCAN_BUDGET, _first_abelian_ideal, _request, alpha
+from .search import (
+    DEFAULT_SCAN_BUDGET,
+    _first_abelian_ideal,
+    _request,
+    _top_strata,
+    _walk_strata,
+)
 
 
 class Case(Enum):
@@ -461,6 +467,26 @@ def _derived_subalgebra(rep: SeriesReport) -> Subspace:
     return rep.derived_chain[1] if len(rep.derived_chain) > 1 else rep.derived_chain[0]
 
 
+def _alpha_and_ideal(L: AlgebraTable, A: Subspace | None):
+    """alpha over GF(p), and the first abelian ideal of dimension n-2 when
+    alpha = n-2 and one exists, else None, in the open request.
+
+    Strata n and n-1 are decided from the structure slices
+    (`search._top_strata`).  If both are empty, they hold no abelian
+    ideal, so `search._first_abelian_ideal` finds the first of stratum n-2
+    without a walk, and that ideal, or a supplied witness A, abelian of
+    codimension 2, proves alpha = n-2.  Only without either are the strata
+    <= n-2 walked (`search._walk_strata`)."""
+    n = L.dim
+    d = _top_strata(L)[0]
+    if d is not None:
+        return d, None
+    ideal = _first_abelian_ideal(L, (n - 2,))[1]
+    if ideal is not None or A is not None:
+        return n - 2, ideal
+    return _walk_strata(L)[0], None
+
+
 def classify(
     L: AlgebraTable,
     A: Subspace | None = None,
@@ -470,17 +496,19 @@ def classify(
     """Classify an algebra whose maximal abelian subalgebra has codimension 2.
 
     Over a prime field everything is decided exhaustively, in one request
-    whose `budget` bounds the subspaces counted: alpha (`search.alpha`), then,
-    when alpha = n-2, the abelian ideals of dimension n-2.  Strata n and
-    n-1 hold no abelian subalgebra, so every abelian ideal of dimension n-2
+    whose `budget` bounds the subspaces counted (`_alpha_and_ideal`):
+    strata n and n-1 of alpha from the structure slices, then, when both
+    are empty, the abelian ideals of dimension n-2.  Every such ideal
     contains the center and lies in the trace kernel, and only the
     subspaces between the two are tested (`search._first_abelian_ideal`);
-    the stratum is debited as a walk of it would count.  The nilradical
-    counts nothing.  Over the rationals a codimension-2 abelian subalgebra
-    witness A is required and alpha = n-2 is assumed, not checked; an
-    abelian ideal is looked for among A and center(L) + [L, L], then the
-    exact nilradical (`invariants.nilradical`) and the matchers decide, and
-    every reported structure is checked.  A supplied nilradical candidate
+    the stratum is debited as a walk of it would count.  An ideal found
+    there, or a witness A, proves alpha = n-2 with no walk; otherwise the
+    strata <= n-2 are walked for alpha.  The nilradical counts nothing.
+    Over the rationals a codimension-2 abelian subalgebra witness A is
+    required and alpha = n-2 is assumed, not checked; an abelian ideal is
+    looked for among A and center(L) + [L, L], then the exact nilradical
+    (`invariants.nilradical`) and the matchers decide, and every reported
+    structure is checked.  A supplied nilradical candidate
     is checked once, whatever the verdict: it must equal the exact
     nilradical, or ValueError is raised.  A negative budget is a ValueError
     over either field.
@@ -502,16 +530,13 @@ def classify(
         raise ValueError("over the rationals an abelian codimension-2 witness is required")
 
     with _request(budget):
-        # a trusted hypothesis over the rationals
-        diagnostics["alpha"] = alpha(L).alpha if F.is_prime_field else n - 2
-        applicable = diagnostics["alpha"] == n - 2
-        if not applicable:
-            ideal_witness = None
-        elif F.is_prime_field:
-            # alpha = n-2: strata n and n-1 hold no abelian subalgebra
-            ideal_witness = _first_abelian_ideal(L, (n - 2,))[1]
+        if F.is_prime_field:
+            diagnostics["alpha"], ideal_witness = _alpha_and_ideal(L, A)
         else:
+            # a trusted hypothesis over the rationals
+            diagnostics["alpha"] = n - 2
             ideal_witness = _codim2_abelian_ideal_qq(L, A)
+        applicable = diagnostics["alpha"] == n - 2
         if nilradical_candidate is not None or (applicable and ideal_witness is None):
             N = nilradical(L)
             if nilradical_candidate not in (None, N):

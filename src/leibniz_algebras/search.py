@@ -28,13 +28,17 @@ The top-down abelian-ideal searches (`beta`, `classify`'s stratum n-2,
 holds an abelian ideal, every abelian ideal of dimension d contains the
 center C(L), as I + C(L) is an abelian ideal, so it lies between C(L) and
 K; `_first_abelian_ideal` tests only those candidates.  `alpha` walks no
-stratum above n-2.  Stratum n holds an abelian subalgebra iff every
-structure constant is 0.  An abelian hyperplane ker f makes every slice
-C_k = (c_ijk)_ij of the structure tensor f a^T + b f^T, in every
-characteristic, so f lies in the row or the column space of any nonzero
-slice, and those at most 2(p+1) lines are stratum n-1's only candidates
-(`_abelian_hyperplanes`).  A stratum that is not walked is debited what
-its walk would count (`_debit_first`).
+stratum above n-2 (`_top_strata`).  Stratum n holds an abelian subalgebra
+iff every structure constant is 0.  An abelian hyperplane ker f makes
+every slice C_k = (c_ijk)_ij of the structure tensor f a^T + b f^T, in
+every characteristic, so f lies in the row or the column space of any
+nonzero slice, and those at most 2(p+1) lines are stratum n-1's only
+candidates (`_abelian_hyperplanes`).  A stratum that is not walked is
+debited what its walk would count (`_debit_first`).  `classify` walks
+less still: once strata n and n-1 are empty, an abelian ideal of
+dimension n-2, or a supplied codimension-2 abelian witness, proves alpha =
+n-2, and only without either are the strata <= n-2 walked
+(`_walk_strata`).
 
 One budget bounds a whole request.  Every public entry point that scans,
 here and in `classify`, opens a request ledger with its `budget`; every
@@ -125,9 +129,9 @@ def _request(budget: int):
     """The ledger of one request: scans inside the block, by callees too,
     debit `budget`.  A block opened inside an open one shares the open
     ledger and ignores its own `budget`, so a nested call (`alpha` inside
-    `alpha_beta` or `classify`) scans within what is left of the outer
-    request's budget, as if it had been passed that remainder.  A negative
-    `budget` is a ValueError in every block."""
+    `alpha_beta`) scans within what is left of the outer request's budget,
+    as if it had been passed that remainder.  A negative `budget` is a
+    ValueError in every block."""
     _check_budget(budget)
     if _budget_left.get(None) is not None:
         yield
@@ -229,24 +233,26 @@ def _abelian_hyperplanes(L: AlgebraTable) -> list[Subspace]:
     return out
 
 
-def _first_hit(L: AlgebraTable):
-    """alpha's downward search for an abelian subalgebra: (d, witness,
-    scanned) for the first stratum with one, the witness its canonically
-    first hit, as a walk of strata n, n-1, .., 0 counts it.
-
-    Strata n and n-1 are decided without a walk: stratum n holds a hit iff
-    every structure constant is 0, and stratum n-1's hits are
-    `_abelian_hyperplanes`; each is debited what its walk would count.
-    Only the strata <= n-2 are walked."""
+def _top_strata(L: AlgebraTable):
+    """Strata n and n-1 of alpha's downward search, decided without a walk:
+    (d, witness, scanned) for the first with an abelian subalgebra, the
+    witness its canonically first hit, or (None, None, scanned).  Stratum n
+    holds a hit iff every structure constant is 0, and stratum n-1's hits
+    are `_abelian_hyperplanes`; each is debited what its walk would count."""
     n = L.dim
     if not any(cij for ci in _integer_view(L)[2] for cij in ci):
         return (n, *_debit_first(L, n, [L.full_space()]))
     total = _debit_first(L, n, [])[1]
     first, scanned = _debit_first(L, n - 1, _abelian_hyperplanes(L))
-    total += scanned
-    if first is not None:
-        return n - 1, first, total
-    for d in range(n - 2, -1, -1):
+    return (None if first is None else n - 1), first, total + scanned
+
+
+def _walk_strata(L: AlgebraTable):
+    """Walk strata n-2, n-3, .., 0 for an abelian subalgebra: (d, witness,
+    scanned) for the first stratum with one, the witness its canonically
+    first hit, or (None, None, scanned)."""
+    total = 0
+    for d in range(L.dim - 2, -1, -1):
         scanned, subs = _scan_dim(L, d, MODE_ABELIAN, 1)
         total += scanned
         if subs:
@@ -312,13 +318,17 @@ def _first_abelian_ideal(L: AlgebraTable, dims):
 
 
 def alpha(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
-    """Largest dimension of an abelian subalgebra, searched downward by
-    `_first_hit`: strata n and n-1 are decided from one structure slice,
-    only the strata <= n-2 are walked, and `scanned` counts what a walk of
-    every stratum would."""
+    """Largest dimension of an abelian subalgebra, searched downward, the
+    witness the canonically first hit: strata n and n-1 are decided from
+    one structure slice (`_top_strata`), only the strata <= n-2 are walked
+    (`_walk_strata`), and `scanned` counts what a walk of every stratum
+    would."""
     _require_prime_field(L, "alpha")
     with _request(budget):
-        d, W, total = _first_hit(L)
+        d, W, total = _top_strata(L)
+        if W is None:
+            d, W, walked = _walk_strata(L)
+            total += walked
     if W is None:
         raise ConsistencyError("no abelian subalgebra found, not even zero")
     return SearchResult(alpha=d, alpha_witness=W, exhaustive=True, scanned=total)

@@ -326,15 +326,20 @@ def _one_budget(rng, fast):
 
 @_check("classifier verdicts on the fixture sweep")
 def _classify_sweep(rng, fast):
+    # classify proves alpha = n-2 by an abelian ideal before any walk; its
+    # alpha must be the one `alpha` walks for, disguised or not
     F = GF(3)
-    for L in standard_fixtures(F, max_dim=4 if fast else 5):
-        v = classify(L)
-        if v.case is Case.NOT_APPLICABLE:
-            continue
-        rep = verify_main_theorem(L)
-        if not rep.ok:
-            bad = [c.name for c in rep.claims if c.status == "fail"]
-            return "theorem claims failed for %s: %s" % (L.name, bad)
+    for L0 in standard_fixtures(F, max_dim=4 if fast else 5):
+        for L in (L0, change_of_basis(L0, _rand_invertible(F, L0.dim, rng))):
+            v = classify(L)
+            if v.diagnostics["alpha"] != alpha(L).alpha:
+                return "classify and alpha disagree on alpha for %s" % L0.name
+            if v.case is Case.NOT_APPLICABLE:
+                continue
+            rep = verify_main_theorem(L)
+            if not rep.ok:
+                bad = [c.name for c in rep.claims if c.status == "fail"]
+                return "theorem claims failed for %s: %s" % (L0.name, bad)
     return None
 
 

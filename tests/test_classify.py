@@ -2,11 +2,13 @@ import random
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from leibniz_algebras import algebra, invariants
+from leibniz_algebras import algebra, invariants, search
 from leibniz_algebras.algebra import (
     AlgebraTable,
     center,
@@ -57,7 +59,13 @@ from leibniz_algebras.linalg import (
     gaussian_binomial,
     is_irreducible_quadratic,
 )
-from leibniz_algebras.search import all_abelian_ideals, all_abelian_subalgebras, alpha, beta
+from leibniz_algebras.search import (
+    _first_abelian_ideal,
+    all_abelian_ideals,
+    all_abelian_subalgebras,
+    alpha,
+    beta,
+)
 from leibniz_algebras.serialize import parse_algebra
 
 from conftest import (
@@ -66,7 +74,10 @@ from conftest import (
     F5,
     F7,
     carried,
+    cycle_actions,
     family_algebras,
+    identity_actions,
+    left_only_actions,
     one_budget_algebras,
     rand_invertible,
     rational_change,
@@ -449,17 +460,26 @@ def test_classify_qq_blames_the_center_as_nilradical_candidate(k, seed):
 
 
 def test_classify_checks_a_candidate_whatever_the_verdict():
-    # a(id,rot) has an abelian ideal of codimension 2 and heisenberg has
-    # alpha = n-1: both verdicts are reached without the nilradical
-    for L, case in (
-        (make_a(Matrix.identity(F3, 2), ROT3, F3), Case.ABELIAN_IDEAL_CODIM_LE2),
-        (heisenberg(F3), Case.NOT_APPLICABLE),
+    # none of these verdicts needs the nilradical: a(id,rot) and a(id,rot)
+    # (+) F have an abelian ideal of codimension 2, which proves alpha = n-2
+    # with no walk, as does a witness; heisenberg has alpha = n-1, from the
+    # structure slices; d(rot) (+) d(rot) has alpha = 2 < n-2, from a walk
+    a = make_a(Matrix.identity(F3, 2), ROT3, F3)
+    ideal = Case.ABELIAN_IDEAL_CODIM_LE2
+    for L, A, case in (
+        (a, None, ideal),
+        (direct_sum(a, abelian_algebra(1, F3)), None, ideal),
+        (a, span(F3, 4, (0, 0, 1, 0), (0, 0, 0, 1)), ideal),
+        (heisenberg(F3), None, Case.NOT_APPLICABLE),
+        (direct_sum(make_d(ROT3, F3), make_d(ROT3, F3)), None, Case.NOT_APPLICABLE),
     ):
-        verdict = classify(L)
+        verdict = classify(L, A=A)
         assert verdict.case is case
+        N = nilradical(L)
+        wrong = L.full_space() if N.dim == 0 else Subspace.zero(F3, L.dim)
         with pytest.raises(ValueError, match="not the nilradical"):
-            classify(L, nilradical_candidate=Subspace.zero(F3, L.dim))
-        assert classify(L, nilradical_candidate=nilradical(L)) == verdict
+            classify(L, A=A, nilradical_candidate=wrong)
+        assert classify(L, A=A, nilradical_candidate=N) == verdict
 
 
 def test_classify_gf_rejects_wrong_nilradical_candidate():
@@ -505,6 +525,99 @@ def test_classify_scans_only_the_codim2_ideal_stratum(name):
     _, total = scanned_by(lambda: classify(L))
     _, in_alpha = scanned_by(lambda: alpha(L))
     assert total == in_alpha + gaussian_binomial(n, n - 2, p)
+
+
+def _pinned_algebras():
+    """GF(3) tables whose classify debits changed when abelian ideals began
+    to prove alpha = n-2 before any walk, with what they debit now."""
+    a = make_a(Matrix.identity(F3, 2), ROT3, F3)
+    d = make_d(ROT3, F3)
+    return {
+        # strata n and n-1 (1 + 121) and the first abelian ideal's index + 1
+        # (1210); 2305 while alpha's walk ran first
+        "a(id,rot)+F": (direct_sum(a, abelian_algebra(1, F3)), 1332),
+        # alpha = 2 < n-2: the walk, and now also the abelian-ideal stratum
+        # n-2 searched before it, its Gaussian binomial 11011; 54005 before
+        "d(rot)+d(rot)": (direct_sum(d, d), 65016),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_pinned_algebras()))
+def test_classify_debits_pinned(name):
+    L, total = _pinned_algebras()[name]
+    verdict, debited = scanned_by(lambda: classify(L))
+    assert debited == total
+    assert classify(L, budget=total) == verdict
+    with pytest.raises(BudgetExceededError):
+        classify(L, budget=total - 1)
+
+
+def _alpha_first(L, A):
+    """`classify`'s `_alpha_and_ideal` in the order it once ran: alpha's
+    search first, walk included, then, when alpha = n-2, the first abelian
+    ideal of stratum n-2."""
+    d = alpha(L).alpha
+    return d, (_first_abelian_ideal(L, (L.dim - 2,))[1] if d == L.dim - 2 else None)
+
+
+@st.composite
+def alpha_below_sums(draw):
+    """Direct sums with alpha < n-2 under a seeded basis change: d(rot)
+    (+) d(rot) (n = 6, alpha = 2) over GF(3) and GF(5), d(rot) (+) c(rot)
+    and rotext (+) d(rot) (n = 7, alpha = 3) over GF(3)."""
+    F = draw(st.sampled_from([F3, F5]))
+    rot = rotation_2x2(F)
+    d = make_d(rot, F)
+    others = [d]
+    if F is F3:
+        others += [make_c(rot, F), heisenberg_rotation_extension(F)]
+    L = direct_sum(d, draw(st.sampled_from(others)))
+    return change_of_basis(L, rand_invertible(F, L.dim, random.Random(draw(st.integers(0, 2**32)))))
+
+
+def test_classify_agrees_with_alpha_first_and_ideals_walk_nothing():
+    # the verdict of the reordered search equals the one of alpha first;
+    # an abelian ideal of codimension 2, or a witness, proves alpha = n-2,
+    # so those answers call the scan kernel not once
+    seen = Counter()
+
+    @settings(max_examples=200)
+    @given(
+        st.one_of(
+            family_algebras((F3, F5, F7)),
+            identity_actions(),
+            cycle_actions(),
+            left_only_actions(),
+            alpha_below_sums(),
+        )
+    )
+    def check(L):
+        n = L.dim
+        with mock.patch.dict(classify.__globals__, {"_alpha_and_ideal": _alpha_first}):
+            want = classify(L)
+        found = alpha(L)
+        # a codimension-2 subspace of alpha's witness, when it has one
+        rows = found.alpha_witness.basis.data[: n - 2] if found.alpha >= n - 2 else None
+        scans = []
+        real = search.scan_subspaces
+        with mock.patch.object(search, "scan_subspaces", lambda *a: scans.append(a) or real(*a)):
+            got = classify(L)
+            walks = len(scans)
+            if rows is not None:
+                with_witness = classify(L, A=Subspace.from_vectors(L.field, n, rows))
+        assert repr(got) == repr(want)
+        if got.case is Case.ABELIAN_IDEAL_CODIM_LE2:
+            assert walks == 0
+        if rows is not None:
+            assert repr(with_witness) == repr(want)
+            assert len(scans) == walks
+        seen[got.case, walks > 0] += 1
+
+    check()
+    # ideal answers without a walk, frame answers and alpha < n-2 with one
+    assert seen[Case.ABELIAN_IDEAL_CODIM_LE2, False]
+    assert seen[Case.NOT_APPLICABLE, True] and seen[Case.NOT_APPLICABLE, False]
+    assert sum(seen[case, True] for case in (Case.CASE1_C, Case.CASE2_D, Case.CASE3_E))
 
 
 # -- solvability from a codimension-2 abelian ideal -----------------------------------

@@ -4,10 +4,18 @@ from pathlib import Path
 
 import pytest
 
-from leibniz_algebras.algebra import change_of_basis, is_leibniz
+from leibniz_algebras.algebra import change_of_basis, direct_sum, is_leibniz
 from leibniz_algebras.catalog import heisenberg_rotation_extension, nonideal_codim2_example
 from leibniz_algebras.cli import run
-from leibniz_algebras.families import heisenberg, make_a, make_c, make_d, oscillator, raw_pair_table
+from leibniz_algebras.families import (
+    abelian_algebra,
+    heisenberg,
+    make_a,
+    make_c,
+    make_d,
+    oscillator,
+    raw_pair_table,
+)
 from leibniz_algebras.fields import QQ
 from leibniz_algebras.invariants import nilradical
 from leibniz_algebras.linalg import Matrix
@@ -159,14 +167,26 @@ def test_classify_qq_candidate_the_partial_certificate_passed_exits_2(files, k, 
     assert run(args + ["--nilradical", _subspace_arg(C)]) == 2
 
 
-def test_classify_checks_a_candidate_whatever_the_verdict(files):
+def test_classify_checks_a_candidate_whatever_the_verdict(files, capsys):
     tmp, write = files
-    # AbelianIdealCodimLe2 exits 0, NotApplicable 1
-    for L, code in ((make_a(Matrix.identity(F3, 2), Matrix(F3, [[0, 1], [2, 0]]), F3), 0),
-                    (heisenberg(F3), 1)):
+    # AbelianIdealCodimLe2 exits 0, NotApplicable 1; an abelian ideal or a
+    # witness proves alpha = n-2 with no walk, and d(rot) (+) d(rot) walks
+    rot = Matrix(F3, [[0, 1], [2, 0]])
+    a = make_a(Matrix.identity(F3, 2), rot, F3)
+    d = make_d(rot, F3)
+    for L, witness, code in ((a, [], 0),
+                             (direct_sum(a, abelian_algebra(1, F3)), [], 0),
+                             (a, ["--witness", "0,0,1,0;0,0,0,1"], 0),
+                             (heisenberg(F3), [], 1),
+                             (direct_sum(d, d), [], 1)):
         path = write("l.json", L)
-        assert run(["classify", path, "--nilradical", ",".join("0" * L.dim)]) == 2
-        assert run(["classify", path, "--nilradical", _subspace_arg(nilradical(L))]) == code
+        N = nilradical(L)
+        zero = ",".join("0" * L.dim)
+        wrong = _subspace_arg(L.full_space()) if N.dim == 0 else zero
+        assert run(["classify", path, "--nilradical", wrong] + witness) == 2
+        assert "not the nilradical" in capsys.readouterr().err
+        right = _subspace_arg(N) if N.dim else zero
+        assert run(["classify", path, "--nilradical", right] + witness) == code
 
 
 def test_classify_with_witness_over_rationals(files, capsys):
