@@ -24,6 +24,17 @@ that a rescaled generator does not change (`product_space`, `is_subalgebra`,
 `is_ideal`, `is_abelian_subspace`, `center`, `squares_ideal`, `centralizer`,
 `normalizer`) never divide.  Fractions are built only where a value is
 returned.
+
+The Leibniz check (`leibniz_failure`) runs in packed integer words.  For
+each i the defects D_i(j, k, t) of [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] +
+[e_j, [e_i, e_k]] at coordinate t are the W-bit fields of one int, field
+(j, k, t) at bit W ((j n + k) n + t), built as sum_(b, t) c_ibt Z_bt from
+n^2 packed words Z_bt that are masked and shifted out of one packing of the
+table.  Over QQ the fields are the exact signed defects, |D| <= 3 n max|c|^2
+< 2^W.  Over GF(p) they are nonnegative, congruent to D mod p and below
+2^N, N = bitlen(n (p-1)^2 (2p-1)), and W = 2N + 1 leaves room for a
+multiply-shift that takes every field mod p at once.  The lowest set bit of
+the first nonzero remainder names the first failing triple.
 """
 
 from __future__ import annotations
@@ -207,37 +218,108 @@ def _scaled_bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
     return tuple(out) if p is None else tuple(x % p for x in out)
 
 
+def _ones(count: int, width: int) -> int:
+    """The packed int with `count` fields of `width` bits, each holding 1."""
+    return ((1 << width * count) - 1) // ((1 << width) - 1)
+
+
 @_per_table
 def leibniz_failure(L: AlgebraTable) -> tuple | None:
     """First basis triple (i, j, k) violating the left Leibniz rule, or None.
 
-    Trilinearity makes checking basis triples sufficient.  Checks
-    [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] + [e_j, [e_i, e_k]] on the
-    nonzero structure constants, triples in (i, j, k) order.  Every term is
-    a product of two structure constants, so over QQ the check runs on the
-    integer table D*c (`_integer_view`), where each side is D^2 times the
-    rational one: the same triples fail, with no Fraction arithmetic.
+    Trilinearity makes checking basis triples sufficient.  On basis
+    vectors the rule [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] + [e_j, [e_i, e_k]]
+    says that the defect
+
+        D_i(j, k, t) = T1 - T2 - T3,   T1 = sum_m c_jkm c_imt,
+                       T2 = sum_m c_ijm c_mkt,   T3 = sum_m c_ikm c_jmt
+
+    vanishes for every (j, k, t).  Every term is a product of two structure
+    constants, so over QQ the check runs on the integer table D*c
+    (`_integer_view`), where the defect is D^2 times the rational one: the
+    same triples fail, with no Fraction arithmetic.
+
+    Packed words.  For each i the n^3 values D_i(j, k, t) are the fields of
+    one int X_i, W bits each, field (j, k, t) at bit W ((j n + k) n + t).
+    Each term has exactly one constant with first index i, so X_i is linear
+    in the slice c_i.. : X_i = sum_(b, t) c_ibt Z_bt, where Z_bt packs what
+    c_ibt multiplies: c_jkb at fields (j, k, t) (T1, m = b), c_tk. at fields
+    (b, k, .) (T2, j = b, m = t) and c_jt. at fields (j, b, .) (T3, k = b,
+    m = t).  The three pieces are masked and shifted out of one packing of
+    the whole table, whose field (a, b, t) holds c_abt: fields (j, k, m) at
+    shift m, the block of a = t, and fields (j, t, .) at shift n t.  So a
+    table costs O(nnz + n^2) big-int operations for O(n^4) products.
+
+    Widths and the test.  Over QQ the terms enter with the sign -1 and a
+    field of X_i is the exact defect, |D| <= B = 3 n max|c|^2, so W is the
+    bit length of B: a sum of fields below 2^W in absolute value is 0 only
+    when every field is, and its lowest set bit lies in its first nonzero
+    field.  (The packing of c itself is offset by max|c| in every field, so
+    that masking works, as 2 max|c| <= B, and the offset is taken off the
+    masked pieces.)
+    Over GF(p), where the constants are residues in [0, p), T2 and T3 enter
+    with the factor p - 1 = -1 mod p: the fields of X_i are nonnegative,
+    congruent to D mod p and below 2^N, N the bit length of
+    n (p-1)^2 (2p-1).  The residue step divides every field at once
+    (Granlund and Montgomery, PLDI 1994): with s = N + bitlen(p) and
+    M = ceil(2^s / p), (x M) >> s = x // p for every x < 2^N, so with
+    W = 2N + 1 the quotient of each field lands below bit W - s of its own
+    field, Q = ((X_i M) >> s) & low keeps exactly those bits, and
+    X_i - p Q holds every field mod p.
+
+    The first i with a nonzero remainder is the first failing i, and the
+    remainder's lowest set bit names its first failing (j, k): the triples
+    fail in (i, j, k) order.
     """
+    n = L.dim
+    if not n:
+        return None
     p = L.field.p
     products = _integer_view(L)[2]
-    n = L.dim
-    for i in range(n):
-        Pi = products[i]
-        for j in range(n):
-            Pj = products[j]
-            for k in range(n):
-                diff = [0] * n
-                for m, c in Pj[k]:
-                    for t, d in Pi[m]:
-                        diff[t] += c * d
-                for m, c in Pi[j]:
-                    for t, d in products[m][k]:
-                        diff[t] -= c * d
-                for m, c in Pi[k]:
-                    for t, d in Pj[m]:
-                        diff[t] -= c * d
-                if any(diff) if p is None else any(x % p for x in diff):
-                    return (i, j, k)
+    if p is None:
+        bias = max((abs(x) for ci in products for cij in ci for _, x in cij), default=0)
+        W = (3 * n * bias * bias).bit_length() or 1
+        sign = -1
+    else:
+        N = (n * (p - 1) ** 2 * (2 * p - 1)).bit_length()
+        s = N + p.bit_length()
+        W = 2 * N + 1
+        bias, sign = 0, p - 1
+    Wn = W * n
+    Wnn = Wn * n
+    unit = _ones(n * n * n, W)
+    packed = bias * unit + sum(
+        x << W * ((a * n + b) * n + t)
+        for a, ci in enumerate(products) for b, cab in enumerate(ci) for t, x in cab
+    )
+
+    def pieces(step, mask, factor):
+        # factor * (the fields of c under mask, shifted down by step * m), m < n
+        offset = bias * (mask & unit)
+        return [factor * (((packed >> step * m) & mask) - offset) for m in range(n)]
+
+    # per m: c_jkm at fields (j, k, 0), c_m.. at fields (0, ., .) and c_jm.
+    # at fields (j, 0, .); T2 and T3 carry their sign
+    t1 = pieces(W, ((1 << W) - 1) * _ones(n * n, Wn), 1)
+    t2 = pieces(Wnn, (1 << Wnn) - 1, sign)
+    t3 = pieces(Wn, ((1 << Wn) - 1) * _ones(n, Wnn), sign)
+    Z = [
+        [(t1[b] << W * t) + (t2[t] << Wnn * b) + (t3[t] << Wn * b) for t in range(n)]
+        for b in range(n)
+    ]
+    if p is not None:
+        M = -(-(1 << s) // p)
+        low = ((1 << W - s) - 1) * unit
+    for i, ci in enumerate(products):
+        X = 0
+        for Zb, cib in zip(Z, ci):
+            for t, x in cib:
+                X += x * Zb[t]
+        if p is not None:
+            X -= p * ((X * M >> s) & low)
+        if X:
+            f = ((X & -X).bit_length() - 1) // Wn
+            return (i, f // n, f % n)
     return None
 
 

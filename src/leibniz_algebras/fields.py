@@ -23,18 +23,37 @@ _QQ_ZERO = Fraction(0)
 _QQ_ONE = Fraction(1)
 
 
+# The strong probable-prime test to all of these bases is passed by no odd
+# composite below _PRIME_BOUND, the least one that passes it (OEIS A014233).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality for n < _PRIME_BOUND: trial division by the bases,
+    then the Miller-Rabin test to each base.  Raises ValueError for
+    n >= _PRIME_BOUND, where the test would be a guess."""
+    if n >= _PRIME_BOUND:
+        raise ValueError(
+            "primality of %d is not decided: the test is exact below %d" % (n, _PRIME_BOUND)
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> r
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

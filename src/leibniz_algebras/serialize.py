@@ -52,7 +52,11 @@ def _parse_field(obj, strict: bool) -> FieldSpec:
         p = obj.get("p")
         if not isinstance(p, int) or isinstance(p, bool):
             _fail("'p' must be an integer")
-        if not is_prime(p):
+        try:
+            prime = is_prime(p)
+        except ValueError as exc:
+            _fail(str(exc))
+        if not prime:
             _fail("composite modulus %r" % (p,))
         return FieldSpec.prime(p)
     _fail("unknown field kind %r" % (kind,))

@@ -1,15 +1,17 @@
 """Differential tests of the exact-arithmetic layer against naive references.
 
-`bracket`, `leibniz_failure` and `Subspace.from_vectors` work on cached
-sparse products and inline field arithmetic; here each is compared with a
-test-local reference that coerces every scalar itself, computes with
-`Fraction`s and reduces mod p at the end.  The frame check `_is_frame`,
-which never inverts its matrix, is compared with `change_of_basis`.  Inputs mix canonical scalars with
-non-canonical ones (ints outside [0, p), ints over QQ, strings, fractions
-over GF(p)), and tables are drawn both at random (mostly not Leibniz) and
+`bracket` and `Subspace.from_vectors` work on cached sparse products and
+inline field arithmetic, `leibniz_failure` on packed integer words; here
+each is compared with a test-local reference that coerces every scalar
+itself, computes with `Fraction`s and reduces mod p at the end.  The frame
+check `_is_frame`, which never inverts its matrix, is compared with
+`change_of_basis`.  Inputs mix canonical scalars with non-canonical ones
+(ints outside [0, p), ints over QQ, strings, fractions over GF(p)), and
+tables are drawn both at random (mostly not Leibniz) and
 from the standard fixtures under basis changes (all Leibniz).
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,14 +24,16 @@ from leibniz_algebras.algebra import (
     _is_frame,
     bracket,
     change_of_basis,
+    direct_sum,
     leibniz_failure,
 )
-from leibniz_algebras.catalog import standard_fixtures
+from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2, standard_fixtures
 from leibniz_algebras.errors import DimensionMismatchError
-from leibniz_algebras.fields import QQ
+from leibniz_algebras.families import abelian_algebra, make_c, make_d
+from leibniz_algebras.fields import GF, QQ
 from leibniz_algebras.linalg import Matrix, Subspace
 
-from conftest import F3, F5, rand_invertible, rational_change
+from conftest import F3, F5, F7, rand_invertible, rational_change
 
 FIELDS = (F3, F5, QQ)
 
@@ -57,16 +61,20 @@ def ref_bracket(F, c, u, v):
 
 
 def ref_leibniz_failure(F, c):
+    """The first basis triple (i, j, k), in (i, j, k) order, at which
+    [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] + [e_j, [e_i, e_k]] fails: the
+    plain n^3 triple loop, each coordinate of the defect summed over the
+    coerced constants and reduced at the end."""
     n = len(c)
-    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = ref_bracket(F, c, basis[i], c[j][k])
-                rhs1 = ref_bracket(F, c, c[i][j], basis[k])
-                rhs2 = ref_bracket(F, c, basis[j], c[i][k])
-                if any(a != canonical(F, b + d) for a, b, d in zip(lhs, rhs1, rhs2)):
-                    return (i, j, k)
+    c = [[[ref_coerce(F, x) for x in v] for v in row] for row in c]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        for t in range(n):
+            defect = sum(
+                c[j][k][m] * c[i][m][t] - c[i][j][m] * c[m][k][t] - c[i][k][m] * c[j][m][t]
+                for m in range(n)
+            )
+            if canonical(F, defect):
+                return (i, j, k)
     return None
 
 
@@ -175,6 +183,132 @@ def test_leibniz_failure_over_QQ_is_the_first_failing_triple():
 
     check()
     assert True in later
+
+
+GF_CHECKED = (F3, F5, F7, GF(10007))
+
+
+def leibniz_bases(F):
+    """The standard fixtures and c(rot), d(rot), rotext over F."""
+    rot = rotation_2x2(F)
+    return standard_fixtures(F) + [make_c(rot, F), make_d(rot, F), heisenberg_rotation_extension(F)]
+
+
+def test_leibniz_failure_over_GF_p_is_the_first_failing_triple():
+    # the GF(p) twin of the QQ test above: a base (+) F^k, n <= 7, canonical
+    # or under a basis change, one structure constant moved by a nonzero
+    # residue; canonical tables keep zero slices, so the first failure can
+    # lie in the last one
+    bases = {F: leibniz_bases(F) for F in GF_CHECKED}
+    seen = set()
+
+    @settings(max_examples=150)
+    @given(data=st.data(), F=st.sampled_from(GF_CHECKED), disguise=st.booleans())
+    def check(data, F, disguise):
+        L = data.draw(st.sampled_from(bases[F]))
+        k = data.draw(st.integers(0, 7 - L.dim))
+        if k:
+            L = direct_sum(L, abelian_algebra(k, F))
+        n = L.dim
+        if disguise:
+            L = change_of_basis(L, rand_invertible(F, n, random.Random(data.draw(st.integers(0, 2**32)))))
+        c = [[list(v) for v in row] for row in L.c]
+        i, j, t = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        c[i][j][t] = F.add(c[i][j][t], data.draw(st.integers(1, F.p - 1)))
+        got = leibniz_failure(AlgebraTable(F, c))
+        assert got == ref_leibniz_failure(F, c)
+        if got is not None:
+            seen.add("i > 0" if got[0] else "i = 0")
+            if got[0] == n - 1:
+                seen.add("i = n - 1")
+
+    check()
+    assert seen == {"i = 0", "i > 0", "i = n - 1"}
+
+
+@pytest.mark.parametrize("F", GF_CHECKED + (QQ,))
+def test_leibniz_failure_on_tables_of_dimension_0_and_1(F):
+    assert leibniz_failure(AlgebraTable(F, [])) is None
+    for a in (0, 1, 2, F.p - 1 if F.p else Fraction(-7, 3)):
+        # [e, [e, e]] = a^2 e against [[e, e], e] + [e, [e, e]] = 2 a^2 e
+        assert leibniz_failure(AlgebraTable(F, [[[a]]])) == (None if a == 0 else (0, 0, 0))
+
+
+def saturated(n, sign):
+    """An n*n*n table whose constant at (a, b, t) is sign(a, b, t)."""
+    return [[[sign(a, b, t) for t in range(n)] for b in range(n)] for a in range(n)]
+
+
+def signs_at_the_bound(n):
+    """Signs +-1, n >= 4, whose defect at (i, j, k, t) = (0, 1, 2, 3) is
+    3 n: for every m, c_12m c_0m3 = 1 and c_01m c_m23 = c_02m c_1m3 = -1."""
+    s = {}
+    for m in range(n):
+        s[0, 1, m] = -1 if m == 1 else 1
+        s[m, 2, 3] = -s[0, 1, m]
+    for m in range(n):
+        s.setdefault((0, 2, m), -1 if m in (2, 3) else 1)
+        s[1, m, 3] = -s[0, 2, m]
+    for m in range(n):
+        s.setdefault((0, m, 3), 1)
+        s[1, 2, m] = s[0, m, 3]
+    return lambda a, b, t: s.get((a, b, t), 1)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_leibniz_failure_on_saturated_tables(n):
+    """Every constant at its largest magnitude, so that the packed fields
+    reach their width bounds.  Over GF(p) every constant is p - 1: each
+    field of the packed defect is n (p-1)^2 (2p-1), its bound, and the table
+    is Leibniz exactly when p divides n.  Over QQ the constants are
+    +-(2^40 + 1), and from n = 4 on one sign pattern puts a defect at
+    3 n c^2, its bound."""
+    for F in (GF(2),) + GF_CHECKED:
+        tables = [saturated(n, lambda a, b, t: F.p - 1)]
+        tables.append(saturated(n, lambda a, b, t: 0 if (a, b, t) == (n - 1, n - 1, n - 1) else F.p - 1))
+        for c in tables:
+            got = leibniz_failure(AlgebraTable(F, c))
+            assert got == ref_leibniz_failure(F, c)
+        assert (leibniz_failure(AlgebraTable(F, tables[0])) is None) == (n % F.p == 0)
+    top = 2**40 + 1
+    patterns = [
+        lambda a, b, t: 1,
+        lambda a, b, t: -1,
+        lambda a, b, t: 1 if (a + b + t) % 2 else -1,
+        lambda a, b, t: 1 if t == a else -1,
+    ]
+    if n >= 4:
+        patterns.append(signs_at_the_bound(n))
+        c = saturated(n, patterns[-1])
+        assert sum(
+            c[1][2][m] * c[0][m][3] - c[0][1][m] * c[m][2][3] - c[0][2][m] * c[1][m][3]
+            for m in range(n)
+        ) == 3 * n
+    for sign in patterns:
+        c = saturated(n, lambda a, b, t: top * sign(a, b, t))
+        assert leibniz_failure(AlgebraTable(QQ, c)) == ref_leibniz_failure(QQ, c)
+
+
+def test_leibniz_failure_when_the_first_defect_fills_its_field():
+    """Over QQ a packed field is W bits, W the bit length of 3 n max|c|^2,
+    and the first failing field is the one holding the lowest set bit.
+    Here n = 4 and every constant is 0 or +-2^20, so W = 44.  The first
+    failing triple is (0, 1, 2), and its one nonzero coordinate, t = 3, is
+    8 * 2^40 = 2^(W-1): in a field one bit narrower its lowest set bit
+    would fall into the field of (0, 1, 3)."""
+    signs = {
+        (0, 1, 0): -1, (0, 1, 1): -1, (0, 1, 2): 1, (0, 1, 3): -1, (0, 2, 3): 1, (0, 3, 3): 1,
+        (1, 1, 3): 1, (1, 2, 0): -1, (1, 2, 1): -1, (1, 2, 2): 1, (1, 2, 3): 1, (1, 3, 3): -1,
+        (2, 2, 3): -1, (3, 2, 3): 1,
+    }
+    top = 2**20
+    c = saturated(4, lambda a, b, t: top * signs.get((a, b, t), 0))
+    defect = [
+        sum(c[1][2][m] * c[0][m][t] - c[0][1][m] * c[m][2][t] - c[0][2][m] * c[1][m][t] for m in range(4))
+        for t in range(4)
+    ]
+    assert defect == [0, 0, 0, 2**43]
+    assert leibniz_failure(AlgebraTable(QQ, c)) == ref_leibniz_failure(QQ, c) == (0, 1, 2)
 
 
 @settings(max_examples=150)

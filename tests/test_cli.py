@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from leibniz_algebras.algebra import change_of_basis, direct_sum, is_leibniz
+from leibniz_algebras.algebra import AlgebraTable, change_of_basis, direct_sum, is_leibniz
 from leibniz_algebras.catalog import heisenberg_rotation_extension, nonideal_codim2_example
 from leibniz_algebras.cli import run
 from leibniz_algebras.families import (
@@ -21,7 +21,8 @@ from leibniz_algebras.invariants import nilradical
 from leibniz_algebras.linalg import Matrix
 from leibniz_algebras.serialize import DocumentWarning, parse_algebra, serialize_algebra
 
-from conftest import F3, identity_action, rotext_with_center_candidate
+from conftest import F3, F5, identity_action, rotext_with_center_candidate
+from test_arithmetic import ref_leibniz_failure
 
 
 @pytest.fixture
@@ -61,6 +62,42 @@ def test_check_json_mode(files, capsys):
     assert run(["--json", "check", path]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"leibniz": True, "lie": True, "squares_span_dim": 0}
+
+
+@pytest.mark.parametrize("moved, triple", [((4, 4, 4), (4, 4, 4)), ((4, 0, 4), (1, 4, 3))])
+def test_check_json_names_a_late_failing_triple(files, capsys, moved, triple):
+    # GF(5) rotext (+) F with one constant of the central e_5 moved: every
+    # triple before the named one holds
+    tmp, write = files
+    L = direct_sum(heisenberg_rotation_extension(F5), abelian_algebra(1, F5))
+    c = [[list(v) for v in row] for row in L.c]
+    a, b, t = moved
+    c[a][b][t] = F5.add(c[a][b][t], 1)
+    assert ref_leibniz_failure(F5, c) == triple
+    path = write("late.json", AlgebraTable(F5, c))
+    assert run(["--json", "check", path]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == json.dumps({"failing_triple": list(triple), "leibniz": False}, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("p, code, err", [
+    (2**61 - 1, 0, ""),
+    (2**61 + 1, 2, "error: composite modulus %d\n" % (2**61 + 1)),
+    (2**89 - 1, 2, "error: primality of %d is not decided" % (2**89 - 1)),
+])
+def test_check_on_a_large_modulus(tmp_path, capsys, p, code, err):
+    # primality is decided by Miller-Rabin: 2^61 - 1 parses at once, and a
+    # modulus past the exact range of the test is a document error
+    doc = {"format_version": 1, "field": {"kind": "gf", "p": p}, "dim": 1,
+           "table": [{"i": 0, "j": 0, "c": [0]}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert run(["--json", "check", str(path)]) == code
+    out, got = capsys.readouterr()
+    assert got.startswith(err) and (got == "") == (err == "")
+    if not code:
+        assert json.loads(out) == {"leibniz": True, "lie": True, "squares_span_dim": 0}
 
 
 def test_invariants_report(files, capsys):

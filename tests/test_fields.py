@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,74 @@ def test_prime_validation():
         FieldSpec.prime(4)
     with pytest.raises(ValueError):
         FieldSpec.prime(1)
+
+
+def test_is_prime_agrees_with_trial_division():
+    primes = []
+    for n in range(200_000):
+        want = n >= 2
+        for q in primes:
+            if q * q > n:
+                break
+            if n % q == 0:
+                want = False
+                break
+        if want:
+            primes.append(n)
+        assert is_prime(n) == want, n
+
+
+def strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**s, n) == n - 1 for s in range(1, r))
+
+
+# OEIS A014233: a(k) is the least odd composite that is a strong probable
+# prime to each of the first k prime bases, with its factors
+STRONG_PSEUDOPRIMES = [
+    (2047, (23, 89)),
+    (1373653, (829, 1657)),
+    (25326001, (2251, 11251)),
+    (3215031751, (151, 751, 28351)),
+    (2152302898747, (6763, 10627, 29947)),
+    (3474749660383, (1303, 16927, 157543)),
+    (341550071728321, (10670053, 32010157)),
+    (341550071728321, (10670053, 32010157)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (318665857834031151167461, (399165290221, 798330580441)),
+    (3317044064679887385961981, (1287836182261, 2575672364521)),
+]
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def test_is_prime_on_the_strong_pseudoprimes():
+    for k, (n, factors) in enumerate(STRONG_PSEUDOPRIMES, 1):
+        assert math.prod(factors) == n
+        assert all(strong_probable_prime(n, a) for a in PRIME_BASES[:k])
+        if k < 13:
+            assert is_prime(n) is False
+    # the last one passes every base: there the test stops being exact
+    bound = STRONG_PSEUDOPRIMES[-1][0]
+    for n in (bound, bound + 2, 2**89 - 1, 2**127 - 1):
+        with pytest.raises(ValueError, match="not decided"):
+            is_prime(n)
+    with pytest.raises(ValueError):
+        FieldSpec.prime(2**89 - 1)
+
+
+def test_large_prime_moduli_are_decided_at_once():
+    # 2^67 - 1 = 193707721 * 761838257287
+    for n, want in ((2**31 - 1, True), (2**61 - 1, True), (2**67 - 1, False), (10**12 + 39, True),
+                    (10**14 + 31, True)):
+        t0 = time.perf_counter()
+        assert is_prime(n) is want
+        assert time.perf_counter() - t0 < 0.01
+    assert GF(2**61 - 1).p == 2**61 - 1
 
 
 def test_characteristics():
