@@ -53,6 +53,7 @@ from .linalg import (
     Matrix,
     Subspace,
     _chain,
+    _coords_in_rows,
     _dependencies,
     _echelon,
     _fractions,
@@ -530,20 +531,12 @@ def quotient(L: AlgebraTable, I: Subspace) -> tuple[AlgebraTable, Matrix]:
         raise ValueError("subspace is not a two-sided ideal")
     F = L.field
     n, d = L.dim, I.dim
-    P = I.extend_to_full_basis()
-    Pinv = P.inverse()
     m = n - d
-    proj = Matrix(F, [[Pinv.data[i][d + t] for t in range(m)] for i in range(n)])
-    c = []
-    for a in range(m):
-        row = []
-        fa = P.data[d + a]
-        for b in range(m):
-            fb = P.data[d + b]
-            w = _bracket(L, fa, fb)
-            coords = Pinv.apply_row(w)
-            row.append(tuple(coords[d + t] for t in range(m)))
-        c.append(row)
+    P = I.extend_to_full_basis()
+    coords = _coords_in_rows(F, P.data, n)[1]
+    proj = Matrix._canonical(F, [coords(e)[d:] for e in Matrix.identity(F, n).data], m)
+    comp = P.data[d:]
+    c = [[coords(_bracket(L, fa, fb))[d:] for fb in comp] for fa in comp]
     name = ("%s/ideal" % L.name) if L.name else None
     return _inherit_leibniz(L, AlgebraTable._canonical(F, c, name=name)), proj
 
@@ -571,7 +564,9 @@ def direct_sum(L1: AlgebraTable, L2: AlgebraTable) -> AlgebraTable:
 
 
 def change_of_basis(L: AlgebraTable, P: Matrix) -> AlgebraTable:
-    """Table of the same algebra in the basis whose vectors are the rows of P.
+    """Table of the same algebra in the basis whose vectors are the rows of P:
+    [p_i, p_j] in coordinates of the rows (`linalg._coords_in_rows`).  A P
+    of another shape, or a singular one, raises DimensionMismatchError.
 
     Composition law: change_of_basis(change_of_basis(L, P), Q) equals
     change_of_basis(L, Q @ P).
@@ -579,15 +574,10 @@ def change_of_basis(L: AlgebraTable, P: Matrix) -> AlgebraTable:
     check_same_field(L.field, P.field)
     if P.rows != L.dim or P.cols != L.dim:
         raise DimensionMismatchError("basis matrix must be dim x dim")
-    Pinv = P.inverse()  # raises on singular P
-    n = L.dim
-    c = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            w = _bracket(L, P.data[i], P.data[j])
-            row.append(Pinv.apply_row(w))
-        c.append(row)
+    rank, coords = _coords_in_rows(L.field, P.data, L.dim)
+    if rank < L.dim:
+        raise DimensionMismatchError("singular matrix")
+    c = [[coords(_bracket(L, a, b)) for b in P.data] for a in P.data]
     return _inherit_leibniz(L, AlgebraTable._canonical(L.field, c, name=L.name))
 
 

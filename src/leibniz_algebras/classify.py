@@ -57,10 +57,7 @@ from .linalg import (
     Matrix,
     QuadraticPoly,
     Subspace,
-    _echelon,
-    _fractions,
-    _integer_row,
-    _integer_rows,
+    _coords_in_rows,
     char_poly_2x2,
     enumerate_subspaces,
     is_irreducible_quadratic,
@@ -99,9 +96,17 @@ class ClassificationVerdict(NamedTuple):
 
 
 def _squarefree_part(n: int) -> int:
+    """The product of the primes that divide n >= 1 to an odd power.
+
+    Trial division by d = 2, 3, .. stops once d^3 exceeds the cofactor m
+    left after dividing out every d below.  Then every prime factor of m is
+    at least d, and m < d^3, so m has at most two prime factors, counted
+    with multiplicity: m is 1, q, q^2 or q q' with q < q'.  Its squarefree
+    part is 1 when m is a square and m otherwise, so the division runs to
+    the cube root of n, not its square root."""
     out = 1
     d = 2
-    while d * d <= n:
+    while d * d * d <= n:
         e = 0
         while n % d == 0:
             n //= d
@@ -109,7 +114,7 @@ def _squarefree_part(n: int) -> int:
         if e % 2:
             out *= d
         d += 1
-    return out * n
+    return out if math.isqrt(n) ** 2 == n else out * n
 
 
 def canonical_quadratic(F: FieldSpec, q: QuadraticPoly) -> QuadraticPoly:
@@ -186,31 +191,6 @@ def _heisenberg_frame(L: AlgebraTable, W: Subspace) -> list[tuple] | None:
     return [W.basis.apply_row(row) for row in rows_t]
 
 
-def _coords_in_rows(F: FieldSpec, rows: list[tuple]):
-    """v -> the coordinates x of v in the independent rows, x @ rows = v; a
-    v outside their span raises ConsistencyError.  The rows are eliminated
-    once, [rows | 1] to rows [s_j b_j | s_j t_j]: the b_j are the RREF
-    basis of their span, t_j @ rows = b_j, and x = sum_j v[pc_j] t_j, pc_j
-    the pivots.  Over QQ the rows (row i of [rows | 1] as a whole) and each
-    v are scaled to integers on entry, and the t_j to ints by d = lcm(s_j),
-    so each x_i is one Fraction; over GF(p) every s_j is 1."""
-    n, k = len(rows[0]), len(rows)
-    augmented = [(*r, *(int(i == j) for j in range(k))) for i, r in enumerate(rows)]
-    red, pivots = _echelon(F, _integer_rows(F, augmented), n + k)
-    span = Subspace._span(F, n, [r[:n] for r in red])
-    d = math.lcm(*(r[pc] for r, pc in zip(red, pivots)))
-    T = [[x * (d // r[pc]) for x in r[n:]] for r, pc in zip(red, pivots)]
-
-    def coords(v) -> tuple:
-        dv, w = _integer_row(v)
-        if not span._contains(w):
-            raise ConsistencyError("vector left its expected span during extraction")
-        x = [sum(w[pc] * t[i] for pc, t in zip(pivots, T)) for i in range(k)]
-        return tuple(y % F.p for y in x) if F.p else _fractions(x, d * dv)
-
-    return coords
-
-
 def _least_index_outside(L: AlgebraTable, S: Subspace) -> int:
     for i in range(L.dim):
         if not S._contains([int(i == j) for j in range(L.dim)]):
@@ -265,8 +245,9 @@ def _match_case1(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     u, w, z = frame_h
     fs = Subspace.from_vectors(F, n, [z])._extension(CL.basis.data)
     a0 = L.basis_vector(_least_index_outside(L, subspace_sum(CL, L2)))
-    # strip the z-component of the action by absorbing it into the generator
-    uvz_coords = _coords_in_rows(F, [u, w, z])
+    # strip the z-component of the action by absorbing it into the generator;
+    # every bracket lies in [L, L] = span(u, w, z), so each has coordinates
+    uvz_coords = _coords_in_rows(F, [u, w, z], n)[1]
     cu = uvz_coords(_bracket(L, a0, u))[2]
     cw = uvz_coords(_bracket(L, a0, w))[2]
     a = tuple(
@@ -408,7 +389,9 @@ def _match_case3(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     if frame_amb is None:
         return None
     x = L.basis_vector(_least_index_outside(L, N))
-    h_coords = _coords_in_rows(F, frame_amb)
+    # [x, b] and [b, x] lie in the ideal N, as does [x, x]: the squares span
+    # is an ideal with [[y, y], L] = 0, so abelian, and N holds it
+    h_coords = _coords_in_rows(F, frame_amb, n)[1]
     phi = Matrix(F, [h_coords(_bracket(L, x, b)) for b in frame_amb]).transpose()
     # the induced action on N / C(N) is the (u, w) block of phi
     star = Matrix(F, [phi.data[0][:2], phi.data[1][:2]])

@@ -33,6 +33,11 @@ and `complement_functionals` returns its canonical basis.  When a kernel's
 conditions are the n columns of a few wide rows, such as the flattened
 multiplication operators of a basis, `_dependencies` finds it from those
 rows, as the linear dependencies among them.
+
+One routine takes coordinates: `_coords_in_rows(F, rows, n)` eliminates
+[rows | 1] once and returns v -> x with x @ rows = v.  `Matrix.inverse`,
+`solve_row`, `solve_col`, `algebra.change_of_basis`, `algebra.quotient` and
+the frames of `classify` all call it; none inverts a matrix to apply it.
 """
 
 from __future__ import annotations
@@ -169,7 +174,7 @@ class Matrix:
         return Matrix._canonical(F, out)
 
     def transpose(self) -> "Matrix":
-        return Matrix._canonical(self.field, [self.col(j) for j in range(self.cols)])
+        return Matrix._canonical(self.field, [self.col(j) for j in range(self.cols)], self.rows)
 
     def apply_row(self, v: Sequence) -> tuple:
         """Row-vector times matrix: v @ self."""
@@ -220,41 +225,26 @@ class Matrix:
         return Subspace._kernel(self.field, self.cols, _integer_rows(self.field, self.data)).basis
 
     def solve_row(self, target: Sequence) -> tuple | None:
-        """Solve x @ self = target for a row vector x, or None."""
-        sol = self.transpose().solve_col(target)
-        return sol
+        """Solve x @ self = target for a row vector x, or None: x is 0 at
+        every row in the span of the rows before it (free variables 0)."""
+        if len(target) != self.cols:
+            raise DimensionMismatchError("rhs length mismatch")
+        F = self.field
+        return _coords_in_rows(F, self.data, self.cols)[1]([F.of(t) for t in target])
 
     def solve_col(self, target: Sequence) -> tuple | None:
         """Solve self @ x = target for a column vector x, or None (free vars 0)."""
-        F = self.field
-        if len(target) != self.rows:
-            raise DimensionMismatchError("rhs length mismatch")
-        if self.rows == 0:
-            return (F.zero,) * self.cols
-        aug = Matrix._canonical(
-            F, [row + (F.of(t),) for row, t in zip(self.data, target)], self.cols + 1
-        )
-        red, rank, pivots = rref_with_pivots(aug)
-        n = self.cols
-        for r in range(rank):
-            if pivots[r] == n:
-                return None  # pivot in the augmented column: inconsistent
-        x = [F.zero] * n
-        for r in range(rank):
-            x[pivots[r]] = red.data[r][n]
-        return tuple(x)
+        return self.transpose().solve_row(target)
 
     def inverse(self) -> "Matrix":
-        F = self.field
-        n = self.rows
+        """The inverse, row i the coordinates of e_i in the rows."""
+        F, n = self.field, self.rows
         if n != self.cols:
             raise DimensionMismatchError("inverse of non-square matrix")
-        ident = Matrix.identity(F, n).data
-        aug = Matrix._canonical(F, [row + e for row, e in zip(self.data, ident)], 2 * n)
-        red, rank, pivots = rref_with_pivots(aug)
-        if rank != n or any(pivots[r] != r for r in range(n)):
+        rank, coords = _coords_in_rows(F, self.data, n)
+        if rank < n:
             raise DimensionMismatchError("singular matrix")
-        return Matrix._canonical(F, [row[n:] for row in red.data[:n]], n)
+        return Matrix._canonical(F, [coords(e) for e in Matrix.identity(F, n).data], n)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -394,6 +384,47 @@ def _dependencies(F: FieldSpec, rows: Sequence[Sequence]) -> "Subspace":
             w = [x * inv % p for x in w]
         pivots.append((c, w))
     return Subspace._span(F, n, deps)
+
+
+def _coords_in_rows(F: FieldSpec, rows: Sequence[Sequence], n: int):
+    """(rank, coords) for rows of n entries in F's canonical form: coords(v)
+    is the x with x @ rows = v that is 0 at every row lying in the span of
+    the rows before it, or None when v is outside their span.
+
+    The k rows are eliminated once (`_echelon`), [rows | J] with J the
+    k x k unit matrix, its columns reversed, to rows [s_j b_j | s_j t_j],
+    pivot pc_j < n, and rows [0 | y].  The b_j are the RREF basis of the
+    span, t_j @ rows = b_j, and x = sum_j v[pc_j] t_j.  The y span the
+    dependencies among the rows; read in reverse, their pivots are the last
+    nonzero entries of the dependencies, that is the rows lying in the span
+    of the rows before them, and the reduced t_j are 0 there.  Over QQ each
+    row of [rows | J] and each v are scaled to integers on entry and the t_j
+    to ints by d = lcm(s_j), so each x_i is one Fraction; over GF(p) every
+    s_j is 1.  When the rows span F^n every v is inside, and no membership
+    test runs."""
+    k, p = len(rows), F.p
+    augmented = [(*row, *(int(i + j == k - 1) for j in range(k))) for i, row in enumerate(rows)]
+    red, pivots = _echelon(F, _integer_rows(F, augmented), n + k)
+    rank = sum(pc < n for pc in pivots)
+    red, pivots = red[:rank], pivots[:rank]
+    span = None if rank == n else Subspace._span(F, n, [row[:n] for row in red])
+    d = math.lcm(*(row[pc] for row, pc in zip(red, pivots)))
+    T = [[x * (d // row[pc]) for x in reversed(row[n:])] for row, pc in zip(red, pivots)]
+
+    def coords(v: Sequence) -> tuple | None:
+        dv = 1
+        if p is None:
+            dv, v = _integer_row(v)
+        if span is not None and not span._contains(v):
+            return None
+        x = [0] * k
+        for pc, t in zip(pivots, T):
+            c = v[pc]
+            if c:
+                x = [a + c * b for a, b in zip(x, t)]
+        return tuple(y % p for y in x) if p is not None else _fractions(x, d * dv)
+
+    return rank, coords
 
 
 def rref_with_pivots(M: Matrix) -> tuple[Matrix, int, list[int]]:

@@ -74,7 +74,7 @@ from .algebra import (
 from .errors import BudgetExceededError, ConsistencyError
 from .fields import FieldSpec, check_same_field
 from .invariants import _trace_kernel, series
-from .linalg import Matrix, Subspace, enumerate_subspaces, subspace_sum
+from .linalg import Matrix, Subspace, _matmul, enumerate_subspaces
 
 DEFAULT_SCAN_BUDGET = 5_000_000
 
@@ -390,17 +390,11 @@ def is_maximal_subalgebra(L: AlgebraTable, A: Subspace) -> bool:
     n = L.dim
     if A.dim == n:
         return True
-    ext = A.extend_to_full_basis()
-    comp = ext.data[A.dim :]
+    comp = A._extension([[int(i == j) for j in range(n)] for i in range(n)])
     full = L.full_space()
     for line in enumerate_subspaces(n - A.dim, 1, F):
-        coords = line._rows[0]
-        v = [F.zero] * n
-        for c, row in zip(coords, comp):
-            if c != F.zero:
-                v = [F.add(x, F.mul(c, y)) for x, y in zip(v, row)]
-        cand = subspace_sum(A, Subspace.from_vectors(F, n, [v]))
-        if generated_subalgebra(L, cand) != full:
+        v = _matmul(line._rows, comp, F.p)[0]
+        if generated_subalgebra(L, Subspace._span(F, n, [*A._rows, v])) != full:
             return False
     return True
 
@@ -430,17 +424,21 @@ def _characteristic_subspaces(L: AlgebraTable) -> list[Subspace]:
     return out
 
 
-def _choose_order(L: AlgebraTable) -> list[int]:
+def _supports(L: AlgebraTable) -> dict:
+    """{(i, j): {i, j} and the k with c_ijk != 0}, read off the integer
+    view: the basis vectors whose images decide [e_i, e_j]."""
+    products = _integer_view(L)[2]
+    return {
+        (i, j): frozenset({i, j, *(k for k, _ in pij)})
+        for i, pi in enumerate(products)
+        for j, pij in enumerate(pi)
+    }
+
+
+def _choose_order(L: AlgebraTable, supp: dict) -> list[int]:
     """Assignment order for backtracking: greedily pick indices that make the
-    most bracket constraints checkable as early as possible."""
+    most bracket constraints (`_supports`) checkable as early as possible."""
     n = L.dim
-    F = L.field
-    supp = {}
-    for i in range(n):
-        for j in range(n):
-            supp[(i, j)] = frozenset(
-                {i, j} | {m for m in range(n) if L.c[i][j][m] != F.zero}
-            )
     chosen: set = set()
     order: list[int] = []
     ready: set = set()
@@ -498,15 +496,13 @@ def iso_search(
         tuple(S._contains(L1.basis_vector(i)) for S in subs1) for i in range(n)
     ]
 
-    order = _choose_order(L1)
+    supp = _supports(L1)
+    order = _choose_order(L1, supp)
     pos_of = {idx: t for t, idx in enumerate(order)}
     # pairs grouped by the step at which all needed images exist
     pairs_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            needed = {i, j} | {m for m in range(n) if L1.c[i][j][m] != F.zero}
-            step = max(pos_of[m] for m in needed)
-            pairs_at[step].append((i, j))
+    for pair, needed in supp.items():
+        pairs_at[max(pos_of[m] for m in needed)].append(pair)
 
     all_vectors = [v for v in itertools.product(range(p), repeat=n)]
     nonzero_vectors = [v for v in all_vectors if any(v)]
@@ -519,16 +515,10 @@ def iso_search(
         candidates_by_index[i] = cands
 
     images: dict[int, tuple] = {}
-    elim: list[tuple[int, list]] = []  # (pivot column, reduced row)
+    # spans[t]: the span of the images chosen before step t
+    spans = [Subspace.zero(F, n)]
+    products1 = _integer_view(L1)[2]
     nodes = 0
-
-    def reduce_vec(v):
-        w = list(v)
-        for pc, row in elim:
-            c = w[pc]
-            if c:
-                w = [(x - c * y) % p for x, y in zip(w, row)]
-        return w
 
     def backtrack(step: int) -> bool:
         nonlocal nodes
@@ -542,30 +532,23 @@ def iso_search(
                     "isomorphism search exceeded %d nodes; result indeterminate"
                     % node_budget
                 )
-            w = reduce_vec(v)
-            pc = next((c for c, x in enumerate(w) if x), None)
-            if pc is None:
+            if spans[step]._contains(v):
                 continue  # dependent on previous images
             images[idx] = v
             good = True
             for (i, j) in pairs_at[step]:
                 lhs = bracket(L2, images[i], images[j])
                 rhs = [0] * n
-                for m in range(n):
-                    cm = L1.c[i][j][m]
-                    if cm:
-                        im = images[m]
-                        rhs = [(x + cm * y) % p for x, y in zip(rhs, im)]
+                for m, cm in products1[i][j]:
+                    rhs = [(x + cm * y) % p for x, y in zip(rhs, images[m])]
                 if list(lhs) != rhs:
                     good = False
                     break
             if good:
-                inv = pow(w[pc], -1, p)
-                row = [(x * inv) % p for x in w]
-                elim.append((pc, row))
+                spans.append(Subspace._span(F, n, [*spans[step]._rows, v]))
                 if backtrack(step + 1):
                     return True
-                elim.pop()
+                spans.pop()
             del images[idx]
         return False
 

@@ -33,6 +33,7 @@ from leibniz_algebras.classify import (
     _codim2_abelian_ideal_qq,
     _derived_subalgebra,
     _match_case3,
+    _squarefree_part,
     canonical_quadratic,
     classify,
     solvability_from_codim2_ideal,
@@ -49,7 +50,7 @@ from leibniz_algebras.families import (
     make_e,
     oscillator,
 )
-from leibniz_algebras.fields import GF, QQ
+from leibniz_algebras.fields import GF, QQ, is_prime
 from leibniz_algebras.invariants import _trace_kernel, nilradical, series, verify_nilradical_candidate
 from leibniz_algebras.linalg import (
     Matrix,
@@ -126,6 +127,41 @@ def test_canonical_quadratic_qq():
     assert (q.c1, q.c0) == (0, 2)  # squarefree part of 8*9 = 72 is 2
     q = canonical_quadratic(QQ, QuadraticPoly(QQ.of(0), QQ.of(-4)))
     assert (q.c1, q.c0) == (0, -1)
+
+
+def squarefree_part_to_the_square_root(n):
+    # trial division up to the square root of the cofactor, as before the
+    # cube-root bound
+    out = 1
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e % 2:
+            out *= d
+        d += 1
+    return out * n
+
+
+def test_squarefree_part_stops_at_the_cube_root():
+    for n in range(1, 200_000):
+        assert _squarefree_part(n) == squarefree_part_to_the_square_root(n)
+    # products of prime powers, whose squarefree part is known: the cofactor
+    # left at the cube root is 1, q, q^2 or q q'
+    rng = random.Random(2024)
+    primes = [q for q in range(2, 2000) if is_prime(q)]
+    for _ in range(2000):
+        factors = {rng.choice(primes): rng.randint(1, 3) for _ in range(rng.randint(1, 3))}
+        n, want = 1, 1
+        for q, e in factors.items():
+            n *= q**e
+            want *= q if e % 2 else 1
+        assert _squarefree_part(n) == want
+    # two primes near 10^7: 46,000 trial divisions, where there were
+    # 3 million before
+    assert _squarefree_part(10000079 * 10000019) == 10000079 * 10000019
 
 
 def test_field_admits_irreducible_quadratic():
