@@ -3,25 +3,27 @@
 `canonical_subspaces` walks every d-dimensional subspace of GF(p)^n in
 canonical order: pivot-column sets lexicographically, then free entries
 row-major with the last position fastest.  It fixes the rows of the RREF
-basis one at a time, row 0 first, and an optional row test may cut the whole
-subtree below a row.  It is the one enumerator of the package;
+basis one at a time, row 0 first, and an optional row test, chosen per
+pivot set, may cut the whole pivot set or the whole subtree below a row.  It is the one enumerator of the package;
 `linalg.enumerate_subspaces` wraps its rows in `Subspace` objects, and
 `scan_subspaces` tests predicates against a structure-constant table on the
 subspaces it yields.
 
 Contract:
 
-    scan_subspaces(table, n, p, d, mode, limit, collect, functionals=())
+    scan_subspaces(table, n, p, d, mode, limit, collect, functionals=(), contains=())
         -> (scanned, truncated, matches)
 
 where `table` is the flattened n*n*n tensor (index ((i*n)+j)*n + k) with
 entries reduced mod p, `mode` is a bitmask of MODE_* flags, `limit` caps the
 number of subspaces examined (-1 for no cap) and `collect` caps the number of
 matches gathered (-1 for all).  `functionals` are rows of linear functionals
-on GF(p)^n that vanish on every match, as the caller vouches; the
-MODE_ABELIAN walk cuts by them.  Matches are flattened d*n row-major RREF
-basis matrices.  `truncated` is True only when the limit stopped the scan
-before exhaustion with the collection still open.
+on GF(p)^n that vanish on every match, and `contains` the RREF rows of a
+central subspace C (one that brackets to 0 with everything) that every
+match contains, both as the caller vouches; the MODE_ABELIAN walk cuts by
+them.  Matches are flattened d*n row-major RREF basis matrices.
+`truncated` is True only when the limit stopped the scan before
+exhaustion with the collection still open.
 
 Under MODE_ABELIAN the walk cuts by row prefix: with rows 0..r-1 fixed it
 visits only the values of row r whose brackets with itself and, both ways,
@@ -38,14 +40,35 @@ abelian ideal and x is in I, then W(I) <= I, and M_x maps L into I and I to
 abelian ideal therefore lies in K, and the cut skips only subtrees that hold
 none.
 
+For alpha's walk `search` passes the rows of the center C = C(L).  C
+brackets to 0 with everything, so A + C is abelian for every abelian A:
+while no stratum above d holds an abelian subalgebra, every abelian
+subalgebra of dimension d contains C.  A subspace A with RREF rows a_t at
+pivots P contains C iff every c in C is sum_t c[P_t] a_t.  So C's pivots
+lie in P (the first nonzero entry of that sum is at some P_t), and the
+walk drops every other pivot set whole.  On the rest C's rows, restricted
+to P's columns, are independent; they are recombined so that each has its
+last nonzero entry there at a distinct row r, with c[P_r] = 1 and 0 at
+the other such rows.  Such a row a_r = c - sum_{t<r} c[P_t] a_t is then
+computed from the rows above it, and nothing is tested on it: c is
+central and the rows above bracket to 0 among themselves, so [a_r, a_r]
+and a_r's brackets with them vanish.  (Nor is a_r tested against K: a
+subspace outside K is no abelian ideal, and the ideal test rejects it.)
+Every other equation c[q] = sum_{t: P_t<q} c[P_t] a_t[q] at a column q
+outside P fixes the entry a_s[q] of its last row s with c[P_s] != 0, and
+row s passes it to its linear solve; one with no such row drops the pivot
+set when c[q] != 0.
+
 `scanned` still counts every subspace of the canonical order up to the
-point where the scan stopped, cut ones included, so `scanned`, `truncated`
-and `matches` are exactly what a subspace-by-subspace scan would return,
-with or without `functionals`.
+point where the scan stopped, cut ones included.  The cuts skip only
+subtrees that hold no match, so `scanned`, `truncated` and `matches` are
+exactly what a subspace-by-subspace scan would return, with or without
+`functionals` and `contains`, whenever what the caller vouches for holds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 MODE_ABELIAN = 1
@@ -63,23 +86,39 @@ def gaussian_binomial(n: int, d: int, p: int) -> int:
     return num // den
 
 
-def canonical_subspaces(n: int, p: int, d: int, row_values=None):
+def _pivot_set_size(n: int, p: int, piv) -> int:
+    """Number of subspaces of GF(p)^n with pivot columns `piv`: p^f, f
+    its number of free entries, d(n-d) - sum_r (piv[r] - r)."""
+    d = len(piv)
+    return p ** (d * (n - d) - sum(c - r for r, c in enumerate(piv)))
+
+
+def canonical_subspaces(n: int, p: int, d: int, row_values_for=None):
     """Yield (index, pivots, rows) for the d-dimensional subspaces of GF(p)^n.
 
     `index` is the subspace's position in the canonical order, `pivots` the
     tuple of its pivot columns and `rows` its d x n RREF basis (lists of ints
     mod p), which the walk reuses: copy it to keep it.  Rows are fixed in
-    order, row 0 first.  With rows 0..r-1 fixed, `row_values(rows, r, pc,
-    cols)` yields the values of row r's free entries (at columns `cols`; its
-    pivot is at column `pc`) to walk on, a subsequence of
-    `itertools.product(range(p), repeat=len(cols))`.  A value it leaves out
-    cuts every subspace that shares rows 0..r, and the indices skip them.
-    Outside 0 <= d <= n there is no subspace, and nothing is yielded.
+    order, row 0 first.  `row_values_for(piv)`, when given, is called on
+    each pivot set before any of its rows and returns None, which cuts the
+    pivot set whole, or the set's `row_values`: with rows 0..r-1 fixed,
+    `row_values(rows, r, pc, cols)` yields the values of row r's free
+    entries (at columns `cols`; its pivot is at column `pc`) to walk on, a
+    subsequence of `itertools.product(range(p), repeat=len(cols))`.  A
+    value it leaves out cuts every subspace that shares rows 0..r, and the
+    indices skip them.  Outside 0 <= d <= n there is no subspace, and
+    nothing is yielded.
     """
     if not 0 <= d <= n:
         return
     offset = 0
     for piv in itertools.combinations(range(n), d):
+        row_values = None
+        if row_values_for is not None:
+            row_values = row_values_for(piv)
+            if row_values is None:
+                offset += _pivot_set_size(n, p, piv)
+                continue
         pivset = set(piv)
         free = [[c for c in range(piv[r] + 1, n) if c not in pivset] for r in range(d)]
         # below[r]: subspaces sharing rows 0..r
@@ -127,15 +166,15 @@ def _canonical_index(n: int, p: int, pivots, rows) -> int:
     """The index `canonical_subspaces(n, p, len(pivots))` yields with the
     subspace whose RREF basis is `rows`, with pivot columns `pivots`.
 
-    Each pivot set before `pivots` holds p^f subspaces, f its number of
-    free entries, d(n-d) - sum_r (piv[r] - r); within the pivot set the
-    free entries, read row-major, are the index's base-p digits."""
+    Each pivot set before `pivots` holds `_pivot_set_size` subspaces;
+    within the pivot set the free entries, read row-major, are the index's
+    base-p digits."""
     d, pivots = len(pivots), tuple(pivots)
     offset = 0
     for piv in itertools.combinations(range(n), d):
         if piv == pivots:
             break
-        offset += p ** (d * (n - d) - sum(c - r for r, c in enumerate(piv)))
+        offset += _pivot_set_size(n, p, piv)
     rank = 0
     for r, row in enumerate(rows):
         for c in range(pivots[r] + 1, n):
@@ -193,8 +232,50 @@ def _sparse_table(table, n):
     return sp
 
 
+def _containment(contains, piv, n, p):
+    """What "C <= A" asks of the rows a_t of a subspace A with pivots
+    `piv`, C spanned by the RREF rows `contains` (see the module
+    docstring): None when no such A contains C, else (fixed, forced).
+    fixed[r] is (c, terms) for each row r that C computes, a_r = c -
+    sum_(t, b) b a_t over terms; forced[s] lists (q, a, c_q, terms), the
+    equation a * a_s[q] = c_q - sum_(t, b) b a_t[q] on row s."""
+    d = len(piv)
+    if any(next(q for q, x in enumerate(c) if x) not in piv for c in contains):
+        return None
+    # recombine C's rows from the last pivot column of A leftwards: each
+    # ends at a distinct row r, with 1 there and 0 at the others' rows
+    left, last = [list(c) for c in contains], {}
+    for t in range(d - 1, -1, -1):
+        pt = piv[t]
+        c = next((c for c in left if c[pt]), None)
+        if c is None:
+            continue
+        left.remove(c)
+        inv = pow(c[pt], -1, p)
+        c = [x * inv % p for x in c]
+        for group in (left, last.values()):
+            for other in group:
+                if other[pt]:
+                    other[:] = [(x - other[pt] * y) % p for x, y in zip(other, c)]
+        last[t] = c
+    fixed, forced = {}, [[] for _ in range(d)]
+    pivset = set(piv)
+    for r, c in last.items():
+        fixed[r] = c, [(t, c[piv[t]]) for t in range(r) if c[piv[t]]]
+        for q in range(piv[r]):
+            if q in pivset:
+                continue
+            terms = [(t, c[piv[t]]) for t in range(r) if piv[t] < q and c[piv[t]]]
+            if terms:
+                s, a = terms.pop()
+                forced[s].append((q, a, c[q], terms))
+            elif c[q]:
+                return None
+    return fixed, forced
+
+
 def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect: int,
-                   functionals=()):
+                   functionals=(), contains=()):
     sp = _sparse_table(table, n)
     # phi[i]: the functionals' values at e_i
     phi = [[f[i] for f in functionals] for i in range(n)]
@@ -215,10 +296,25 @@ def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect
                     sq[k] += cf * cc
         return not any(x % p for x in sq)
 
-    def abelian_values(rows, r, pc, cols):
-        """Values of row r, with pivot pc and free entries at cols, for which
-        it lies in K and brackets to zero with itself and, both ways, with
-        rows 0..r-1."""
+    def abelian_values_for(piv):
+        """The `row_values` of pivot set piv, or None when no subspace with
+        pivots piv contains C."""
+        cut = _containment(contains, piv, n, p)
+        if cut is None:
+            return None
+        return functools.partial(abelian_values, *cut)
+
+    def abelian_values(fixed, forced, rows, r, pc, cols):
+        """Values of row r, with pivot pc and free entries at cols, for
+        which it lies in K and brackets to zero with itself and, both ways,
+        with rows 0..r-1, and C <= A stays possible; `fixed` and `forced`
+        are the pivot set's `_containment`."""
+        if r in fixed:
+            # a_r = c - sum_t b a_t with c central: its brackets with
+            # itself and with rows 0..r-1 are theirs among themselves, 0
+            c, terms = fixed[r]
+            yield tuple((c[q] - sum(b * rows[t][q] for t, b in terms)) % p for q in cols)
+            return
         # the functionals and [u, v_s], [v_s, u] for s < r are linear in u:
         # g[i] holds their values for u = e_i
         g = [list(phi_i) for phi_i in phi]
@@ -233,9 +329,15 @@ def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect
                     for k, cc in sp[j][i]:
                         right[k] += vj * cc
                 g[i] += left + right
+        target = [-x for x in g[pc]]
+        # C's equations on row r: a * u[q] = c_q - sum_t b a_t[q]
+        for q, a, cq, terms in forced[r]:
+            for i in cols:
+                g[i].append(a if i == q else 0)
+            target.append(cq - sum(b * rows[t][q] for t, b in terms))
         u = [0] * n
         u[pc] = 1
-        for vals in _lex_solutions([g[c] for c in cols], [-x for x in g[pc]], p):
+        for vals in _lex_solutions([g[c] for c in cols], target, p):
             for c, x in zip(cols, vals):
                 u[c] = x
             if bracket_zero(u):
@@ -267,7 +369,7 @@ def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect
                     return False
         return True
 
-    walk = canonical_subspaces(n, p, d, abelian_values if want_abelian else None)
+    walk = canonical_subspaces(n, p, d, abelian_values_for if want_abelian else None)
     for index, piv, rows in walk:
         if 0 <= limit <= index:
             return limit, True, matches

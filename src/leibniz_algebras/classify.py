@@ -51,7 +51,7 @@ from .algebra import (
 )
 from .errors import ConsistencyError, FamilyParameterError, NoAbelianIdealError
 from .families import _e_table, abelian_algebra, make_c, make_d
-from .fields import FieldSpec
+from .fields import FieldSpec, _least_nonresidue, _sqrt_mod
 from .invariants import SeriesReport, _is_nilpotent_subalgebra, nilradical, series
 from .linalg import (
     Matrix,
@@ -128,20 +128,26 @@ def canonical_quadratic(F: FieldSpec, q: QuadraticPoly) -> QuadraticPoly:
         # s = 1/c1 is the one s giving the least first coordinate, 1
         s = F.inv(c1)
         return QuadraticPoly(F.one, F.mul(F.mul(s, s), c0))
-    if F.is_prime_field:
-        return QuadraticPoly(F.zero, min(F.mul(F.of(s * s), c0) for s in range(1, F.p)))
     if c0 == 0:
         return QuadraticPoly(F.zero, F.zero)
+    if F.is_prime_field:
+        # the s^2 c0 are c0 times the nonzero squares: the nonzero squares,
+        # least 1, when c0 is one, else the non-residues
+        return QuadraticPoly(F.zero, F.one if F.is_square(c0) else _least_nonresidue(F.p))
     sign = 1 if c0 > 0 else -1
     sf = _squarefree_part(abs(c0.numerator) * abs(c0.denominator))
     return QuadraticPoly(F.zero, F.of(sign * sf))
 
 
 def _quadratic_root(F: FieldSpec, q: QuadraticPoly):
-    """A root in F of a reducible monic quadratic."""
-    if F.is_prime_field:
+    """A root in F of a reducible monic quadratic: over GF(p) the least,
+    (-c1 +- s)/2 for s a square root of the discriminant when p is odd."""
+    if F.p == 2:
         return next(t for t in F.elements() if q.evaluate(F, t) == F.zero)
     d = q.discriminant(F)
+    if F.is_prime_field:
+        s, half = _sqrt_mod(d, F.p), F.inv(F.of(2))
+        return min(F.mul(F.sub(r, q.c1), half) for r in (s, F.neg(s)))
     s = F.of(math.isqrt(d.numerator)) / math.isqrt(d.denominator)
     return (s - q.c1) / 2
 

@@ -71,6 +71,37 @@ def _inv_mod(a: int, p: int) -> int:
     return s0 % p
 
 
+def _least_nonresidue(p: int) -> int:
+    """The least quadratic non-residue mod an odd prime p, by Euler's
+    criterion: z^((p-1)/2) is -1 exactly for the non-residues."""
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    return z
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of a residue a mod an odd prime p, by Tonelli-Shanks:
+    with p - 1 = q 2^s, q odd, r = a^((q+1)/2) has r^2 = a t, t = a^q of
+    order dividing 2^s, and each step multiplies r by a power b of
+    z^q, z a non-residue, halving the order of t until t = 1."""
+    a %= p
+    if a == 0:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    c, t, r = pow(_least_nonresidue(p), q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # t has order 2^i, i < s
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
 class _FieldSpecRecord(NamedTuple):
     kind: str
     p: int | None = None
@@ -177,9 +208,12 @@ class FieldSpec(_FieldSpecRecord):
         return _inv_mod(a, self.p)
 
     def is_square(self, a: Scalar) -> bool:
-        """Exact squareness test (used for quadratic irreducibility over QQ)."""
+        """Exact squareness test.  Over GF(p) by Euler's criterion: a
+        nonzero a is a square iff a^((p-1)/2) = 1, which also holds over
+        GF(2), where every element is a square."""
         if self.kind == PRIME:
-            return any((s * s) % self.p == a % self.p for s in range(self.p))
+            p = self.p
+            return a % p == 0 or pow(a, (p - 1) // 2, p) == 1
         if a < 0:
             return False
         num, den = a.numerator, a.denominator

@@ -711,9 +711,10 @@ def char_poly_2x2(m: Matrix) -> QuadraticPoly:
 
 
 def is_irreducible_quadratic(q: QuadraticPoly, F: FieldSpec) -> bool:
-    """Over GF(p): no root among the p elements.  Over QQ: the discriminant is
-    not a rational square."""
-    if F.is_prime_field:
+    """Over GF(2): no root among the two elements.  Over GF(p), p odd, and
+    over QQ: the discriminant is not a square, as the roots are (-c1 +- s)/2
+    for s^2 the discriminant."""
+    if F.p == 2:
         return all(q.evaluate(F, t) != F.zero for t in F.elements())
     return not F.is_square(q.discriminant(F))
 

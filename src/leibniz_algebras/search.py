@@ -38,7 +38,12 @@ debited what its walk would count (`_debit_first`).  `classify` walks
 less still: once strata n and n-1 are empty, an abelian ideal of
 dimension n-2, or a supplied codimension-2 abelian witness, proves alpha =
 n-2, and only without either are the strata <= n-2 walked
-(`_walk_strata`).
+(`_walk_strata`).  Those walks are cut by the center: C(L) brackets to 0
+with everything, so A + C(L) is abelian for every abelian A, and while no
+stratum above d holds an abelian subalgebra every abelian subalgebra of
+dimension d contains C(L).  The walk of stratum d passes C(L)'s rows to
+the kernel, which skips the subspaces that miss it; the collect-all
+scans pass nothing, as below alpha an abelian subalgebra may miss C(L).
 
 One budget bounds a whole request.  Every public entry point that scans,
 here and in `classify`, opens a request ledger with its `budget`; every
@@ -153,14 +158,19 @@ def _debit(d: int, scanned: int, truncated: bool) -> None:
         )
 
 
-def _scan_dim(L: AlgebraTable, d: int, mode: int, collect: int):
+def _scan_dim(L: AlgebraTable, d: int, mode: int, collect: int, contains=()):
+    """Scan stratum d through the kernel, limited by the open request and
+    debited to it: (scanned, matches as Subspaces).  Abelian-ideal scans
+    are cut by the trace kernel; `contains`, the rows of a central
+    subspace that every match contains as the caller vouches, cuts the
+    walk further."""
     flat = table_flat(L)
     abelian_ideal = MODE_ABELIAN | MODE_IDEAL
     cut = mode & abelian_ideal == abelian_ideal
     funcs = _trace_kernel(L)._annihilator()._rows if cut else ()
     # positional: wrappers of the kernel forward *args only
     scanned, truncated, matches = scan_subspaces(
-        flat, L.dim, L.field.p, d, mode, _budget_left.get(), collect, funcs
+        flat, L.dim, L.field.p, d, mode, _budget_left.get(), collect, funcs, contains
     )
     _debit(d, scanned, truncated)
     subs = [_subspace_from_flat(L.field, L.dim, d, m) for m in matches]
@@ -250,10 +260,18 @@ def _top_strata(L: AlgebraTable):
 def _walk_strata(L: AlgebraTable):
     """Walk strata n-2, n-3, .., 0 for an abelian subalgebra: (d, witness,
     scanned) for the first stratum with one, the witness its canonically
-    first hit, or (None, None, scanned)."""
+    first hit, or (None, None, scanned).  Strata n and n-1 hold none.
+
+    Lemma (every characteristic).  The center C = C(L) brackets to 0 with
+    everything, so A + C is abelian for every abelian A.  While no stratum
+    above d holds an abelian subalgebra, every abelian subalgebra of
+    dimension d therefore contains C, and the walk of stratum d is cut to
+    the subspaces that contain C (`_scan_py`): the same first hit and the
+    same count as the uncut walk, at every budget."""
     total = 0
+    C = center(L)._rows
     for d in range(L.dim - 2, -1, -1):
-        scanned, subs = _scan_dim(L, d, MODE_ABELIAN, 1)
+        scanned, subs = _scan_dim(L, d, MODE_ABELIAN, 1, C)
         total += scanned
         if subs:
             return d, subs[0], total

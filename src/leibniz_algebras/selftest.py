@@ -251,6 +251,18 @@ def _trace_cut(rng, fast):
     return None
 
 
+@_check("center cut leaves alpha's stratum scans unchanged, before and after disguise")
+def _center_cut(rng, fast):
+    F = GF(3)
+    for L0 in standard_fixtures(F, max_dim=4 if fast else 5):
+        for L in (L0, change_of_basis(L0, _rand_invertible(F, L0.dim, rng))):
+            n, flat, d = L.dim, table_flat(L), alpha(L).alpha
+            cut = scan_subspaces(flat, n, F.p, d, MODE_ABELIAN, -1, -1, (), center(L)._rows)
+            if cut != scan_subspaces(flat, n, F.p, d, MODE_ABELIAN, -1, -1):
+                return "the center cut changed the dimension-%d scan of %s" % (d, L0.name)
+    return None
+
+
 def _walked(L, mode):
     """(d, witness, scanned) of the first stratum, from n down, holding a
     subspace of `mode`, by the stratum walk."""

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from leibniz_algebras import search
 from leibniz_algebras.algebra import AlgebraTable, center, change_of_basis, direct_sum
 from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2
-from leibniz_algebras.families import abelian_algebra, make_a, make_c, make_d, make_e, oscillator
+from leibniz_algebras.families import (
+    abelian_algebra,
+    heisenberg,
+    make_a,
+    make_c,
+    make_d,
+    make_e,
+    oscillator,
+)
 from leibniz_algebras.fields import GF, QQ
 from leibniz_algebras.linalg import Matrix, Subspace
 
@@ -158,14 +166,16 @@ def _entries(F):
     return st.integers(0, F.p - 1) if F.is_prime_field else st.integers(-2, 2)
 
 
-def _disguised_sum(draw, L):
+def _disguised_sum(draw, L, disguised=True):
     """L (+) F^k, of dimension at most MAX_DIM[p], under a seeded basis
     change: a random invertible matrix over GF(p), `rational_change` over
-    QQ."""
+    QQ; in its canonical basis when not `disguised`."""
     F = L.field
     k = draw(st.integers(0, MAX_DIM[F.p] - L.dim))
     if k:
         L = direct_sum(L, abelian_algebra(k, F))
+    if not disguised:
+        return L
     rng = random.Random(draw(st.integers(0, 2**32)))
     P = rand_invertible(F, L.dim, rng) if F.is_prime_field else rational_change(L.dim, rng)
     return change_of_basis(L, P)
@@ -179,6 +189,11 @@ def family_algebras(draw, fields=(F3, F5)):
     Family a (one-sided action, so [u, v] = 0 does not give [v, u] = 0),
     rotext and family e with [x, x] != 0 are the non-Lie ones."""
     F = draw(st.sampled_from(fields))
+    return _disguised_sum(draw, _family_table(draw, F))
+
+
+def _family_table(draw, F):
+    """A family table over F, in its canonical basis (`family_algebras`)."""
     base = draw(st.sampled_from(["a", "c", "d", "e", "rotext", "oscillator"]))
     entries = _entries(F)
     if base == "e":
@@ -202,7 +217,7 @@ def family_algebras(draw, fields=(F3, F5)):
         L = (make_c if base == "c" else make_d)(traceless, F)
     else:
         L = heisenberg_rotation_extension(F) if base == "rotext" else oscillator(F)
-    return _disguised_sum(draw, L)
+    return L
 
 
 @st.composite
@@ -233,3 +248,29 @@ def left_only_actions(draw, fields=(F3, F5, F7)):
     entries = _entries(F)
     A = Matrix(F, [[draw(entries) for _ in range(m)] for _ in range(m)])
     return _disguised_sum(draw, left_only_action(A, F))
+
+
+@st.composite
+def central_algebras(draw, fields=(F3, F5, F7)):
+    """An algebra over one of `fields` that often has a nonzero center, of
+    dimension at most MAX_DIM[p], canonical or under a seeded basis change:
+    a family table, the direct sum of two `left_only_action`s, or
+    heisenberg (+) a one-dimensional `left_only_action` where it fits, each
+    (+) F^k.  The center of heisenberg and of c(rot) lies in [L, L]."""
+    F = draw(st.sampled_from(fields))
+    top = MAX_DIM[F.p]
+    kinds = ["family", "left-only pair"] + (["heisenberg"] if top >= 5 else [])
+    kind = draw(st.sampled_from(kinds))
+    entries = _entries(F)
+
+    def left_only(m):
+        return left_only_action(Matrix(F, [[draw(entries) for _ in range(m)] for _ in range(m)]), F)
+
+    if kind == "family":
+        L = _family_table(draw, F)
+    elif kind == "left-only pair":
+        m = draw(st.integers(1, top - 3))
+        L = direct_sum(left_only(m), left_only(draw(st.integers(1, top - 2 - m))))
+    else:
+        L = direct_sum(heisenberg(F), left_only(1))
+    return _disguised_sum(draw, L, disguised=draw(st.booleans()))

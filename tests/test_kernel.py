@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from leibniz_algebras._kernel import MODE_ABELIAN, MODE_IDEAL, backend, scan_subspaces
 from leibniz_algebras._scan_py import _canonical_index, canonical_subspaces
-from leibniz_algebras.algebra import is_abelian_subspace, is_ideal, mult_operator
+from leibniz_algebras.algebra import center, is_abelian_subspace, is_ideal, mult_operator
 from leibniz_algebras.catalog import standard_fixtures
 from leibniz_algebras.invariants import _trace_kernel
 from leibniz_algebras.linalg import Matrix, Subspace, enumerate_subspaces, gaussian_binomial
-from leibniz_algebras.search import all_abelian_ideals, all_abelian_subalgebras, table_flat
+from leibniz_algebras.search import all_abelian_ideals, all_abelian_subalgebras, alpha, table_flat
 
-from conftest import F3, F5, family_algebras
+from conftest import F2, F3, F5, central_algebras, family_algebras, left_only_actions
 
 
 @pytest.fixture(params=[backend()])
@@ -223,6 +223,57 @@ def test_trace_cut_leaves_abelian_ideal_scans_unchanged(case):
     for lim, col in ((-1, -1), (limit, -1), (-1, collect), (limit, collect)):
         got = scan_subspaces(flat, n, p, d, mode, lim, col, funcs)
         assert got == scan_subspaces(flat, n, p, d, mode, lim, col), (lim, col)
+
+
+@st.composite
+def _alpha_cases(draw):
+    """A table with, often, a nonzero center, and its alpha, with a limit
+    and a collect cap for a scan of stratum alpha."""
+    L = draw(st.one_of(central_algebras(), left_only_actions(), family_algebras()))
+    d = alpha(L).alpha
+    limit = draw(st.integers(0, gaussian_binomial(L.dim, d, L.field.p) + 1))
+    collect = draw(st.sampled_from([-1, 0, 1, 2, 3]))
+    return L, d, limit, collect
+
+
+@settings(max_examples=100)
+@given(_alpha_cases())
+def test_center_cut_leaves_the_alpha_stratum_unchanged(case):
+    # every abelian subalgebra of dimension alpha contains C(L), as A + C
+    # is abelian: C's rows cut nothing that a scan of stratum alpha returns,
+    # alone or, on abelian-ideal scans, with the trace cut
+    L, d, limit, collect = case
+    n, p = L.dim, L.field.p
+    flat, C = table_flat(L), center(L)._rows
+    funcs = _trace_kernel(L).complement_functionals().data
+    for mode, fs in ((MODE_ABELIAN, ()), (MODE_ABELIAN | MODE_IDEAL, funcs)):
+        for lim, col in ((-1, -1), (limit, -1), (-1, collect), (limit, collect)):
+            got = scan_subspaces(flat, n, p, d, mode, lim, col, fs, C)
+            assert got == scan_subspaces(flat, n, p, d, mode, lim, col), (mode, lim, col)
+
+
+@pytest.mark.parametrize("F", [F2, F3], ids=["GF2", "GF3"])
+def test_center_rows_cut_to_the_subspaces_that_contain_them(F):
+    # in the zero algebra every subspace is central and abelian, so a scan
+    # given the rows of C keeps exactly the subspaces that contain C, at
+    # the indices of the uncut walk: the pivot-set drop, the forced entries
+    # and the computed rows, checked without the lemma that makes the cut
+    # exact at alpha
+    from leibniz_algebras.families import abelian_algebra
+
+    p = F.p
+    for n in range(1, 6 if p == 2 else 5):
+        flat = table_flat(abelian_algebra(n, F))
+        for c_dim in range(1, n + 1):
+            for C in enumerate_subspaces(n, c_dim, F):
+                for d in range(n + 1):
+                    want = [
+                        tuple(x for row in rows for x in row)
+                        for _, piv, rows in canonical_subspaces(n, p, d)
+                        if Subspace(F, n, rows, piv).contains(C)
+                    ]
+                    got = scan_subspaces(flat, n, p, d, MODE_ABELIAN, -1, -1, (), C._rows)
+                    assert got == (gaussian_binomial(n, d, p), False, want), (n, C, d)
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -1,10 +1,14 @@
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from leibniz_algebras import _scan_py
 from leibniz_algebras._kernel import MODE_ABELIAN, MODE_IDEAL
 from leibniz_algebras.algebra import (
     AlgebraTable,
+    center,
     change_of_basis,
     direct_sum,
     is_abelian_subspace,
@@ -24,19 +28,28 @@ from leibniz_algebras.families import (
     abelian_algebra,
     heisenberg,
     make_a,
+    make_c,
     make_d,
     oscillator,
     raw_pair_table,
     span_equivalent_iso,
 )
 from leibniz_algebras.fields import QQ
-from leibniz_algebras.linalg import Matrix, Subspace, enumerate_subspaces, subspace_sum
+from leibniz_algebras.linalg import (
+    Matrix,
+    Subspace,
+    enumerate_subspaces,
+    subspace_intersect,
+    subspace_sum,
+)
 from leibniz_algebras.search import (
     IsoResult,
     _abelian_hyperplanes,
     _first_abelian_ideal,
     _request,
     _scan_dim,
+    _top_strata,
+    _walk_strata,
     all_abelian_ideals,
     all_abelian_subalgebras,
     alpha,
@@ -53,6 +66,7 @@ from conftest import (
     F3,
     F5,
     F7,
+    central_algebras,
     cycle_actions,
     family_algebras,
     identity_actions,
@@ -277,6 +291,79 @@ def test_alpha_matches_the_stratum_walk():
 
     check()
     assert seen == {0, 1, 2}
+
+
+def _cut_and_uncut(L):
+    """(the center-cut walk, the uncut walk) of strata n-2 .. 0, each as
+    a thunk run in a request of its own or in the caller's."""
+    dims = range(L.dim - 2, -1, -1)
+    return (lambda: _walk_strata(L)), (lambda: _walked_first_hit(L, dims, MODE_ABELIAN))
+
+
+def test_center_cut_walk_matches_the_uncut_walk():
+    # alpha's walk, cut to the subspaces that contain C(L) once strata n
+    # and n-1 are empty: the same stratum, witness and count as the uncut
+    # walk, the same debit, and the same refusal one subspace short
+    seen = set()
+
+    @settings(max_examples=100)
+    @given(central_algebras())
+    def check(L):
+        C = center(L)
+        with _request(10**12):
+            empty_top = _top_strata(L)[1] is None
+        assume(empty_top and not C.is_zero())
+        cut, uncut = _cut_and_uncut(L)
+        want, debited = scanned_by(uncut)
+        assert scanned_by(cut) == (want, debited)
+        assert debited == want[2]
+        refusals = []
+        for walk in (uncut, cut):
+            with pytest.raises(BudgetExceededError) as refused, _request(want[2] - 1):
+                walk()
+            refusals.append(str(refused.value))
+        assert refusals[0] == refusals[1]
+        full = L.full_space()
+        seen.add(subspace_intersect(C, product_space(L, full, full)).is_zero())
+
+    check()
+    assert seen == {True, False}  # C meets [L, L] on some tables, not on others
+
+
+def test_center_cut_prunes_within_the_same_budget():
+    # d(rot) (+) heisenberg over GF(3): alpha = 3 = n-3, C = span(z) inside
+    # [L, L].  The cut walk solves fewer rows than the uncut one, and
+    # alpha still runs within S and is refused at S-1
+    L = direct_sum(make_d(ROT3, F3), heisenberg(F3))
+    assert center(L) == span(F3, 6, (0, 0, 0, 0, 0, 1))
+    solves = []
+    real = _scan_py._lex_solutions
+    with mock.patch.object(_scan_py, "_lex_solutions", lambda *a: solves.append(1) or real(*a)):
+        counts = []
+        for walk in _cut_and_uncut(L):
+            solves.clear()
+            with _request(10**12):
+                walk()
+            counts.append(len(solves))
+    assert counts[0] < counts[1] / 2
+    res, S = scanned_by(lambda: alpha(L))
+    assert (res.alpha, S) == (3, res.scanned)
+    assert alpha(L, budget=S) == res
+    with pytest.raises(BudgetExceededError, match="at dimension 3 after"):
+        alpha(L, budget=S - 1)
+
+
+def test_collect_all_walks_are_not_cut_by_the_center():
+    # below alpha, abelian subalgebras need not contain C: c(rot) (+) F
+    # over GF(3) has alpha 3 and C = span(e1, e4), and every abelian
+    # subalgebra of dimension 1 and 2 is listed, those that miss C too
+    L = direct_sum(make_c(ROT3, F3), abelian_algebra(1, F3))
+    C = center(L)
+    assert C.dim == 2 and alpha(L).alpha == 3
+    for d in (1, 2):
+        subs = all_abelian_subalgebras(L, d)
+        assert subs == [U for U in enumerate_subspaces(5, d, F3) if is_abelian_subspace(L, U)]
+        assert any(not U.contains(C) for U in subs)
 
 
 def _left_only_action():
