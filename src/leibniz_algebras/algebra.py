@@ -12,10 +12,15 @@ after construction and all operations are pure functions.
 What a table determines is computed once.  A function decorated with
 `_per_table` (the integer view, the Leibniz check, the squares ideal, the
 Lie test and the center here; the series, the trace kernel and the
-nilradical in `invariants`) stores its value in the
-table's `_cache` dict under the function's name, None included; a call
-that raises stores nothing, so it raises again.  A subalgebra, quotient or
-basis change inherits only a passed Leibniz check (`_inherit_leibniz`).
+nilradical in `invariants`; the flat table of the scan kernel in `search`)
+stores its value in the table's `_cache` dict under the function's name,
+None included; a call that raises stores nothing, so it raises again.  Two
+entries can also be filled from outside their function, each with a value
+proved equal to what it would compute: a subalgebra, quotient or basis
+change of a table that passed the Leibniz check inherits the pass
+(`_inherit_leibniz`), and a Case1_c or Case2_d frame that `classify`
+matched enters the nilradical (`invariants._proved_nilradical`).  No other
+entry is.
 
 Over QQ the structure constants are read only through the integer table D*c,
 D the lcm of their denominators (`_integer_view`, cached per table): brackets
@@ -55,6 +60,7 @@ from .linalg import (
     _chain,
     _coords_in_rows,
     _dependencies,
+    _dot_rows,
     _echelon,
     _fractions,
     _integer_row,
@@ -469,16 +475,28 @@ def is_subalgebra(L: AlgebraTable, U: Subspace) -> bool:
 
 
 def is_ideal(L: AlgebraTable, U: Subspace) -> bool:
+    """Whether U is a two-sided ideal, by one contraction of the table per
+    functional: for each row f of U's annihilator, the n x n form
+    H_f[i][j] = f . c_ij is f([e_i, e_j]), so f([u, e_j]) is (u^T H_f)_j
+    and f([e_i, u]) is (H_f u)_i.  U is an ideal iff u^T H_f = 0 and
+    H_f u = 0 for every canonical row u of U and every f: no bracket is
+    evaluated and nothing is reduced.
+
+    Over QQ the contraction runs on the integer view D*c with the primitive
+    integer rows of U and of its annihilator, each a nonzero multiple of
+    the rational row it stands for, so every product is a nonzero multiple
+    of the rational one and vanishes exactly when it does."""
     _check_subspace(L, U)
-    n = L.dim
-    # unit rows of ints: integer rows over QQ, canonical over GF(p)
-    es = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    for u in U._rows:
-        for ej in es:
-            if not U._contains(_scaled_bracket(L, u, ej)):
-                return False
-            if not U._contains(_scaled_bracket(L, ej, u)):
-                return False
+    p = L.field.p
+    rows = U._rows
+    products = _integer_view(L)[2]
+    for f in U._annihilator()._rows:
+        H = [[sum(x * f[k] for k, x in cij) for cij in ci] for ci in products]
+        for u in rows:
+            for h in (*H, *zip(*H)):
+                x = _dot_rows(h, u)
+                if x if p is None else x % p:
+                    return False
     return True
 
 

@@ -52,7 +52,13 @@ from .algebra import (
 from .errors import ConsistencyError, FamilyParameterError, NoAbelianIdealError
 from .families import _e_table, abelian_algebra, make_c, make_d
 from .fields import FieldSpec, _least_nonresidue, _sqrt_mod
-from .invariants import SeriesReport, _is_nilpotent_subalgebra, nilradical, series
+from .invariants import (
+    SeriesReport,
+    _is_nilpotent_subalgebra,
+    _proved_nilradical,
+    nilradical,
+    series,
+)
 from .linalg import (
     Matrix,
     QuadraticPoly,
@@ -157,7 +163,10 @@ def _quadratic_root(F: FieldSpec, q: QuadraticPoly):
 # the frame; None means the case does not apply, and {"abelian_ideal": W}
 # that the structure yields an abelian ideal of codimension 2 (Case1_c or
 # Case3_e with a reducible action).  All take (L, is_lie(L), series(L), the
-# center CL, L2 = [L, L], the nilradical N).
+# center CL, L2 = [L, L], the nilradical N); only Case3_e reads N, and
+# `classify` passes the Case2_d and Case1_c matchers None.  On a Leibniz
+# table they raise only ConsistencyError, on a contradiction with the
+# lemmas they rest on.
 
 
 def _heisenberg_frame(L: AlgebraTable, W: Subspace) -> list[tuple] | None:
@@ -323,7 +332,10 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     Lie Algebras, 1962, ch. I).  A key below (0, 1) raises ConsistencyError.
     Over QQ, where forms of sl2 are told apart by their Killing form and no
     triple is canonical (ibid.), the first triple is reported: chi, m and
-    the frame depend on the basis of L."""
+    the frame depend on the basis of L.
+
+    A matched L has nilradical C(L): the image of Nil(L) in the simple
+    L / C(L) is a nilpotent ideal, so 0, and C(L) is an abelian ideal."""
     F = L.field
     n = L.dim
     if not lie or rep.solvable or CL.dim != n - 3:
@@ -476,6 +488,11 @@ def _alpha_and_ideal(L: AlgebraTable, A: Subspace | None):
     return _walk_strata(L)[0], None
 
 
+def _check_nilradical_candidate(N: Subspace, candidate: Subspace | None) -> None:
+    if candidate not in (None, N):
+        raise ValueError("supplied nilradical candidate is not the nilradical")
+
+
 def classify(
     L: AlgebraTable,
     A: Subspace | None = None,
@@ -495,12 +512,19 @@ def classify(
     strata <= n-2 are walked for alpha.  The nilradical counts nothing.
     Over the rationals a codimension-2 abelian subalgebra witness A is
     required and alpha = n-2 is assumed, not checked; an abelian ideal is
-    looked for among A and center(L) + [L, L], then the exact nilradical
-    (`invariants.nilradical`) and the matchers decide, and every reported
-    structure is checked.  A supplied nilradical candidate
-    is checked once, whatever the verdict: it must equal the exact
-    nilradical, or ValueError is raised.  A negative budget is a ValueError
-    over either field.
+    looked for among A and center(L) + [L, L], then the matchers decide,
+    and every reported structure is checked.
+
+    The nilradical N, reported as `dim_nilradical` on every answer the
+    matchers give, comes from one of two places.  A Case2_d or
+    Case1_c frame that matched proves it: N is C(L) or [L, L] + C(L) by the
+    lemmas of `_match_case2` and `_match_case1`, and it is entered in L's
+    nilradical cache entry (`invariants._proved_nilradical`).  Otherwise,
+    before Case3_e's matcher, which takes N as its input, and for a
+    reducible action's abelian ideal, the certificate `invariants.nilradical`
+    computes it.  A supplied nilradical candidate is checked once, whatever
+    the verdict: it must equal the exact nilradical, or ValueError is
+    raised.  A negative budget is a ValueError over either field.
     """
     require_leibniz(L)
     F = L.field
@@ -526,10 +550,8 @@ def classify(
             diagnostics["alpha"] = n - 2
             ideal_witness = _codim2_abelian_ideal_qq(L, A)
         applicable = diagnostics["alpha"] == n - 2
-        if nilradical_candidate is not None or (applicable and ideal_witness is None):
-            N = nilradical(L)
-            if nilradical_candidate not in (None, N):
-                raise ValueError("supplied nilradical candidate is not the nilradical")
+        if nilradical_candidate is not None and not (applicable and ideal_witness is None):
+            _check_nilradical_candidate(nilradical(L), nilradical_candidate)
 
     if not applicable:
         return ClassificationVerdict(Case.NOT_APPLICABLE, {}, diagnostics)
@@ -557,12 +579,23 @@ def classify(
         }
     )
 
+    witness = None
+    for case, match in _MATCHERS[:-1]:  # the frame matchers read no N
+        witness = match(L, lie, rep, CL, L2, None)
+        if witness is not None:
+            break
+    if witness is not None and "frame" in witness:
+        # the matched frame proves Nil(L) (`_match_case1`, `_match_case2`)
+        N = _proved_nilradical(L, subspace_sum(L2, CL) if case is Case.CASE1_C else CL)
+    else:
+        N = nilradical(L)
+    _check_nilradical_candidate(N, nilradical_candidate)
     diagnostics["dim_nilradical"] = N.dim
-
-    for case, match in _MATCHERS:
+    if witness is None:
+        case, match = _MATCHERS[-1]
         witness = match(L, lie, rep, CL, L2, N)
-        if witness is None:
-            continue
+
+    if witness is not None:
         if "abelian_ideal" in witness:
             case = Case.ABELIAN_IDEAL_CODIM_LE2
             diagnostics["abelian_ideal_dim"] = witness["abelian_ideal"].dim

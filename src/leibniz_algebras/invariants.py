@@ -176,6 +176,13 @@ def nilradical(L: AlgebraTable) -> Subspace:
 
     No scan runs.  Either way the result is checked to be a nilpotent
     ideal of L before it is returned, and cached on L.
+
+    The cache entry is filled a third way, without this certificate: a
+    Case1_c or Case2_d frame that `classify` matched proves Nil(L) to be
+    [L, L] + C(L), heisenberg (+) F^(n-4) of codimension 1 in a
+    non-nilpotent L (`classify._match_case1`), or C(L), L / C(L) being
+    simple (`classify._match_case2`), and enters it
+    (`_proved_nilradical`).
     """
     require_leibniz(L)
     for kernel in (_trace_kernel, _envelope_radical):
@@ -183,6 +190,15 @@ def nilradical(L: AlgebraTable) -> Subspace:
         if is_ideal(L, N) and _is_nilpotent_subalgebra(L, N):
             return N
     raise ConsistencyError("the pullback of the envelope's radical is not a nilpotent ideal")
+
+
+def _proved_nilradical(L: AlgebraTable, N: Subspace) -> Subspace:
+    """Enter N, proved to be Nil(L) without the certificate, as L's cached
+    nilradical, as `algebra._inherit_leibniz` enters a passed Leibniz
+    check; a nilradical already cached is kept, and the cached one
+    returned.  The key is `nilradical`'s own, written out: a wrapper bound
+    to that name, such as a tracer's, does not move it."""
+    return L._cache.setdefault("nilradical", N)
 
 
 def _envelope_radical(L: AlgebraTable) -> Subspace:

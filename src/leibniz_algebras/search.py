@@ -68,6 +68,7 @@ from .algebra import (
     _bracket,
     _integer_view,
     _is_frame,
+    _per_table,
     bracket,
     center,
     generated_subalgebra,
@@ -105,8 +106,11 @@ def _require_prime_field(L: AlgebraTable, what: str) -> None:
         raise ValueError("%s requires a prime field (enumeration impossible over QQ)" % what)
 
 
+@_per_table
 def table_flat(L: AlgebraTable) -> tuple:
-    """Structure tensor flattened to ints mod p, for the scan kernel."""
+    """Structure tensor flattened to ints mod p, for the scan kernel;
+    computed once per table (`algebra._per_table`), so the strata of a walk
+    and the collect-all scans share it."""
     _require_prime_field(L, "subspace scan")
     n = L.dim
     return tuple(L.c[i][j][k] for i in range(n) for j in range(n) for k in range(n))

@@ -820,6 +820,7 @@ def test_cached_values_equal_a_fresh_computation(rng):
         series,
         _trace_kernel,
         nilradical,
+        search.table_flat,
     ]
     for F in (F3, F5):
         for L in standard_fixtures(F):
@@ -833,26 +834,26 @@ def test_cached_values_equal_a_fresh_computation(rng):
 
 
 def _computations(monkeypatch, L, request):
-    """How often request() computes center(L) (counted as joint kernels of
-    linear conditions in L's dimension), is_lie(L) (as skew-symmetry checks
-    of L) and [L, L] (as product spaces of L's full space with itself).
-    `Subspace._kernel`, and every binding of the other helpers in the
-    package, is wrapped."""
+    """How often request() computes center(L) (as calls of center on L that
+    find no cached value), is_lie(L) (as skew-symmetry checks of L), [L, L]
+    (as product spaces of L's full space with itself) and the nilradical
+    certificate of L (as calls of nilradical on L that find no cached
+    value; a matched frame enters the nilradical without one).  Every
+    binding of these functions in the package is wrapped."""
     counts = Counter()
     full = L.full_space()
-    kernel = Subspace._kernel
 
-    def counting_kernel(field, n, conditions):
-        counts["kernels"] += n == L.dim
-        return kernel(field, n, conditions)
+    def computes(name):
+        return lambda T: T is L and name not in T._cache
 
     counted = [
+        (center, "center computations", computes("center")),
         (algebra._is_skew, "skew checks", lambda T: T is L),
         (algebra.product_space, "[L, L]", lambda T, U, V: T is L and U == V == full),
+        (nilradical, "nilradical certificates", computes("nilradical")),
     ]
     modules = [m for name, m in sys.modules.items() if name.startswith("leibniz_algebras")]
     with monkeypatch.context() as m:
-        m.setattr(Subspace, "_kernel", staticmethod(counting_kernel))
         for fn, key, on_L in counted:
 
             def counting(*args, fn=fn, key=key, on_L=on_L):
@@ -869,13 +870,13 @@ def _computations(monkeypatch, L, request):
 
 @pytest.mark.parametrize("name", sorted(one_budget_algebras()))
 def test_verify_computes_nothing_classify_computed(monkeypatch, name):
-    # verify_main_theorem and its classify call share L's cached center and
-    # Lie flag, and read [L, L] off L's cached series
+    # verify_main_theorem and its classify call share L's cached center, Lie
+    # flag and nilradical, and read [L, L] off L's cached series
     L = one_budget_algebras()[name]
     in_verify = _computations(monkeypatch, L, lambda: verify_main_theorem(L))
     M = one_budget_algebras()[name]
     assert _computations(monkeypatch, M, lambda: classify(M)) == in_verify
-    assert in_verify["skew checks"] == 1
+    assert in_verify["skew checks"] == in_verify["center computations"] == 1
     assert center(L) is center(L)
 
 
