@@ -54,7 +54,6 @@ from .families import _e_table, abelian_algebra, make_c, make_d
 from .fields import FieldSpec, _least_nonresidue, _sqrt_mod
 from .invariants import (
     SeriesReport,
-    _is_nilpotent_subalgebra,
     _proved_nilradical,
     nilradical,
     series,
@@ -159,14 +158,13 @@ def _quadratic_root(F: FieldSpec, q: QuadraticPoly):
 
 
 # ---------------------------------------------------------------------------
-# case matchers: each tests its case's structure and, when it holds, returns
-# the frame; None means the case does not apply, and {"abelian_ideal": W}
-# that the structure yields an abelian ideal of codimension 2 (Case1_c or
-# Case3_e with a reducible action).  All take (L, is_lie(L), series(L), the
-# center CL, L2 = [L, L], the nilradical N); only Case3_e reads N, and
-# `classify` passes the Case2_d and Case1_c matchers None.  On a Leibniz
-# table they raise only ConsistencyError, on a contradiction with the
-# lemmas they rest on.
+# case matchers, which `classify` calls in the order Case2_d, Case1_c,
+# Case3_e, as the families overlap (see the module docstring): each tests
+# its case's structure and, when it holds, returns the frame; None means the
+# case does not apply, and {"abelian_ideal": W} that the structure yields an
+# abelian ideal of codimension 2 (Case1_c or Case3_e with a reducible
+# action).  On a Leibniz table they raise only ConsistencyError, on a
+# contradiction with the lemmas they rest on.
 
 
 def _heisenberg_frame(L: AlgebraTable, W: Subspace) -> list[tuple] | None:
@@ -230,7 +228,7 @@ def _eigenline_ideal(L: AlgebraTable, C: Subspace, m: Matrix, u, w) -> Subspace:
     return W
 
 
-def _match_case1(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
+def _match_case1(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
     """Case1_c: solvable Lie of derived length 3, L2 = [L, L] a 3-dim
     heisenberg algebra, center of dimension n-3.  Frame (a, z, u, w, f..)
     matching  c(m) (+) F^(n-4);  m read off the action of the complement
@@ -314,7 +312,7 @@ def _simple_3dim_subspaces(T: AlgebraTable):
         yield Subspace._kernel(F, 3, [f])
 
 
-def _match_case2(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
+def _match_case2(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
     """Case2_d: Lie, not solvable, center of dimension n-3 with a 3-dim
     simple quotient.  Frame (h, u, w, f..) matching  d(m) (+) F^(n-3),
     extracted from L2 = [L, L], which is the 3-dimensional simple part.
@@ -384,7 +382,7 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
     return {"chi": chi, "m": m, "frame": frame, "model": model}
 
 
-def _match_case3(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
+def _match_case3(L: AlgebraTable, rep, N) -> dict | None:
     """Case3_e: solvable, nilradical N of codimension 1 isomorphic to
     heisenberg (+) F^(n-4), and the outside generator x acting irreducibly on
     N / C(N).  Frame (x, u, w, z, f..) matching  e(phi, theta, v, n).  A
@@ -437,14 +435,6 @@ def _match_case3(L: AlgebraTable, lie, rep, CL, L2, N) -> dict | None:
         "chi": chi,
         "induced_action": star,
     }
-
-
-# checked in this order: the families overlap (see the module docstring)
-_MATCHERS = (
-    (Case.CASE2_D, _match_case2),
-    (Case.CASE1_C, _match_case1),
-    (Case.CASE3_E, _match_case3),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +569,9 @@ def classify(
         }
     )
 
-    witness = None
-    for case, match in _MATCHERS[:-1]:  # the frame matchers read no N
-        witness = match(L, lie, rep, CL, L2, None)
-        if witness is not None:
-            break
+    case, witness = Case.CASE2_D, _match_case2(L, lie, rep, CL, L2)
+    if witness is None:
+        case, witness = Case.CASE1_C, _match_case1(L, lie, rep, CL, L2)
     if witness is not None and "frame" in witness:
         # the matched frame proves Nil(L) (`_match_case1`, `_match_case2`)
         N = _proved_nilradical(L, subspace_sum(L2, CL) if case is Case.CASE1_C else CL)
@@ -592,8 +580,7 @@ def classify(
     _check_nilradical_candidate(N, nilradical_candidate)
     diagnostics["dim_nilradical"] = N.dim
     if witness is None:
-        case, match = _MATCHERS[-1]
-        witness = match(L, lie, rep, CL, L2, N)
+        case, witness = Case.CASE3_E, _match_case3(L, rep, N)
 
     if witness is not None:
         if "abelian_ideal" in witness:
@@ -673,9 +660,11 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
     for an abelian ideal I, I + Z is an abelian ideal of dimension <= n-3,
     so I lies in Z.  Z is C(L) for Case1_c and Case2_d, and C(N) for
     Case3_e once N is shown to be Nil(L), which holds every abelian ideal,
-    these being nilpotent ideals; a nilpotent ideal of codimension 1 in a
-    non-nilpotent algebra is Nil(L).  That Z has dimension n-3, is an ideal
-    and is abelian is checked; if not, the claims the lemma gives fail.
+    these being nilpotent ideals.  N is shown to be Nil(L) by comparison
+    with the nilradical that `classify` certified and cached on L, a
+    nilpotent ideal; of codimension 1, it also shows L not nilpotent.  That
+    Z has dimension n-3, is an ideal and is abelian is checked; if not, the
+    claims the lemma gives fail.
     Case2_d's L / C(L) = Q is 3-dim simple iff [L, L] + C(L) = L, i.e. Q is
     perfect: a quotient of Q by a proper nonzero ideal would be perfect of
     dimension <= 2, so solvable, so 0.  The Heisenberg claims are decided by
@@ -719,8 +708,7 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
         else:
             CN_t = center(subalgebra_table(L, N))
             Z = Subspace.from_vectors(F, n, [N.basis.apply_row(r) for r in CN_t.basis.data])
-            nilpotent_ideal = is_ideal(L, N) and _is_nilpotent_subalgebra(L, N)
-            is_nilradical = N.dim == n - 1 and not rep.nilpotent and nilpotent_ideal
+            is_nilradical = N.dim == n - 1 and N == nilradical(L)
         abelian_ideal = is_abelian_subspace(L, Z) and is_ideal(L, Z)
         lemma = is_nilradical and Z.dim == n - 3 and abelian_ideal
         unproved = "lemma does not apply"

@@ -57,20 +57,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _inv_mod(a: int, p: int) -> int:
-    """Inverse of a mod p by the extended Euclidean algorithm."""
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError("inverse of zero in GF(%d)" % p)
-    r0, r1 = p, a
-    s0, s1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    return s0 % p
-
-
 def _least_nonresidue(p: int) -> int:
     """The least quadratic non-residue mod an odd prime p, by Euler's
     criterion: z^((p-1)/2) is -1 exactly for the non-residues."""
@@ -173,7 +159,7 @@ class FieldSpec(_FieldSpecRecord):
         if isinstance(x, Fraction):
             if x.denominator % p == 0:
                 raise ZeroDivisionError("denominator divisible by %d" % p)
-            return (x.numerator * _inv_mod(x.denominator, p)) % p
+            return x.numerator * pow(x.denominator, -1, p) % p
         raise TypeError("cannot coerce %r into GF(%d)" % (x, p))
 
     __call__ = of
@@ -205,7 +191,10 @@ class FieldSpec(_FieldSpecRecord):
             if a == 0:
                 raise ZeroDivisionError("inverse of zero in QQ")
             return Fraction(1) / a
-        return _inv_mod(a, self.p)
+        p = self.p
+        if a % p == 0:
+            raise ZeroDivisionError("inverse of zero in GF(%d)" % p)
+        return pow(a, -1, p)
 
     def is_square(self, a: Scalar) -> bool:
         """Exact squareness test.  Over GF(p) by Euler's criterion: a

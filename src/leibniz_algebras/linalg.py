@@ -27,12 +27,17 @@ and `coordinates` coerce their input and call it.  `Subspace._extension`
 takes, of a sequence of rows, each one that leaves the span grown so far:
 the greedy basis extension.  `_chain(start, step)` lists start,
 step(start), ... up to the first fixed point: the derived and lower
-central series, the generated subalgebra and the Fitting chains.  An
-annihilator is the kernel of a subspace's rows (`Subspace._annihilator`),
-and `complement_functionals` returns its canonical basis.  When a kernel's
-conditions are the n columns of a few wide rows, such as the flattened
-multiplication operators of a basis, `_dependencies` finds it from those
-rows, as the linear dependencies among them.
+central series, the generated subalgebra and the Fitting chains.
+
+Two eliminations: `_echelon` for spans, coordinates and intersections, and
+`_dependencies` for every kernel.  `_dependencies(F, rows)` returns the
+linear dependencies among n rows; `Subspace._kernel(F, n, conditions)`,
+{x : c . x = 0 for each condition c}, is those among the conditions' n
+columns.  Where the rows come whole, such as the flattened multiplication
+operators of a basis for the center, `_dependencies` takes them as they
+are.  An annihilator is the kernel of a subspace's rows
+(`Subspace._annihilator`), and `complement_functionals` returns its
+canonical basis.
 
 One routine takes coordinates: `_coords_in_rows(F, rows, n)` eliminates
 [rows | 1] once and returns v -> x with x @ rows = v.  `Matrix.inverse`,
@@ -221,7 +226,7 @@ class Matrix:
 
     def kernel_basis(self) -> "Matrix":
         """Basis (rows, RREF-canonical) of {v : self @ v = 0}, v a column
-        vector (`Subspace._kernel`)."""
+        vector: the dependencies among the columns (`Subspace._kernel`)."""
         return Subspace._kernel(self.field, self.cols, _integer_rows(self.field, self.data)).basis
 
     def solve_row(self, target: Sequence) -> tuple | None:
@@ -349,20 +354,28 @@ def _echelon(F: FieldSpec, rows: Sequence[Sequence], ncols: int) -> tuple[list, 
 
 def _dependencies(F: FieldSpec, rows: Sequence[Sequence]) -> "Subspace":
     """{x : sum_i x[i] rows[i] = 0} for n rows of m entries, residues over
-    GF(p) and ints over QQ: the kernel of the rows' transpose, without the
-    transpose.  Each row, the unit vector e_i appended to record its
-    combination, is reduced against the pivot rows found so far, fraction-
-    free over QQ as in `_echelon`; a row that reduces to zero leaves a
+    GF(p) and ints over QQ: the kernel of the rows' transpose, and the
+    package's one kernel routine (`Subspace._kernel` passes it the columns
+    of its conditions).
+
+    The rows are taken last to first.  Each row, the unit vector e_i
+    appended to record its combination, is reduced against the pivot rows
+    found so far, fraction-free over QQ as in `_echelon`, each step
+    dividing the row by its content; a row that reduces to zero leaves a
     dependency in its appended part, and any other becomes a pivot row at
-    its first nonzero column.  The dependency of row i is nonzero at i and
-    zero after it, so the n - rank of them are a basis, which
-    `Subspace._span` makes canonical."""
+    its first nonzero column.  A pivot row's appended part is 0 at every
+    row not yet taken, so the dependency of row i is 0 before i and at
+    every other dependent row, and at i it is 1 over GF(p) and nonzero over
+    QQ, where the row is primitive.  So the n - rank dependencies, by
+    increasing i, each with a positive entry at i, are the kernel's
+    canonical rows, and i their pivots.  With m = 0 every row is a
+    dependency, and the kernel is F^n; with n = 0 it is 0 in F^0."""
     n, p = len(rows), F.p
     m = len(rows[0]) if rows else 0
     pivots: list = []  # (column, pivot row)
-    deps = []
-    for i, row in enumerate(rows):
-        w = [*row, *(int(j == i) for j in range(n))]
+    deps, free = [], []
+    for i in reversed(range(n)):
+        w = [*rows[i], *(int(j == i) for j in range(n))]
         for c, top in pivots:
             f = w[c]
             if not f:
@@ -377,13 +390,15 @@ def _dependencies(F: FieldSpec, rows: Sequence[Sequence]) -> "Subspace":
                 w = [x // g for x in w]
         c = next((k for k in range(m) if w[k]), None)
         if c is None:
-            deps.append(w[m:])
+            dep = w[m:]
+            deps.append(dep if dep[i] > 0 else [-x for x in dep])
+            free.append(i)
             continue
         if p is not None and w[c] != 1:
             inv = F.inv(w[c])
             w = [x * inv % p for x in w]
         pivots.append((c, w))
-    return Subspace._span(F, n, deps)
+    return Subspace(F, n, deps[::-1], free[::-1])
 
 
 def _coords_in_rows(F: FieldSpec, rows: Sequence[Sequence], n: int):
@@ -496,34 +511,9 @@ class Subspace:
     @staticmethod
     def _kernel(field: FieldSpec, ambient_dim: int, conditions: Sequence[Sequence]) -> "Subspace":
         """{x : sum_i c[i] x[i] = 0 for every condition row c}, the rows
-        residues over GF(p) and ints over QQ.
-
-        One elimination, on the columns in reverse order: each reduced
-        row's pivot a is then at its rightmost nonzero column pc, and the
-        kernel vector v_f of a free column f (d at f, 0 at the other free
-        columns, -row[f] d / a at the pivot pc of each row, d the lcm of
-        those a with row[f] != 0) has its other nonzero entries at pivots
-        pc > f.  So the v_f, by increasing f, divided by their content,
-        are the kernel's canonical rows; over GF(p) every a and d is 1."""
-        n, p = ambient_dim, field.p
-        red, flipped = _echelon(field, [row[::-1] for row in conditions], n)
-        heads = [(n - 1 - pc, row[pc]) for row, pc in zip(red, flipped)]
-        bound = {pc for pc, _ in heads}
-        free = [f for f in range(n) if f not in bound]
-        rows = []
-        for f in free:
-            d = math.lcm(*(a for row, (_, a) in zip(red, heads) if row[n - 1 - f]))
-            v = [0] * n
-            v[f] = d
-            for row, (pc, a) in zip(red, heads):
-                v[pc] = -row[n - 1 - f] * (d // a)
-            if p is not None:
-                v = [x % p for x in v]
-            elif d > 1:
-                g = math.gcd(*v)
-                v = [x // g for x in v]
-            rows.append(v)
-        return Subspace(field, n, rows, free)
+        residues over GF(p) and ints over QQ: the dependencies among the
+        conditions' columns (`_dependencies`)."""
+        return _dependencies(field, [[c[i] for c in conditions] for i in range(ambient_dim)])
 
     @staticmethod
     def zero(field: FieldSpec, ambient_dim: int) -> "Subspace":

@@ -129,7 +129,7 @@ def all_pairs_case2(L):
 
 def matched(L):
     rep = series(L)
-    witness = _match_case2(L, is_lie(L), rep, center(L), _derived_subalgebra(rep), None)
+    witness = _match_case2(L, is_lie(L), rep, center(L), _derived_subalgebra(rep))
     return witness["chi"], witness["m"], witness["frame"]
 
 

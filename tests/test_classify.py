@@ -28,10 +28,11 @@ from leibniz_algebras.catalog import (
     standard_fixtures,
 )
 from leibniz_algebras.classify import (
-    _MATCHERS,
     Case,
     _codim2_abelian_ideal_qq,
     _derived_subalgebra,
+    _match_case1,
+    _match_case2,
     _match_case3,
     _squarefree_part,
     canonical_quadratic,
@@ -447,9 +448,15 @@ def _witness_path(L, A, N):
     W = _codim2_abelian_ideal_qq(L, A)
     step = "candidates"
     if W is None:
-        rep = series(L)
-        for case, match in _MATCHERS:
-            witness = match(L, is_lie(L), rep, center(L), _derived_subalgebra(rep), N)
+        lie, rep, CL = is_lie(L), series(L), center(L)
+        L2 = _derived_subalgebra(rep)
+        matchers = (
+            (Case.CASE2_D, lambda: _match_case2(L, lie, rep, CL, L2)),
+            (Case.CASE1_C, lambda: _match_case1(L, lie, rep, CL, L2)),
+            (Case.CASE3_E, lambda: _match_case3(L, rep, N)),
+        )
+        for case, match in matchers:
+            witness = match()
             if witness is None:
                 continue
             if "abelian_ideal" not in witness:
@@ -534,9 +541,7 @@ def test_case1_takes_precedence_over_case3(k):
     L = make_c(ROT3, F3)
     if k:
         L = direct_sum(L, abelian_algebra(k, F3))
-    full = L.full_space()
-    L2 = product_space(L, full, full)
-    case3 = _match_case3(L, is_lie(L), series(L), center(L), L2, nilradical(L))
+    case3 = _match_case3(L, series(L), nilradical(L))
     assert case3 is not None
     assert classify(L).case is Case.CASE1_C
 

@@ -128,6 +128,25 @@ def test_extended_euclid_inverse():
         F3.inv(0)
 
 
+def test_inverse_edge_cases():
+    # the inverse is pow(a, -1, p) after a zero test: -1, p + 1 and
+    # residues near 2^61 - 1 invert, p and 0 raise, as 0 does over QQ
+    for p in (2, 3, 5, 2**61 - 1):
+        F = GF(p)
+        units = [-1, p + 1, p - 1, 2 * p - 1] + ([2, 3, 2**60, 2**61 - 2, 12345678901] if p > 5 else [])
+        for a in units:
+            assert F.mul(a, F.inv(a)) == 1 and 0 <= F.inv(a) < p
+        for a in (0, p, -p, 2 * p):
+            with pytest.raises(ZeroDivisionError):
+                F.inv(a)
+        assert F.mul(F.of(Fraction(1, p + 1)), p + 1) == 1
+        with pytest.raises(ZeroDivisionError):
+            F.of(Fraction(1, p))
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(QQ.zero)
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+
+
 def test_field_axioms_randomized(rng):
     for F in (QQ, F2, F3, F5):
         for _ in range(1000):

@@ -34,7 +34,7 @@ from leibniz_algebras.algebra import (
     product_space,
 )
 from leibniz_algebras.catalog import heisenberg_rotation_extension, standard_fixtures
-from leibniz_algebras.classify import Case, classify
+from leibniz_algebras.classify import Case, classify, verify_main_theorem
 from leibniz_algebras.families import abelian_algebra, make_c, make_d
 from leibniz_algebras.fields import QQ
 from leibniz_algebras.invariants import _trace_kernel, nilradical
@@ -172,6 +172,17 @@ def test_frames_run_no_certificate(monkeypatch):
     verdict, counts = _calls(monkeypatch, L, lambda: classify(L))
     assert verdict.case is Case.CASE3_E
     assert counts["is_ideal(L, K)"] == counts["nilpotent subalgebra"] == 1
+    # verify_main_theorem reads the nilradical that classify certified:
+    # it makes no call of either beyond the ones classify makes
+    L0 = direct_sum(heisenberg_rotation_extension(F3), abelian_algebra(1, F3))
+    L = AlgebraTable._canonical(F3, L0.c)
+    verdict, by_classify = _calls(monkeypatch, L, lambda: classify(L))
+    assert verdict.case is Case.CASE3_E
+    assert by_classify == {"is_ideal(L, K)": 1, "nilpotent subalgebra": 1}
+    L = AlgebraTable._canonical(F3, L0.c)
+    report, counts = _calls(monkeypatch, L, lambda: verify_main_theorem(L))
+    assert report.case is Case.CASE3_E and report.ok
+    assert counts == by_classify
 
 
 def reference_is_ideal(L, U):

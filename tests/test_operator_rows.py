@@ -2,7 +2,9 @@
 formulas they replaced, which are kept here as test-local references.
 
 `linalg._dependencies` finds {x : sum_i x[i] v[i] = 0} from the rows v[i]
-themselves; the reference is `Subspace._kernel` of the transposed rows.
+themselves, and `Subspace._kernel` is `_dependencies` of its conditions'
+columns; the reference for both is `reference_kernel`, the reversed-column
+elimination that `Subspace._kernel` ran before, kept here.
 `algebra.center` and `left_annihilator` are the dependencies among the
 flattened operators L_e_i (+) R_e_i and L_e_i; the references are the
 kernels of the 2n^2 and n^2 condition rows [x, e_j]_k and [e_j, x]_k.
@@ -12,6 +14,8 @@ of A and of B's transpose.  `series` starts the lower central chain at the
 derived chain's [L, L]; the reference walks it from L.  Tables are drawn
 over GF(3), GF(5), GF(7) and QQ, under a random invertible basis change
 over GF(p) and `rational_change` over QQ, left-only actions among them."""
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +34,10 @@ from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2
 from leibniz_algebras.families import abelian_algebra, heisenberg, make_c, make_d, oscillator
 from leibniz_algebras.fields import QQ
 from leibniz_algebras.invariants import _trace_rows, series
-from leibniz_algebras.linalg import Matrix, Subspace, _chain, _dependencies
+from leibniz_algebras.linalg import Matrix, Subspace, _chain, _dependencies, _echelon
 
 from conftest import (
+    F2,
     F3,
     F5,
     F7,
@@ -61,6 +66,39 @@ def fresh(L):
 # -- references: the formulas the whole-row code replaced ----------------------
 
 
+def reference_kernel(field, ambient_dim, conditions):
+    """{x : sum_i c[i] x[i] = 0 for every condition row c}, the rows
+    residues over GF(p) and ints over QQ, by the elimination that
+    `Subspace._kernel` ran before it became `_dependencies`.
+
+    One elimination, on the columns in reverse order: each reduced row's
+    pivot a is then at its rightmost nonzero column pc, and the kernel
+    vector v_f of a free column f (d at f, 0 at the other free columns,
+    -row[f] d / a at the pivot pc of each row, d the lcm of those a with
+    row[f] != 0) has its other nonzero entries at pivots pc > f.  So the
+    v_f, by increasing f, divided by their content, are the kernel's
+    canonical rows; over GF(p) every a and d is 1."""
+    n, p = ambient_dim, field.p
+    red, flipped = _echelon(field, [row[::-1] for row in conditions], n)
+    heads = [(n - 1 - pc, row[pc]) for row, pc in zip(red, flipped)]
+    bound = {pc for pc, _ in heads}
+    free = [f for f in range(n) if f not in bound]
+    rows = []
+    for f in free:
+        d = math.lcm(*(a for row, (_, a) in zip(red, heads) if row[n - 1 - f]))
+        v = [0] * n
+        v[f] = d
+        for row, (pc, a) in zip(red, heads):
+            v[pc] = -row[n - 1 - f] * (d // a)
+        if p is not None:
+            v = [x % p for x in v]
+        elif d > 1:
+            g = math.gcd(*v)
+            v = [x // g for x in v]
+        rows.append(v)
+    return Subspace(field, n, rows, free)
+
+
 def ref_center(L):
     n, c = L.dim, _integer_view(L)[1]
     rows = []
@@ -68,13 +106,13 @@ def ref_center(L):
         for k in range(n):
             rows.append([c[i][j][k] for i in range(n)])  # [x, e_j]_k
             rows.append([c[j][i][k] for i in range(n)])  # [e_j, x]_k
-    return Subspace._kernel(L.field, n, rows)
+    return reference_kernel(L.field, n, rows)
 
 
 def ref_left_annihilator(L):
     n, c = L.dim, _integer_view(L)[1]
     rows = [[c[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
-    return Subspace._kernel(L.field, n, rows)
+    return reference_kernel(L.field, n, rows)
 
 
 def ref_trace_rows(L):
@@ -128,7 +166,65 @@ def test_dependencies_are_the_kernel_of_the_transpose(shape, data):
     F, rows = data.draw(row_sets(shape))
     n, m = len(rows), len(rows[0]) if rows else 0
     transposed = [[row[k] for row in rows] for k in range(m)]
-    assert _dependencies(F, rows) == Subspace._kernel(F, n, transposed)
+    got, want = _dependencies(F, rows), reference_kernel(F, n, transposed)
+    assert got == want and got.pivots == want.pivots
+
+
+KERNEL_FIELDS = (QQ, F2, F3, F5)
+
+
+@st.composite
+def condition_sets(draw, shape):
+    """(field, n, conditions): k condition rows on F^n, residues over GF(p)
+    and ints over QQ, k > n for "tall", k = n for "square" and k < n for
+    "short"; n = 0 and k = 0 occur.  Each row is a combination of r drawn
+    rows, a zero row or a repeat of an earlier row."""
+    F = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(1 if shape == "short" else 0, 6))
+    lo, hi = {"tall": (n + 1, n + 4), "square": (n, n), "short": (0, n - 1)}[shape]
+    k = draw(st.integers(lo, hi))
+    entries = st.integers(0, F.p - 1) if F.is_prime_field else st.integers(-3, 3)
+    r = draw(st.integers(0, min(n, k)))
+    gens = [[draw(entries) for _ in range(n)] for _ in range(r)]
+    rows = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(("combination", "zero", "repeat") if rows else ("combination", "zero")))
+        if kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "zero":
+            rows.append([0] * n)
+        else:
+            coeffs = [draw(entries) for _ in gens]
+            rows.append([sum(a * g[j] for a, g in zip(coeffs, gens)) for j in range(n)])
+    if F.is_prime_field:
+        rows = [[x % F.p for x in row] for row in rows]
+    return F, n, rows
+
+
+@pytest.mark.parametrize("shape", ["tall", "square", "short"])
+@settings(max_examples=80)
+@given(data=st.data())
+def test_kernel_matches_the_reference_kernel(shape, data):
+    F, n, rows = data.draw(condition_sets(shape))
+    got, want = Subspace._kernel(F, n, rows), reference_kernel(F, n, rows)
+    assert got == want and got.pivots == want.pivots
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=repr)
+@pytest.mark.parametrize(
+    "n, rows",
+    [
+        (0, []),  # ambient dimension 0, no conditions
+        (0, [[], []]),  # ambient dimension 0, two empty conditions
+        (3, []),  # no conditions: the kernel is F^3
+        (3, [[0, 0, 0], [0, 0, 0]]),  # zero rows only
+        (3, [[1, 1, 0], [1, 1, 0], [1, 1, 0]]),  # one row, repeated
+        (2, [[1, 1], [0, 0], [1, 1], [0, 1]]),  # tall, of full rank
+    ],
+)
+def test_kernel_edge_cases_match_the_reference_kernel(F, n, rows):
+    got, want = Subspace._kernel(F, n, rows), reference_kernel(F, n, rows)
+    assert got == want and got.pivots == want.pivots
 
 
 # -- center, left annihilator, trace rows and series on drawn tables --------------
