@@ -24,7 +24,7 @@ from .algebra import (
     require_leibniz,
 )
 from .errors import ConsistencyError
-from .linalg import Subspace, _chain, _dot_rows, _matmul, subspace_intersect, subspace_sum
+from .linalg import Subspace, _chain, _clear, _dot_rows, _lead, _matmul, subspace_intersect, subspace_sum
 
 
 class SeriesReport(NamedTuple):
@@ -220,12 +220,12 @@ def _envelope_radical(L: AlgebraTable) -> Subspace:
     F, n, p = L.field, L.dim, L.field.p
     X = [[int(j == k) for k in range(n)] for j in range(n)]  # rows: a basis of X_(i-1)
     gens = _actions(L, X, ("left",))  # the L_e_j
-    E, words, frontier = Subspace.zero(F, n * n), [], [X]
+    E, words, frontier = [], [], [X]  # E: the pivot rows of the words' span
     while frontier:
         W = frontier.pop()
-        flat = [x for row in W for x in row]
-        if not E._contains(flat):
-            E = Subspace._span(F, n * n, [*E._rows, flat])
+        lead = _lead(p, _clear(p, [x for row in W for x in row], E), n * n)
+        if lead is not None:
+            E.append(lead)
             words.append(W)
             frontier.extend(_matmul(W, G, p) for G in gens)
     last = 0  # l = floor(log_p n); one round over QQ

@@ -20,24 +20,21 @@ a row of Fractions is scaled to integers once, where it enters
 package: a subspace's `basis` (witnesses, frames, repr, CLI output), and
 `rref_with_pivots`, which divides each row by its pivot.
 
-Three routines carry every subspace iteration of the package.
-`Subspace._reduce` reduces a row against the canonical rows, fraction-free
-over QQ; `_contains` tests that the residual is 0, and `contains_vector`
-and `coordinates` coerce their input and call it.  `Subspace._extension`
-takes, of a sequence of rows, each one that leaves the span grown so far:
-the greedy basis extension.  `_chain(start, step)` lists start,
-step(start), ... up to the first fixed point: the derived and lower
-central series, the generated subalgebra and the Fitting chains.
-
-Two eliminations: `_echelon` for spans, coordinates and intersections, and
-`_dependencies` for every kernel.  `_dependencies(F, rows)` returns the
-linear dependencies among n rows; `Subspace._kernel(F, n, conditions)`,
-{x : c . x = 0 for each condition c}, is those among the conditions' n
-columns.  Where the rows come whole, such as the flattened multiplication
-operators of a basis for the center, `_dependencies` takes them as they
-are.  An annihilator is the kernel of a subspace's rows
-(`Subspace._annihilator`), and `complement_functionals` returns its
-canonical basis.
+One step clears a column, `_clear(p, w, pivots)`, and every elimination
+here is built from it.  `_echelon` is a forward pass of the step, each
+nonzero residual becoming a pivot row (`_lead`), then a back-substitution
+with it.  `_dependencies(F, rows)`, the one kernel routine, clears each row
+with its combination appended and reads a dependency off each row cleared
+to 0; `Subspace._kernel(F, n, conditions)` is the dependencies among the
+conditions' n columns, and an annihilator is the kernel of a subspace's
+rows.  `Subspace._reduce` is the step on a subspace's canonical rows, and
+`_contains` tests that its residual is 0.  A span that grows one row at a
+time and is only tested for membership keeps its pivot list and appends
+each new residual (`Subspace._extension`, the greedy basis extension).
+Rows that an elimination has already made canonical are read, not
+eliminated again (`subspace_intersect`, `_coords_in_rows`).
+`_chain(start, step)` lists start, step(start), ... up to the first fixed
+point: the series, the generated subalgebra and the Fitting chains.
 
 One routine takes coordinates: `_coords_in_rows(F, rows, n)` eliminates
 [rows | 1] once and returns v -> x with x @ rows = v.  `Matrix.inverse`,
@@ -53,7 +50,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._scan_py import canonical_subspaces, gaussian_binomial
-from .errors import DimensionMismatchError
+from .errors import ConsistencyError, DimensionMismatchError
 from .fields import _QQ_ZERO, FieldSpec, Scalar, check_same_field
 
 
@@ -102,7 +99,7 @@ class Matrix:
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
         zero = field.zero
-        return Matrix(field, [[zero] * cols for _ in range(rows)])
+        return Matrix._canonical(field, [[zero] * cols for _ in range(rows)], cols)
 
     # -- dunder --------------------------------------------------------------
 
@@ -206,6 +203,8 @@ class Matrix:
     def power(self, k: int) -> "Matrix":
         if self.rows != self.cols:
             raise DimensionMismatchError("power of non-square matrix")
+        if k < 0:
+            raise ValueError("negative matrix power %d" % k)
         acc = Matrix.identity(self.field, self.rows)
         base = self
         while k:
@@ -301,49 +300,64 @@ def _fractions(row: Sequence, den: int) -> tuple:
     return tuple(Fraction(x, den) if x else _QQ_ZERO for x in row)
 
 
+def _clear(p: int | None, w: Sequence, pivots: Iterable) -> Sequence:
+    """w, residues over GF(p) and ints over QQ (p None), reduced by each
+    (column c, pivot row a) of `pivots` in turn: w <- w - w[c] a over
+    GF(p), where a[c] is 1; over QQ w <- a[c] w - w[c] a, divided by its
+    content.  Each pivot row is 0 at the columns of the pivots before it,
+    so the residual is 0 at every pivot column, and it is 0 iff w lies in
+    the pivot rows' span.  w itself may be returned."""
+    if p is None:
+        for c, top in pivots:
+            f = w[c]
+            if f:
+                a = top[c]
+                w = [a * x - f * y for x, y in zip(w, top)]
+                g = math.gcd(*w)
+                if g > 1:
+                    w = [x // g for x in w]
+        return w
+    for c, top in pivots:
+        f = w[c]
+        if f:
+            w = [(x - f * y) % p if y else x for x, y in zip(w, top)]
+    return w
+
+
+def _lead(p: int | None, w: Sequence, ncols: int) -> tuple | None:
+    """(c, w), c the first column below ncols where the residual w of
+    `_clear` is nonzero and w scaled to 1 there over GF(p): the pivot row
+    it adds after the pivots it was reduced by.  None if there is none."""
+    for c in range(ncols):
+        a = w[c]
+        if a:
+            if p is not None and a != 1:
+                inv = pow(a, -1, p)
+                w = [x * inv % p for x in w]
+            return c, w
+    return None
+
+
 def _echelon(F: FieldSpec, rows: Sequence[Sequence], ncols: int) -> tuple[list, list[int]]:
     """Gauss-Jordan elimination of rows of `ncols` entries, residues over
     GF(p), ints over QQ: (the nonzero reduced rows, their pivot columns),
-    the subspace's canonical rows (see the module docstring).  Over GF(p)
-    pivots are scaled to 1.  Over QQ it is fraction-free: a pivot row a
-    clears column c of row w by w <- a[c] w - w[c] a, and the new row
-    is divided by its content (the gcd of its entries); scaling rows
-    changes no row space, and each pivot row ends with zeros in the other
-    pivot columns, so dividing it by its content and the pivot's sign gives
-    the RREF row scaled to be primitive.  Zero rows take no part."""
+    the subspace's canonical rows (see the module docstring).  A forward
+    pass reduces each row by the pivot rows found so far, and a nonzero
+    residual becomes one; then each pivot row is reduced by those found
+    after it, which are 0 at its pivot.  By pivot column these are the RREF
+    rows over GF(p); over QQ each is divided by its content and its pivot's
+    sign, the RREF row scaled to be primitive."""
     p = F.p
-    if p is None:
-        rows = [row for row in rows if any(row)]
-    else:
-        rows = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        top = rows[r]
-        a = top[c]
-        if p is not None and a != 1:
-            inv = F.inv(a)
-            top = rows[r] = [x * inv % p for x in top]
-        for i in range(len(rows)):
-            row = rows[i]
-            f = row[c]
-            if i == r or not f:
-                continue
-            if p is not None:
-                rows[i] = [(x - f * y) % p if y else x for x, y in zip(row, top)]
-                continue
-            row = [a * x - f * y for x, y in zip(row, top)]
-            g = math.gcd(*row)
-            rows[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-    rows = rows[:r]
+    found: list = []  # (pivot column, pivot row)
+    for w in rows:
+        lead = _lead(p, _clear(p, w, found), ncols)
+        if lead is not None:
+            found.append(lead)
+    for i, (c, w) in enumerate(found):
+        found[i] = c, _clear(p, w, found[i + 1 :])
+    found.sort(key=operator.itemgetter(0))
+    pivots = [c for c, _ in found]
+    rows = [w for _, w in found]
     if p is None:
         for i, (row, pc) in enumerate(zip(rows, pivots)):
             g = math.gcd(*row) if row[pc] > 0 else -math.gcd(*row)
@@ -359,45 +373,29 @@ def _dependencies(F: FieldSpec, rows: Sequence[Sequence]) -> "Subspace":
     of its conditions).
 
     The rows are taken last to first.  Each row, the unit vector e_i
-    appended to record its combination, is reduced against the pivot rows
-    found so far, fraction-free over QQ as in `_echelon`, each step
-    dividing the row by its content; a row that reduces to zero leaves a
-    dependency in its appended part, and any other becomes a pivot row at
-    its first nonzero column.  A pivot row's appended part is 0 at every
-    row not yet taken, so the dependency of row i is 0 before i and at
-    every other dependent row, and at i it is 1 over GF(p) and nonzero over
-    QQ, where the row is primitive.  So the n - rank dependencies, by
-    increasing i, each with a positive entry at i, are the kernel's
-    canonical rows, and i their pivots.  With m = 0 every row is a
-    dependency, and the kernel is F^n; with n = 0 it is 0 in F^0."""
+    appended to record its combination, is reduced by the pivot rows found
+    so far; a row that reduces to zero leaves a dependency in its appended
+    part, and any other becomes a pivot row.  A pivot row's appended part
+    is 0 at every row not yet taken, so the dependency of row i is 0 before
+    i and at every other dependent row, and at i it is 1 over GF(p) and
+    nonzero over QQ, where the step leaves the row primitive.  So the
+    n - rank dependencies, by increasing i, each with a positive entry at
+    i, are the kernel's canonical rows, and i their pivots.  With m = 0
+    every row is a dependency, and the kernel is F^n; with n = 0 it is 0 in
+    F^0."""
     n, p = len(rows), F.p
     m = len(rows[0]) if rows else 0
     pivots: list = []  # (column, pivot row)
     deps, free = [], []
     for i in reversed(range(n)):
-        w = [*rows[i], *(int(j == i) for j in range(n))]
-        for c, top in pivots:
-            f = w[c]
-            if not f:
-                continue
-            if p is not None:
-                w = [(x - f * y) % p if y else x for x, y in zip(w, top)]
-                continue
-            a = top[c]
-            w = [a * x - f * y for x, y in zip(w, top)]
-            g = math.gcd(*w)
-            if g > 1:
-                w = [x // g for x in w]
-        c = next((k for k in range(m) if w[k]), None)
-        if c is None:
-            dep = w[m:]
-            deps.append(dep if dep[i] > 0 else [-x for x in dep])
-            free.append(i)
+        w = _clear(p, [*rows[i], *(int(j == i) for j in range(n))], pivots)
+        lead = _lead(p, w, m)
+        if lead is not None:
+            pivots.append(lead)
             continue
-        if p is not None and w[c] != 1:
-            inv = F.inv(w[c])
-            w = [x * inv % p for x in w]
-        pivots.append((c, w))
+        dep = w[m:]
+        deps.append(dep if dep[i] > 0 else [-x for x in dep])
+        free.append(i)
     return Subspace(F, n, deps[::-1], free[::-1])
 
 
@@ -415,14 +413,14 @@ def _coords_in_rows(F: FieldSpec, rows: Sequence[Sequence], n: int):
     of the rows before them, and the reduced t_j are 0 there.  Over QQ each
     row of [rows | J] and each v are scaled to integers on entry and the t_j
     to ints by d = lcm(s_j), so each x_i is one Fraction; over GF(p) every
-    s_j is 1.  When the rows span F^n every v is inside, and no membership
-    test runs."""
+    s_j is 1.  v is inside iff the rows s_j b_j clear it to 0, and when the
+    rows span F^n every v is inside and no test runs."""
     k, p = len(rows), F.p
     augmented = [(*row, *(int(i + j == k - 1) for j in range(k))) for i, row in enumerate(rows)]
     red, pivots = _echelon(F, _integer_rows(F, augmented), n + k)
     rank = sum(pc < n for pc in pivots)
     red, pivots = red[:rank], pivots[:rank]
-    span = None if rank == n else Subspace._span(F, n, [row[:n] for row in red])
+    span = None if rank == n else [(pc, row[:n]) for pc, row in zip(pivots, red)]
     d = math.lcm(*(row[pc] for row, pc in zip(red, pivots)))
     T = [[x * (d // row[pc]) for x in reversed(row[n:])] for row, pc in zip(red, pivots)]
 
@@ -430,7 +428,7 @@ def _coords_in_rows(F: FieldSpec, rows: Sequence[Sequence], n: int):
         dv = 1
         if p is None:
             dv, v = _integer_row(v)
-        if span is not None and not span._contains(v):
+        if span is not None and any(_clear(p, v, span)):
             return None
         x = [0] * k
         for pc, t in zip(pivots, T):
@@ -565,25 +563,11 @@ class Subspace:
         return w
 
     def _reduce(self, w: Sequence) -> Sequence:
-        """The residual of w after each canonical row b, of pivot column
-        pc, clears column pc: w <- w - w[pc] b over GF(p); over QQ
-        w <- b[pc] w - w[pc] b, fraction-free, which leaves a nonzero
-        multiple of the residual.  It is 0 iff w lies in the span.  w is a
-        row of residues over GF(p) and of ints over QQ; nothing is coerced
-        or checked, and w itself may be returned."""
-        p = self.field.p
-        if p is None:
-            for pc, row in zip(self.pivots, self._rows):
-                c = w[pc]
-                if c:
-                    a = row[pc]
-                    w = [a * x - c * y for x, y in zip(w, row)]
-            return w
-        for pc, row in zip(self.pivots, self._rows):
-            c = w[pc]
-            if c:
-                w = [(x - c * y) % p if y else x for x, y in zip(w, row)]
-        return w
+        """The residual of w by the canonical rows (`_clear`), up to a
+        nonzero factor over QQ: 0 iff w lies in the span.  w is a row of
+        residues over GF(p) and of ints over QQ; nothing is coerced or
+        checked, and w itself may be returned."""
+        return _clear(self.field.p, w, zip(self.pivots, self._rows))
 
     def contains_vector(self, v: Sequence) -> bool:
         return self._coordinates(self._coerce(v)) is not None
@@ -625,13 +609,15 @@ class Subspace:
         of the rows taken before them: a greedy extension of its basis.
         Rows are in the field's canonical form, basis rows say, and are
         scaled to integers over QQ to be tested; nothing is coerced."""
-        F, out, span = self.field, [], self
+        F, n, out = self.field, self.ambient_dim, []
+        pivots = list(zip(self.pivots, self._rows))  # the span grown so far
         for row, w in zip(rows, _integer_rows(F, rows)):
-            if span.dim == span.ambient_dim:
+            if len(pivots) == n:
                 break
-            if not span._contains(w):
+            lead = _lead(F.p, _clear(F.p, w, pivots), n)
+            if lead is not None:
                 out.append(row)
-                span = Subspace._span(F, self.ambient_dim, [*span._rows, w])
+                pivots.append(lead)
         return out
 
     def extend_to_full_basis(self) -> Matrix:
@@ -649,24 +635,34 @@ def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
 
 
 def subspace_intersect(U: Subspace, V: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus block-matrix algorithm: of the
-    reduced rows of [U U; V 0], those whose left half is 0 span it."""
+    """Intersection via the Zassenhaus block-matrix algorithm: the reduced
+    rows of [U U; V 0] whose pivot lies in the right half are [0 | x], and
+    the x are the intersection's canonical rows (RREF, and over QQ
+    primitive with a positive pivot, as the whole row is)."""
     _check_ambient(U, V)
     F, n = U.field, U.ambient_dim
     block = [r + r for r in U._rows] + [r + (0,) * n for r in V._rows]
-    rows, _ = _echelon(F, block, 2 * n)
-    return Subspace._span(F, n, [row[n:] for row in rows if not any(row[:n])])
+    rows, pivots = _echelon(F, block, 2 * n)
+    k = sum(pc < n for pc in pivots)
+    return Subspace(F, n, [row[n:] for row in rows[k:]], [pc - n for pc in pivots[k:]])
 
 
 def _chain(start: Subspace, step) -> list:
     """[start, step(start), step(step(start)), ...] up to the first term
-    that step maps to itself, which ends the list."""
+    that step maps to itself, which ends the list.  Every chain here is
+    nested (the series, the nilpotency test and the Fitting chain of L1
+    shrink, the generated subalgebra and the Fitting chain of L0 grow), so
+    it has at most ambient_dim + 1 terms; a longer one means a step gave
+    rows that are not canonical, and raises ConsistencyError."""
     chain = [start]
     while True:
         nxt = step(chain[-1])
         if nxt == chain[-1]:
             return chain
         chain.append(nxt)
+        if len(chain) > start.ambient_dim + 1:
+            n = start.ambient_dim
+            raise ConsistencyError("a chain of subspaces of F^%d grew past %d terms" % (n, n + 1))
 
 
 def _check_ambient(U: Subspace, V: Subspace) -> None:

@@ -80,7 +80,7 @@ from .algebra import (
 from .errors import BudgetExceededError, ConsistencyError
 from .fields import FieldSpec, check_same_field
 from .invariants import _trace_kernel, series
-from .linalg import Matrix, Subspace, _matmul, enumerate_subspaces
+from .linalg import Matrix, Subspace, _clear, _lead, _matmul, enumerate_subspaces
 
 DEFAULT_SCAN_BUDGET = 5_000_000
 
@@ -537,8 +537,8 @@ def iso_search(
         candidates_by_index[i] = cands
 
     images: dict[int, tuple] = {}
-    # spans[t]: the span of the images chosen before step t
-    spans = [Subspace.zero(F, n)]
+    # the pivot rows of the span of the images chosen so far, one per step
+    span: list = []
     products1 = _integer_view(L1)[2]
     nodes = 0
 
@@ -554,7 +554,8 @@ def iso_search(
                     "isomorphism search exceeded %d nodes; result indeterminate"
                     % node_budget
                 )
-            if spans[step]._contains(v):
+            residual = _clear(p, v, span)
+            if not any(residual):
                 continue  # dependent on previous images
             images[idx] = v
             good = True
@@ -567,10 +568,10 @@ def iso_search(
                     good = False
                     break
             if good:
-                spans.append(Subspace._span(F, n, [*spans[step]._rows, v]))
+                span.append(_lead(p, residual, n))
                 if backtrack(step + 1):
                     return True
-                spans.pop()
+                span.pop()
             del images[idx]
         return False
 

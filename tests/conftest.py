@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -274,3 +275,85 @@ def central_algebras(draw, fields=(F3, F5, F7)):
     else:
         L = direct_sum(heisenberg(F), left_only(1))
     return _disguised_sum(draw, L, disguised=draw(st.booleans()))
+
+
+# -- references: eliminations that linalg's one step replaced ---------------------
+
+
+def reference_echelon(F, rows, ncols):
+    """(rows, pivots) of `linalg._echelon` by the Gauss-Jordan column sweep
+    it ran before it became a forward pass and a back-substitution of one
+    step: column by column, a pivot row is swapped up and clears that
+    column in every other row, fraction-free over QQ with each new row
+    divided by its content; the rows are then divided by their content and
+    pivot sign over QQ.  Residues over GF(p), ints over QQ."""
+    p = F.p
+    if p is None:
+        rows = [row for row in rows if any(row)]
+    else:
+        rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        top = rows[r]
+        a = top[c]
+        if p is not None and a != 1:
+            inv = pow(a, -1, p)
+            top = rows[r] = [x * inv % p for x in top]
+        for i in range(len(rows)):
+            row = rows[i]
+            f = row[c]
+            if i == r or not f:
+                continue
+            if p is not None:
+                rows[i] = [(x - f * y) % p if y else x for x, y in zip(row, top)]
+                continue
+            row = [a * x - f * y for x, y in zip(row, top)]
+            g = math.gcd(*row)
+            rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    rows = rows[:r]
+    if p is None:
+        for i, (row, pc) in enumerate(zip(rows, pivots)):
+            g = math.gcd(*row) if row[pc] > 0 else -math.gcd(*row)
+            if g != 1:
+                rows[i] = [x // g for x in row]
+    return rows, pivots
+
+
+KERNEL_FIELDS = (QQ, F2, F3, F5)
+
+
+@st.composite
+def condition_sets(draw, shape):
+    """(field, n, conditions): k condition rows on F^n, residues over GF(p)
+    and ints over QQ, k > n for "tall", k = n for "square" and k < n for
+    "short"; n = 0 and k = 0 occur.  Each row is a combination of r drawn
+    rows, a zero row or a repeat of an earlier row."""
+    F = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(1 if shape == "short" else 0, 6))
+    lo, hi = {"tall": (n + 1, n + 4), "square": (n, n), "short": (0, n - 1)}[shape]
+    k = draw(st.integers(lo, hi))
+    entries = st.integers(0, F.p - 1) if F.is_prime_field else st.integers(-3, 3)
+    r = draw(st.integers(0, min(n, k)))
+    gens = [[draw(entries) for _ in range(n)] for _ in range(r)]
+    rows = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(("combination", "zero", "repeat") if rows else ("combination", "zero")))
+        if kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "zero":
+            rows.append([0] * n)
+        else:
+            coeffs = [draw(entries) for _ in gens]
+            rows.append([sum(a * g[j] for a, g in zip(coeffs, gens)) for j in range(n)])
+    if F.is_prime_field:
+        rows = [[x % F.p for x in row] for row in rows]
+    return F, n, rows

@@ -1,16 +1,21 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leibniz_algebras.errors import DimensionMismatchError, FieldMismatchError
+from leibniz_algebras.errors import ConsistencyError, DimensionMismatchError, FieldMismatchError
 from leibniz_algebras.fields import GF, QQ
 from leibniz_algebras.linalg import (
     Matrix,
     QuadraticPoly,
     Subspace,
+    _chain,
     _echelon,
     _integer_rows,
     char_poly_2x2,
@@ -22,7 +27,9 @@ from leibniz_algebras.linalg import (
     subspace_sum,
 )
 
-from conftest import F2, F3, F5, F7, rand_matrix
+from conftest import F2, F3, F5, F7, condition_sets, rand_matrix, reference_echelon
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # -- rref -------------------------------------------------------------------
@@ -69,6 +76,74 @@ def test_solve_and_inverse(rng):
             got = A.solve_col(b)
             assert got == x
             assert A @ A.inverse() == Matrix.identity(F, n)
+
+
+def test_zeros_keeps_its_width_with_no_rows():
+    for F in (QQ, F3):
+        Z = Matrix.zeros(F, 0, 3)
+        assert (Z.rows, Z.cols) == (0, 3)
+        assert Z.transpose() == Matrix.zeros(F, 3, 0)
+        assert Matrix.zeros(F, 2, 3).cols == 3
+
+
+NEGATIVE_POWER = """
+from leibniz_algebras.fields import GF
+from leibniz_algebras.linalg import Matrix
+try:
+    Matrix.identity(GF(3), 2).power(-1)
+except ValueError as e:
+    print("ValueError:", e)
+"""
+
+
+def test_a_negative_power_raises():
+    # in a child process with a time limit, so that a power loop that never
+    # ends fails this test rather than stalling the suite
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", NEGATIVE_POWER], capture_output=True, text=True, timeout=20, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("ValueError: negative matrix power -1")
+
+
+# -- the one elimination step --------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", ["tall", "square", "short"])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_echelon_matches_the_column_sweep(shape, data):
+    # over QQ, GF(2), GF(3) and GF(5); zero rows, repeated rows, no rows
+    # and rows of no entries among the inputs
+    F, n, rows = data.draw(condition_sets(shape))
+    got, want = _echelon(F, rows, n), reference_echelon(F, rows, n)
+    assert [list(r) for r in got[0]] == [list(r) for r in want[0]]
+    assert got[1] == want[1]
+
+
+def reference_intersect(U, V):
+    """`subspace_intersect` by its two eliminations before it read the
+    intersection off its block: the [0 | x] rows of the Zassenhaus
+    elimination of [U U; V 0], eliminated again."""
+    F, n = U.field, U.ambient_dim
+    block = [r + r for r in U._rows] + [r + (0,) * n for r in V._rows]
+    rows, _ = reference_echelon(F, block, 2 * n)
+    return Subspace(F, n, *reference_echelon(F, [row[n:] for row in rows if not any(row[:n])], n))
+
+
+@settings(max_examples=150)
+@given(data=st.data(), shape=st.sampled_from(["tall", "square", "short"]))
+def test_intersection_matches_the_two_elimination_intersection(data, shape):
+    # U and V are spanned by two parts of one drawn set of rows, which are
+    # combinations of common generators: their intersections are often
+    # neither 0 nor one of them
+    F, n, rows = data.draw(condition_sets(shape))
+    cut = data.draw(st.integers(0, len(rows)))
+    U, V = Subspace._span(F, n, rows[:cut]), Subspace._span(F, n, rows[cut:])
+    for got, want in ((subspace_intersect(U, V), reference_intersect(U, V)),
+                      (subspace_intersect(V, U), reference_intersect(V, U))):
+        assert got == want and got.pivots == want.pivots
 
 
 # -- subspaces ----------------------------------------------------------------
@@ -336,3 +411,21 @@ def test_a_subspace_builds_its_basis_on_first_read(monkeypatch):
             assert basis.rows == U.dim and basis.cols == 4
             assert Subspace.from_vectors(F, 4, basis.data) == U
             built.clear()
+
+
+def test_a_chain_whose_terms_never_repeat_raises():
+    # a step that returns the same span with its rows doubled never yields
+    # two equal terms; `_chain` stops after ambient_dim + 1 terms, and the
+    # count of calls keeps a loop that never ends from stalling this test
+    calls = []
+
+    def doubled(U):
+        calls.append(U)
+        if len(calls) > 50:
+            raise AssertionError("_chain did not stop")
+        return Subspace(U.field, U.ambient_dim, [[2 * x for x in row] for row in U._rows], U.pivots)
+
+    start = Subspace.from_vectors(QQ, 3, [[1, 2, 0]])
+    with pytest.raises(ConsistencyError, match=r"F\^3 grew past 4 terms"):
+        _chain(start, doubled)
+    assert len(calls) == start.ambient_dim + 1

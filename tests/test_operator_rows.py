@@ -4,7 +4,8 @@ formulas they replaced, which are kept here as test-local references.
 `linalg._dependencies` finds {x : sum_i x[i] v[i] = 0} from the rows v[i]
 themselves, and `Subspace._kernel` is `_dependencies` of its conditions'
 columns; the reference for both is `reference_kernel`, the reversed-column
-elimination that `Subspace._kernel` ran before, kept here.
+elimination that `Subspace._kernel` ran before, kept here on the column
+sweep `conftest.reference_echelon`.
 `algebra.center` and `left_annihilator` are the dependencies among the
 flattened operators L_e_i (+) R_e_i and L_e_i; the references are the
 kernels of the 2n^2 and n^2 condition rows [x, e_j]_k and [e_j, x]_k.
@@ -34,18 +35,20 @@ from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2
 from leibniz_algebras.families import abelian_algebra, heisenberg, make_c, make_d, oscillator
 from leibniz_algebras.fields import QQ
 from leibniz_algebras.invariants import _trace_rows, series
-from leibniz_algebras.linalg import Matrix, Subspace, _chain, _dependencies, _echelon
+from leibniz_algebras.linalg import Matrix, Subspace, _chain, _dependencies
 
 from conftest import (
-    F2,
     F3,
     F5,
     F7,
+    KERNEL_FIELDS,
+    condition_sets,
     cycle_actions,
     family_algebras,
     identity_actions,
     left_only_action,
     left_only_actions,
+    reference_echelon,
 )
 
 FIELDS = (F3, F5, F7, QQ)
@@ -79,7 +82,7 @@ def reference_kernel(field, ambient_dim, conditions):
     v_f, by increasing f, divided by their content, are the kernel's
     canonical rows; over GF(p) every a and d is 1."""
     n, p = ambient_dim, field.p
-    red, flipped = _echelon(field, [row[::-1] for row in conditions], n)
+    red, flipped = reference_echelon(field, [row[::-1] for row in conditions], n)
     heads = [(n - 1 - pc, row[pc]) for row, pc in zip(red, flipped)]
     bound = {pc for pc, _ in heads}
     free = [f for f in range(n) if f not in bound]
@@ -168,37 +171,6 @@ def test_dependencies_are_the_kernel_of_the_transpose(shape, data):
     transposed = [[row[k] for row in rows] for k in range(m)]
     got, want = _dependencies(F, rows), reference_kernel(F, n, transposed)
     assert got == want and got.pivots == want.pivots
-
-
-KERNEL_FIELDS = (QQ, F2, F3, F5)
-
-
-@st.composite
-def condition_sets(draw, shape):
-    """(field, n, conditions): k condition rows on F^n, residues over GF(p)
-    and ints over QQ, k > n for "tall", k = n for "square" and k < n for
-    "short"; n = 0 and k = 0 occur.  Each row is a combination of r drawn
-    rows, a zero row or a repeat of an earlier row."""
-    F = draw(st.sampled_from(KERNEL_FIELDS))
-    n = draw(st.integers(1 if shape == "short" else 0, 6))
-    lo, hi = {"tall": (n + 1, n + 4), "square": (n, n), "short": (0, n - 1)}[shape]
-    k = draw(st.integers(lo, hi))
-    entries = st.integers(0, F.p - 1) if F.is_prime_field else st.integers(-3, 3)
-    r = draw(st.integers(0, min(n, k)))
-    gens = [[draw(entries) for _ in range(n)] for _ in range(r)]
-    rows = []
-    for _ in range(k):
-        kind = draw(st.sampled_from(("combination", "zero", "repeat") if rows else ("combination", "zero")))
-        if kind == "repeat":
-            rows.append(list(draw(st.sampled_from(rows))))
-        elif kind == "zero":
-            rows.append([0] * n)
-        else:
-            coeffs = [draw(entries) for _ in gens]
-            rows.append([sum(a * g[j] for a, g in zip(coeffs, gens)) for j in range(n)])
-    if F.is_prime_field:
-        rows = [[x % F.p for x in row] for row in rows]
-    return F, n, rows
 
 
 @pytest.mark.parametrize("shape", ["tall", "square", "short"])
