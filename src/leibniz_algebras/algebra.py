@@ -14,13 +14,19 @@ What a table determines is computed once.  A function decorated with
 Lie test and the center here; the series, the trace kernel and the
 nilradical in `invariants`; the flat table of the scan kernel in `search`)
 stores its value in the table's `_cache` dict under the function's name,
-None included; a call that raises stores nothing, so it raises again.  Two
-entries can also be filled from outside their function, each with a value
-proved equal to what it would compute: a subalgebra, quotient or basis
-change of a table that passed the Leibniz check inherits the pass
-(`_inherit_leibniz`), and a Case1_c or Case2_d frame that `classify`
-matched enters the nilradical (`invariants._proved_nilradical`).  No other
-entry is.
+None included; a call that raises stores nothing, so it raises again.
+Three entries can also be filled from outside their function, each with a
+value proved equal to what it would compute: a subalgebra, quotient or
+basis change of a table that passed the Leibniz check inherits the pass
+(`_inherit_leibniz`); a Case1_c or Case2_d frame that `classify` matched
+enters the nilradical (`invariants._proved_nilradical`); and a table built
+from its nonzero products (`AlgebraTable._from_products`: `from_products`
+and the families, `direct_sum`, `subalgebra_table` and family e's table)
+stores its integer view as it is built.  That view equals what
+`_integer_view` computes, as a product that is not listed is 0: its
+denominators are 1, which leave the lcm D as it is, its row of D*c is 0,
+and it has no nonzero coordinate.  No other entry is.  Every entry depends
+on the field and c alone, never on the name, so `rename` keeps the cache.
 
 Over QQ the structure constants are read only through the integer table D*c,
 D the lcm of their denominators (`_integer_view`, cached per table): brackets
@@ -105,16 +111,52 @@ class AlgebraTable:
         L._cache = {}
         return L
 
+    @classmethod
+    def _from_products(cls, field: FieldSpec, dim: int, products: dict, name: str | None = None) -> "AlgebraTable":
+        """Table with [e_i, e_j] = products[(i, j)], a tuple of `dim`
+        entries already in the field's canonical form, and every other
+        product 0; nothing is coerced or checked.  The integer view
+        (`_integer_view`) is stored with it, built in the same pass from
+        the products listed alone (see the module docstring): over QQ, D
+        is the lcm of their denominators; over GF(p), D = 1 and the view's
+        table is the table.  The cache key is `_integer_view`'s own,
+        written out: a wrapper bound to that name, such as a tracer's,
+        does not move it."""
+        p = field.p
+        c = [[(field.zero,) * dim] * dim for _ in range(dim)]
+        sparse = [[()] * dim for _ in range(dim)]
+        if p is None:
+            D = math.lcm(*[x.denominator for vec in products.values() for x in vec])
+            ic = [[(0,) * dim] * dim for _ in range(dim)]
+        for (i, j), vec in products.items():
+            c[i][j] = vec
+            if p is None:
+                vec = ic[i][j] = tuple([x.numerator * (D // x.denominator) for x in vec])
+            sparse[i][j] = tuple([(k, x) for k, x in enumerate(vec) if x])
+        L = object.__new__(cls)
+        L.field = field
+        L.c = tuple(map(tuple, c))
+        L.dim = len(L.c)
+        L.name = name
+        view = (D, tuple(map(tuple, ic))) if p is None else (1, L.c)
+        L._cache = {"_integer_view": (*view, tuple(map(tuple, sparse)))}
+        return L
+
     @staticmethod
     def from_products(field: FieldSpec, dim: int, products: dict, name: str | None = None) -> "AlgebraTable":
-        """Build a table from a sparse {(i, j): coefficient vector} dict."""
-        zero = [field.zero] * dim
-        c = [[list(zero) for _ in range(dim)] for _ in range(dim)]
-        for (i, j), vec in products.items():
+        """Build a table from a sparse {(i, j): coefficient vector} dict;
+        every product not given is 0.  Only the given vectors are coerced
+        into the field, and the table is built with its integer view
+        (`_from_products`)."""
+        for i, j in products:
             if not (0 <= i < dim and 0 <= j < dim):
                 raise DimensionMismatchError("product index out of range")
-            c[i][j] = list(vec)
-        return AlgebraTable(field, c, name=name)
+        coerced = {}
+        for ij, vec in products.items():
+            vec = coerced[ij] = tuple(map(field.of, vec))
+            if len(vec) != dim:
+                raise DimensionMismatchError("structure tensor is not n*n*n")
+        return AlgebraTable._from_products(field, dim, coerced, name=name)
 
     def __eq__(self, other):
         return (
@@ -141,7 +183,11 @@ class AlgebraTable:
         return Subspace.full(self.field, self.dim)
 
     def rename(self, name: str) -> "AlgebraTable":
-        return AlgebraTable._canonical(self.field, self.c, name=name)
+        """The same table under another name, with its cache: no cached
+        entry reads the name."""
+        L = AlgebraTable._canonical(self.field, self.c, name=name)
+        L._cache.update(self._cache)
+        return L
 
 
 def _per_table(fn):
@@ -468,6 +514,15 @@ def product_space(L: AlgebraTable, U: Subspace, V: Subspace) -> Subspace:
     return Subspace._span(L.field, L.dim, gens)
 
 
+def _derived_space(L: AlgebraTable) -> Subspace:
+    """[L, L], the span of the nonzero products the integer view lists:
+    the product_space of L with itself without a bracket.  Over QQ each
+    row is D times its product, which changes no span."""
+    _, c, products = _integer_view(L)
+    gens = [cij for ci, pi in zip(c, products) for cij, pij in zip(ci, pi) if pij]
+    return Subspace._span(L.field, L.dim, gens)
+
+
 def is_subalgebra(L: AlgebraTable, U: Subspace) -> bool:
     _check_subspace(L, U)
     rows = U._rows
@@ -520,21 +575,22 @@ def subalgebra_table(L: AlgebraTable, U: Subspace) -> AlgebraTable:
     The products are taken on the integer view (`_scaled_bracket`) of U's
     canonical rows: over QQ, for the integer rows s_a b_a and s_b b_b of
     the RREF rows b_a, b_b (s the pivot), w = D s_a s_b [b_a, b_b], whose
-    coordinates are w[pc] / (D s_a s_b), pc the pivots."""
+    coordinates are w[pc] / (D s_a s_b), pc the pivots.  The nonzero
+    products build the table and its integer view
+    (`AlgebraTable._from_products`)."""
     _check_subspace(L, U)
     rows, pivots = U._rows, U.pivots
     D = _integer_view(L)[0]
-    c = []
-    for a, pa in zip(rows, pivots):
-        row = []
-        for b, pb in zip(rows, pivots):
+    products = {}
+    for i, (a, pa) in enumerate(zip(rows, pivots)):
+        for j, (b, pb) in enumerate(zip(rows, pivots)):
             w = _scaled_bracket(L, a, b)
             if not U._contains(w):
                 raise ValueError("subspace is not closed under the bracket")
-            coords = [w[pc] for pc in pivots]
-            row.append(tuple(coords) if L.field.p else _fractions(coords, D * a[pa] * b[pb]))
-        c.append(row)
-    return _inherit_leibniz(L, AlgebraTable._canonical(L.field, c))
+            if any(w):
+                coords = [w[pc] for pc in pivots]
+                products[i, j] = tuple(coords) if L.field.p else _fractions(coords, D * a[pa] * b[pb])
+    return _inherit_leibniz(L, AlgebraTable._from_products(L.field, len(rows), products))
 
 
 def quotient(L: AlgebraTable, I: Subspace) -> tuple[AlgebraTable, Matrix]:
@@ -560,25 +616,22 @@ def quotient(L: AlgebraTable, I: Subspace) -> tuple[AlgebraTable, Matrix]:
 
 
 def direct_sum(L1: AlgebraTable, L2: AlgebraTable) -> AlgebraTable:
-    """Block-diagonal table; cross products vanish."""
+    """Block-diagonal table; cross products vanish.  It is built from the
+    summands' nonzero products, as their integer views list them, with its
+    own integer view (`AlgebraTable._from_products`)."""
     check_same_field(L1.field, L2.field)
     F = L1.field
     n1, n2 = L1.dim, L2.dim
-    n = n1 + n2
-    zero = [F.zero] * n
-    c = [[list(zero) for _ in range(n)] for _ in range(n)]
-    for i in range(n1):
-        for j in range(n1):
-            for k in range(n1):
-                c[i][j][k] = L1.c[i][j][k]
-    for i in range(n2):
-        for j in range(n2):
-            for k in range(n2):
-                c[n1 + i][n1 + j][n1 + k] = L2.c[i][j][k]
+    products = {}
+    for L, shift, before, after in ((L1, 0, (), (F.zero,) * n2), (L2, n1, (F.zero,) * n1, ())):
+        for i, ci in enumerate(_integer_view(L)[2]):
+            for j, cij in enumerate(ci):
+                if cij:
+                    products[shift + i, shift + j] = before + L.c[i][j] + after
     name = None
     if L1.name and L2.name:
         name = "%s (+) %s" % (L1.name, L2.name)
-    return AlgebraTable._canonical(F, c, name=name)
+    return AlgebraTable._from_products(F, n1 + n2, products, name=name)
 
 
 def change_of_basis(L: AlgebraTable, P: Matrix) -> AlgebraTable:

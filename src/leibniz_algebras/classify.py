@@ -37,6 +37,7 @@ from typing import NamedTuple
 from .algebra import (
     AlgebraTable,
     _bracket,
+    _derived_space,
     _inherit_leibniz,
     _is_frame,
     center,
@@ -44,7 +45,6 @@ from .algebra import (
     is_abelian_subspace,
     is_ideal,
     is_lie,
-    product_space,
     require_leibniz,
     squares_ideal,
     subalgebra_table,
@@ -172,8 +172,9 @@ def _heisenberg_frame(L: AlgebraTable, W: Subspace) -> list[tuple] | None:
     heisenberg (+) F^k form: [u, w] = z with z and the f's central in W.
 
     None when W is not heisenberg (+) F^(dim-3), tested structurally: Lie,
-    with a derived space span(z) of dimension 1 inside a center C of
-    dimension dim-2 (which makes it nilpotent of class <= 2).
+    with a derived space span(z) of dimension 1, read off W's table
+    (`_derived_space`), inside a center C of dimension dim-2 (which makes
+    it nilpotent of class <= 2).
 
     The frame is then written down, in W's RREF coordinates: u is the first
     basis vector outside C, w the first basis vector e_s with [u, e_s] = c*z,
@@ -191,7 +192,7 @@ def _heisenberg_frame(L: AlgebraTable, W: Subspace) -> list[tuple] | None:
     T = subalgebra_table(L, W)
     if not is_lie(T):
         return None
-    T2 = product_space(T, T.full_space(), T.full_space())
+    T2 = _derived_space(T)
     CT = center(T)
     if T2.dim != 1 or CT.dim != m - 2 or not CT.contains(T2):
         return None

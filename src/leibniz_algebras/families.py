@@ -221,29 +221,31 @@ def heisenberg_plus_abelian(k: int, field: FieldSpec) -> AlgebraTable:
 
 def _e_table(phi: Matrix, theta: Matrix, v: Sequence, n: int, field: FieldSpec) -> AlgebraTable:
     """The table of family e (see `make_e`), with the shapes of its
-    parameters checked and not the Leibniz rule."""
+    parameters checked and not the Leibniz rule.  Its products are written
+    down directly: the columns of phi and theta, v, and the one bracket
+    pair [u, w] = -[w, u] = z of H = heisenberg (+) F^(n-4) on its basis
+    (u, w, z, f..), that is indices 1, 2, 3 here.  phi and theta are read
+    as they stand, so they must be over `field`; v is coerced."""
     if n < 4:
         raise DimensionMismatchError("family e needs dimension >= 4")
     F = field
-    H = heisenberg_plus_abelian(n - 4, field)
-    h = H.dim
+    h = n - 1
     if phi.rows != h or phi.cols != h or theta.rows != h or theta.cols != h:
         raise DimensionMismatchError("phi and theta must be %dx%d" % (h, h))
     vv = tuple(F.of(x) for x in v)
     if len(vv) != h:
         raise DimensionMismatchError("v must have length %d" % h)
+    check_same_field(F, phi.field)
+    check_same_field(F, theta.field)
 
-    prods = {}
-    prods[(0, 0)] = (F.zero,) + vv
-    for j in range(h):
-        img = phi.apply_col(H.basis_vector(j))
-        prods[(0, 1 + j)] = (F.zero,) + tuple(img)
-        img_t = theta.apply_col(H.basis_vector(j))
-        prods[(1 + j, 0)] = (F.zero,) + tuple(img_t)
-    for i in range(h):
-        for j in range(h):
-            prods[(1 + i, 1 + j)] = (F.zero,) + tuple(H.c[i][j])
-    return AlgebraTable.from_products(field, n, prods, name="e(phi,theta,v,%d)" % n)
+    zero = (F.zero,)
+    prods = {(0, 0): zero + vv}
+    for j, (img, img_t) in enumerate(zip(zip(*phi.data), zip(*theta.data))):
+        prods[(0, 1 + j)] = zero + img
+        prods[(1 + j, 0)] = zero + img_t
+    prods[(1, 2)] = zero * 3 + (F.one,) + zero * (n - 4)
+    prods[(2, 1)] = zero * 3 + (F.neg(F.one),) + zero * (n - 4)
+    return AlgebraTable._from_products(F, n, prods, name="e(phi,theta,v,%d)" % n)
 
 
 def make_e(phi: Matrix, theta: Matrix, v: Sequence, n: int, field: FieldSpec) -> AlgebraTable:
@@ -254,7 +256,8 @@ def make_e(phi: Matrix, theta: Matrix, v: Sequence, n: int, field: FieldSpec) ->
       [x, x] = v,  [x, b] = phi(b),  [a, x] = theta(a),  [a, b] = [a, b]_H
 
     for a, b in H.  phi and theta are (n-1)x(n-1) column-operator matrices
-    over the H coordinates and v is a length-(n-1) vector.  Beyond these
+    over the H coordinates, over `field` (another field raises
+    FieldMismatchError), and v is a length-(n-1) vector.  Beyond these
     shapes, the one condition is the Leibniz rule on the assembled table;
     parameter triples whose table breaks it raise FamilyParameterError
     naming the first failing basis triple, since no closed-form

@@ -15,6 +15,7 @@ from .algebra import (
     AlgebraTable,
     _actions,
     _check_subspace,
+    _derived_space,
     _integer_view,
     _per_table,
     is_abelian_subspace,
@@ -54,15 +55,17 @@ class FittingSplit(NamedTuple):
 
 @_per_table
 def series(L: AlgebraTable) -> SeriesReport:
-    """Derived and lower central series of L."""
+    """Derived and lower central series of L.  Both start with D1 = C2 =
+    [L, L], which is read off the table (`algebra._derived_space`), and go
+    on from there by brackets; a perfect L's chains both stop at L."""
     require_leibniz(L)
     full = L.full_space()
-    derived = _chain(full, lambda D: product_space(L, D, D))
-    # C2 = [L, L] is D1: the lower chain goes on from there (a perfect L's
-    # chains both stop at L)
-    lower = derived
-    if len(derived) > 1:
-        lower = [full, *_chain(derived[1], lambda C: product_space(L, full, C))]
+    L2 = _derived_space(L)
+    if L2 == full:
+        derived = lower = [full]
+    else:
+        derived = [full, *_chain(L2, lambda D: product_space(L, D, D))]
+        lower = [full, *_chain(L2, lambda C: product_space(L, full, C))]
     solvable = derived[-1].is_zero()
     nilpotent = lower[-1].is_zero()
     length = len(derived) - 1 if solvable else None

@@ -19,7 +19,7 @@ from leibniz_algebras.families import (
     oscillator,
 )
 from leibniz_algebras.fields import GF, QQ
-from leibniz_algebras.linalg import Matrix, Subspace
+from leibniz_algebras.linalg import Matrix, Subspace, _chain
 
 # generated tests replay the same examples on every run and take as long as
 # they need: no example database, no per-example deadline
@@ -357,3 +357,37 @@ def condition_sets(draw, shape):
     if F.is_prime_field:
         rows = [[x % F.p for x in row] for row in rows]
     return F, n, rows
+
+
+# -- references: [L, L] and the series by brackets alone -------------------------
+
+
+def reference_bracket(L, u, v):
+    """[u, v] for rows of L's field, summed entry by entry over the
+    table L.c with the field's own arithmetic; no integer view is read."""
+    F = L.field
+    out = [F.zero] * L.dim
+    for x, ci in zip(u, L.c):
+        for y, cij in zip(v, ci):
+            if x and y:
+                xy = F.mul(x, y)
+                out = [F.add(o, F.mul(xy, c)) for o, c in zip(out, cij)]
+    return out
+
+
+def reference_product_space(L, U, V):
+    """The span of the [u, v], u and v basis rows of U and V
+    (`reference_bracket`)."""
+    return Subspace.from_vectors(
+        L.field, L.dim, [reference_bracket(L, u, v) for u in U.basis.data for v in V.basis.data]
+    )
+
+
+def reference_series(L):
+    """(derived chain, lower central chain) of L, both walked from L by
+    brackets alone, as `series` walked them before it read [L, L] off the
+    table: D(k+1) = [Dk, Dk] and C(k+1) = [L, Ck]."""
+    full = L.full_space()
+    derived = _chain(full, lambda D: reference_product_space(L, D, D))
+    lower = _chain(full, lambda C: reference_product_space(L, full, C))
+    return tuple(derived), tuple(lower)

@@ -11,8 +11,10 @@ flattened operators L_e_i (+) R_e_i and L_e_i; the references are the
 kernels of the 2n^2 and n^2 condition rows [x, e_j]_k and [e_j, x]_k.
 `invariants._trace_rows` takes each trace Tr(A B) as one dot product of
 dense flattened operators; the reference intersects the nonzero positions
-of A and of B's transpose.  `series` starts the lower central chain at the
-derived chain's [L, L]; the reference walks it from L.  Tables are drawn
+of A and of B's transpose.  `series` reads [L, L] off the table's nonzero
+products (`algebra._derived_space`) and starts both chains there; the
+reference, `conftest.reference_series`, walks both from L by brackets
+alone.  Tables are drawn
 over GF(3), GF(5), GF(7) and QQ, under a random invertible basis change
 over GF(p) and `rational_change` over QQ, left-only actions among them."""
 
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 from leibniz_algebras import invariants
 from leibniz_algebras.algebra import (
     AlgebraTable,
+    _derived_space,
     _integer_view,
     center,
     direct_sum,
@@ -35,13 +38,14 @@ from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2
 from leibniz_algebras.families import abelian_algebra, heisenberg, make_c, make_d, oscillator
 from leibniz_algebras.fields import QQ
 from leibniz_algebras.invariants import _trace_rows, series
-from leibniz_algebras.linalg import Matrix, Subspace, _chain, _dependencies
+from leibniz_algebras.linalg import Matrix, Subspace, _dependencies
 
 from conftest import (
     F3,
     F5,
     F7,
     KERNEL_FIELDS,
+    central_algebras,
     condition_sets,
     cycle_actions,
     family_algebras,
@@ -49,6 +53,8 @@ from conftest import (
     left_only_action,
     left_only_actions,
     reference_echelon,
+    reference_product_space,
+    reference_series,
 )
 
 FIELDS = (F3, F5, F7, QQ)
@@ -135,11 +141,6 @@ def ref_trace_rows(L):
     return funcs if p is None else [[x % p for x in f] for f in funcs]
 
 
-def ref_lower_central_chain(L):
-    full = L.full_space()
-    return tuple(_chain(full, lambda C: product_space(L, full, C)))
-
-
 # -- the dependency helper -------------------------------------------------------
 
 
@@ -208,7 +209,7 @@ def test_operator_rows_match_the_condition_rows(L):
     assert center(fresh(L)) == ref_center(L)
     assert left_annihilator(fresh(L)) == ref_left_annihilator(L)
     assert _trace_rows(fresh(L)) == ref_trace_rows(L)
-    assert series(fresh(L)).lower_central_chain == ref_lower_central_chain(L)
+    assert series(fresh(L)).lower_central_chain == reference_series(L)[1]
 
 
 def special_tables():
@@ -234,7 +235,9 @@ def special_tables():
 )
 def test_lower_central_chain_on_perfect_abelian_and_nilpotent_tables(name, L):
     rep = series(fresh(L))
-    assert rep.lower_central_chain == ref_lower_central_chain(L)
+    assert (rep.derived_chain, rep.lower_central_chain) == reference_series(L)
+    full = L.full_space()
+    assert _derived_space(fresh(L)) == reference_product_space(L, full, full)
     assert center(fresh(L)) == ref_center(L)
     assert left_annihilator(fresh(L)) == ref_left_annihilator(L)
     assert _trace_rows(fresh(L)) == ref_trace_rows(L)
@@ -242,18 +245,37 @@ def test_lower_central_chain_on_perfect_abelian_and_nilpotent_tables(name, L):
         assert rep.derived_dims == rep.lower_central_dims == (3,)
 
 
-def test_series_brackets_L_with_itself_once(monkeypatch):
-    """[L, L] starts both chains: `series` runs product_space(L, full,
-    full) once per table, where walking both chains from L ran it twice."""
-    calls = []
+def test_series_reads_L_L_off_the_table_once(monkeypatch):
+    """[L, L] starts both chains: `series` reads it off the table once per
+    table (`_derived_space`) and never runs product_space(L, full, full)."""
+    calls, read = [], []
 
     def counting(L, U, V):
         calls.append(U.dim == V.dim == L.dim)
         return product_space(L, U, V)
 
+    def reading(L):
+        read.append(L)
+        return _derived_space(L)
+
     monkeypatch.setattr(invariants, "product_space", counting)
+    monkeypatch.setattr(invariants, "_derived_space", reading)
     for F in FIELDS:
         for L in (heisenberg_rotation_extension(F), make_d(rotation_2x2(F), F), abelian_algebra(2, F)):
             calls.clear()
-            series(fresh(L))
-            assert calls.count(True) == 1, (F, L)
+            read.clear()
+            T = fresh(L)
+            series(T)
+            assert calls.count(True) == 0 and read == [T], (F, L)
+
+
+@settings(max_examples=150)
+@given(st.one_of(drawn_tables, central_algebras(FIELDS)))
+def test_derived_space_and_series_match_the_bracket_reference(L):
+    # [L, L] read off the table, and both chains started from it, are what
+    # brackets of basis vectors alone give, on disguised tables and on
+    # tables in their canonical basis, whose products are sparse
+    full = L.full_space()
+    assert _derived_space(fresh(L)) == reference_product_space(L, full, full)
+    rep = series(fresh(L))
+    assert (rep.derived_chain, rep.lower_central_chain) == reference_series(L)
