@@ -34,11 +34,10 @@ them.  A value left out cuts every subspace below it, none of which is a
 match.  MODE_IDEAL is tested on each subspace the walk reaches.
 
 For abelian-ideal scans `search` passes the trace form's functionals
-x -> Tr(M_x W), for M in {L, R} and W in {1, L_e_j, R_e_j}.  If I is an
-abelian ideal and x is in I, then W(I) <= I, and M_x maps L into I and I to
-0, so M_x W is nilpotent and its trace is 0 in every characteristic.  Every
-abelian ideal therefore lies in K, and the cut skips only subtrees that hold
-none.
+x -> Tr(L_x W), for W in {1, L_e_j}.  If I is an abelian ideal and x is in
+I, then W(I) <= I, and L_x maps L into I and I to 0, so L_x W is nilpotent
+and its trace is 0 in every characteristic.  Every abelian ideal therefore
+lies in K, and the cut skips only subtrees that hold none.
 
 For alpha's walk `search` passes the rows of the center C = C(L).  C
 brackets to 0 with everything, so A + C is abelian for every abelian A:

@@ -109,33 +109,31 @@ def _is_nilpotent_subalgebra(L: AlgebraTable, U: Subspace) -> bool:
 
 
 def _trace_rows(L: AlgebraTable) -> list:
-    """The functionals x -> Tr(M_x W) for M in {L, R} and W in {1, L_e_j,
-    R_e_j}, as rows of ints (residues over GF(p)).
+    """The functionals x -> Tr(L_x) and x -> Tr(L_x L_e_j), n + 1 rows of
+    ints (residues over GF(p)); row j + 1 has Tr(L_e_i L_e_j) at e_i.
 
     Every nilpotent ideal N, abelian ones included, lies in their common
-    kernel: the ideals N_1 = N, N_(k+1) = [N, N_k] + [N_k, N] reach 0, W
-    maps each N_k into itself, and for x in N, M_x maps L into N_1 and N_k
-    into N_(k+1), so M_x W is nilpotent.
+    kernel, in every characteristic: the ideals N_1 = N, N_(k+1) = [N, N_k]
+    + [N_k, N] reach 0, L_e_j maps each N_k into itself, and for x in N,
+    L_x maps L into N_1 and N_k into N_(k+1), so L_x and L_x L_e_j are
+    nilpotent.  The lemma needs no right multiplication, and the rows of
+    Tr(R_x W) have cut no further on any table tried.
 
-    Tr(AB) = Tr(BA), so of the traces of products of two operators among
-    the L_e_i and R_e_i each is computed once: 2n^2 + n of them.  They are
-    read off the integer view (`_integer_view`): over QQ its table is D*c,
-    which scales each functional by D or D^2 and leaves their span and
-    kernel as they are."""
+    Tr(AB) = Tr(BA), so each Tr(L_e_i L_e_j) is computed once: n(n+1)/2
+    of them.  They are read off the integer view (`_integer_view`): over
+    QQ its table is D*c, which scales each functional by D or D^2 and
+    leaves their span and kernel as they are."""
     p, c, n = L.field.p, _integer_view(L)[1], L.dim
-    # the columns of L_e_i and R_e_i: [e_i, e_k] and [e_k, e_i]
-    cols = [*c, *zip(*c)]
-    # each operator, and its transpose, flattened row-major
-    flat = [sum(zip(*cs), ()) for cs in cols]
-    flat_t = [sum(cs, ()) for cs in cols]
-    # T[a][b] = Tr(A B) = sum of A[j][k] * B[k][j], A, B operators a, b
-    T = [[0] * (2 * n) for _ in range(2 * n)]
+    # L_e_i flattened row-major (its column k is [e_i, e_k] = c[i][k]),
+    # and its transpose
+    flat = [sum(zip(*ci), ()) for ci in c]
+    flat_t = [sum(ci, ()) for ci in c]
+    # T[a][b] = Tr(L_e_a L_e_b), the sum of A[j][k] * B[k][j]
+    T = [[0] * n for _ in range(n)]
     for a, A in enumerate(flat):
-        for b in range(a, 2 * n):
+        for b in range(a, n):
             T[a][b] = T[b][a] = _dot_rows(A, flat_t[b])
-    # row (M, W): x -> Tr(M_x W), coefficient Tr(M_e_i W) at e_i
-    funcs = [[sum(A[:: n + 1]) for A in flat[m : m + n]] for m in (0, n)]
-    funcs += [[T[m + i][b] for i in range(n)] for m in (0, n) for b in range(2 * n)]
+    funcs = [[sum(A[:: n + 1]) for A in flat], *T]
     return funcs if p is None else [[x % p for x in f] for f in funcs]
 
 
@@ -151,7 +149,7 @@ def nilradical(L: AlgebraTable) -> Subspace:
     """Largest nilpotent ideal N, as an RREF subspace, over QQ and GF(p).
 
     First the trace form.  Let K be the common kernel of the functionals
-    x -> Tr(M_x W), M in {L, R}, W in {1, L_e_j, R_e_j}, that the
+    x -> Tr(L_x) and x -> Tr(L_x L_e_j), left operators only, that the
     abelian-ideal searches of `search` also use (`_trace_kernel`, cached
     on L).  Every nilpotent ideal lies in K, in every characteristic (see
     `_trace_rows`), so N <= K; when K is itself an ideal and

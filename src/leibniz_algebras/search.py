@@ -12,12 +12,12 @@ its Gaussian binomial and one with a hit its first hit's index + 1.
 `all_abelian_ideals` and `all_abelian_subalgebras` walk their strata
 through the one kernel in `_scan_py`, and `alpha` walks its strata <= n-2
 there.  Every nilpotent ideal N lies in the common kernel K of the trace
-form's functionals x -> Tr(M_x W), M in {L, R}, W in {1, L_e_j, R_e_j}
-(`invariants._trace_kernel`, computed once per table), in every
-characteristic: with N_1 = N and
+form's functionals x -> Tr(L_x W), W in {1, L_e_j}, from the left
+multiplications alone (`invariants._trace_kernel`, computed once per
+table), in every characteristic: with N_1 = N and
 N_(k+1) = [N, N_k] + [N_k, N], ideals of L that reach 0, each W maps N_k
-into itself and, for x in N, M_x maps L into N_1 and N_k into N_(k+1), so
-M_x W is nilpotent and its trace is 0.  An abelian ideal has N_2 = 0, so
+into itself and, for x in N, L_x maps L into N_1 and N_k into N_(k+1), so
+L_x W is nilpotent and its trace is 0.  An abelian ideal has N_2 = 0, so
 the annihilator of K, the span of those functionals, cuts every row prefix
 outside K from an abelian-ideal walk;
 counts, matches and witnesses are the same as without the cut.
@@ -291,8 +291,8 @@ def _first_abelian_ideal(L: AlgebraTable, dims):
     same budgets, though no stratum is walked.
 
     Lemma (every characteristic).  Every abelian ideal I lies in K =
-    `_trace_kernel(L)`: for x in I, M_x W, M in {L, R} and W in {1, L_e_j,
-    R_e_j}, maps L into I and I to 0, so its square is 0 and its trace 0.
+    `_trace_kernel(L)`: for x in I, L_x W, W in {1, L_e_j}, maps L into I
+    and I to 0, so its square is 0 and its trace 0.
     The center C = C(L) is an abelian ideal and central, so I + C is one.
     So if no stratum above d holds an abelian ideal, every abelian ideal of
     dimension d contains C: the hits of stratum d are the abelian ideals

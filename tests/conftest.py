@@ -7,7 +7,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from leibniz_algebras import search
-from leibniz_algebras.algebra import AlgebraTable, center, change_of_basis, direct_sum
+from leibniz_algebras.algebra import AlgebraTable, _integer_view, center, change_of_basis, direct_sum
 from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2
 from leibniz_algebras.families import (
     abelian_algebra,
@@ -391,3 +391,48 @@ def reference_series(L):
     derived = _chain(full, lambda D: reference_product_space(L, D, D))
     lower = _chain(full, lambda C: reference_product_space(L, full, C))
     return tuple(derived), tuple(lower)
+
+
+# -- references: the trace-form functionals --------------------------------------
+
+
+def reference_trace_rows(L):
+    """x -> Tr(L_x) and x -> Tr(L_x L_e_j), the n + 1 rows of
+    `invariants._trace_rows`, from the operators L_e_i built by brackets
+    alone (column k of L_e_i is `reference_bracket`(e_i, e_k)) and
+    multiplied out entry by entry.  They are scaled as on the integer view,
+    row 0 by D and the others by D^2, D the lcm of the table's denominators
+    (1 over GF(p)), and reduced to residues over GF(p)."""
+    F, n = L.field, L.dim
+    basis = [L.basis_vector(i) for i in range(n)]
+    # cols[i][k][t] = L_e_i[t][k]
+    cols = [[reference_bracket(L, e, f) for f in basis] for e in basis]
+    D = 1 if F.is_prime_field else math.lcm(*(x.denominator for ci in L.c for cij in ci for x in cij))
+
+    def trace(i, j):
+        return sum(cols[i][k][t] * cols[j][t][k] for t in range(n) for k in range(n))
+
+    rows = [[D * sum(cols[i][t][t] for t in range(n)) for i in range(n)]]
+    rows += [[D * D * trace(i, j) for i in range(n)] for j in range(n)]
+    return [[x % F.p for x in row] for row in rows] if F.is_prime_field else rows
+
+
+def reference_two_sided_trace_rows(L):
+    """x -> Tr(M_x W), M in {L, R}, W in {1, L_e_j, R_e_j}: 2(2n + 1) rows
+    on the integer view, each Tr(A B) summed over the nonzero positions
+    shared by A and B's transpose.  Their common kernel holds every
+    nilpotent ideal, as that of the left rows alone does, and lies in it."""
+    p, c, n = L.field.p, _integer_view(L)[1], L.dim
+    cols = [[c[i][k] for k in range(n)] for i in range(n)]
+    cols += [[c[k][i] for k in range(n)] for i in range(n)]
+    flat = [{t: x for t, x in enumerate(sum(zip(*cs), ())) if x} for cs in cols]
+    flat_t = [{t: x for t, x in enumerate(sum(cs, ())) if x} for cs in cols]
+    T = [[0] * (2 * n) for _ in range(2 * n)]
+    for a, A in enumerate(flat):
+        for b in range(a, 2 * n):
+            B = flat_t[b]
+            T[a][b] = T[b][a] = sum(A[t] * B[t] for t in A.keys() & B.keys())
+    diagonal = range(0, n * n, n + 1)
+    funcs = [[sum(A.get(t, 0) for t in diagonal) for A in flat[m : m + n]] for m in (0, n)]
+    funcs += [[T[m + i][b] for i in range(n)] for m in (0, n) for b in range(2 * n)]
+    return funcs if p is None else [[x % p for x in f] for f in funcs]

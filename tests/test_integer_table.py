@@ -182,18 +182,16 @@ def ref_squares(L):
 
 
 def ref_trace_rows(L):
-    """x -> Tr(M_x W), M in {L, R}, W in {1, L_e_j, R_e_j}, as Fraction
-    matrices: L_e_i[t][k] = c[i][k][t], R_e_i[t][k] = c[k][i][t]."""
+    """x -> Tr(L_x W), W in {1, L_e_j}, as Fraction matrices:
+    L_e_i[t][k] = c[i][k][t]."""
     n, c = L.dim, L.c
     left = [[[c[i][k][t] for k in range(n)] for t in range(n)] for i in range(n)]
-    right = [[[c[k][i][t] for k in range(n)] for t in range(n)] for i in range(n)]
     ident = [[Fraction(int(t == k)) for k in range(n)] for t in range(n)]
 
     def trace_of_product(A, B):
         return sum((A[t][k] * B[k][t] for t in range(n) for k in range(n)), Fraction(0))
 
-    rows = [[trace_of_product(M[i], W) for i in range(n)]
-            for M in (left, right) for W in [ident] + left + right]
+    rows = [[trace_of_product(M, W) for M in left] for W in [ident] + left]
     return ref_span(rows, n)
 
 

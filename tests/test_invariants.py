@@ -35,6 +35,7 @@ from leibniz_algebras.families import (
     make_a,
     make_c,
     make_d,
+    make_e,
     oscillator,
 )
 from leibniz_algebras import invariants
@@ -52,6 +53,7 @@ from leibniz_algebras.invariants import (
 from leibniz_algebras.linalg import (
     Matrix,
     Subspace,
+    _dot_rows,
     subspace_intersect,
     subspace_sum,
 )
@@ -60,6 +62,7 @@ from leibniz_algebras.search import (
     DEFAULT_SCAN_BUDGET,
     _request,
     _scan_dim,
+    all_abelian_ideals,
     all_abelian_subalgebras,
     alpha,
     is_maximal_subalgebra,
@@ -70,16 +73,19 @@ from conftest import (
     F3,
     F5,
     F7,
+    MAX_DIM,
     carried,
     cycle_action,
     cycle_actions,
     family_algebras,
     identity_action,
     identity_actions,
+    left_only_action,
     left_only_actions,
     linear_action,
     one_budget_algebras,
     rand_invertible,
+    reference_two_sided_trace_rows,
     scanned_by,
 )
 
@@ -328,6 +334,122 @@ def test_nilradical_where_the_trace_kernel_is_everything(F):
     L = cycle_action(F)
     assert _trace_kernel(L) == L.full_space()
     assert nilradical(L) == span(F, 4, (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+# -- the trace kernel, from the left operators alone ----------------------------
+
+
+def _check_trace_kernel_holds_the_ideals(L):
+    """K = `_trace_kernel(L)`, cut from the n + 1 left-operator trace rows,
+    holds the brute-force nilradical and every abelian ideal of every
+    dimension.  The ideals come from uncut ideal walks; `all_abelian_ideals`,
+    whose walk K cuts, finds the same abelian ideals."""
+    K = _trace_kernel(L)
+    with _request(DEFAULT_SCAN_BUDGET):
+        ideals = {d: _scan_dim(L, d, MODE_IDEAL, -1)[1] for d in range(1, L.dim + 1)}
+    nilpotent = [U for Us in ideals.values() for U in Us if series(subalgebra_table(L, U)).nilpotent]
+    assert K.contains(_brute_force_nilradical(L, nilpotent)), L.name
+    for d, Us in ideals.items():
+        abelian = [U for U in Us if is_abelian_subspace(L, U)]
+        assert all_abelian_ideals(L, d) == abelian, (L.name, d)
+        assert all(K.contains(U) for U in abelian), (L.name, d)
+
+
+@pytest.mark.parametrize("F", [F3, F5, F7], ids=repr)
+def test_left_trace_kernel_holds_every_nilpotent_and_abelian_ideal(F):
+    for L in standard_fixtures(F, max_dim=MAX_DIM[F.p]):
+        _check_trace_kernel_holds_the_ideals(L)
+
+
+@settings(max_examples=60)
+@given(st.one_of(family_algebras((F3, F5, F7)), left_only_actions()))
+def test_left_trace_kernel_holds_every_ideal_on_generated_algebras(L):
+    _check_trace_kernel_holds_the_ideals(L)
+
+
+def _trace_sweep():
+    """(table, whether `nilradical` needs the envelope's radical) over
+    GF(3), GF(5) and GF(7): the standard fixtures, rotext, the oscillator,
+    seeded draws of families a, c, d and e and of left-only actions on
+    F^2, and x acting from the left as the identity on F^3; each (+) F
+    where it fits, in its canonical basis and under a seeded basis change.
+    Of these only the identity action over GF(3) has every trace 0, so K =
+    L there and K is not nilpotent."""
+    rng = random.Random(37)
+    for F in (F3, F5, F7):
+        p = F.p
+
+        def matrix(rows, cols):
+            return Matrix(F, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
+
+        tables = [*standard_fixtures(F, max_dim=MAX_DIM[p]), heisenberg_rotation_extension(F), oscillator(F)]
+        for _ in range(12):
+            (a, b), (c, _) = matrix(2, 2).data
+            traceless = Matrix(F, [[a, b], [c, -a]])
+            lam, x, y = matrix(2, 2), rng.randrange(p), rng.randrange(p)
+            mu = Matrix(F, [[x * (i == j) + y * lam.data[i][j] for j in range(2)] for i in range(2)])
+            (a, b), (c, d), (e, f) = matrix(3, 2).data
+            phi = Matrix(F, [[a, b, 0], [c, d, 0], [e, f, a + d]])
+            v = (0, 0, 0 if F.of(a + d) else rng.randrange(p))
+            tables += [make_c(traceless, F), make_d(traceless, F), make_a(lam, mu, F)]
+            tables += [make_e(phi, -phi, v, 4, F), left_only_action(matrix(2, 2), F)]
+        identity = left_only_action(Matrix.identity(F, 3), F)
+        for L in [*tables, identity]:
+            envelope = p == 3 and L is identity
+            if L.dim < MAX_DIM[p]:
+                L = direct_sum(L, abelian_algebra(1, F))
+            yield L, envelope
+            yield change_of_basis(L, rand_invertible(F, L.dim, rng)), envelope
+
+
+def test_left_trace_kernel_is_the_two_sided_one_and_certifies(monkeypatch):
+    # guards cost, not correctness: the right multiplications would cut no
+    # further on these tables, and K is the nilradical on all of them but
+    # the identity action over GF(3), where `nilradical` goes on to the
+    # envelope's radical
+    calls = []
+
+    def counting(L):
+        calls.append(L)
+        return envelope_radical(L)
+
+    envelope_radical = invariants._envelope_radical
+    monkeypatch.setattr(invariants, "_envelope_radical", counting)
+    tables = envelopes = 0
+    for L, envelope in _trace_sweep():
+        two_sided = Subspace._kernel(L.field, L.dim, reference_two_sided_trace_rows(L))
+        assert _trace_kernel(L) == two_sided, L.name
+        calls.clear()
+        N = nilradical(L)
+        assert calls == ([L] if envelope else []), L.name
+        assert N == (_envelope_radical(L) if envelope else _trace_kernel(L)), L.name
+        tables += 1
+        envelopes += envelope
+    assert envelopes == 2 and tables > 400
+
+
+def test_trace_rows_take_one_product_per_pair_of_left_operators(monkeypatch):
+    # n(n+1)/2 traces Tr(L_e_i L_e_j), i <= j, each one dot product
+    calls = []
+
+    def counting(u, v):
+        calls.append(len(u))
+        return _dot_rows(u, v)
+
+    monkeypatch.setattr(invariants, "_dot_rows", counting)
+    for F in (F3, F7, QQ):
+        rot = Matrix(F, [[0, 1], [-1, 0]])
+        for L in (
+            abelian_algebra(1, F),
+            heisenberg(F),
+            oscillator(F),
+            direct_sum(make_d(rot, F), abelian_algebra(2, F)),
+            direct_sum(make_c(rot, F), abelian_algebra(2, F)),
+        ):
+            n = L.dim
+            calls.clear()
+            _trace_kernel(L)
+            assert calls == [n * n] * (n * (n + 1) // 2), (F, L.name)
 
 
 def test_verify_nilradical_candidate_over_rationals():

@@ -9,9 +9,10 @@ sweep `conftest.reference_echelon`.
 `algebra.center` and `left_annihilator` are the dependencies among the
 flattened operators L_e_i (+) R_e_i and L_e_i; the references are the
 kernels of the 2n^2 and n^2 condition rows [x, e_j]_k and [e_j, x]_k.
-`invariants._trace_rows` takes each trace Tr(A B) as one dot product of
-dense flattened operators; the reference intersects the nonzero positions
-of A and of B's transpose.  `series` reads [L, L] off the table's nonzero
+`invariants._trace_rows` takes each trace Tr(L_e_i L_e_j) as one dot
+product of dense flattened operators; the reference,
+`conftest.reference_trace_rows`, builds each L_e_i from brackets and
+multiplies the matrices out.  `series` reads [L, L] off the table's nonzero
 products (`algebra._derived_space`) and starts both chains there; the
 reference, `conftest.reference_series`, walks both from L by brackets
 alone.  Tables are drawn
@@ -55,6 +56,7 @@ from conftest import (
     reference_echelon,
     reference_product_space,
     reference_series,
+    reference_trace_rows,
 )
 
 FIELDS = (F3, F5, F7, QQ)
@@ -124,23 +126,6 @@ def ref_left_annihilator(L):
     return reference_kernel(L.field, n, rows)
 
 
-def ref_trace_rows(L):
-    p, c, n = L.field.p, _integer_view(L)[1], L.dim
-    cols = [[c[i][k] for k in range(n)] for i in range(n)]
-    cols += [[c[k][i] for k in range(n)] for i in range(n)]
-    flat = [{t: x for t, x in enumerate(sum(zip(*cs), ())) if x} for cs in cols]
-    flat_t = [{t: x for t, x in enumerate(sum(cs, ())) if x} for cs in cols]
-    T = [[0] * (2 * n) for _ in range(2 * n)]
-    for a, A in enumerate(flat):
-        for b in range(a, 2 * n):
-            B = flat_t[b]
-            T[a][b] = T[b][a] = sum(A[t] * B[t] for t in A.keys() & B.keys())
-    diagonal = range(0, n * n, n + 1)
-    funcs = [[sum(A.get(t, 0) for t in diagonal) for A in flat[m : m + n]] for m in (0, n)]
-    funcs += [[T[m + i][b] for i in range(n)] for m in (0, n) for b in range(2 * n)]
-    return funcs if p is None else [[x % p for x in f] for f in funcs]
-
-
 # -- the dependency helper -------------------------------------------------------
 
 
@@ -208,7 +193,7 @@ def test_kernel_edge_cases_match_the_reference_kernel(F, n, rows):
 def test_operator_rows_match_the_condition_rows(L):
     assert center(fresh(L)) == ref_center(L)
     assert left_annihilator(fresh(L)) == ref_left_annihilator(L)
-    assert _trace_rows(fresh(L)) == ref_trace_rows(L)
+    assert _trace_rows(fresh(L)) == reference_trace_rows(L)
     assert series(fresh(L)).lower_central_chain == reference_series(L)[1]
 
 
@@ -240,7 +225,7 @@ def test_lower_central_chain_on_perfect_abelian_and_nilpotent_tables(name, L):
     assert _derived_space(fresh(L)) == reference_product_space(L, full, full)
     assert center(fresh(L)) == ref_center(L)
     assert left_annihilator(fresh(L)) == ref_left_annihilator(L)
-    assert _trace_rows(fresh(L)) == ref_trace_rows(L)
+    assert _trace_rows(fresh(L)) == reference_trace_rows(L)
     if name == "perfect":
         assert rep.derived_dims == rep.lower_central_dims == (3,)
 
