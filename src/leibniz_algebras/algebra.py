@@ -9,32 +9,34 @@ The bracket convention is the left Leibniz rule throughout:
 Vectors are coordinate rows over the fixed basis.  All values are immutable
 after construction and all operations are pure functions.
 
-What a table determines is computed once.  A function decorated with
-`_per_table` (the integer view, the Leibniz check, the squares ideal, the
-Lie test and the center here; the series, the trace kernel and the
-nilradical in `invariants`; the flat table of the scan kernel in `search`)
-stores its value in the table's `_cache` dict under the function's name,
-None included; a call that raises stores nothing, so it raises again.
-Three entries can also be filled from outside their function, each with a
-value proved equal to what it would compute: a subalgebra, quotient or
-basis change of a table that passed the Leibniz check inherits the pass
-(`_inherit_leibniz`); a Case1_c or Case2_d frame that `classify` matched
-enters the nilradical (`invariants._proved_nilradical`); and a table built
-from its nonzero products (`AlgebraTable._from_products`: `from_products`
-and the families, `direct_sum`, `subalgebra_table` and family e's table)
-stores its integer view as it is built.  That view equals what
-`_integer_view` computes, as a product that is not listed is 0: its
-denominators are 1, which leave the lcm D as it is, its row of D*c is 0,
-and it has no nonzero coordinate.  No other entry is.  Every entry depends
-on the field and c alone, never on the name, so `rename` keeps the cache.
+Every table is set by one builder, `AlgebraTable._build`, from its nonzero
+products: `AlgebraTable(...)` coerces its tensor and passes the nonzero
+vectors on; `from_products` coerces the vectors it is given; and the
+package's own tables (`parse_algebra`, the families, `direct_sum`,
+`subalgebra_table`, `quotient` and `change_of_basis`) pass vectors already
+in the field's canonical form.  The builder stores the table's integer view
+with it, in the same pass.  Over QQ the structure constants are read only
+through that view, the integer table `_Dc` = D*c, D (`_D`) the lcm of their
+denominators, and its nonzero products `_products`: brackets sum in ints
+and divide each nonzero coordinate once, and the tests and spans that a
+rescaled generator does not change (`product_space`, `is_subalgebra`,
+`is_ideal`, `is_abelian_subspace`, `center`, `squares_ideal`,
+`centralizer`, `normalizer`) never divide.  Fractions are built only where
+a value is returned.
 
-Over QQ the structure constants are read only through the integer table D*c,
-D the lcm of their denominators (`_integer_view`, cached per table): brackets
-sum in ints and divide each nonzero coordinate once, and the tests and spans
-that a rescaled generator does not change (`product_space`, `is_subalgebra`,
-`is_ideal`, `is_abelian_subspace`, `center`, `squares_ideal`, `centralizer`,
-`normalizer`) never divide.  Fractions are built only where a value is
-returned.
+What a table determines beyond that is computed once.  A function
+decorated with `_per_table` (the Leibniz check, the squares ideal, the Lie
+test and the center here; the series, the trace kernel and the nilradical
+in `invariants`; the flat table of the scan kernel in `search`) stores its
+value in the table's `_cache` dict under the function's name, None
+included; a call that raises stores nothing, so it raises again.  Two
+entries can also be filled from outside their function, each with a value
+proved equal to what it would compute: a subalgebra, quotient or basis
+change of a table that passed the Leibniz check inherits the pass
+(`_inherit_leibniz`); and a Case1_c or Case2_d frame that `classify`
+matched enters the nilradical (`invariants._proved_nilradical`).  No other
+entry is.  Every entry depends on the field and c alone, never on the name,
+so `rename` keeps the view and the cache.
 
 The Leibniz check (`leibniz_failure`) runs in packed integer words.  For
 each i the defects D_i(j, k, t) of [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] +
@@ -78,50 +80,32 @@ from .linalg import (
 class AlgebraTable:
     """Immutable n*n*n structure-constant table over an exact field."""
 
-    __slots__ = ("field", "dim", "c", "name", "_cache")
+    __slots__ = ("field", "dim", "c", "name", "_D", "_Dc", "_products", "_cache")
 
     def __init__(self, field: FieldSpec, c, name: str | None = None):
         n = len(c)
-        table = []
+        products = {}
         for i in range(n):
             if len(c[i]) != n:
                 raise DimensionMismatchError("structure tensor is not n*n*n")
-            row = []
             for j in range(n):
                 vec = tuple(field.of(x) for x in c[i][j])
                 if len(vec) != n:
                     raise DimensionMismatchError("structure tensor is not n*n*n")
-                row.append(vec)
-            table.append(tuple(row))
-        self.field = field
-        self.dim = n
-        self.c = tuple(table)
-        self.name = name
-        self._cache = {}
+                if any(vec):
+                    products[i, j] = vec
+        self._build(field, n, products, name)
 
-    @classmethod
-    def _canonical(cls, field: FieldSpec, c, name: str | None = None) -> "AlgebraTable":
-        """Table from an n*n*n tensor of entries already in the field's
-        canonical form; nothing is coerced or checked."""
-        L = object.__new__(cls)
-        L.field = field
-        L.c = tuple(tuple(tuple(v) for v in ci) for ci in c)
-        L.dim = len(L.c)
-        L.name = name
-        L._cache = {}
-        return L
-
-    @classmethod
-    def _from_products(cls, field: FieldSpec, dim: int, products: dict, name: str | None = None) -> "AlgebraTable":
-        """Table with [e_i, e_j] = products[(i, j)], a tuple of `dim`
-        entries already in the field's canonical form, and every other
-        product 0; nothing is coerced or checked.  The integer view
-        (`_integer_view`) is stored with it, built in the same pass from
-        the products listed alone (see the module docstring): over QQ, D
-        is the lcm of their denominators; over GF(p), D = 1 and the view's
-        table is the table.  The cache key is `_integer_view`'s own,
-        written out: a wrapper bound to that name, such as a tracer's,
-        does not move it."""
+    def _build(self, field: FieldSpec, dim: int, products: dict, name: str | None) -> None:
+        """Set the table with [e_i, e_j] = products[(i, j)], a tuple of
+        `dim` entries already in the field's canonical form, and every
+        other product 0, with its integer view, built in the same pass from
+        the products listed alone; nothing is coerced or checked.  Over QQ,
+        _D is the lcm of their denominators and _Dc the integer table D*c;
+        over GF(p), _D = 1 and _Dc is c.  _products lists [e_i, e_j] of
+        _Dc, for every (i, j), as its nonzero (k, x) pairs.  A product
+        listed as 0 is the same as one not listed: its denominators are 1
+        and it has no nonzero coordinate."""
         p = field.p
         c = [[(field.zero,) * dim] * dim for _ in range(dim)]
         sparse = [[()] * dim for _ in range(dim)]
@@ -133,21 +117,27 @@ class AlgebraTable:
             if p is None:
                 vec = ic[i][j] = tuple([x.numerator * (D // x.denominator) for x in vec])
             sparse[i][j] = tuple([(k, x) for k, x in enumerate(vec) if x])
+        self.field = field
+        self.dim = dim
+        self.c = tuple(map(tuple, c))
+        self.name = name
+        self._D, self._Dc = (D, tuple(map(tuple, ic))) if p is None else (1, self.c)
+        self._products = tuple(map(tuple, sparse))
+        self._cache = {}
+
+    @classmethod
+    def _from_products(cls, field: FieldSpec, dim: int, products: dict, name: str | None = None) -> "AlgebraTable":
+        """The table `_build` sets from `products`; nothing is coerced or
+        checked."""
         L = object.__new__(cls)
-        L.field = field
-        L.c = tuple(map(tuple, c))
-        L.dim = len(L.c)
-        L.name = name
-        view = (D, tuple(map(tuple, ic))) if p is None else (1, L.c)
-        L._cache = {"_integer_view": (*view, tuple(map(tuple, sparse)))}
+        L._build(field, dim, products, name)
         return L
 
     @staticmethod
     def from_products(field: FieldSpec, dim: int, products: dict, name: str | None = None) -> "AlgebraTable":
         """Build a table from a sparse {(i, j): coefficient vector} dict;
         every product not given is 0.  Only the given vectors are coerced
-        into the field, and the table is built with its integer view
-        (`_from_products`)."""
+        into the field (`_from_products`)."""
         for i, j in products:
             if not (0 <= i < dim and 0 <= j < dim):
                 raise DimensionMismatchError("product index out of range")
@@ -183,10 +173,13 @@ class AlgebraTable:
         return Subspace.full(self.field, self.dim)
 
     def rename(self, name: str) -> "AlgebraTable":
-        """The same table under another name, with its cache: no cached
-        entry reads the name."""
-        L = AlgebraTable._canonical(self.field, self.c, name=name)
-        L._cache.update(self._cache)
+        """The same table under another name, with its integer view and
+        its cache: no cached entry reads the name."""
+        L = object.__new__(AlgebraTable)
+        for slot in self.__slots__:
+            setattr(L, slot, getattr(self, slot))
+        L.name = name
+        L._cache = dict(self._cache)
         return L
 
 
@@ -204,29 +197,6 @@ def _per_table(fn):
         return value
 
     return cached
-
-
-@_per_table
-def _integer_view(L: AlgebraTable) -> tuple:
-    """(D, c, products).  Over QQ, c is the integer table D*L.c, D the lcm
-    of the denominators of the structure constants; over GF(p) it is
-    (1, L.c, ...).  products lists [e_i, e_j] of c, for every (i, j), as
-    its nonzero (k, c) pairs.
-
-    Over QQ every read of the structure constants goes through this view.
-    A span or a kernel does not change when a row is scaled, so `center`,
-    `squares_ideal` and the trace functionals build their rows from c as
-    they stand; `_bracket` divides once per nonzero coordinate."""
-    if L.field.p is not None:
-        D, c = 1, L.c
-    else:
-        D = math.lcm(*(x.denominator for ci in L.c for cij in ci for x in cij))
-        c = tuple(
-            tuple(tuple(x.numerator * (D // x.denominator) for x in cij) for cij in ci)
-            for ci in L.c
-        )
-    products = tuple(tuple(tuple((k, x) for k, x in enumerate(cij) if x) for cij in ci) for ci in c)
-    return D, c, products
 
 
 def bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
@@ -249,11 +219,11 @@ def _bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
         return _scaled_bracket(L, u, v)
     du, u = _integer_row(u)
     dv, v = _integer_row(v)
-    return _fractions(_scaled_bracket(L, u, v), du * dv * _integer_view(L)[0])
+    return _fractions(_scaled_bracket(L, u, v), du * dv * L._D)
 
 
 def _scaled_bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
-    """The bracket on the integer view (`_integer_view`).  Over GF(p) it is
+    """The bracket on the integer view (`_products`).  Over GF(p) it is
     `_bracket`.  Over QQ it takes rows of ints only, such as a subspace's
     canonical rows `Subspace._rows`, and returns D [u, v], an integer row:
     a multiple of the bracket of the rows they scale, for what rescaling a
@@ -261,7 +231,7 @@ def _scaled_bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
     p = L.field.p
     v = [(j, y) for j, y in enumerate(v) if y]
     out = [0] * L.dim
-    for x, products in zip(u, _integer_view(L)[2]):
+    for x, products in zip(u, L._products):
         if not x:
             continue
         for j, y in v:
@@ -289,7 +259,7 @@ def leibniz_failure(L: AlgebraTable) -> tuple | None:
 
     vanishes for every (j, k, t).  Every term is a product of two structure
     constants, so over QQ the check runs on the integer table D*c
-    (`_integer_view`), where the defect is D^2 times the rational one: the
+    (`_products`), where the defect is D^2 times the rational one: the
     same triples fail, with no Fraction arithmetic.
 
     Packed words.  For each i the n^3 values D_i(j, k, t) are the fields of
@@ -328,7 +298,7 @@ def leibniz_failure(L: AlgebraTable) -> tuple | None:
     if not n:
         return None
     p = L.field.p
-    products = _integer_view(L)[2]
+    products = L._products
     if p is None:
         bias = max((abs(x) for ci in products for cij in ci for _, x in cij), default=0)
         W = (3 * n * bias * bias).bit_length() or 1
@@ -402,11 +372,11 @@ def squares_ideal(L: AlgebraTable) -> Subspace:
 
     Generated by the diagonal brackets [e_i, e_i] together with the
     polarized sums [e_i, e_j] + [e_j, e_i] for i < j, read off the integer
-    view (`_integer_view`).
+    view (`_Dc`).
     """
     require_leibniz(L)
     F = L.field
-    c = _integer_view(L)[1]
+    c = L._Dc
     gens = []
     for i in range(L.dim):
         gens.append(c[i][i])
@@ -417,7 +387,7 @@ def squares_ideal(L: AlgebraTable) -> Subspace:
 
 def _is_skew(L: AlgebraTable) -> bool:
     F = L.field
-    c = _integer_view(L)[1]
+    c = L._Dc
     for i in range(L.dim):
         for j in range(i, L.dim):
             if any(a != F.neg(b) for a, b in zip(c[i][j], c[j][i])):
@@ -465,7 +435,7 @@ def center(L: AlgebraTable) -> Subspace:
     """{x : [x, L] = [L, x] = 0}: the dependencies among the n operators
     L_e_i (+) R_e_i, each flattened to one row of the integer view
     (`linalg._dependencies`)."""
-    c = _integer_view(L)[1]
+    c = L._Dc
     rows = [sum(ci, ()) + sum((cj[i] for cj in c), ()) for i, ci in enumerate(c)]
     return _dependencies(L.field, rows)
 
@@ -473,7 +443,7 @@ def center(L: AlgebraTable) -> Subspace:
 def left_annihilator(L: AlgebraTable) -> Subspace:
     """{x : [x, L] = 0}: the dependencies among the flattened L_e_i, on the
     integer view."""
-    return _dependencies(L.field, [sum(ci, ()) for ci in _integer_view(L)[1]])
+    return _dependencies(L.field, [sum(ci, ()) for ci in L._Dc])
 
 
 def _actions(L: AlgebraTable, rows: Sequence[Sequence], sides=("left", "right")) -> list:
@@ -518,7 +488,7 @@ def _derived_space(L: AlgebraTable) -> Subspace:
     """[L, L], the span of the nonzero products the integer view lists:
     the product_space of L with itself without a bracket.  Over QQ each
     row is D times its product, which changes no span."""
-    _, c, products = _integer_view(L)
+    c, products = L._Dc, L._products
     gens = [cij for ci, pi in zip(c, products) for cij, pij in zip(ci, pi) if pij]
     return Subspace._span(L.field, L.dim, gens)
 
@@ -544,7 +514,7 @@ def is_ideal(L: AlgebraTable, U: Subspace) -> bool:
     _check_subspace(L, U)
     p = L.field.p
     rows = U._rows
-    products = _integer_view(L)[2]
+    products = L._products
     for f in U._annihilator()._rows:
         H = [[sum(x * f[k] for k, x in cij) for cij in ci] for ci in products]
         for u in rows:
@@ -576,11 +546,10 @@ def subalgebra_table(L: AlgebraTable, U: Subspace) -> AlgebraTable:
     canonical rows: over QQ, for the integer rows s_a b_a and s_b b_b of
     the RREF rows b_a, b_b (s the pivot), w = D s_a s_b [b_a, b_b], whose
     coordinates are w[pc] / (D s_a s_b), pc the pivots.  The nonzero
-    products build the table and its integer view
-    (`AlgebraTable._from_products`)."""
+    products build the table (`AlgebraTable._from_products`)."""
     _check_subspace(L, U)
     rows, pivots = U._rows, U.pivots
-    D = _integer_view(L)[0]
+    D = L._D
     products = {}
     for i, (a, pa) in enumerate(zip(rows, pivots)):
         for j, (b, pb) in enumerate(zip(rows, pivots)):
@@ -610,21 +579,26 @@ def quotient(L: AlgebraTable, I: Subspace) -> tuple[AlgebraTable, Matrix]:
     coords = _coords_in_rows(F, P.data, n)[1]
     proj = Matrix._canonical(F, [coords(e)[d:] for e in Matrix.identity(F, n).data], m)
     comp = P.data[d:]
-    c = [[coords(_bracket(L, fa, fb))[d:] for fb in comp] for fa in comp]
+    products = {}
+    for i, fa in enumerate(comp):
+        for j, fb in enumerate(comp):
+            vec = coords(_bracket(L, fa, fb))[d:]
+            if any(vec):
+                products[i, j] = vec
     name = ("%s/ideal" % L.name) if L.name else None
-    return _inherit_leibniz(L, AlgebraTable._canonical(F, c, name=name)), proj
+    return _inherit_leibniz(L, AlgebraTable._from_products(F, m, products, name=name)), proj
 
 
 def direct_sum(L1: AlgebraTable, L2: AlgebraTable) -> AlgebraTable:
     """Block-diagonal table; cross products vanish.  It is built from the
-    summands' nonzero products, as their integer views list them, with its
-    own integer view (`AlgebraTable._from_products`)."""
+    summands' nonzero products, as their integer views list them
+    (`AlgebraTable._from_products`)."""
     check_same_field(L1.field, L2.field)
     F = L1.field
     n1, n2 = L1.dim, L2.dim
     products = {}
     for L, shift, before, after in ((L1, 0, (), (F.zero,) * n2), (L2, n1, (F.zero,) * n1, ())):
-        for i, ci in enumerate(_integer_view(L)[2]):
+        for i, ci in enumerate(L._products):
             for j, cij in enumerate(ci):
                 if cij:
                     products[shift + i, shift + j] = before + L.c[i][j] + after
@@ -639,6 +613,8 @@ def change_of_basis(L: AlgebraTable, P: Matrix) -> AlgebraTable:
     [p_i, p_j] in coordinates of the rows (`linalg._coords_in_rows`).  A P
     of another shape, or a singular one, raises DimensionMismatchError.
 
+    The nonzero products build the table (`AlgebraTable._from_products`).
+
     Composition law: change_of_basis(change_of_basis(L, P), Q) equals
     change_of_basis(L, Q @ P).
     """
@@ -648,8 +624,13 @@ def change_of_basis(L: AlgebraTable, P: Matrix) -> AlgebraTable:
     rank, coords = _coords_in_rows(L.field, P.data, L.dim)
     if rank < L.dim:
         raise DimensionMismatchError("singular matrix")
-    c = [[coords(_bracket(L, a, b)) for b in P.data] for a in P.data]
-    return _inherit_leibniz(L, AlgebraTable._canonical(L.field, c, name=L.name))
+    products = {}
+    for i, a in enumerate(P.data):
+        for j, b in enumerate(P.data):
+            w = _bracket(L, a, b)
+            if any(w):
+                products[i, j] = coords(w)
+    return _inherit_leibniz(L, AlgebraTable._from_products(L.field, L.dim, products, name=L.name))
 
 
 def _is_frame(L: AlgebraTable, P: Matrix, model: AlgebraTable) -> bool:
@@ -658,7 +639,7 @@ def _is_frame(L: AlgebraTable, P: Matrix, model: AlgebraTable) -> bool:
     and [f_i, f_j] must equal sum_k model[i][j][k] f_k for every (i, j).
     Over QQ both sides are compared in ints: with F_i = d f_i, d the lcm
     of P's denominators, and the model's integer view M = DM * model
-    (`_integer_view`), [F_i, F_j] on L's integer view is DL d^2 [f_i, f_j]
+    (`_Dc`), [F_i, F_j] on L's integer view is DL d^2 [f_i, f_j]
     and sum_k M[i][j][k] F_k is DM d sum_k model[i][j][k] f_k.
 
     Raises as change_of_basis does on a P of another field or shape, or a
@@ -674,8 +655,8 @@ def _is_frame(L: AlgebraTable, P: Matrix, model: AlgebraTable) -> bool:
     if model.dim != n:
         return False
     p = L.field.p
-    DM, M, _ = _integer_view(model)
-    scale = _integer_view(L)[0] * d
+    DM, M = model._D, model._Dc
+    scale = L._D * d
     for fi, Mi in zip(f, M):
         for fj, coefs in zip(f, Mi):
             want = [0] * n

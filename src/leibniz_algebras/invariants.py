@@ -16,7 +16,6 @@ from .algebra import (
     _actions,
     _check_subspace,
     _derived_space,
-    _integer_view,
     _per_table,
     is_abelian_subspace,
     is_ideal,
@@ -120,10 +119,10 @@ def _trace_rows(L: AlgebraTable) -> list:
     Tr(R_x W) have cut no further on any table tried.
 
     Tr(AB) = Tr(BA), so each Tr(L_e_i L_e_j) is computed once: n(n+1)/2
-    of them.  They are read off the integer view (`_integer_view`): over
+    of them.  They are read off the integer view (`_Dc`): over
     QQ its table is D*c, which scales each functional by D or D^2 and
     leaves their span and kernel as they are."""
-    p, c, n = L.field.p, _integer_view(L)[1], L.dim
+    p, c, n = L.field.p, L._Dc, L.dim
     # L_e_i flattened row-major (its column k is [e_i, e_k] = c[i][k]),
     # and its transpose
     flat = [sum(zip(*ci), ()) for ci in c]
@@ -213,7 +212,7 @@ def _envelope_radical(L: AlgebraTable) -> Subspace:
     that basis: X_i = {x : L_x in I_i}.  L_x W lies in I_(i-1), where g_i
     is linear, so each round is one kernel solve on X_(i-1)'s basis.
 
-    Everything runs in ints, on the integer view (`_integer_view`).  Over
+    Everything runs in ints, on the integer view (`_actions`).  Over
     QQ its generators are D L_e_j, so each word is a nonzero multiple of
     the product it stands for and each row of traces a nonzero multiple of
     its row: neither E's span nor the kernel changes, and one round (X_-1

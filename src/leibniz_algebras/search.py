@@ -66,7 +66,6 @@ from ._scan_py import _canonical_index, canonical_subspaces, gaussian_binomial
 from .algebra import (
     AlgebraTable,
     _bracket,
-    _integer_view,
     _is_frame,
     _per_table,
     bracket,
@@ -214,7 +213,7 @@ def _abelian_hyperplanes(L: AlgebraTable) -> list[Subspace]:
     lines of its row and column spaces are the only ones; each is tested
     by the brackets [h_i, h_j] of its hyperplane's basis."""
     F, n, p, c = L.field, L.dim, L.field.p, L.c
-    k = next(k for ci in _integer_view(L)[2] for cij in ci for k, _ in cij)
+    k = next(k for ci in L._products for cij in ci for k, _ in cij)
     rows = Subspace._span(F, n, [[c[i][j][k] for j in range(n)] for i in range(n)])
     if rows.dim > 2:
         return []
@@ -254,7 +253,7 @@ def _top_strata(L: AlgebraTable):
     holds a hit iff every structure constant is 0, and stratum n-1's hits
     are `_abelian_hyperplanes`; each is debited what its walk would count."""
     n = L.dim
-    if not any(cij for ci in _integer_view(L)[2] for cij in ci):
+    if not any(cij for ci in L._products for cij in ci):
         return (n, *_debit_first(L, n, [L.full_space()]))
     total = _debit_first(L, n, [])[1]
     first, scanned = _debit_first(L, n - 1, _abelian_hyperplanes(L))
@@ -449,7 +448,7 @@ def _characteristic_subspaces(L: AlgebraTable) -> list[Subspace]:
 def _supports(L: AlgebraTable) -> dict:
     """{(i, j): {i, j} and the k with c_ijk != 0}, read off the integer
     view: the basis vectors whose images decide [e_i, e_j]."""
-    products = _integer_view(L)[2]
+    products = L._products
     return {
         (i, j): frozenset({i, j, *(k for k, _ in pij)})
         for i, pi in enumerate(products)
@@ -539,7 +538,7 @@ def iso_search(
     images: dict[int, tuple] = {}
     # the pivot rows of the span of the images chosen so far, one per step
     span: list = []
-    products1 = _integer_view(L1)[2]
+    products1 = L1._products
     nodes = 0
 
     def backtrack(step: int) -> bool:

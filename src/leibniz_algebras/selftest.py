@@ -314,7 +314,7 @@ def _nilradical(rng, fast):
             N = nilradical(L)
             if N != total:
                 return "the nilradical of %s is not the sum of its nilpotent ideals" % L0.name
-            M = AlgebraTable._canonical(F, L.c)
+            M = AlgebraTable(F, L.c)
             if "dim_nilradical" in classify(M).diagnostics and M._cache.get("nilradical") != total:
                 return "classify of %s caches a nilradical that is not the sum" % L0.name
             for U in (N, center(L), L.full_space()):

@@ -126,9 +126,7 @@ def parse_algebra(text: str, strict: bool = True) -> AlgebraTable:
         if name is not None and not isinstance(name, str):
             _fail("'metadata.name' must be a string")
     # _parse_scalar has put every scalar in canonical form: no second pass
-    zero = (field.zero,) * dim
-    c = [[products.get((i, j), zero) for j in range(dim)] for i in range(dim)]
-    return AlgebraTable._canonical(field, c, name=name)
+    return AlgebraTable._from_products(field, dim, products, name=name)
 
 
 def _format_scalar(x, field: FieldSpec):
@@ -141,18 +139,12 @@ def algebra_to_document(L: AlgebraTable) -> dict:
     field_obj = (
         {"kind": "gf", "p": L.field.p} if L.field.is_prime_field else {"kind": "rationals"}
     )
-    table = []
-    zero = L.zero_vector()
-    for i in range(L.dim):
-        for j in range(L.dim):
-            if L.c[i][j] != zero:
-                table.append(
-                    {
-                        "i": i,
-                        "j": j,
-                        "c": [_format_scalar(x, L.field) for x in L.c[i][j]],
-                    }
-                )
+    table = [
+        {"i": i, "j": j, "c": [_format_scalar(x, L.field) for x in L.c[i][j]]}
+        for i, pi in enumerate(L._products)
+        for j, pij in enumerate(pi)
+        if pij
+    ]
     doc = {
         "format_version": FORMAT_VERSION,
         "field": field_obj,

@@ -7,7 +7,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from leibniz_algebras import search
-from leibniz_algebras.algebra import AlgebraTable, _integer_view, center, change_of_basis, direct_sum
+from leibniz_algebras.algebra import AlgebraTable, center, change_of_basis, direct_sum
 from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2
 from leibniz_algebras.families import (
     abelian_algebra,
@@ -417,12 +417,30 @@ def reference_trace_rows(L):
     return [[x % F.p for x in row] for row in rows] if F.is_prime_field else rows
 
 
+def reference_integer_view(L):
+    """(D, c, products) from the table's own entries, with a full n^3 scan:
+    the integer view every table must carry.  Over QQ, c is the integer
+    table D*L.c, D the lcm of the denominators of the structure constants;
+    over GF(p) it is (1, L.c, ...).  products lists [e_i, e_j] of c, for
+    every (i, j), as its nonzero (k, c) pairs."""
+    if L.field.p is not None:
+        D, c = 1, L.c
+    else:
+        D = math.lcm(*(x.denominator for ci in L.c for cij in ci for x in cij))
+        c = tuple(
+            tuple(tuple(x.numerator * (D // x.denominator) for x in cij) for cij in ci)
+            for ci in L.c
+        )
+    products = tuple(tuple(tuple((k, x) for k, x in enumerate(cij) if x) for cij in ci) for ci in c)
+    return D, c, products
+
+
 def reference_two_sided_trace_rows(L):
     """x -> Tr(M_x W), M in {L, R}, W in {1, L_e_j, R_e_j}: 2(2n + 1) rows
     on the integer view, each Tr(A B) summed over the nonzero positions
     shared by A and B's transpose.  Their common kernel holds every
     nilpotent ideal, as that of the left rows alone does, and lies in it."""
-    p, c, n = L.field.p, _integer_view(L)[1], L.dim
+    p, c, n = L.field.p, reference_integer_view(L)[1], L.dim
     cols = [[c[i][k] for k in range(n)] for i in range(n)]
     cols += [[c[k][i] for k in range(n)] for i in range(n)]
     flat = [{t: x for t, x in enumerate(sum(zip(*cs), ())) if x} for cs in cols]

@@ -87,7 +87,7 @@ def ref_change_of_basis(L, P):
             w = _bracket(L, P.data[i], P.data[j])
             row.append(Pinv.apply_row(w))
         c.append(row)
-    return _inherit_leibniz(L, AlgebraTable._canonical(L.field, c, name=L.name))
+    return _inherit_leibniz(L, AlgebraTable(L.field, c, name=L.name))
 
 
 def ref_quotient(L, I):
@@ -110,7 +110,7 @@ def ref_quotient(L, I):
             row.append(tuple(coords[d + t] for t in range(m)))
         c.append(row)
     name = ("%s/ideal" % L.name) if L.name else None
-    return _inherit_leibniz(L, AlgebraTable._canonical(F, c, name=name)), proj
+    return _inherit_leibniz(L, AlgebraTable(F, c, name=name)), proj
 
 
 def outcome(fn, *args):

@@ -89,7 +89,7 @@ def test_frame_nilradical_is_the_certificates():
     @given(frame_family())
     def check(drawn):
         L, A = drawn
-        want = nilradical(AlgebraTable._canonical(L.field, L.c))
+        want = nilradical(AlgebraTable(L.field, L.c))
         v = classify(L, A=A)
         seen[v.case, L.field is QQ] += 1
         if v.case is not Case.ABELIAN_IDEAL_CODIM_LE2 or L.field is QQ:
@@ -109,7 +109,7 @@ def test_reducible_case1_over_qq_reports_the_certificate():
     # proves the nilradical, and the certificate reports it
     L = make_c(Matrix(QQ, [[1, 0], [0, -1]]), QQ)
     A = Subspace.from_vectors(QQ, 4, [(0, 0, 1, 1), (0, 1, 0, 0)])
-    want = nilradical(AlgebraTable._canonical(QQ, L.c))
+    want = nilradical(AlgebraTable(QQ, L.c))
     v = classify(L, A=A)
     assert v.case is Case.ABELIAN_IDEAL_CODIM_LE2 and "chi" not in v.diagnostics
     assert v.diagnostics["dim_nilradical"] == want.dim == 3
@@ -122,7 +122,7 @@ def test_reducible_case1_over_qq_reports_the_certificate():
 def _calls(monkeypatch, L, request):
     """request()'s calls of is_ideal on L with the trace kernel of L, and of
     `_is_nilpotent_subalgebra`, through every binding in the package."""
-    K = _trace_kernel(AlgebraTable._canonical(L.field, L.c))
+    K = _trace_kernel(AlgebraTable(L.field, L.c))
     counts = Counter()
     wrapped = [
         (is_ideal, "is_ideal(L, K)", lambda T, U: T is L and U == K),
@@ -158,7 +158,7 @@ def test_frames_run_no_certificate(monkeypatch):
             assert verdict.case is case and not counts
             N = L._cache["nilradical"]
             # with the right candidate, the frame's nilradical decides it
-            M = AlgebraTable._canonical(F3, L.c)
+            M = AlgebraTable(F3, L.c)
             verdict, counts = _calls(monkeypatch, M, lambda: classify(M, nilradical_candidate=N))
             assert verdict.case is case and not counts
     # the QQ rotation frame, with its witness and its nilradical as candidate
@@ -175,11 +175,11 @@ def test_frames_run_no_certificate(monkeypatch):
     # verify_main_theorem reads the nilradical that classify certified:
     # it makes no call of either beyond the ones classify makes
     L0 = direct_sum(heisenberg_rotation_extension(F3), abelian_algebra(1, F3))
-    L = AlgebraTable._canonical(F3, L0.c)
+    L = AlgebraTable(F3, L0.c)
     verdict, by_classify = _calls(monkeypatch, L, lambda: classify(L))
     assert verdict.case is Case.CASE3_E
     assert by_classify == {"is_ideal(L, K)": 1, "nilpotent subalgebra": 1}
-    L = AlgebraTable._canonical(F3, L0.c)
+    L = AlgebraTable(F3, L0.c)
     report, counts = _calls(monkeypatch, L, lambda: verify_main_theorem(L))
     assert report.case is Case.CASE3_E and report.ok
     assert counts == by_classify

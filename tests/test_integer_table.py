@@ -1,7 +1,7 @@
 """Differential tests of the QQ integer table against Fraction references.
 
 Over QQ the package reads its structure constants only through the integer
-table D*c (`algebra._integer_view`), eliminates fraction-free
+table D*c (`AlgebraTable._Dc`), eliminates fraction-free
 (`linalg._echelon`), keeps each subspace as its primitive integer rows and
 brackets in ints.  Here each of those is compared with a test-local
 reference that does what the package did with `Fraction`s before: the
@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from leibniz_algebras.algebra import (
     AlgebraTable,
     _bracket,
-    _integer_view,
     _scaled_bracket,
     center,
     centralizer,
@@ -232,17 +231,17 @@ def fraction_scalars(obj):
 
 
 def test_the_large_table_has_a_large_denominator_lcm():
-    D = _integer_view(LARGE)[0]
+    D = LARGE._D
     assert D == math.lcm(*(x.denominator for ci in LARGE.c for cij in ci for x in cij))
     assert D > 10**6
-    assert all(type(x) is int for ci in _integer_view(LARGE)[1] for cij in ci for x in cij)
+    assert all(type(x) is int for ci in LARGE._Dc for cij in ci for x in cij)
 
 
 @settings(max_examples=80)
 @given(data=st.data(), L=qq_tables())
 def test_brackets_match_the_fraction_sum(data, L):
     n = L.dim
-    D = _integer_view(L)[0]
+    D = L._D
     rows = data.draw(qq_rows(n, 3)) + [L.basis_vector(i) for i in range(n)]
     for u in rows:
         for v in rows[:4]:
@@ -463,8 +462,7 @@ def test_the_structure_of_a_qq_table_builds_no_fraction():
             "centralizer": lambda T: centralizer(T, A),
         }
         for name, fn in structure.items():
-            fresh = AlgebraTable._canonical(QQ, M.c)
-            _integer_view(fresh)
+            fresh = AlgebraTable(QQ, M.c)
             assert fractions_built(lambda: fn(fresh)) == 0, (L.name, name)
         N = nilradical(fresh)
         if N.dim:  # its basis is built from the integer rows when first read

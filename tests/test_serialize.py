@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from leibniz_algebras.algebra import _derived_space
 from leibniz_algebras.catalog import standard_fixtures
 from leibniz_algebras.errors import DocumentError
 from leibniz_algebras.families import heisenberg, oscillator
@@ -14,7 +15,7 @@ from leibniz_algebras.serialize import (
     serialize_algebra,
 )
 
-from conftest import F3
+from conftest import F3, reference_integer_view
 
 
 def test_round_trip_fixtures():
@@ -146,6 +147,33 @@ def test_duplicate_entries_rejected():
     )
     with pytest.raises(DocumentError):
         parse_algebra(text)
+
+
+@pytest.mark.parametrize(
+    "field, zero, entries",
+    [
+        ({"kind": "gf", "p": 5}, [0, 0, 0], [[1, 0, 2], [0, 4, 0]]),
+        ({"kind": "rationals"}, ["0", "0", "0"], [["1/2", "0", "-3"], ["0", "2/3", "0"]]),
+    ],
+    ids=["GF(5)", "QQ"],
+)
+def test_explicit_zero_products(field, zero, entries):
+    # a listed zero vector is the same table as no entry: equal, with the
+    # same integer view and [L, L], and serialized without that entry
+    def document(table):
+        return json.dumps({"format_version": 1, "field": field, "dim": 3, "table": table})
+
+    listed = [{"i": 0, "j": 1, "c": entries[0]}, {"i": 2, "j": 2, "c": entries[1]}]
+    without = parse_algebra(document(listed))
+    for zeros in ([(1, 0)], [(0, 0), (1, 2)]):
+        table = listed + [{"i": i, "j": j, "c": zero} for i, j in zeros]
+        L = parse_algebra(document(table))
+        assert L == without
+        assert (L._D, L._Dc, L._products) == (without._D, without._Dc, without._products)
+        assert (L._D, L._Dc, L._products) == reference_integer_view(L)
+        assert _derived_space(L) == _derived_space(without)
+        assert algebra_to_document(L)["table"] == listed
+        assert serialize_algebra(L) == serialize_algebra(without)
 
 
 def test_golden_fixture_files():

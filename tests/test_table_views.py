@@ -1,16 +1,21 @@
-"""Tables the package builds from their nonzero products carry their
-integer view from the start (`AlgebraTable._from_products`).
+"""Every table carries its integer view from the start: one builder,
+`AlgebraTable._build`, sets the table and its view (D, D*c, the nonzero
+products) from the table's nonzero products.
 
-Every such view must be what `_integer_view` computes from the table's own
-entries (its undecorated function, `_integer_view.__wrapped__`), and every
-such table must equal the one the coercing constructor `AlgebraTable(...)`
+Every such view must be what `conftest.reference_integer_view` computes from
+the table's own entries with a full n^3 scan, and every table built from
+products must equal the one the coercing constructor `AlgebraTable(...)`
 builds from the same products written out as a full n*n*n tensor.  The
-builders are `from_products` and the families on it, `direct_sum`,
-`subalgebra_table` and `_e_table`; for `_e_table` the reference is the
+builders are `AlgebraTable(...)`, `from_products` and the families on it,
+`parse_algebra`, `direct_sum`, `subalgebra_table`, `quotient`,
+`change_of_basis` and `_e_table`; for `_e_table` the reference is the
 construction it replaced, heisenberg (+) F^(n-4) written out as a table
 and phi, theta applied to its basis vectors.  Fields: QQ, GF(3), GF(5) and
-GF(7).  `rename` keeps the cache, since no cached entry reads the name."""
+GF(7).  `rename` keeps the view and the cache, since neither reads the
+name."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,10 +24,13 @@ from hypothesis import strategies as st
 
 from leibniz_algebras.algebra import (
     AlgebraTable,
-    _integer_view,
+    _derived_space,
     center,
+    change_of_basis,
     direct_sum,
     generated_subalgebra,
+    is_ideal,
+    quotient,
     subalgebra_table,
 )
 from leibniz_algebras.catalog import standard_fixtures
@@ -38,17 +46,16 @@ from leibniz_algebras.families import (
 from leibniz_algebras.fields import QQ
 from leibniz_algebras.invariants import nilradical, series
 from leibniz_algebras.linalg import Matrix, Subspace
+from leibniz_algebras.serialize import _format_scalar, parse_algebra
 
-from conftest import F3, F5, F7, family_algebras
+from conftest import F3, F5, F7, family_algebras, rand_invertible, reference_integer_view
 
 FIELDS = (QQ, F3, F5, F7)
 
 
 def assert_view(T):
-    """T was built with its integer view, and the view is the one its
-    entries give."""
-    assert "_integer_view" in T._cache
-    assert T._cache["_integer_view"] == _integer_view.__wrapped__(T), T
+    """T's integer view is the one its entries give."""
+    assert (T._D, T._Dc, T._products) == reference_integer_view(T), T
 
 
 def dense(F, dim, products):
@@ -107,7 +114,7 @@ def test_direct_sums_carry_their_view(left, right, k):
     A = abelian_algebra(k, F)
     for S in (direct_sum(L1, L2), direct_sum(L1, A), direct_sum(A, L1), direct_sum(A, A)):
         assert_view(S)
-    # a summand whose view was computed, not built, sums the same way
+    # a summand from the coercing constructor sums the same way
     fresh = AlgebraTable(F, L1.c)
     S = direct_sum(fresh, L2)
     assert_view(S)
@@ -156,6 +163,56 @@ def test_subalgebra_tables_carry_their_view(L, data):
         T = subalgebra_table(L, U)
         assert_view(T)
         assert T.dim == U.dim
+
+
+@settings(max_examples=100)
+@given(raw_products())
+def test_the_coercing_constructor_builds_the_table_with_its_view(drawn):
+    F, dim, products = drawn
+    T = AlgebraTable(F, dense(F, dim, products), name="drawn")
+    assert_view(T)
+    assert T == AlgebraTable.from_products(F, dim, products) and T.name == "drawn"
+
+
+@settings(max_examples=100)
+@given(raw_products())
+def test_parsed_tables_carry_their_view(drawn):
+    # the document lists every drawn product, the zero vectors among them
+    F, dim, products = drawn
+    want = AlgebraTable.from_products(F, dim, products, name="drawn")
+    field = {"kind": "rationals"} if F == QQ else {"kind": "gf", "p": F.p}
+    table = [{"i": i, "j": j, "c": [_format_scalar(x, F) for x in want.c[i][j]]} for i, j in products]
+    doc = {"format_version": 1, "field": field, "dim": dim, "table": table, "metadata": {"name": "drawn"}}
+    T = parse_algebra(json.dumps(doc))
+    assert_view(T)
+    assert T == want and T.name == "drawn"
+
+
+@settings(max_examples=60)
+@given(family_algebras(FIELDS), st.integers(0, 2**32 - 1))
+def test_basis_changes_carry_their_view(L, seed):
+    P = rand_invertible(L.field, L.dim, random.Random(seed))
+    T = change_of_basis(L, P)
+    assert_view(T)
+    assert T == AlgebraTable(L.field, T.c) and T.name == L.name
+
+
+@settings(max_examples=60)
+@given(family_algebras(FIELDS))
+def test_quotients_carry_their_view(L):
+    ideals = [
+        Subspace.zero(L.field, L.dim),
+        L.full_space(),
+        center(L),
+        nilradical(L),
+        _derived_space(L),
+        series(L).lower_central_chain[-1],
+    ]
+    for I in ideals:
+        assert is_ideal(L, I)
+        Q, _ = quotient(L, I)
+        assert_view(Q)
+        assert Q.dim == L.dim - I.dim
 
 
 def test_from_products_keeps_its_errors():
@@ -237,7 +294,10 @@ def test_rename_keeps_the_cache(F):
         # what either table caches later stays its own
         nilradical(R)
         assert "nilradical" in R._cache and "nilradical" not in L._cache
-        # every entry is what the function computes on a fresh copy
-        fresh = AlgebraTable._canonical(F, R.c)
-        assert _integer_view(R) == _integer_view(fresh) and series(R) == series(fresh)
+        # the view is kept, and every entry is what the function computes on
+        # a fresh copy
+        assert_view(R)
+        assert (R._D, R._Dc, R._products) == (L._D, L._Dc, L._products)
+        fresh = AlgebraTable(F, R.c)
+        assert series(R) == series(fresh)
         assert nilradical(R) == nilradical(fresh)
