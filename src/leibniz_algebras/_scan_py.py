@@ -14,14 +14,17 @@ Contract:
     scan_subspaces(table, n, p, d, mode, limit, collect, functionals=(), contains=())
         -> (scanned, truncated, matches)
 
-where `table` is the flattened n*n*n tensor (index ((i*n)+j)*n + k) with
-entries reduced mod p, `mode` is a bitmask of MODE_* flags, `limit` caps the
-number of subspaces examined (-1 for no cap) and `collect` caps the number of
-matches gathered (-1 for all).  `functionals` are rows of linear functionals
+where `table[i][j]` lists the nonzero coordinates of [e_i, e_j] as (k, c)
+pairs, c reduced mod p (the integer view `AlgebraTable._products` over
+GF(p)), `mode` is a bitmask of MODE_* flags, `limit` caps the number of
+subspaces examined (-1 for no cap) and `collect` caps the number of matches
+gathered (-1 for all).  `functionals` are rows of linear functionals
 on GF(p)^n that vanish on every match, and `contains` the RREF rows of a
 central subspace C (one that brackets to 0 with everything) that every
 match contains, both as the caller vouches; the MODE_ABELIAN walk cuts by
-them.  Matches are flattened d*n row-major RREF basis matrices.
+them.  Each match is (pivots, rows), the tuple of its pivot columns and
+its d RREF basis rows, as `canonical_subspaces` yields them but copied to
+tuples.
 `truncated` is True only when the limit stopped the scan before
 exhaustion with the collection still open.
 
@@ -221,16 +224,6 @@ def _lex_solutions(columns, target, p):
         yield tuple(x)
 
 
-def _sparse_table(table, n):
-    """Per-(i, j) list of (k, coeff) with coeff != 0."""
-    sp = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            base = (i * n + j) * n
-            sp[i][j] = [(k, table[base + k]) for k in range(n) if table[base + k]]
-    return sp
-
-
 def _containment(contains, piv, n, p):
     """What "C <= A" asks of the rows a_t of a subspace A with pivots
     `piv`, C spanned by the RREF rows `contains` (see the module
@@ -275,7 +268,6 @@ def _containment(contains, piv, n, p):
 
 def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect: int,
                    functionals=(), contains=()):
-    sp = _sparse_table(table, n)
     # phi[i]: the functionals' values at e_i
     phi = [[f[i] for f in functionals] for i in range(n)]
     matches = []
@@ -288,10 +280,10 @@ def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect
         nz = [(i, ui) for i, ui in enumerate(u) if ui]
         sq = [0] * n
         for i, ui in nz:
-            spi = sp[i]
+            ti = table[i]
             for j, uj in nz:
                 cf = ui * uj
-                for k, cc in spi[j]:
+                for k, cc in ti[j]:
                     sq[k] += cf * cc
         return not any(x % p for x in sq)
 
@@ -323,9 +315,9 @@ def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect
                 left = [0] * n
                 right = [0] * n
                 for j, vj in nz:
-                    for k, cc in sp[i][j]:
+                    for k, cc in table[i][j]:
                         left[k] += vj * cc
-                    for k, cc in sp[j][i]:
+                    for k, cc in table[j][i]:
                         right[k] += vj * cc
                 g[i] += left + right
         target = [-x for x in g[pc]]
@@ -360,9 +352,9 @@ def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect
                     ui = u[i]
                     if not ui:
                         continue
-                    for k, cc in sp[i][j]:
+                    for k, cc in table[i][j]:
                         w1[k] = (w1[k] + ui * cc) % p
-                    for k, cc in sp[j][i]:
+                    for k, cc in table[j][i]:
                         w2[k] = (w2[k] + ui * cc) % p
                 if not in_span(w1, rows, piv) or not in_span(w2, rows, piv):
                     return False
@@ -374,7 +366,7 @@ def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect
             return limit, True, matches
         if want_ideal and not is_ideal(rows, piv):
             continue
-        matches.append(tuple(x for row in rows for x in row))
+        matches.append((piv, tuple(map(tuple, rows))))
         if 0 <= collect <= len(matches):
             return index + 1, False, matches
 

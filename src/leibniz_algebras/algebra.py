@@ -27,13 +27,12 @@ a value is returned.
 What a table determines beyond that is computed once.  A function
 decorated with `_per_table` (the Leibniz check, the squares ideal, the Lie
 test and the center here; the series, the trace kernel and the nilradical
-in `invariants`; the flat table of the scan kernel in `search`) stores its
-value in the table's `_cache` dict under the function's name, None
-included; a call that raises stores nothing, so it raises again.  Two
-entries can also be filled from outside their function, each with a value
-proved equal to what it would compute: a subalgebra, quotient or basis
-change of a table that passed the Leibniz check inherits the pass
-(`_inherit_leibniz`); and a Case1_c or Case2_d frame that `classify`
+in `invariants`) stores its value in the table's `_cache` dict under the
+function's name, None included; a call that raises stores nothing, so it
+raises again.  Two entries can also be filled from outside their function,
+each with a value proved equal to what it would compute: a subalgebra,
+quotient or basis change of a table that passed the Leibniz check inherits
+the pass (`_inherit_leibniz`); and a Case1_c or Case2_d frame that `classify`
 matched enters the nilradical (`invariants._proved_nilradical`).  No other
 entry is.  Every entry depends on the field and c alone, never on the name,
 so `rename` keeps the view and the cache.

@@ -67,7 +67,6 @@ from .algebra import (
     AlgebraTable,
     _bracket,
     _is_frame,
-    _per_table,
     bracket,
     center,
     generated_subalgebra,
@@ -77,7 +76,7 @@ from .algebra import (
     squares_ideal,
 )
 from .errors import BudgetExceededError, ConsistencyError
-from .fields import FieldSpec, check_same_field
+from .fields import check_same_field
 from .invariants import _trace_kernel, series
 from .linalg import Matrix, Subspace, _clear, _lead, _matmul, enumerate_subspaces
 
@@ -105,22 +104,14 @@ def _require_prime_field(L: AlgebraTable, what: str) -> None:
         raise ValueError("%s requires a prime field (enumeration impossible over QQ)" % what)
 
 
-@_per_table
 def table_flat(L: AlgebraTable) -> tuple:
-    """Structure tensor flattened to ints mod p, for the scan kernel;
-    computed once per table (`algebra._per_table`), so the strata of a walk
-    and the collect-all scans share it."""
+    """The scan kernel's table: the integer view's nonzero products
+    (`AlgebraTable._products`), which over GF(p) are the structure
+    constants mod p.  Nothing is computed or cached.  The name is kept
+    from when the kernel took the flattened n^3 tensor, because
+    `perfbench/kernel_check.py` imports it."""
     _require_prime_field(L, "subspace scan")
-    n = L.dim
-    return tuple(L.c[i][j][k] for i in range(n) for j in range(n) for k in range(n))
-
-
-def _subspace_from_flat(F: FieldSpec, n: int, d: int, flat) -> Subspace:
-    rows = [list(flat[r * n : (r + 1) * n]) for r in range(d)]
-    pivots = []
-    for row in rows:
-        pivots.append(next(i for i, x in enumerate(row) if x))
-    return Subspace(F, n, rows, pivots)
+    return L._products
 
 
 # what is left of the open request's budget; unset outside a request
@@ -167,17 +158,15 @@ def _scan_dim(L: AlgebraTable, d: int, mode: int, collect: int, contains=()):
     are cut by the trace kernel; `contains`, the rows of a central
     subspace that every match contains as the caller vouches, cuts the
     walk further."""
-    flat = table_flat(L)
     abelian_ideal = MODE_ABELIAN | MODE_IDEAL
     cut = mode & abelian_ideal == abelian_ideal
     funcs = _trace_kernel(L)._annihilator()._rows if cut else ()
     # positional: wrappers of the kernel forward *args only
     scanned, truncated, matches = scan_subspaces(
-        flat, L.dim, L.field.p, d, mode, _budget_left.get(), collect, funcs, contains
+        table_flat(L), L.dim, L.field.p, d, mode, _budget_left.get(), collect, funcs, contains
     )
     _debit(d, scanned, truncated)
-    subs = [_subspace_from_flat(L.field, L.dim, d, m) for m in matches]
-    return scanned, subs
+    return scanned, [Subspace(L.field, L.dim, rows, piv) for piv, rows in matches]
 
 
 def _debit_first(L: AlgebraTable, d: int, hits):

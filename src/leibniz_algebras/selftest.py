@@ -243,10 +243,10 @@ def _trace_cut(rng, fast):
     mode = MODE_ABELIAN | MODE_IDEAL
     for L0 in standard_fixtures(F, max_dim=4 if fast else 5):
         for L in (L0, change_of_basis(L0, _rand_invertible(F, L0.dim, rng))):
-            n, flat, funcs = L.dim, table_flat(L), _trace_kernel(L)._annihilator()._rows
+            n, table, funcs = L.dim, table_flat(L), _trace_kernel(L)._annihilator()._rows
             for d in range(n + 1):
-                cut = scan_subspaces(flat, n, F.p, d, mode, -1, -1, funcs)
-                if cut != scan_subspaces(flat, n, F.p, d, mode, -1, -1):
+                cut = scan_subspaces(table, n, F.p, d, mode, -1, -1, funcs)
+                if cut != scan_subspaces(table, n, F.p, d, mode, -1, -1):
                     return "the cut changed the dimension-%d scan of %s" % (d, L0.name)
     return None
 
@@ -256,9 +256,9 @@ def _center_cut(rng, fast):
     F = GF(3)
     for L0 in standard_fixtures(F, max_dim=4 if fast else 5):
         for L in (L0, change_of_basis(L0, _rand_invertible(F, L0.dim, rng))):
-            n, flat, d = L.dim, table_flat(L), alpha(L).alpha
-            cut = scan_subspaces(flat, n, F.p, d, MODE_ABELIAN, -1, -1, (), center(L)._rows)
-            if cut != scan_subspaces(flat, n, F.p, d, MODE_ABELIAN, -1, -1):
+            n, table, d = L.dim, table_flat(L), alpha(L).alpha
+            cut = scan_subspaces(table, n, F.p, d, MODE_ABELIAN, -1, -1, (), center(L)._rows)
+            if cut != scan_subspaces(table, n, F.p, d, MODE_ABELIAN, -1, -1):
                 return "the center cut changed the dimension-%d scan of %s" % (d, L0.name)
     return None
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -275,6 +276,43 @@ def central_algebras(draw, fields=(F3, F5, F7)):
     else:
         L = direct_sum(heisenberg(F), left_only(1))
     return _disguised_sum(draw, L, disguised=draw(st.booleans()))
+
+
+def cocycle_space(L):
+    """The Leibniz 2-cocycles of L with values in F, theta(a, [b, c]) =
+    theta([a, b], c) + theta(b, [a, c]) on basis triples (Loday and
+    Pirashvili, 1993): a subspace of F^(n^2), theta(e_i, e_j) at i*n + j.
+    Exactly for these theta is the central extension, [x, y] + theta(x, y) z
+    with z central, Leibniz."""
+    n, p = L.dim, L.field.p
+    conditions = []
+    for a, b, c in itertools.product(range(n), repeat=3):
+        row = [0] * (n * n)
+        for k, x in L._products[b][c]:
+            row[a * n + k] += x
+        for k, x in L._products[a][b]:
+            row[k * n + c] -= x
+        for k, x in L._products[a][c]:
+            row[b * n + k] -= x
+        conditions.append([x % p for x in row])
+    return Subspace._kernel(L.field, n * n, conditions)
+
+
+@st.composite
+def central_extensions(draw, fields=(F3, F5)):
+    """L (+)_theta F z over one of `fields`, under a seeded basis change: a
+    base L from `family_algebras` or `central_algebras`, of dimension at
+    most MAX_DIM[p], and a Leibniz 2-cocycle theta drawn from
+    `cocycle_space(L)`; z is central, and [x, y] gains theta(x, y) z."""
+    L = draw(st.one_of(family_algebras(fields), central_algebras(fields)))
+    F, n, p = L.field, L.dim, L.field.p
+    Z = cocycle_space(L)._rows
+    coefs = [draw(st.integers(0, p - 1)) for _ in Z]
+    theta = [sum(x * row[t] for x, row in zip(coefs, Z)) % p for t in range(n * n)]
+    products = {(i, j): L.c[i][j] + (theta[i * n + j],) for i in range(n) for j in range(n)}
+    E = AlgebraTable.from_products(F, n + 1, products, name="central extension")
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return change_of_basis(E, rand_invertible(F, n + 1, rng))
 
 
 # -- references: eliminations that linalg's one step replaced ---------------------

@@ -174,6 +174,26 @@ def test_module_imports_package_modules_at_module_level(module):
     assert sorted(_local_imports(_tree(module)) - allowed) == []
 
 
+def _top_level_modules(tree):
+    """The top-level names of the modules the module imports; a relative
+    import (one of the package) counts as ""."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add("" if node.level else node.module.split(".")[0])
+    return found
+
+
+def test_scan_kernel_imports_the_standard_library_only():
+    # the kernel takes its table as data and never reaches into
+    # `AlgebraTable`; `linalg` imports the kernel, so an import of `linalg`
+    # or `algebra` there would also be a cycle
+    modules = _top_level_modules(_tree("_scan_py.py"))
+    assert modules and sorted(modules - sys.stdlib_module_names) == []
+
+
 def _prints(tree):
     """(top-level function or "<module>", whether it passes file=sys.stderr)
     for each call of `print` in the module."""
