@@ -514,15 +514,12 @@ def iso_search(
     for pair, needed in supp.items():
         pairs_at[max(pos_of[m] for m in needed)].append(pair)
 
-    all_vectors = [v for v in itertools.product(range(p), repeat=n)]
-    nonzero_vectors = [v for v in all_vectors if any(v)]
-    candidates_by_index = {}
-    for i in range(n):
-        cands = []
-        for v in nonzero_vectors:
-            if tuple(S._contains(v) for S in subs2) == sig1[i]:
-                cands.append(v)
-        candidates_by_index[i] = cands
+    # the nonzero vectors of L2 by signature, each signature computed once
+    by_signature: dict[tuple, list] = {}
+    for v in itertools.product(range(p), repeat=n):
+        if any(v):
+            by_signature.setdefault(tuple(S._contains(v) for S in subs2), []).append(v)
+    candidates_by_index = [by_signature.get(s, []) for s in sig1]
 
     images: dict[int, tuple] = {}
     # the pivot rows of the span of the images chosen so far, one per step

@@ -2,7 +2,11 @@
 
 Mirrors the randomized/property checks of the pytest suite in a
 self-contained form so `selftest` can certify an installation without the
-test tree.  All randomness flows from the given seed.
+test tree.  It checks answers against their definitions through the
+public API, never against another path of the same code: the abelian
+strata, alpha, beta and the nilradical against `enumerate_subspaces` and
+the tests that define them, and classify's frames against
+`change_of_basis`.  All randomness flows from the given seed.
 """
 
 from __future__ import annotations
@@ -10,12 +14,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ._kernel import MODE_ABELIAN, MODE_IDEAL, scan_subspaces
 from .algebra import (
     AlgebraTable,
-    _is_frame,
     center,
     change_of_basis,
+    is_abelian_subspace,
+    is_ideal,
     is_leibniz,
     is_lie,
     product_space,
@@ -26,9 +30,9 @@ from .algebra import (
 from .catalog import standard_fixtures
 from .classify import Case, classify, verify_main_theorem
 from .errors import BudgetExceededError
-from .families import _skew_table, oscillator, raw_pair_table
+from .families import oscillator, raw_pair_table
 from .fields import GF, QQ
-from .invariants import _trace_kernel, nilradical, series, verify_nilradical_candidate
+from .invariants import nilradical, series, verify_nilradical_candidate
 from .linalg import (
     Matrix,
     QuadraticPoly,
@@ -41,14 +45,12 @@ from .linalg import (
     subspace_sum,
 )
 from .search import (
-    DEFAULT_SCAN_BUDGET,
-    _request,
-    _scan_dim,
+    all_abelian_ideals,
+    all_abelian_subalgebras,
     alpha,
     alpha_beta,
     beta,
     iso_search,
-    table_flat,
 )
 
 CHECKS = []
@@ -195,7 +197,7 @@ def _fixture_sanity(rng, fast):
     return None
 
 
-@_check("change of basis preserves invariant dimensions; the frame check agrees with it")
+@_check("change of basis preserves invariant dimensions")
 def _cob_invariance(rng, fast):
     F = GF(3)
     count = 3 if fast else 8
@@ -204,13 +206,7 @@ def _cob_invariance(rng, fast):
             continue
         rep = series(L)
         for _ in range(count):
-            P = _rand_invertible(F, L.dim, rng)
-            M = change_of_basis(L, P)
-            i, j, k = (rng.randrange(L.dim) for _ in range(3))
-            c = [[list(v) for v in row] for row in M.c]
-            c[i][j][k] = F.add(c[i][j][k], F.one)
-            if not _is_frame(L, P, M) or _is_frame(L, P, AlgebraTable(F, c)):
-                return "the frame check disagrees with change_of_basis: %s" % L.name
+            M = change_of_basis(L, _rand_invertible(F, L.dim, rng))
             if not is_leibniz(M):
                 return "basis change broke the Leibniz rule: %s" % L.name
             if is_lie(M) != is_lie(L):
@@ -237,56 +233,57 @@ def _oscillator_scan(rng, fast):
     return None
 
 
-@_check("trace-form cut leaves abelian-ideal scans unchanged, before and after disguise")
-def _trace_cut(rng, fast):
+def _fixture_pairs(rng, fast, extra=()):
+    """(table, disguise) for each GF(3) fixture of dimension <= 4 (fast)
+    or <= 5, and each table of `extra`: the table itself, then the table
+    under a random basis change."""
     F = GF(3)
-    mode = MODE_ABELIAN | MODE_IDEAL
-    for L0 in standard_fixtures(F, max_dim=4 if fast else 5):
-        for L in (L0, change_of_basis(L0, _rand_invertible(F, L0.dim, rng))):
-            n, table, funcs = L.dim, table_flat(L), _trace_kernel(L)._annihilator()._rows
-            for d in range(n + 1):
-                cut = scan_subspaces(table, n, F.p, d, mode, -1, -1, funcs)
-                if cut != scan_subspaces(table, n, F.p, d, mode, -1, -1):
-                    return "the cut changed the dimension-%d scan of %s" % (d, L0.name)
+    for L0 in [*standard_fixtures(F, max_dim=4 if fast else 5), *extra]:
+        yield L0, L0
+        yield L0, change_of_basis(L0, _rand_invertible(F, L0.dim, rng))
+
+
+@_check("abelian subalgebras and ideals of every dimension are the subspaces that pass "
+        "their definitions, in canonical order, before and after disguise")
+def _strata(rng, fast):
+    F = GF(3)
+    for L0, L in _fixture_pairs(rng, fast):
+        for d in range(L.dim + 1):
+            abelian = [U for U in enumerate_subspaces(L.dim, d, F) if is_abelian_subspace(L, U)]
+            if all_abelian_subalgebras(L, d) != abelian:
+                return "the dimension-%d abelian subalgebras of %s differ" % (d, L0.name)
+            if all_abelian_ideals(L, d) != [U for U in abelian if is_ideal(L, U)]:
+                return "the dimension-%d abelian ideals of %s differ" % (d, L0.name)
     return None
 
 
-@_check("center cut leaves alpha's stratum scans unchanged, before and after disguise")
-def _center_cut(rng, fast):
-    F = GF(3)
-    for L0 in standard_fixtures(F, max_dim=4 if fast else 5):
-        for L in (L0, change_of_basis(L0, _rand_invertible(F, L0.dim, rng))):
-            n, table, d = L.dim, table_flat(L), alpha(L).alpha
-            cut = scan_subspaces(table, n, F.p, d, MODE_ABELIAN, -1, -1, (), center(L)._rows)
-            if cut != scan_subspaces(table, n, F.p, d, MODE_ABELIAN, -1, -1):
-                return "the center cut changed the dimension-%d scan of %s" % (d, L0.name)
-    return None
+def _first_hit(L, tests):
+    """(d, witness, scanned) by definition: the first subspace that passes
+    every test, going down from stratum n in canonical order, and the
+    number of subspaces up to and including it."""
+    scanned = 0
+    for d in range(L.dim, -1, -1):
+        for U in enumerate_subspaces(L.dim, d, L.field):
+            scanned += 1
+            if all(test(L, U) for test in tests):
+                return d, U, scanned
 
 
-def _walked(L, mode):
-    """(d, witness, scanned) of the first stratum, from n down, holding a
-    subspace of `mode`, by the stratum walk."""
-    total = 0
-    with _request(DEFAULT_SCAN_BUDGET):
-        for d in range(L.dim, -1, -1):
-            scanned, subs = _scan_dim(L, d, mode, 1)
-            total += scanned
-            if subs:
-                return d, subs[0], total
-    return None
-
-
-@_check("alpha from one structure slice and beta from the center and trace kernel equal the "
-        "stratum walks, before and after disguise")
-def _stratum_walks(rng, fast):
-    F = GF(3)
-    for L0 in standard_fixtures(F, max_dim=4 if fast else 5):
-        for L in (L0, change_of_basis(L0, _rand_invertible(F, L0.dim, rng))):
-            a, b = alpha(L), beta(L)
-            if (a.alpha, a.alpha_witness, a.scanned) != _walked(L, MODE_ABELIAN):
-                return "alpha of %s differs from the stratum walk" % L0.name
-            if (b.beta, b.beta_witness, b.scanned) != _walked(L, MODE_ABELIAN | MODE_IDEAL):
-                return "beta of %s differs from the stratum walk" % L0.name
+@_check("alpha and beta are the first abelian subalgebra and ideal down the canonical order, "
+        "with its count, before and after disguise")
+def _first_hits(rng, fast):
+    # x acting on F^2 from the left only: the functional f of its abelian
+    # hyperplane span(v_1, v_2) lies in the column spaces of the structure
+    # slices, not in their row spaces
+    left_only = AlgebraTable.from_products(
+        GF(3), 3, {(0, 1): (0, 1, 0), (0, 2): (0, 0, 1)}, "left-only-action"
+    )
+    for L0, L in _fixture_pairs(rng, fast, [left_only]):
+        a, b = alpha(L), beta(L)
+        if (a.alpha, a.alpha_witness, a.scanned) != _first_hit(L, [is_abelian_subspace]):
+            return "alpha of %s is not the first abelian subalgebra" % L0.name
+        if (b.beta, b.beta_witness, b.scanned) != _first_hit(L, [is_abelian_subspace, is_ideal]):
+            return "beta of %s is not the first abelian ideal" % L0.name
     return None
 
 
@@ -300,26 +297,27 @@ def _nilradical(rng, fast):
     # is the whole algebra, which is not nilpotent.  Where classify reports
     # the nilradical (alpha = n-2, no abelian ideal from the search), it
     # leaves it in the cache of a fresh copy of the table, entered by a
-    # matched frame or by the certificate
-    e = [tuple(int(i == j) for i in range(4)) for j in range(4)]
-    identity = _skew_table(F, 4, {(0, j): e[j] for j in (1, 2, 3)}, "identity-action-3")
-    for L0 in [*standard_fixtures(F, max_dim=4 if fast else 5), identity]:
-        for L in (L0, change_of_basis(L0, _rand_invertible(F, L0.dim, rng))):
-            total = Subspace.zero(F, L.dim)
-            with _request(DEFAULT_SCAN_BUDGET):
-                for d in range(1, L.dim + 1):
-                    for U in _scan_dim(L, d, MODE_IDEAL, -1)[1]:
-                        if series(subalgebra_table(L, U)).nilpotent:
-                            total = subspace_sum(total, U)
-            N = nilradical(L)
-            if N != total:
-                return "the nilradical of %s is not the sum of its nilpotent ideals" % L0.name
-            M = AlgebraTable(F, L.c)
-            if "dim_nilradical" in classify(M).diagnostics and M._cache.get("nilradical") != total:
-                return "classify of %s caches a nilradical that is not the sum" % L0.name
-            for U in (N, center(L), L.full_space()):
-                if verify_nilradical_candidate(L, U) is not (U == N):
-                    return "the nilradical check misjudges %r for %s" % (U, L0.name)
+    # matched frame or by the certificate, and `nilradical` returns it
+    products = {}
+    for j in (1, 2, 3):
+        products[0, j] = tuple(int(i == j) for i in range(4))
+        products[j, 0] = tuple(-int(i == j) for i in range(4))
+    identity = AlgebraTable.from_products(F, 4, products, "identity-action-3")
+    for L0, L in _fixture_pairs(rng, fast, [identity]):
+        total = Subspace.zero(F, L.dim)
+        for d in range(1, L.dim + 1):
+            for U in enumerate_subspaces(L.dim, d, F):
+                if is_ideal(L, U) and series(subalgebra_table(L, U)).nilpotent:
+                    total = subspace_sum(total, U)
+        N = nilradical(L)
+        if N != total:
+            return "the nilradical of %s is not the sum of its nilpotent ideals" % L0.name
+        M = AlgebraTable(F, L.c)
+        if "dim_nilradical" in classify(M).diagnostics and nilradical(M) != total:
+            return "classify of %s caches a nilradical that is not the sum" % L0.name
+        for U in (N, center(L), L.full_space()):
+            if verify_nilradical_candidate(L, U) is not (U == N):
+                return "the nilradical check misjudges %r for %s" % (U, L0.name)
     return None
 
 
@@ -345,22 +343,22 @@ def _one_budget(rng, fast):
     return None
 
 
-@_check("classifier verdicts on the fixture sweep")
+@_check("classifier verdicts on the fixture sweep; every frame carries the table onto its model")
 def _classify_sweep(rng, fast):
     # classify proves alpha = n-2 by an abelian ideal before any walk; its
     # alpha must be the one `alpha` walks for, disguised or not
-    F = GF(3)
-    for L0 in standard_fixtures(F, max_dim=4 if fast else 5):
-        for L in (L0, change_of_basis(L0, _rand_invertible(F, L0.dim, rng))):
-            v = classify(L)
-            if v.diagnostics["alpha"] != alpha(L).alpha:
-                return "classify and alpha disagree on alpha for %s" % L0.name
-            if v.case is Case.NOT_APPLICABLE:
-                continue
-            rep = verify_main_theorem(L)
-            if not rep.ok:
-                bad = [c.name for c in rep.claims if c.status == "fail"]
-                return "theorem claims failed for %s: %s" % (L0.name, bad)
+    for L0, L in _fixture_pairs(rng, fast):
+        v = classify(L)
+        if v.diagnostics["alpha"] != alpha(L).alpha:
+            return "classify and alpha disagree on alpha for %s" % L0.name
+        if "frame" in v.witness and change_of_basis(L, v.witness["frame"]) != v.witness["model"]:
+            return "the %s frame of %s does not carry it onto its model" % (v.case.value, L0.name)
+        if v.case is Case.NOT_APPLICABLE:
+            continue
+        rep = verify_main_theorem(L)
+        if not rep.ok:
+            bad = [c.name for c in rep.claims if c.status == "fail"]
+            return "theorem claims failed for %s: %s" % (L0.name, bad)
     return None
 
 

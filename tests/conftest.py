@@ -8,7 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from leibniz_algebras import search
-from leibniz_algebras.algebra import AlgebraTable, center, change_of_basis, direct_sum
+from leibniz_algebras.algebra import AlgebraTable, center, change_of_basis, direct_sum, is_leibniz
 from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2
 from leibniz_algebras.families import (
     abelian_algebra,
@@ -278,12 +278,14 @@ def central_algebras(draw, fields=(F3, F5, F7)):
     return _disguised_sum(draw, L, disguised=draw(st.booleans()))
 
 
-def cocycle_space(L):
+def cocycle_space(L, alternating=False):
     """The Leibniz 2-cocycles of L with values in F, theta(a, [b, c]) =
     theta([a, b], c) + theta(b, [a, c]) on basis triples (Loday and
     Pirashvili, 1993): a subspace of F^(n^2), theta(e_i, e_j) at i*n + j.
     Exactly for these theta is the central extension, [x, y] + theta(x, y) z
-    with z central, Leibniz."""
+    with z central, Leibniz.  With `alternating`, only those with
+    theta(a, b) = -theta(b, a), so theta(a, a) = 0 over odd p: over a Lie
+    L their extensions are Lie."""
     n, p = L.dim, L.field.p
     conditions = []
     for a, b, c in itertools.product(range(n), repeat=3):
@@ -295,7 +297,25 @@ def cocycle_space(L):
         for k, x in L._products[a][c]:
             row[b * n + k] -= x
         conditions.append([x % p for x in row])
+    if alternating:
+        for a, b in itertools.combinations_with_replacement(range(n), 2):
+            row = [0] * (n * n)
+            row[a * n + b] += 1
+            row[b * n + a] += 1
+            conditions.append(row)
     return Subspace._kernel(L.field, n * n, conditions)
+
+
+def _central_extension(draw, L, alternating=False):
+    """L (+)_theta F z for a theta drawn from `cocycle_space(L,
+    alternating)`: z is the last basis vector, central, and [x, y] gains
+    theta(x, y) z."""
+    F, n, p = L.field, L.dim, L.field.p
+    Z = cocycle_space(L, alternating)._rows
+    coefs = [draw(st.integers(0, p - 1)) for _ in Z]
+    theta = [sum(x * row[t] for x, row in zip(coefs, Z)) % p for t in range(n * n)]
+    products = {(i, j): L.c[i][j] + (theta[i * n + j],) for i in range(n) for j in range(n)}
+    return AlgebraTable.from_products(F, n + 1, products, name="central extension")
 
 
 @st.composite
@@ -304,15 +324,103 @@ def central_extensions(draw, fields=(F3, F5)):
     base L from `family_algebras` or `central_algebras`, of dimension at
     most MAX_DIM[p], and a Leibniz 2-cocycle theta drawn from
     `cocycle_space(L)`; z is central, and [x, y] gains theta(x, y) z."""
-    L = draw(st.one_of(family_algebras(fields), central_algebras(fields)))
-    F, n, p = L.field, L.dim, L.field.p
-    Z = cocycle_space(L)._rows
-    coefs = [draw(st.integers(0, p - 1)) for _ in Z]
-    theta = [sum(x * row[t] for x, row in zip(coefs, Z)) % p for t in range(n * n)]
-    products = {(i, j): L.c[i][j] + (theta[i * n + j],) for i in range(n) for j in range(n)}
-    E = AlgebraTable.from_products(F, n + 1, products, name="central extension")
+    E = _central_extension(draw, draw(st.one_of(family_algebras(fields), central_algebras(fields))))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    return change_of_basis(E, rand_invertible(F, n + 1, rng))
+    return change_of_basis(E, rand_invertible(E.field, E.dim, rng))
+
+
+def derivation_space(L):
+    """The derivations D of L, D[a, b] = [Da, b] + [a, Db] on basis pairs:
+    a subspace of F^(n^2), the e_t coordinate of D e_j at j*n + t."""
+    n, p = L.dim, L.field.p
+    products = L._products
+    conditions = []
+    for a, b in itertools.product(range(n), repeat=2):
+        # rows[t]: the e_t coordinate of D[a, b] - [Da, b] - [a, Db]
+        rows = [[0] * (n * n) for _ in range(n)]
+        for k, x in products[a][b]:
+            for t in range(n):
+                rows[t][k * n + t] += x
+        for i in range(n):
+            for t, x in products[i][b]:
+                rows[t][a * n + i] -= x
+            for t, x in products[a][i]:
+                rows[t][b * n + i] -= x
+        conditions += [[x % p for x in row] for row in rows]
+    return Subspace._kernel(L.field, n * n, conditions)
+
+
+def _nilpotent_lie(draw, F, top):
+    """A nilpotent Lie table over F of dimension at most top >= 3: F^2,
+    F^3, heisenberg (+) F^k, the family tables c(nilp), c(0) and
+    e(0,0,0,4) where they fit, or a central extension of one of these by
+    an alternating 2-cocycle, which is again nilpotent and Lie."""
+    zero3 = Matrix.zeros(F, 3, 3)
+    tables = [abelian_algebra(2, F), abelian_algebra(3, F), heisenberg(F)]
+    if top >= 4:
+        tables += [
+            direct_sum(heisenberg(F), abelian_algebra(1, F)),
+            make_c(Matrix(F, [[0, 1], [0, 0]]), F),
+            make_c(Matrix.zeros(F, 2, 2), F),
+            make_e(zero3, zero3, (0, 0, 0), 4, F),
+        ]
+    N = draw(st.sampled_from(tables))
+    if N.dim < top and draw(st.booleans()):
+        N = _central_extension(draw, N, alternating=True)
+    return N
+
+
+# K and s are redrawn at most this often before a one-dimensional extension
+# falls back to K = 0, s = 0
+EXTENSION_TRIES = 10
+
+
+@st.composite
+def one_dimensional_extensions(draw, fields=(F3, F5)):
+    """N (+) F t over one of `fields`, of dimension at most MAX_DIM[p],
+    under a seeded basis change: the paper's one-dimensional extension of a
+    nilpotent Lie table N (`_nilpotent_lie`), [t, a] = D a, [a, t] = -D a +
+    K a and [t, t] = s, with D a derivation drawn from `derivation_space(N)`.
+
+    K = 0, s = 0 gives the semidirect product by D, which is Lie.  The
+    Leibniz rule on (a, t, c) gives [K a, c] = 0, and on (t, t, c) gives
+    [s, c] = 0, so K maps N into its center, and s lies there.  K and s are
+    drawn so, each 0 half the time, from a seeded random.Random until the
+    table is Leibniz, at most EXTENSION_TRIES times, and are 0 after that:
+    no draw is rejected."""
+    F = draw(st.sampled_from(fields))
+    p = F.p
+    N = _nilpotent_lie(draw, F, MAX_DIM[p] - 1)
+    n = N.dim
+    rows = derivation_space(N)._rows
+    coefs = [draw(st.integers(0, p - 1)) for _ in rows]
+    d = [sum(x * row[t] for x, row in zip(coefs, rows)) % p for t in range(n * n)]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    Z = center(N)._rows
+
+    def central():
+        return [sum(rng.randrange(p) * z[t] for z in Z) % p for t in range(n)]
+
+    zero = [0] * n
+
+    for attempt in range(EXTENSION_TRIES + 1):
+        if attempt < EXTENSION_TRIES:
+            # K alone, s alone or both
+            kind = rng.randrange(3)
+            K = [central() for _ in range(n)] if kind != 1 else [zero] * n
+            s = central() if kind != 0 else zero
+        else:
+            K, s = [zero] * n, zero
+        products = {(i, j): N.c[i][j] + (0,) for i in range(n) for j in range(n)}
+        for j in range(n):
+            Dj = d[j * n:(j + 1) * n]
+            products[n, j] = (*Dj, 0)
+            products[j, n] = (*(k - x for x, k in zip(Dj, K[j])), 0)
+        products[n, n] = (*s, 0)
+        L = AlgebraTable.from_products(F, n + 1, products, name="one-dimensional extension")
+        if is_leibniz(L):
+            break
+    return change_of_basis(L, rand_invertible(F, n + 1, rng))
 
 
 # -- references: eliminations that linalg's one step replaced ---------------------

@@ -82,6 +82,7 @@ from conftest import (
     identity_actions,
     left_only_actions,
     one_budget_algebras,
+    one_dimensional_extensions,
     rand_invertible,
     rational_change,
     rotext_with_center_candidate,
@@ -759,6 +760,30 @@ def test_theorem_holds_on_central_extensions():
     check()
     # every verdict, NotApplicable included, occurs among the examples
     assert set(seen) == set(Case)
+
+
+def test_theorem_holds_on_one_dimensional_extensions():
+    # the paper's own construction, N (+) F t over a nilpotent Lie N, with
+    # the same checks as central extensions get; over GF(p) an abelian
+    # ideal of dimension n-2, where there is one, decides first
+    seen = Counter()
+
+    @settings(max_examples=100)
+    @given(one_dimensional_extensions(), st.integers(0, 2**32 - 1))
+    def check(L, seed):
+        assert algebra.is_leibniz(L)
+        got = classify(L)
+        seen[got.case] += 1
+        if got.case is Case.NOT_APPLICABLE:
+            return
+        M = change_of_basis(L, rand_invertible(L.field, L.dim, random.Random(seed)))
+        assert classify(M).case is got.case
+        assert verify_main_theorem(L).ok
+
+    check()
+    # [L, L] <= N, so L is solvable and has no simple quotient: no Case2_d
+    assert Case.CASE2_D not in seen
+    assert {Case.ABELIAN_IDEAL_CODIM_LE2, Case.CASE3_E, Case.NOT_APPLICABLE} <= set(seen)
 
 
 @pytest.mark.parametrize("name", sorted(one_budget_algebras()))

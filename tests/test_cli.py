@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from leibniz_algebras import selftest
 from leibniz_algebras.algebra import AlgebraTable, change_of_basis, direct_sum, is_leibniz
 from leibniz_algebras.catalog import heisenberg_rotation_extension, nonideal_codim2_example
 from leibniz_algebras.cli import run
@@ -463,6 +464,10 @@ def test_lenient_flag(tmp_path):
 
 
 def test_selftest_command(capsys):
-    assert run(["selftest", "--fast", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "[PASS]" in out and "[FAIL]" not in out
+    # the fast run and the full one, which alone reaches the n = 5 fixtures:
+    # one line per check, every one a pass
+    for options in (["--fast", "--seed", "3"], ["--seed", "0"]):
+        assert run(["selftest", *options]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+        assert len(lines) == len(selftest.CHECKS)
+        assert all(line.startswith("[PASS] ") for line in lines)

@@ -13,7 +13,9 @@ or an attribute, imports it or lists it in `__all__`; only the self-test
 functions, which `selftest._check(...)` registers, are exempt.  A method
 of a package class, dunders apart, counts as used when a module of the
 package, the tests or the benchmark (`perfbench/`) reads it as an
-attribute.  The CLI prints a report only through its one renderer.
+attribute.  The CLI prints a report only through its one renderer.  The
+self-test imports no internal name, and `search._scan_dim` is the one
+caller of the scan kernel.
 Importing the package and its CLI loads neither `dataclasses` nor
 `inspect`: its records are named tuples."""
 
@@ -192,6 +194,36 @@ def test_scan_kernel_imports_the_standard_library_only():
     # or `algebra` there would also be a cycle
     modules = _top_level_modules(_tree("_scan_py.py"))
     assert modules and sorted(modules - sys.stdlib_module_names) == []
+
+
+def test_selftest_imports_public_names_only():
+    # the self-test checks answers against their definitions, so it needs
+    # nothing internal: no `_`-prefixed name or module, the kernel shim
+    # `_kernel` included
+    imports = [
+        node for node in ast.walk(_tree("selftest.py")) if isinstance(node, ast.ImportFrom) and node.level
+    ]
+    assert imports
+    assert sorted(node.module for node in imports if node.module.startswith("_")) == []
+    assert sorted(a.name for node in imports for a in node.names if a.name.startswith("_")) == []
+
+
+def _callers(name):
+    """(module, top-level statement) for each call of `name`, as a name or
+    an attribute, in the package."""
+    return [
+        (module, getattr(top, "name", "<module>"))
+        for module in MODULES
+        for top in _tree(module).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_only_search_calls_the_scan_kernel():
+    # one module knows the kernel's call form, table form and cuts
+    assert _callers("scan_subspaces") == [("search.py", "_scan_dim")]
 
 
 def _prints(tree):
