@@ -27,23 +27,29 @@ The top-down abelian-ideal searches (`beta`, `classify`'s stratum n-2,
 `solvability_from_codim2_ideal`) walk nothing.  While no stratum above d
 holds an abelian ideal, every abelian ideal of dimension d contains the
 center C(L), as I + C(L) is an abelian ideal, so it lies between C(L) and
-K; `_first_abelian_ideal` tests only those candidates.  `alpha` walks no
-stratum above n-2 (`_top_strata`).  Stratum n holds an abelian subalgebra
-iff every structure constant is 0.  An abelian hyperplane ker f makes
-every slice C_k = (c_ijk)_ij of the structure tensor f a^T + b f^T, in
-every characteristic, so f lies in the row or the column space of any
-nonzero slice, and those at most 2(p+1) lines are stratum n-1's only
-candidates (`_abelian_hyperplanes`).  A stratum that is not walked is
-debited what its walk would count (`_debit_first`).  `classify` walks
-less still: once strata n and n-1 are empty, an abelian ideal of
-dimension n-2, or a supplied codimension-2 abelian witness, proves alpha =
-n-2, and only without either are the strata <= n-2 walked
-(`_walk_strata`).  Those walks are cut by the center: C(L) brackets to 0
-with everything, so A + C(L) is abelian for every abelian A, and while no
-stratum above d holds an abelian subalgebra every abelian subalgebra of
-dimension d contains C(L).  The walk of stratum d passes C(L)'s rows to
-the kernel, which skips the subspaces that miss it; the collect-all
-scans pass nothing, as below alpha an abelian subalgebra may miss C(L).
+K; `_first_abelian_ideal` tests only those candidates, each on its rows
+C + X B, B a complement of C in K in RREF and X an RREF walked in
+canonical order: the candidates' pivot sets follow X's, so the walk stops
+after the first pivot set of X with a hit, and only hits are spanned.
+`alpha` walks no stratum above n-2 (`_top_strata`).  Stratum n holds an
+abelian subalgebra iff every structure constant is 0.  An abelian
+hyperplane ker f makes every slice C_k = (c_ijk)_ij of the structure
+tensor f a^T + b f^T, in every characteristic, so f lies in the row or
+the column space of any nonzero slice, and those at most 2(p+1) lines
+are stratum n-1's only candidates (`_abelian_hyperplanes`).  The two
+spaces have equal dimension, so the column space is spanned only when a
+column leaves the row space, and each line is tested unnormalized.  A
+stratum that is not walked is debited what its walk would count
+(`_debit_first`).  `classify` walks less still: once strata n and n-1
+are empty, an abelian ideal of dimension n-2, or a supplied
+codimension-2 abelian witness, proves alpha = n-2, and only without
+either are the strata <= n-2 walked (`_walk_strata`).  Those walks are
+cut by the center: C(L) brackets to 0 with everything, so A + C(L) is
+abelian for every abelian A, and while no stratum above d holds an
+abelian subalgebra every abelian subalgebra of dimension d contains C(L).
+The walk of stratum d passes C(L)'s rows to the kernel, which skips the
+subspaces that miss it; the collect-all scans pass nothing, as below
+alpha an abelian subalgebra may miss C(L).
 
 One budget bounds a whole request.  Every public entry point that scans,
 here and in `classify`, opens a request ledger with its `budget`; every
@@ -65,7 +71,6 @@ from ._kernel import MODE_ABELIAN, MODE_IDEAL, scan_subspaces
 from ._scan_py import _canonical_index, canonical_subspaces, gaussian_binomial
 from .algebra import (
     AlgebraTable,
-    _bracket,
     _is_frame,
     bracket,
     center,
@@ -78,7 +83,7 @@ from .algebra import (
 from .errors import BudgetExceededError, ConsistencyError
 from .fields import check_same_field
 from .invariants import _trace_kernel, series
-from .linalg import Matrix, Subspace, _clear, _lead, _matmul, enumerate_subspaces
+from .linalg import Matrix, Subspace, _clear, _dot_rows, _lead, _matmul, enumerate_subspaces
 
 DEFAULT_SCAN_BUDGET = 5_000_000
 
@@ -200,39 +205,66 @@ def _abelian_hyperplanes(L: AlgebraTable) -> list[Subspace]:
     (mu f + b) f^T, and a nonzero C_k has f in its row space.  So a slice
     of rank > 2 leaves no candidate, and otherwise the at most 2(p+1)
     lines of its row and column spaces are the only ones; each is tested
-    by the brackets [h_i, h_j] of its hyperplane's basis."""
+    by the brackets [h_i, h_j] of its hyperplane's basis.
+
+    The two spaces have the same dimension, the rank of C_k, so when every
+    column of C_k lies in the row space the two are equal, and the column
+    space is spanned only when a column leaves the row space (never for a
+    skew slice, as every slice of a Lie table is).  A line g is tested as
+    it is listed, unnormalized (`_kernel_is_abelian`); only a hit is
+    scaled to its functional f = g / g[m], which dedupes the hits on a
+    line of both spaces."""
     F, n, p, c = L.field, L.dim, L.field.p, L.c
     k = next(k for ci in L._products for cij in ci for k, _ in cij)
-    rows = Subspace._span(F, n, [[c[i][j][k] for j in range(n)] for i in range(n)])
+    slice_rows = [[c[i][j][k] for j in range(n)] for i in range(n)]
+    rows = Subspace._span(F, n, slice_rows)
     if rows.dim > 2:
         return []
-    cols = Subspace._span(F, n, [[c[i][j][k] for i in range(n)] for j in range(n)])
-    # each candidate f scaled to f[m] = 1 at its last nonzero entry m
-    candidates = {}
-    for V in (rows, cols):
+    planes = [rows]
+    columns = list(zip(*slice_rows))
+    if not all(rows._contains(col) for col in columns):
+        planes.append(Subspace._span(F, n, columns))
+    out, found = [], set()
+    for V in planes:
         u, *rest = V._rows
         lines = [u]
         for v in rest:  # V is a plane: its other lines are the span(v + t u)
             lines += [[(x + t * y) % p for x, y in zip(v, u)] for t in range(p)]
-        for f in lines:
-            m = max(i for i, x in enumerate(f) if x)
-            inv = pow(f[m], -1, p)
-            candidates[tuple(x * inv % p for x in f)] = m
-    out = []
-    for f, m in candidates.items():
-        # ker f has the RREF basis h_i = e_i - f[i] e_m, i != m
-        others = [i for i in range(n) if i != m]
-        cm, cmm = c[m], c[m][m]
-        if any(
-            (a - f[j] * b - f[i] * d + f[i] * f[j] * e) % p
-            for i in others
-            for j in others
-            for a, b, d, e in zip(c[i][j], c[i][m], cm[j], cmm)
-        ):
-            continue
-        basis = [[(-f[i] if t == m else int(t == i)) % p for t in range(n)] for i in others]
-        out.append(Subspace(F, n, basis, others))
+        for g in lines:
+            m = max(i for i, x in enumerate(g) if x)
+            if not _kernel_is_abelian(c, p, g, m):
+                continue
+            inv = pow(g[m], -1, p)
+            f = tuple(x * inv % p for x in g)
+            if f in found:  # a line of both planes
+                continue
+            found.add(f)
+            # ker f has the RREF basis h_i = e_i - f[i] e_m, i != m
+            others = [i for i in range(n) if i != m]
+            basis = [[(-f[i] if t == m else int(t == i)) % p for t in range(n)] for i in others]
+            out.append(Subspace(F, n, basis, others))
     return out
+
+
+def _kernel_is_abelian(c, p: int, g, m: int) -> bool:
+    """Whether ker f, f = g / g[m] and m the last nonzero entry of g, is
+    abelian, for a GF(p) table c: [h_i, h_j] = 0 for its RREF basis
+    h_i = e_i - f[i] e_m, i != m, each bracket times g[m]^2, so that g
+    needs no normalization:
+    g_m^2 c_ij - g_m g_j c_im - g_m g_i c_mj + g_i g_j c_mm = 0."""
+    gm = g[m]
+    gm2 = gm * gm
+    others = [i for i in range(len(g)) if i != m]
+    cm, cmm = c[m], c[m][m]
+    for i in others:
+        gi, ci = g[i], c[i]
+        cim, gmi = ci[m], gm * gi
+        for j in others:
+            gmj, gij = gm * g[j], gi * g[j]
+            for a, b, d, e in zip(ci[j], cim, cm[j], cmm):
+                if (a * gm2 - b * gmj - d * gmi + e * gij) % p:
+                    return False
+    return True
 
 
 def _top_strata(L: AlgebraTable):
@@ -270,6 +302,19 @@ def _walk_strata(L: AlgebraTable):
     return None, None, total
 
 
+def _brackets_with_basis(L: AlgebraTable, w) -> list:
+    """[w, e_j] for every j, over GF(p), read off `_products` in one pass
+    over w's nonzero entries."""
+    n, p = L.dim, L.field.p
+    out = [[0] * n for _ in range(n)]
+    for x, row in zip(w, L._products):
+        if x:
+            for acc, pij in zip(out, row):
+                for k, c in pij:
+                    acc[k] += x * c
+    return [[y % p for y in acc] for acc in out]
+
+
 def _first_abelian_ideal(L: AlgebraTable, dims):
     """The first abelian ideal in the strata `dims`, consecutive and
     descending, with no abelian ideal in a stratum above dims[0]: (d,
@@ -300,26 +345,54 @@ def _first_abelian_ideal(L: AlgebraTable, dims):
     The first hit in canonical order is the least by (pivots, RREF rows),
     and a scan of stratum d counts its canonical index + 1
     (`_scan_py._canonical_index`), or the stratum's Gaussian binomial when
-    it holds none."""
+    it holds none.
+
+    Lemma (the candidates' pivots).  C <= K, so every pivot of C is one of
+    K: a vector of K leads at the pivot of the first RREF row of K in its
+    combination.  Let B be the RREF rows of K whose pivots Bpiv are not
+    C's.  Each is 0 at K's other pivots, so at C's; a nonzero combination
+    of them leads at one of Bpiv, which no vector of C does, so they are
+    independent modulo C, and as many as dim K - dim C: B spans a
+    complement of C in K, in RREF and 0 at C's pivots.  For an RREF X in
+    F^t with pivots xp, W = X B is in RREF with pivots Bpiv[xp] and 0 at
+    C's pivots: row r of W is B[xp[r]] plus multiples of rows of B whose
+    pivots lie to the right, and its entry at Bpiv[s] is X[r][s].  So a
+    residual cleared by C's pivot rows and then by W's (`linalg._clear`) is
+    0 exactly on C + W, whose pivots are C's pivots and Bpiv[xp].  Bpiv is
+    increasing and misses C's pivots, so two candidates' pivot sets
+    compare as their X's do: the least element of a symmetric difference
+    maps to the least element.  The canonical walk of X therefore meets
+    the candidates' pivot sets in canonical order, and the first pivot set
+    of X that holds a hit holds the first hit.
+
+    So no candidate is spanned.  For each row w of W, [w, e_j] is read for
+    every j off `_products` in one pass over w's nonzero entries
+    (`_brackets_with_basis`); [w, v] = sum_j v_j [w, e_j] tests abelian,
+    and the residuals of the [w, e_j] test the ideal.  Only hits are
+    spanned, and the walk of X stops after the first pivot set that holds
+    one: `_debit_first` takes any subset of the hits that holds the
+    first."""
     F, n, p = L.field, L.dim, L.field.p
     C, K = center(L), _trace_kernel(L)
-    # a basis of a complement of C in K, reduced modulo C
-    B = Subspace._span(F, n, [C._reduce(row) for row in K._rows])._rows
-    es = [L.basis_vector(j) for j in range(n)]
-    zero = L.zero_vector()
+    # B: K's rows at the pivots C lacks (see the lemma)
+    Bpiv = [kp for kp in K.pivots if kp not in C.pivots]
+    Bcols = list(zip(*[row for kp, row in zip(K.pivots, K._rows) if kp not in C.pivots]))
+    C_pivots = list(zip(C.pivots, C._rows))
     total = 0
     for d in dims:
-        hits = []
-        for _, _, X in canonical_subspaces(len(B), p, d - C.dim):
-            ws = [
-                tuple(sum(x * b[k] for x, b in zip(coefs, B)) % p for k in range(n))
-                for coefs in X
-            ]
-            if any(_bracket(L, u, v) != zero for u in ws for v in ws):
+        hits, hits_xp = [], None
+        for _, xp, X in canonical_subspaces(len(Bpiv), p, d - C.dim):
+            if hits and xp != hits_xp:
+                break  # the first pivot set holding a hit holds the first hit
+            ws = [[_dot_rows(x, col) % p for col in Bcols] for x in X]
+            # [w, e_j] for every j, and [w, v] = sum_j v_j [w, e_j]
+            rights = [_brackets_with_basis(L, w) for w in ws]
+            if any(any(_dot_rows(v, col) % p for col in zip(*R)) for R in rights for v in ws):
                 continue
-            I = Subspace._span(F, n, C._rows + tuple(ws))
-            if all(I._contains(_bracket(L, w, e)) for w in ws for e in es):
-                hits.append(I)
+            pivots = C_pivots + list(zip([Bpiv[s] for s in xp], ws))
+            if not any(any(_clear(p, r, pivots)) for R in rights for r in R):
+                hits.append(Subspace._span(F, n, C._rows + tuple(ws)))
+                hits_xp = xp
         first, scanned = _debit_first(L, d, hits)
         total += scanned
         if first is not None:

@@ -363,10 +363,16 @@ def _classify_sweep(rng, fast):
 
 
 def run_selftest(seed: int = 0, fast: bool = False) -> bool:
+    """Run every check in turn, printing a [PASS] or [FAIL] line for each:
+    a check that raises fails with its exception's type and message, and
+    the checks after it still run.  True iff every check passed."""
     rng = random.Random(seed)
     ok = True
     for name, fn in CHECKS:
-        failure = fn(rng, fast)
+        try:
+            failure = fn(rng, fast)
+        except Exception as exc:
+            failure = "%s: %s" % (type(exc).__name__, exc)
         if failure is None:
             print("[PASS] %s" % name)
         else:

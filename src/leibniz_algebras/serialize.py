@@ -30,6 +30,7 @@ from .errors import DocumentError
 from .fields import QQ, FieldSpec, is_prime
 
 FORMAT_VERSION = 1
+_ENTRY_KEYS = frozenset({"i", "j", "c"})
 
 
 class DocumentWarning(UserWarning):
@@ -87,6 +88,18 @@ def _parse_scalar(x, field: FieldSpec):
 
 
 def parse_algebra(text: str, strict: bool = True) -> AlgebraTable:
+    """The table of a document.  Entries are checked in document order,
+    each for its keys, indices, uniqueness and row, and the first fault
+    raises `DocumentError` (or, lenient, warns of unknown keys).
+
+    An entry's keys go to `_check_keys` only when they are not exactly
+    "i", "j", "c": it raises or warns on extra keys alone.  Over GF(p) a
+    row is checked once, whole: a list of `dim` entries x with
+    `type(x) is int` and 0 <= x < p is taken as it stands.  JSON gives
+    exact ints and bools, so `type(x) is int` is `_parse_scalar`'s test, an
+    int and not a bool.  Any other row, and every row over QQ, is read
+    entry by entry by `_parse_scalar`, which raises the message of its
+    first bad entry."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -103,11 +116,13 @@ def parse_algebra(text: str, strict: bool = True) -> AlgebraTable:
     table = doc.get("table")
     if not isinstance(table, list):
         _fail("'table' must be a list")
+    p = field.p
     products = {}
     for ent in table:
         if not isinstance(ent, dict):
             _fail("table entries must be objects")
-        _check_keys(ent, {"i", "j", "c"}, strict, "table entry")
+        if ent.keys() != _ENTRY_KEYS:
+            _check_keys(ent, _ENTRY_KEYS, strict, "table entry")
         i, j, c = ent.get("i"), ent.get("j"), ent.get("c")
         for idx in (i, j):
             if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < dim:
@@ -116,7 +131,10 @@ def parse_algebra(text: str, strict: bool = True) -> AlgebraTable:
             _fail("duplicate table entry for (%d, %d)" % (i, j))
         if not isinstance(c, list) or len(c) != dim:
             _fail("coefficient vector for (%d, %d) must have length %d" % (i, j, dim))
-        products[(i, j)] = tuple(_parse_scalar(x, field) for x in c)
+        if p is not None and all(type(x) is int and 0 <= x < p for x in c):
+            products[(i, j)] = tuple(c)
+        else:
+            products[(i, j)] = tuple(_parse_scalar(x, field) for x in c)
     name = None
     meta = doc.get("metadata")
     if meta is not None:
@@ -125,7 +143,7 @@ def parse_algebra(text: str, strict: bool = True) -> AlgebraTable:
         name = meta.get("name")
         if name is not None and not isinstance(name, str):
             _fail("'metadata.name' must be a string")
-    # _parse_scalar has put every scalar in canonical form: no second pass
+    # every scalar is in canonical form: no second pass
     return AlgebraTable._from_products(field, dim, products, name=name)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -100,6 +101,44 @@ def rotext_with_center_candidate(k, seed):
     rows = [tuple(int(i == j) for i in range(n)) for j in [1, 2] + list(range(4, n))]
     M = change_of_basis(L, P)
     return M, Subspace.from_vectors(QQ, n, carried(P, rows)), center(M)
+
+
+def gf3_document(table) -> str:
+    """A dimension-2 GF(3) document with the given table entries."""
+    return json.dumps({"format_version": 1, "field": {"kind": "gf", "p": 3}, "dim": 2, "table": table})
+
+
+# GF(3) documents that `parse_algebra` rejects, one per rule of a table
+# entry, each with its exact message: (id, document, message)
+MALFORMED_GF_DOCUMENTS = [
+    (name, gf3_document(table), message)
+    for name, table, message in [
+        ("bool coefficient", [{"i": 0, "j": 1, "c": [True, 0]}], "GF(3) coefficients must be integers, got True"),
+        ("bool after an int", [{"i": 0, "j": 1, "c": [1, False]}], "GF(3) coefficients must be integers, got False"),
+        ("residue p", [{"i": 0, "j": 1, "c": [0, 3]}], "residue 3 out of range [0, 3)"),
+        ("negative residue", [{"i": 0, "j": 1, "c": [-1, 0]}], "residue -1 out of range [0, 3)"),
+        ("string coefficient", [{"i": 0, "j": 1, "c": ["1", 0]}], "GF(3) coefficients must be integers, got '1'"),
+        ("float coefficient", [{"i": 0, "j": 1, "c": [1.0, 0]}], "GF(3) coefficients must be integers, got 1.0"),
+        ("short row", [{"i": 0, "j": 1, "c": [1]}], "coefficient vector for (0, 1) must have length 2"),
+        ("non-list row", [{"i": 0, "j": 1, "c": 1}], "coefficient vector for (0, 1) must have length 2"),
+        ("missing row", [{"i": 0, "j": 1}], "coefficient vector for (0, 1) must have length 2"),
+        ("bool index", [{"i": True, "j": 1, "c": [1, 0]}], "index True out of range for dim 2"),
+        ("out-of-range index", [{"i": 0, "j": 2, "c": [1, 0]}], "index 2 out of range for dim 2"),
+        ("negative index", [{"i": -1, "j": 0, "c": [1, 0]}], "index -1 out of range for dim 2"),
+        (
+            "duplicate entry",
+            [{"i": 0, "j": 1, "c": [1, 0]}, {"i": 0, "j": 1, "c": [0, 1]}],
+            "duplicate table entry for (0, 1)",
+        ),
+        (
+            "bad entry after a good one",
+            [{"i": 0, "j": 1, "c": [1, 0]}, {"i": 1, "j": 0, "c": [2, 3]}],
+            "residue 3 out of range [0, 3)",
+        ),
+        ("entry not an object", [[0, 1, [1, 0]]], "table entries must be objects"),
+        ("unknown entry key", [{"i": 0, "j": 1, "c": [1, 0], "k": 0}], "unknown table entry fields: k"),
+    ]
+]
 
 
 def scanned_by(fn):

@@ -471,3 +471,20 @@ def test_selftest_command(capsys):
         lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
         assert len(lines) == len(selftest.CHECKS)
         assert all(line.startswith("[PASS] ") for line in lines)
+
+
+def test_selftest_names_a_check_that_raises(monkeypatch, capsys):
+    # a check that raises fails with its exception's type and message, the
+    # checks after it still run, and the run exits 1
+    def raising(rng, fast):
+        raise RuntimeError("no such subspace")
+
+    checks = list(selftest.CHECKS)
+    name = checks[1][0]
+    checks[1] = (name, raising)
+    monkeypatch.setattr(selftest, "CHECKS", checks)
+    assert run(["selftest", "--fast"]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    assert lines[1] == "[FAIL] %s: RuntimeError: no such subspace" % name
+    assert lines[2:] == ["[PASS] %s" % later for later, _ in checks[2:]]
+    assert len(lines) == len(checks)

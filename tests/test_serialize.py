@@ -15,7 +15,7 @@ from leibniz_algebras.serialize import (
     serialize_algebra,
 )
 
-from conftest import F3, reference_integer_view
+from conftest import F3, MALFORMED_GF_DOCUMENTS, gf3_document, reference_integer_view
 
 
 def test_round_trip_fixtures():
@@ -113,6 +113,27 @@ def test_malformed_documents():
                 }
             )
         )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [pytest.param(text, message, id=name) for name, text, message in MALFORMED_GF_DOCUMENTS],
+)
+def test_gf_rejections_name_the_fault(text, message):
+    # the exact message of each rule a GF(p) table entry can break, the
+    # first bad entry of a document named
+    with pytest.raises(DocumentError) as err:
+        parse_algebra(text)
+    assert str(err.value) == message
+
+
+def test_unknown_entry_key_warns_when_lenient():
+    text = gf3_document([{"i": 0, "j": 1, "c": [1, 2], "k": 0}])
+    with pytest.raises(DocumentError, match="^unknown table entry fields: k$"):
+        parse_algebra(text)
+    with pytest.warns(DocumentWarning, match="^unknown table entry fields: k$"):
+        L = parse_algebra(text, strict=False)
+    assert L == parse_algebra(gf3_document([{"i": 0, "j": 1, "c": [1, 2]}]))
 
 
 def test_strict_vs_lenient_unknown_fields():
