@@ -1,7 +1,8 @@
 """The GF(p) subspace scan, as the rest of the package imports it.
 
-There is one implementation, the pure-Python `_scan_py`; this module
-re-exports its entry points and names it.  `search` is the only package
+There is one implementation, the pure-Python `_scan_py`, which takes its
+canonical walk and its row steps from `linalg`; this module re-exports its
+entry points and names it.  `search` is the only package
 module that calls the scan (`search._scan_dim`); `cli` and `__init__`
 import `backend` alone.
 """

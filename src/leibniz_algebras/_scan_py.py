@@ -1,13 +1,13 @@
 """Subspace scan over GF(p): the hot search loop, in pure Python.
 
-`canonical_subspaces` walks every d-dimensional subspace of GF(p)^n in
-canonical order: pivot-column sets lexicographically, then free entries
-row-major with the last position fastest.  It fixes the rows of the RREF
-basis one at a time, row 0 first, and an optional row test, chosen per
-pivot set, may cut the whole pivot set or the whole subtree below a row.  It is the one enumerator of the package;
-`linalg.enumerate_subspaces` wraps its rows in `Subspace` objects, and
-`scan_subspaces` tests predicates against a structure-constant table on the
-subspaces it yields.
+`scan_subspaces` tests predicates against a structure-constant table on
+the subspaces of `linalg.canonical_subspaces`, the package's one walk in
+canonical order, which fixes the RREF rows one at a time, row 0 first,
+and lets a row test, chosen per pivot set, cut the whole pivot set or the
+whole subtree below a row.  This module holds that row test, the cuts
+below, and takes each of its linear-algebra steps from `linalg`: the row
+solves are `_dependencies`, the recombination of the center's rows is
+`_echelon` and the ideal test's membership is `_clear`.
 
 Contract:
 
@@ -71,185 +71,59 @@ exactly what a subspace-by-subspace scan would return, with or without
 from __future__ import annotations
 
 import functools
-import itertools
+
+from .fields import GF
+from .linalg import _clear, _dependencies, _echelon, canonical_subspaces, gaussian_binomial
 
 MODE_ABELIAN = 1
 MODE_IDEAL = 4
 
 
-def gaussian_binomial(n: int, d: int, p: int) -> int:
-    """Number of d-dimensional subspaces of GF(p)^n."""
-    if d < 0 or d > n:
-        return 0
-    num = den = 1
-    for i in range(d):
-        num *= p ** (n - i) - 1
-        den *= p ** (d - i) - 1
-    return num // den
-
-
-def _pivot_set_size(n: int, p: int, piv) -> int:
-    """Number of subspaces of GF(p)^n with pivot columns `piv`: p^f, f
-    its number of free entries, d(n-d) - sum_r (piv[r] - r)."""
-    d = len(piv)
-    return p ** (d * (n - d) - sum(c - r for r, c in enumerate(piv)))
-
-
-def canonical_subspaces(n: int, p: int, d: int, row_values_for=None):
-    """Yield (index, pivots, rows) for the d-dimensional subspaces of GF(p)^n.
-
-    `index` is the subspace's position in the canonical order, `pivots` the
-    tuple of its pivot columns and `rows` its d x n RREF basis (lists of ints
-    mod p), which the walk reuses: copy it to keep it.  Rows are fixed in
-    order, row 0 first.  `row_values_for(piv)`, when given, is called on
-    each pivot set before any of its rows and returns None, which cuts the
-    pivot set whole, or the set's `row_values`: with rows 0..r-1 fixed,
-    `row_values(rows, r, pc, cols)` yields the values of row r's free
-    entries (at columns `cols`; its pivot is at column `pc`) to walk on, a
-    subsequence of `itertools.product(range(p), repeat=len(cols))`.  A
-    value it leaves out cuts every subspace that shares rows 0..r, and the
-    indices skip them.  Outside 0 <= d <= n there is no subspace, and
-    nothing is yielded.
-    """
-    if not 0 <= d <= n:
-        return
-    offset = 0
-    for piv in itertools.combinations(range(n), d):
-        row_values = None
-        if row_values_for is not None:
-            row_values = row_values_for(piv)
-            if row_values is None:
-                offset += _pivot_set_size(n, p, piv)
-                continue
-        pivset = set(piv)
-        free = [[c for c in range(piv[r] + 1, n) if c not in pivset] for r in range(d)]
-        # below[r]: subspaces sharing rows 0..r
-        below = [1] * d
-        for r in range(d - 2, -1, -1):
-            below[r] = below[r + 1] * p ** len(free[r + 1])
-        rows = [[0] * n for _ in range(d)]
-        for r in range(d):
-            rows[r][piv[r]] = 1
-        if d == 0:
-            yield offset, piv, rows
-            offset += 1
-            continue
-
-        def values(r):
-            if row_values is None:
-                return itertools.product(range(p), repeat=len(free[r]))
-            return row_values(rows, r, piv[r], free[r])
-
-        # start[r]: index of the first subspace sharing rows 0..r-1
-        start = [offset] * d
-        walks = [values(0)] + [None] * (d - 1)
-        r = 0
-        while r >= 0:
-            vals = next(walks[r], None)
-            if vals is None:
-                r -= 1
-                continue
-            row = rows[r]
-            rank = 0
-            for c, v in zip(free[r], vals):
-                row[c] = v
-                rank = rank * p + v
-            index = start[r] + rank * below[r]
-            if r == d - 1:
-                yield index, piv, rows
-            else:
-                r += 1
-                start[r] = index
-                walks[r] = values(r)
-        offset += below[0] * p ** len(free[0])
-
-
-def _canonical_index(n: int, p: int, pivots, rows) -> int:
-    """The index `canonical_subspaces(n, p, len(pivots))` yields with the
-    subspace whose RREF basis is `rows`, with pivot columns `pivots`.
-
-    Each pivot set before `pivots` holds `_pivot_set_size` subspaces;
-    within the pivot set the free entries, read row-major, are the index's
-    base-p digits."""
-    d, pivots = len(pivots), tuple(pivots)
-    offset = 0
-    for piv in itertools.combinations(range(n), d):
-        if piv == pivots:
-            break
-        offset += _pivot_set_size(n, p, piv)
-    rank = 0
-    for r, row in enumerate(rows):
-        for c in range(pivots[r] + 1, n):
-            if c not in pivots:
-                rank = rank * p + row[c]
-    return offset + rank
-
-
-def _lex_solutions(columns, target, p):
+def _lex_solutions(columns, target, F):
     """Every x in GF(p)^f with sum_j x[j] * columns[j] == target (mod p), in
     lexicographic order.
 
-    Elimination runs from the last unknown leftwards, so each pivot unknown
-    is fixed by unknowns to its left; running the other unknowns through
-    `itertools.product` then gives the solutions in lexicographic order.
-    """
-    f = len(columns)
-    eqs = []
-    for k, t in enumerate(target):
-        eq = [col[k] % p for col in columns]
-        if any(eq):
-            eqs.append(eq + [t % p])
-        elif t % p:
-            return
-    pivots = []
-    for c in range(f - 1, -1, -1):
-        src = next((eq for eq in eqs if eq[c]), None)
-        if src is None:
-            continue
-        eqs.remove(src)
-        inv = pow(src[c], -1, p)
-        src = [x * inv % p for x in src]
-        eqs = [[(x - eq[c] * y) % p for x, y in zip(eq, src)] if eq[c] else eq for eq in eqs]
-        pivots.append((c, [(j, src[j]) for j in range(c) if src[j]], src[f]))
-    if any(eq[f] for eq in eqs):
-        return  # every coefficient left is zero
-    pivots.reverse()
-    params = [c for c in range(f) if all(c != pc for pc, _, _ in pivots)]
-    x = [0] * f
-    for vals in itertools.product(range(p), repeat=len(params)):
-        for c, v in zip(params, vals):
-            x[c] = v
-        for pc, terms, rhs in pivots:
-            x[pc] = (rhs - sum(a * x[j] for j, a in terms)) % p
-        yield tuple(x)
+    The solutions are read off the dependencies among [target, *columns]
+    (`linalg._dependencies`), their kernel's canonical rows: each is 0
+    before its pivot and at the other pivots.  The one with pivot 0, where
+    it has 1, is (1, -x0) for a solution x0, and there is no solution when
+    0 is no pivot.  Each other row (0, k_i), pivot i, is a solution k_i of
+    the homogeneous system, and x = x0 + sum_i l_i k_i has l_i at i and,
+    before the first i where two l differ, equal entries.  So l in
+    `itertools.product` order, as `added` lists them, gives every solution
+    once, in lexicographic order."""
+    p = F.p
+    deps = _dependencies(F, [[t % p for t in target], *([x % p for x in col] for col in columns)])
+    if deps.pivots[:1] != (0,):
+        return
+    minus_x0, *homogeneous = [row[1:] for row in deps._rows]
+
+    def added(x, ks):
+        """x + sum_i l_i ks[i], l in product order; ks is not empty."""
+        for l in range(p):
+            y = [(a + l * b) % p for a, b in zip(x, ks[0])]
+            yield from added(y, ks[1:]) if len(ks) > 1 else (tuple(y),)
+
+    x0 = [-x % p for x in minus_x0]
+    yield from added(x0, homogeneous) if homogeneous else (tuple(x0),)
 
 
-def _containment(contains, piv, n, p):
+def _containment(contains, piv, F):
     """What "C <= A" asks of the rows a_t of a subspace A with pivots
     `piv`, C spanned by the RREF rows `contains` (see the module
     docstring): None when no such A contains C, else (fixed, forced).
     fixed[r] is (c, terms) for each row r that C computes, a_r = c -
     sum_(t, b) b a_t over terms; forced[s] lists (q, a, c_q, terms), the
-    equation a * a_s[q] = c_q - sum_(t, b) b a_t[q] on row s."""
+    equation a * a_s[q] = c_q - sum_(t, b) b a_t[q] on row s.
+
+    C's rows are recombined by one `linalg._echelon` of their entries at
+    A's pivot columns, last first, each row carrying itself in its tail: C
+    is independent on those columns, and RREF there is unique."""
     d = len(piv)
     if any(next(q for q, x in enumerate(c) if x) not in piv for c in contains):
         return None
-    # recombine C's rows from the last pivot column of A leftwards: each
-    # ends at a distinct row r, with 1 there and 0 at the others' rows
-    left, last = [list(c) for c in contains], {}
-    for t in range(d - 1, -1, -1):
-        pt = piv[t]
-        c = next((c for c in left if c[pt]), None)
-        if c is None:
-            continue
-        left.remove(c)
-        inv = pow(c[pt], -1, p)
-        c = [x * inv % p for x in c]
-        for group in (left, last.values()):
-            for other in group:
-                if other[pt]:
-                    other[:] = [(x - other[pt] * y) % p for x, y in zip(other, c)]
-        last[t] = c
+    rows, pivots = _echelon(F, [[*(c[q] for q in reversed(piv)), *c] for c in contains], d)
+    last = {d - 1 - s: row[d:] for row, s in zip(rows, pivots)}
     fixed, forced = {}, [[] for _ in range(d)]
     pivset = set(piv)
     for r, c in last.items():
@@ -268,12 +142,10 @@ def _containment(contains, piv, n, p):
 
 def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect: int,
                    functionals=(), contains=()):
+    F = GF(p)
     # phi[i]: the functionals' values at e_i
     phi = [[f[i] for f in functionals] for i in range(n)]
     matches = []
-
-    want_abelian = bool(mode & MODE_ABELIAN)
-    want_ideal = bool(mode & MODE_IDEAL)
 
     def bracket_zero(u):
         """[u, u] == 0."""
@@ -290,10 +162,8 @@ def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect
     def abelian_values_for(piv):
         """The `row_values` of pivot set piv, or None when no subspace with
         pivots piv contains C."""
-        cut = _containment(contains, piv, n, p)
-        if cut is None:
-            return None
-        return functools.partial(abelian_values, *cut)
+        cut = _containment(contains, piv, F)
+        return None if cut is None else functools.partial(abelian_values, *cut)
 
     def abelian_values(fixed, forced, rows, r, pc, cols):
         """Values of row r, with pivot pc and free entries at cols, for
@@ -328,22 +198,14 @@ def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect
             target.append(cq - sum(b * rows[t][q] for t, b in terms))
         u = [0] * n
         u[pc] = 1
-        for vals in _lex_solutions([g[c] for c in cols], target, p):
+        for vals in _lex_solutions([g[c] for c in cols], target, F):
             for c, x in zip(cols, vals):
                 u[c] = x
             if bracket_zero(u):
                 yield vals
 
-    def in_span(w, rows, piv):
-        w = list(w)
-        for r, pc in enumerate(piv):
-            c = w[pc]
-            if c:
-                br = rows[r]
-                w = [(x - c * y) % p for x, y in zip(w, br)]
-        return not any(w)
-
     def is_ideal(rows, piv):
+        span = list(zip(piv, rows))
         for u in rows:
             for j in range(n):
                 w1 = [0] * n
@@ -356,15 +218,15 @@ def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect
                         w1[k] = (w1[k] + ui * cc) % p
                     for k, cc in table[j][i]:
                         w2[k] = (w2[k] + ui * cc) % p
-                if not in_span(w1, rows, piv) or not in_span(w2, rows, piv):
+                if any(_clear(p, w1, span)) or any(_clear(p, w2, span)):
                     return False
         return True
 
-    walk = canonical_subspaces(n, p, d, abelian_values_for if want_abelian else None)
+    walk = canonical_subspaces(n, p, d, abelian_values_for if mode & MODE_ABELIAN else None)
     for index, piv, rows in walk:
         if 0 <= limit <= index:
             return limit, True, matches
-        if want_ideal and not is_ideal(rows, piv):
+        if mode & MODE_IDEAL and not is_ideal(rows, piv):
             continue
         matches.append((piv, tuple(map(tuple, rows))))
         if 0 <= collect <= len(matches):

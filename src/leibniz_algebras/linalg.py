@@ -9,7 +9,10 @@ and a positive pivot, which match the RREF rows one to one.
 `basis` Matrix is built from them when it is first read.  Enumeration of
 subspaces over GF(p) is lazy and follows a fixed canonical order
 (pivot-column sets lexicographically, then free entries), so searches are
-deterministic and restartable.
+deterministic and restartable: `canonical_subspaces` is the package's one
+walk in that order, `_canonical_index` a subspace's position in it and
+`gaussian_binomial` a stratum's length.  The scan kernel (`_scan_py`)
+cuts that walk; it imports from here, and nothing here imports it.
 
 Over QQ, elimination is fraction-free (`_echelon`) on rows of ints.  Rows
 scale freely, so the package's integer rows (from the integer structure
@@ -21,9 +24,9 @@ package: a subspace's `basis` (witnesses, frames, repr, CLI output), and
 `rref_with_pivots`, which divides each row by its pivot.
 
 One step clears a column, `_clear(p, w, pivots)`, and every elimination
-here is built from it.  `_echelon` is a forward pass of the step, each
-nonzero residual becoming a pivot row (`_lead`), then a back-substitution
-with it.  `_dependencies(F, rows)`, the one kernel routine, clears each row
+of the package, the scan kernel's too, is built from it.  `_echelon` is a
+forward pass of the step, each nonzero residual becoming a pivot row
+(`_lead`), then a back-substitution with it.  `_dependencies(F, rows)`, the one kernel routine, clears each row
 with its combination appended and reads a dependency off each row cleared
 to 0; `Subspace._kernel(F, n, conditions)` is the dependencies among the
 conditions' n columns, and an annihilator is the kernel of a subspace's
@@ -44,12 +47,12 @@ the frames of `classify` all call it; none inverts a matrix to apply it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from ._scan_py import canonical_subspaces, gaussian_binomial
 from .errors import ConsistencyError, DimensionMismatchError
 from .fields import _QQ_ZERO, FieldSpec, Scalar, check_same_field
 
@@ -703,6 +706,114 @@ def is_irreducible_quadratic(q: QuadraticPoly, F: FieldSpec) -> bool:
     if F.p == 2:
         return all(q.evaluate(F, t) != F.zero for t in F.elements())
     return not F.is_square(q.discriminant(F))
+
+
+def gaussian_binomial(n: int, d: int, p: int) -> int:
+    """Number of d-dimensional subspaces of GF(p)^n."""
+    if d < 0 or d > n:
+        return 0
+    num = den = 1
+    for i in range(d):
+        num *= p ** (n - i) - 1
+        den *= p ** (d - i) - 1
+    return num // den
+
+
+def _pivot_set_size(n: int, p: int, piv) -> int:
+    """Number of subspaces of GF(p)^n with pivot columns `piv`: p^f, f
+    its number of free entries, d(n-d) - sum_r (piv[r] - r)."""
+    d = len(piv)
+    return p ** (d * (n - d) - sum(c - r for r, c in enumerate(piv)))
+
+
+def canonical_subspaces(n: int, p: int, d: int, row_values_for=None):
+    """Yield (index, pivots, rows) for the d-dimensional subspaces of GF(p)^n.
+
+    `index` is the subspace's position in the canonical order, `pivots` the
+    tuple of its pivot columns and `rows` its d x n RREF basis (lists of ints
+    mod p), which the walk reuses: copy it to keep it.  Rows are fixed in
+    order, row 0 first.  `row_values_for(piv)`, when given, is called on
+    each pivot set before any of its rows and returns None, which cuts the
+    pivot set whole, or the set's `row_values`: with rows 0..r-1 fixed,
+    `row_values(rows, r, pc, cols)` yields the values of row r's free
+    entries (at columns `cols`; its pivot is at column `pc`) to walk on, a
+    subsequence of `itertools.product(range(p), repeat=len(cols))`.  A
+    value it leaves out cuts every subspace that shares rows 0..r, and the
+    indices skip them.  Outside 0 <= d <= n there is no subspace, and
+    nothing is yielded.
+    """
+    if not 0 <= d <= n:
+        return
+    offset = 0
+    for piv in itertools.combinations(range(n), d):
+        row_values = None
+        if row_values_for is not None:
+            row_values = row_values_for(piv)
+            if row_values is None:
+                offset += _pivot_set_size(n, p, piv)
+                continue
+        pivset = set(piv)
+        free = [[c for c in range(piv[r] + 1, n) if c not in pivset] for r in range(d)]
+        # below[r]: subspaces sharing rows 0..r
+        below = [1] * d
+        for r in range(d - 2, -1, -1):
+            below[r] = below[r + 1] * p ** len(free[r + 1])
+        rows = [[0] * n for _ in range(d)]
+        for r in range(d):
+            rows[r][piv[r]] = 1
+        if d == 0:
+            yield offset, piv, rows
+            offset += 1
+            continue
+
+        def values(r):
+            if row_values is None:
+                return itertools.product(range(p), repeat=len(free[r]))
+            return row_values(rows, r, piv[r], free[r])
+
+        # start[r]: index of the first subspace sharing rows 0..r-1
+        start = [offset] * d
+        walks = [values(0)] + [None] * (d - 1)
+        r = 0
+        while r >= 0:
+            vals = next(walks[r], None)
+            if vals is None:
+                r -= 1
+                continue
+            row = rows[r]
+            rank = 0
+            for c, v in zip(free[r], vals):
+                row[c] = v
+                rank = rank * p + v
+            index = start[r] + rank * below[r]
+            if r == d - 1:
+                yield index, piv, rows
+            else:
+                r += 1
+                start[r] = index
+                walks[r] = values(r)
+        offset += below[0] * p ** len(free[0])
+
+
+def _canonical_index(n: int, p: int, pivots, rows) -> int:
+    """The index `canonical_subspaces(n, p, len(pivots))` yields with the
+    subspace whose RREF basis is `rows`, with pivot columns `pivots`.
+
+    Each pivot set before `pivots` holds `_pivot_set_size` subspaces;
+    within the pivot set the free entries, read row-major, are the index's
+    base-p digits."""
+    d, pivots = len(pivots), tuple(pivots)
+    offset = 0
+    for piv in itertools.combinations(range(n), d):
+        if piv == pivots:
+            break
+        offset += _pivot_set_size(n, p, piv)
+    rank = 0
+    for r, row in enumerate(rows):
+        for c in range(pivots[r] + 1, n):
+            if c not in pivots:
+                rank = rank * p + row[c]
+    return offset + rank
 
 
 def enumerate_subspaces(ambient_dim: int, dim: int, F: FieldSpec) -> Iterator[Subspace]:

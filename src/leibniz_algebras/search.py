@@ -68,7 +68,6 @@ from contextlib import contextmanager
 from typing import NamedTuple
 
 from ._kernel import MODE_ABELIAN, MODE_IDEAL, scan_subspaces
-from ._scan_py import _canonical_index, canonical_subspaces, gaussian_binomial
 from .algebra import (
     AlgebraTable,
     _is_frame,
@@ -83,7 +82,18 @@ from .algebra import (
 from .errors import BudgetExceededError, ConsistencyError
 from .fields import check_same_field
 from .invariants import _trace_kernel, series
-from .linalg import Matrix, Subspace, _clear, _dot_rows, _lead, _matmul, enumerate_subspaces
+from .linalg import (
+    Matrix,
+    Subspace,
+    _canonical_index,
+    _clear,
+    _dot_rows,
+    _lead,
+    _matmul,
+    canonical_subspaces,
+    enumerate_subspaces,
+    gaussian_binomial,
+)
 
 DEFAULT_SCAN_BUDGET = 5_000_000
 
@@ -178,7 +188,7 @@ def _debit_first(L: AlgebraTable, d: int, hits):
     """Debit what a walk of stratum d would count, given the stratum's hits
     (all of them, or any subset holding the first): the canonically first
     hit, the least by (pivots, RREF rows), and the count, its canonical
-    index + 1 (`_scan_py._canonical_index`), or the stratum's Gaussian
+    index + 1 (`linalg._canonical_index`), or the stratum's Gaussian
     binomial when there is none.  A budget the walk would run out raises
     the walk's `BudgetExceededError`."""
     n, p = L.dim, L.field.p
@@ -344,7 +354,7 @@ def _first_abelian_ideal(L: AlgebraTable, dims):
 
     The first hit in canonical order is the least by (pivots, RREF rows),
     and a scan of stratum d counts its canonical index + 1
-    (`_scan_py._canonical_index`), or the stratum's Gaussian binomial when
+    (`linalg._canonical_index`), or the stratum's Gaussian binomial when
     it holds none.
 
     Lemma (the candidates' pivots).  C <= K, so every pivot of C is one of
@@ -371,7 +381,13 @@ def _first_abelian_ideal(L: AlgebraTable, dims):
     and the residuals of the [w, e_j] test the ideal.  Only hits are
     spanned, and the walk of X stops after the first pivot set that holds
     one: `_debit_first` takes any subset of the hits that holds the
-    first."""
+    first.
+
+    By the same lemma every candidate from a pivot set P of the span on
+    counts at least P's offset, the index of P's first subspace: once the
+    walk of X enters, with no hit yet, a P whose offset reaches the budget
+    left (read only where the stratum outgrows it), it stops, and
+    `_debit_first` raises the walk's message."""
     F, n, p = L.field, L.dim, L.field.p
     C, K = center(L), _trace_kernel(L)
     # B: K's rows at the pivots C lacks (see the lemma)
@@ -380,10 +396,18 @@ def _first_abelian_ideal(L: AlgebraTable, dims):
     C_pivots = list(zip(C.pivots, C._rows))
     total = 0
     for d in dims:
-        hits, hits_xp = [], None
+        left = _budget_left.get()
+        bounded = gaussian_binomial(n, d, p) > left
+        hits, seen_xp = [], None
         for _, xp, X in canonical_subspaces(len(Bpiv), p, d - C.dim):
-            if hits and xp != hits_xp:
-                break  # the first pivot set holding a hit holds the first hit
+            if xp != seen_xp:
+                if hits:
+                    break  # the first pivot set holding a hit holds the first hit
+                if bounded:
+                    P = sorted(C.pivots + tuple(Bpiv[s] for s in xp))
+                    if _canonical_index(n, p, P, [[0] * n] * d) >= left:
+                        break  # no candidate from here on is within the budget
+                seen_xp = xp
             ws = [[_dot_rows(x, col) % p for col in Bcols] for x in X]
             # [w, e_j] for every j, and [w, v] = sum_j v_j [w, e_j]
             rights = [_brackets_with_basis(L, w) for w in ws]
@@ -392,7 +416,6 @@ def _first_abelian_ideal(L: AlgebraTable, dims):
             pivots = C_pivots + list(zip([Bpiv[s] for s in xp], ws))
             if not any(any(_clear(p, r, pivots)) for R in rights for r in R):
                 hits.append(Subspace._span(F, n, C._rows + tuple(ws)))
-                hits_xp = xp
         first, scanned = _debit_first(L, d, hits)
         total += scanned
         if first is not None:

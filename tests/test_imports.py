@@ -15,7 +15,8 @@ of a package class, dunders apart, counts as used when a module of the
 package, the tests or the benchmark (`perfbench/`) reads it as an
 attribute.  The CLI prints a report only through its one renderer.  The
 self-test imports no internal name, and `search._scan_dim` is the one
-caller of the scan kernel.
+caller of the scan kernel.  The scan kernel imports from the package only
+`fields` and `linalg`, and `linalg` imports nothing from the kernel.
 Importing the package and its CLI loads neither `dataclasses` nor
 `inspect`: its records are named tuples."""
 
@@ -188,12 +189,20 @@ def _top_level_modules(tree):
     return found
 
 
-def test_scan_kernel_imports_the_standard_library_only():
+def _package_modules(tree):
+    """The modules of the package that the module imports from."""
+    return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+
+
+def test_scan_kernel_imports_fields_and_linalg_only():
     # the kernel takes its table as data and never reaches into
-    # `AlgebraTable`; `linalg` imports the kernel, so an import of `linalg`
-    # or `algebra` there would also be a cycle
-    modules = _top_level_modules(_tree("_scan_py.py"))
-    assert modules and sorted(modules - sys.stdlib_module_names) == []
+    # `AlgebraTable`: from the package it takes the field and linalg's row
+    # step and canonical walk, never `algebra`, `invariants` or `search`,
+    # and the dependency runs one way, kernel to `linalg`
+    tree = _tree("_scan_py.py")
+    assert sorted(_top_level_modules(tree) - sys.stdlib_module_names) == [""]
+    assert sorted(_package_modules(tree)) == ["fields", "linalg"]
+    assert "_scan_py" not in _package_modules(_tree("linalg.py"))
 
 
 def test_selftest_imports_public_names_only():

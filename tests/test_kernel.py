@@ -1,6 +1,8 @@
 """Contract tests for the scan kernel: counts, canonical order, budget and
-collect semantics, and every predicate mode against brute force."""
+collect semantics, every predicate mode against brute force, and the
+kernel's row solve against brute force."""
 
+import itertools
 import random
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibniz_algebras._kernel import MODE_ABELIAN, MODE_IDEAL, backend, scan_subspaces
-from leibniz_algebras._scan_py import _canonical_index, canonical_subspaces
+from leibniz_algebras._scan_py import _lex_solutions
 from leibniz_algebras.algebra import (
     AlgebraTable,
     center,
@@ -25,17 +27,18 @@ from leibniz_algebras.classify import classify, verify_main_theorem
 from leibniz_algebras.families import abelian_algebra, oscillator
 from leibniz_algebras.fields import QQ
 from leibniz_algebras.invariants import _trace_kernel, nilradical
-from leibniz_algebras.linalg import Matrix, Subspace, enumerate_subspaces, gaussian_binomial
+from leibniz_algebras.linalg import (
+    Matrix,
+    Subspace,
+    _canonical_index,
+    canonical_subspaces,
+    enumerate_subspaces,
+    gaussian_binomial,
+)
 from leibniz_algebras.search import all_abelian_ideals, all_abelian_subalgebras, alpha, table_flat
 from leibniz_algebras.serialize import parse_algebra, serialize_algebra
 
 from conftest import F2, F3, F5, F7, central_algebras, family_algebras, left_only_actions, rand_invertible
-
-
-@pytest.fixture(params=[backend()])
-def scan(request):
-    """The scan entry point; test ids carry the backend name it reports."""
-    return scan_subspaces
 
 
 def test_backend_reports_a_known_name():
@@ -66,16 +69,16 @@ def test_the_kernel_reads_the_integer_view_as_it_stands(F):
         table_flat(oscillator(QQ))
 
 
-def test_scan_counts_match_gaussian_binomials(scan):
+def test_scan_counts_match_gaussian_binomials():
     table = table_flat(abelian_algebra(4, F3))
     for d in range(5):
-        scanned, truncated, matches = scan(table, 4, 3, d, MODE_ABELIAN, -1, -1)
+        scanned, truncated, matches = scan_subspaces(table, 4, 3, d, MODE_ABELIAN, -1, -1)
         assert not truncated
         assert scanned == gaussian_binomial(4, d, 3)
         assert len(matches) == scanned  # everything is abelian in the zero algebra
 
 
-def test_strata_outside_0_to_n_are_empty(scan):
+def test_strata_outside_0_to_n_are_empty():
     # no subspace has a negative dimension or one above n: every entry point
     # answers with nothing, as it does above n, instead of raising
     L = standard_fixtures(F3)[0]
@@ -84,14 +87,14 @@ def test_strata_outside_0_to_n_are_empty(scan):
         assert list(canonical_subspaces(n, 3, d)) == []
         assert list(enumerate_subspaces(n, d, F3)) == []
         for mode in (MODE_ABELIAN, MODE_ABELIAN | MODE_IDEAL):
-            assert scan(table, n, 3, d, mode, -1, -1) == (0, False, [])
+            assert scan_subspaces(table, n, 3, d, mode, -1, -1) == (0, False, [])
         assert all_abelian_ideals(L, d) == []
         assert all_abelian_subalgebras(L, d, budget=0) == []
 
 
-def test_scan_enumeration_order_matches_python_enumeration(scan):
+def test_scan_enumeration_order_matches_python_enumeration():
     table = table_flat(abelian_algebra(4, F3))
-    _, _, matches = scan(table, 4, 3, 2, MODE_ABELIAN, -1, -1)
+    _, _, matches = scan_subspaces(table, 4, 3, 2, MODE_ABELIAN, -1, -1)
     listed = [(U.pivots, U._rows) for U in enumerate_subspaces(4, 2, F3)]
     assert matches == listed
 
@@ -114,14 +117,14 @@ def _canonical_key(match, n):
 
 
 @pytest.mark.parametrize("F", [F3, F5], ids=["GF3", "GF5"])
-def test_scan_matches_brute_force(scan, F):
+def test_scan_matches_brute_force(F):
     p = F.p
     max_dim = 5 if p == 3 else 4
     for L in standard_fixtures(F, max_dim=max_dim):
         n = L.dim
         table = table_flat(L)
         for d in range(n + 1):
-            scanned, truncated, every = scan(table, n, p, d, 0, -1, -1)
+            scanned, truncated, every = scan_subspaces(table, n, p, d, 0, -1, -1)
             assert not truncated and scanned == len(every)
             assert len(every) == len(set(every)) == gaussian_binomial(n, d, p)
             assert every == sorted(every, key=lambda m: _canonical_key(m, n))
@@ -138,23 +141,23 @@ def test_scan_matches_brute_force(scan, F):
                 (MODE_IDEAL, ideal),
                 (MODE_ABELIAN | MODE_IDEAL, abelian & ideal),
             ):
-                got = scan(table, n, p, d, mode, -1, -1)
+                got = scan_subspaces(table, n, p, d, mode, -1, -1)
                 assert got == (scanned, False, [m for m in every if m in want]), (L.name, d, mode)
 
 
-def test_budget_and_collect_semantics(scan):
+def test_budget_and_collect_semantics():
     table = table_flat(oscillator(F3))
-    scanned, truncated, matches = scan(table, 4, 3, 2, MODE_ABELIAN, 10, -1)
+    scanned, truncated, matches = scan_subspaces(table, 4, 3, 2, MODE_ABELIAN, 10, -1)
     assert truncated and scanned == 10
-    scanned, truncated, matches = scan(table, 4, 3, 2, MODE_ABELIAN, -1, 1)
+    scanned, truncated, matches = scan_subspaces(table, 4, 3, 2, MODE_ABELIAN, -1, 1)
     assert not truncated and len(matches) == 1
     # the first match is the canonical witness: the first of the full list
-    assert matches[0] == scan(table, 4, 3, 2, MODE_ABELIAN, -1, -1)[2][0]
+    assert matches[0] == scan_subspaces(table, 4, 3, 2, MODE_ABELIAN, -1, -1)[2][0]
 
 
-def test_scan_ideal_mode_finds_known_ideals(scan):
+def test_scan_ideal_mode_finds_known_ideals():
     table = table_flat(oscillator(F3))
-    _, _, matches = scan(table, 4, 3, 3, MODE_IDEAL, -1, -1)
+    _, _, matches = scan_subspaces(table, 4, 3, 3, MODE_IDEAL, -1, -1)
     heisenberg_part = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     assert ((1, 2, 3), heisenberg_part) in matches
 
@@ -312,3 +315,42 @@ def test_canonical_index_is_the_walks_index(p):
         for d in range(n + 1):
             for index, piv, rows in canonical_subspaces(n, p, d):
                 assert _canonical_index(n, p, piv, rows) == index, (n, d, piv, rows)
+
+
+@st.composite
+def _linear_systems(draw):
+    """(F, columns, target): f <= 5 columns of m <= 6 entries over GF(2),
+    GF(3) or GF(5), entries unreduced in -p..2p-1 as the kernel's sums
+    are; all zero a quarter of the time."""
+    F = draw(st.sampled_from([F2, F3, F5]))
+    p = F.p
+    f, m = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    entries = st.just(0) if draw(st.integers(0, 3)) == 0 else st.integers(-p, 2 * p - 1)
+    columns = [[draw(entries) for _ in range(m)] for _ in range(f)]
+    target = [draw(entries) for _ in range(m)]
+    return F, columns, target
+
+
+def test_lex_solutions_lists_every_solution_in_lexicographic_order():
+    # the row solve of the abelian walk against brute force: every x of
+    # GF(p)^f, in itertools.product order, with sum_j x[j] columns[j] equal
+    # to target mod p
+    reached = set()
+
+    @settings(max_examples=300)
+    @given(_linear_systems())
+    def check(system):
+        F, columns, target = system
+        p, f, m = F.p, len(columns), len(target)
+        want = [
+            x
+            for x in itertools.product(range(p), repeat=f)
+            if all((sum(x[j] * columns[j][k] for j in range(f)) - target[k]) % p == 0 for k in range(m))
+        ]
+        assert list(_lex_solutions(columns, target, F)) == want
+        reached.add("f = 0" if f == 0 else "m = 0" if m == 0 else "inconsistent" if not want else "solvable")
+        if not any(map(any, columns)) and not any(target):
+            reached.add("all zero")
+
+    check()
+    assert reached == {"f = 0", "m = 0", "inconsistent", "solvable", "all zero"}

@@ -14,6 +14,17 @@ Then `leibalg --json classify` on the document of every CLI_EVERY-th table
 and on each of `conftest.MALFORMED_GF_DOCUMENTS`: stdout, stderr and exit
 code.
 
+Lines added after the first recording follow, so the earlier lines keep
+their places: `leibalg --json` `alpha`, `beta` and `verify-theorem` on
+every CLI_EVERY-th table's document; over QQ, `classify` of the same
+tables, canonical, with their first coordinate witness, span(e_i, i in S)
+for the first (n-2)-subset S in `itertools.combinations` order whose
+basis vectors bracket to 0 among themselves, where one exists; and the
+CALLS on DRAWS tables each of `conftest.central_extensions()` and
+`conftest.one_dimensional_extensions()`, drawn by hypothesis under the
+suite's derandomized profile.  The draws depend on hypothesis's version
+(6.155.2 when they were recorded) as well as on this file.
+
 `same_answers.sha256` holds the first 8 hex digits of each line's sha256,
 one a line, so a mismatch names the first line that moved.  Print the
 lines, to diff two commits' answers, or with --digests that file's
@@ -25,6 +36,7 @@ contents, with
 import contextlib
 import hashlib
 import io
+import itertools
 import random
 import sys
 import tempfile
@@ -36,18 +48,22 @@ from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2
 from leibniz_algebras.classify import classify, solvability_from_codim2_ideal, verify_main_theorem
 from leibniz_algebras.cli import run
 from leibniz_algebras.families import abelian_algebra, make_c, make_d
-from leibniz_algebras.fields import GF
+from leibniz_algebras.fields import GF, QQ
 from leibniz_algebras.linalg import Matrix, Subspace
 from leibniz_algebras.search import alpha_beta, beta
 from leibniz_algebras.serialize import serialize_algebra
 
-from conftest import MALFORMED_GF_DOCUMENTS, rand_invertible
+from hypothesis import HealthCheck, Phase, given, settings
+
+from conftest import MALFORMED_GF_DOCUMENTS, central_extensions, one_dimensional_extensions, rand_invertible
 
 # sha256 of `answer_lines()`, one "\n" after each line, and of each line
-DIGEST = "9ddea49f14a72ebeb450d096ac7b071f871fb74af97e81482f12024b798f5d3b"
+DIGEST = "767d675b38bde1c7e21108fb9762f4f1bca0df9863cb970905165db245696d51"
 LINE_DIGESTS = Path(__file__).with_name("same_answers.sha256")
 BUDGETS = (0, 1, 7, 50, 400)
 CLI_EVERY = 3
+CLI_SEARCHES = ("alpha", "beta", "verify-theorem")
+DRAWS = 12
 
 CALLS = {
     "classify": classify,
@@ -58,23 +74,29 @@ CALLS = {
 }
 
 
+def _tables(F):
+    """`standard_fixtures(F)` and c(rot), d(rot) and rotext (+) F^k, k = 0,
+    1, canonical."""
+    rot = rotation_2x2(F)
+    tables = standard_fixtures(F)
+    for name, T in (
+        ("c(rot)", make_c(rot, F)),
+        ("d(rot)", make_d(rot, F)),
+        ("rotext", heisenberg_rotation_extension(F)),
+    ):
+        for k in (0, 1):
+            T_k = direct_sum(T, abelian_algebra(1, F)) if k else T
+            if T_k not in tables:  # the fixtures hold all but rotext+F
+                tables.append(T_k.rename(name + "+F" * k))
+    return tables
+
+
 def corpus():
     """(p, label, table) for every table of the corpus, in a fixed order."""
     for p in (3, 5, 7):
         F = GF(p)
         rng = random.Random(p)
-        rot = rotation_2x2(F)
-        tables = standard_fixtures(F)
-        for name, T in (
-            ("c(rot)", make_c(rot, F)),
-            ("d(rot)", make_d(rot, F)),
-            ("rotext", heisenberg_rotation_extension(F)),
-        ):
-            for k in (0, 1):
-                T_k = direct_sum(T, abelian_algebra(1, F)) if k else T
-                if T_k not in tables:  # the fixtures hold all but rotext+F
-                    tables.append(T_k.rename(name + "+F" * k))
-        for L in tables:
+        for L in _tables(F):
             yield p, L.name, L
             yield p, L.name + " disguised", change_of_basis(L, rand_invertible(F, L.dim, rng))
 
@@ -104,12 +126,38 @@ def _answer(fn, *args, **kwargs) -> str:
         return "%s: %s" % (type(exc).__name__, exc)
 
 
-def _cli(path: Path, text: str) -> str:
+def _cli(path: Path, text: str, command: str = "classify") -> str:
     path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(["--json", "classify", str(path)])
+        code = run(["--json", command, str(path)])
     return "exit %d stdout %r stderr %r" % (code, out.getvalue(), err.getvalue())
+
+
+def _coordinate_witness(L):
+    """span(e_i, i in S) for the first (n-2)-subset S whose basis vectors
+    bracket to 0 among themselves, or None."""
+    n = L.dim
+    if n < 2:
+        return None
+    for S in itertools.combinations(range(n), n - 2):
+        if not any(L._products[i][j] for i in S for j in S):
+            return Subspace(L.field, n, [[int(i == j) for j in range(n)] for i in S], S)
+    return None
+
+
+def drawn(strategy):
+    """The first DRAWS tables the strategy draws under the suite's
+    derandomized profile (`conftest`)."""
+    tables = []
+
+    @settings(max_examples=DRAWS, phases=[Phase.generate], suppress_health_check=list(HealthCheck))
+    @given(strategy)
+    def collect(L):
+        tables.append(L)
+
+    collect()
+    return tables
 
 
 def answer_lines():
@@ -127,6 +175,18 @@ def answer_lines():
             yield "cli GF(%d) %s: %s" % (p, label, _cli(path, serialize_algebra(L)))
         for name, text, _ in MALFORMED_GF_DOCUMENTS:
             yield "cli %s: %s" % (name, _cli(path, text))
+        for p, label, L in tables[::CLI_EVERY]:
+            for command in CLI_SEARCHES:
+                yield "cli %s GF(%d) %s: %s" % (command, p, label, _cli(path, serialize_algebra(L), command))
+    for L in _tables(QQ):
+        A = _coordinate_witness(L)
+        if A is not None:
+            yield "QQ %s classify witness %s: %s" % (L.name, A.pivots, _answer(classify, L, A))
+    for kind, strategy in (("central", central_extensions()), ("one-dimensional", one_dimensional_extensions())):
+        for t, L in enumerate(drawn(strategy)):
+            label = "%s extension %d GF(%d) %s" % (kind, t, L.field.p, _fmt(L.c))
+            for name, call in CALLS.items():
+                yield "%s %s: %s" % (label, name, _answer(call, L))
 
 
 def _line_digest(line: str) -> str:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from leibniz_algebras import _scan_py
+from leibniz_algebras import _scan_py, search
 from leibniz_algebras._kernel import MODE_ABELIAN, MODE_IDEAL
 from leibniz_algebras.algebra import (
     AlgebraTable,
@@ -23,7 +23,7 @@ from leibniz_algebras.catalog import (
     nonideal_codim2_example,
     standard_fixtures,
 )
-from leibniz_algebras.classify import classify, solvability_from_codim2_ideal
+from leibniz_algebras.classify import classify, solvability_from_codim2_ideal, verify_main_theorem
 from leibniz_algebras.errors import BudgetExceededError, FieldMismatchError
 from leibniz_algebras.families import (
     abelian_algebra,
@@ -40,6 +40,7 @@ from leibniz_algebras.linalg import (
     Matrix,
     Subspace,
     _clear,
+    canonical_subspaces,
     enumerate_subspaces,
     subspace_intersect,
     subspace_sum,
@@ -223,7 +224,8 @@ def _in_request(fn, L, dims, budget):
 def test_first_abelian_ideal_matches_the_stratum_walk():
     # the top-down search of beta and solvability_from_codim2_ideal, and
     # classify's stratum n-2 where alpha = n-2: the same stratum, witness
-    # and count as the walk, and both are refused one subspace short.
+    # and count as the walk, and both are refused, with the same message,
+    # one subspace short and at half the count.
     # Over GF(3), GF(5) and GF(7); some stratum's hits lie in more than one
     # pivot set, so the search stops before the end of a stratum's walk
     seen, fields = set(), set()
@@ -239,12 +241,13 @@ def test_first_abelian_ideal_matches_the_stratum_walk():
         for dims in searches:
             want = _in_request(_walked_first_hit, L, dims, 10**12)
             assert _in_request(_first_abelian_ideal, L, dims, 10**12) == want
-            refusals = []
-            for fn in (_walked_first_hit, _first_abelian_ideal):
-                with pytest.raises(BudgetExceededError) as refused:
-                    _in_request(fn, L, dims, want[2] - 1)
-                refusals.append(str(refused.value))
-            assert refusals[0] == refusals[1]
+            for budget in (want[2] - 1, want[2] // 2):
+                refusals = []
+                for fn in (_walked_first_hit, _first_abelian_ideal):
+                    with pytest.raises(BudgetExceededError) as refused:
+                        _in_request(fn, L, dims, budget)
+                    refusals.append(str(refused.value))
+                assert refusals[0] == refusals[1]
             seen.add(want[0] is None)
         d = _in_request(_first_abelian_ideal, L, range(n, -1, -1), 10**12)[0]
         if len({I.pivots for I in all_abelian_ideals(L, d)}) > 1:
@@ -253,6 +256,52 @@ def test_first_abelian_ideal_matches_the_stratum_walk():
     check()
     assert seen == {True, False, "hits in several pivot sets"}
     assert fields == {3, 5, 7}
+
+
+def _heisenberg(F, k):
+    """h_(2k+1): [x_i, y_i] = z = -[y_i, x_i] for i = 1..k, on the basis
+    x_1, y_1, .., x_k, y_k, z."""
+    n = 2 * k + 1
+    z = tuple(int(t == n - 1) for t in range(n))
+    minus_z = tuple(-x % F.p for x in z)
+    products = {}
+    for i in range(k):
+        products[2 * i, 2 * i + 1] = z
+        products[2 * i + 1, 2 * i] = minus_z
+    return AlgebraTable.from_products(F, n, products)
+
+
+@pytest.mark.parametrize(
+    "name, F, refusal",
+    [
+        ("h7", F5, "at dimension 5 after 4980468 subspaces"),
+        ("h5+h3", F5, "at dimension 6 after 4902343 subspaces"),
+        ("h7", F7, "at dimension 5 after 4862742 subspaces"),
+        ("h5+h3", F7, "at dimension 6 after 4039199 subspaces"),
+    ],
+    ids=["h7-GF5", "h5+h3-GF5", "h7-GF7", "h5+h3-GF7"],
+)
+def test_abelian_ideal_stratum_stops_at_the_budget(name, F, refusal):
+    # on canonical h7 and h5 (+) h3 the candidates of stratum n-2 that come
+    # before the budget runs out lie in no abelian ideal, and there are
+    # millions of them: the search stops at the first pivot set that
+    # counts past the budget and raises the walk's message, having walked
+    # one candidate, not the half a million it took before
+    L = _heisenberg(F, 3) if name == "h7" else direct_sum(_heisenberg(F, 2), heisenberg(F))
+    real, walked = search.canonical_subspaces, []
+
+    def counted(*args):
+        for item in real(*args):
+            walked.append(1)
+            if len(walked) > 1000:
+                raise AssertionError("more than 1,000 candidates walked")
+            yield item
+
+    with mock.patch.object(search, "canonical_subspaces", counted):
+        for call in (classify, verify_main_theorem):
+            with pytest.raises(BudgetExceededError) as refused:
+                call(L)
+            assert str(refused.value) == "scan budget exhausted " + refusal
 
 
 @st.composite
@@ -283,7 +332,7 @@ def test_candidates_pivots_follow_the_walk_of_x(CK):
     probes = list(itertools.product(range(p), repeat=n)) if p ** n <= 81 else K._rows
     for t in range(len(B) + 1):
         last = None
-        for _, xp, X in _scan_py.canonical_subspaces(len(B), p, t):
+        for _, xp, X in canonical_subspaces(len(B), p, t):
             W = [[sum(x * b[k] for x, b in zip(row, B)) % p for k in range(n)] for row in X]
             I = Subspace._span(F, n, C._rows + tuple(W))
             assert I.pivots == tuple(sorted(C.pivots + tuple(Bpiv[s] for s in xp)))
