@@ -71,6 +71,7 @@ exactly what a subspace-by-subspace scan would return, with or without
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .fields import GF
 from .linalg import _clear, _dependencies, _echelon, canonical_subspaces, gaussian_binomial
@@ -91,8 +92,12 @@ def _lex_solutions(columns, target, F):
     the homogeneous system, and x = x0 + sum_i l_i k_i has l_i at i and,
     before the first i where two l differ, equal entries.  So l in
     `itertools.product` order, as `added` lists them, gives every solution
-    once, in lexicographic order."""
+    once, in lexicographic order.  With no equation every x is one, and
+    `itertools.product` lists them with no elimination."""
     p = F.p
+    if not target:
+        yield from itertools.product(range(p), repeat=len(columns))
+        return
     deps = _dependencies(F, [[t % p for t in target], *([x % p for x in col] for col in columns)])
     if deps.pivots[:1] != (0,):
         return

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import Sequence
 
 from .errors import (
@@ -371,25 +372,29 @@ def squares_ideal(L: AlgebraTable) -> Subspace:
 
     Generated by the diagonal brackets [e_i, e_i] together with the
     polarized sums [e_i, e_j] + [e_j, e_i] for i < j, read off the integer
-    view (`_Dc`).
+    view (`_Dc`): the rows are added as ints, and reduced mod p over GF(p).
     """
     require_leibniz(L)
-    F = L.field
+    F, p = L.field, L.field.p
     c = L._Dc
     gens = []
     for i in range(L.dim):
         gens.append(c[i][i])
         for j in range(i + 1, L.dim):
-            gens.append(tuple(F.add(a, b) for a, b in zip(c[i][j], c[j][i])))
+            row = map(operator.add, c[i][j], c[j][i])
+            gens.append(list(row) if p is None else [x % p for x in row])
     return Subspace._span(F, L.dim, gens)
 
 
 def _is_skew(L: AlgebraTable) -> bool:
-    F = L.field
+    """Whether [e_i, e_j] + [e_j, e_i] = 0 for every i <= j, the rows of
+    the integer view added as ints, and reduced mod p over GF(p)."""
+    p = L.field.p
     c = L._Dc
     for i in range(L.dim):
         for j in range(i, L.dim):
-            if any(a != F.neg(b) for a, b in zip(c[i][j], c[j][i])):
+            row = map(operator.add, c[i][j], c[j][i])
+            if any(row) if p is None else any(x % p for x in row):
                 return False
     return True
 
@@ -641,6 +646,13 @@ def _is_frame(L: AlgebraTable, P: Matrix, model: AlgebraTable) -> bool:
     (`_Dc`), [F_i, F_j] on L's integer view is DL d^2 [f_i, f_j]
     and sum_k M[i][j][k] F_k is DM d sum_k model[i][j][k] f_k.
 
+    Only the pairs of rows outside C(L) (`center`, cached on L) are
+    bracketed.  Lemma: a row f_i in C(L) brackets to 0 with every row on
+    both sides, so the pairs (i, j) and (j, i) hold iff sum_k
+    model[i][j][k] f_k and sum_k model[j][i][k] f_k are 0, and, the f_k
+    being a basis, iff the model's products [e_i, e_j] and [e_j, e_i] are
+    0.  So a frame with r rows outside C(L) costs r^2 brackets, not n^2.
+
     Raises as change_of_basis does on a P of another field or shape, or a
     singular P."""
     check_same_field(L.field, P.field)
@@ -653,22 +665,26 @@ def _is_frame(L: AlgebraTable, P: Matrix, model: AlgebraTable) -> bool:
         raise DimensionMismatchError("singular matrix")
     if model.dim != n:
         return False
+    C = center(L)
+    outside = [i for i, fi in enumerate(f) if not C._contains(fi)]
+    central = set(range(n)).difference(outside)
+    products = model._products
+    if any(products[i][j] or products[j][i] for i in central for j in range(n)):
+        return False
     p = L.field.p
-    DM, M = model._D, model._Dc
     scale = L._D * d
-    for fi, Mi in zip(f, M):
-        for fj, coefs in zip(f, Mi):
+    for i in outside:
+        for j in outside:
             want = [0] * n
-            for c, fk in zip(coefs, f):
-                if c:
-                    for t, y in enumerate(fk):
-                        if y:
-                            want[t] += c * y
-            got = _scaled_bracket(L, fi, fj)
+            for k, c in products[i][j]:
+                for t, y in enumerate(f[k]):
+                    if y:
+                        want[t] += c * y
+            got = _scaled_bracket(L, f[i], f[j])
             if p is not None:
                 if got != tuple(x % p for x in want):
                     return False
-            elif [DM * x for x in got] != [scale * x for x in want]:
+            elif [model._D * x for x in got] != [scale * x for x in want]:
                 return False
     return True
 

@@ -66,7 +66,6 @@ from .linalg import (
     char_poly_2x2,
     enumerate_subspaces,
     is_irreducible_quadratic,
-    subspace_intersect,
     subspace_sum,
 )
 from .search import (
@@ -272,13 +271,13 @@ def _match_case1(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
     aw = uvz_coords(_bracket(L, a, w))
     if au[2] != F.zero or aw[2] != F.zero:
         raise ConsistencyError("central component survived generator adjustment")
-    m = Matrix(F, [[au[0], au[1]], [aw[0], aw[1]]])
+    m = Matrix._canonical(F, [au[:2], aw[:2]], 2)
     if not is_irreducible_quadratic(char_poly_2x2(m), F):
         return {"abelian_ideal": _eigenline_ideal(L, CL, m, u, w)}
     model = make_c(m, F)
     if n > 4:
         model = direct_sum(model, abelian_algebra(n - 4, F))
-    frame = Matrix(F, [a, z, u, w] + fs)
+    frame = Matrix._canonical(F, [a, z, u, w] + fs, n)
     if not _is_frame(L, frame, model):
         raise ConsistencyError("case-1 frame does not transport the table onto the model")
     chi = canonical_quadratic(F, char_poly_2x2(m))
@@ -333,6 +332,10 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
     triple is canonical (ibid.), the first triple is reported: chi, m and
     the frame depend on the basis of L.
 
+    Once L2 + C(L) = L and dim C(L) = n-3, the intersection of L2 and
+    C(L) has dimension dim L2 + (n-3) - n = dim L2 - 3, so L2 is a
+    complement of C(L) iff dim L2 = 3, and no intersection is computed.
+
     A matched L has nilradical C(L): the image of Nil(L) in the simple
     L / C(L) is a nilpotent ideal, so 0, and C(L) is an abelian ideal."""
     F = L.field
@@ -343,7 +346,7 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
     # image of L2, i.e. iff L2 + CL = L
     if subspace_sum(L2, CL).dim != n:
         return None
-    if L2.dim != 3 or not subspace_intersect(L2, CL).is_zero():
+    if L2.dim != 3:
         raise ConsistencyError("derived subalgebra is not a 3-dim complement of the center")
     T = subalgebra_table(L, L2)
     least = (F.zero, F.one)
@@ -357,7 +360,7 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
         hw = V._coordinates(_bracket(T, h_t, w_t))
         if hu is None or hw is None:
             continue
-        m = Matrix(F, [hu, hw])
+        m = Matrix._canonical(F, [hu, hw], 2)
         chi = canonical_quadratic(F, char_poly_2x2(m))
         key = (chi.c1, chi.c0)
         if F.is_prime_field and key < least:
@@ -377,7 +380,7 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
         model = direct_sum(model, abelian_algebra(n - 3, F))
     frame_rows = [L2.basis.apply_row(t) for t in (h_t, u_t, w_t)]
     frame_rows += list(CL.basis.data)
-    frame = Matrix(F, frame_rows)
+    frame = Matrix._canonical(F, frame_rows, n)
     if not _is_frame(L, frame, model):
         raise ConsistencyError("case-2 frame does not transport the table onto the model")
     return {"chi": chi, "m": m, "frame": frame, "model": model}
@@ -409,18 +412,18 @@ def _match_case3(L: AlgebraTable, rep, N) -> dict | None:
     # [x, b] and [b, x] lie in the ideal N, as does [x, x]: the squares span
     # is an ideal with [[y, y], L] = 0, so abelian, and N holds it
     h_coords = _coords_in_rows(F, frame_amb, n)[1]
-    phi = Matrix(F, [h_coords(_bracket(L, x, b)) for b in frame_amb]).transpose()
+    phi = Matrix._canonical(F, [h_coords(_bracket(L, x, b)) for b in frame_amb], n - 1).transpose()
     # the induced action on N / C(N) is the (u, w) block of phi
-    star = Matrix(F, [phi.data[0][:2], phi.data[1][:2]])
+    star = Matrix._canonical(F, [phi.data[0][:2], phi.data[1][:2]], 2)
     if not is_irreducible_quadratic(char_poly_2x2(star), F):
         # z and the f's span the center of N
         CN = Subspace.from_vectors(F, n, frame_amb[2:])
         u, w = frame_amb[:2]
         return {"abelian_ideal": _eigenline_ideal(L, CN, star.transpose(), u, w)}
-    theta = Matrix(F, [h_coords(_bracket(L, b, x)) for b in frame_amb]).transpose()
+    theta = Matrix._canonical(F, [h_coords(_bracket(L, b, x)) for b in frame_amb], n - 1).transpose()
     v = h_coords(_bracket(L, x, x))
     model = _e_table(phi, theta, v, n, F)
-    frame = Matrix(F, [x] + frame_amb)
+    frame = Matrix._canonical(F, [x] + frame_amb, n)
     if not _is_frame(L, frame, model):
         raise ConsistencyError("case-3 frame does not transport the table onto the model")
     # the model is L in the frame basis, and L passed the Leibniz check

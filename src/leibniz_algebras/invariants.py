@@ -56,7 +56,11 @@ class FittingSplit(NamedTuple):
 def series(L: AlgebraTable) -> SeriesReport:
     """Derived and lower central series of L.  Both start with D1 = C2 =
     [L, L], which is read off the table (`algebra._derived_space`), and go
-    on from there by brackets; a perfect L's chains both stop at L."""
+    on from there by brackets; a perfect L's chains both stop at L.
+
+    When L2 = [L, L] is perfect, [L2, L2] = L2, the derived chain stops at
+    L2, and so does the lower central one, with no bracket taken:
+    L2 = [L2, L2] <= [L, L2] <= [L, L] = L2.  (L2 = 0 is such a case.)"""
     require_leibniz(L)
     full = L.full_space()
     L2 = _derived_space(L)
@@ -64,7 +68,10 @@ def series(L: AlgebraTable) -> SeriesReport:
         derived = lower = [full]
     else:
         derived = [full, *_chain(L2, lambda D: product_space(L, D, D))]
-        lower = [full, *_chain(L2, lambda C: product_space(L, full, C))]
+        if len(derived) == 2:
+            lower = derived
+        else:
+            lower = [full, *_chain(L2, lambda C: product_space(L, full, C))]
     solvable = derived[-1].is_zero()
     nilpotent = lower[-1].is_zero()
     length = len(derived) - 1 if solvable else None

@@ -186,7 +186,8 @@ class Matrix:
         if len(v) != self.rows:
             raise DimensionMismatchError("vector length %d != %d" % (len(v), self.rows))
         F = self.field
-        return tuple(_dot(F, v, self.col(j)) for j in range(self.cols))
+        cols = zip(*self.data) if self.data else [()] * self.cols
+        return tuple(_dot(F, v, col) for col in cols)
 
     def apply_col(self, v: Sequence) -> tuple:
         """Matrix times column-vector: self @ v."""

@@ -217,8 +217,13 @@ def _disguised_sum(draw, L, disguised=True):
         L = direct_sum(L, abelian_algebra(k, F))
     if not disguised:
         return L
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    P = rand_invertible(F, L.dim, rng) if F.is_prime_field else rational_change(L.dim, rng)
+    return disguise(L, random.Random(draw(st.integers(0, 2**32))))
+
+
+def disguise(L, rng):
+    """L under a basis change from rng: a random invertible matrix over
+    GF(p), `rational_change` over QQ."""
+    P = rand_invertible(L.field, L.dim, rng) if L.field.is_prime_field else rational_change(L.dim, rng)
     return change_of_basis(L, P)
 
 

@@ -19,10 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leibniz_algebras import algebra
 from leibniz_algebras.algebra import (
     AlgebraTable,
     _is_frame,
     bracket,
+    center,
     change_of_basis,
     direct_sum,
     leibniz_failure,
@@ -33,7 +35,7 @@ from leibniz_algebras.families import abelian_algebra, make_c, make_d
 from leibniz_algebras.fields import GF, QQ
 from leibniz_algebras.linalg import Matrix, Subspace
 
-from conftest import F3, F5, F7, rand_invertible, rational_change
+from conftest import F3, F5, F7, disguise, rand_invertible, rational_change
 
 FIELDS = (F3, F5, QQ)
 
@@ -351,3 +353,42 @@ def test_is_frame_agrees_with_change_of_basis(data, drawn):
     changed = AlgebraTable(F, c)
     assert not _is_frame(L, P, changed)
     assert _is_frame(L, P, L) == (moved.c == L.c)
+
+
+@pytest.mark.parametrize("F", (F3, F5, F7, QQ), ids=repr)
+def test_is_frame_brackets_only_the_rows_outside_the_center(F, monkeypatch):
+    """X (+) F^k, X = d(rot), c(rot) or rotext and k = 1..3, under a basis
+    change; P is three rows outside C(L), then C(L)'s basis rows.  Against
+    change_of_basis(L, P), `_is_frame` holds and brackets the 9 pairs of
+    the rows outside C(L) alone; a model with any one entry changed at a
+    pair that has a row of C(L) is rejected."""
+    scaled, calls = algebra._scaled_bracket, []
+
+    def counting(L, u, v):
+        calls.append((u, v))
+        return scaled(L, u, v)
+
+    monkeypatch.setattr(algebra, "_scaled_bracket", counting)
+    rng = random.Random(F.p or 0)
+    rot = rotation_2x2(F)
+    for X in (make_d(rot, F), make_c(rot, F), heisenberg_rotation_extension(F)):
+        for k in (1, 2, 3):
+            L = disguise(direct_sum(X, abelian_algebra(k, F)), rng)
+            n = L.dim
+            C = center(L)
+            outside = C._extension(Matrix.identity(F, n).data)
+            assert len(outside) == 3, (X, k)
+            P = Matrix(F, outside + list(C.basis.data))
+            model = change_of_basis(L, P)
+            calls.clear()
+            assert _is_frame(L, P, model)
+            assert len(calls) == 9, (X, k)
+            for i, j in itertools.product(range(n), repeat=2):
+                if i < 3 and j < 3:
+                    continue
+                for t in range(n):
+                    vec = list(model.c[i][j])
+                    vec[t] = F.add(vec[t], F.one)
+                    changed = [[list(v) for v in row] for row in model.c]
+                    changed[i][j] = vec
+                    assert not _is_frame(L, P, AlgebraTable(F, changed)), (X, k, i, j, t)

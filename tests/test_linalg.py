@@ -73,6 +73,7 @@ def test_solve_and_inverse(rng):
             A = rand_invertible(F, n, rng)
             x = tuple(rand_matrix(F, 1, n, rng).data[0])
             b = A.apply_col(x)
+            assert A.apply_row(x) == A.transpose().apply_col(x)
             got = A.solve_col(b)
             assert got == x
             assert A @ A.inverse() == Matrix.identity(F, n)
@@ -83,6 +84,7 @@ def test_zeros_keeps_its_width_with_no_rows():
         Z = Matrix.zeros(F, 0, 3)
         assert (Z.rows, Z.cols) == (0, 3)
         assert Z.transpose() == Matrix.zeros(F, 3, 0)
+        assert Z.apply_row(()) == (F.zero,) * 3
         assert Matrix.zeros(F, 2, 3).cols == 3
 
 

@@ -20,6 +20,7 @@ over GF(3), GF(5), GF(7) and QQ, under a random invertible basis change
 over GF(p) and `rational_change` over QQ, left-only actions among them."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,7 @@ from conftest import (
     central_algebras,
     condition_sets,
     cycle_actions,
+    disguise,
     family_algebras,
     identity_actions,
     left_only_action,
@@ -200,11 +202,17 @@ def test_operator_rows_match_the_condition_rows(L):
 def special_tables():
     """Perfect, abelian, nilpotent and one-sided tables on each field: the
     lower central chain stops at L, ends at once, ends after a few steps,
-    or stalls."""
+    or stalls.  A perfect [L, L] that is not L stops both chains at once,
+    also under a basis change."""
+    rng = random.Random(1)
     for F in FIELDS:
         rot = rotation_2x2(F)
         yield "perfect", make_d(rot, F)
         yield "d(rot)+F", direct_sum(make_d(rot, F), abelian_algebra(1, F))
+        yield "d(rot)+F^2 disguised", disguise(direct_sum(make_d(rot, F), abelian_algebra(2, F)), rng)
+        if F is QQ:
+            diag = make_d(Matrix(F, [[1, 0], [0, -1]]), F)
+            yield "d(diag)+Q disguised", disguise(direct_sum(diag, abelian_algebra(1, F)), rng)
         yield "abelian-3", abelian_algebra(3, F)
         yield "abelian-0", abelian_algebra(0, F)
         yield "heisenberg", heisenberg(F)
@@ -232,7 +240,9 @@ def test_lower_central_chain_on_perfect_abelian_and_nilpotent_tables(name, L):
 
 def test_series_reads_L_L_off_the_table_once(monkeypatch):
     """[L, L] starts both chains: `series` reads it off the table once per
-    table (`_derived_space`) and never runs product_space(L, full, full)."""
+    table (`_derived_space`) and never runs product_space(L, full, full).
+    On disguised d(rot) (+) F^k, whose [L, L] is perfect, it runs
+    product_space once, [L2, L2] = L2, and no [L, L2]."""
     calls, read = [], []
 
     def counting(L, U, V):
@@ -252,6 +262,13 @@ def test_series_reads_L_L_off_the_table_once(monkeypatch):
             T = fresh(L)
             series(T)
             assert calls.count(True) == 0 and read == [T], (F, L)
+        rng = random.Random(F.p or 0)
+        for k in (1, 2, 3):
+            L = disguise(direct_sum(make_d(rotation_2x2(F), F), abelian_algebra(k, F)), rng)
+            calls.clear()
+            rep = series(fresh(L))
+            assert calls == [False], (F, k)
+            assert rep.derived_dims == rep.lower_central_dims == (k + 3, 3)
 
 
 @settings(max_examples=150)

@@ -23,7 +23,12 @@ basis vectors bracket to 0 among themselves, where one exists; and the
 CALLS on DRAWS tables each of `conftest.central_extensions()` and
 `conftest.one_dimensional_extensions()`, drawn by hypothesis under the
 suite's derandomized profile.  The draws depend on hypothesis's version
-(6.155.2 when they were recorded) as well as on this file.
+(6.155.2 when they were recorded) as well as on this file.  Last,
+`classify` and `verify_main_theorem` on the frames with more than two
+central rows that the benchmark's gf-large workload sends (LARGE_SUMS):
+c(rot) (+) F^2, d(rot) (+) F^3 and rotext (+) F^2 over GF(3) and
+d(rot) (+) F^2 over GF(5), each under two basis changes from
+`rand_invertible`, seeded by p + 100.
 
 `same_answers.sha256` holds the first 8 hex digits of each line's sha256,
 one a line, so a mismatch names the first line that moved.  Print the
@@ -58,12 +63,13 @@ from hypothesis import HealthCheck, Phase, given, settings
 from conftest import MALFORMED_GF_DOCUMENTS, central_extensions, one_dimensional_extensions, rand_invertible
 
 # sha256 of `answer_lines()`, one "\n" after each line, and of each line
-DIGEST = "767d675b38bde1c7e21108fb9762f4f1bca0df9863cb970905165db245696d51"
+DIGEST = "47017e8071b99aedb9ca7464b7ad067de13619906e253f570c5ba49117df9858"
 LINE_DIGESTS = Path(__file__).with_name("same_answers.sha256")
 BUDGETS = (0, 1, 7, 50, 400)
 CLI_EVERY = 3
 CLI_SEARCHES = ("alpha", "beta", "verify-theorem")
 DRAWS = 12
+LARGE_SUMS = ((3, "c(rot)", 2), (3, "d(rot)", 3), (3, "rotext", 2), (5, "d(rot)", 2))
 
 CALLS = {
     "classify": classify,
@@ -89,6 +95,18 @@ def _tables(F):
             if T_k not in tables:  # the fixtures hold all but rotext+F
                 tables.append(T_k.rename(name + "+F" * k))
     return tables
+
+
+def large_sums():
+    """(p, label, table) for the LARGE_SUMS, each under two basis changes."""
+    for p, name, k in LARGE_SUMS:
+        F = GF(p)
+        rng = random.Random(p + 100)
+        rot = rotation_2x2(F)
+        X = {"c(rot)": make_c(rot, F), "d(rot)": make_d(rot, F), "rotext": heisenberg_rotation_extension(F)}[name]
+        L = direct_sum(X, abelian_algebra(k, F))
+        for t in range(2):
+            yield p, "%s+F^%d disguised %d" % (name, k, t), change_of_basis(L, rand_invertible(F, L.dim, rng))
 
 
 def corpus():
@@ -187,6 +205,9 @@ def answer_lines():
             label = "%s extension %d GF(%d) %s" % (kind, t, L.field.p, _fmt(L.c))
             for name, call in CALLS.items():
                 yield "%s %s: %s" % (label, name, _answer(call, L))
+    for p, label, L in large_sums():
+        for name in ("classify", "verify_main_theorem"):
+            yield "GF(%d) %s %s: %s" % (p, label, name, _answer(CALLS[name], L))
 
 
 def _line_digest(line: str) -> str:
