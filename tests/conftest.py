@@ -162,6 +162,26 @@ def one_budget_algebras():
     }
 
 
+def odd_heisenberg(F, k):
+    """h_(2k+1): [x_i, y_i] = z = -[y_i, x_i] for i = 1..k, on the basis
+    x_1, y_1, .., x_k, y_k, z."""
+    n = 2 * k + 1
+    z = tuple(int(t == n - 1) for t in range(n))
+    minus_z = tuple(-x % F.p for x in z)
+    products = {}
+    for i in range(k):
+        products[2 * i, 2 * i + 1] = z
+        products[2 * i + 1, 2 * i] = minus_z
+    return AlgebraTable.from_products(F, n, products)
+
+
+def heisenberg_sums(F):
+    """h7 and h5 (+) h3 over F, canonical, by name.  Their abelian
+    subalgebras reach n-3 only, and the strata above hold millions of
+    subspaces over GF(5) and GF(7)."""
+    return {"h7": odd_heisenberg(F, 3), "h5+h3": direct_sum(odd_heisenberg(F, 2), heisenberg(F))}
+
+
 def linear_action(M, F, name):
     """x acting on F^m by the m x m matrix M, basis (x, v_1, .., v_m):
     [x, v] = -[v, x] = Mv.  When M is invertible the nilradical is F^m."""

@@ -28,7 +28,11 @@ suite's derandomized profile.  The draws depend on hypothesis's version
 central rows that the benchmark's gf-large workload sends (LARGE_SUMS):
 c(rot) (+) F^2, d(rot) (+) F^3 and rotext (+) F^2 over GF(3) and
 d(rot) (+) F^2 over GF(5), each under two basis changes from
-`rand_invertible`, seeded by p + 100.
+`rand_invertible`, seeded by p + 100.  Then `classify`, `alpha` and
+`verify_main_theorem` on h7 and h5 (+) h3 over GF(3)
+(`conftest.heisenberg_sums`), each under one basis change from
+`rand_invertible`, seeded by 1: alpha = n-3, with strata above it of
+thousands of subspaces.
 
 `same_answers.sha256` holds the first 8 hex digits of each line's sha256,
 one a line, so a mismatch names the first line that moved.  Print the
@@ -55,21 +59,28 @@ from leibniz_algebras.cli import run
 from leibniz_algebras.families import abelian_algebra, make_c, make_d
 from leibniz_algebras.fields import GF, QQ
 from leibniz_algebras.linalg import Matrix, Subspace
-from leibniz_algebras.search import alpha_beta, beta
+from leibniz_algebras.search import alpha, alpha_beta, beta
 from leibniz_algebras.serialize import serialize_algebra
 
 from hypothesis import HealthCheck, Phase, given, settings
 
-from conftest import MALFORMED_GF_DOCUMENTS, central_extensions, one_dimensional_extensions, rand_invertible
+from conftest import (
+    MALFORMED_GF_DOCUMENTS,
+    central_extensions,
+    heisenberg_sums,
+    one_dimensional_extensions,
+    rand_invertible,
+)
 
 # sha256 of `answer_lines()`, one "\n" after each line, and of each line
-DIGEST = "47017e8071b99aedb9ca7464b7ad067de13619906e253f570c5ba49117df9858"
+DIGEST = "0f09c76294553eda302d5f90d63b3d87f2e1a49f99445b25f288641414f00722"
 LINE_DIGESTS = Path(__file__).with_name("same_answers.sha256")
 BUDGETS = (0, 1, 7, 50, 400)
 CLI_EVERY = 3
 CLI_SEARCHES = ("alpha", "beta", "verify-theorem")
 DRAWS = 12
 LARGE_SUMS = ((3, "c(rot)", 2), (3, "d(rot)", 3), (3, "rotext", 2), (5, "d(rot)", 2))
+HEISENBERG_CALLS = {"classify": classify, "alpha": alpha, "verify_main_theorem": verify_main_theorem}
 
 CALLS = {
     "classify": classify,
@@ -208,6 +219,11 @@ def answer_lines():
     for p, label, L in large_sums():
         for name in ("classify", "verify_main_theorem"):
             yield "GF(%d) %s %s: %s" % (p, label, name, _answer(CALLS[name], L))
+    F = GF(3)
+    for label, L in heisenberg_sums(F).items():
+        L = change_of_basis(L, rand_invertible(F, L.dim, random.Random(1)))
+        for name, call in HEISENBERG_CALLS.items():
+            yield "GF(3) %s disguised %s: %s" % (label, name, _answer(call, L))
 
 
 def _line_digest(line: str) -> str:
