@@ -27,7 +27,7 @@ a value is returned.
 What a table determines beyond that is computed once.  A function
 decorated with `_per_table` (the Leibniz check, the squares ideal, the Lie
 test and the center here; the series, the trace kernel and the nilradical
-in `invariants`) stores its value in the table's `_cache` dict under the
+in `invariants`; the largest form rank in `search`) stores its value in the table's `_cache` dict under the
 function's name, None included; a call that raises stores nothing, so it
 raises again.  Two entries can also be filled from outside their function,
 each with a value proved equal to what it would compute: a subalgebra,

@@ -68,13 +68,7 @@ from .linalg import (
     is_irreducible_quadratic,
     subspace_sum,
 )
-from .search import (
-    DEFAULT_SCAN_BUDGET,
-    _first_abelian_ideal,
-    _request,
-    _top_strata,
-    _walk_strata,
-)
+from .search import DEFAULT_SCAN_BUDGET, _first_in_strata, _request
 
 
 class Case(Enum):
@@ -466,20 +460,22 @@ def _alpha_and_ideal(L: AlgebraTable, A: Subspace | None):
     """alpha over GF(p), and the first abelian ideal of dimension n-2 when
     alpha = n-2 and one exists, else None, in the open request.
 
-    Strata n and n-1 are decided from the structure slices
-    (`search._top_strata`).  If both are empty, they hold no abelian
-    ideal, so `search._first_abelian_ideal` finds the first of stratum n-2
-    without a walk, and that ideal, or a supplied witness A, abelian of
-    codimension 2, proves alpha = n-2.  Only without either are the strata
-    <= n-2 walked (`search._walk_strata`)."""
+    Three calls of `search._first_in_strata`.  Strata n and n-1 of alpha
+    come first, decided by the structure constants and one slice.  If
+    both are empty, they hold no abelian ideal, so the abelian-ideal
+    stratum n-2 comes next, decided by the rank bound or by the candidates
+    between the center and the trace kernel; that ideal, or a supplied
+    witness A, abelian of codimension 2, proves alpha = n-2.  Only without
+    either are alpha's strata <= n-2 decided, by the rank bound or the
+    kernel's walk."""
     n = L.dim
-    d = _top_strata(L)[0]
+    d = _first_in_strata(L, (n, n - 1))[0]
     if d is not None:
         return d, None
-    ideal = _first_abelian_ideal(L, (n - 2,))[1]
+    ideal = _first_in_strata(L, (n - 2,), ideal=True)[1]
     if ideal is not None or A is not None:
         return n - 2, ideal
-    return _walk_strata(L)[0], None
+    return _first_in_strata(L, range(n - 2, -1, -1))[0], None
 
 
 def _check_nilradical_candidate(N: Subspace, candidate: Subspace | None) -> None:
@@ -496,14 +492,15 @@ def classify(
     """Classify an algebra whose maximal abelian subalgebra has codimension 2.
 
     Over a prime field everything is decided exhaustively, in one request
-    whose `budget` bounds the subspaces counted (`_alpha_and_ideal`):
-    strata n and n-1 of alpha from the structure slices, then, when both
-    are empty, the abelian ideals of dimension n-2.  Every such ideal
-    contains the center and lies in the trace kernel, and only the
-    subspaces between the two are tested (`search._first_abelian_ideal`);
-    the stratum is debited as a walk of it would count.  An ideal found
-    there, or a witness A, proves alpha = n-2 with no walk; otherwise the
-    strata <= n-2 are walked for alpha.  The nilradical counts nothing.
+    whose `budget` bounds the subspaces counted (`_alpha_and_ideal`), by
+    the strata driver `search._first_in_strata` and its four deciders:
+    strata n and n-1 of alpha in closed form, then, when both are empty,
+    the abelian ideals of dimension n-2, by the rank bound or by the
+    candidates between the center and the trace kernel.  An ideal found
+    there, or a witness A, proves alpha = n-2 with no walk; otherwise
+    alpha's strata <= n-2 are decided by the rank bound or the kernel's
+    walk.  Each stratum is debited what a walk of it would count.  The
+    nilradical counts nothing.
     Over the rationals a codimension-2 abelian subalgebra witness A is
     required and alpha = n-2 is assumed, not checked; an abelian ideal is
     looked for among A and center(L) + [L, L], then the matchers decide,
@@ -610,8 +607,10 @@ def solvability_from_codim2_ideal(
 ) -> bool:
     """Confirm solvability with derived length <= 3 for an algebra possessing
     an abelian ideal of codimension <= 2 (witness supplied or, over GF(p),
-    found by `search._first_abelian_ideal` in strata n, n-1 and n-2, top
-    down, in one request that debits what a walk of them would count).  A
+    found by the strata driver `search._first_in_strata` in the
+    abelian-ideal strata n, n-1 and n-2, top down, each decided by the
+    rank bound or by the candidates between the center and the trace
+    kernel, in one request that debits what a walk of them would count).  A
     negative budget is a ValueError, with or without a witness."""
     require_leibniz(L)
     if witness is not None:
@@ -622,7 +621,7 @@ def solvability_from_codim2_ideal(
     with _request(budget):
         if witness is None:
             n = L.dim
-            witness = _first_abelian_ideal(L, range(n, max(n - 3, -1), -1))[1]
+            witness = _first_in_strata(L, range(n, max(n - 3, -1), -1), ideal=True)[1]
             if witness is None:
                 raise NoAbelianIdealError("no abelian ideal of codimension <= 2 exists")
     rep = series(L)

@@ -9,6 +9,21 @@ least) hits at the maximal dimension.  Budgets count subspaces in that
 order, those no search looks at included, so a stratum without a hit costs
 its Gaussian binomial and one with a hit its first hit's index + 1.
 
+The top-down searches (`alpha`, `beta`, `classify`'s strata and
+`solvability_from_codim2_ideal`) run through one driver,
+`_first_in_strata`, which decides each stratum by one of four deciders
+and debits it once, what a walk of it would count (`_debit_first`):
+- alpha's strata n and n-1 in closed form, from the structure constants
+  and one structure slice (`_abelian_hyperplanes`);
+- a stratum above the rank bound n - ceil(r/2) (`_max_form_rank`) holds
+  no hit and is not searched;
+- an abelian-ideal stratum by its candidates between the center C(L) and
+  the trace kernel K below (`_abelian_ideal_hits`), with no walk;
+- alpha's strata <= n-2 by the kernel's walk (`_scan_dim`), cut to the
+  subspaces that contain C(L).
+The collect-all walks are not cut by the center: below alpha an abelian
+subalgebra may miss C(L).
+
 `all_abelian_ideals` and `all_abelian_subalgebras` walk their strata
 through the one kernel in `_scan_py`, and `alpha` walks its strata <= n-2
 there.  Every nilpotent ideal N lies in the common kernel K of the trace
@@ -22,34 +37,6 @@ the annihilator of K, the span of those functionals, cuts every row prefix
 outside K from an abelian-ideal walk;
 counts, matches and witnesses are the same as without the cut.
 `invariants.nilradical` returns K itself when K is a nilpotent ideal.
-
-The top-down abelian-ideal searches (`beta`, `classify`'s stratum n-2,
-`solvability_from_codim2_ideal`) walk nothing.  While no stratum above d
-holds an abelian ideal, every abelian ideal of dimension d contains the
-center C(L), as I + C(L) is an abelian ideal, so it lies between C(L) and
-K; `_first_abelian_ideal` tests only those candidates, each on its rows
-C + X B, B a complement of C in K in RREF and X an RREF walked in
-canonical order: the candidates' pivot sets follow X's, so the walk stops
-after the first pivot set of X with a hit, and only hits are spanned.
-`alpha` walks no stratum above n-2 (`_top_strata`).  Stratum n holds an
-abelian subalgebra iff every structure constant is 0.  An abelian
-hyperplane ker f makes every slice C_k = (c_ijk)_ij of the structure
-tensor f a^T + b f^T, in every characteristic, so f lies in the row or
-the column space of any nonzero slice, and those at most 2(p+1) lines
-are stratum n-1's only candidates (`_abelian_hyperplanes`).  The two
-spaces have equal dimension, so the column space is spanned only when a
-column leaves the row space, and each line is tested unnormalized.  A
-stratum that is not walked is debited what its walk would count
-(`_debit_first`).  `classify` walks less still: once strata n and n-1
-are empty, an abelian ideal of dimension n-2, or a supplied
-codimension-2 abelian witness, proves alpha = n-2, and only without
-either are the strata <= n-2 walked (`_walk_strata`).  Those walks are
-cut by the center: C(L) brackets to 0 with everything, so A + C(L) is
-abelian for every abelian A, and while no stratum above d holds an
-abelian subalgebra every abelian subalgebra of dimension d contains C(L).
-The walk of stratum d passes C(L)'s rows to the kernel, which skips the
-subspaces that miss it; the collect-all scans pass nothing, as below
-alpha an abelian subalgebra may miss C(L).
 
 One budget bounds a whole request.  Every public entry point that scans,
 here and in `classify`, opens a request ledger with its `budget`; every
@@ -71,6 +58,7 @@ from ._kernel import MODE_ABELIAN, MODE_IDEAL, scan_subspaces
 from .algebra import (
     AlgebraTable,
     _is_frame,
+    _per_table,
     bracket,
     center,
     generated_subalgebra,
@@ -277,41 +265,6 @@ def _kernel_is_abelian(c, p: int, g, m: int) -> bool:
     return True
 
 
-def _top_strata(L: AlgebraTable):
-    """Strata n and n-1 of alpha's downward search, decided without a walk:
-    (d, witness, scanned) for the first with an abelian subalgebra, the
-    witness its canonically first hit, or (None, None, scanned).  Stratum n
-    holds a hit iff every structure constant is 0, and stratum n-1's hits
-    are `_abelian_hyperplanes`; each is debited what its walk would count."""
-    n = L.dim
-    if not any(cij for ci in L._products for cij in ci):
-        return (n, *_debit_first(L, n, [L.full_space()]))
-    total = _debit_first(L, n, [])[1]
-    first, scanned = _debit_first(L, n - 1, _abelian_hyperplanes(L))
-    return (None if first is None else n - 1), first, total + scanned
-
-
-def _walk_strata(L: AlgebraTable):
-    """Walk strata n-2, n-3, .., 0 for an abelian subalgebra: (d, witness,
-    scanned) for the first stratum with one, the witness its canonically
-    first hit, or (None, None, scanned).  Strata n and n-1 hold none.
-
-    Lemma (every characteristic).  The center C = C(L) brackets to 0 with
-    everything, so A + C is abelian for every abelian A.  While no stratum
-    above d holds an abelian subalgebra, every abelian subalgebra of
-    dimension d therefore contains C, and the walk of stratum d is cut to
-    the subspaces that contain C (`_scan_py`): the same first hit and the
-    same count as the uncut walk, at every budget."""
-    total = 0
-    C = center(L)._rows
-    for d in range(L.dim - 2, -1, -1):
-        scanned, subs = _scan_dim(L, d, MODE_ABELIAN, 1, C)
-        total += scanned
-        if subs:
-            return d, subs[0], total
-    return None, None, total
-
-
 def _brackets_with_basis(L: AlgebraTable, w) -> list:
     """[w, e_j] for every j, over GF(p), read off `_products` in one pass
     over w's nonzero entries."""
@@ -325,23 +278,112 @@ def _brackets_with_basis(L: AlgebraTable, w) -> list:
     return [[y % p for y in acc] for acc in out]
 
 
-def _first_abelian_ideal(L: AlgebraTable, dims):
-    """The first abelian ideal in the strata `dims`, consecutive and
-    descending, with no abelian ideal in a stratum above dims[0]: (d,
-    witness, scanned) as a stratum-by-stratum scan of `dims` would return
-    it, witness the canonically first hit of the first stratum holding one,
-    or (None, None, scanned); the same count is debited, and raises at the
-    same budgets, though no stratum is walked.
+# a stratum with more candidates than this reads the rank bound first
+RANK_BOUND_GATE = 200
+
+
+def _form_rank(L: AlgebraTable, lam) -> int:
+    """The rank of the form B(x, y) = lam([x, y]) of a GF(p) table, whose
+    matrix is sum_k lam_k C_k, C_k = (c_ijk)_ij."""
+    p = L.field.p
+    B = [[sum(lam[k] * c for k, c in pij) % p for pij in row] for row in L._products]
+    return Subspace._span(L.field, L.dim, B).dim
+
+
+@_per_table
+def _max_form_rank(L: AlgebraTable) -> int:
+    """r, the largest rank of lam([x, y]) over the n unit functionals lam
+    and the fixed combinations lam_k = (k + 1)^e mod p, e = 0..3.
+
+    Lemma (every field).  Let A be an abelian subspace of dimension d and
+    B(x, y) = lam([x, y]) of rank r.  B vanishes on A x A, so x -> B(x, .)
+    maps A into the annihilator of A, of dimension n - d, with its kernel
+    on A in the left radical of B, of dimension n - r.  So d - (n - r) <=
+    n - d, d <= n - r/2, and no stratum above n - ceil(r/2) holds an
+    abelian subalgebra or ideal.  Every lam gives a sound bound, so the
+    choice of lam changes the time taken, never an answer."""
+    n, p = L.dim, L.field.p
+    lams = [[int(k == t) for k in range(n)] for t in range(n)]
+    lams += [[pow(k + 1, e, p) for k in range(n)] for e in range(4)]
+    return max(_form_rank(L, lam) for lam in lams)
+
+
+def _first_in_strata(L: AlgebraTable, dims, ideal: bool = False):
+    """The first stratum of `dims`, consecutive and descending, that holds
+    an abelian subalgebra, or an abelian ideal when `ideal`, given that no
+    stratum above dims[0] holds one: (d, witness, scanned), the witness the
+    canonically first hit of stratum d, or (None, None, scanned).
+    `scanned` is what a walk of each stratum searched would count; each
+    stratum is debited it once, and a budget the walk would run out raises
+    the walk's message, though only alpha's strata <= n-2 are walked.
+
+    One decider per stratum:
+    - alpha's stratum n holds a hit iff every structure constant is 0;
+    - alpha's stratum n-1: its hits are `_abelian_hyperplanes`;
+    - a stratum above n - ceil(r/2), r = `_max_form_rank(L)`, holds no hit
+      and is not searched.  C lies in the radical of every form, so
+      r <= n - dim C, and no stratum with 2d <= n + dim C is above the
+      bound; r is read only above that, where the stratum has more than
+      RANK_BOUND_GATE candidates, so small tables never compute it;
+    - every other abelian-ideal stratum: the candidates between C(L) and
+      the trace kernel (`_abelian_ideal_hits`);
+    - every other stratum of alpha: the kernel's walk (`_scan_dim`), cut
+      by the center.
+
+    Lemma (every characteristic).  The center C = C(L) is an ideal and
+    brackets to 0 with everything, so A + C is abelian for every abelian A,
+    and an abelian ideal for every abelian ideal A.  While no stratum above
+    d holds a hit, every hit of stratum d therefore contains C.  So the
+    walk of stratum d is cut to the subspaces that contain C, with the same
+    first hit and the same count as the uncut walk at every budget, and
+    the candidates of a stratum number the Gaussian binomial of L/C, or of
+    K/C for ideals, K the trace kernel.
+
+    Every other decider finds all of a stratum's hits, or a subset holding
+    the first, and `_debit_first` debits what the walk would count."""
+    n, p = L.dim, L.field.p
+    total = 0
+    for d in dims:
+        if not ideal and d == n:
+            hits = [] if any(cij for ci in L._products for cij in ci) else [L.full_space()]
+        elif not ideal and d == n - 1:
+            hits = _abelian_hyperplanes(L)
+        else:
+            C = center(L)
+            top = _trace_kernel(L).dim if ideal else n
+            if (
+                2 * d > n + C.dim
+                and gaussian_binomial(top - C.dim, d - C.dim, p) > RANK_BOUND_GATE
+                and d > n - (_max_form_rank(L) + 1) // 2
+            ):
+                hits = []
+            elif ideal:
+                hits = _abelian_ideal_hits(L, d)
+            else:
+                scanned, hits = _scan_dim(L, d, MODE_ABELIAN, 1, C._rows)
+                total += scanned
+                if hits:
+                    return d, hits[0], total
+                continue
+        first, scanned = _debit_first(L, d, hits)
+        total += scanned
+        if first is not None:
+            return d, first, total
+    return None, None, total
+
+
+def _abelian_ideal_hits(L: AlgebraTable, d: int) -> list[Subspace]:
+    """The hits of abelian-ideal stratum d, with no abelian ideal above d:
+    those of the first pivot set that holds one, which hold the
+    canonically first hit (`_debit_first` needs no more).
 
     Lemma (every characteristic).  Every abelian ideal I lies in K =
     `_trace_kernel(L)`: for x in I, L_x W, W in {1, L_e_j}, maps L into I
-    and I to 0, so its square is 0 and its trace 0.
-    The center C = C(L) is an abelian ideal and central, so I + C is one.
-    So if no stratum above d holds an abelian ideal, every abelian ideal of
-    dimension d contains C: the hits of stratum d are the abelian ideals
-    among the d-dimensional I with C <= I <= K.  Each is C + span(w_1, ..,
-    w_t), the w's spanning a subspace of a complement of C in K, and is
-    abelian iff [w_a, w_b] = 0, as C brackets to 0 with everything.
+    and I to 0, so its square is 0 and its trace 0.  I contains the center
+    C = C(L) (`_first_in_strata`), so the hits are the abelian ideals among
+    the d-dimensional I with C <= I <= K.  Each is C + span(w_1, .., w_t),
+    the w's spanning a subspace of a complement of C in K, and is abelian
+    iff [w_a, w_b] = 0, as C brackets to 0 with everything.
 
     Of the ideal test only [I, L] <= I is needed, [w_a, e_j] in I: an
     abelian I with [I, L] <= I generates an abelian ideal, which in such a
@@ -351,11 +393,6 @@ def _first_abelian_ideal(L: AlgebraTable, dims):
     [[x, w], [y, w']] = [[[x, w], y], w'] lies in [J, I] = 0: J is abelian
     with [J, L] <= J, and adding [L, J] until it stops growing ends at an
     abelian ideal.
-
-    The first hit in canonical order is the least by (pivots, RREF rows),
-    and a scan of stratum d counts its canonical index + 1
-    (`linalg._canonical_index`), or the stratum's Gaussian binomial when
-    it holds none.
 
     Lemma (the candidates' pivots).  C <= K, so every pivot of C is one of
     K: a vector of K leads at the pivot of the first RREF row of K in its
@@ -380,8 +417,7 @@ def _first_abelian_ideal(L: AlgebraTable, dims):
     (`_brackets_with_basis`); [w, v] = sum_j v_j [w, e_j] tests abelian,
     and the residuals of the [w, e_j] test the ideal.  Only hits are
     spanned, and the walk of X stops after the first pivot set that holds
-    one: `_debit_first` takes any subset of the hits that holds the
-    first.
+    one.
 
     By the same lemma every candidate from a pivot set P of the span on
     counts at least P's offset, the index of P's first subspace: once the
@@ -394,47 +430,36 @@ def _first_abelian_ideal(L: AlgebraTable, dims):
     Bpiv = [kp for kp in K.pivots if kp not in C.pivots]
     Bcols = list(zip(*[row for kp, row in zip(K.pivots, K._rows) if kp not in C.pivots]))
     C_pivots = list(zip(C.pivots, C._rows))
-    total = 0
-    for d in dims:
-        left = _budget_left.get()
-        bounded = gaussian_binomial(n, d, p) > left
-        hits, seen_xp = [], None
-        for _, xp, X in canonical_subspaces(len(Bpiv), p, d - C.dim):
-            if xp != seen_xp:
-                if hits:
-                    break  # the first pivot set holding a hit holds the first hit
-                if bounded:
-                    P = sorted(C.pivots + tuple(Bpiv[s] for s in xp))
-                    if _canonical_index(n, p, P, [[0] * n] * d) >= left:
-                        break  # no candidate from here on is within the budget
-                seen_xp = xp
-            ws = [[_dot_rows(x, col) % p for col in Bcols] for x in X]
-            # [w, e_j] for every j, and [w, v] = sum_j v_j [w, e_j]
-            rights = [_brackets_with_basis(L, w) for w in ws]
-            if any(any(_dot_rows(v, col) % p for col in zip(*R)) for R in rights for v in ws):
-                continue
-            pivots = C_pivots + list(zip([Bpiv[s] for s in xp], ws))
-            if not any(any(_clear(p, r, pivots)) for R in rights for r in R):
-                hits.append(Subspace._span(F, n, C._rows + tuple(ws)))
-        first, scanned = _debit_first(L, d, hits)
-        total += scanned
-        if first is not None:
-            return d, first, total
-    return None, None, total
+    left = _budget_left.get()
+    bounded = gaussian_binomial(n, d, p) > left
+    hits, seen_xp = [], None
+    for _, xp, X in canonical_subspaces(len(Bpiv), p, d - C.dim):
+        if xp != seen_xp:
+            if hits:
+                break  # the first pivot set holding a hit holds the first hit
+            if bounded:
+                P = sorted(C.pivots + tuple(Bpiv[s] for s in xp))
+                if _canonical_index(n, p, P, [[0] * n] * d) >= left:
+                    break  # no candidate from here on is within the budget
+            seen_xp = xp
+        ws = [[_dot_rows(x, col) % p for col in Bcols] for x in X]
+        # [w, e_j] for every j, and [w, v] = sum_j v_j [w, e_j]
+        rights = [_brackets_with_basis(L, w) for w in ws]
+        if any(any(_dot_rows(v, col) % p for col in zip(*R)) for R in rights for v in ws):
+            continue
+        pivots = C_pivots + list(zip([Bpiv[s] for s in xp], ws))
+        if not any(any(_clear(p, r, pivots)) for R in rights for r in R):
+            hits.append(Subspace._span(F, n, C._rows + tuple(ws)))
+    return hits
 
 
 def alpha(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
-    """Largest dimension of an abelian subalgebra, searched downward, the
-    witness the canonically first hit: strata n and n-1 are decided from
-    one structure slice (`_top_strata`), only the strata <= n-2 are walked
-    (`_walk_strata`), and `scanned` counts what a walk of every stratum
-    would."""
+    """Largest dimension of an abelian subalgebra, searched downward by
+    `_first_in_strata`, the witness the canonically first hit; `scanned`
+    counts what a walk of every stratum would."""
     _require_prime_field(L, "alpha")
     with _request(budget):
-        d, W, total = _top_strata(L)
-        if W is None:
-            d, W, walked = _walk_strata(L)
-            total += walked
+        d, W, total = _first_in_strata(L, range(L.dim, -1, -1))
     if W is None:
         raise ConsistencyError("no abelian subalgebra found, not even zero")
     return SearchResult(alpha=d, alpha_witness=W, exhaustive=True, scanned=total)
@@ -442,11 +467,11 @@ def alpha(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
 
 def beta(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> SearchResult:
     """Largest dimension of an abelian two-sided ideal, searched downward
-    by `_first_abelian_ideal`: no stratum is walked, and `scanned` counts
-    what a walk of the strata would."""
+    by `_first_in_strata`: no stratum is walked, and `scanned` counts what
+    a walk of the strata would."""
     _require_prime_field(L, "beta")
     with _request(budget):
-        d, W, total = _first_abelian_ideal(L, range(L.dim, -1, -1))
+        d, W, total = _first_in_strata(L, range(L.dim, -1, -1), ideal=True)
     if W is None:
         raise ConsistencyError("no abelian ideal found, not even zero")
     return SearchResult(beta=d, beta_witness=W, exhaustive=True, scanned=total)

@@ -62,7 +62,7 @@ from leibniz_algebras.linalg import (
     is_irreducible_quadratic,
 )
 from leibniz_algebras.search import (
-    _first_abelian_ideal,
+    _first_in_strata,
     all_abelian_ideals,
     all_abelian_subalgebras,
     alpha,
@@ -600,7 +600,7 @@ def _alpha_first(L, A):
     search first, walk included, then, when alpha = n-2, the first abelian
     ideal of stratum n-2."""
     d = alpha(L).alpha
-    return d, (_first_abelian_ideal(L, (L.dim - 2,))[1] if d == L.dim - 2 else None)
+    return d, (_first_in_strata(L, (L.dim - 2,), ideal=True)[1] if d == L.dim - 2 else None)
 
 
 @st.composite

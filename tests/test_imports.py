@@ -15,7 +15,9 @@ of a package class, dunders apart, counts as used when a module of the
 package, the tests or the benchmark (`perfbench/`) reads it as an
 attribute.  The CLI prints a report only through its one renderer.  The
 self-test imports no internal name, and `search._scan_dim` is the one
-caller of the scan kernel.  The scan kernel imports from the package only
+caller of the scan kernel.  `search._first_in_strata` is the one caller
+of `_debit_first` and `_abelian_hyperplanes`: one function loops over
+strata.  The scan kernel imports from the package only
 `fields` and `linalg`, and `linalg` imports nothing from the kernel.
 Importing the package and its CLI loads neither `dataclasses` nor
 `inspect`: its records are named tuples."""
@@ -233,6 +235,13 @@ def _callers(name):
 def test_only_search_calls_the_scan_kernel():
     # one module knows the kernel's call form, table form and cuts
     assert _callers("scan_subspaces") == [("search.py", "_scan_dim")]
+
+
+def test_one_driver_decides_and_debits_the_strata():
+    # the strata driver is the only function that debits a stratum it does
+    # not walk, and the only one that decides alpha's stratum n-1
+    for name in ("_debit_first", "_abelian_hyperplanes"):
+        assert _callers(name) == [("search.py", "_first_in_strata")]
 
 
 def _prints(tree):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from unittest import mock
 
 import pytest
@@ -21,6 +22,7 @@ from leibniz_algebras.algebra import (
 from leibniz_algebras.catalog import (
     heisenberg_rotation_extension,
     nonideal_codim2_example,
+    rotation_2x2,
     standard_fixtures,
 )
 from leibniz_algebras.classify import classify, solvability_from_codim2_ideal, verify_main_theorem
@@ -36,23 +38,27 @@ from leibniz_algebras.families import (
     span_equivalent_iso,
 )
 from leibniz_algebras.fields import QQ
+from leibniz_algebras.invariants import _trace_kernel
 from leibniz_algebras.linalg import (
     Matrix,
     Subspace,
     _clear,
     canonical_subspaces,
     enumerate_subspaces,
+    gaussian_binomial,
     subspace_intersect,
     subspace_sum,
 )
 from leibniz_algebras.search import (
+    DEFAULT_SCAN_BUDGET,
     IsoResult,
+    RANK_BOUND_GATE,
     _abelian_hyperplanes,
-    _first_abelian_ideal,
+    _first_in_strata,
+    _form_rank,
+    _max_form_rank,
     _request,
     _scan_dim,
-    _top_strata,
-    _walk_strata,
     all_abelian_ideals,
     all_abelian_subalgebras,
     alpha,
@@ -72,6 +78,7 @@ from conftest import (
     central_algebras,
     cycle_actions,
     family_algebras,
+    heisenberg_sums,
     identity_actions,
     left_only_actions,
     one_budget_algebras,
@@ -203,10 +210,10 @@ GENERATED = st.one_of(
 
 
 def _walked_first_hit(L, dims, mode=MODE_ABELIAN | MODE_IDEAL):
-    """The stratum-by-stratum walk that `_first_abelian_ideal` replaces,
-    and `alpha` above stratum n-2 (mode MODE_ABELIAN), kept as the
-    brute-force oracle: (d, witness, scanned) of the first stratum of
-    `dims` holding a subspace of `mode`."""
+    """The stratum-by-stratum walk, uncut by the center, that the deciders
+    of `_first_in_strata` replace, kept as the brute-force oracle: (d,
+    witness, scanned) of the first stratum of `dims` holding a subspace of
+    `mode`."""
     total = 0
     for d in dims:
         scanned, subs = _scan_dim(L, d, mode, 1)
@@ -219,6 +226,11 @@ def _walked_first_hit(L, dims, mode=MODE_ABELIAN | MODE_IDEAL):
 def _in_request(fn, L, dims, budget):
     with _request(budget):
         return fn(L, dims)
+
+
+def _ideal_strata(L, dims):
+    """The strata driver over abelian-ideal strata."""
+    return _first_in_strata(L, dims, ideal=True)
 
 
 def test_first_abelian_ideal_matches_the_stratum_walk():
@@ -240,16 +252,16 @@ def test_first_abelian_ideal_matches_the_stratum_walk():
             searches.append((n - 2,))
         for dims in searches:
             want = _in_request(_walked_first_hit, L, dims, 10**12)
-            assert _in_request(_first_abelian_ideal, L, dims, 10**12) == want
+            assert _in_request(_ideal_strata, L, dims, 10**12) == want
             for budget in (want[2] - 1, want[2] // 2):
                 refusals = []
-                for fn in (_walked_first_hit, _first_abelian_ideal):
+                for fn in (_walked_first_hit, _ideal_strata):
                     with pytest.raises(BudgetExceededError) as refused:
                         _in_request(fn, L, dims, budget)
                     refusals.append(str(refused.value))
                 assert refusals[0] == refusals[1]
             seen.add(want[0] is None)
-        d = _in_request(_first_abelian_ideal, L, range(n, -1, -1), 10**12)[0]
+        d = _in_request(_ideal_strata, L, range(n, -1, -1), 10**12)[0]
         if len({I.pivots for I in all_abelian_ideals(L, d)}) > 1:
             seen.add("hits in several pivot sets")
 
@@ -258,20 +270,9 @@ def test_first_abelian_ideal_matches_the_stratum_walk():
     assert fields == {3, 5, 7}
 
 
-def _heisenberg(F, k):
-    """h_(2k+1): [x_i, y_i] = z = -[y_i, x_i] for i = 1..k, on the basis
-    x_1, y_1, .., x_k, y_k, z."""
-    n = 2 * k + 1
-    z = tuple(int(t == n - 1) for t in range(n))
-    minus_z = tuple(-x % F.p for x in z)
-    products = {}
-    for i in range(k):
-        products[2 * i, 2 * i + 1] = z
-        products[2 * i + 1, 2 * i] = minus_z
-    return AlgebraTable.from_products(F, n, products)
-
-
-@pytest.mark.parametrize(
+# the walk's refusal on h7 and h5 (+) h3 under the default budget; the
+# debits before it depend on n and p alone
+HEISENBERG_REFUSALS = pytest.mark.parametrize(
     "name, F, refusal",
     [
         ("h7", F5, "at dimension 5 after 4980468 subspaces"),
@@ -281,27 +282,192 @@ def _heisenberg(F, k):
     ],
     ids=["h7-GF5", "h5+h3-GF5", "h7-GF7", "h5+h3-GF7"],
 )
-def test_abelian_ideal_stratum_stops_at_the_budget(name, F, refusal):
-    # on canonical h7 and h5 (+) h3 the candidates of stratum n-2 that come
-    # before the budget runs out lie in no abelian ideal, and there are
-    # millions of them: the search stops at the first pivot set that
-    # counts past the budget and raises the walk's message, having walked
-    # one candidate, not the half a million it took before
-    L = _heisenberg(F, 3) if name == "h7" else direct_sum(_heisenberg(F, 2), heisenberg(F))
+
+
+def _counted_candidates(limit):
+    """A stand-in for `search.canonical_subspaces` that fails once more than
+    `limit` candidates are walked."""
     real, walked = search.canonical_subspaces, []
 
     def counted(*args):
         for item in real(*args):
             walked.append(1)
-            if len(walked) > 1000:
-                raise AssertionError("more than 1,000 candidates walked")
+            if len(walked) > limit:
+                raise AssertionError("more than %d candidates walked" % limit)
             yield item
 
-    with mock.patch.object(search, "canonical_subspaces", counted):
+    return counted
+
+
+@HEISENBERG_REFUSALS
+def test_abelian_ideal_stratum_stops_at_the_budget(name, F, refusal):
+    # on canonical h7 and h5 (+) h3 the candidates of stratum n-2 that come
+    # before the budget runs out lie in no abelian ideal, and there are
+    # millions of them: the search stops at the first pivot set that
+    # counts past the budget and raises the walk's message, having walked
+    # one candidate, not the half a million it took before.  The rank
+    # bound would skip the stratum first, so it is switched off here
+    L = heisenberg_sums(F)[name]
+    with mock.patch.object(search, "canonical_subspaces", _counted_candidates(1000)), mock.patch.object(
+        search, "_max_form_rank", lambda L: 0
+    ):
         for call in (classify, verify_main_theorem):
             with pytest.raises(BudgetExceededError) as refused:
                 call(L)
             assert str(refused.value) == "scan budget exhausted " + refusal
+
+
+@HEISENBERG_REFUSALS
+def test_rank_bound_refuses_disguised_heisenberg_sums_at_once(name, F, refusal):
+    # under a basis change the first pivot sets of stratum n-2 hold
+    # millions of candidates, and the budget stop above does not fire
+    # early.  The form z*([x, y]) has rank 6 on both, so the rank bound
+    # shows every stratum above n-3 empty: classify, verify_main_theorem,
+    # beta and alpha debit those strata without searching them and raise
+    # the walk's message, with no stratum of more subspaces than the
+    # budget walked and at most a thousand candidates tested
+    L = heisenberg_sums(F)[name]
+    # on canonical h5 (+) h3 no unit functional reaches rank 6 (z1* gives
+    # 4 and z2* gives 2), and the fixed combinations do
+    assert _max_form_rank(L) == 6
+    L = change_of_basis(L, rand_invertible(F, L.dim, random.Random(1)))
+    assert _max_form_rank(L) == 6
+    real_scan = search.scan_subspaces
+
+    def walk(table, n, p, d, *rest):
+        if gaussian_binomial(n, d, p) > DEFAULT_SCAN_BUDGET:
+            raise AssertionError("walked stratum %d" % d)
+        return real_scan(table, n, p, d, *rest)
+
+    with mock.patch.object(search, "canonical_subspaces", _counted_candidates(1000)), mock.patch.object(
+        search, "scan_subspaces", walk
+    ):
+        for call in (classify, verify_main_theorem, beta, alpha):
+            with pytest.raises(BudgetExceededError) as refused:
+                call(L)
+            assert str(refused.value) == "scan budget exhausted " + refusal
+
+
+def _reference_form_rank(L, lam):
+    """The rank of (lam([e_i, e_j]))_ij, from the structure constants."""
+    n, c = L.dim, L.c
+    return Matrix(L.field, [[sum(x * y for x, y in zip(lam, c[i][j])) for j in range(n)] for i in range(n)]).rank()
+
+
+def test_rank_bound_holds_against_brute_force():
+    # the lemma of `_max_form_rank`: no abelian subspace has dimension above
+    # n - ceil(r/2), r the rank of lam([x, y]), for any functional lam.  By
+    # `enumerate_subspaces` over GF(3) and GF(5), n <= 5, for every lam
+    # where p^n <= 243 and for 50 drawn otherwise; `_form_rank` is that
+    # rank, and `_max_form_rank` does not exceed the largest where every
+    # lam is tried.  Some forms have odd rank, and on some tables the bound
+    # is reached
+    seen = set()
+    fields = (F3, F5)
+
+    @settings(max_examples=60)
+    @given(
+        st.one_of(
+            family_algebras(fields), identity_actions(fields), left_only_actions(fields), central_algebras(fields)
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def check(L, rnd):
+        F, n, p = L.field, L.dim, L.field.p
+        largest = next(
+            d for d in range(n, -1, -1) if any(is_abelian_subspace(L, U) for U in enumerate_subspaces(n, d, F))
+        )
+        every = p**n <= 243
+        if every:
+            lams = list(itertools.product(range(p), repeat=n))
+        else:
+            lams = [[rnd.randrange(p) for _ in range(n)] for _ in range(50)]
+        ranks = []
+        for lam in lams:
+            r = _reference_form_rank(L, lam)
+            assert _form_rank(L, lam) == r
+            assert largest <= n - (r + 1) // 2, (L.c, lam, r)
+            ranks.append(r)
+            if r % 2:
+                seen.add("odd rank")
+        r = _max_form_rank(L)
+        assert largest <= n - (r + 1) // 2
+        if every:
+            assert r <= max(ranks)
+        if largest == n - (max(ranks) + 1) // 2 and max(ranks) > 1:
+            seen.add("bound reached")
+
+    check()
+    assert seen == {"odd rank", "bound reached"}
+
+
+def _searched_strata(fn):
+    """fn()'s result, what its request debited, and the strata its searches
+    looked at, in order: ("walk", d) for `_scan_dim`, ("ideal", d) for
+    `_abelian_ideal_hits`."""
+    strata = []
+    real_scan, real_hits = search._scan_dim, search._abelian_ideal_hits
+
+    def scan(L, d, *rest):
+        strata.append(("walk", d))
+        return real_scan(L, d, *rest)
+
+    def hits(L, d):
+        strata.append(("ideal", d))
+        return real_hits(L, d)
+
+    with mock.patch.object(search, "_scan_dim", scan), mock.patch.object(search, "_abelian_ideal_hits", hits):
+        result, debited = scanned_by(fn)
+    return result, debited, strata
+
+
+def _bounded_tables():
+    """(table, n - ceil(r/2)) over GF(3), r = `_max_form_rank`: rotext (+)
+    d(rot), r = 5 (alpha 3), disguised h7 and h5 (+) h3, r = 6 (alpha at
+    the bound), and d(rot) (+) d(rot), r = 4 (no stratum above n-2 cut)."""
+    rot = rotation_2x2(F3)
+    d = make_d(rot, F3)
+    tables = {"rotext+d(rot)": (direct_sum(heisenberg_rotation_extension(F3), d), 4)}
+    for name, L in heisenberg_sums(F3).items():
+        tables[name] = (change_of_basis(L, rand_invertible(F3, L.dim, random.Random(1))), L.dim - 3)
+    tables["d(rot)+d(rot)"] = (direct_sum(d, d), 4)
+    return tables
+
+
+@pytest.mark.parametrize("name", sorted(_bounded_tables()))
+def test_rank_bound_skips_exactly_the_strata_above_it(name):
+    # alpha and classify answer and debit as with the bound switched off
+    # (r = 0), and search the same strata but those above n - ceil(r/2)
+    # with more than RANK_BOUND_GATE candidates: the Gaussian binomial of
+    # L/C for a walk, of K/C for an abelian-ideal stratum
+    L, bound = _bounded_tables()[name]
+    assert L.dim - (_max_form_rank(L) + 1) // 2 == bound
+    c = center(L).dim
+    top = {"walk": L.dim, "ideal": _trace_kernel(L).dim}
+    skipped = set()
+    for call in (alpha, classify):
+        got = _searched_strata(lambda: call(L))
+        with mock.patch.object(search, "_max_form_rank", lambda L: 0):
+            want = _searched_strata(lambda: call(L))
+        assert got[:2] == want[:2]
+        kept = [(kind, d) for kind, d in want[2] if d <= bound or gaussian_binomial(top[kind] - c, d - c, 3) <= RANK_BOUND_GATE]
+        assert got[2] == kept
+        skipped.update(set(want[2]) - set(kept))
+    assert bool(skipped) == (name != "d(rot)+d(rot)")
+
+
+def test_rank_bound_is_not_read_on_small_strata():
+    # no stratum of the oscillator over GF(3) has more than
+    # RANK_BOUND_GATE candidates.  a(id,rot) (+) F over GF(5) has 806 in
+    # alpha's stratum 3, but with n = 5 and dim C = 1, r <= 4 and the bound
+    # is at least 3.  So the searches of neither compute r
+    O = oscillator(F3)
+    assert gaussian_binomial(4, 2, 3) <= RANK_BOUND_GATE
+    A = next(L for L in standard_fixtures(F5) if L.name == "a(id,rot)+F")
+    assert (A.dim, center(A).dim, gaussian_binomial(4, 2, 5)) == (5, 1, 806)
+    for L in (O, A):
+        alpha_beta(L), classify(L)
+        assert "_max_form_rank" not in L._cache
 
 
 @st.composite
@@ -319,7 +485,7 @@ def center_and_kernel(draw):
 @settings(max_examples=150)
 @given(center_and_kernel())
 def test_candidates_pivots_follow_the_walk_of_x(CK):
-    # the lemma of `_first_abelian_ideal`: B, the rows of K at the pivots
+    # the lemma of `_abelian_ideal_hits`: B, the rows of K at the pivots
     # C lacks, is the RREF complement of C in K reduced modulo C; for every
     # RREF X the span of C + X B has pivots C.pivots u Bpiv[X.pivots], C's
     # pivot rows and then X B's clear a vector to 0 exactly when the span
@@ -404,7 +570,7 @@ def _cut_and_uncut(L):
     """(the center-cut walk, the uncut walk) of strata n-2 .. 0, each as
     a thunk run in a request of its own or in the caller's."""
     dims = range(L.dim - 2, -1, -1)
-    return (lambda: _walk_strata(L)), (lambda: _walked_first_hit(L, dims, MODE_ABELIAN))
+    return (lambda: _first_in_strata(L, dims)), (lambda: _walked_first_hit(L, dims, MODE_ABELIAN))
 
 
 def test_center_cut_walk_matches_the_uncut_walk():
@@ -418,7 +584,7 @@ def test_center_cut_walk_matches_the_uncut_walk():
     def check(L):
         C = center(L)
         with _request(10**12):
-            empty_top = _top_strata(L)[1] is None
+            empty_top = _first_in_strata(L, (L.dim, L.dim - 1))[1] is None
         assume(empty_top and not C.is_zero())
         cut, uncut = _cut_and_uncut(L)
         want, debited = scanned_by(uncut)
@@ -493,13 +659,13 @@ def test_first_abelian_ideal_tests_the_side_that_suffices():
     assert res.beta == 3
     assert res.beta_witness == span(F3, 5, (1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
     dims = range(5, -1, -1)
-    assert _in_request(_first_abelian_ideal, L, dims, 10**6) == _in_request(
+    assert _in_request(_ideal_strata, L, dims, 10**6) == _in_request(
         _walked_first_hit, L, dims, 10**6
     )
 
 
 def test_abelian_subspace_holding_its_brackets_with_L_generates_an_abelian_ideal():
-    # the lemma that lets `_first_abelian_ideal` test only [I, L] <= I: the
+    # the lemma that lets `_abelian_ideal_hits` test only [I, L] <= I: the
     # ideal an abelian I with [I, L] <= I generates is abelian, by brute
     # force over every subspace of the GF(3) fixtures and the left-only
     # action, some of whose such I are not ideals
