@@ -282,18 +282,11 @@ def _brackets_with_basis(L: AlgebraTable, w) -> list:
 RANK_BOUND_GATE = 200
 
 
-def _form_rank(L: AlgebraTable, lam) -> int:
-    """The rank of the form B(x, y) = lam([x, y]) of a GF(p) table, whose
-    matrix is sum_k lam_k C_k, C_k = (c_ijk)_ij."""
-    p = L.field.p
-    B = [[sum(lam[k] * c for k, c in pij) % p for pij in row] for row in L._products]
-    return Subspace._span(L.field, L.dim, B).dim
-
-
 @_per_table
 def _max_form_rank(L: AlgebraTable) -> int:
-    """r, the largest rank of lam([x, y]) over the n unit functionals lam
-    and the fixed combinations lam_k = (k + 1)^e mod p, e = 0..3.
+    """r, the largest rank of the form lam([x, y]), whose matrix is
+    sum_k lam_k C_k, C_k = (c_ijk)_ij, over the n unit functionals lam and
+    the fixed combinations lam_k = (k + 1)^e mod p, e = 0..3.
 
     Lemma (every field).  Let A be an abelian subspace of dimension d and
     B(x, y) = lam([x, y]) of rank r.  B vanishes on A x A, so x -> B(x, .)
@@ -305,7 +298,8 @@ def _max_form_rank(L: AlgebraTable) -> int:
     n, p = L.dim, L.field.p
     lams = [[int(k == t) for k in range(n)] for t in range(n)]
     lams += [[pow(k + 1, e, p) for k in range(n)] for e in range(4)]
-    return max(_form_rank(L, lam) for lam in lams)
+    forms = [[[sum(lam[k] * c for k, c in pij) % p for pij in row] for row in L._products] for lam in lams]
+    return max(Subspace._span(L.field, n, B).dim for B in forms)
 
 
 def _first_in_strata(L: AlgebraTable, dims, ideal: bool = False):
