@@ -5,7 +5,8 @@ the subspaces of `linalg.canonical_subspaces`, the package's one walk in
 canonical order, which fixes the RREF rows one at a time, row 0 first,
 and lets a row test, chosen per pivot set, cut the whole pivot set or the
 whole subtree below a row.  This module holds that row test, the cuts
-below, and takes each of its linear-algebra steps from `linalg`: the row
+below, and takes each of its linear-algebra steps from `linalg`: the
+brackets [u, e_j] and [e_j, u] of a row u are `_row_action`, the row
 solves are `_dependencies`, the recombination of the center's rows is
 `_echelon` and the ideal test's membership is `_clear`.
 
@@ -74,7 +75,7 @@ import functools
 import itertools
 
 from .fields import GF
-from .linalg import _clear, _dependencies, _echelon, canonical_subspaces, gaussian_binomial
+from .linalg import _clear, _dependencies, _echelon, _row_action, canonical_subspaces, gaussian_binomial
 
 MODE_ABELIAN = 1
 MODE_IDEAL = 4
@@ -185,16 +186,8 @@ def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect
         # g[i] holds their values for u = e_i
         g = [list(phi_i) for phi_i in phi]
         for v in rows[:r]:
-            nz = [(j, vj) for j, vj in enumerate(v) if vj]
-            for i in range(n):
-                left = [0] * n
-                right = [0] * n
-                for j, vj in nz:
-                    for k, cc in table[i][j]:
-                        left[k] += vj * cc
-                    for k, cc in table[j][i]:
-                        right[k] += vj * cc
-                g[i] += left + right
+            for gi, iv, vi in zip(g, _row_action(table, v, p, False), _row_action(table, v, p)):
+                gi += iv + vi
         target = [-x for x in g[pc]]
         # C's equations on row r: a * u[q] = c_q - sum_t b a_t[q]
         for q, a, cq, terms in forced[r]:
@@ -211,21 +204,8 @@ def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect
 
     def is_ideal(rows, piv):
         span = list(zip(piv, rows))
-        for u in rows:
-            for j in range(n):
-                w1 = [0] * n
-                w2 = [0] * n
-                for i in range(n):
-                    ui = u[i]
-                    if not ui:
-                        continue
-                    for k, cc in table[i][j]:
-                        w1[k] = (w1[k] + ui * cc) % p
-                    for k, cc in table[j][i]:
-                        w2[k] = (w2[k] + ui * cc) % p
-                if any(_clear(p, w1, span)) or any(_clear(p, w2, span)):
-                    return False
-        return True
+        return not any(any(_clear(p, w, span))
+                       for u in rows for left in (True, False) for w in _row_action(table, u, p, left))
 
     walk = canonical_subspaces(n, p, d, abelian_values_for if mode & MODE_ABELIAN else None)
     for index, piv, rows in walk:

@@ -41,9 +41,10 @@ The Leibniz check (`leibniz_failure`) runs in packed integer words.  For
 each i the defects D_i(j, k, t) of [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] +
 [e_j, [e_i, e_k]] at coordinate t are the W-bit fields of one int, field
 (j, k, t) at bit W ((j n + k) n + t), built as sum_(b, t) c_ibt Z_bt from
-n^2 packed words Z_bt that are masked and shifted out of one packing of the
-table.  Over QQ the fields are the exact signed defects, |D| <= 3 n max|c|^2
-< 2^W.  Over GF(p) they are nonnegative, congruent to D mod p and below
+packed words Z_bt that are masked and shifted out of one packing of the
+table, one row Z_b. at a time: O(n) words are held, never all n^2.  Over
+QQ the fields are the exact signed defects, |D| <= 3 n max|c|^2 < 2^W.
+Over GF(p) they are nonnegative, congruent to D mod p and below
 2^N, N = bitlen(n (p-1)^2 (2p-1)), and W = 2N + 1 leaves room for a
 multiply-shift that takes every field mod p at once.  The lowest set bit of
 the first nonzero remainder names the first failing triple.
@@ -73,6 +74,7 @@ from .linalg import (
     _fractions,
     _integer_row,
     _matmul,
+    _row_action,
     subspace_sum,
 )
 
@@ -271,7 +273,11 @@ def leibniz_failure(L: AlgebraTable) -> tuple | None:
     m = t).  The three pieces are masked and shifted out of one packing of
     the whole table, whose field (a, b, t) holds c_abt: fields (j, k, m) at
     shift m, the block of a = t, and fields (j, t, .) at shift n t.  So a
-    table costs O(nnz + n^2) big-int operations for O(n^4) products.
+    table costs O(nnz + n^2) big-int operations for O(n^4) products.  The
+    loop runs over b outermost: the row Z_b. is built, c_ibt Z_bt is added
+    into every X_i, and the row is dropped, so O(n^4 W) bits are held at
+    once, not the O(n^5 W) of all n^2 words; every X_i is complete before
+    the first is tested.
 
     Widths and the test.  Over QQ the terms enter with the sign -1 and a
     field of X_i is the exact defect, |D| <= B = 3 n max|c|^2, so W is the
@@ -326,22 +332,20 @@ def leibniz_failure(L: AlgebraTable) -> tuple | None:
     t1 = pieces(W, ((1 << W) - 1) * _ones(n * n, Wn), 1)
     t2 = pieces(Wnn, (1 << Wnn) - 1, sign)
     t3 = pieces(Wn, ((1 << Wn) - 1) * _ones(n, Wnn), sign)
-    Z = [
-        [(t1[b] << W * t) + (t2[t] << Wnn * b) + (t3[t] << Wn * b) for t in range(n)]
-        for b in range(n)
-    ]
+    X = [0] * n
+    for b in range(n):
+        Zb = [(t1[b] << W * t) + (t2[t] << Wnn * b) + (t3[t] << Wn * b) for t in range(n)]
+        for i, ci in enumerate(products):
+            for t, x in ci[b]:
+                X[i] += x * Zb[t]
     if p is not None:
         M = -(-(1 << s) // p)
         low = ((1 << W - s) - 1) * unit
-    for i, ci in enumerate(products):
-        X = 0
-        for Zb, cib in zip(Z, ci):
-            for t, x in cib:
-                X += x * Zb[t]
+    for i, Xi in enumerate(X):
         if p is not None:
-            X -= p * ((X * M >> s) & low)
-        if X:
-            f = ((X & -X).bit_length() - 1) // Wn
+            Xi -= p * ((Xi * M >> s) & low)
+        if Xi:
+            f = ((Xi & -Xi).bit_length() - 1) // Wn
             return (i, f // n, f % n)
     return None
 
@@ -419,7 +423,9 @@ def is_lie(L: AlgebraTable) -> bool:
 def mult_operator(L: AlgebraTable, x: Sequence, side: str = "left") -> Matrix:
     """Matrix of left multiplication L_x or right multiplication R_x: column
     j holds the coordinates of [x, e_j] (side 'left') or [e_j, x] (side
-    'right')."""
+    'right'), read off the integer view by one `_row_action`.  Over QQ, x
+    is scaled to an integer row once, by the lcm d of its denominators
+    (`_integer_row`), and each nonzero entry is divided by d D once."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     F = L.field
@@ -427,11 +433,11 @@ def mult_operator(L: AlgebraTable, x: Sequence, side: str = "left") -> Matrix:
     if len(x) != n:
         raise DimensionMismatchError("vector length != algebra dimension")
     x = [F.of(a) for a in x]
-    cols = []
-    for j in range(n):
-        ej = L.basis_vector(j)
-        cols.append(_bracket(L, x, ej) if side == "left" else _bracket(L, ej, x))
-    return Matrix._canonical(F, [[cols[j][k] for j in range(n)] for k in range(n)], n)
+    if F.p is not None:
+        return Matrix._canonical(F, zip(*_row_action(L._products, x, F.p, side == "left")), n)
+    d, x = _integer_row(x)
+    rows = zip(*_row_action(L._products, x, None, side == "left"))
+    return Matrix._canonical(F, [_fractions(row, d * L._D) for row in rows], n)
 
 
 @_per_table
@@ -453,12 +459,10 @@ def left_annihilator(L: AlgebraTable) -> Subspace:
 def _actions(L: AlgebraTable, rows: Sequence[Sequence], sides=("left", "right")) -> list:
     """For each integer row a, such as a canonical row `Subspace._rows`, and
     each side, the matrix of x -> [a, x] (side "left") or x -> [x, a]
-    ("right") on the integer view (`_scaled_bracket`), as rows: row k holds
+    ("right") on the integer view (`_row_action`), as rows: row k holds
     the k-th coordinates of the [a, e_j] (or [e_j, a]).  Over QQ it is a
     nonzero multiple of the operator of the row a scales."""
-    es = [tuple(int(i == j) for i in range(L.dim)) for j in range(L.dim)]
-    return [list(zip(*[_scaled_bracket(L, *((a, e) if s == "left" else (e, a))) for e in es]))
-            for a in rows for s in sides]
+    return [list(zip(*_row_action(L._products, a, L.field.p, s == "left"))) for a in rows for s in sides]
 
 
 def centralizer(L: AlgebraTable, A: Subspace) -> Subspace:

@@ -38,6 +38,10 @@ Rows that an elimination has already made canonical are read, not
 eliminated again (`subspace_intersect`, `_coords_in_rows`).
 `_chain(start, step)` lists start, step(start), ... up to the first fixed
 point: the series, the generated subalgebra and the Fitting chains.
+`_row_action(products, u, p, left)` is the one contraction of a row with
+a structure table: the n rows [u, e_j] (or [e_j, u]) that the scan
+kernel, the abelian-ideal stratum, the operators of `algebra` and
+`mult_operator` read.
 
 One routine takes coordinates: `_coords_in_rows(F, rows, n)` eliminates
 [rows | 1] once and returns v -> x with x @ rows = v.  `Matrix.inverse`,
@@ -282,6 +286,21 @@ def _matmul(X, Y, q: int | None) -> list:
     cols = list(zip(*Y))
     out = [[_dot_rows(row, col) for col in cols] for row in X]
     return out if q is None else [[x % q for x in row] for row in out]
+
+
+def _row_action(products, u: Sequence, p: int | None, left: bool = True) -> list:
+    """The n rows [u, e_j] (left) or [e_j, u] (right), j = 0..n-1, read
+    off a structure table given as its nonzero products, products[i][j]
+    the (k, x) pairs of [e_i, e_j] (`AlgebraTable._products`), in one pass
+    over u's nonzero entries: residues mod p, or ints when p is None."""
+    n = len(products)
+    out = [[0] * n for _ in range(n)]
+    for i, x in enumerate(u):
+        if x:
+            for acc, pij in zip(out, products[i] if left else [pj[i] for pj in products]):
+                for k, c in pij:
+                    acc[k] += x * c
+    return out if p is None else [[y % p for y in acc] for acc in out]
 
 
 def _integer_row(u: Sequence) -> tuple[int, list]:

@@ -78,6 +78,7 @@ from .linalg import (
     _dot_rows,
     _lead,
     _matmul,
+    _row_action,
     canonical_subspaces,
     enumerate_subspaces,
     gaussian_binomial,
@@ -265,19 +266,6 @@ def _kernel_is_abelian(c, p: int, g, m: int) -> bool:
     return True
 
 
-def _brackets_with_basis(L: AlgebraTable, w) -> list:
-    """[w, e_j] for every j, over GF(p), read off `_products` in one pass
-    over w's nonzero entries."""
-    n, p = L.dim, L.field.p
-    out = [[0] * n for _ in range(n)]
-    for x, row in zip(w, L._products):
-        if x:
-            for acc, pij in zip(out, row):
-                for k, c in pij:
-                    acc[k] += x * c
-    return [[y % p for y in acc] for acc in out]
-
-
 # a stratum with more candidates than this reads the rank bound first
 RANK_BOUND_GATE = 200
 
@@ -408,7 +396,7 @@ def _abelian_ideal_hits(L: AlgebraTable, d: int) -> list[Subspace]:
 
     So no candidate is spanned.  For each row w of W, [w, e_j] is read for
     every j off `_products` in one pass over w's nonzero entries
-    (`_brackets_with_basis`); [w, v] = sum_j v_j [w, e_j] tests abelian,
+    (`linalg._row_action`); [w, v] = sum_j v_j [w, e_j] tests abelian,
     and the residuals of the [w, e_j] test the ideal.  Only hits are
     spanned, and the walk of X stops after the first pivot set that holds
     one.
@@ -438,7 +426,7 @@ def _abelian_ideal_hits(L: AlgebraTable, d: int) -> list[Subspace]:
             seen_xp = xp
         ws = [[_dot_rows(x, col) % p for col in Bcols] for x in X]
         # [w, e_j] for every j, and [w, v] = sum_j v_j [w, e_j]
-        rights = [_brackets_with_basis(L, w) for w in ws]
+        rights = [_row_action(L._products, w, p) for w in ws]
         if any(any(_dot_rows(v, col) % p for col in zip(*R)) for R in rights for v in ws):
             continue
         pivots = C_pivots + list(zip([Bpiv[s] for s in xp], ws))

@@ -3,7 +3,9 @@
 `bracket` and `Subspace.from_vectors` work on cached sparse products and
 inline field arithmetic, `leibniz_failure` on packed integer words; here
 each is compared with a test-local reference that coerces every scalar
-itself, computes with `Fraction`s and reduces mod p at the end.  The frame
+itself, computes with `Fraction`s and reduces mod p at the end; the row
+contraction `_row_action` is compared with the pair brackets, and the
+Leibniz check's memory is pinned with `tracemalloc`.  The frame
 check `_is_frame`, which never inverts its matrix, is compared with
 `change_of_basis`.  Inputs mix canonical scalars with non-canonical ones
 (ints outside [0, p), ints over QQ, strings, fractions over GF(p)), and
@@ -13,6 +15,7 @@ from the standard fixtures under basis changes (all Leibniz).
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,6 +26,7 @@ from leibniz_algebras import algebra
 from leibniz_algebras.algebra import (
     AlgebraTable,
     _is_frame,
+    _scaled_bracket,
     bracket,
     center,
     change_of_basis,
@@ -33,7 +37,7 @@ from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2
 from leibniz_algebras.errors import DimensionMismatchError
 from leibniz_algebras.families import abelian_algebra, make_c, make_d
 from leibniz_algebras.fields import GF, QQ
-from leibniz_algebras.linalg import Matrix, Subspace
+from leibniz_algebras.linalg import Matrix, Subspace, _row_action
 
 from conftest import F3, F5, F7, disguise, rand_invertible, rational_change
 
@@ -226,6 +230,57 @@ def test_leibniz_failure_over_GF_p_is_the_first_failing_triple():
 
     check()
     assert seen == {"i = 0", "i > 0", "i = n - 1"}
+
+
+def test_leibniz_check_holds_one_row_of_packed_words():
+    """On a dense random GF(3) table at n = 24, each packed word is n^3 W
+    bits, W = 19: 32.8 KB, and all n^2 words Z_bt would take 18.9 MB.  The
+    check holds O(n) of them at once, so its traced peak stays below 8 n
+    words (6.3 MB), and its first failing triple is the reference's."""
+    n, F, p = 24, F3, 3
+    rng = random.Random(n)
+    c = [[[rng.randrange(p) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    L = AlgebraTable(F, c)
+    W = 2 * (n * (p - 1) ** 2 * (2 * p - 1)).bit_length() + 1
+    word = n**3 * W // 8
+    tracemalloc.start()
+    try:
+        got = leibniz_failure(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * word, peak
+    assert got == ref_leibniz_failure(F, c)
+
+
+@settings(max_examples=150)
+@given(
+    data=st.data(),
+    F=st.sampled_from((F3, F5, F7, QQ)),
+    n=st.integers(0, 6),
+    density=st.sampled_from((0.0, 0.25, 1.0)),
+    seed=st.integers(0, 2**32),
+)
+def test_row_action_matches_the_pair_brackets(data, F, n, density, seed):
+    """`_row_action` on the integer view, both sides, against n pair
+    brackets `_scaled_bracket(L, u, e_j)` and `_scaled_bracket(L, e_j, u)`:
+    each product of the table is nonzero with probability `density` (none,
+    sparse or dense), and the rows are the zero row and up to three drawn
+    ones, residues over GF(p) and ints over QQ."""
+    p = F.p
+    rng = random.Random(seed)
+
+    def entry():
+        return rng.randrange(p) if p else Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+
+    c = [[[entry() if rng.random() < density else 0 for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    L = AlgebraTable(F, c)
+    values = st.integers(0, p - 1) if p else st.integers(-4, 4)
+    rows = [[0] * n] + data.draw(st.lists(st.lists(values, min_size=n, max_size=n), max_size=3))
+    es = [[int(i == j) for i in range(n)] for j in range(n)]
+    for u in rows:
+        assert _row_action(L._products, u, p) == [list(_scaled_bracket(L, u, e)) for e in es]
+        assert _row_action(L._products, u, p, left=False) == [list(_scaled_bracket(L, e, u)) for e in es]
 
 
 @pytest.mark.parametrize("F", GF_CHECKED + (QQ,))

@@ -17,8 +17,10 @@ attribute.  The CLI prints a report only through its one renderer.  The
 self-test imports no internal name, and `search._scan_dim` is the one
 caller of the scan kernel.  `search._first_in_strata` is the one caller
 of `_debit_first` and `_abelian_hyperplanes`: one function loops over
-strata.  The scan kernel imports from the package only
-`fields` and `linalg`, and `linalg` imports nothing from the kernel.
+strata.  `linalg._row_action` is the one contraction of a row with the
+structure table: the kernel, `search` and `algebra` call it, and no module
+defines `_brackets_with_basis`.  The scan kernel imports from the package
+only `fields` and `linalg`, and `linalg` imports nothing from the kernel.
 Importing the package and its CLI loads neither `dataclasses` nor
 `inspect`: its records are named tuples."""
 
@@ -242,6 +244,22 @@ def test_one_driver_decides_and_debits_the_strata():
     # not walk, and the only one that decides alpha's stratum n-1
     for name in ("_debit_first", "_abelian_hyperplanes"):
         assert _callers(name) == [("search.py", "_first_in_strata")]
+
+
+def test_one_routine_contracts_a_row_with_the_table():
+    # the n rows [u, e_j] or [e_j, u] of a row u are read off `_products`
+    # in one place; the kernel, the abelian-ideal stratum, the operators and
+    # `mult_operator` keep no copy of the loop
+    assert sorted(set(_callers("_row_action"))) == [
+        ("_scan_py.py", "scan_subspaces"),
+        ("algebra.py", "_actions"),
+        ("algebra.py", "mult_operator"),
+        ("search.py", "_abelian_ideal_hits"),
+    ]
+    defined = {
+        node.name for module in MODULES for node in ast.walk(_tree(module)) if isinstance(node, ast.FunctionDef)
+    }
+    assert "_row_action" in defined and "_brackets_with_basis" not in defined
 
 
 def _prints(tree):

@@ -35,6 +35,7 @@ from leibniz_algebras.algebra import (
     is_ideal,
     is_subalgebra,
     left_annihilator,
+    mult_operator,
     normalizer,
     product_space,
     squares_ideal,
@@ -254,6 +255,14 @@ def test_brackets_match_the_fraction_sum(data, L):
             scaled = _scaled_bracket(L, iu, iv)
             assert all(type(x) is int for x in scaled)
             assert scaled == tuple(x * D * du * dv for x in want)
+    # the operators of the drawn rows: column j is [u, e_j] or [e_j, u]
+    es = [L.basis_vector(j) for j in range(n)]
+    for u in rows[:3]:
+        for side in ("left", "right"):
+            op = mult_operator(L, u, side)
+            cols = [ref_bracket(L, u, e) if side == "left" else ref_bracket(L, e, u) for e in es]
+            assert op.data == tuple(zip(*cols))
+            assert_fractions(x for row in op.data for x in row)
 
 
 @settings(max_examples=150)
