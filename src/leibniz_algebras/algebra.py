@@ -244,8 +244,22 @@ def _scaled_bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
 
 
 def _ones(count: int, width: int) -> int:
-    """The packed int with `count` fields of `width` bits, each holding 1."""
-    return ((1 << width * count) - 1) // ((1 << width) - 1)
+    """The packed int with `count` fields of `width` bits, each holding 1.
+
+    Built by doubling shifts, one per bit of `count`: `block` holds `size`
+    fields, and each set bit of `count` places it above the fields placed
+    so far.  No word is longer than the result, so the cost is linear in
+    its bit length, where a division by 2^width - 1 is quadratic."""
+    out, filled, block, size = 0, 0, 1, 1
+    while count:
+        if count & 1:
+            out |= block << width * filled
+            filled += size
+        count >>= 1
+        if count:
+            block |= block << width * size
+            size *= 2
+    return out
 
 
 @_per_table

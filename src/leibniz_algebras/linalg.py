@@ -759,8 +759,11 @@ def canonical_subspaces(n: int, p: int, d: int, row_values_for=None):
     entries (at columns `cols`; its pivot is at column `pc`) to walk on, a
     subsequence of `itertools.product(range(p), repeat=len(cols))`.  A
     value it leaves out cuts every subspace that shares rows 0..r, and the
-    indices skip them.  Outside 0 <= d <= n there is no subspace, and
-    nothing is yielded.
+    indices skip them.  Row 0's first value is asked for before anything
+    else of the pivot set is built: its `rows` is still empty then, and
+    filled in place once a value comes, so a set whose row 0 yields
+    nothing costs that one call.  Outside 0 <= d <= n there is no
+    subspace, and nothing is yielded.
     """
     if not 0 <= d <= n:
         return
@@ -772,28 +775,35 @@ def canonical_subspaces(n: int, p: int, d: int, row_values_for=None):
             if row_values is None:
                 offset += _pivot_set_size(n, p, piv)
                 continue
-        pivset = set(piv)
-        free = [[c for c in range(piv[r] + 1, n) if c not in pivset] for r in range(d)]
-        # below[r]: subspaces sharing rows 0..r
-        below = [1] * d
-        for r in range(d - 2, -1, -1):
-            below[r] = below[r + 1] * p ** len(free[r + 1])
-        rows = [[0] * n for _ in range(d)]
-        for r in range(d):
-            rows[r][piv[r]] = 1
+        rows = []
         if d == 0:
             yield offset, piv, rows
             offset += 1
             continue
+        pivset = set(piv)
 
-        def values(r):
+        def values(r, cols):
             if row_values is None:
-                return itertools.product(range(p), repeat=len(free[r]))
-            return row_values(rows, r, piv[r], free[r])
+                return itertools.product(range(p), repeat=len(cols))
+            return row_values(rows, r, piv[r], cols)
 
+        free0 = [c for c in range(piv[0] + 1, n) if c not in pivset]
+        walk0 = values(0, free0)
+        first = next(walk0, None)
+        if first is None:
+            offset += _pivot_set_size(n, p, piv)
+            continue
+        free = [free0] + [[c for c in range(piv[r] + 1, n) if c not in pivset] for r in range(1, d)]
+        # below[r]: subspaces sharing rows 0..r
+        below = [1] * d
+        for r in range(d - 2, -1, -1):
+            below[r] = below[r + 1] * p ** len(free[r + 1])
+        rows += ([0] * n for _ in range(d))
+        for r in range(d):
+            rows[r][piv[r]] = 1
         # start[r]: index of the first subspace sharing rows 0..r-1
         start = [offset] * d
-        walks = [values(0)] + [None] * (d - 1)
+        walks = [itertools.chain((first,), walk0)] + [None] * (d - 1)
         r = 0
         while r >= 0:
             vals = next(walks[r], None)
@@ -811,7 +821,7 @@ def canonical_subspaces(n: int, p: int, d: int, row_values_for=None):
             else:
                 r += 1
                 start[r] = index
-                walks[r] = values(r)
+                walks[r] = values(r, free[r])
         offset += below[0] * p ** len(free[0])
 
 

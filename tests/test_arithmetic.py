@@ -253,6 +253,19 @@ def test_leibniz_check_holds_one_row_of_packed_words():
     assert got == ref_leibniz_failure(F, c)
 
 
+def test_repunit_matches_the_sum_of_its_fields():
+    """`_ones(count, width)` is the sum of 1 << width * i over i < count,
+    from count = 0 and at widths above a machine word.  Built by doubling
+    shifts it is linear in its bit length, so the Leibniz check of the
+    all-zero GF(3) table at n = 64, whose t3 mask is _ones(64, W 64^2)
+    with W = 23, finishes at once; by a big-int division that mask alone
+    took about a second."""
+    for count in (*range(18), 31, 32, 33, 100):
+        for width in (1, 2, 3, 19, 63, 64, 65, 130):
+            assert algebra._ones(count, width) == sum(1 << width * i for i in range(count))
+    assert leibniz_failure(AlgebraTable._from_products(F3, 64, {})) is None
+
+
 @settings(max_examples=150)
 @given(
     data=st.data(),

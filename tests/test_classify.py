@@ -893,10 +893,12 @@ def _computations(monkeypatch, L, request):
     find no cached value), is_lie(L) (as skew-symmetry checks of L), [L, L]
     (as product spaces of L's full space with itself) and the nilradical
     certificate of L (as calls of nilradical on L that find no cached
-    value; a matched frame enters the nilradical without one).  Every
+    value; a matched frame enters the nilradical without one), and how
+    often it calls `_heisenberg_frame` and `subalgebra_table` on L.  Every
     binding of these functions in the package is wrapped."""
     counts = Counter()
     full = L.full_space()
+    classify_module = sys.modules["leibniz_algebras.classify"]
 
     def computes(name):
         return lambda T: T is L and name not in T._cache
@@ -906,6 +908,8 @@ def _computations(monkeypatch, L, request):
         (algebra._is_skew, "skew checks", lambda T: T is L),
         (algebra.product_space, "[L, L]", lambda T, U, V: T is L and U == V == full),
         (nilradical, "nilradical certificates", computes("nilradical")),
+        (classify_module._heisenberg_frame, "heisenberg frames", lambda T, W: T is L),
+        (subalgebra_table, "subalgebra tables", lambda T, W: T is L),
     ]
     modules = [m for name, m in sys.modules.items() if name.startswith("leibniz_algebras")]
     with monkeypatch.context() as m:
@@ -933,6 +937,66 @@ def test_verify_computes_nothing_classify_computed(monkeypatch, name):
     assert _computations(monkeypatch, M, lambda: classify(M)) == in_verify
     assert in_verify["skew checks"] == in_verify["center computations"] == 1
     assert center(L) is center(L)
+
+
+def _heisenberg_verdicts():
+    """The standard fixtures over GF(3), GF(5) and GF(7) that classify as
+    Case1_c or Case3_e, one-dimensional solvable extensions of heisenberg
+    (+) F^k, as fresh tables with their verdicts.  Over GF(5) -1 is a
+    square, so the fixtures' rotation is reducible and none of them is
+    one; there c(m), c(m) (+) F and e(phi, -phi, e0, 4) take the rotation
+    m = [[0, 1], [2, 0]], chi = t^2 - 2, instead."""
+    m = Matrix(F5, [[0, 1], [2, 0]])
+    phi = Matrix(F5, [[0, 2, 0], [1, 0, 0], [0, 0, 0]])
+    gf5 = [
+        make_c(m, F5),
+        direct_sum(make_c(m, F5), abelian_algebra(1, F5)),
+        make_e(phi, -phi, (0, 0, 1), 4, F5),
+    ]
+    out = []
+    for F in (F3, F5, F7):
+        for L in standard_fixtures(F) + (gf5 if F is F5 else []):
+            verdict = classify(L)
+            if verdict.case in (Case.CASE1_C, Case.CASE3_E):
+                out.append((AlgebraTable(F, L.c, name=L.name), verdict))
+    assert {L.field for L, _ in out} == {F3, F5, F7}
+    assert {v.case for _, v in out} == {Case.CASE1_C, Case.CASE3_E}
+    return out
+
+
+def test_verify_repeats_no_heisenberg_search(monkeypatch):
+    # the Heisenberg claims and Case3_e's Z are read off the verdict's
+    # frame: the verifier runs no matcher helper and builds no subalgebra
+    # table beyond its classify call
+    for L, verdict in _heisenberg_verdicts():
+        M = AlgebraTable(L.field, L.c, name=L.name)
+        by_classify = _computations(monkeypatch, M, lambda: classify(M))
+        assert by_classify["heisenberg frames"] == 1, L.name
+        assert _computations(monkeypatch, L, lambda: verify_main_theorem(L)) == by_classify, L.name
+
+
+def test_verify_fails_a_frame_with_two_rows_swapped(monkeypatch):
+    # a frame whose rows 0 and 1 are swapped puts the generator among the
+    # rows that span L2 (N): the Heisenberg claim fails on it, and for
+    # Case3_e the claims of the lemma, whose Z = C(N) rests on that span
+    classify_module = sys.modules["leibniz_algebras.classify"]
+    claim = {
+        Case.CASE1_C: "derived subalgebra is a heisenberg algebra",
+        Case.CASE3_E: "nilradical is heisenberg (+) F^(n-4)",
+    }
+    for L, verdict in _heisenberg_verdicts():
+        status = {c.name: c.status for c in verify_main_theorem(L).claims}
+        assert status[claim[verdict.case]] == "pass", L.name
+        rows = list(verdict.witness["frame"].data)
+        rows[0], rows[1] = rows[1], rows[0]
+        swapped = verdict._replace(witness={**verdict.witness, "frame": Matrix(L.field, rows)})
+        with monkeypatch.context() as m:
+            m.setattr(classify_module, "classify", lambda *a, **k: swapped)
+            report = verify_main_theorem(L)
+        status = {c.name: c.status for c in report.claims}
+        assert status[claim[verdict.case]] == "fail" and not report.ok, L.name
+        if verdict.case is Case.CASE3_E:
+            assert status["beta = n-3"] == "fail", L.name
 
 
 def test_verify_rotext_plus_f2_under_default_budgets():
