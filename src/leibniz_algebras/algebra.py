@@ -29,13 +29,15 @@ decorated with `_per_table` (the Leibniz check, the squares ideal, the Lie
 test and the center here; the series, the trace kernel and the nilradical
 in `invariants`; the largest form rank in `search`) stores its value in the table's `_cache` dict under the
 function's name, None included; a call that raises stores nothing, so it
-raises again.  Two entries can also be filled from outside their function,
-each with a value proved equal to what it would compute: a subalgebra,
-quotient or basis change of a table that passed the Leibniz check inherits
-the pass (`_inherit_leibniz`); and a Case1_c or Case2_d frame that `classify`
-matched enters the nilradical (`invariants._proved_nilradical`).  No other
-entry is.  Every entry depends on the field and c alone, never on the name,
-so `rename` keeps the view and the cache.
+raises again.  Three entries can also be filled from outside their
+function, each with a value proved equal to what it would compute: a
+subalgebra, quotient or basis change of a table that passed the Leibniz
+check inherits the pass (`_inherit_leibniz`); a subalgebra table of a table
+whose Lie test passed inherits the pass (`subalgebra_table`); and a
+Case1_c or Case2_d frame that `classify` matched, or a Case3_e frame of the
+trace kernel, enters the nilradical (`invariants._proved_nilradical`).  No
+other entry is.  Every entry depends on the field and c alone, never on
+the name, so `rename` keeps the view and the cache.
 
 The Leibniz check (`leibniz_failure`) runs in packed integer words.  For
 each i the defects D_i(j, k, t) of [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] +
@@ -67,12 +69,14 @@ from .linalg import (
     Matrix,
     Subspace,
     _chain,
+    _clear,
     _coords_in_rows,
     _dependencies,
     _dot_rows,
     _echelon,
     _fractions,
     _integer_row,
+    _lead,
     _matmul,
     _row_action,
     subspace_sum,
@@ -502,8 +506,27 @@ def product_space(L: AlgebraTable, U: Subspace, V: Subspace) -> Subspace:
     """Span of all [u, v] over basis vectors of U and V."""
     _check_subspace(L, U)
     _check_subspace(L, V)
-    gens = [_scaled_bracket(L, u, v) for u in U._rows for v in V._rows]
-    return Subspace._span(L.field, L.dim, gens)
+    return _product_within(L, U, V, L.full_space())
+
+
+def _product_within(L: AlgebraTable, U: Subspace, V: Subspace, bound: Subspace) -> Subspace:
+    """[U, V] for a [U, V] that lies in `bound`, which the caller vouches
+    for: the span of the brackets taken so far is grown one row at a time
+    (`linalg._clear`), and once its dimension reaches dim bound it is
+    bound, which is returned with no further bracket.  `product_space`
+    passes L itself.  The descending chains, [Dk, Dk] <= Dk, [L, Ck] <= Ck
+    and [U, Ck] <= Ck for a subalgebra U, pass the term they step from:
+    the step that finds the chain stalled stops at its bound."""
+    p, n = L.field.p, L.dim
+    found = []
+    for u in U._rows:
+        for v in V._rows:
+            lead = _lead(p, _clear(p, _scaled_bracket(L, u, v), found), n)
+            if lead is not None:
+                found.append(lead)
+                if len(found) == bound.dim:
+                    return bound
+    return Subspace._span(L.field, n, [w for _, w in found])
 
 
 def _derived_space(L: AlgebraTable) -> Subspace:
@@ -568,7 +591,9 @@ def subalgebra_table(L: AlgebraTable, U: Subspace) -> AlgebraTable:
     canonical rows: over QQ, for the integer rows s_a b_a and s_b b_b of
     the RREF rows b_a, b_b (s the pivot), w = D s_a s_b [b_a, b_b], whose
     coordinates are w[pc] / (D s_a s_b), pc the pivots.  The nonzero
-    products build the table (`AlgebraTable._from_products`)."""
+    products build the table (`AlgebraTable._from_products`).  It inherits
+    a passed Leibniz check, and a passed Lie test: a subalgebra of a Lie
+    algebra is Lie."""
     _check_subspace(L, U)
     rows, pivots = U._rows, U.pivots
     D = L._D
@@ -581,7 +606,10 @@ def subalgebra_table(L: AlgebraTable, U: Subspace) -> AlgebraTable:
             if any(w):
                 coords = [w[pc] for pc in pivots]
                 products[i, j] = tuple(coords) if L.field.p else _fractions(coords, D * a[pa] * b[pb])
-    return _inherit_leibniz(L, AlgebraTable._from_products(L.field, len(rows), products))
+    T = _inherit_leibniz(L, AlgebraTable._from_products(L.field, len(rows), products))
+    if L._cache.get("is_lie"):
+        T._cache["is_lie"] = True  # a subalgebra of a Lie algebra is Lie
+    return T
 
 
 def quotient(L: AlgebraTable, I: Subspace) -> tuple[AlgebraTable, Matrix]:

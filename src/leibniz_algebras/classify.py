@@ -41,7 +41,6 @@ from .algebra import (
     _inherit_leibniz,
     _is_frame,
     center,
-    direct_sum,
     is_abelian_subspace,
     is_ideal,
     is_lie,
@@ -50,11 +49,12 @@ from .algebra import (
     subalgebra_table,
 )
 from .errors import ConsistencyError, FamilyParameterError, NoAbelianIdealError
-from .families import _e_table, abelian_algebra, make_c, make_d
+from .families import _c_table, _d_table, _e_table
 from .fields import FieldSpec, _least_nonresidue, _sqrt_mod
 from .invariants import (
     SeriesReport,
     _proved_nilradical,
+    _trace_kernel,
     nilradical,
     series,
 )
@@ -268,9 +268,7 @@ def _match_case1(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
     m = Matrix._canonical(F, [au[:2], aw[:2]], 2)
     if not is_irreducible_quadratic(char_poly_2x2(m), F):
         return {"abelian_ideal": _eigenline_ideal(L, CL, m, u, w)}
-    model = make_c(m, F)
-    if n > 4:
-        model = direct_sum(model, abelian_algebra(n - 4, F))
+    model = _c_table(m, n, F)
     frame = Matrix._canonical(F, [a, z, u, w] + fs, n)
     if not _is_frame(L, frame, model):
         raise ConsistencyError("case-1 frame does not transport the table onto the model")
@@ -367,11 +365,9 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
         raise ConsistencyError("no standard triple found in the simple part")
     _, chi, m, h_t, u_t, w_t = best
     try:
-        model = make_d(m, F)
+        model = _d_table(m, n, F)
     except FamilyParameterError as exc:
         raise ConsistencyError("extracted action matrix has nonzero trace") from exc
-    if n > 3:
-        model = direct_sum(model, abelian_algebra(n - 3, F))
     frame_rows = [L2.basis.apply_row(t) for t in (h_t, u_t, w_t)]
     frame_rows += list(CL.basis.data)
     frame = Matrix._canonical(F, frame_rows, n)
@@ -380,12 +376,14 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
     return {"chi": chi, "m": m, "frame": frame, "model": model}
 
 
-def _match_case3(L: AlgebraTable, rep, N) -> dict | None:
+def _match_case3(L: AlgebraTable, rep, N, frame_amb) -> dict | None:
     """Case3_e: solvable, nilradical N of codimension 1 isomorphic to
     heisenberg (+) F^(n-4), and the outside generator x acting irreducibly on
-    N / C(N).  Frame (x, u, w, z, f..) matching  e(phi, theta, v, n).  A
-    reducible action returns {"abelian_ideal": W} instead: C(N) plus an
-    eigenline of the action, an abelian ideal of codimension 2.
+    N / C(N).  Frame (x, u, w, z, f..) matching  e(phi, theta, v, n), from
+    `frame_amb`, the rows `_heisenberg_frame(L, N)` gave the caller
+    (`_case3_nilradical`), or None.  A reducible action returns
+    {"abelian_ideal": W} instead: C(N) plus an eigenline of the action, an
+    abelian ideal of codimension 2.
 
     With an irreducible action, L has no abelian ideal of codimension <= 2,
     which the QQ path of `classify` relies on without a scan: an abelian
@@ -397,10 +395,7 @@ def _match_case3(L: AlgebraTable, rep, N) -> dict | None:
     such line."""
     F = L.field
     n = L.dim
-    if not rep.solvable or N.dim != n - 1:
-        return None
-    frame_amb = _heisenberg_frame(L, N)
-    if frame_amb is None:
+    if not rep.solvable or N.dim != n - 1 or frame_amb is None:
         return None
     x = L.basis_vector(_least_index_outside(L, N))
     # [x, b] and [b, x] lie in the ideal N, as does [x, x]: the squares span
@@ -435,6 +430,32 @@ def _match_case3(L: AlgebraTable, rep, N) -> dict | None:
     }
 
 
+def _case3_nilradical(L: AlgebraTable, rep) -> tuple:
+    """(N, frame): N = Nil(L), and for `_match_case3` the rows
+    `_heisenberg_frame(L, N)` gives when N has codimension 1, else None.
+
+    Lemma.  Let K be the trace kernel (`invariants._trace_kernel`, cached
+    on L), which holds every nilpotent ideal.  If K has
+    dimension n-1 and is an ideal, and its frame exists, K's table is
+    heisenberg (+) F^k, with [K, K] in C(K), so K is a nilpotent ideal and
+    Nil(L) = K: it is entered without the certificate
+    (`invariants._proved_nilradical`), and its frame is handed on.  (L is
+    not nilpotent, as `series` says, and as dim K = n-1 implies: in a
+    nilpotent L every L_x W is nilpotent, so K = L.)  If the frame fails,
+    Nil(L) is K or of dimension below n-1, and has no frame either; it is
+    certified, and the frame is not tried again.  Otherwise the certificate
+    `invariants.nilradical` gives N, and N's frame is tried."""
+    n = L.dim
+    K = _trace_kernel(L)
+    if K.dim == n - 1 and not rep.nilpotent and is_ideal(L, K):
+        frame = _heisenberg_frame(L, K)
+        if frame is not None:
+            return _proved_nilradical(L, K), frame
+        return nilradical(L), None
+    N = nilradical(L)
+    return N, (_heisenberg_frame(L, N) if N.dim == n - 1 else None)
+
+
 # ---------------------------------------------------------------------------
 # classification
 
@@ -466,8 +487,8 @@ def _alpha_and_ideal(L: AlgebraTable, A: Subspace | None):
     stratum n-2 comes next, decided by the rank bound or by the candidates
     between the center and the trace kernel; that ideal, or a supplied
     witness A, abelian of codimension 2, proves alpha = n-2.  Only without
-    either are alpha's strata <= n-2 decided, by the rank bound or the
-    kernel's walk."""
+    either are alpha's strata <= n-2 decided, by the rank bound, the first
+    candidate of stratum dim C(L) + 1, or the kernel's walk."""
     n = L.dim
     d = _first_in_strata(L, (n, n - 1))[0]
     if d is not None:
@@ -493,29 +514,33 @@ def classify(
 
     Over a prime field everything is decided exhaustively, in one request
     whose `budget` bounds the subspaces counted (`_alpha_and_ideal`), by
-    the strata driver `search._first_in_strata` and its four deciders:
+    the strata driver `search._first_in_strata` and its five deciders:
     strata n and n-1 of alpha in closed form, then, when both are empty,
     the abelian ideals of dimension n-2, by the rank bound or by the
     candidates between the center and the trace kernel.  An ideal found
     there, or a witness A, proves alpha = n-2 with no walk; otherwise
-    alpha's strata <= n-2 are decided by the rank bound or the kernel's
-    walk.  Each stratum is debited what a walk of it would count.  The
-    nilradical counts nothing.
+    alpha's strata <= n-2 are decided by the rank bound, the first
+    candidate of stratum dim C(L) + 1, or the kernel's walk.  Each stratum
+    is debited what a walk of it would count.  The nilradical counts
+    nothing.
     Over the rationals a codimension-2 abelian subalgebra witness A is
     required and alpha = n-2 is assumed, not checked; an abelian ideal is
     looked for among A and center(L) + [L, L], then the matchers decide,
     and every reported structure is checked.
 
     The nilradical N, reported as `dim_nilradical` on every answer the
-    matchers give, comes from one of two places.  A Case2_d or
-    Case1_c frame that matched proves it: N is C(L) or [L, L] + C(L) by the
-    lemmas of `_match_case2` and `_match_case1`, and it is entered in L's
-    nilradical cache entry (`invariants._proved_nilradical`).  Otherwise,
-    before Case3_e's matcher, which takes N as its input, and for a
-    reducible action's abelian ideal, the certificate `invariants.nilradical`
-    computes it.  A supplied nilradical candidate is checked once, whatever
-    the verdict: it must equal the exact nilradical, or ValueError is
-    raised.  A negative budget is a ValueError over either field.
+    matchers give, is proved by a frame where one exists, and entered in
+    L's nilradical cache entry (`invariants._proved_nilradical`).  A
+    Case2_d or Case1_c frame that matched proves N to be C(L) or [L, L] +
+    C(L) by the lemmas of `_match_case2` and `_match_case1`.  Before
+    Case3_e's matcher, which takes N and its Heisenberg frame as its input,
+    a frame of the trace kernel K proves N = K when K is an ideal of
+    codimension 1 (`_case3_nilradical`), and is handed to the matcher.
+    Otherwise, and for a reducible action's abelian ideal, the certificate
+    `invariants.nilradical` computes N.  A supplied nilradical candidate is
+    checked once, whatever the verdict: it must equal the exact nilradical,
+    or ValueError is raised.  A negative budget is a ValueError over either
+    field.
     """
     require_leibniz(L)
     F = L.field
@@ -573,7 +598,9 @@ def classify(
     case, witness = Case.CASE2_D, _match_case2(L, lie, rep, CL, L2)
     if witness is None:
         case, witness = Case.CASE1_C, _match_case1(L, lie, rep, CL, L2)
-    if witness is not None and "frame" in witness:
+    if witness is None:
+        N, frame_n = _case3_nilradical(L, rep)
+    elif "frame" in witness:
         # the matched frame proves Nil(L) (`_match_case1`, `_match_case2`)
         N = _proved_nilradical(L, subspace_sum(L2, CL) if case is Case.CASE1_C else CL)
     else:
@@ -581,7 +608,7 @@ def classify(
     _check_nilradical_candidate(N, nilradical_candidate)
     diagnostics["dim_nilradical"] = N.dim
     if witness is None:
-        case, witness = Case.CASE3_E, _match_case3(L, rep, N)
+        case, witness = Case.CASE3_E, _match_case3(L, rep, N, frame_n)
 
     if witness is not None:
         if "abelian_ideal" in witness:
@@ -664,10 +691,11 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
     so I lies in Z.  Z is C(L) for Case1_c and Case2_d, and C(N) for
     Case3_e once N is shown to be Nil(L), which holds every abelian ideal,
     these being nilpotent ideals.  N is shown to be Nil(L) by comparison
-    with the nilradical that `classify` certified and cached on L, a
-    nilpotent ideal; of codimension 1, it also shows L not nilpotent.  That
-    Z has dimension n-3, is an ideal and is abelian is checked; if not, the
-    claims the lemma gives fail.
+    with the nilradical that `classify` cached on L, a nilpotent ideal:
+    the trace kernel that its Heisenberg frame proved to be Nil(L)
+    (`_case3_nilradical`), or else the certificate's; of codimension 1, it
+    also shows L not nilpotent.  That Z has dimension n-3, is an ideal and
+    is abelian is checked; if not, the claims the lemma gives fail.
     Case2_d's L / C(L) = Q is 3-dim simple iff [L, L] + C(L) = L, i.e. Q is
     perfect: a quotient of Q by a proper nonzero ideal would be perfect of
     dimension <= 2, so solvable, so 0.  The frame claim is read off the

@@ -34,11 +34,21 @@ from .linalg import Matrix, Subspace
 def _skew_table(field: FieldSpec, dim: int, upper: dict, name: str) -> AlgebraTable:
     """The table with [e_i, e_j] = upper[(i, j)] and [e_j, e_i] its
     negative for each (i, j) in upper, i < j, and every other product 0.
-    The entries are negated as given and coerced once, by `from_products`."""
-    products = dict(upper)
+    A vector shorter than `dim` is padded with zeros: the table of X (+)
+    F^k, X the table of the vectors as given.  Each given entry is coerced
+    once and negated in the field, and the products build the table
+    (`AlgebraTable._from_products`)."""
+    products = {}
     for (i, j), vec in upper.items():
-        products[(j, i)] = tuple(-x for x in vec)
-    return AlgebraTable.from_products(field, dim, products, name=name)
+        vec = products[i, j] = tuple(map(field.of, vec)) + (field.zero,) * (dim - len(vec))
+        products[j, i] = tuple(map(field.neg, vec))
+    return AlgebraTable._from_products(field, dim, products, name=name)
+
+
+def _with_abelian(name: str, k: int) -> str:
+    """The name `direct_sum` gives X (+) abelian(k), X named `name`; X's
+    own when k = 0."""
+    return "%s (+) abelian(%d)" % (name, k) if k else name
 
 
 def _check_2x2(m: Matrix, label: str) -> None:
@@ -159,12 +169,9 @@ def make_b(lam: Matrix, mu: Matrix, field: FieldSpec) -> AlgebraTable:
     return _skew_table(field, 4, _pair_products(lam, mu), "b(lam,mu)")
 
 
-def make_c(lam: Matrix, field: FieldSpec) -> AlgebraTable:
-    """Family c: skew action of a on span(x, y) plus [x, y] = -[y, x] = b.
-
-    The table is Leibniz (equivalently Lie) exactly when lam is traceless;
-    construction itself never rejects.
-    """
+def _c_table(lam: Matrix, dim: int, field: FieldSpec) -> AlgebraTable:
+    """c(lam) (+) F^(dim - 4) (`make_c`), with lam's shape checked, written
+    down at dimension `dim` under the name `direct_sum` would give it."""
     _check_2x2(lam, "lam")
     l = lam.data
     upper = {
@@ -172,11 +179,13 @@ def make_c(lam: Matrix, field: FieldSpec) -> AlgebraTable:
         (0, 3): (0, 0, l[1][0], l[1][1]),
         (2, 3): (0, 1, 0, 0),
     }
-    return _skew_table(field, 4, upper, "c(lam)")
+    return _skew_table(field, dim, upper, _with_abelian("c(lam)", dim - 4))
 
 
-def make_d(m: Matrix, field: FieldSpec) -> AlgebraTable:
-    """Family d: 3-dim skew table [h,x], [h,y] given by a traceless m, [x,y] = h."""
+def _d_table(m: Matrix, dim: int, field: FieldSpec) -> AlgebraTable:
+    """d(m) (+) F^(dim - 3) (`make_d`), with m's shape and trace checked,
+    written down at dimension `dim` under the name `direct_sum` would give
+    it."""
     _check_2x2(m, "m")
     if field.of(m.trace()) != field.zero:
         raise FamilyParameterError("parameter matrix must be traceless")
@@ -186,7 +195,21 @@ def make_d(m: Matrix, field: FieldSpec) -> AlgebraTable:
         (0, 2): (0, mm[1][0], mm[1][1]),
         (1, 2): (1, 0, 0),
     }
-    return _skew_table(field, 3, upper, "d(m)")
+    return _skew_table(field, dim, upper, _with_abelian("d(m)", dim - 3))
+
+
+def make_c(lam: Matrix, field: FieldSpec) -> AlgebraTable:
+    """Family c: skew action of a on span(x, y) plus [x, y] = -[y, x] = b.
+
+    The table is Leibniz (equivalently Lie) exactly when lam is traceless;
+    construction itself never rejects.
+    """
+    return _c_table(lam, 4, field)
+
+
+def make_d(m: Matrix, field: FieldSpec) -> AlgebraTable:
+    """Family d: 3-dim skew table [h,x], [h,y] given by a traceless m, [x,y] = h."""
+    return _d_table(m, 3, field)
 
 
 def heisenberg(field: FieldSpec) -> AlgebraTable:

@@ -17,6 +17,7 @@ from .algebra import (
     _check_subspace,
     _derived_space,
     _per_table,
+    _product_within,
     is_abelian_subspace,
     is_ideal,
     left_annihilator,
@@ -56,7 +57,11 @@ class FittingSplit(NamedTuple):
 def series(L: AlgebraTable) -> SeriesReport:
     """Derived and lower central series of L.  Both start with D1 = C2 =
     [L, L], which is read off the table (`algebra._derived_space`), and go
-    on from there by brackets; a perfect L's chains both stop at L.
+    on from there by brackets; a perfect L's chains both stop at L.  Both
+    only shrink, D(k+1) = [Dk, Dk] <= Dk and C(k+1) = [L, Ck] <= Ck, so
+    each step is bounded by the term it steps from
+    (`algebra._product_within`): a step whose brackets span dim Dk (dim
+    Ck) has found the chain stalled and takes no more.
 
     When L2 = [L, L] is perfect, [L2, L2] = L2, the derived chain stops at
     L2, and so does the lower central one, with no bracket taken:
@@ -67,11 +72,11 @@ def series(L: AlgebraTable) -> SeriesReport:
     if L2 == full:
         derived = lower = [full]
     else:
-        derived = [full, *_chain(L2, lambda D: product_space(L, D, D))]
+        derived = [full, *_chain(L2, lambda D: _product_within(L, D, D, D))]
         if len(derived) == 2:
             lower = derived
         else:
-            lower = [full, *_chain(L2, lambda C: product_space(L, full, C))]
+            lower = [full, *_chain(L2, lambda C: _product_within(L, full, C, C))]
     solvable = derived[-1].is_zero()
     nilpotent = lower[-1].is_zero()
     length = len(derived) - 1 if solvable else None
@@ -110,8 +115,10 @@ def fitting_decomposition(L: AlgebraTable, A: Subspace) -> FittingSplit:
 
 def _is_nilpotent_subalgebra(L: AlgebraTable, U: Subspace) -> bool:
     """Lower central series of the subalgebra U, computed in the ambient
-    coordinates of L: C1 = U, C(k+1) = [U, Ck] decreases to zero or stalls."""
-    return _chain(U, lambda C: product_space(L, U, C))[-1].is_zero()
+    coordinates of L: C1 = U, C(k+1) = [U, Ck] decreases to zero or stalls.
+    As U is a subalgebra, [U, Ck] <= Ck, and each step stops at that bound
+    (`algebra._product_within`)."""
+    return _chain(U, lambda C: _product_within(L, U, C, C))[-1].is_zero()
 
 
 def _trace_rows(L: AlgebraTable) -> list:
@@ -185,11 +192,13 @@ def nilradical(L: AlgebraTable) -> Subspace:
     ideal of L before it is returned, and cached on L.
 
     The cache entry is filled a third way, without this certificate: a
-    Case1_c or Case2_d frame that `classify` matched proves Nil(L) to be
-    [L, L] + C(L), heisenberg (+) F^(n-4) of codimension 1 in a
-    non-nilpotent L (`classify._match_case1`), or C(L), L / C(L) being
-    simple (`classify._match_case2`), and enters it
-    (`_proved_nilradical`).
+    frame that `classify` matched proves Nil(L) and enters it
+    (`_proved_nilradical`).  A Case1_c frame proves it to be [L, L] + C(L),
+    heisenberg (+) F^(n-4) of codimension 1 in a non-nilpotent L
+    (`classify._match_case1`); a Case2_d frame, C(L), L / C(L) being
+    simple (`classify._match_case2`); and a Case3_e frame of K, K itself,
+    when K is an ideal of codimension 1 whose table is heisenberg (+)
+    F^(n-4), so nilpotent (`classify._case3_nilradical`).
     """
     require_leibniz(L)
     for kernel in (_trace_kernel, _envelope_radical):

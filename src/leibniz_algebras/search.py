@@ -11,7 +11,7 @@ its Gaussian binomial and one with a hit its first hit's index + 1.
 
 The top-down searches (`alpha`, `beta`, `classify`'s strata and
 `solvability_from_codim2_ideal`) run through one driver,
-`_first_in_strata`, which decides each stratum by one of four deciders
+`_first_in_strata`, which decides each stratum by one of five deciders
 and debits it once, what a walk of it would count (`_debit_first`):
 - alpha's strata n and n-1 in closed form, from the structure constants
   and one structure slice (`_abelian_hyperplanes`);
@@ -19,8 +19,10 @@ and debits it once, what a walk of it would count (`_debit_first`):
   no hit and is not searched;
 - an abelian-ideal stratum by its candidates between the center C(L) and
   the trace kernel K below (`_abelian_ideal_hits`), with no walk;
-- alpha's strata <= n-2 by the kernel's walk (`_scan_dim`), cut to the
-  subspaces that contain C(L).
+- alpha's stratum dim C(L) + 1 by its first candidate, C(L) + span(v),
+  when [v, v] = 0 (`_first_line_over_center`), with no walk;
+- alpha's other strata <= n-2 by the kernel's walk (`_scan_dim`), cut to
+  the subspaces that contain C(L).
 The collect-all walks are not cut by the center: below alpha an abelian
 subalgebra may miss C(L).
 
@@ -59,6 +61,7 @@ from .algebra import (
     AlgebraTable,
     _is_frame,
     _per_table,
+    _scaled_bracket,
     bracket,
     center,
     generated_subalgebra,
@@ -309,6 +312,8 @@ def _first_in_strata(L: AlgebraTable, dims, ideal: bool = False):
       RANK_BOUND_GATE candidates, so small tables never compute it;
     - every other abelian-ideal stratum: the candidates between C(L) and
       the trace kernel (`_abelian_ideal_hits`);
+    - alpha's stratum dim C + 1: its first candidate, when it is abelian
+      (`_first_line_over_center`), and otherwise the walk;
     - every other stratum of alpha: the kernel's walk (`_scan_dim`), cut
       by the center.
 
@@ -321,8 +326,11 @@ def _first_in_strata(L: AlgebraTable, dims, ideal: bool = False):
     the candidates of a stratum number the Gaussian binomial of L/C, or of
     K/C for ideals, K the trace kernel.
 
-    Every other decider finds all of a stratum's hits, or a subset holding
-    the first, and `_debit_first` debits what the walk would count."""
+    So the hits of stratum dim C + 1 are the C + span(v) with [v, v] = 0,
+    and when the canonically first of its candidates is one, it is the
+    first hit.  Every decider but the walk finds all of a stratum's hits,
+    or a subset holding the first, and `_debit_first` debits what the walk
+    would count."""
     n, p = L.dim, L.field.p
     total = 0
     for d in dims:
@@ -342,16 +350,49 @@ def _first_in_strata(L: AlgebraTable, dims, ideal: bool = False):
             elif ideal:
                 hits = _abelian_ideal_hits(L, d)
             else:
-                scanned, hits = _scan_dim(L, d, MODE_ABELIAN, 1, C._rows)
-                total += scanned
-                if hits:
-                    return d, hits[0], total
-                continue
+                hits = _first_line_over_center(L, C) if d == C.dim + 1 else []
+                if not hits:
+                    scanned, hits = _scan_dim(L, d, MODE_ABELIAN, 1, C._rows)
+                    total += scanned
+                    if hits:
+                        return d, hits[0], total
+                    continue
         first, scanned = _debit_first(L, d, hits)
         total += scanned
         if first is not None:
             return d, first, total
     return None, None, total
+
+
+def _first_line_over_center(L: AlgebraTable, C: Subspace) -> list[Subspace]:
+    """[W], W the canonically first subspace C + span(v) of dimension
+    dim C + 1, C = C(L) of dimension below n, if W is abelian, else [].
+
+    As C is central, C + span(v) is abelian iff [v, v] = 0.  Lemma (the
+    first candidate).  Let q be the least column outside C's pivots; then
+    0..q-1 are pivots of C.  The least pivot set of a subspace W > C of
+    dimension dim C + 1 is C's pivots and q: it adds one column to C's, and
+    the least column gives the lexicographically least set.  W's RREF rows
+    are then v = e_q + sum a_t e_t, over the columns t > q outside C's
+    pivots, and for each row c of C, c - c[q] v; only the rows of pivot
+    below q can have c[q] != 0, and they come before v.  The walk orders
+    W's free entries row-major, values 0 first, so the first W is the one
+    whose first row that depends on a, if any, is 0 at its free columns:
+    a_t = c[t] / c[q] for the first row c of C with c[q] != 0, and a = 0,
+    v = e_q, when there is none."""
+    F, n, p = L.field, L.dim, L.field.p
+    q = next(t for t in range(n) if t not in C.pivots)
+    v = [0] * n
+    v[q] = 1
+    lead = next((c for c in C._rows if c[q]), None)
+    if lead is not None:
+        inv = pow(lead[q], -1, p)
+        for t in range(q + 1, n):
+            if t not in C.pivots:
+                v[t] = lead[t] * inv % p
+    if any(_scaled_bracket(L, v, v)):
+        return []
+    return [Subspace._span(F, n, [*C._rows, v])]
 
 
 def _abelian_ideal_hits(L: AlgebraTable, d: int) -> list[Subspace]:

@@ -31,6 +31,7 @@ from leibniz_algebras.classify import (
     Case,
     _codim2_abelian_ideal_qq,
     _derived_subalgebra,
+    _heisenberg_frame,
     _match_case1,
     _match_case2,
     _match_case3,
@@ -455,7 +456,7 @@ def _witness_path(L, A, N):
         matchers = (
             (Case.CASE2_D, lambda: _match_case2(L, lie, rep, CL, L2)),
             (Case.CASE1_C, lambda: _match_case1(L, lie, rep, CL, L2)),
-            (Case.CASE3_E, lambda: _match_case3(L, rep, N)),
+            (Case.CASE3_E, lambda: _match_case3(L, rep, N, _heisenberg_frame(L, N))),
         )
         for case, match in matchers:
             witness = match()
@@ -543,7 +544,8 @@ def test_case1_takes_precedence_over_case3(k):
     L = make_c(ROT3, F3)
     if k:
         L = direct_sum(L, abelian_algebra(k, F3))
-    case3 = _match_case3(L, series(L), nilradical(L))
+    N = nilradical(L)
+    case3 = _match_case3(L, series(L), N, _heisenberg_frame(L, N))
     assert case3 is not None
     assert classify(L).case is Case.CASE1_C
 
@@ -891,7 +893,9 @@ def test_cached_values_equal_a_fresh_computation(rng):
 def _computations(monkeypatch, L, request):
     """How often request() computes center(L) (as calls of center on L that
     find no cached value), is_lie(L) (as skew-symmetry checks of L), [L, L]
-    (as product spaces of L's full space with itself) and the nilradical
+    (as product spaces of L's full space with itself, which
+    `product_space` and the chains take through `algebra._product_within`)
+    and the nilradical
     certificate of L (as calls of nilradical on L that find no cached
     value; a matched frame enters the nilradical without one), and how
     often it calls `_heisenberg_frame` and `subalgebra_table` on L.  Every
@@ -906,7 +910,7 @@ def _computations(monkeypatch, L, request):
     counted = [
         (center, "center computations", computes("center")),
         (algebra._is_skew, "skew checks", lambda T: T is L),
-        (algebra.product_space, "[L, L]", lambda T, U, V: T is L and U == V == full),
+        (algebra._product_within, "[L, L]", lambda T, U, V, bound: T is L and U == V == full),
         (nilradical, "nilradical certificates", computes("nilradical")),
         (classify_module._heisenberg_frame, "heisenberg frames", lambda T, W: T is L),
         (subalgebra_table, "subalgebra tables", lambda T, W: T is L),

@@ -2,7 +2,8 @@
 
 A Case1_c frame proves Nil(L) = [L, L] + C(L) and a Case2_d frame proves
 Nil(L) = C(L), and `classify` enters it in the table's cache without the
-certificate (`invariants.nilradical`).  Here both the reported
+certificate (`invariants.nilradical`); so does a Case3_e frame of the
+trace kernel K, which proves Nil(L) = K.  Here both the reported
 `dim_nilradical` and the cached nilradical are compared with the
 certificate's nilradical of a fresh copy of the table, on c, d and rotext
 (+) F^k over GF(3), GF(5) and QQ, in the canonical basis and under a basis
@@ -167,18 +168,19 @@ def test_frames_run_no_certificate(monkeypatch):
     N = Subspace.from_vectors(QQ, 4, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     verdict, counts = _calls(monkeypatch, L, lambda: classify(L, A=A, nilradical_candidate=N))
     assert verdict.case is Case.CASE1_C and not counts
-    # Case3_e takes the certificate's nilradical as its input: the wrappers see it
+    # Case3_e's frame of the trace kernel K proves K the nilradical: K is
+    # tested for an ideal once, and no nilpotency chain runs
     L = heisenberg_rotation_extension(F3)
     verdict, counts = _calls(monkeypatch, L, lambda: classify(L))
     assert verdict.case is Case.CASE3_E
-    assert counts["is_ideal(L, K)"] == counts["nilpotent subalgebra"] == 1
+    assert counts["is_ideal(L, K)"] == 1 and counts["nilpotent subalgebra"] == 0
     # verify_main_theorem reads the nilradical that classify certified:
     # it makes no call of either beyond the ones classify makes
     L0 = direct_sum(heisenberg_rotation_extension(F3), abelian_algebra(1, F3))
     L = AlgebraTable(F3, L0.c)
     verdict, by_classify = _calls(monkeypatch, L, lambda: classify(L))
     assert verdict.case is Case.CASE3_E
-    assert by_classify == {"is_ideal(L, K)": 1, "nilpotent subalgebra": 1}
+    assert by_classify == {"is_ideal(L, K)": 1}
     L = AlgebraTable(F3, L0.c)
     report, counts = _calls(monkeypatch, L, lambda: verify_main_theorem(L))
     assert report.case is Case.CASE3_E and report.ok

@@ -30,10 +30,10 @@ from leibniz_algebras import invariants
 from leibniz_algebras.algebra import (
     AlgebraTable,
     _derived_space,
+    _product_within,
     center,
     direct_sum,
     left_annihilator,
-    product_space,
 )
 from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2
 from leibniz_algebras.families import abelian_algebra, heisenberg, make_c, make_d, oscillator
@@ -240,20 +240,21 @@ def test_lower_central_chain_on_perfect_abelian_and_nilpotent_tables(name, L):
 
 def test_series_reads_L_L_off_the_table_once(monkeypatch):
     """[L, L] starts both chains: `series` reads it off the table once per
-    table (`_derived_space`) and never runs product_space(L, full, full).
-    On disguised d(rot) (+) F^k, whose [L, L] is perfect, it runs
-    product_space once, [L2, L2] = L2, and no [L, L2]."""
+    table (`_derived_space`) and never brackets L with L: its steps run
+    through `_product_within`, and none is [L, L].  On disguised d(rot)
+    (+) F^k, whose [L, L] is perfect, it runs one step, [L2, L2] = L2,
+    which stops at its bound L2, and no [L, L2]."""
     calls, read = [], []
 
-    def counting(L, U, V):
+    def counting(L, U, V, bound):
         calls.append(U.dim == V.dim == L.dim)
-        return product_space(L, U, V)
+        return _product_within(L, U, V, bound)
 
     def reading(L):
         read.append(L)
         return _derived_space(L)
 
-    monkeypatch.setattr(invariants, "product_space", counting)
+    monkeypatch.setattr(invariants, "_product_within", counting)
     monkeypatch.setattr(invariants, "_derived_space", reading)
     for F in FIELDS:
         for L in (heisenberg_rotation_extension(F), make_d(rotation_2x2(F), F), abelian_algebra(2, F)):
