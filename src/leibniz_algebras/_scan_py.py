@@ -6,9 +6,10 @@ canonical order, which fixes the RREF rows one at a time, row 0 first,
 and lets a row test, chosen per pivot set, cut the whole pivot set or the
 whole subtree below a row.  This module holds that row test, the cuts
 below, and takes each of its linear-algebra steps from `linalg`: the
-brackets [u, e_j] and [e_j, u] of a row u are `_row_action`, the row
-solves are `_dependencies`, the recombination of the center's rows is
-`_echelon` and the ideal test's membership is `_clear`.
+brackets [u, e_j] and [e_j, u] of a row u are `_row_action`, its square
+[u, u] is `_pair_bracket`, the row solves are `_dependencies`, the
+recombination of the center's rows is `_echelon` and the ideal test's
+membership is `_clear`.
 
 Contract:
 
@@ -75,7 +76,8 @@ import functools
 import itertools
 
 from .fields import GF
-from .linalg import _clear, _dependencies, _echelon, _row_action, canonical_subspaces, gaussian_binomial
+from .linalg import (_clear, _dependencies, _echelon, _pair_bracket, _row_action, canonical_subspaces,
+                     gaussian_binomial)
 
 MODE_ABELIAN = 1
 MODE_IDEAL = 4
@@ -153,18 +155,6 @@ def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect
     phi = [[f[i] for f in functionals] for i in range(n)]
     matches = []
 
-    def bracket_zero(u):
-        """[u, u] == 0."""
-        nz = [(i, ui) for i, ui in enumerate(u) if ui]
-        sq = [0] * n
-        for i, ui in nz:
-            ti = table[i]
-            for j, uj in nz:
-                cf = ui * uj
-                for k, cc in ti[j]:
-                    sq[k] += cf * cc
-        return not any(x % p for x in sq)
-
     def abelian_values_for(piv):
         """The `row_values` of pivot set piv, or None when no subspace with
         pivots piv contains C."""
@@ -199,7 +189,7 @@ def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect
         for vals in _lex_solutions([g[c] for c in cols], target, F):
             for c, x in zip(cols, vals):
                 u[c] = x
-            if bracket_zero(u):
+            if not any(_pair_bracket(table, u, u, p)):
                 yield vals
 
     def is_ideal(rows, piv):

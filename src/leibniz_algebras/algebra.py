@@ -78,6 +78,7 @@ from .linalg import (
     _integer_row,
     _lead,
     _matmul,
+    _pair_bracket,
     _row_action,
     subspace_sum,
 )
@@ -234,17 +235,7 @@ def _scaled_bracket(L: AlgebraTable, u: Sequence, v: Sequence) -> tuple:
     canonical rows `Subspace._rows`, and returns D [u, v], an integer row:
     a multiple of the bracket of the rows they scale, for what rescaling a
     generator does not change (spans, membership, vanishing)."""
-    p = L.field.p
-    v = [(j, y) for j, y in enumerate(v) if y]
-    out = [0] * L.dim
-    for x, products in zip(u, L._products):
-        if not x:
-            continue
-        for j, y in v:
-            coef = x * y
-            for k, c in products[j]:
-                out[k] += coef * c
-    return tuple(out) if p is None else tuple(x % p for x in out)
+    return _pair_bracket(L._products, u, v, L.field.p)
 
 
 def _ones(count: int, width: int) -> int:

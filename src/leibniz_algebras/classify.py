@@ -242,7 +242,7 @@ def _match_case1(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
     invariant; an irreducible m has no such line."""
     F = L.field
     n = L.dim
-    if not (lie and rep.solvable and rep.derived_length == 3):
+    if not (lie and rep.derived_length == 3):
         return None
     if L2.dim != 3 or CL.dim != n - 3:
         return None
@@ -376,14 +376,15 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
     return {"chi": chi, "m": m, "frame": frame, "model": model}
 
 
-def _match_case3(L: AlgebraTable, rep, N, frame_amb) -> dict | None:
+def _match_case3(L: AlgebraTable, N, frame_amb) -> dict | None:
     """Case3_e: solvable, nilradical N of codimension 1 isomorphic to
     heisenberg (+) F^(n-4), and the outside generator x acting irreducibly on
     N / C(N).  Frame (x, u, w, z, f..) matching  e(phi, theta, v, n), from
-    `frame_amb`, the rows `_heisenberg_frame(L, N)` gave the caller
-    (`_case3_nilradical`), or None.  A reducible action returns
-    {"abelian_ideal": W} instead: C(N) plus an eigenline of the action, an
-    abelian ideal of codimension 2.
+    `frame_amb`, the rows `_heisenberg_frame(L, N)` gave the caller when N
+    has codimension 1 (`_case3_nilradical`), or None; then L / N is
+    1-dimensional, so abelian, and L is solvable.  A reducible action
+    returns {"abelian_ideal": W} instead: C(N) plus an eigenline of the
+    action, an abelian ideal of codimension 2.
 
     With an irreducible action, L has no abelian ideal of codimension <= 2,
     which the QQ path of `classify` relies on without a scan: an abelian
@@ -395,7 +396,7 @@ def _match_case3(L: AlgebraTable, rep, N, frame_amb) -> dict | None:
     such line."""
     F = L.field
     n = L.dim
-    if not rep.solvable or N.dim != n - 1 or frame_amb is None:
+    if frame_amb is None:
         return None
     x = L.basis_vector(_least_index_outside(L, N))
     # [x, b] and [b, x] lie in the ideal N, as does [x, x]: the squares span
@@ -430,30 +431,26 @@ def _match_case3(L: AlgebraTable, rep, N, frame_amb) -> dict | None:
     }
 
 
-def _case3_nilradical(L: AlgebraTable, rep) -> tuple:
+def _case3_nilradical(L: AlgebraTable) -> tuple:
     """(N, frame): N = Nil(L), and for `_match_case3` the rows
     `_heisenberg_frame(L, N)` gives when N has codimension 1, else None.
 
-    Lemma.  Let K be the trace kernel (`invariants._trace_kernel`, cached
-    on L), which holds every nilpotent ideal.  If K has
-    dimension n-1 and is an ideal, and its frame exists, K's table is
-    heisenberg (+) F^k, with [K, K] in C(K), so K is a nilpotent ideal and
+    Lemma.  The trace kernel K (`invariants._trace_kernel`, cached on L) is
+    an ideal that holds every nilpotent ideal.  If K has dimension n-1 and
+    a frame, its table is heisenberg (+) F^k, so K is a nilpotent ideal and
     Nil(L) = K: it is entered without the certificate
     (`invariants._proved_nilradical`), and its frame is handed on.  (L is
-    not nilpotent, as `series` says, and as dim K = n-1 implies: in a
-    nilpotent L every L_x W is nilpotent, so K = L.)  If the frame fails,
-    Nil(L) is K or of dimension below n-1, and has no frame either; it is
-    certified, and the frame is not tried again.  Otherwise the certificate
-    `invariants.nilradical` gives N, and N's frame is tried."""
+    not nilpotent: a nilpotent L has K = L.)  Otherwise the certificate
+    `invariants.nilradical` gives N <= K, and N's frame is tried when N has
+    codimension 1, unless N = K, whose frame failed."""
     n = L.dim
     K = _trace_kernel(L)
-    if K.dim == n - 1 and not rep.nilpotent and is_ideal(L, K):
+    if K.dim == n - 1:
         frame = _heisenberg_frame(L, K)
         if frame is not None:
             return _proved_nilradical(L, K), frame
-        return nilradical(L), None
     N = nilradical(L)
-    return N, (_heisenberg_frame(L, N) if N.dim == n - 1 else None)
+    return N, (_heisenberg_frame(L, N) if N.dim == n - 1 and N != K else None)
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +459,13 @@ def _case3_nilradical(L: AlgebraTable, rep) -> tuple:
 
 def _codim2_abelian_ideal_qq(L: AlgebraTable, A: Subspace) -> Subspace | None:
     """The first of A, an abelian subalgebra of codimension 2, and
-    center(L) + [L, L] that is an abelian ideal of codimension <= 2, or
-    None.  The matchers find the abelian ideals these miss (Case1_c and
-    Case3_e with a reducible action)."""
+    U = center(L) + [L, L] that is an abelian ideal of codimension <= 2, or
+    None; U holds [L, L], so it is an ideal.  The matchers find the abelian
+    ideals these miss (Case1_c and Case3_e with a reducible action)."""
     if is_ideal(L, A):
         return A
     U = subspace_sum(center(L), _derived_subalgebra(series(L)))
-    return U if U.codim <= 2 and is_abelian_subspace(L, U) and is_ideal(L, U) else None
+    return U if U.codim <= 2 and is_abelian_subspace(L, U) else None
 
 
 def _derived_subalgebra(rep: SeriesReport) -> Subspace:
@@ -534,7 +531,7 @@ def classify(
     Case2_d or Case1_c frame that matched proves N to be C(L) or [L, L] +
     C(L) by the lemmas of `_match_case2` and `_match_case1`.  Before
     Case3_e's matcher, which takes N and its Heisenberg frame as its input,
-    a frame of the trace kernel K proves N = K when K is an ideal of
+    a frame of the trace kernel K, an ideal, proves N = K when K has
     codimension 1 (`_case3_nilradical`), and is handed to the matcher.
     Otherwise, and for a reducible action's abelian ideal, the certificate
     `invariants.nilradical` computes N.  A supplied nilradical candidate is
@@ -599,7 +596,7 @@ def classify(
     if witness is None:
         case, witness = Case.CASE1_C, _match_case1(L, lie, rep, CL, L2)
     if witness is None:
-        N, frame_n = _case3_nilradical(L, rep)
+        N, frame_n = _case3_nilradical(L)
     elif "frame" in witness:
         # the matched frame proves Nil(L) (`_match_case1`, `_match_case2`)
         N = _proved_nilradical(L, subspace_sum(L2, CL) if case is Case.CASE1_C else CL)
@@ -608,7 +605,7 @@ def classify(
     _check_nilradical_candidate(N, nilradical_candidate)
     diagnostics["dim_nilradical"] = N.dim
     if witness is None:
-        case, witness = Case.CASE3_E, _match_case3(L, rep, N, frame_n)
+        case, witness = Case.CASE3_E, _match_case3(L, N, frame_n)
 
     if witness is not None:
         if "abelian_ideal" in witness:
@@ -652,7 +649,7 @@ def solvability_from_codim2_ideal(
             if witness is None:
                 raise NoAbelianIdealError("no abelian ideal of codimension <= 2 exists")
     rep = series(L)
-    return rep.solvable and rep.derived_length is not None and rep.derived_length <= 3
+    return rep.derived_length is not None and rep.derived_length <= 3
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +757,7 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
         _claim(claims, "frame transports the table onto the model", True)
         if verdict.case is Case.CASE1_C:
             _claim(claims, "Lie", is_lie(L))
-            _claim(claims, "3-step solvable", rep.solvable and rep.derived_length == 3)
+            _claim(claims, "3-step solvable", rep.derived_length == 3)
             L2 = _derived_subalgebra(rep)
             _claim(claims, "derived subalgebra has dimension 3", L2.dim == 3)
             heisenberg_l2 = L2.dim == 3 and L2 == Subspace.from_vectors(F, n, rows[1:4])
@@ -781,7 +778,7 @@ def verify_main_theorem(L: AlgebraTable, budget: int = DEFAULT_SCAN_BUDGET) -> T
             perfect = subspace_sum(_derived_subalgebra(rep), CL).dim == n
             _claim(claims, "quotient by the center is 3-dim simple", CL.dim == n - 3 and perfect)
         else:
-            _claim(claims, "3-step solvable", rep.solvable and rep.derived_length == 3)
+            _claim(claims, "3-step solvable", rep.derived_length == 3)
             _claim(claims, "nilradical has codimension 1", N.dim == n - 1)
             _claim(
                 claims,

@@ -153,7 +153,11 @@ def _trace_rows(L: AlgebraTable) -> list:
 @_per_table
 def _trace_kernel(L: AlgebraTable) -> Subspace:
     """K, the common kernel of `_trace_rows`; it holds every nilpotent
-    ideal."""
+    ideal.  Lemma: K is a two-sided ideal of every Leibniz table.  It is the
+    intersection of ker T, T(x) = Tr L_x, and rad B, B(x, y) = Tr(L_x L_y).
+    L_[a,b] = [L_a, L_b] (Loday, 1993) is traceless, so ker T holds [L, L]
+    and is an ideal.  By the cyclicity of the trace, B([a, x], y) =
+    B(x, [y, a]) and B([x, a], y) = B(x, [a, y]), so rad B is one too."""
     return Subspace._kernel(L.field, L.dim, _trace_rows(L))
 
 
@@ -165,8 +169,8 @@ def nilradical(L: AlgebraTable) -> Subspace:
     x -> Tr(L_x) and x -> Tr(L_x L_e_j), left operators only, that the
     abelian-ideal searches of `search` also use (`_trace_kernel`, cached
     on L).  Every nilpotent ideal lies in K, in every characteristic (see
-    `_trace_rows`), so N <= K; when K is itself an ideal and
-    nilpotent, K <= N, and K is the nilradical.
+    `_trace_rows`), so N <= K.  K is always an ideal (`_trace_kernel`), so
+    when it is nilpotent, K <= N, and K is the nilradical.
 
     Otherwise N = {x : L_x in Rad(E)}, E the unital associative algebra
     generated by the L_e_j (`_envelope_radical`), in every characteristic.
@@ -188,8 +192,8 @@ def nilradical(L: AlgebraTable) -> Subspace:
     Over GF(3), x acting as the identity on F^3 has every trace 0, so
     K = I_0 = L; round i = 1 removes x.
 
-    No scan runs.  Either way the result is checked to be a nilpotent
-    ideal of L before it is returned, and cached on L.
+    No scan runs.  K is returned once shown nilpotent, the pullback of
+    Rad(E) once shown a nilpotent ideal, and either is cached on L.
 
     The cache entry is filled a third way, without this certificate: a
     frame that `classify` matched proves Nil(L) and enters it
@@ -197,14 +201,16 @@ def nilradical(L: AlgebraTable) -> Subspace:
     heisenberg (+) F^(n-4) of codimension 1 in a non-nilpotent L
     (`classify._match_case1`); a Case2_d frame, C(L), L / C(L) being
     simple (`classify._match_case2`); and a Case3_e frame of K, K itself,
-    when K is an ideal of codimension 1 whose table is heisenberg (+)
-    F^(n-4), so nilpotent (`classify._case3_nilradical`).
+    when K has codimension 1 and its table is heisenberg (+) F^(n-4), so
+    nilpotent (`classify._case3_nilradical`).
     """
     require_leibniz(L)
-    for kernel in (_trace_kernel, _envelope_radical):
-        N = kernel(L)
-        if is_ideal(L, N) and _is_nilpotent_subalgebra(L, N):
-            return N
+    K = _trace_kernel(L)
+    if _is_nilpotent_subalgebra(L, K):
+        return K
+    N = _envelope_radical(L)
+    if is_ideal(L, N) and _is_nilpotent_subalgebra(L, N):
+        return N
     raise ConsistencyError("the pullback of the envelope's radical is not a nilpotent ideal")
 
 

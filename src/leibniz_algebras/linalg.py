@@ -41,7 +41,8 @@ point: the series, the generated subalgebra and the Fitting chains.
 `_row_action(products, u, p, left)` is the one contraction of a row with
 a structure table: the n rows [u, e_j] (or [e_j, u]) that the scan
 kernel, the abelian-ideal stratum, the operators of `algebra` and
-`mult_operator` read.
+`mult_operator` read; `_pair_bracket(products, u, v, p)` is the one
+contraction of a pair of rows, [u, v].
 
 One routine takes coordinates: `_coords_in_rows(F, rows, n)` eliminates
 [rows | 1] once and returns v -> x with x @ rows = v.  `Matrix.inverse`,
@@ -301,6 +302,20 @@ def _row_action(products, u: Sequence, p: int | None, left: bool = True) -> list
                 for k, c in pij:
                     acc[k] += x * c
     return out if p is None else [[y % p for y in acc] for acc in out]
+
+
+def _pair_bracket(products, u: Sequence, v: Sequence, p: int | None) -> tuple:
+    """[u, v] read off `_row_action`'s table: residues mod p, or ints when p is None."""
+    v = [(j, y) for j, y in enumerate(v) if y]
+    out = [0] * len(products)
+    for x, row in zip(u, products):
+        if not x:
+            continue
+        for j, y in v:
+            coef = x * y
+            for k, c in row[j]:
+                out[k] += coef * c
+    return tuple(out) if p is None else tuple(x % p for x in out)
 
 
 def _integer_row(u: Sequence) -> tuple[int, list]:

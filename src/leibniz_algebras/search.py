@@ -38,7 +38,7 @@ L_x W is nilpotent and its trace is 0.  An abelian ideal has N_2 = 0, so
 the annihilator of K, the span of those functionals, cuts every row prefix
 outside K from an abelian-ideal walk;
 counts, matches and witnesses are the same as without the cut.
-`invariants.nilradical` returns K itself when K is a nilpotent ideal.
+`invariants.nilradical` returns K itself when K is nilpotent.
 
 One budget bounds a whole request.  Every public entry point that scans,
 here and in `classify`, opens a request ledger with its `budget`; every

@@ -182,6 +182,25 @@ def heisenberg_sums(F):
     return {"h7": odd_heisenberg(F, 3), "h5+h3": direct_sum(odd_heisenberg(F, 2), heisenberg(F))}
 
 
+def rot_swap_extension(F):
+    """e(phi, -phi, 0, 6) on (x, u, w, z, f1, f2), phi the rotation on
+    (u, w), 0 on z and the swap on (f1, f2): Tr(phi) = Tr(phi^2) = 0, so
+    every trace of the first trace form vanishes over QQ and GF(3) and its
+    kernel is L.  Its nilradical is span(u, w, z, f1, f2), heisenberg (+)
+    F^2, and it is Case3_e where the rotation is irreducible."""
+    phi = Matrix(
+        F,
+        [
+            [0, 1, 0, 0, 0],
+            [-1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 1],
+            [0, 0, 0, 1, 0],
+        ],
+    )
+    return make_e(phi, -phi, (0,) * 5, 6, F)
+
+
 def linear_action(M, F, name):
     """x acting on F^m by the m x m matrix M, basis (x, v_1, .., v_m):
     [x, v] = -[v, x] = Mv.  When M is invertible the nilradical is F^m."""

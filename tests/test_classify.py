@@ -86,6 +86,7 @@ from conftest import (
     one_dimensional_extensions,
     rand_invertible,
     rational_change,
+    rot_swap_extension,
     rotext_with_center_candidate,
     scanned_by,
 )
@@ -389,27 +390,10 @@ def test_case3_reducible_action_is_an_abelian_ideal_over_qq(seed):
     assert classify(_diag_e(F7)).case is Case.ABELIAN_IDEAL_CODIM_LE2
 
 
-def _rot_swap_e(F):
-    """e(phi, -phi, 0, 6) on (x, u, w, z, f1, f2), phi the rotation on
-    (u, w), 0 on z and the swap on (f1, f2): Tr(phi) = Tr(phi^2) = 0, so
-    every trace of the first trace form vanishes and its kernel is L."""
-    phi = Matrix(
-        F,
-        [
-            [0, 1, 0, 0, 0],
-            [-1, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 1],
-            [0, 0, 0, 1, 0],
-        ],
-    )
-    return make_e(phi, -phi, (0,) * 5, 6, F)
-
-
 def test_case3_where_the_trace_kernel_is_everything():
     N_rows = [tuple(int(i == j) for i in range(6)) for j in range(1, 6)]
     for F in (QQ, F3):
-        L = _rot_swap_e(F)
+        L = rot_swap_extension(F)
         assert _trace_kernel(L) == L.full_space()
         A = span(F, 6, *(N_rows[i] for i in (0, 2, 3, 4))) if F == QQ else None
         v = classify(L, A=A)
@@ -446,17 +430,19 @@ def test_case1_reducible_chi_is_an_abelian_ideal_over_qq(seed):
 
 def _witness_path(L, A, N):
     """classify's path over the rationals, run over any field: the ideal
-    candidates from the witness A, then the matchers with the nilradical N.
-    The case reached and which step reached it."""
+    candidates from the witness A, then the matchers with the nilradical N
+    and, as `_case3_nilradical` gives it, N's frame when N has codimension
+    1.  The case reached and which step reached it."""
     W = _codim2_abelian_ideal_qq(L, A)
     step = "candidates"
     if W is None:
         lie, rep, CL = is_lie(L), series(L), center(L)
         L2 = _derived_subalgebra(rep)
+        frame_n = _heisenberg_frame(L, N) if N.dim == L.dim - 1 else None
         matchers = (
             (Case.CASE2_D, lambda: _match_case2(L, lie, rep, CL, L2)),
             (Case.CASE1_C, lambda: _match_case1(L, lie, rep, CL, L2)),
-            (Case.CASE3_E, lambda: _match_case3(L, rep, N, _heisenberg_frame(L, N))),
+            (Case.CASE3_E, lambda: _match_case3(L, N, frame_n)),
         )
         for case, match in matchers:
             witness = match()
@@ -545,7 +531,7 @@ def test_case1_takes_precedence_over_case3(k):
     if k:
         L = direct_sum(L, abelian_algebra(k, F3))
     N = nilradical(L)
-    case3 = _match_case3(L, series(L), N, _heisenberg_frame(L, N))
+    case3 = _match_case3(L, N, _heisenberg_frame(L, N))
     assert case3 is not None
     assert classify(L).case is Case.CASE1_C
 

@@ -19,8 +19,11 @@ caller of the scan kernel.  `search._first_in_strata` is the one caller
 of `_debit_first` and `_abelian_hyperplanes`: one function loops over
 strata.  `linalg._row_action` is the one contraction of a row with the
 structure table: the kernel, `search` and `algebra` call it, and no module
-defines `_brackets_with_basis`.  The scan kernel imports from the package
-only `fields` and `linalg`, and `linalg` imports nothing from the kernel.
+defines `_brackets_with_basis`.  `linalg._pair_bracket` is the one
+contraction of a pair of rows: `algebra._scaled_bracket` and the kernel
+call it, and no module defines `bracket_zero`.  The scan kernel imports
+from the package only `fields` and `linalg`, and `linalg` imports nothing
+from the kernel.
 Importing the package and its CLI loads neither `dataclasses` nor
 `inspect`: its records are named tuples."""
 
@@ -256,10 +259,26 @@ def test_one_routine_contracts_a_row_with_the_table():
         ("algebra.py", "mult_operator"),
         ("search.py", "_abelian_ideal_hits"),
     ]
-    defined = {
+    defined = _defined_functions()
+    assert "_row_action" in defined and "_brackets_with_basis" not in defined
+
+
+def test_one_routine_contracts_a_pair_of_rows():
+    # [u, v] is read off `_products` in one place: `algebra`'s brackets and
+    # the kernel's [u, u] test keep no copy of the loop
+    assert sorted(set(_callers("_pair_bracket"))) == [
+        ("_scan_py.py", "scan_subspaces"),
+        ("algebra.py", "_scaled_bracket"),
+    ]
+    defined = _defined_functions()
+    assert "_pair_bracket" in defined and "bracket_zero" not in defined
+
+
+def _defined_functions():
+    """The names of the functions the package defines, nested ones too."""
+    return {
         node.name for module in MODULES for node in ast.walk(_tree(module)) if isinstance(node, ast.FunctionDef)
     }
-    assert "_row_action" in defined and "_brackets_with_basis" not in defined
 
 
 def _prints(tree):
