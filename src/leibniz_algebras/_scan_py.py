@@ -8,8 +8,8 @@ whole subtree below a row.  This module holds that row test, the cuts
 below, and takes each of its linear-algebra steps from `linalg`: the
 brackets [u, e_j] and [e_j, u] of a row u are `_row_action`, its square
 [u, u] is `_pair_bracket`, the row solves are `_dependencies`, the
-recombination of the center's rows is `_echelon` and the ideal test's
-membership is `_clear`.
+recombination of the center's rows is `_echelon` and the ideal test is
+`_is_ideal`, on both sides.
 
 Contract:
 
@@ -76,7 +76,7 @@ import functools
 import itertools
 
 from .fields import GF
-from .linalg import (_clear, _dependencies, _echelon, _pair_bracket, _row_action, canonical_subspaces,
+from .linalg import (_dependencies, _echelon, _is_ideal, _pair_bracket, _row_action, canonical_subspaces,
                      gaussian_binomial)
 
 MODE_ABELIAN = 1
@@ -192,16 +192,11 @@ def scan_subspaces(table, n: int, p: int, d: int, mode: int, limit: int, collect
             if not any(_pair_bracket(table, u, u, p)):
                 yield vals
 
-    def is_ideal(rows, piv):
-        span = list(zip(piv, rows))
-        return not any(any(_clear(p, w, span))
-                       for u in rows for left in (True, False) for w in _row_action(table, u, p, left))
-
     walk = canonical_subspaces(n, p, d, abelian_values_for if mode & MODE_ABELIAN else None)
     for index, piv, rows in walk:
         if 0 <= limit <= index:
             return limit, True, matches
-        if mode & MODE_IDEAL and not is_ideal(rows, piv):
+        if mode & MODE_IDEAL and not _is_ideal(table, rows, list(zip(piv, rows)), p, (True, False)):
             continue
         matches.append((piv, tuple(map(tuple, rows))))
         if 0 <= collect <= len(matches):

@@ -72,10 +72,10 @@ from .linalg import (
     _clear,
     _coords_in_rows,
     _dependencies,
-    _dot_rows,
     _echelon,
     _fractions,
     _integer_row,
+    _is_ideal,
     _lead,
     _matmul,
     _pair_bracket,
@@ -474,23 +474,30 @@ def _actions(L: AlgebraTable, rows: Sequence[Sequence], sides=("left", "right"))
     return [list(zip(*_row_action(L._products, a, L.field.p, s == "left"))) for a in rows for s in sides]
 
 
+def _action_preimage(actions: Sequence, T: Subspace) -> Subspace:
+    """{x : m x in T for every matrix m of `actions`} (`_actions`), T a
+    subspace of their space: the kernel of the rows f @ m, f a canonical
+    row of T's annihilator, so that f(m x) = 0."""
+    funcs = T._annihilator()._rows
+    rows = [row for m in actions for row in _matmul(funcs, m, T.field.p)]
+    return Subspace._kernel(T.field, T.ambient_dim, rows)
+
+
 def centralizer(L: AlgebraTable, A: Subspace) -> Subspace:
-    """{x : [x, a] = [a, x] = 0 for all a in A}, the joint kernel of the
-    actions of A's canonical rows."""
+    """{x : [x, a] = [a, x] = 0 for all a in A}, the preimage of 0 under
+    the actions of A's canonical rows (`_action_preimage`)."""
     _check_subspace(L, A)
-    return Subspace._kernel(L.field, L.dim, [row for m in _actions(L, A._rows) for row in m])
+    return _action_preimage(_actions(L, A._rows), Subspace.zero(L.field, L.dim))
 
 
 def normalizer(L: AlgebraTable, A: Subspace) -> Subspace:
-    """{x : [x, A] + [A, x] <= A}; requires A to be a subalgebra.  Each
-    functional f vanishing on A gives, with each action m, the condition
-    f(m x) = 0, the row f @ m."""
+    """{x : [x, A] + [A, x] <= A}, the preimage of A under the actions of
+    its canonical rows (`_action_preimage`); requires A to be a
+    subalgebra."""
     _check_subspace(L, A)
     if not is_subalgebra(L, A):
         raise ValueError("normalizer requires a subalgebra")
-    funcs = A._annihilator()._rows
-    rows = [row for m in _actions(L, A._rows) for row in _matmul(funcs, m, L.field.p)]
-    return Subspace._kernel(L.field, L.dim, rows)
+    return _action_preimage(_actions(L, A._rows), A)
 
 
 def product_space(L: AlgebraTable, U: Subspace, V: Subspace) -> Subspace:
@@ -536,29 +543,12 @@ def is_subalgebra(L: AlgebraTable, U: Subspace) -> bool:
 
 
 def is_ideal(L: AlgebraTable, U: Subspace) -> bool:
-    """Whether U is a two-sided ideal, by one contraction of the table per
-    functional: for each row f of U's annihilator, the n x n form
-    H_f[i][j] = f . c_ij is f([e_i, e_j]), so f([u, e_j]) is (u^T H_f)_j
-    and f([e_i, u]) is (H_f u)_i.  U is an ideal iff u^T H_f = 0 and
-    H_f u = 0 for every canonical row u of U and every f: no bracket is
-    evaluated and nothing is reduced.
-
-    Over QQ the contraction runs on the integer view D*c with the primitive
-    integer rows of U and of its annihilator, each a nonzero multiple of
-    the rational row it stands for, so every product is a nonzero multiple
-    of the rational one and vanishes exactly when it does."""
+    """Whether U is a two-sided ideal: [u, e_j] and [e_j, u] lie in U for
+    every canonical row u of U and every j (`linalg._is_ideal`, on the
+    integer view, whose rows are nonzero multiples of the rational ones
+    over QQ)."""
     _check_subspace(L, U)
-    p = L.field.p
-    rows = U._rows
-    products = L._products
-    for f in U._annihilator()._rows:
-        H = [[sum(x * f[k] for k, x in cij) for cij in ci] for ci in products]
-        for u in rows:
-            for h in (*H, *zip(*H)):
-                x = _dot_rows(h, u)
-                if x if p is None else x % p:
-                    return False
-    return True
+    return _is_ideal(L._products, U._rows, list(zip(U.pivots, U._rows)), L.field.p, (True, False))
 
 
 def is_abelian_subspace(L: AlgebraTable, U: Subspace) -> bool:

@@ -239,7 +239,15 @@ def _match_case1(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
     of an abelian subalgebra of N.  A + C(L) is abelian, so an A of
     dimension n-2 contains C(L) and gives a line A / C(L) in the plane
     N / C(L), spanned by the images of u and w, that the generator leaves
-    invariant; an irreducible m has no such line."""
+    invariant; an irreducible m has no such line.
+
+    Derived length 3, an early exit here: a Lie L whose [L, L] has a
+    Heisenberg frame (u, w, z, ..) has [[L, L], [L, L]] = span(z) and
+    [z, z] = 0.  So has a Case3_e L: L / N is 1-dimensional, so abelian
+    ([e, e] = c e gives [[e, e], e] = c^2 e = 0), so [L, L] <= N; the
+    generator acts invertibly on N / C(N), so [L, L] holds u + c, w + c',
+    c, c' in C(N), whose bracket is z.  So `verify_main_theorem`'s "3-step
+    solvable" claims hold on every Case1_c and Case3_e verdict."""
     F = L.field
     n = L.dim
     if not (lie and rep.derived_length == 3):
@@ -313,16 +321,16 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
     matrices (over a finite field every 3-dim simple Lie algebra is split, so
     both reducible and irreducible triples occur).  Each candidate plane
     span(u, w) is checked once, with u, w its RREF basis rows and h = [u, w].
-    Over GF(p) the first plane in candidate order whose triple has the least
-    canonical polynomial is reported.  That least key is (0, 1), t^2 + 1,
-    and the search stops at the first plane reaching it: tr m = 0 by the
-    Jacobi identity and [h, h] = 0; det m != 0, as a singular m would give h
-    a 2-dim centralizer, which a 3-dim simple algebra has none of; and the
-    split simple algebra contains d(rot)'s triple, of key (0, 1) (Jacobson,
-    Lie Algebras, 1962, ch. I).  A key below (0, 1) raises ConsistencyError.
-    Over QQ, where forms of sl2 are told apart by their Killing form and no
-    triple is canonical (ibid.), the first triple is reported: chi, m and
-    the frame depend on the basis of L.
+    Over GF(p) the first plane in candidate order whose triple has chi =
+    t^2 + 1, the least canonical polynomial, is reported: tr m = 0 by the
+    Jacobi identity and [h, h] = 0; det m != 0, as a singular m would give
+    h a 2-dim centralizer, which a 3-dim simple algebra has none of; and
+    the split simple algebra contains d(rot)'s triple, of chi t^2 + 1
+    (Jacobson, Lie Algebras, 1962, ch. I).  A key below (0, 1), or planes
+    that run out first, raise ConsistencyError.  Over QQ, where forms of
+    sl2 are told apart by their Killing form and no triple is canonical
+    (ibid.), the first triple is reported: chi, m and the frame depend on
+    the basis of L.
 
     Once L2 + C(L) = L and dim C(L) = n-3, the intersection of L2 and
     C(L) has dimension dim L2 + (n-3) - n = dim L2 - 3, so L2 is a
@@ -342,7 +350,6 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
         raise ConsistencyError("derived subalgebra is not a 3-dim complement of the center")
     T = subalgebra_table(L, L2)
     least = (F.zero, F.one)
-    best = None
     for V in _simple_3dim_subspaces(T):
         u_t, w_t = V.basis.data
         h_t = _bracket(T, u_t, w_t)
@@ -354,16 +361,12 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
             continue
         m = Matrix._canonical(F, [hu, hw], 2)
         chi = canonical_quadratic(F, char_poly_2x2(m))
-        key = (chi.c1, chi.c0)
-        if F.is_prime_field and key < least:
-            raise ConsistencyError("a standard triple of the simple part acts singularly")
-        if best is None or key < best[0]:
-            best = (key, chi, m, h_t, u_t, w_t)
-        if key == least or not F.is_prime_field:
+        if not F.is_prime_field or (chi.c1, chi.c0) == least:
             break
-    if best is None:
-        raise ConsistencyError("no standard triple found in the simple part")
-    _, chi, m, h_t, u_t, w_t = best
+        if (chi.c1, chi.c0) < least:
+            raise ConsistencyError("a standard triple of the simple part acts singularly")
+    else:
+        raise ConsistencyError("no candidate plane of the simple part gives the triple its lemma promises")
     try:
         model = _d_table(m, n, F)
     except FamilyParameterError as exc:

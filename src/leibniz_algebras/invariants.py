@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 from .algebra import (
     AlgebraTable,
+    _action_preimage,
     _actions,
     _check_subspace,
     _derived_space,
@@ -88,10 +89,10 @@ def fitting_decomposition(L: AlgebraTable, A: Subspace) -> FittingSplit:
 
     L1 is the stable image of U -> [A, U] starting from L; L0 is the stable
     preimage chain K(i+1) = {v : [a, v] in Ki for all a}, starting from 0,
-    whose step is the joint kernel of the rows f @ L_a, f a functional
-    vanishing on Ki and a a canonical row of A, on the integer view
-    (`algebra._actions`).  Directness and [A, L1] = L1 are verified
-    and cannot fail on a valid Leibniz table with abelian A.
+    whose step is the preimage of Ki under the left actions L_a of the
+    canonical rows a of A, on the integer view (`algebra._action_preimage`).
+    Directness and [A, L1] = L1 are verified and cannot fail on a valid
+    Leibniz table with abelian A.
     """
     require_leibniz(L)
     if not is_abelian_subspace(L, A):
@@ -99,12 +100,7 @@ def fitting_decomposition(L: AlgebraTable, A: Subspace) -> FittingSplit:
     F, n = L.field, L.dim
     L1 = _chain(L.full_space(), lambda U: product_space(L, A, U))[-1]
     ops = _actions(L, A._rows, ("left",))
-    L0 = _chain(
-        Subspace.zero(F, n),
-        lambda K: Subspace._kernel(
-            F, n, [row for op in ops for row in _matmul(K._annihilator()._rows, op, F.p)]
-        ),
-    )[-1]
+    L0 = _chain(Subspace.zero(F, n), lambda K: _action_preimage(ops, K))[-1]
 
     if subspace_sum(L0, L1).dim != n or not subspace_intersect(L0, L1).is_zero():
         raise ConsistencyError("fitting split is not direct")

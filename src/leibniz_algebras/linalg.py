@@ -40,9 +40,11 @@ eliminated again (`subspace_intersect`, `_coords_in_rows`).
 point: the series, the generated subalgebra and the Fitting chains.
 `_row_action(products, u, p, left)` is the one contraction of a row with
 a structure table: the n rows [u, e_j] (or [e_j, u]) that the scan
-kernel, the abelian-ideal stratum, the operators of `algebra` and
-`mult_operator` read; `_pair_bracket(products, u, v, p)` is the one
-contraction of a pair of rows, [u, v].
+kernel's row solves, the operators of `algebra`, `mult_operator` and the
+ideal test read; `_pair_bracket(products, u, v, p)` is the one
+contraction of a pair of rows, [u, v], and `_is_ideal(products, rows,
+span, p, sides)` the one ideal test: the rows of `_row_action`, on one
+side or both, cleared against the subspace's pivot list.
 
 One routine takes coordinates: `_coords_in_rows(F, rows, n)` eliminates
 [rows | 1] once and returns v -> x with x @ rows = v.  `Matrix.inverse`,
@@ -316,6 +318,13 @@ def _pair_bracket(products, u: Sequence, v: Sequence, p: int | None) -> tuple:
             for k, c in row[j]:
                 out[k] += coef * c
     return tuple(out) if p is None else tuple(x % p for x in out)
+
+
+def _is_ideal(products, rows, span, p: int | None, sides) -> bool:
+    """Whether [u, e_j] (True in `sides`) and [e_j, u] (False) lie in the
+    span of the `_clear` pivot list `span` for every row u and every j:
+    sides (True, False) tests a two-sided ideal, (True,) [U, L] <= U."""
+    return not any(any(_clear(p, w, span)) for u in rows for left in sides for w in _row_action(products, u, p, left))
 
 
 def _integer_row(u: Sequence) -> tuple[int, list]:

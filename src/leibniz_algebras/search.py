@@ -24,7 +24,8 @@ and debits it once, what a walk of it would count (`_debit_first`):
 - alpha's other strata <= n-2 by the kernel's walk (`_scan_dim`), cut to
   the subspaces that contain C(L).
 The collect-all walks are not cut by the center: below alpha an abelian
-subalgebra may miss C(L).
+subalgebra may miss C(L).  The deciders' subspace tests are `algebra`'s
+pair brackets and the one ideal test, `linalg._is_ideal`.
 
 `all_abelian_ideals` and `all_abelian_subalgebras` walk their strata
 through the one kernel in `_scan_py`, and `alpha` walks its strata <= n-2
@@ -79,9 +80,9 @@ from .linalg import (
     _canonical_index,
     _clear,
     _dot_rows,
+    _is_ideal,
     _lead,
     _matmul,
-    _row_action,
     canonical_subspaces,
     enumerate_subspaces,
     gaussian_binomial,
@@ -435,12 +436,12 @@ def _abelian_ideal_hits(L: AlgebraTable, d: int) -> list[Subspace]:
     the candidates' pivot sets in canonical order, and the first pivot set
     of X that holds a hit holds the first hit.
 
-    So no candidate is spanned.  For each row w of W, [w, e_j] is read for
-    every j off `_products` in one pass over w's nonzero entries
-    (`linalg._row_action`); [w, v] = sum_j v_j [w, e_j] tests abelian,
-    and the residuals of the [w, e_j] test the ideal.  Only hits are
-    spanned, and the walk of X stops after the first pivot set that holds
-    one.
+    So no candidate is spanned.  The pairs of rows of W are bracketed
+    (`algebra._scaled_bracket`) to test abelian, as `is_abelian_subspace`
+    does, and the [w, e_j] of each row w are cleared against that pivot
+    list to test [I, L] <= I (`linalg._is_ideal`, on the left alone).
+    Only hits are spanned, and the walk of X stops after the first pivot
+    set that holds one.
 
     By the same lemma every candidate from a pivot set P of the span on
     counts at least P's offset, the index of P's first subspace: once the
@@ -466,12 +467,10 @@ def _abelian_ideal_hits(L: AlgebraTable, d: int) -> list[Subspace]:
                     break  # no candidate from here on is within the budget
             seen_xp = xp
         ws = [[_dot_rows(x, col) % p for col in Bcols] for x in X]
-        # [w, e_j] for every j, and [w, v] = sum_j v_j [w, e_j]
-        rights = [_row_action(L._products, w, p) for w in ws]
-        if any(any(_dot_rows(v, col) % p for col in zip(*R)) for R in rights for v in ws):
+        if any(any(_scaled_bracket(L, u, v)) for u in ws for v in ws):
             continue
         pivots = C_pivots + list(zip([Bpiv[s] for s in xp], ws))
-        if not any(any(_clear(p, r, pivots)) for R in rights for r in R):
+        if _is_ideal(L._products, ws, pivots, p, (True,)):
             hits.append(Subspace._span(F, n, C._rows + tuple(ws)))
     return hits
 

@@ -7,9 +7,8 @@ trace kernel K, which proves Nil(L) = K.  Here both the reported
 `dim_nilradical` and the cached nilradical are compared with the
 certificate's nilradical of a fresh copy of the table, on c, d and rotext
 (+) F^k over GF(3), GF(5) and QQ, in the canonical basis and under a basis
-change.  `is_ideal`, one contraction of the table with each functional of
-the subspace's annihilator, is compared with the ideal test it replaced,
-which bracketed each basis row with each unit vector.
+change.  `is_ideal` is compared with a reference that brackets each
+basis row with each unit vector, on both sides.
 """
 
 import random
@@ -189,8 +188,8 @@ def test_frames_run_no_certificate(monkeypatch):
 
 
 def reference_is_ideal(L, U):
-    """The ideal test before the contraction: each bracket of a canonical
-    row of U with a unit vector, on either side, reduced against U."""
+    """Each bracket of a canonical row of U with a unit vector, on either
+    side, reduced against U."""
     _check_subspace(L, U)
     n = L.dim
     es = [tuple(int(i == j) for i in range(n)) for j in range(n)]

@@ -18,8 +18,12 @@ self-test imports no internal name, and `search._scan_dim` is the one
 caller of the scan kernel.  `search._first_in_strata` is the one caller
 of `_debit_first` and `_abelian_hyperplanes`: one function loops over
 strata.  `linalg._row_action` is the one contraction of a row with the
-structure table: the kernel, `search` and `algebra` call it, and no module
-defines `_brackets_with_basis`.  `linalg._pair_bracket` is the one
+structure table: the kernel, `algebra` and `linalg._is_ideal` call it, and
+no module defines `_brackets_with_basis`.  `linalg._is_ideal` is the one
+ideal test: `algebra.is_ideal`, the kernel and `search`'s abelian-ideal
+stratum call it, and no other module defines an `is_ideal`.
+`algebra._action_preimage` is the one preimage under action matrices:
+`centralizer`, `normalizer` and `fitting_decomposition` call it.  `linalg._pair_bracket` is the one
 contraction of a pair of rows: `algebra._scaled_bracket` and the kernel
 call it, and no module defines `bracket_zero`.  The scan kernel imports
 from the package only `fields` and `linalg`, and `linalg` imports nothing
@@ -251,16 +255,43 @@ def test_one_driver_decides_and_debits_the_strata():
 
 def test_one_routine_contracts_a_row_with_the_table():
     # the n rows [u, e_j] or [e_j, u] of a row u are read off `_products`
-    # in one place; the kernel, the abelian-ideal stratum, the operators and
-    # `mult_operator` keep no copy of the loop
+    # in one place; the kernel's row solves, the operators, `mult_operator`
+    # and the ideal test keep no copy of the loop
     assert sorted(set(_callers("_row_action"))) == [
         ("_scan_py.py", "scan_subspaces"),
         ("algebra.py", "_actions"),
         ("algebra.py", "mult_operator"),
-        ("search.py", "_abelian_ideal_hits"),
+        ("linalg.py", "_is_ideal"),
     ]
     defined = _defined_functions()
     assert "_row_action" in defined and "_brackets_with_basis" not in defined
+
+
+def test_one_routine_tests_an_ideal():
+    # whether the brackets of a subspace's rows with L stay in it is
+    # decided in one place: `is_ideal` and the kernel on both sides, the
+    # abelian-ideal stratum on the left; no other `is_ideal` is defined
+    assert sorted(set(_callers("_is_ideal"))) == [
+        ("_scan_py.py", "scan_subspaces"),
+        ("algebra.py", "is_ideal"),
+        ("search.py", "_abelian_ideal_hits"),
+    ]
+    defining = [
+        module
+        for module in MODULES
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.FunctionDef) and node.name == "is_ideal"
+    ]
+    assert defining == ["algebra.py"]
+
+
+def test_one_routine_takes_the_preimage_under_actions():
+    # {x : m x in T for every action m} is built in one place
+    assert sorted(set(_callers("_action_preimage"))) == [
+        ("algebra.py", "centralizer"),
+        ("algebra.py", "normalizer"),
+        ("invariants.py", "fitting_decomposition"),
+    ]
 
 
 def test_one_routine_contracts_a_pair_of_rows():

@@ -1,6 +1,6 @@
 """The conditions that `nilradical`, `_case3_nilradical`, the Case matchers
-and the QQ ideal candidates no longer test, because a lemma proves them on
-every Leibniz table, checked to hold:
+and the QQ ideal candidates no longer test, or test only as an early exit,
+because a lemma proves them on every Leibniz table, checked to hold:
 
 1. the trace kernel K is a two-sided ideal (`invariants._trace_kernel`);
 2. dim K = n-1 rules out a nilpotent L (`classify._case3_nilradical`);
@@ -8,7 +8,10 @@ every Leibniz table, checked to hold:
    and L is solvable (`classify._match_case3`);
 4. `derived_length` is set exactly when L is solvable (`_match_case1`,
    `solvability_from_codim2_ideal`, `verify_main_theorem`);
-5. C(L) + [L, L] is an ideal (`classify._codim2_abelian_ideal_qq`).
+5. C(L) + [L, L] is an ideal (`classify._codim2_abelian_ideal_qq`);
+6. every Case1_c and Case3_e verdict has derived length exactly 3, which
+   `verify_main_theorem` claims ("3-step solvable") and `_match_case1`
+   tests as an early exit.
 
 The tables are the conftest generators over GF(3), GF(5), GF(7) and QQ,
 every standard fixture, the GF(5) tables that reach Case1_c and Case3_e
@@ -55,8 +58,9 @@ PRIME_FIELDS = (F3, F5, F7)
 
 
 def check_lemmas(L, A=None):
-    """Assert the five conditions on L; classify L over GF(p), or over QQ
-    with the witness A, and return the verdict's case (None otherwise)."""
+    """Assert the six conditions on L (the sixth on a verdict); classify L
+    over GF(p), or over QQ with the witness A, and return the verdict's
+    case (None otherwise)."""
     n = L.dim
     K, rep = _trace_kernel(L), series(L)
     assert is_ideal(L, K), L.name
@@ -67,7 +71,10 @@ def check_lemmas(L, A=None):
     if frame is not None:
         assert N.dim == n - 1 and rep.solvable, L.name
     if L.field.is_prime_field or A is not None:
-        return classify(L, A=A).case
+        case = classify(L, A=A).case
+        # the frames imply it (`classify._match_case1`)
+        assert case not in (Case.CASE1_C, Case.CASE3_E) or rep.derived_length == 3, L.name
+        return case
     return None
 
 
