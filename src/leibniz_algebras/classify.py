@@ -31,22 +31,21 @@ but for QQ Case2_d, which reports the first triple it finds (`_match_case2`).
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from typing import NamedTuple
 
 from .algebra import (
     AlgebraTable,
-    _bracket,
-    _derived_space,
     _inherit_leibniz,
     _is_frame,
+    _scaled_bracket,
     center,
     is_abelian_subspace,
     is_ideal,
     is_lie,
     require_leibniz,
     squares_ideal,
-    subalgebra_table,
 )
 from .errors import ConsistencyError, FamilyParameterError, NoAbelianIdealError
 from .families import _c_table, _d_table, _e_table
@@ -62,7 +61,13 @@ from .linalg import (
     Matrix,
     QuadraticPoly,
     Subspace,
+    _clear,
     _coords_in_rows,
+    _dependencies,
+    _fractions,
+    _integer_row,
+    _matmul,
+    _pair_bracket,
     char_poly_2x2,
     enumerate_subspaces,
     is_irreducible_quadratic,
@@ -164,38 +169,99 @@ def _heisenberg_frame(L: AlgebraTable, W: Subspace) -> list[tuple] | None:
     """Ambient rows (u, w, z, f_1, ..) putting the subalgebra W in the standard
     heisenberg (+) F^k form: [u, w] = z with z and the f's central in W.
 
-    None when W is not heisenberg (+) F^(dim-3), tested structurally: Lie,
-    with a derived space span(z) of dimension 1, read off W's table
-    (`_derived_space`), inside a center C of dimension dim-2 (which makes
-    it nilpotent of class <= 2).
+    Everything is read off B, the m x m table B[r][s] = `_scaled_bracket`
+    of W's canonical integer rows R_r = s_r b_r, b_r the RREF rows and s_r
+    their pivot entries (1 over GF(p)): B[r][s] = D s_r s_s [b_r, b_s], D
+    = `L._D`.  No table of W is built.
 
-    The frame is then written down, in W's RREF coordinates: u is the first
-    basis vector outside C, w the first basis vector e_s with [u, e_s] = c*z,
-    c != 0, scaled by 1/c, and the f's extend z to a basis of C.  Every
-    bracket is a multiple of z, and a Lie algebra's left and right centers
-    agree, so such an s exists.  The rows are a basis: if a*u + b*w lies in
-    C, bracketing with u gives b*z = 0, so b = 0, and then a = 0 as u is
-    outside C.  In this basis [u, w] = -[w, u] = z, [u, u] = [w, w] = 0 by
-    the Lie property, and z and the f's are central: the table is the
-    model's.  `_match_case1` and `_match_case3` check whole frames that
-    contain these products."""
+    None when W is not heisenberg (+) F^(m-3), m = dim W, tested
+    structurally.  W is Lie iff its squares span is 0, i.e. iff B[r][r] = 0
+    and B[r][s] + B[s][r] = 0 for r < s (the generators of `squares_ideal`;
+    W, a subalgebra of a Leibniz table, is Leibniz).  [W, W] is the span of
+    the B[r][s], and must be a line span(z).  C(W) is {sum_r x_r R_r : x a
+    dependency of the rows B[r][.] (+) B[.][r]} (`_dependencies`; the
+    factors s_s are common to a column block, so they change no
+    dependency); it must have dimension m-2 and hold z (which makes W
+    nilpotent of class <= 2).
+
+    Pivot lemma.  A subspace U <= W has its pivots among W's, so U's
+    ambient RREF rows are the images sum_r y_r b_r of its RREF rows y in
+    W's coordinates.  For the first r with y_r != 0 is y's pivot, and the
+    image is 0 before the pivot P_r of b_r and y_r there; at each pivot P_t
+    of W the image is y_t, as the RREF rows b are 0 at each other's pivots.
+    So [W, W] and C(W), computed in ambient rows, are what W's own RREF
+    coordinates would give, and a coordinate y_t of W is the entry at P_t.
+    The images of the dependencies are reduced echelon rows of C(W), with
+    pivots P_q for the dependencies' pivots q: divided by their pivot
+    entries, they are its RREF rows.
+
+    The frame is then written down: u = b_i0 for the first i0 with b_i0
+    outside C(W) (a row B[i0][.] not 0), w = b_s / c for the first s with
+    [u, b_s] = c z, c = B[i0][s][P] / (D s_i0 s_s) != 0, P the pivot of the
+    RREF row z of [W, W], and the f's extend z to a basis of C(W): greedily
+    by its RREF rows, which keeps every row but the last one at whose pivot
+    z is nonzero (z is a combination of those rows, with its entries there
+    as coefficients).  Every bracket is a multiple of z, and a Lie
+    algebra's left and right centers agree, so such an s exists.  The rows
+    are a basis: if a*u + b*w lies in C(W), bracketing with u gives b*z =
+    0, so b = 0, and then a = 0 as u is outside C(W).  In this basis [u, w]
+    = -[w, u] = z, [u, u] = [w, w] = 0 by the Lie property, and z and the
+    f's are central: the table is the model's.  Fractions are built for
+    the returned rows alone.  `_match_case1` and `_match_case3` check whole
+    frames that contain these products."""
     m = W.dim
     if m < 3:
         return None
-    T = subalgebra_table(L, W)
-    if not is_lie(T):
+    F, n, p = L.field, L.dim, L.field.p
+    R = W._rows
+    B = [[_scaled_bracket(L, a, b) for b in R] for a in R]
+    for r in range(m):
+        if any(B[r][r]):
+            return None
+        for s in range(r + 1, m):
+            skew = map(operator.add, B[r][s], B[s][r])
+            if any(skew) if p is None else any(x % p for x in skew):
+                return None
+    derived = Subspace._span(F, n, [B[r][s] for r in range(m) for s in range(r + 1, m)])
+    if derived.dim != 1:
         return None
-    T2 = _derived_space(T)
-    CT = center(T)
-    if T2.dim != 1 or CT.dim != m - 2 or not CT.contains(T2):
+    deps = _dependencies(F, [sum(B[r], ()) + sum((Bs[r] for Bs in B), ()) for r in range(m)])
+    if deps.dim != m - 2:
         return None
-    F = L.field
-    u_t = T.basis_vector(_least_index_outside(T, CT))
-    w_t = next(e for e in map(T.basis_vector, range(m)) if any(_bracket(T, u_t, e)))
-    c = _bracket(T, u_t, w_t)[T2.pivots[0]]
-    rows_t = [u_t, tuple(F.mul(F.inv(c), x) for x in w_t), T2.basis.data[0]]
-    rows_t += T2._extension(CT.basis.data)
-    return [W.basis.apply_row(row) for row in rows_t]
+    (z,), (P,) = derived._rows, derived.pivots
+    center_rows = _matmul(deps._rows, R, p)
+    center_pivots = [W.pivots[q] for q in deps.pivots]
+    if any(_clear(p, z, zip(center_pivots, center_rows))):
+        return None
+
+    i0 = next(r for r in range(m) if any(map(any, B[r])))
+    s = next(s for s in range(m) if any(B[i0][s]))
+    s_i0 = R[i0][W.pivots[i0]]
+    frame = [
+        _divided(F, R[i0], s_i0),
+        _divided(F, [L._D * s_i0 * x for x in R[s]], B[i0][s][P]),
+        _divided(F, z, z[P]),
+    ]
+    last = max(j for j, pc in enumerate(center_pivots) if z[pc])
+    frame += [_divided(F, f, f[pc]) for j, (f, pc) in enumerate(zip(center_rows, center_pivots)) if j != last]
+    return frame
+
+
+def _integer_frame_rows(F: FieldSpec, rows) -> list:
+    """(d, d*row) for each row in F's canonical form, d the lcm of its
+    denominators over QQ (`_integer_row`) and 1 over GF(p): the rows that
+    the matchers bracket on the integer view (`_scaled_bracket`), whose
+    coordinates are then taken with the denominator D d (`_coords_in_rows`)."""
+    return [_integer_row(row) for row in rows] if F.p is None else [(1, row) for row in rows]
+
+
+def _divided(F: FieldSpec, v, den: int) -> tuple:
+    """The int row v divided by den != 0, in F's canonical form: Fractions
+    over QQ (`_fractions`), residues over GF(p)."""
+    if F.p is None:
+        return _fractions(v, den)
+    inv = pow(den, -1, F.p)
+    return tuple(x * inv % F.p for x in v)
 
 
 def _least_index_outside(L: AlgebraTable, S: Subspace) -> int:
@@ -247,7 +313,16 @@ def _match_case1(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
     ([e, e] = c e gives [[e, e], e] = c^2 e = 0), so [L, L] <= N; the
     generator acts invertibly on N / C(N), so [L, L] holds u + c, w + c',
     c, c' in C(N), whose bracket is z.  So `verify_main_theorem`'s "3-step
-    solvable" claims hold on every Case1_c and Case3_e verdict."""
+    solvable" claims hold on every Case1_c and Case3_e verdict.
+
+    On the integer view: a0 is a basis vector outside C(L) + L2, bracketed
+    as an int row with the frame rows u and w scaled to integers once
+    (`_scaled_bracket`), and the coordinates of each bracket are taken with
+    its denominator (`_coords_in_rows`).  The generator a = a0 + cu w - cw
+    u, cu and cw the z-coordinates of [a0, u] and [a0, w], needs no bracket
+    of its own: the frame has [w, u] = -z and [u, u] = [w, w] = 0, so
+    [a, u] = [a0, u] - cu z and [a, w] = [a0, w] - cw z, whose z-coordinates
+    are 0 and whose (u, w) coordinates are a0's, the rows of m."""
     F = L.field
     n = L.dim
     if not (lie and rep.derived_length == 3):
@@ -259,20 +334,19 @@ def _match_case1(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
         return None
     u, w, z = frame_h
     fs = Subspace.from_vectors(F, n, [z])._extension(CL.basis.data)
-    a0 = L.basis_vector(_least_index_outside(L, subspace_sum(CL, L2)))
-    # strip the z-component of the action by absorbing it into the generator;
-    # every bracket lies in [L, L] = span(u, w, z), so each has coordinates
+    i = _least_index_outside(L, subspace_sum(CL, L2))
+    # every bracket lies in [L, L] = span(u, w, z), so each has coordinates;
+    # a0 = e_i is an int row on both fields
     uvz_coords = _coords_in_rows(F, [u, w, z], n)[1]
-    cu = uvz_coords(_bracket(L, a0, u))[2]
-    cw = uvz_coords(_bracket(L, a0, w))[2]
+    a0 = [int(j == i) for j in range(n)]
+    au, aw = (uvz_coords(_scaled_bracket(L, a0, ib), L._D * db) for db, ib in _integer_frame_rows(F, [u, w]))
+    # strip the z-component of the action by absorbing it into the generator;
+    # [a, u] and [a, w] are then au and aw without it (see the docstring)
+    cu, cw = au[2], aw[2]
     a = tuple(
         F.add(x, F.sub(F.mul(cu, ww), F.mul(cw, uu)))
         for x, uu, ww in zip(a0, u, w)
     )
-    au = uvz_coords(_bracket(L, a, u))
-    aw = uvz_coords(_bracket(L, a, w))
-    if au[2] != F.zero or aw[2] != F.zero:
-        raise ConsistencyError("central component survived generator adjustment")
     m = Matrix._canonical(F, [au[:2], aw[:2]], 2)
     if not is_irreducible_quadratic(char_poly_2x2(m), F):
         return {"abelian_ideal": _eigenline_ideal(L, CL, m, u, w)}
@@ -284,11 +358,14 @@ def _match_case1(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
     return {"chi": chi, "m": m, "frame": frame, "model": model}
 
 
-def _simple_3dim_subspaces(T: AlgebraTable):
-    """Candidate planes of the 3-dim simple Lie algebra T, each yielded
-    once: over prime fields every plane, in canonical order; over QQ the
-    six planes ker f, f = e_3*, e_2*, e_1*, e_2* + e_3*, e_1* + e_3*,
-    e_1* + e_2*, in that order, one of which gives a standard triple.
+def _simple_3dim_subspaces(F: FieldSpec):
+    """Candidate planes of a 3-dim simple Lie algebra T over F, in its
+    coordinates, each yielded once: over prime fields every plane, in
+    canonical order; over QQ the six planes ker f, f = e_3*, e_2*, e_1*,
+    e_2* + e_3*, e_1* + e_3*, e_1* + e_2*, in that order, one of which
+    gives a standard triple.  Over both fields each plane's canonical rows
+    are its RREF rows: over QQ the kernel of an f with entries 0 and 1 has
+    rows e_i and e_i - e_j, of pivot entry 1.
 
     Lemma (QQ).  Let K be the Killing form, nondegenerate, h_f the vector
     with K(h_f, .) = f, so ker f = h_f^perp, and Q*(f) = K(h_f, h_f), the
@@ -304,7 +381,6 @@ def _simple_3dim_subspaces(T: AlgebraTable):
     qualifies: Q* is nondegenerate, so if Q*(e_i*) = 0 for every i,
     Q*(e_i* + e_j*) = 2 B*(e_i*, e_j*) != 0 for some i < j, B* the
     bilinear form of Q*."""
-    F = T.field
     if F.is_prime_field:
         yield from enumerate_subspaces(3, 2, F)
         return
@@ -337,7 +413,12 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
     complement of C(L) iff dim L2 = 3, and no intersection is computed.
 
     A matched L has nilradical C(L): the image of Nil(L) in the simple
-    L / C(L) is a nilpotent ideal, so 0, and C(L) is an abelian ideal."""
+    L / C(L) is a nilpotent ideal, so 0, and C(L) is an abelian ideal.
+
+    The planes are bracketed in L2's RREF coordinates, on an integer table
+    read off the `_scaled_bracket`s of L2's canonical rows (the pivot lemma
+    of `_heisenberg_frame`): no subalgebra table is built, and Fractions
+    are built for m and the frame rows alone."""
     F = L.field
     n = L.dim
     if not lie or rep.solvable or CL.dim != n - 3:
@@ -348,17 +429,34 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
         return None
     if L2.dim != 3:
         raise ConsistencyError("derived subalgebra is not a 3-dim complement of the center")
-    T = subalgebra_table(L, L2)
+    # L2's table in its RREF coordinates, on integers: with s_r the pivot
+    # entries of its canonical rows R_r, S their lcm, and [R_a, R_b] on the
+    # integer view D s_a s_b [b_a, b_b], the table D S^2 [b_a, b_b] is read
+    # off at L2's pivots (the pivot lemma of `_heisenberg_frame`)
+    p, D = F.p, L._D
+    R, pivots = L2._rows, L2.pivots
+    S = math.lcm(*(r[pc] for r, pc in zip(R, pivots)))
+    q = [S // r[pc] for r, pc in zip(R, pivots)]
+    table = []
+    for a, qa in zip(R, q):
+        products = [_scaled_bracket(L, a, b) for b in R]
+        table.append([tuple((k, w[c] * qa * qb) for k, c in enumerate(pivots) if w[c]) for w, qb in zip(products, q)])
     least = (F.zero, F.one)
-    for V in _simple_3dim_subspaces(T):
-        u_t, w_t = V.basis.data
-        h_t = _bracket(T, u_t, w_t)
-        if V._coordinates(h_t) is not None:
+    scale = D * S * S
+    for V in _simple_3dim_subspaces(F):
+        # the plane's canonical rows u, w are its RREF rows (their pivot
+        # entries are 1 over QQ too, see `_simple_3dim_subspaces`), so h =
+        # scale [u, w], and the coordinates in (u, w) of [h, u] are hu's
+        # entries at the plane's pivots over scale^2
+        (u, w), (q0, q1) = V._rows, V.pivots
+        h = _pair_bracket(table, u, w, p)
+        if V._contains(h):
             continue
-        hu = V._coordinates(_bracket(T, h_t, u_t))
-        hw = V._coordinates(_bracket(T, h_t, w_t))
-        if hu is None or hw is None:
+        hu, hw = _pair_bracket(table, h, u, p), _pair_bracket(table, h, w, p)
+        if not (V._contains(hu) and V._contains(hw)):
             continue
+        hu = _divided(F, (hu[q0], hu[q1]), scale * scale)
+        hw = _divided(F, (hw[q0], hw[q1]), scale * scale)
         m = Matrix._canonical(F, [hu, hw], 2)
         chi = canonical_quadratic(F, char_poly_2x2(m))
         if not F.is_prime_field or (chi.c1, chi.c0) == least:
@@ -371,7 +469,9 @@ def _match_case2(L: AlgebraTable, lie, rep, CL, L2) -> dict | None:
         model = _d_table(m, n, F)
     except FamilyParameterError as exc:
         raise ConsistencyError("extracted action matrix has nonzero trace") from exc
-    frame_rows = [L2.basis.apply_row(t) for t in (h_t, u_t, w_t)]
+    # a row y of L2's RREF coordinates is sum_r y_r q_r R_r / S in L
+    h, u, w = _matmul([h, u, w], [[qr * x for x in r] for qr, r in zip(q, R)], p)
+    frame_rows = [_divided(F, h, S * scale), _divided(F, u, S), _divided(F, w, S)]
     frame_rows += list(CL.basis.data)
     frame = Matrix._canonical(F, frame_rows, n)
     if not _is_frame(L, frame, model):
@@ -396,16 +496,25 @@ def _match_case3(L: AlgebraTable, N, frame_amb) -> dict | None:
     an abelian subalgebra of heisenberg (+) F^(n-4).  A + C(N) is abelian,
     so an A of dimension n-2 contains C(N) and gives a line A / C(N) in the
     plane N / C(N) that x leaves invariant; an irreducible action has no
-    such line."""
+    such line.
+
+    On the integer view: x is a basis vector outside N, bracketed as an int
+    row with the frame rows scaled to integers once (`_scaled_bracket`),
+    and the coordinates of each bracket are taken with its denominator
+    (`_coords_in_rows`)."""
     F = L.field
     n = L.dim
     if frame_amb is None:
         return None
-    x = L.basis_vector(_least_index_outside(L, N))
+    i = _least_index_outside(L, N)
+    x = L.basis_vector(i)
     # [x, b] and [b, x] lie in the ideal N, as does [x, x]: the squares span
-    # is an ideal with [[y, y], L] = 0, so abelian, and N holds it
+    # is an ideal with [[y, y], L] = 0, so abelian, and N holds it.  They
+    # are taken on the integer view, x an int row on both fields
     h_coords = _coords_in_rows(F, frame_amb, n)[1]
-    phi = Matrix._canonical(F, [h_coords(_bracket(L, x, b)) for b in frame_amb], n - 1).transpose()
+    e, D = [int(j == i) for j in range(n)], L._D
+    scaled = _integer_frame_rows(F, frame_amb)
+    phi = Matrix._canonical(F, [h_coords(_scaled_bracket(L, e, ib), D * db) for db, ib in scaled], n - 1).transpose()
     # the induced action on N / C(N) is the (u, w) block of phi
     star = Matrix._canonical(F, [phi.data[0][:2], phi.data[1][:2]], 2)
     if not is_irreducible_quadratic(char_poly_2x2(star), F):
@@ -413,8 +522,8 @@ def _match_case3(L: AlgebraTable, N, frame_amb) -> dict | None:
         CN = Subspace.from_vectors(F, n, frame_amb[2:])
         u, w = frame_amb[:2]
         return {"abelian_ideal": _eigenline_ideal(L, CN, star.transpose(), u, w)}
-    theta = Matrix._canonical(F, [h_coords(_bracket(L, b, x)) for b in frame_amb], n - 1).transpose()
-    v = h_coords(_bracket(L, x, x))
+    theta = Matrix._canonical(F, [h_coords(_scaled_bracket(L, ib, e), D * db) for db, ib in scaled], n - 1).transpose()
+    v = h_coords(_scaled_bracket(L, e, e), D)
     model = _e_table(phi, theta, v, n, F)
     frame = Matrix._canonical(F, [x] + frame_amb, n)
     if not _is_frame(L, frame, model):

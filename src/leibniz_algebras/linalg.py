@@ -47,7 +47,8 @@ span, p, sides)` the one ideal test: the rows of `_row_action`, on one
 side or both, cleared against the subspace's pivot list.
 
 One routine takes coordinates: `_coords_in_rows(F, rows, n)` eliminates
-[rows | 1] once and returns v -> x with x @ rows = v.  `Matrix.inverse`,
+[rows | 1] once and returns v -> x with x @ rows = v, v a row in the
+field or an int row with its denominator.  `Matrix.inverse`,
 `solve_row`, `solve_col`, `algebra.change_of_basis`, `algebra.quotient` and
 the frames of `classify` all call it; none inverts a matrix to apply it.
 """
@@ -449,7 +450,10 @@ def _dependencies(F: FieldSpec, rows: Sequence[Sequence]) -> "Subspace":
 def _coords_in_rows(F: FieldSpec, rows: Sequence[Sequence], n: int):
     """(rank, coords) for rows of n entries in F's canonical form: coords(v)
     is the x with x @ rows = v that is 0 at every row lying in the span of
-    the rows before it, or None when v is outside their span.
+    the rows before it, or None when v is outside their span.  v is a row
+    in F's canonical form, or, as coords(v, den), a row of ints (residues
+    over GF(p), with den 1) standing for v / den, such as a bracket on the
+    integer view (`algebra._scaled_bracket`) with its denominator.
 
     The k rows are eliminated once (`_echelon`), [rows | J] with J the
     k x k unit matrix, its columns reversed, to rows [s_j b_j | s_j t_j],
@@ -459,9 +463,10 @@ def _coords_in_rows(F: FieldSpec, rows: Sequence[Sequence], n: int):
     nonzero entries of the dependencies, that is the rows lying in the span
     of the rows before them, and the reduced t_j are 0 there.  Over QQ each
     row of [rows | J] and each v are scaled to integers on entry and the t_j
-    to ints by d = lcm(s_j), so each x_i is one Fraction; over GF(p) every
-    s_j is 1.  v is inside iff the rows s_j b_j clear it to 0, and when the
-    rows span F^n every v is inside and no test runs."""
+    to ints by d = lcm(s_j), so each x_i is one Fraction; a v given with
+    its den is not scaled again.  Over GF(p) every s_j is 1.  v is inside
+    iff the rows s_j b_j clear it to 0, and when the rows span F^n every v
+    is inside and no test runs."""
     k, p = len(rows), F.p
     augmented = [(*row, *(int(i + j == k - 1) for j in range(k))) for i, row in enumerate(rows)]
     red, pivots = _echelon(F, _integer_rows(F, augmented), n + k)
@@ -471,10 +476,9 @@ def _coords_in_rows(F: FieldSpec, rows: Sequence[Sequence], n: int):
     d = math.lcm(*(row[pc] for row, pc in zip(red, pivots)))
     T = [[x * (d // row[pc]) for x in reversed(row[n:])] for row, pc in zip(red, pivots)]
 
-    def coords(v: Sequence) -> tuple | None:
-        dv = 1
-        if p is None:
-            dv, v = _integer_row(v)
+    def coords(v: Sequence, den: int | None = None) -> tuple | None:
+        if p is None and den is None:
+            den, v = _integer_row(v)
         if span is not None and any(_clear(p, v, span)):
             return None
         x = [0] * k
@@ -482,7 +486,7 @@ def _coords_in_rows(F: FieldSpec, rows: Sequence[Sequence], n: int):
             c = v[pc]
             if c:
                 x = [a + c * b for a, b in zip(x, t)]
-        return tuple(y % p for y in x) if p is not None else _fractions(x, d * dv)
+        return tuple(y % p for y in x) if p is not None else _fractions(x, d * den)
 
     return rank, coords
 

@@ -9,8 +9,19 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from leibniz_algebras import search
-from leibniz_algebras.algebra import AlgebraTable, center, change_of_basis, direct_sum, is_leibniz
+from leibniz_algebras.algebra import (
+    AlgebraTable,
+    _bracket,
+    _derived_space,
+    center,
+    change_of_basis,
+    direct_sum,
+    is_leibniz,
+    is_lie,
+    subalgebra_table,
+)
 from leibniz_algebras.catalog import heisenberg_rotation_extension, rotation_2x2
+from leibniz_algebras.classify import _least_index_outside
 from leibniz_algebras.families import (
     abelian_algebra,
     heisenberg,
@@ -683,3 +694,49 @@ def reference_two_sided_trace_rows(L):
     funcs = [[sum(A.get(t, 0) for t in diagonal) for A in flat[m : m + n]] for m in (0, n)]
     funcs += [[T[m + i][b] for i in range(n)] for m in (0, n) for b in range(2 * n)]
     return funcs if p is None else [[x % p for x in f] for f in funcs]
+
+
+# -- references: the Heisenberg frame from a subalgebra table -----------------------
+
+
+def reference_heisenberg_frame(L, W):
+    """`classify._heisenberg_frame` as it was written on a Fraction table of
+    W: the subalgebra table of W on its RREF rows, its Lie test, derived
+    space and center, the frame written in W's coordinates and mapped back
+    through W's RREF basis."""
+    m = W.dim
+    if m < 3:
+        return None
+    T = subalgebra_table(L, W)
+    if not is_lie(T):
+        return None
+    T2 = _derived_space(T)
+    CT = center(T)
+    if T2.dim != 1 or CT.dim != m - 2 or not CT.contains(T2):
+        return None
+    F = L.field
+    u_t = T.basis_vector(_least_index_outside(T, CT))
+    w_t = next(e for e in map(T.basis_vector, range(m)) if any(_bracket(T, u_t, e)))
+    c = _bracket(T, u_t, w_t)[T2.pivots[0]]
+    rows_t = [u_t, tuple(F.mul(F.inv(c), x) for x in w_t), T2.basis.data[0]]
+    rows_t += T2._extension(CT.basis.data)
+    return [W.basis.apply_row(row) for row in rows_t]
+
+
+def reference_frame_branch(L, W):
+    """The test of `reference_heisenberg_frame` that decides W: the first
+    that fails, or "frame"."""
+    m = W.dim
+    if m < 3:
+        return "dim W < 3"
+    T = subalgebra_table(L, W)
+    if not is_lie(T):
+        return "W not Lie"
+    T2, CT = _derived_space(T), center(T)
+    if T2.dim != 1:
+        return "dim [W, W] != 1"
+    if CT.dim != m - 2:
+        return "dim C(W) != m - 2"
+    if not CT.contains(T2):
+        return "[W, W] not in C(W)"
+    return "frame"

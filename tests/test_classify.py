@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from leibniz_algebras import algebra, invariants, search
 from leibniz_algebras.algebra import (
     AlgebraTable,
+    _is_frame,
     center,
     change_of_basis,
     direct_sum,
@@ -1062,3 +1063,43 @@ def test_classify_coerces_none_of_its_own_rows(monkeypatch):
     Subspace.full(F3, 2).contains_vector([1, 0])
     Subspace.full(QQ, 2).coordinates([1, 0])
     assert calls == {F3: 1, QQ: 1}
+
+
+def non_lie_extension(F, block):
+    """e(phi, theta, v, 5) on (x, u, w, z, f), with [x, f] = k f and [f, x]
+    = 0, so theta = -phi + K, K = k E_ff != 0, and [x, x] = v = f.
+
+    phi acts on (u, w) by `block` (columns are images), adds z-components,
+    and is a derivation of heisenberg (+) F: phi(z) = tr(block) z, phi(f)
+    = k f.  With K[a, b] = 0 and K mapping into the center, the Leibniz
+    rule asks K phi = phi K = K^2 and phi v = K v, which hold: K^2 = k K,
+    phi K = K phi = k K, phi f = K f = k f."""
+    (a, b), (c, d) = block
+    k = F.neg(F.one)
+    phi = Matrix(F, [[a, b, 0, 0], [c, d, 0, 0], [1, 2, F.add(F.of(a), F.of(d)), 0], [0, 0, 0, k]])
+    K = Matrix(F, [[0] * 4, [0] * 4, [0] * 4, [0, 0, 0, k]])
+    return make_e(phi, K - phi, (0, 0, 0, 1), 5, F)
+
+
+def test_non_lie_case3_keeps_its_theta():
+    # theta != -phi: the verdict's model is not a Lie extension, and its
+    # frame carries the table onto it.  Each (u, w) block is irreducible:
+    # t^2 - 2 over GF(3) and GF(5), t^2 + 1 over GF(7) and QQ
+    blocks = {F3: ((0, 2), (1, 0)), F5: ((0, 2), (1, 0)), F7: ((0, 6), (1, 0)), QQ: ((0, -1), (1, 0))}
+    for F, block in blocks.items():
+        L = non_lie_extension(F, block)
+        for seed in range(3):
+            if F.is_prime_field:
+                M, A = change_of_basis(L, rand_invertible(F, 5, random.Random(seed))), None
+            else:
+                P = rational_change(5, random.Random(seed))
+                # the witness span(u, z, f), abelian of codimension 2
+                rows = [[0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+                M, A = change_of_basis(L, P), Subspace.from_vectors(F, 5, carried(P, rows))
+            verdict = classify(M, A=A)
+            assert verdict.case is Case.CASE3_E, (F, seed)
+            witness = verdict.witness
+            assert witness["theta"] != -witness["phi"], (F, seed)
+            assert _is_frame(M, witness["frame"], witness["model"]), (F, seed)
+            if F.is_prime_field:
+                assert verify_main_theorem(M).ok, (F, seed)

@@ -221,6 +221,11 @@ def test_coords_in_rows_scales_rational_rows():
     x = coords(v)
     assert x == (Fraction(1, 2), Fraction(1, 21))
     assert coords((Fraction(1), Fraction(0), Fraction(0))) is None
+    # the same v as an integer row and its denominator, as the matchers
+    # pass a bracket on the integer view
+    assert coords((84, 12, 25), 84) == x
+    assert coords((-168, -24, -50), -168) == x
+    assert coords((5, 0, 0), 5) is None
 
 
 # -- basis changes and quotients ------------------------------------------------

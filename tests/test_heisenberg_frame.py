@@ -16,6 +16,15 @@ the 4-dim fixture subalgebras over GF(5).
 
 The frame itself is written down in closed form; on the same algebras it
 is compared with the frame of a search over pairs of basis vectors.
+
+`_heisenberg_frame` reads everything off the bracket table of W's integer
+rows.  `conftest.reference_heisenberg_frame`, the routine as it was written
+on a Fraction subalgebra table of W, is its reference: over GF(3), GF(5),
+GF(7) and QQ, on W = [L, L], the trace kernel, the nilradical, C(L) +
+[L, L] and L itself, of generated tables, the standard fixtures, three
+GF(5) tables of Case1_c and Case3_e, and h5 and r2 (+) F, the two give the
+same rows, entry types included, or both None.  Each field reaches the
+frame and every test that gives None.
 """
 
 import functools
@@ -36,12 +45,25 @@ from leibniz_algebras.algebra import (
 )
 from leibniz_algebras.catalog import standard_fixtures
 from leibniz_algebras.classify import _heisenberg_frame
-from leibniz_algebras.families import abelian_algebra, heisenberg_plus_abelian
-from leibniz_algebras.invariants import nilradical
-from leibniz_algebras.linalg import Matrix, Subspace
+from leibniz_algebras.families import abelian_algebra, heisenberg_plus_abelian, make_c, make_e
+from leibniz_algebras.fields import QQ
+from leibniz_algebras.invariants import _trace_kernel, nilradical
+from leibniz_algebras.linalg import Matrix, Subspace, subspace_sum
 from leibniz_algebras.search import iso_search
 
-from conftest import F3, F5, rand_invertible
+from conftest import (
+    F3,
+    F5,
+    F7,
+    central_extensions,
+    disguise,
+    family_algebras,
+    left_only_actions,
+    one_dimensional_extensions,
+    rand_invertible,
+    reference_frame_branch,
+    reference_heisenberg_frame,
+)
 
 
 def skew(F, m, products):
@@ -60,6 +82,11 @@ def nonlie(F):
     return AlgebraTable.from_products(
         F, 3, {(0, 1): (0, 0, 1), (1, 0): (0, 0, neg1), (0, 0): (0, 0, 1)}
     )
+
+
+def r2(F):
+    """The 2-dim non-abelian Lie algebra, [x, y] = -[y, x] = y."""
+    return AlgebraTable.from_products(F, 2, {(0, 1): (0, 1), (1, 0): (0, F.neg(F.one))})
 
 
 @functools.cache
@@ -132,3 +159,56 @@ def test_heisenberg_frame_is_the_searched_frame():
                 assert frame == searched_frame(M), (name, seed)
                 positives += 1
     assert positives
+
+
+def _frame_subspaces(L):
+    """[L, L], the trace kernel, the nilradical, C(L) + [L, L] and L.
+
+    L itself is there for the test [W, W] <= C(W), which none of the others
+    fails over QQ.  A Lie W with [W, W] = span(y) outside C(W), dim C(W) =
+    m - 2, is r2 (+) C(W), [x, y] = y: L_x has trace 1 on W, so W is no
+    trace kernel, and W is not nilpotent.  In characteristic 0 the derived
+    algebra of a solvable Leibniz algebra is nilpotent, and so is its sum
+    with the center; and L is solvable if [L, L] is."""
+    full = L.full_space()
+    derived = product_space(L, full, full)
+    return derived, _trace_kernel(L), nilradical(L), subspace_sum(center(L), derived), full
+
+
+def _agrees_with_reference(L, reached):
+    for W in _frame_subspaces(L):
+        frame = _heisenberg_frame(L, W)
+        assert repr(frame) == repr(reference_heisenberg_frame(L, W)), (L.name, W)
+        reached.add((L.field, reference_frame_branch(L, W)))
+
+
+def test_heisenberg_frame_matches_the_subalgebra_table_reference():
+    reached = set()
+    fields = (F3, F5, F7)
+
+    @settings(max_examples=200)
+    @given(
+        st.one_of(
+            central_extensions(fields),
+            one_dimensional_extensions(fields),
+            family_algebras(fields + (QQ,)),
+            left_only_actions(fields + (QQ,)),
+        )
+    )
+    def check(L):
+        _agrees_with_reference(L, reached)
+
+    check()
+    m = Matrix(F5, [[0, 1], [2, 0]])
+    phi = Matrix(F5, [[0, 2, 0], [1, 0, 0], [0, 0, 0]])
+    tables = [L for F in fields + (QQ,) for L in standard_fixtures(F)]
+    tables += [make_c(m, F5), direct_sum(make_c(m, F5), abelian_algebra(1, F5)), make_e(phi, -phi, (0, 0, 1), 4, F5)]
+    # h5 has a center of dimension 1, not 3; r2 (+) F, [x, y] = y, has
+    # [W, W] = span(y) outside its center
+    for F in fields + (QQ,):
+        for L in (skew(F, 5, {(0, 1): 4, (2, 3): 4}), direct_sum(r2(F), abelian_algebra(1, F))):
+            tables += [L, disguise(L, random.Random(L.dim))]
+    for L in tables:
+        _agrees_with_reference(L, reached)
+    branches = {"dim W < 3", "W not Lie", "dim [W, W] != 1", "dim C(W) != m - 2", "[W, W] not in C(W)", "frame"}
+    assert {(F, b) for F in fields + (QQ,) for b in branches} - reached == set()

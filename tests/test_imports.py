@@ -23,11 +23,15 @@ no module defines `_brackets_with_basis`.  `linalg._is_ideal` is the one
 ideal test: `algebra.is_ideal`, the kernel and `search`'s abelian-ideal
 stratum call it, and no other module defines an `is_ideal`.
 `algebra._action_preimage` is the one preimage under action matrices:
-`centralizer`, `normalizer` and `fitting_decomposition` call it.  `linalg._pair_bracket` is the one
-contraction of a pair of rows: `algebra._scaled_bracket` and the kernel
-call it, and no module defines `bracket_zero`.  The scan kernel imports
-from the package only `fields` and `linalg`, and `linalg` imports nothing
-from the kernel.
+`centralizer`, `normalizer` and `fitting_decomposition` call it.
+`classify._heisenberg_frame` builds no subalgebra table and runs no Lie
+test, center or derived space of one, and it and the Case1_c, Case2_d and
+Case3_e matchers bracket on the integer view, never with `_bracket`.
+`linalg._pair_bracket` is the one contraction of a pair of rows:
+`algebra._scaled_bracket`, the kernel and Case2_d's brackets in the
+coordinates of [L, L] call it, and no module defines `bracket_zero`.
+The scan kernel imports from the package only `fields` and `linalg`, and
+`linalg` imports nothing from the kernel.
 Importing the package and its CLI loads neither `dataclasses` nor
 `inspect`: its records are named tuples."""
 
@@ -295,14 +299,42 @@ def test_one_routine_takes_the_preimage_under_actions():
 
 
 def test_one_routine_contracts_a_pair_of_rows():
-    # [u, v] is read off `_products` in one place: `algebra`'s brackets and
-    # the kernel's [u, u] test keep no copy of the loop
+    # [u, v] is read off `_products` in one place: `algebra`'s brackets,
+    # the kernel's [u, u] test and Case2_d's brackets in the coordinates of
+    # [L, L] keep no copy of the loop
     assert sorted(set(_callers("_pair_bracket"))) == [
         ("_scan_py.py", "scan_subspaces"),
         ("algebra.py", "_scaled_bracket"),
+        ("classify.py", "_match_case2"),
     ]
     defined = _defined_functions()
     assert "_pair_bracket" in defined and "bracket_zero" not in defined
+
+
+def _called_in(module, function):
+    """The names the top-level function of the module calls, as names or
+    attributes, nested functions included."""
+    top = next(node for node in _tree(module).body if getattr(node, "name", None) == function)
+    return {
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+    }
+
+
+def test_case_frames_read_the_integer_view():
+    # the Heisenberg frame is read off the brackets of W's integer rows:
+    # no table of W is built, and no test runs on one; the matchers that
+    # take it bracket integer rows, never rows of Fractions
+    assert _called_in("classify.py", "_heisenberg_frame") & {
+        "subalgebra_table",
+        "is_lie",
+        "center",
+        "_derived_space",
+    } == set()
+    for function in ("_heisenberg_frame", "_match_case1", "_match_case2", "_match_case3"):
+        assert "_bracket" not in _called_in("classify.py", function), function
+        assert "_scaled_bracket" in _called_in("classify.py", function), function
 
 
 def _defined_functions():
